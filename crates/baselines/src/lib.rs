@@ -2,7 +2,7 @@
 //! the paper's Table II.
 //!
 //! Both are reimplemented from their published descriptions (closed
-//! source; see `DESIGN.md` §2):
+//! source; see `docs/DESIGN.md` §2):
 //!
 //! - [`PvtSizing`] — *"PVTSizing: a TuRBO-RL-based batch-sampling
 //!   optimization framework for PVT-robust analog circuit synthesis"*

@@ -9,7 +9,7 @@
 //!
 //! Three real-world testcases from the paper are implemented, each a
 //! physics-based analytic model layered over the 28 nm device cards of
-//! `glova-spice` (see `DESIGN.md` §2 for the HSPICE-substitution argument):
+//! `glova-spice` (see `docs/DESIGN.md` §2 for the HSPICE-substitution argument):
 //!
 //! - [`StrongArmLatch`] — 14 parameters; power / set delay / reset delay /
 //!   input noise.

@@ -68,7 +68,7 @@ impl MetricSpec {
 
     /// Scale-free violation margin: `0` when satisfied, positive and
     /// growing with violation severity otherwise. Used by the t-SCORE
-    /// corner reordering (Eq. 8, normalized per `DESIGN.md` §5).
+    /// corner reordering (Eq. 8, normalized per `docs/DESIGN.md` §5).
     pub fn violation(&self, value: f64) -> f64 {
         let rel = (value - self.limit) / self.limit.abs().max(1e-30);
         match self.goal {
@@ -79,7 +79,7 @@ impl MetricSpec {
 
     /// Signed degradation: larger = worse, zero at the constraint boundary.
     /// Used as the `g` aggregate in the h-SCORE MC reordering (Eq. 9–10,
-    /// orientation per `DESIGN.md` §5).
+    /// orientation per `docs/DESIGN.md` §5).
     pub fn degradation(&self, value: f64) -> f64 {
         let rel = (value - self.limit) / self.limit.abs().max(1e-30);
         match self.goal {

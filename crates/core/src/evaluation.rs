@@ -20,7 +20,7 @@ pub struct MuSigmaEvaluation {
     /// Whether every bound satisfies its constraint.
     pub passed: bool,
     /// Normalized violation margins of the bounds (0 when satisfied) —
-    /// the summands of the t-SCORE (Eq. 8, normalized per `DESIGN.md` §5).
+    /// the summands of the t-SCORE (Eq. 8, normalized per `docs/DESIGN.md` §5).
     pub violations: Vec<f64>,
 }
 
@@ -44,7 +44,7 @@ impl MuSigmaEvaluation {
     /// falsely rejects a robust design. Mismatch-induced variance is
     /// corner-independent in scale to first order, so pooling
     /// within-corner deviations across corners is statistically sound
-    /// (see `DESIGN.md` §5).
+    /// (see `docs/DESIGN.md` §5).
     ///
     /// # Panics
     ///

@@ -69,13 +69,13 @@ pub struct GlovaConfig {
     /// Feed the actor the best-known design instead of the raw previous
     /// proposal. Algorithm 1 writes `x_new = A(x_last) + noise`; anchoring
     /// `x_last` to the incumbent keeps the proposal chain from drifting
-    /// (see `DESIGN.md` §5).
+    /// (see `docs/DESIGN.md` §5).
     pub anchor_to_best: bool,
     /// Clamp each proposal into a box of this half-width around the
     /// incumbent (`None` disables). DDPG-style actors on bandit-shaped
     /// problems can chase critic-extrapolation artifacts early in
     /// training; the clamp is a trust region on the policy output
-    /// (see `DESIGN.md` §5).
+    /// (see `docs/DESIGN.md` §5).
     pub proposal_clip: Option<f64>,
     /// Evaluation engine for simulation batches (sequential by default;
     /// results are engine-independent).
@@ -331,7 +331,7 @@ impl GlovaOptimizer {
             // samples pass but whose mean+β₂σ bound violates a constraint
             // is not yet robust and must not look like one to the critic —
             // this grades the otherwise flat 0.2 plateau by robustness
-            // margin (Eq. 7 folded into Eq. 4, see `DESIGN.md` §5).
+            // margin (Eq. 7 folded into Eq. 4, see `docs/DESIGN.md` §5).
             let gate = if self.config.use_mu_sigma {
                 let eval = crate::evaluation::MuSigmaEvaluation::evaluate(
                     self.problem.circuit().spec(),

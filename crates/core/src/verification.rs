@@ -143,7 +143,7 @@ impl<'a> Verifier<'a> {
         // Phase-1 samples pooled across corners: with N' as small as 2–5,
         // a per-corner Pearson estimate (Eq. 9 literal) is mostly noise;
         // pooling the normalized degradations over all corners gives the
-        // h-SCORE a usable correlation vector (see `DESIGN.md` §5).
+        // h-SCORE a usable correlation vector (see `docs/DESIGN.md` §5).
         let mut pooled_conditions: Vec<MismatchVector> = Vec::new();
         let mut pooled_outcomes: Vec<SimOutcome> = Vec::new();
         let mut pooled_ssd = vec![0.0f64; spec.len()];

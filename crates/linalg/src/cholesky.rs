@@ -1,9 +1,10 @@
 //! Cholesky factorization for symmetric positive-definite matrices.
 //!
 //! The Gaussian-process surrogate in `glova-turbo` factors its kernel matrix
-//! once per fit and then solves against many right-hand sides (posterior
-//! means, Thompson samples) and needs the log-determinant for the marginal
-//! likelihood — exactly the [`Cholesky`] API here.
+//! once per hyperparameter trial, solves for its weights, runs blocked
+//! forward solves against the factor for its posterior, and needs the
+//! log-determinant for the marginal likelihood — exactly the [`Cholesky`]
+//! API here.
 
 use crate::{LinalgError, Matrix};
 
@@ -16,9 +17,17 @@ pub struct Cholesky {
 impl Cholesky {
     /// Factors a symmetric positive-definite matrix.
     ///
-    /// `jitter` is added to the diagonal before factorization; Gaussian
-    /// process kernels are routinely near-singular and a `1e-8`-scale jitter
-    /// keeps them factorable without visibly changing the posterior.
+    /// Only the lower triangle of `a` is read. `jitter` is added to the
+    /// diagonal before factorization; Gaussian process kernels are
+    /// routinely near-singular and a `1e-8`-scale jitter keeps them
+    /// factorable without visibly changing the posterior.
+    ///
+    /// The factor is built column by column (left-looking). Each column's
+    /// update runs in lanes over its rows: every entry is an independent
+    /// sum that subtracts `l_ik·l_jk` in ascending `k`, exactly the
+    /// operation sequence of the textbook row-by-row loop, so the factor
+    /// is bit-for-bit the same while the inner loop vectorizes instead of
+    /// waiting on one dependent subtraction chain.
     ///
     /// # Errors
     ///
@@ -31,23 +40,35 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)] + if i == j { jitter } else { 0.0 };
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite { index: i, pivot: sum });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+        // Column-major working copy: `cols[j * n + i]` holds `L[i][j]`
+        // for `i >= j`, so a column's rows are contiguous lanes.
+        let mut cols = vec![0.0; n * n];
+        for j in 0..n {
+            for i in j..n {
+                cols[j * n + i] = a[(i, j)] + if i == j { jitter } else { 0.0 };
             }
         }
+        for j in 0..n {
+            let (done, rest) = cols.split_at_mut(j * n);
+            let col = &mut rest[j..n];
+            for k in 0..j {
+                let lk = &done[k * n + j..(k + 1) * n];
+                let ljk = lk[0];
+                for (s, &lik) in col.iter_mut().zip(lk) {
+                    *s -= lik * ljk;
+                }
+            }
+            let pivot = col[0];
+            if pivot <= 0.0 {
+                return Err(LinalgError::NotPositiveDefinite { index: j, pivot });
+            }
+            let ljj = pivot.sqrt();
+            col[0] = ljj;
+            for s in &mut col[1..] {
+                *s /= ljj;
+            }
+        }
+        let l = Matrix::from_fn(n, n, |i, j| if j <= i { cols[j * n + i] } else { 0.0 });
         Ok(Self { l })
     }
 
@@ -131,6 +152,60 @@ impl Cholesky {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The row-by-row loop [`Cholesky::factor`] replaced, kept as the
+    /// bitwise oracle: entry `(i, j)` subtracts `l_ik·l_jk` in ascending
+    /// `k` as one dependent chain.
+    fn factor_row_loop(a: &Matrix, jitter: f64) -> Result<Matrix, LinalgError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)] + if i == j { jitter } else { 0.0 };
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(LinalgError::NotPositiveDefinite { index: i, pivot: sum });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// Whether `factor` and the row-loop oracle agree bit for bit: the
+    /// same factor, or the same failing pivot index and value.
+    fn same_as_row_loop(a: &Matrix, jitter: f64) -> Result<(), String> {
+        match (Cholesky::factor(a, jitter), factor_row_loop(a, jitter)) {
+            (Ok(chol), Ok(oracle)) => {
+                let l = chol.factor_matrix();
+                for i in 0..a.rows() {
+                    for j in 0..a.rows() {
+                        if l[(i, j)].to_bits() != oracle[(i, j)].to_bits() {
+                            return Err(format!(
+                                "L[{i}][{j}]: {} vs {}",
+                                l[(i, j)],
+                                oracle[(i, j)]
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            }
+            (
+                Err(LinalgError::NotPositiveDefinite { index, pivot }),
+                Err(LinalgError::NotPositiveDefinite { index: oi, pivot: op }),
+            ) if index == oi && pivot.to_bits() == op.to_bits() => Ok(()),
+            (got, oracle) => {
+                Err(format!("{:?} vs oracle {:?}", got.map(|_| ()), oracle.map(|_| ())))
+            }
+        }
+    }
 
     fn spd_from_seedlike(entries: &[f64], n: usize) -> Matrix {
         // A = B Bᵀ + n·I is SPD for any B.
@@ -229,6 +304,42 @@ mod tests {
             let back = a.mat_vec(&x);
             for (bi, ri) in back.iter().zip(&rhs) {
                 prop_assert!((bi - ri).abs() < 1e-6 * (1.0 + ri.abs()));
+            }
+        }
+
+        #[test]
+        fn prop_factor_matches_row_loop_bitwise(
+            n in 1usize..91,
+            entries in proptest::collection::vec(-1.0f64..1.0, 90 * 90),
+            jitter in 0.0f64..1e-6,
+            spot in 0.0f64..1.0,
+        ) {
+            // SPD: B Bᵀ plus a small ridge, kernel-matrix-like conditioning.
+            let b = Matrix::from_fn(n, n, |i, j| entries[i * n + j]);
+            let mut spd = b.mat_mul(&b.transpose()).unwrap();
+            spd.add_diagonal(0.1);
+            prop_assert!(Cholesky::factor(&spd, jitter).is_ok());
+
+            // Indefinite at a known pivot: a negative diagonal entry fails
+            // exactly there, after every earlier column succeeded.
+            let p = ((spot * n as f64) as usize).min(n - 1);
+            let mut bad = spd.clone();
+            bad[(p, p)] = -1.0 - spot;
+            let failed_at = match Cholesky::factor(&bad, jitter) {
+                Err(LinalgError::NotPositiveDefinite { index, .. }) => Some(index),
+                _ => None,
+            };
+            prop_assert_eq!(failed_at, Some(p));
+
+            // Random symmetric: fails (or not) wherever the data says.
+            let sym = Matrix::from_fn(n, n, |i, j| {
+                let (r, c) = if i >= j { (i, j) } else { (j, i) };
+                entries[r * n + c] + if r == c { 0.5 + spot } else { 0.0 }
+            });
+
+            for (what, a) in [("SPD", &spd), ("indefinite", &bad), ("symmetric", &sym)] {
+                let parity = same_as_row_loop(a, jitter);
+                prop_assert!(parity.is_ok(), "{what} n={n}: {parity:?}");
             }
         }
 

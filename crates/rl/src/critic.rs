@@ -30,7 +30,7 @@ impl EnsembleCritic {
     ///
     /// `beta1` is the risk parameter of Eq. 6 (the paper uses −3);
     /// `bias` is the constant reward offset of Algorithm 1's losses
-    /// (see `DESIGN.md` §5, default 0).
+    /// (see `docs/DESIGN.md` §5, default 0).
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //!
 //! The paper sizes circuits against HSPICE with a proprietary 28 nm PDK —
 //! neither is available here, so this crate provides the simulation
-//! substrate (see `DESIGN.md` §2 for the substitution argument): a
+//! substrate (see `docs/DESIGN.md` §2 for the substitution argument): a
 //! modified-nodal-analysis (MNA) engine with
 //!
 //! - linear devices (resistors, capacitors, independent V/I sources),

@@ -58,6 +58,39 @@ impl Matern52 {
                 d * d
             })
             .sum();
+        self.at_sq_dist(r2)
+    }
+
+    /// Lane kernel: `out[j] = k(x_j, y)` for `out.len()` points stored
+    /// dimension-major, coordinate `d` of point `j` at `xt[d * stride + j]`.
+    ///
+    /// Each lane is its own sum: `r²[j]` starts from `−0.0` (where
+    /// `f64::sum` starts) and adds `((x_jd − y_d)/ℓ_d)²` over `d` in
+    /// order, so every lane is bit-for-bit [`Matern52::eval`] of its
+    /// point. The argument order does not matter: `(a − b)/ℓ` and
+    /// `(b − a)/ℓ` differ only in sign, so their squares are equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` has the wrong dimension or `xt` is too short.
+    pub(crate) fn eval_lanes(&self, xt: &[f64], stride: usize, y: &[f64], out: &mut [f64]) {
+        assert_eq!(y.len(), self.lengthscales.len(), "kernel input dimension mismatch");
+        let m = out.len();
+        out.fill(-0.0);
+        for (d, (&yd, &l)) in y.iter().zip(&self.lengthscales).enumerate() {
+            for (r2, &x) in out.iter_mut().zip(&xt[d * stride..d * stride + m]) {
+                let t = (x - yd) / l;
+                *r2 += t * t;
+            }
+        }
+        for v in out.iter_mut() {
+            *v = self.at_sq_dist(*v);
+        }
+    }
+
+    /// `σ² (1 + √5 r + 5r²/3) exp(−√5 r)` from the scaled squared
+    /// distance `r²`.
+    fn at_sq_dist(&self, r2: f64) -> f64 {
         let r = r2.sqrt();
         let sqrt5_r = 5.0f64.sqrt() * r;
         self.signal_variance * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
@@ -68,6 +101,7 @@ impl Matern52 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn self_covariance_is_signal_variance() {
@@ -99,6 +133,32 @@ mod tests {
     #[should_panic(expected = "lengthscales must be positive")]
     fn zero_lengthscale_panics() {
         Matern52::new(1.0, vec![0.0]);
+    }
+
+    #[test]
+    fn lanes_match_eval_bitwise_with_ard() {
+        let k = Matern52::new(1.3, vec![0.07, 0.5, 2.0, 0.013, 1.0]);
+        let dim = k.lengthscales().len();
+        let mut rng = glova_stats::rng::seeded(11);
+        let points: Vec<Vec<f64>> =
+            (0..37).map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect()).collect();
+        // Lay the points out dimension-major with a stride wider than the
+        // lane count, and include a lane equal to `y` (zero distance).
+        let stride = 40;
+        let mut xt = vec![f64::NAN; dim * stride];
+        for (j, p) in points.iter().enumerate() {
+            for d in 0..dim {
+                xt[d * stride + j] = p[d];
+            }
+        }
+        for y in [&points[0], &points[20], &vec![0.5; dim]] {
+            let mut out = vec![0.0; points.len()];
+            k.eval_lanes(&xt, stride, y, &mut out);
+            for (j, p) in points.iter().enumerate() {
+                assert_eq!(out[j].to_bits(), k.eval(p, y).to_bits(), "lane {j}");
+                assert_eq!(out[j].to_bits(), k.eval(y, p).to_bits(), "lane {j} swapped");
+            }
+        }
     }
 
     proptest! {

@@ -6,6 +6,12 @@ use crate::trust_region::TrustRegion;
 use glova_stats::normal::StandardNormal;
 use rand::Rng;
 
+/// Thompson candidates scored per posterior block. The block's `n × 64`
+/// solve workspace stays cache-resident for the GP sizes TuRBO reaches
+/// (30 KB at 60 training points), where scoring every candidate at once
+/// would hold `n × 2000` values live and raise peak memory.
+const BLOCK: usize = 64;
+
 /// TuRBO configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TurboConfig {
@@ -122,38 +128,64 @@ impl Turbo {
 
         // Fit the surrogate on the (most recent) history window.
         let window = self.history_window();
-        let xs: Vec<Vec<f64>> = window.iter().map(|&i| self.xs[i].clone()).collect();
+        let xs: Vec<&[f64]> = window.iter().map(|&i| self.xs[i].as_slice()).collect();
         let ys: Vec<f64> = window.iter().map(|&i| self.ys[i]).collect();
         let gp = GaussianProcess::fit_auto(&xs, &ys, rng);
 
-        // Candidate box around the incumbent, shaped by ARD lengthscales.
-        let center = self.xs[best_idx].clone();
-        let lengthscales = vec![1.0; self.config.dim]; // shaped below via GP refit? keep simple
-        let bounds = self.trust_region.bounds_around(&center, &lengthscales);
+        // The candidate box is isotropic: every side gets the same
+        // half-width. TuRBO §4 (and `bounds_around`) shapes it by the
+        // fitted ARD lengthscales; unit lengthscales stay because shaping
+        // the box would move every paper trajectory (docs/DESIGN.md §5).
+        let dim = self.config.dim;
+        let center = &self.xs[best_idx];
+        let bounds = self.trust_region.bounds_around(center, &vec![1.0; dim]);
 
         // Perturbation candidates: each candidate perturbs a random subset
         // of coordinates within the box (TuRBO's sobol+mask scheme,
-        // approximated with uniform draws).
-        let p_perturb = (20.0 / self.config.dim as f64).min(1.0);
+        // approximated with uniform draws) and is scored by one Thompson
+        // draw µ + σ·z. Candidates are scored in blocks of `BLOCK`, stored
+        // dimension-major. The RNG order is part of the trajectory: each
+        // candidate's coordinates, then its deviate, candidate by
+        // candidate (`StandardNormal` caches a spare deviate, so drawing a
+        // block's deviates after all its coordinates would move every
+        // later ask). The first maximum wins.
+        let p_perturb = (20.0 / dim as f64).min(1.0);
         let mut best_candidate = center.clone();
         let mut best_value = f64::NEG_INFINITY;
-        for _ in 0..self.config.n_candidates {
-            let mut cand = center.clone();
-            let mut any = false;
-            for d in 0..self.config.dim {
-                if rng.gen::<f64>() < p_perturb {
-                    cand[d] = rng.gen_range(bounds[d].0..=bounds[d].1);
-                    any = true;
+        let mut block = vec![0.0; dim * BLOCK];
+        let (mut z, mut mean, mut var) = ([0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
+        let mut v = Vec::new();
+        let mut remaining = self.config.n_candidates;
+        while remaining > 0 {
+            let m = remaining.min(BLOCK);
+            remaining -= m;
+            let cands = &mut block[..dim * m];
+            for c in 0..m {
+                for d in 0..dim {
+                    cands[d * m + c] = center[d];
                 }
+                let mut any = false;
+                for d in 0..dim {
+                    if rng.gen::<f64>() < p_perturb {
+                        cands[d * m + c] = rng.gen_range(bounds[d].0..=bounds[d].1);
+                        any = true;
+                    }
+                }
+                if !any {
+                    let d = rng.gen_range(0..dim);
+                    cands[d * m + c] = rng.gen_range(bounds[d].0..=bounds[d].1);
+                }
+                z[c] = self.normal.sample(rng);
             }
-            if !any {
-                let d = rng.gen_range(0..self.config.dim);
-                cand[d] = rng.gen_range(bounds[d].0..=bounds[d].1);
-            }
-            let value = gp.thompson_sample(&cand, &self.normal, rng);
-            if value > best_value {
-                best_value = value;
-                best_candidate = cand;
+            gp.posterior_block(cands, &mut v, &mut mean[..m], &mut var[..m]);
+            for c in 0..m {
+                let value = mean[c] + var[c].sqrt() * z[c];
+                if value > best_value {
+                    best_value = value;
+                    for (d, x) in best_candidate.iter_mut().enumerate() {
+                        *x = cands[d * m + c];
+                    }
+                }
             }
         }
         best_candidate
@@ -298,5 +330,36 @@ mod tests {
         let mut rng = seeded(7);
         let mut turbo = Turbo::new(TurboConfig::new(2), &mut rng);
         turbo.tell(vec![0.5, 0.5], f64::NAN);
+    }
+
+    /// Digest of [`golden_trajectory_digest_14d_across_restart`]'s asks,
+    /// recorded with the scalar pair-by-pair GP and per-candidate scoring
+    /// that the lane code replaced.
+    const GOLDEN: u64 = 0x7bfd_b711_7866_634d;
+
+    /// Every point a fixed-seed 14-dimensional run asks for, digested bit
+    /// for bit. The run spans the initial design, Thompson asks on up to
+    /// 133 points, one trust-region restart and asks on the few points
+    /// kept after it.
+    #[test]
+    fn golden_trajectory_digest_14d_across_restart() {
+        let mut rng = seeded(13);
+        let mut turbo = Turbo::new(TurboConfig::new(14), &mut rng);
+        let mut digest = glova_stats::hash::Fnv1a::new();
+        let mut restarts = 0;
+        for _ in 0..140 {
+            let x = turbo.ask(&mut rng);
+            digest.write_f64_slice(&x);
+            // A terraced bowl: its plateaus stall progress until the
+            // region collapses and restarts.
+            let y = -(4.0 * x.iter().map(|v| (v - 0.3) * (v - 0.3)).sum::<f64>()).floor() / 4.0;
+            let told = turbo.len();
+            turbo.tell(x, y);
+            if turbo.len() <= told {
+                restarts += 1;
+            }
+        }
+        assert_eq!(restarts, 1, "the run must cross one trust-region restart");
+        assert_eq!(digest.finish(), GOLDEN, "digest {:016x}", digest.finish());
     }
 }

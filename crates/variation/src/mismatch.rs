@@ -160,7 +160,7 @@ impl Default for PelgromModel {
 /// V_th shift applies to every NMOS device on the die. The paper's Eq. 3
 /// writes `Σ_Global` as diagonal over the device-parameter space; we realize
 /// the physical sharing by drawing one value per process parameter and
-/// broadcasting it into the device-parameter vector (see `DESIGN.md` §2).
+/// broadcasting it into the device-parameter vector (see `docs/DESIGN.md` §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GlobalParameter {
     /// Shared NMOS threshold shift.

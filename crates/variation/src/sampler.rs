@@ -148,7 +148,7 @@ impl MismatchSampler {
     /// every Monte-Carlo point is its own die. This is the industrial
     /// semantics of full global-local MC verification (each sign-off
     /// sample models an independent die), in contrast to the Eq.-3
-    /// shared-die set used during optimization (see `DESIGN.md` §5).
+    /// shared-die set used during optimization (see `docs/DESIGN.md` §5).
     pub fn sample_independent<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
