@@ -14,9 +14,9 @@
 //!
 //! `--emit-sections` additionally writes
 //! `BENCH_perfsuite_sections.json`: the per-scenario wall time broken
-//! down by solver phase (`assemble` / `retarget` / `factor` / `solve`),
-//! so a CI regression is attributable to the phase that moved rather
-//! than just the scenario total.
+//! down by solver phase (`factor` / `solve`), so a CI regression is
+//! attributable to the phase that moved rather than just the scenario
+//! total.
 //!
 //! Scenarios:
 //!
@@ -54,19 +54,6 @@
 //!   [`SparseLu::solve_into_batch`] sweep, gated at ≥
 //!   `--min-multirhs-speedup` (default 1.0× — the batch path streams
 //!   the factor once and must never lose to the loop).
-//! - `spice_ac_retarget` — per-point small-signal assembly of the
-//!   sense-amp array's AC pool: the compiled event template
-//!   ([`AcSolverPool::restamp_point`]) vs the per-point netlist re-walk,
-//!   gated at ≥ `--min-ac-retarget-speedup` (default 1.5× per point).
-//! - `spice_blocked` — numeric refresh of the factored 21×21 sense-amp
-//!   system, scalar kernel vs the compiled blocked elimination schedule
-//!   ([`NumericKernel::Blocked`]), gated at ≥ `--min-blocked-speedup`
-//!   (default 1.2×).
-//! - `spice_device_plan` — the 64-variant retarget+solve sweep under
-//!   monolithic vs exact per-device partial-refactor scheduling
-//!   ([`PartialPlanMode`]); gated on the deterministic
-//!   [`RefactorStats`](glova_spice::RefactorStats) row counts: the
-//!   per-device schedule must re-eliminate strictly fewer rows.
 //! - `spice_warm` — a 30-corner OTA sweep, cold per-corner gmin ladders
 //!   vs [`OpSolver::solve_corner_sweep`] warm starts; gated on the
 //!   deterministic Newton-iteration ratio ≥ `--min-warm-iter-ratio`
@@ -96,7 +83,9 @@
 //! auto-policy cache never below 0.95× the cache-off wall, the
 //! sparse-backend floors (≥ 1.5× dense at 24 stages, ≥ 4× at 64), the
 //! threaded SPICE sweep floor (≥ 1.5× sequential on 4 workers,
-//! skipped below 4 cores), and the AMD / multi-RHS floors above.
+//! skipped below 4 cores), the AMD / multi-RHS floors, and the
+//! deterministic gates of `spice_warm`, `spice_ota`, `campaign`, `serve`
+//! and `serve_robust` above.
 //! Timings gate on the best of two runs per
 //! measurement — single samples of millisecond-scale batches are
 //! CI-noise, not signal.
@@ -112,17 +101,13 @@ use glova_bench::report::{write_json_to_repo_root, BenchRecord, BenchReport};
 use glova_bench::{report_requested, write_report};
 use glova_circuits::{Circuit, ToyQuadratic};
 use glova_linalg::sparse::SparseLu;
-use glova_linalg::{FillOrdering, NumericKernel};
+use glova_linalg::FillOrdering;
 use glova_serve::{CampaignServer, CircuitSpec, JobBudget, JobStatus, SizingRequest};
-use glova_spice::ac::{log_sweep, AcSolverPool};
 use glova_spice::dc::OpSolver;
-use glova_spice::mna::{
-    NewtonOptions, PartialPlanMode, SolverBackend, SparseAssemblyTemplate, StampContext,
-};
+use glova_spice::mna::{NewtonOptions, SolverBackend, SparseAssemblyTemplate, StampContext};
 use glova_spice::model::MosModel;
 use glova_spice::netlist::{
-    inverter_chain, inverter_chain_with_load, ota_two_stage_with_cards, sense_amp_array, Netlist,
-    OtaCards, OtaParams,
+    inverter_chain, ota_two_stage_with_cards, sense_amp_array, Netlist, OtaCards, OtaParams,
 };
 use glova_spice::registry::SolverRegistry;
 use glova_stats::rng::seeded;
@@ -256,9 +241,8 @@ fn main() {
     let mut report = BenchReport::new("perfsuite");
     let mut failures: Vec<String> = Vec::new();
     // (scenario, engine, phase, wall) rows for `--emit-sections` — the
-    // phase is one of assemble / retarget / factor / solve, so a CI
-    // regression in a scenario total is attributable to the phase that
-    // actually moved.
+    // phase is factor or solve, so a CI regression in a scenario total is
+    // attributable to the phase that actually moved.
     let emit_sections = args.iter().any(|a| a == "--emit-sections");
     let mut sections: Vec<(&str, String, &str, Duration)> = Vec::new();
 
@@ -501,72 +485,6 @@ fn main() {
         }
     }
 
-    // ---- spice_retarget: value-only vs rebuild per-point overhead ------
-    // Prebuilt same-topology variants swept through one persistent
-    // sparse OpSolver, retarget-only (the per-point overhead a
-    // corner/mismatch campaign pays on top of each solve). Gated: the
-    // value-only fast path must stay ≥ `--min-retarget-speedup`
-    // (default 1.5×) faster than the template-rebuild path per point —
-    // measured ~3.5× locally, so the floor absorbs runner noise.
-    let retarget_floor: f64 =
-        flag(&args, "--min-retarget-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.5);
-    let retarget_variants: Vec<Netlist> =
-        (0..64).map(|i| inverter_chain_with_load(24, Some(8e3 + 60.0 * i as f64))).collect();
-    let retarget_passes = if quick { 4 } else { 8 };
-    let sparse_options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-    let retarget_only = |values_mode: bool| -> Duration {
-        let mut solver =
-            OpSolver::primed(&retarget_variants[0], sparse_options).expect("chain primes");
-        let mut best = Duration::MAX;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for _ in 0..retarget_passes {
-                for nl in &retarget_variants {
-                    if values_mode {
-                        solver.retarget(nl);
-                    } else {
-                        solver.retarget_rebuild(nl);
-                    }
-                }
-            }
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let retarget_points = (retarget_variants.len() * retarget_passes) as u64;
-    let rebuild_wall = retarget_only(false);
-    let rebuild_rec = BenchRecord::new(
-        "spice_retarget",
-        "inv_chain24",
-        "sparse+rebuild",
-        retarget_variants.len(),
-        retarget_points,
-        rebuild_wall,
-    );
-    print_record(&rebuild_rec);
-    report.push(rebuild_rec);
-    let values_wall = retarget_only(true);
-    let retarget_speedup = rebuild_wall.as_secs_f64() / values_wall.as_secs_f64().max(1e-12);
-    let values_rec = BenchRecord::new(
-        "spice_retarget",
-        "inv_chain24",
-        "sparse+values",
-        retarget_variants.len(),
-        retarget_points,
-        values_wall,
-    )
-    .with_speedup(retarget_speedup);
-    print_record(&values_rec);
-    report.push(values_rec);
-    if gate && retarget_speedup < retarget_floor {
-        failures.push(format!(
-            "spice_retarget: value-only retarget is {retarget_speedup:.2}x the rebuild \
-             path per point (floor {retarget_floor:.1}x)"
-        ));
-    }
-    sections.push(("spice_retarget", "sparse+rebuild".into(), "assemble", rebuild_wall));
-    sections.push(("spice_retarget", "sparse+values".into(), "retarget", values_wall));
-
     // ---- spice_amd: fill-reducing pre-ordering on the 2-D array --------
     // Cold symbolic analysis + first numeric factorization of the
     // 21×21 sense-amp array (508 unknowns), the fill-heavy 2-D pattern
@@ -683,201 +601,6 @@ fn main() {
     sections.push(("spice_multirhs", "repeated".into(), "solve", repeated_wall));
     sections.push(("spice_multirhs", "batched".into(), "solve", batch_wall));
 
-    // ---- spice_ac_retarget: AC event template vs per-point re-walk -----
-    // The per-point small-signal assembly cost in isolation: the pooled
-    // AC solver rewrites a worker's value array for each frequency
-    // either through the compiled event template (slot += re + jωc) or
-    // through the full netlist stamp walk — `restamp_point` vs
-    // `restamp_point_rebuild`, no factor or solve in the loop. The
-    // workload is the 508-unknown 2-D sense-amp array (bitline
-    // excitation through the precharge rail): at that size the
-    // per-stamp walk cost — device dispatch, MOSFET small-signal math,
-    // carrier-space swaps — dominates the shared checkout/zeroing
-    // overhead the two paths split. Gated: the event replay must stay
-    // ≥ `--min-ac-retarget-speedup` (default 1.5×) faster per point.
-    let ac_floor: f64 =
-        flag(&args, "--min-ac-retarget-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.5);
-    let ac_freqs = log_sweep(1e3, 1e9, 4);
-    let ac_pool = AcSolverPool::new(&array, "VPRE", &ac_freqs, SolverBackend::Sparse)
-        .expect("sense-amp AC pool primes");
-    let ac_passes = if quick { 100 } else { 400 };
-    let time_restamp = |retarget: bool| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for _ in 0..ac_passes {
-                for &f in &ac_freqs {
-                    let events = if retarget {
-                        ac_pool.restamp_point(f)
-                    } else {
-                        ac_pool.restamp_point_rebuild(f)
-                    };
-                    std::hint::black_box(events);
-                }
-            }
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let ac_points = (ac_freqs.len() * ac_passes) as u64;
-    let rewalk_wall = time_restamp(false);
-    let rewalk_rec = BenchRecord::new(
-        "spice_ac_retarget",
-        "senseamp21x21",
-        "sparse+rewalk",
-        ac_freqs.len(),
-        ac_points,
-        rewalk_wall,
-    );
-    print_record(&rewalk_rec);
-    report.push(rewalk_rec);
-    let events_wall = time_restamp(true);
-    let ac_speedup = rewalk_wall.as_secs_f64() / events_wall.as_secs_f64().max(1e-12);
-    let events_rec = BenchRecord::new(
-        "spice_ac_retarget",
-        "senseamp21x21",
-        "sparse+events",
-        ac_freqs.len(),
-        ac_points,
-        events_wall,
-    )
-    .with_speedup(ac_speedup);
-    print_record(&events_rec);
-    report.push(events_rec);
-    if gate && ac_speedup < ac_floor {
-        failures.push(format!(
-            "spice_ac_retarget: AC event replay is {ac_speedup:.2}x the per-point \
-             netlist re-walk (floor {ac_floor:.1}x)"
-        ));
-    }
-    // The end-to-end per-point cost (assembly + refactor + solve) for
-    // the sections artifact — how much of a point the assembly phase is.
-    let ac_solve_start = Instant::now();
-    for &f in &ac_freqs {
-        ac_pool.solve_point(f).expect("OTA AC point solves");
-    }
-    sections.push(("spice_ac_retarget", "sparse+rewalk".into(), "assemble", rewalk_wall));
-    sections.push(("spice_ac_retarget", "sparse+events".into(), "retarget", events_wall));
-    sections.push(("spice_ac_retarget", "sparse+events".into(), "solve", ac_solve_start.elapsed()));
-
-    // ---- spice_blocked: compiled elimination schedule vs scalar --------
-    // Numeric refresh of the factored sense-amp system over the frozen
-    // pivot order — the inner loop every chord-Newton iteration and
-    // every swept corner pays. The blocked kernel replays the scalar
-    // kernel's exact update sequence through a compiled op stream
-    // (contiguous destination runs, no gather/scatter workspace), so it
-    // is bitwise identical and strictly a perf knob. The one-time plan
-    // compile is warmed outside the timed loop (it amortizes across a
-    // sweep exactly like the symbolic analysis it derives from). Gated:
-    // ≥ `--min-blocked-speedup` (default 1.2×; measured ~1.3–1.5×).
-    let blocked_floor: f64 =
-        flag(&args, "--min-blocked-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.2);
-    let refactor_reps = if quick { 100 } else { 400 };
-    let time_refactor = |kernel: NumericKernel| -> Duration {
-        let mut lu = SparseLu::factor_with(&array_a, FillOrdering::Amd)
-            .expect("sense-amp array factors")
-            .with_numeric_kernel(kernel);
-        lu.refactor(&array_a).expect("warm refresh succeeds");
-        let mut best = Duration::MAX;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for _ in 0..refactor_reps {
-                lu.refactor(&array_a).expect("numeric refresh succeeds");
-            }
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let scalar_wall = time_refactor(NumericKernel::Scalar);
-    let scalar_rec = BenchRecord::new(
-        "spice_blocked",
-        "senseamp21x21",
-        "scalar",
-        array_n,
-        refactor_reps as u64,
-        scalar_wall,
-    );
-    print_record(&scalar_rec);
-    report.push(scalar_rec);
-    let blocked_wall = time_refactor(NumericKernel::Blocked);
-    let blocked_speedup = scalar_wall.as_secs_f64() / blocked_wall.as_secs_f64().max(1e-12);
-    let blocked_rec = BenchRecord::new(
-        "spice_blocked",
-        "senseamp21x21",
-        "blocked",
-        array_n,
-        refactor_reps as u64,
-        blocked_wall,
-    )
-    .with_speedup(blocked_speedup);
-    print_record(&blocked_rec);
-    report.push(blocked_rec);
-    if gate && blocked_speedup < blocked_floor {
-        failures.push(format!(
-            "spice_blocked: blocked elimination is {blocked_speedup:.2}x the scalar \
-             kernel on the sense-amp refresh (floor {blocked_floor:.1}x)"
-        ));
-    }
-    sections.push(("spice_blocked", "scalar".into(), "factor", scalar_wall));
-    sections.push(("spice_blocked", "blocked".into(), "factor", blocked_wall));
-
-    // ---- spice_device_plan: exact per-device vs monolithic schedules ---
-    // The 64-variant retarget+solve sweep once per partial-plan mode.
-    // The gate is deterministic, not a timing: the exact per-device
-    // schedule discovers changed input slots by bitwise diff against the
-    // last factored values, so its reachable closures — and therefore
-    // `RefactorStats::rows_eliminated` — must come out strictly below
-    // the monolithic template dirty set's (identical assemblies skip
-    // elimination entirely; untouched devices drop out of the closure).
-    let run_plan_sweep = |mode: PartialPlanMode| -> (u64, u64, Duration) {
-        let mut solver =
-            OpSolver::primed(&retarget_variants[0], sparse_options).expect("chain primes");
-        solver.set_partial_plan_mode(mode);
-        let start = Instant::now();
-        for nl in &retarget_variants {
-            solver.retarget(nl);
-            solver.solve().expect("operating point converges");
-        }
-        let stats = solver.refactor_stats();
-        (stats.rows_eliminated, stats.rows_total, start.elapsed())
-    };
-    let (mono_rows, mono_total, mono_wall) = run_plan_sweep(PartialPlanMode::Monolithic);
-    let mono_rec = BenchRecord::new(
-        "spice_device_plan",
-        "inv_chain24",
-        "monolithic",
-        retarget_variants.len(),
-        mono_rows,
-        mono_wall,
-    );
-    print_record(&mono_rec);
-    report.push(mono_rec);
-    let (dev_rows, dev_total, dev_wall) = run_plan_sweep(PartialPlanMode::PerDevice);
-    let row_ratio = mono_rows as f64 / dev_rows.max(1) as f64;
-    let dev_rec = BenchRecord::new(
-        "spice_device_plan",
-        "inv_chain24",
-        "per-device",
-        retarget_variants.len(),
-        dev_rows,
-        dev_wall,
-    )
-    .with_speedup(row_ratio);
-    print_record(&dev_rec);
-    report.push(dev_rec);
-    println!(
-        "    (rows re-eliminated: per-device {dev_rows}/{dev_total} vs \
-         monolithic {mono_rows}/{mono_total}, {row_ratio:.2}x fewer)"
-    );
-    if gate && dev_rows >= mono_rows {
-        failures.push(format!(
-            "spice_device_plan: per-device schedule re-eliminated {dev_rows} rows, \
-             not strictly fewer than the monolithic {mono_rows}"
-        ));
-    }
-    sections.push(("spice_device_plan", "monolithic".into(), "factor", mono_wall));
-    sections.push(("spice_device_plan", "per-device".into(), "factor", dev_wall));
-
     // ---- spice_warm: warm-started corner sweep vs cold gmin ladders ----
     // The 30-corner industrial grid on the two-stage OTA (supply and
     // process cards move per corner, topology fixed). Cold runs the full
@@ -904,6 +627,7 @@ fn main() {
             ota_two_stage_with_cards(&params, &cards)
         })
         .collect();
+    let sparse_options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
     let mut cold_solver = OpSolver::primed(&warm_nls[0], sparse_options).expect("OTA primes");
     let cold_start = Instant::now();
     for nl in &warm_nls {

@@ -1,6 +1,6 @@
 //! SPICE operating-point microbenchmark: DC solves across circuit sizes,
-//! solver backends and Jacobian strategies, plus the sweep fast paths
-//! (value-only retargeting, partial refactorization, symbolic cold-start).
+//! solver backends and Jacobian strategies, plus the sparse symbolic
+//! cold-start and partial-refactorization costs.
 //!
 //! ```sh
 //! cargo run --release -p glova-bench --bin spice_op
@@ -9,7 +9,6 @@
 //!     --sizes 4,24,64,128 --solves 500 --report
 //! cargo run --release -p glova-bench --bin spice_op -- --engine threaded:4
 //! cargo run --release -p glova-bench --bin spice_op -- --circuits inv,rc,ota,senseamp
-//! cargo run --release -p glova-bench --bin spice_op -- --retarget values
 //! cargo run --release -p glova-bench --bin spice_op -- --order amd
 //! ```
 //!
@@ -28,29 +27,20 @@
 //! `--order amd|markowitz` selects the sparse fill-reducing ordering
 //! used by every solve (default `markowitz`, the historical behaviour);
 //! the symbolic section always times **both** orderings side by side
-//! and reports the AMD speedup plus its threshold-pivot fallback count.
-//! The retarget
-//! section sweeps prebuilt same-topology netlist variants through one
-//! persistent solver and reports the **per-point retarget overhead** for
-//! the value-only fast path vs the template-rebuild path (`--retarget
-//! values|rebuild` restricts the modes); the AC-retarget section is its
-//! small-signal sibling — per-frequency-point assembly through the
-//! compiled event template vs the netlist re-walk on a forced-sparse
-//! [`AcSolverPool`]; the symbolic section times the
-//! sparse factor / full-refactor / partial-refactor trio per pattern.
-//! Timings are best-of-two; `--report` writes `BENCH_spice_op.json`.
+//! and reports the AMD speedup plus its threshold-pivot fallback count,
+//! next to the sparse factor / full-refactor / partial-refactor trio per
+//! pattern. Timings are best-of-two; `--report` writes
+//! `BENCH_spice_op.json`.
 
 use glova::engine::EngineSpec;
 use glova_bench::report::{BenchRecord, BenchReport};
 use glova_bench::{report_requested, write_report};
 use glova_linalg::sparse::SparseLu;
 use glova_linalg::FillOrdering;
-use glova_spice::ac::{log_sweep, AcSolverPool};
 use glova_spice::dc::{OpSolver, OpSolverPool};
 use glova_spice::mna::{NewtonOptions, SolverBackend, SparseAssemblyTemplate, StampContext};
 use glova_spice::netlist::{
-    inverter_chain, inverter_chain_with_load, ota_two_stage, rc_ladder, sense_amp_array, Netlist,
-    OtaParams,
+    inverter_chain, ota_two_stage, rc_ladder, sense_amp_array, Netlist, OtaParams,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -101,62 +91,6 @@ fn solve_op_engine(
         });
         if failed.load(Ordering::Relaxed) {
             return None;
-        }
-        best = best.min(start.elapsed());
-    }
-    Some(best)
-}
-
-/// Measures the per-point retarget overhead over prebuilt same-topology
-/// variants: the solver re-points at each variant in turn **without**
-/// solving, so the number isolates exactly the work the sweep pays on
-/// top of the solve. Returns best-of-two wall for `passes` passes over
-/// the variant list.
-fn retarget_sweep(
-    variants: &[Netlist],
-    options: &NewtonOptions,
-    values_mode: bool,
-    passes: usize,
-) -> Option<Duration> {
-    let mut solver = OpSolver::primed(&variants[0], *options).ok()?;
-    let mut best = Duration::MAX;
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..passes {
-            for nl in variants {
-                if values_mode {
-                    solver.retarget(nl);
-                } else {
-                    solver.retarget_rebuild(nl);
-                }
-            }
-        }
-        best = best.min(start.elapsed());
-    }
-    Some(best)
-}
-
-/// Full sweep cost (retarget **plus** solve) per point over the
-/// prebuilt variants — the end-to-end number the retarget overhead is a
-/// slice of.
-fn retarget_solve_sweep(
-    variants: &[Netlist],
-    options: &NewtonOptions,
-    values_mode: bool,
-) -> Option<Duration> {
-    let mut solver = OpSolver::primed(&variants[0], *options).ok()?;
-    let mut best = Duration::MAX;
-    for _ in 0..2 {
-        let start = Instant::now();
-        for nl in variants {
-            if values_mode {
-                solver.retarget(nl);
-            } else {
-                solver.retarget_rebuild(nl);
-            }
-            if solver.solve().is_err() {
-                return None;
-            }
         }
         best = best.min(start.elapsed());
     }
@@ -217,15 +151,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let retarget_modes: Vec<(&str, bool)> = match flag(&args, "--retarget").as_deref() {
-        None => vec![("rebuild", false), ("values", true)],
-        Some("values") => vec![("values", true)],
-        Some("rebuild") => vec![("rebuild", false)],
-        Some(other) => {
-            eprintln!("unknown retarget mode `{other}` (use values|rebuild)");
-            std::process::exit(2);
-        }
-    };
 
     println!(
         "=== spice_op: DC operating-point solves ({solves} solves, best of 2, {order} ordering) ===\n"
@@ -344,163 +269,16 @@ fn main() {
         }
     }
 
-    // ---- retarget: per-point sweep overhead, values vs rebuild ---------
-    // Prebuilt same-topology variants (netlist construction itself is
-    // common to both modes and excluded); the overhead column is the
-    // retarget-only cost per point, the ops/s column the full
-    // retarget+solve sweep throughput.
-    let retarget_sizes: Vec<usize> = sizes.iter().copied().filter(|&s| s <= 64).collect::<Vec<_>>();
-    println!("\n--- per-point retarget overhead (prebuilt variants) ---");
-    for &stages in &retarget_sizes {
-        let name = format!("inv_chain{stages}");
-        let variants: Vec<Netlist> = (0..64)
-            .map(|i| inverter_chain_with_load(stages, Some(8e3 + 60.0 * i as f64)))
-            .collect();
-        let passes = 8;
-        for &backend in &backends {
-            let options = NewtonOptions::default().with_backend(backend).with_ordering(order);
-            let mut rebuild_us: Option<f64> = None;
-            for &(mode, values_mode) in &retarget_modes {
-                let Some(wall) = retarget_sweep(&variants, &options, values_mode, passes) else {
-                    println!("{name:<14} {backend:<7} {mode:<8} failed to prime");
-                    continue;
-                };
-                let points = (variants.len() * passes) as u64;
-                let per_point_us = wall.as_secs_f64() * 1e6 / points as f64;
-                let mut record = BenchRecord::new(
-                    "spice_retarget",
-                    name.clone(),
-                    format!("{backend}+{mode}"),
-                    variants.len(),
-                    points,
-                    wall,
-                );
-                let speedup = match (values_mode, rebuild_us) {
-                    (true, Some(reference)) => {
-                        let s = reference / per_point_us.max(1e-9);
-                        record = record.with_speedup(s);
-                        format!("{s:6.2}x vs rebuild")
-                    }
-                    _ => {
-                        if !values_mode {
-                            rebuild_us = Some(per_point_us);
-                        }
-                        String::new()
-                    }
-                };
-                println!(
-                    "{name:<14} {backend:<7} {mode:<8} {per_point_us:8.2} us/point  {speedup}"
-                );
-                report.push(record);
-
-                // End-to-end sweep throughput (retarget + solve).
-                if let Some(sweep_wall) = retarget_solve_sweep(&variants, &options, values_mode) {
-                    let sweep = BenchRecord::new(
-                        "spice_retarget_solve",
-                        name.clone(),
-                        format!("{backend}+{mode}"),
-                        variants.len(),
-                        variants.len() as u64,
-                        sweep_wall,
-                    );
-                    println!(
-                        "{name:<14} {backend:<7} {mode:<8} {:8.1} ops/s (retarget+solve)",
-                        sweep.sims_per_sec
-                    );
-                    report.push(sweep);
-                }
-            }
-        }
-    }
-
-    // ---- ac-retarget: per-point AC assembly, events vs re-walk ---------
-    // The AC sibling of the DC retarget column: the pooled small-signal
-    // solver rewrites a worker's value array per frequency point either
-    // through the compiled event template (`restamp_point`) or through
-    // the per-point netlist stamp walk (`restamp_point_rebuild`). No
-    // factor or solve in the loop — the column isolates exactly the
-    // per-point assembly overhead an AC sweep pays. The pool is forced
-    // sparse (the dense backend has no per-point template to measure).
-    println!("\n--- per-point AC retarget overhead (event template vs re-walk) ---");
-    let mut ac_cases: Vec<(String, Netlist, &str)> = Vec::new();
-    if circuit_set.iter().any(|k| k == "inv") {
-        ac_cases.push(("inv_chain24".to_string(), inverter_chain(24), "VIN"));
-    }
-    if circuit_set.iter().any(|k| k == "rc") {
-        ac_cases.push(("rc_ladder64".to_string(), rc_ladder(64, 1e3, 1e-12), "VIN"));
-    }
-    if circuit_set.iter().any(|k| k == "ota") {
-        ac_cases.push(("ota_two_stage".to_string(), ota_two_stage(&OtaParams::nominal()), "VINP"));
-    }
-    if circuit_set.iter().any(|k| k == "senseamp") {
-        ac_cases.push(("senseamp21x21".to_string(), sense_amp_array(21, 21), "VPRE"));
-    }
-    let ac_freqs = log_sweep(1e3, 1e9, 4);
-    for (name, nl, source) in &ac_cases {
-        let pool = match AcSolverPool::new(nl, source, &ac_freqs, SolverBackend::Sparse) {
-            Ok(pool) => pool,
-            Err(err) => {
-                println!("{name:<14} AC pool failed to prime ({err}) — skipped");
-                continue;
-            }
-        };
-        let ac_passes = 400usize;
-        let time_restamp = |retarget: bool| -> Duration {
-            let mut best = Duration::MAX;
-            for _ in 0..2 {
-                let start = Instant::now();
-                for _ in 0..ac_passes {
-                    for &f in &ac_freqs {
-                        let events = if retarget {
-                            pool.restamp_point(f)
-                        } else {
-                            pool.restamp_point_rebuild(f)
-                        };
-                        std::hint::black_box(events);
-                    }
-                }
-                best = best.min(start.elapsed());
-            }
-            best
-        };
-        let points = (ac_freqs.len() * ac_passes) as u64;
-        let per_point_us = |d: Duration| d.as_secs_f64() * 1e6 / points as f64;
-        let rewalk_wall = time_restamp(false);
-        let events_wall = time_restamp(true);
-        let ac_speedup = rewalk_wall.as_secs_f64() / events_wall.as_secs_f64().max(1e-12);
-        println!(
-            "{name:<14} sparse  rewalk {:8.3} us/point  events {:8.3} us/point  \
-             {ac_speedup:6.2}x vs rewalk",
-            per_point_us(rewalk_wall),
-            per_point_us(events_wall),
-        );
-        report.push(BenchRecord::new(
-            "spice_ac_retarget",
-            name.clone(),
-            "sparse+rewalk",
-            ac_freqs.len(),
-            points,
-            rewalk_wall,
-        ));
-        report.push(
-            BenchRecord::new(
-                "spice_ac_retarget",
-                name.clone(),
-                "sparse+events",
-                ac_freqs.len(),
-                points,
-                events_wall,
-            )
-            .with_speedup(ac_speedup),
-        );
-    }
-
     // ---- symbolic: sparse cold-start + partial refactorization ---------
     // factor = symbolic analysis + first numeric elimination; refactor =
-    // numeric-only; refactor-partial = numeric over the dirty reachable
-    // set (MOSFET stamps + gmin diagonal). The batch field of the
-    // partial record carries the re-eliminated row count (vs dim for the
-    // full rows), making the <100% coverage visible in the artifact.
+    // numeric-only; refactor-partial = numeric over the rows reachable
+    // from the input slots that differ between the primed assembly
+    // (all-zeros estimate, gmin 1e-3) and the first assembly of the next
+    // ladder rung (mid-rail estimate, gmin 1e-5) — found by a bitwise
+    // diff of the two value arrays, the way the solver's refresh finds
+    // its dirty set. The batch field of the partial record carries the
+    // re-eliminated row count (vs dim for the full rows), making the
+    // <100% coverage visible in the artifact.
     println!("\n--- sparse symbolic / partial-refactor costs ---");
     let mut symbolic_circuits: Vec<(String, Netlist)> = Vec::new();
     if circuit_set.iter().any(|k| k == "inv") {
@@ -528,6 +306,11 @@ fn main() {
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
         template.assemble_into(&mut a, &mut rhs, &vec![0.0; n], 1e-3);
+        let mut next = template.new_system();
+        template.assemble_into(&mut next, &mut rhs, &vec![0.45; n], 1e-5);
+        let dirty: Vec<usize> = (0..a.nnz())
+            .filter(|&k| a.values()[k].to_bits() != next.values()[k].to_bits())
+            .collect();
         let reps: u64 = 200;
         let mut best_factor = Duration::MAX;
         let mut lu = None;
@@ -542,13 +325,16 @@ fn main() {
             println!("{name:<14} singular at the primed point — skipped");
             continue;
         };
+        // The full refactors leave the factor of `a`, which `next`
+        // differs from only at the planned slots — the partial refresh
+        // contract.
         let time_refresh = |lu: &mut SparseLu<f64>, partial: Option<&_>| -> Duration {
             let mut best = Duration::MAX;
             for _ in 0..2 {
                 let start = Instant::now();
                 for _ in 0..reps {
                     match partial {
-                        Some(plan) => lu.refactor_partial(&a, plan).unwrap(),
+                        Some(plan) => lu.refactor_partial(&next, plan).unwrap(),
                         None => lu.refactor(&a).unwrap(),
                     }
                 }
@@ -557,7 +343,7 @@ fn main() {
             best
         };
         let best_refactor = time_refresh(&mut lu, None);
-        let plan = lu.plan_partial(template.dirty_value_indices());
+        let plan = lu.plan_partial(&dirty);
         let best_partial = time_refresh(&mut lu, Some(&plan));
         // Cold symbolic+factor under the AMD pre-ordering — the number
         // the ≥1.5× perfsuite gate compares against the Markowitz

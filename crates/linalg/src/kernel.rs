@@ -1,81 +1,38 @@
-//! Numeric elimination kernels for the sparse LU refactorization.
+//! The compiled numeric elimination schedule behind
+//! [`SparseLu::refactor`](crate::sparse::SparseLu::refactor).
 //!
-//! [`SparseLu::refactor`](crate::sparse::SparseLu::refactor) re-runs the
-//! numeric elimination over a frozen fill pattern; this module provides
-//! the interchangeable kernels that drive the inner loop:
-//!
-//! - [`NumericKernel::Scalar`] — the classic up-looking row elimination:
-//!   gather the row into a dense scatter workspace, apply each source
-//!   row's updates through a column → workspace translation, scatter
-//!   back. Bitwise reproducible and the default everywhere the
-//!   determinism batteries assert exact equality.
-//! - [`NumericKernel::Blocked`] — a **compiled row-panel** kernel. The
-//!   frozen pattern means every update's destination is known at
-//!   symbolic time, so the whole elimination is compiled once into a
-//!   flat schedule of source operations over the packed value array:
-//!   each packed target row acts as its own dense panel, updated **in
-//!   place** (no gather, no workspace zeroing, no scatter), with
-//!   per-update destination offsets resolved at plan time instead of
-//!   per refactor. Where a source row's `U` segment lands on
-//!   consecutive packed positions of the target row — the common case
-//!   in the dense trailing block an AMD-ordered 2-D pattern produces —
-//!   the update is encoded as a **contiguous fused-multiply-add run**
-//!   that the compiler vectorizes; elsewhere the precomputed offsets
-//!   stream linearly from the plan.
+//! A refactor re-runs the numeric elimination over a frozen fill
+//! pattern, so every update's destination is known at symbolic time.
+//! The whole elimination is therefore compiled once into a flat
+//! schedule of source operations over the packed value array: each
+//! packed target row acts as its own dense panel, updated **in place**
+//! (no gather, no workspace zeroing, no scatter), with per-update
+//! destination offsets resolved at plan time instead of per refactor.
+//! Where a source row's `U` segment lands on consecutive packed
+//! positions of the target row — the common case in the dense trailing
+//! block an AMD-ordered 2-D pattern produces — the update is encoded as
+//! a **contiguous fused-multiply-add run** that the compiler vectorizes;
+//! elsewhere the precomputed offsets stream linearly from the plan.
 //!
 //! # Parity contract
 //!
-//! The compiled schedule replays exactly the scalar kernel's update
-//! sequence (rows ascending, each row's sources ascending, each source's
-//! `U` entries in packed order) on exactly the same operands — the
-//! workspace detour of the scalar kernel does not change a single
-//! arithmetic result, so the two kernels agree **bitwise** on success
-//! and fail on the same first singular pivot. The parity batteries
-//! still only *rely* on ≤1e-12 agreement plus blocked-vs-blocked bitwise
-//! reproducibility (`crates/spice/tests/sweep_fastpaths.rs`), keeping
-//! room for future kernels that reassociate.
+//! The schedule replays exactly the up-looking scalar row elimination's
+//! update sequence (rows ascending, each row's sources ascending, each
+//! source's `U` entries in packed order) on exactly the same operands,
+//! so the two agree **bit for bit** on success and fail on the same
+//! first singular pivot. That agreement carries load: full refreshes
+//! run this schedule while
+//! [`SparseLu::refactor_partial`](crate::sparse::SparseLu::refactor_partial)
+//! re-eliminates its reachable rows with the scalar row loop. The SPICE
+//! solver's per-device contract — a partial refresh is bitwise identical
+//! to a full one — and the independence of every pooled solver's result
+//! from its solve history both hold only because the two kernels agree
+//! bitwise. A kernel that reassociates cannot replace this one. The unit
+//! tests below check the schedule bitwise against a `#[cfg(test)]`
+//! scalar full-refactor oracle.
 
 use crate::sparse::Scalar;
 use crate::LinalgError;
-use std::sync::Arc;
-
-/// Numeric elimination kernel used by
-/// [`SparseLu::refactor`](crate::sparse::SparseLu::refactor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NumericKernel {
-    /// Up-looking scalar row elimination — bitwise-deterministic default.
-    #[default]
-    Scalar,
-    /// Compiled in-place elimination schedule with contiguous-FMA runs —
-    /// deterministic (repeat-bitwise), ≤1e-12 from `Scalar` by contract
-    /// (bitwise in the current implementation); wins on fill-heavy
-    /// patterns from a few hundred unknowns up.
-    Blocked,
-}
-
-impl NumericKernel {
-    /// Parses a CLI-style kernel name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(Self::Scalar),
-            "blocked" => Ok(Self::Blocked),
-            other => Err(format!("unknown numeric kernel `{other}` (use scalar|blocked)")),
-        }
-    }
-}
-
-impl std::fmt::Display for NumericKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Scalar => write!(f, "scalar"),
-            Self::Blocked => write!(f, "blocked"),
-        }
-    }
-}
 
 /// Marker in [`SourceOp::dst_base`]: destinations come from the side
 /// stream instead of a contiguous run.
@@ -101,31 +58,18 @@ struct SourceOp {
 }
 
 /// The compiled elimination schedule for one symbolic analysis —
-/// pattern-only, shared (via [`Arc`]) by every clone of the
+/// pattern-only, shared (via `Arc`) by every clone of the
 /// factorization.
 #[derive(Debug, Clone)]
-pub struct BlockedPlan {
+pub(crate) struct BlockedPlan {
     /// All updates, target-row-major, sources ascending within a row —
-    /// the exact scalar kernel order.
+    /// the exact scalar row elimination order.
     ops: Vec<SourceOp>,
     /// Destination positions for non-contiguous ops, consumed in order.
     dsts: Vec<u32>,
     /// Per pivot row: end index into `ops` (the row's updates are
     /// `row_end[p-1]..row_end[p]`).
     row_end: Vec<u32>,
-}
-
-/// Schedule handle stored inside a factorization (scratch-free — the
-/// compiled kernel runs in place over the packed values).
-#[derive(Debug, Clone)]
-pub(crate) struct BlockedState {
-    plan: Arc<BlockedPlan>,
-}
-
-impl BlockedState {
-    pub(crate) fn new(plan: BlockedPlan) -> Self {
-        Self { plan: Arc::new(plan) }
-    }
 }
 
 /// Compiles the frozen elimination pattern into the flat update
@@ -180,21 +124,20 @@ pub(crate) fn build_plan(lu_ptr: &[usize], lu_cols: &[usize], diag_idx: &[usize]
 
 /// Runs the compiled elimination over the scattered input values (the
 /// caller has already zeroed `lu_vals` and scattered the input through
-/// its `a_to_lu` map). Bitwise identical to the scalar kernel on
-/// success.
+/// its `a_to_lu` map). Bitwise identical to the scalar row elimination
+/// on success.
 ///
 /// # Errors
 ///
 /// [`LinalgError::Singular`] at the first pivot row whose diagonal falls
-/// below `eps` (checked ascending, like the scalar kernel); the factor
+/// below `eps` (checked ascending, like the scalar row loop); the factor
 /// values are unspecified on error.
 pub(crate) fn refactor_blocked<T: Scalar>(
-    state: &BlockedState,
+    plan: &BlockedPlan,
     diag_idx: &[usize],
     lu_vals: &mut [T],
     eps: f64,
 ) -> Result<(), LinalgError> {
-    let plan = &*state.plan;
     let mut oi = 0usize;
     let mut di = 0usize;
     for (p, &end) in plan.row_end.iter().enumerate() {
@@ -232,13 +175,12 @@ pub(crate) fn refactor_blocked<T: Scalar>(
 
 #[cfg(test)]
 mod tests {
-    use super::NumericKernel;
-    use crate::sparse::{SparseLu, Triplets};
-    use crate::FillOrdering;
+    use crate::sparse::{CsrMatrix, SparseLu, Triplets};
+    use crate::{FillOrdering, LinalgError};
 
     /// A banded-plus-border pattern with enough coupling to produce fill
     /// (deterministic pseudo-random values from a splitmix-style hash).
-    fn test_matrix(n: usize, seed: u64) -> crate::sparse::CsrMatrix<f64> {
+    fn test_matrix(n: usize, seed: u64) -> CsrMatrix<f64> {
         let mut t = Triplets::new(n, n);
         let mut h = seed;
         let mut next = move || {
@@ -263,24 +205,50 @@ mod tests {
         t.to_csr()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn blocked_refactor_matches_scalar_within_1e12() {
-        for &ordering in &[FillOrdering::Markowitz, FillOrdering::Amd] {
+    fn blocked_refactor_matches_scalar_bitwise() {
+        for ordering in [FillOrdering::Markowitz, FillOrdering::Amd] {
             let a = test_matrix(120, 7);
-            let mut scalar = SparseLu::factor_with(&a, ordering).expect("factors");
-            let mut blocked = scalar.clone().with_numeric_kernel(NumericKernel::Blocked);
-            scalar.refactor(&a).expect("scalar refactor");
-            blocked.refactor(&a).expect("blocked refactor");
-            let b: Vec<f64> = (0..120).map(|i| (i as f64 * 0.37).sin()).collect();
-            let mut xs = vec![0.0; 120];
-            let mut xb = vec![0.0; 120];
-            scalar.solve_into(&b, &mut xs);
-            blocked.solve_into(&b, &mut xb);
-            for (s, bl) in xs.iter().zip(&xb) {
+            let proto = SparseLu::factor_with(&a, ordering).expect("factors");
+            // Refresh with values the symbolic analysis never saw, so
+            // every row really re-eliminates.
+            let mut b = a.clone();
+            for (k, v) in b.values_mut().iter_mut().enumerate() {
+                *v *= 1.0 + 0.03 * ((k % 11) as f64 - 5.0);
+            }
+            let (mut blocked, mut scalar) = (proto.clone(), proto.clone());
+            blocked.refactor(&b).expect("blocked refactor");
+            scalar.refactor_scalar(&b).expect("scalar refactor");
+            assert_eq!(
+                bits(blocked.packed_values()),
+                bits(scalar.packed_values()),
+                "{ordering}: packed factor values diverge"
+            );
+            let rhs: Vec<f64> = (0..120).map(|i| (i as f64 * 0.37).sin()).collect();
+            assert_eq!(
+                bits(&blocked.solve(&rhs)),
+                bits(&scalar.solve(&rhs)),
+                "{ordering}: solutions diverge"
+            );
+            // Zeroing one original row's values leaves its pivot at
+            // exactly zero after elimination: both kernels must stop at
+            // the same packed row.
+            for row in [0usize, 57, 119] {
+                let mut singular = a.clone();
+                let lo: usize = (0..row).map(|r| a.row_cols(r).len()).sum();
+                let hi = lo + a.row_cols(row).len();
+                singular.values_mut()[lo..hi].fill(0.0);
+                let got = proto.clone().refactor(&singular);
+                let want = proto.clone().refactor_scalar(&singular);
                 assert!(
-                    (s - bl).abs() <= 1e-12 * s.abs().max(1.0),
-                    "kernel divergence: {s} vs {bl} ({ordering})"
+                    matches!(want, Err(LinalgError::Singular { .. })),
+                    "{ordering}: zeroed row {row} must be singular, got {want:?}"
                 );
+                assert_eq!(got, want, "{ordering}: zeroed row {row}");
             }
         }
     }
@@ -288,8 +256,7 @@ mod tests {
     #[test]
     fn blocked_refactor_repeats_bitwise() {
         let a = test_matrix(90, 3);
-        let mut lu =
-            SparseLu::factor(&a).expect("factors").with_numeric_kernel(NumericKernel::Blocked);
+        let mut lu = SparseLu::factor(&a).expect("factors");
         let b: Vec<f64> = (0..90).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut x1 = vec![0.0; 90];
         let mut x2 = vec![0.0; 90];
@@ -298,8 +265,8 @@ mod tests {
         lu.refactor(&a).expect("second blocked refactor");
         lu.solve_into(&b, &mut x2);
         assert_eq!(
-            x1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            x2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            bits(&x1),
+            bits(&x2),
             "blocked kernel must be bitwise reproducible against itself"
         );
     }

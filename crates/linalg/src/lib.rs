@@ -14,8 +14,10 @@
 //! and from a few dozen unknowns the dense `O(n³)` factorization dominates
 //! every solve — the [`sparse`] module provides CSR storage and a
 //! Markowitz-ordered sparse LU with symbolic-factorization reuse for that
-//! path, with the dense [`Lu`] retained as the small-system fast path and
-//! bitwise parity oracle.
+//! path (one numeric refresh path: a compiled elimination schedule for
+//! full refactors, the matching row loop for partial ones), with the
+//! dense [`Lu`] retained as the small-system fast path and parity
+//! oracle.
 //!
 //! # Example
 //!
@@ -31,7 +33,7 @@
 //! ```
 
 pub mod cholesky;
-pub mod kernel;
+mod kernel;
 pub mod lu;
 pub mod matrix;
 pub mod ordering;
@@ -39,7 +41,6 @@ pub mod sparse;
 pub mod vector;
 
 pub use cholesky::Cholesky;
-pub use kernel::NumericKernel;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use ordering::{amd_order, FillOrdering};

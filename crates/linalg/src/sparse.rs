@@ -18,11 +18,13 @@
 //!   (fill-minimizing, threshold-pivoted for stability) whose **symbolic
 //!   step runs once per topology** — [`SparseLu::factor`] chooses the
 //!   pivot order and fill pattern, then [`SparseLu::refactor`] re-runs
-//!   only the numeric elimination over the frozen pattern, and
-//!   [`SparseLu::solve_into`] reuses its workspace allocation. This is
-//!   the classic SPICE arrangement: the Newton loop, the `gmin` ladder
-//!   and corner/mismatch sweeps all solve the *same topology* with
-//!   different values, so pivot search and fill analysis are paid once.
+//!   only the numeric elimination over the frozen pattern — as an
+//!   elimination schedule compiled once per symbolic analysis and run in
+//!   place over the packed factor — and [`SparseLu::solve_into`] reuses
+//!   its workspace allocation. This is the classic SPICE arrangement:
+//!   the Newton loop, the `gmin` ladder and corner/mismatch sweeps all
+//!   solve the *same topology* with different values, so pivot search
+//!   and fill analysis are paid once.
 //!   The symbolic phase itself runs on sorted-vec working rows with
 //!   bucketed Markowitz candidate lists (no tree maps, no full-matrix
 //!   scan per pivot), keeping the cold-start cost that solver pools
@@ -42,9 +44,11 @@
 //!   device stamps and the `gmin` diagonal), [`SparseLu::plan_partial`]
 //!   computes once, from the frozen elimination structure, which factor
 //!   rows are reachable from those inputs; [`SparseLu::refactor_partial`]
-//!   then re-eliminates only that set, leaving every untouched row's
-//!   `L`/`U` values frozen — bitwise identical to a full
-//!   [`SparseLu::refactor`] of the same matrix.
+//!   then re-eliminates only that set, row by row, leaving every
+//!   untouched row's `L`/`U` values frozen — bitwise identical to a full
+//!   [`SparseLu::refactor`] of the same matrix, because the compiled
+//!   schedule and the row loop perform the same operations in the same
+//!   order.
 //!
 //! Everything is generic over [`Scalar`] so the AC engine's complex MNA
 //! systems factor through the same machinery (and the same reuse) as the
@@ -73,10 +77,11 @@
 //! assert!((back[0] - 1.0).abs() < 1e-12);
 //! ```
 
-use crate::kernel::{self, NumericKernel};
+use crate::kernel::{self, BlockedPlan};
 use crate::LinalgError;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Monotonic id source for symbolic analyses: every [`SparseLu::factor`]
 /// stamps the factorization (and all clones of it, which share the
@@ -359,11 +364,9 @@ pub struct SparseLu<T = f64> {
     /// Identity of this symbolic analysis (shared by clones); partial
     /// plans are only valid against the analysis they were computed for.
     symbolic_id: u64,
-    /// Numeric elimination kernel used by [`Self::refactor`].
-    kernel: NumericKernel,
-    /// Lazily compiled elimination schedule for the blocked kernel
-    /// (plan shared by clones; invalidated with the symbolic analysis).
-    blocked: Option<kernel::BlockedState>,
+    /// The compiled elimination schedule [`Self::refactor`] runs —
+    /// pattern-only, so clones share it with the symbolic analysis.
+    schedule: Arc<BlockedPlan>,
 }
 
 /// A precomputed partial-refactorization schedule: the set of factor rows
@@ -1025,6 +1028,7 @@ impl<T: Scalar> SparseLu<T> {
         }
 
         let nnz = lu_cols.len();
+        let schedule = Arc::new(kernel::build_plan(&lu_ptr, &lu_cols, &diag_idx));
         Self {
             n,
             a_nnz: a.nnz(),
@@ -1039,34 +1043,15 @@ impl<T: Scalar> SparseLu<T> {
             batch_work: Vec::new(),
             fallback_steps: 0,
             symbolic_id: SYMBOLIC_IDS.fetch_add(1, Ordering::Relaxed),
-            kernel: NumericKernel::Scalar,
-            blocked: None,
+            schedule,
         }
     }
 
-    /// Selects the numeric elimination kernel used by [`Self::refactor`]
-    /// (builder form). The blocked panel schedule is built lazily on the
-    /// first blocked refactor and shared by clones made afterwards.
-    #[must_use]
-    pub fn with_numeric_kernel(mut self, kernel: NumericKernel) -> Self {
-        self.set_numeric_kernel(kernel);
-        self
-    }
-
-    /// Selects the numeric elimination kernel used by [`Self::refactor`].
-    pub fn set_numeric_kernel(&mut self, kernel: NumericKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active numeric elimination kernel.
-    pub fn numeric_kernel(&self) -> NumericKernel {
-        self.kernel
-    }
-
     /// Up-looking elimination of packed row `p` over the frozen pattern —
-    /// the inner loop shared by [`Self::refactor`] (all rows) and
-    /// [`Self::refactor_partial`] (reachable rows only). Free-standing
-    /// over split borrows so both entry points can drive it.
+    /// the inner loop of [`Self::refactor_partial`] (reachable rows
+    /// only). Free-standing over split borrows. Bitwise identical to the
+    /// compiled schedule [`Self::refactor`] runs over the same row (see
+    /// the `kernel` module's parity contract).
     #[inline]
     fn eliminate_row(
         lu_ptr: &[usize],
@@ -1112,55 +1097,60 @@ impl<T: Scalar> SparseLu<T> {
     /// - [`LinalgError::Singular`] if a frozen-order pivot has drifted
     ///   below the numeric floor.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), LinalgError> {
+        self.scatter_input(a)?;
+        kernel::refactor_blocked(
+            &self.schedule,
+            &self.diag_idx,
+            &mut self.lu_vals,
+            Self::SINGULARITY_EPS,
+        )
+    }
+
+    /// Checks `a` against the factored pattern, then zeroes the packed
+    /// values and scatters `a` through the precomputed map (pattern
+    /// slots that are pure fill stay zero) — the common head of every
+    /// full refactor.
+    fn scatter_input(&mut self, a: &CsrMatrix<T>) -> Result<(), LinalgError> {
         if a.rows() != self.n || a.cols() != self.n || a.nnz() != self.a_nnz {
             return Err(LinalgError::DimensionMismatch {
                 context: "sparse refactor pattern mismatch",
             });
         }
-        // Scatter the input through the precomputed map (pattern slots
-        // that are pure fill stay zero).
         for v in &mut self.lu_vals {
             *v = T::zero();
         }
         for (k, &dst) in self.a_to_lu.iter().enumerate() {
             self.lu_vals[dst] = a.values()[k];
         }
-        match self.kernel {
-            NumericKernel::Scalar => {
-                // Up-looking row elimination over the frozen pattern:
-                // every update lands inside the pattern by construction,
-                // so the inner loops are pure arithmetic.
-                for p in 0..self.n {
-                    Self::eliminate_row(
-                        &self.lu_ptr,
-                        &self.lu_cols,
-                        &self.diag_idx,
-                        &mut self.lu_vals,
-                        &mut self.work,
-                        p,
-                    );
-                    if self.lu_vals[self.diag_idx[p]].modulus() < Self::SINGULARITY_EPS {
-                        return Err(LinalgError::Singular { index: p });
-                    }
-                }
-                Ok(())
-            }
-            NumericKernel::Blocked => {
-                let state = self.blocked.get_or_insert_with(|| {
-                    kernel::BlockedState::new(kernel::build_plan(
-                        &self.lu_ptr,
-                        &self.lu_cols,
-                        &self.diag_idx,
-                    ))
-                });
-                kernel::refactor_blocked(
-                    state,
-                    &self.diag_idx,
-                    &mut self.lu_vals,
-                    Self::SINGULARITY_EPS,
-                )
+        Ok(())
+    }
+
+    /// The up-looking scalar full refactor: [`Self::eliminate_row`] over
+    /// every row — the oracle the compiled schedule of
+    /// [`Self::refactor`] must match bit for bit.
+    #[cfg(test)]
+    pub(crate) fn refactor_scalar(&mut self, a: &CsrMatrix<T>) -> Result<(), LinalgError> {
+        self.scatter_input(a)?;
+        for p in 0..self.n {
+            Self::eliminate_row(
+                &self.lu_ptr,
+                &self.lu_cols,
+                &self.diag_idx,
+                &mut self.lu_vals,
+                &mut self.work,
+                p,
+            );
+            if self.lu_vals[self.diag_idx[p]].modulus() < Self::SINGULARITY_EPS {
+                return Err(LinalgError::Singular { index: p });
             }
         }
+        Ok(())
+    }
+
+    /// The packed `L`/`U` values, for bitwise kernel comparisons.
+    #[cfg(test)]
+    pub(crate) fn packed_values(&self) -> &[T] {
+        &self.lu_vals
     }
 
     /// Computes the partial-refactorization schedule for a fixed set of

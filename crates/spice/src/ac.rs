@@ -5,6 +5,11 @@
 //! the complex MNA system across a frequency sweep. The excitation is a
 //! unit AC source superimposed on one voltage source, so node results are
 //! transfer functions relative to it.
+//!
+//! On the sparse backend [`AcSolverPool`] walks the netlist once into a
+//! compiled event template and replays it per frequency point — bitwise
+//! identical to re-walking the stamp loop, which survives only as the
+//! unit tests' oracle.
 
 use crate::complex::{Complex, ComplexMatrix};
 use crate::dc::{operating_point, OperatingPoint};
@@ -191,8 +196,6 @@ struct AcEvent {
 #[derive(Debug, Clone)]
 struct AcWorker {
     system: CsrMatrix<Complex>,
-    /// Push-order → packed-slot map for the rebuild (re-walk) path.
-    slot_of: Arc<Vec<usize>>,
     /// Compiled value-retarget template: the stamp walk flattened into
     /// `(slot, re, c)` events replayed per point without touching the
     /// netlist.
@@ -310,11 +313,10 @@ impl<'a> AcSolverPool<'a> {
             // The stamp pattern is frequency-invariant (only the jωC
             // values change) and the device walk is deterministic, so
             // the stamp walk is run exactly once here, in `(re, c)`
-            // parts form: it yields the CSR pattern, the push-order →
-            // value-index map for the rebuild path, and the compiled
-            // event template the per-point fast path replays. The
-            // symbolic analysis is primed at the first sweep frequency
-            // and shared by every worker clone.
+            // parts form: it yields the CSR pattern and the compiled
+            // event template every point replays. The symbolic analysis
+            // is primed at the first sweep frequency and shared by every
+            // worker clone.
             let omega = 2.0 * std::f64::consts::PI * frequencies[0];
             let mut parts: Vec<(usize, usize, f64, f64)> = Vec::new();
             stamp_ac_parts(netlist, &op, &mut |i, j, re, c| parts.push((i, j, re, c)));
@@ -323,23 +325,18 @@ impl<'a> AcSolverPool<'a> {
                 t.push(i, j, Complex::new(re, omega * c));
             }
             let system = t.to_csr();
-            let slot_of: Arc<Vec<usize>> = Arc::new(
-                t.entries()
-                    .iter()
-                    .map(|&(i, j, _)| {
-                        system.value_index(i, j).expect("pushed entry is in the pattern")
-                    })
-                    .collect(),
-            );
             let events: Arc<Vec<AcEvent>> = Arc::new(
                 parts
                     .iter()
-                    .zip(slot_of.iter())
-                    .map(|(&(_, _, re, c), &slot)| AcEvent { slot: slot as u32, re, c })
+                    .map(|&(i, j, re, c)| {
+                        let slot =
+                            system.value_index(i, j).expect("pushed entry is in the pattern");
+                        AcEvent { slot: slot as u32, re, c }
+                    })
                     .collect(),
             );
             let lu = SparseLu::factor(&system).map_err(|_| SpiceError::SingularMatrix)?;
-            Some(AcWorker { system, slot_of, events, lu, x: Vec::new(), repivoted: false })
+            Some(AcWorker { system, events, lu, x: Vec::new(), repivoted: false })
         } else {
             None
         };
@@ -377,81 +374,73 @@ impl<'a> AcSolverPool<'a> {
     ///
     /// On the sparse backend the per-point values come from the compiled
     /// event template (value-only retargeting) — no netlist walk per
-    /// point. Bitwise identical to
-    /// [`solve_point_rebuild`](Self::solve_point_rebuild); the
-    /// `sweep_fastpaths` battery locks the parity in.
+    /// point, yet bitwise identical to re-walking the netlist's stamp
+    /// loop (the unit tests hold that parity against the walk).
     ///
     /// # Errors
     ///
     /// [`SpiceError::SingularMatrix`] if the point's system cannot be
     /// factored even freshly.
     pub fn solve_point(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
-        self.solve_point_impl(freq_hz, true)
-    }
-
-    /// [`solve_point`](Self::solve_point) without the value-retarget
-    /// fast path: re-walks the netlist's stamp loop at every point — the
-    /// parity oracle and benchmark baseline for the event template.
-    ///
-    /// # Errors
-    ///
-    /// See [`solve_point`](Self::solve_point).
-    pub fn solve_point_rebuild(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
-        self.solve_point_impl(freq_hz, false)
-    }
-
-    fn solve_point_impl(&self, freq_hz: f64, retarget: bool) -> Result<Vec<Complex>, SpiceError> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let mut b = vec![Complex::ZERO; self.n];
-        b[self.n_nodes + self.ac_branch] = Complex::ONE;
         if self.proto.is_none() {
             // Dense backend: each point is an independent full solve.
             let mut a = ComplexMatrix::zeros(self.n);
             stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| a.add_at(i, j, v));
-            let x = a.solve(&b).map_err(|_| SpiceError::SingularMatrix)?;
+            let x = a.solve(&self.excitation()).map_err(|_| SpiceError::SingularMatrix)?;
             return Ok(x[..self.n_nodes].to_vec());
         }
         let mut checkout = self.checkout();
         let w = checkout.worker.as_mut().expect("worker present until drop");
-        Self::restamp_worker(self.netlist, &self.op, w, omega, retarget);
-        // Numeric-only refresh over the canonical symbolic analysis; a
-        // pivot that collapsed at this frequency falls back to a fresh
-        // factorization (pure per point) and retires the worker.
+        // Rewrite every stored value for this point — no state carries
+        // over from whatever point the worker solved last.
+        let values = w.system.values_mut();
+        values.fill(Complex::ZERO);
+        for ev in w.events.iter() {
+            values[ev.slot as usize] += Complex::new(ev.re, omega * ev.c);
+        }
+        self.solve_worker(w)
+    }
+
+    /// The unit excitation: 1 on the AC source's branch row.
+    fn excitation(&self) -> Vec<Complex> {
+        let mut b = vec![Complex::ZERO; self.n];
+        b[self.n_nodes + self.ac_branch] = Complex::ONE;
+        b
+    }
+
+    /// Refactors and solves a worker whose system holds the point's
+    /// values. Numeric-only refresh over the canonical symbolic
+    /// analysis; a pivot that collapsed at this frequency falls back to
+    /// a fresh factorization (pure per point) and retires the worker.
+    fn solve_worker(&self, w: &mut AcWorker) -> Result<Vec<Complex>, SpiceError> {
         if w.lu.refactor(&w.system).is_err() {
             w.lu = SparseLu::factor(&w.system).map_err(|_| SpiceError::SingularMatrix)?;
             w.repivoted = true;
         }
         let mut x = std::mem::take(&mut w.x);
-        w.lu.solve_into(&b, &mut x);
+        w.lu.solve_into(&self.excitation(), &mut x);
         let solution = x[..self.n_nodes].to_vec();
         w.x = x;
         Ok(solution)
     }
 
-    /// Rewrites a worker's value array for `freq_hz` through the
-    /// compiled event template and returns the number of events
-    /// replayed, without factoring or solving — the benchmark probe for
-    /// the per-point assembly cost in isolation. Returns 0 on the dense
-    /// backend (no template exists there).
-    pub fn restamp_point(&self, freq_hz: f64) -> usize {
-        self.restamp_impl(freq_hz, true)
-    }
-
-    /// [`restamp_point`](Self::restamp_point) through the full netlist
-    /// re-walk instead of the template — the baseline the
-    /// `spice_ac_retarget` gate measures against.
-    pub fn restamp_point_rebuild(&self, freq_hz: f64) -> usize {
-        self.restamp_impl(freq_hz, false)
-    }
-
-    fn restamp_impl(&self, freq_hz: f64, retarget: bool) -> usize {
-        if self.proto.is_none() {
-            return 0;
-        }
+    /// [`solve_point`](Self::solve_point) with the values written by
+    /// re-walking the netlist's stamp loop instead of replaying the
+    /// event template — the parity oracle the template is tested
+    /// against (same slots, same addends, same order).
+    #[cfg(test)]
+    fn solve_point_rewalk(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
         let mut checkout = self.checkout();
         let w = checkout.worker.as_mut().expect("worker present until drop");
-        Self::restamp_worker(self.netlist, &self.op, w, omega, retarget)
+        let system = &mut w.system;
+        system.values_mut().fill(Complex::ZERO);
+        stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| {
+            let slot = system.value_index(i, j).expect("stamp slot in the pattern");
+            system.values_mut()[slot] += v;
+        });
+        self.solve_worker(w)
     }
 
     /// Checks a worker out of the free list (cloning the prototype when
@@ -463,40 +452,6 @@ impl<'a> AcSolverPool<'a> {
             proto.clone()
         });
         Checkout { pool: self, worker: Some(worker) }
-    }
-
-    /// Rewrites every stored value of `w` for angular frequency `omega`
-    /// — no state carries over from whatever point the worker solved
-    /// last. `retarget` replays the compiled event template; otherwise
-    /// the netlist stamp loop is re-walked (the two are bitwise
-    /// identical: same slots, same addends, same order). Returns the
-    /// number of stamp events applied.
-    fn restamp_worker(
-        netlist: &Netlist,
-        op: &OperatingPoint,
-        w: &mut AcWorker,
-        omega: f64,
-        retarget: bool,
-    ) -> usize {
-        let values = w.system.values_mut();
-        for v in values.iter_mut() {
-            *v = Complex::ZERO;
-        }
-        if retarget {
-            for ev in w.events.iter() {
-                values[ev.slot as usize] += Complex::new(ev.re, omega * ev.c);
-            }
-            w.events.len()
-        } else {
-            let mut push = 0usize;
-            let slot_of = &w.slot_of;
-            stamp_ac(netlist, op, omega, &mut |_, _, v| {
-                values[slot_of[push]] += v;
-                push += 1;
-            });
-            debug_assert_eq!(push, slot_of.len(), "stamp walk changed shape");
-            push
-        }
     }
 }
 
@@ -723,5 +678,68 @@ mod tests {
     #[should_panic(expected = "invalid sweep range")]
     fn inverted_sweep_panics() {
         log_sweep(1e6, 1e3, 10);
+    }
+
+    /// A mixed netlist exercising every AC stamp kind (resistor
+    /// conductances, source branch rows, both MOSFET polarities' gm/gds
+    /// and gate caps), every device value moving with `p` while the
+    /// topology stays fixed.
+    fn mixed_netlist(p: &[f64]) -> Netlist {
+        let scale = |i: usize| 1.0 + 0.4 * p[i % p.len()];
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let vin = nl.node("vin");
+        let out = nl.node("out");
+        let tail = nl.node("tail");
+        nl.vsource("VDD", vdd, GROUND, 0.9 * scale(0).clamp(0.8, 1.2));
+        nl.vsource("VIN", vin, GROUND, 0.42 * scale(1));
+        nl.resistor("RL", vdd, out, 10e3 * scale(2));
+        nl.isource("IB", GROUND, tail, 50e-6 * scale(3));
+        nl.resistor("RT", tail, GROUND, 40e3 * scale(4));
+        let pmos =
+            MosModel::pmos_28nm().with_mismatch(0.01 * p[5 % p.len()], 0.05 * p[6 % p.len()]);
+        let nmos = MosModel::nmos_28nm().with_mismatch(0.01 * p[7 % p.len()], 0.05 * p[0]);
+        nl.mosfet("MP", out, vin, vdd, pmos, 2.0 * scale(1), 0.05);
+        nl.mosfet("MN", out, vin, tail, nmos, 1.0 * scale(2), 0.05);
+        nl
+    }
+
+    fn point_bits(x: &[Complex]) -> Vec<(u64, u64)> {
+        x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        // Event-template replay == per-point netlist re-walk, bitwise,
+        // across random device parameters on the pooled sparse path (the
+        // dense backend has no template: every point is a fresh build).
+        #[test]
+        fn prop_ac_retarget_matches_rebuild_bitwise(
+            p in proptest::collection::vec(-1.0f64..1.0, 8),
+        ) {
+            let nl = mixed_netlist(&p);
+            let freqs = log_sweep(1e3, 1e9, 2);
+            let pool = AcSolverPool::new(&nl, "VIN", &freqs, SolverBackend::Sparse).unwrap();
+            for &f in &freqs {
+                let fast = pool.solve_point(f).unwrap();
+                let slow = pool.solve_point_rewalk(f).unwrap();
+                proptest::prop_assert_eq!(
+                    point_bits(&fast), point_bits(&slow), "template vs re-walk @ {} Hz", f
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn event_template_matches_rewalk_on_ota() {
+        // The OTA has 10 unknowns — below the dense cutoff — so force the
+        // sparse backend to exercise the pooled event-template path.
+        let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
+        let freqs = log_sweep(1e3, 1e9, 3);
+        let pool = AcSolverPool::new(&nl, "VINP", &freqs, SolverBackend::Sparse).unwrap();
+        for &f in &freqs {
+            let fast = pool.solve_point(f).unwrap();
+            let slow = pool.solve_point_rewalk(f).unwrap();
+            assert_eq!(point_bits(&fast), point_bits(&slow), "template vs re-walk @ {f} Hz");
+        }
     }
 }

@@ -1,8 +1,13 @@
 //! DC operating-point analysis with `gmin` stepping.
+//!
+//! [`OpSolver`] keeps one template and factorization across solves;
+//! [`OpSolver::retarget`] re-points it at a netlist, rewriting stamp
+//! values in place when the topology matches and rebuilding otherwise.
+//! [`OpSolverPool`] clones one primed solver per worker thread.
 
 use crate::mna::{
     newton_solve_with_state, newton_solve_with_state_warm, MnaState, MnaTemplate, NewtonOptions,
-    PartialPlanMode, RefactorStats, RetargetOutcome, StampContext,
+    RefactorStats, RetargetOutcome, StampContext,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
@@ -130,8 +135,9 @@ impl OpSolver {
     /// point is the same circuit graph with different device values) the
     /// template's stamp values are rewritten **in place** — no netlist
     /// re-walk into a fresh template, no allocation, no pattern rebuild
-    /// ([`RetargetOutcome::Values`]; bitwise identical to the rebuild
-    /// path). Only a topology change pays the full rebuild
+    /// ([`RetargetOutcome::Values`]; bitwise identical to handing
+    /// [`MnaState::retarget`] a rebuilt template). Only a topology change
+    /// pays the full rebuild
     /// ([`RetargetOutcome::Topology`] — reported explicitly so pools
     /// retire the now-non-canonical solver).
     pub fn retarget(&mut self, netlist: &Netlist) -> RetargetOutcome {
@@ -142,11 +148,10 @@ impl OpSolver {
         self.retarget_rebuild(netlist)
     }
 
-    /// [`retarget`](Self::retarget) without the value-only fast path:
-    /// always rebuilds the assembly template from a netlist walk. The
-    /// reference semantics the fast path is parity-tested against (and
-    /// the `--retarget rebuild` benchmark mode).
-    pub fn retarget_rebuild(&mut self, netlist: &Netlist) -> RetargetOutcome {
+    /// The topology-change arm of [`retarget`](Self::retarget): rebuilds
+    /// the assembly template from a netlist walk and hands it to
+    /// [`MnaState::retarget`].
+    fn retarget_rebuild(&mut self, netlist: &Netlist) -> RetargetOutcome {
         let ctx = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
         let template = MnaTemplate::new(netlist, &ctx, self.options.backend);
         self.sparse = template.is_sparse();
@@ -195,14 +200,6 @@ impl OpSolver {
     /// refactorizations; see [`RefactorStats`]).
     pub fn refactor_stats(&self) -> RefactorStats {
         self.state.refactor_stats()
-    }
-
-    /// Sets the dirty-set policy for sparse partial refactorizations
-    /// (see [`PartialPlanMode`]) — exposed for the benchmark scenarios
-    /// that compare the exact per-device closures against the monolithic
-    /// template dirty set; results are bitwise identical either way.
-    pub fn set_partial_plan_mode(&mut self, mode: PartialPlanMode) {
-        self.state.set_partial_plan_mode(mode);
     }
 
     /// Computes the operating point from an all-zeros initial guess.
@@ -825,22 +822,24 @@ mod tests {
     fn narrow_partial_refactor_drops_gmin_rows() {
         use crate::mna::{NewtonOptions, SolverBackend};
         use crate::netlist::inverter_chain_with_load;
+        // Within one solve — no retarget — every refresh after the
+        // priming one diffs against the factored snapshot. Within a
+        // ladder rung the gmin diagonal is bitwise unchanged, so only
+        // the moved MOSFET slots seed the reachable set: the solve must
+        // take partial passes that together re-eliminate a strict row
+        // subset.
         let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
         let mut solver =
             OpSolver::primed(&inverter_chain_with_load(12, Some(10e3)), options).unwrap();
+        let primed = solver.refactor_stats();
+        assert_eq!((primed.full, primed.partial), (1, 0), "priming is one full factor");
         solver.solve().unwrap();
         let stats = solver.refactor_stats();
+        assert!(stats.partial > 0, "refreshes within one solve must go partial: {stats:?}");
+        assert_eq!(stats.full, primed.full, "one solve needs no second full pass: {stats:?}");
         assert!(
-            stats.narrow > 0,
-            "within-rung chord refreshes keep gmin constant and must take the narrow set: {stats:?}"
-        );
-        // The narrow (MOSFET-only) dirty set excludes the gmin diagonal,
-        // so its reachable rows are a strict subset of the full dirty
-        // set's — visible as fewer rows eliminated than even one
-        // full-dirty partial pass per refresh would give.
-        assert!(
-            stats.elimination_ratio() < 1.0,
-            "narrow refreshes must re-eliminate a strict row subset: {stats:?}"
+            stats.rows_eliminated - primed.rows_eliminated < stats.rows_total - primed.rows_total,
+            "partial refreshes must re-eliminate a strict row subset: {stats:?}"
         );
     }
 
@@ -848,6 +847,9 @@ mod tests {
     fn narrow_refresh_matches_full_newton_fixed_point() {
         use crate::mna::{JacobianStrategy, NewtonOptions, SolverBackend};
         use crate::netlist::inverter_chain_with_load;
+        // Chord iterates through a stale factor between (partial)
+        // refreshes; full Newton refreshes every iteration. Both must
+        // reach the same fixed point.
         let nl = inverter_chain_with_load(12, Some(10e3));
         let chord = NewtonOptions::default().with_backend(SolverBackend::Sparse);
         let full = NewtonOptions {
@@ -857,7 +859,7 @@ mod tests {
         let op_chord = OpSolver::primed(&nl, chord).unwrap().solve().unwrap();
         let op_full = OpSolver::primed(&nl, full).unwrap().solve().unwrap();
         for (a, b) in op_chord.raw().iter().zip(op_full.raw()) {
-            assert!((a - b).abs() < 1e-7, "chord+narrow {a} vs full Newton {b}");
+            assert!((a - b).abs() < 1e-7, "chord+partial {a} vs full Newton {b}");
         }
     }
 

@@ -5,6 +5,15 @@
 //! current solution estimate with companion stamps; capacitors contribute
 //! backward-Euler companion conductances during transient steps and are open
 //! in DC.
+//!
+//! The sparse backend has one numeric refresh path
+//! (`MnaState::refresh_factor`): the first factorization fixes the pivot
+//! order and fill pattern; every later refresh diffs the assembled values
+//! bitwise against the last factored ones and re-eliminates only the
+//! factor rows reachable from the slots that changed (a full refresh runs
+//! only without a valid snapshot, i.e. first use or after a failure). Both
+//! passes are bitwise identical to a full refactorization, so a solve's
+//! result never depends on the refreshes that came before it.
 
 use crate::device::Device;
 use crate::model::MosModel;
@@ -111,76 +120,21 @@ pub enum RetargetOutcome {
     Topology,
 }
 
-/// How the sparse numeric refresh picks its partial-refactorization
-/// dirty set (see `MnaState::refresh_factor`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartialPlanMode {
-    /// Template-declared dirty sets: every MOSFET restamp slot plus the
-    /// `gmin` diagonal (or the gmin-free **narrow** subset when `gmin`
-    /// is unchanged), regardless of which devices actually moved — the
-    /// PR 5 behavior, kept as the benchmark baseline.
-    Monolithic,
-    /// Exact per-device dirty sets: the assembled values are bitwise
-    /// diffed against a snapshot of the last successfully factored
-    /// input, so the reachable-row closure is computed from the slots of
-    /// the devices that actually changed (converged linear subnetworks
-    /// and untouched devices drop out entirely). Bitwise identical to a
-    /// full refactorization by the partial-refactorization contract —
-    /// the diff *proves* the contract's "unchanged outside the dirty
-    /// set" premise.
-    #[default]
-    PerDevice,
-}
-
-impl PartialPlanMode {
-    /// Parses a CLI-style mode name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "monolithic" => Ok(Self::Monolithic),
-            "per-device" => Ok(Self::PerDevice),
-            other => Err(format!("unknown plan mode `{other}` (use monolithic|per-device)")),
-        }
-    }
-}
-
-impl std::fmt::Display for PartialPlanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Monolithic => write!(f, "monolithic"),
-            Self::PerDevice => write!(f, "per-device"),
-        }
-    }
-}
-
 /// Cumulative numeric-refactorization accounting for one [`MnaState`]
 /// (sparse backend; the dense backend always refreshes in full and
 /// reports zeros). The partial/full split — and especially
 /// `rows_eliminated` vs `rows_total` — is the measured effect of
-/// KLU-style partial refactorization: rows outside the dirty reachable
-/// set keep their frozen `L`/`U` values.
+/// KLU-style partial refactorization: rows outside the reachable
+/// closure of the input slots that actually changed keep their frozen
+/// `L`/`U` values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefactorStats {
     /// Full numeric refactorizations (every row re-eliminated).
     pub full: u64,
-    /// Partial refactorizations (dirty reachable set only).
+    /// Partial refactorizations: the input slots that changed since the
+    /// last factored values, found by a bitwise diff, seeded the
+    /// reachable set (an unchanged assembly counts here with no rows).
     pub partial: u64,
-    /// The subset of `partial` that ran on the **narrow** (gmin-free)
-    /// dirty set: refreshes under an unchanged `gmin` whose dirty values
-    /// exclude the gmin diagonal entirely, so it drops out of the
-    /// reachable set (the monolithic MOSFET-slots schedule, or an exact
-    /// per-device schedule under the same `gmin`).
-    pub narrow: u64,
-    /// The subset of `partial` that ran on an **exact per-device** dirty
-    /// set ([`PartialPlanMode::PerDevice`]): the changed input slots were
-    /// discovered by a bitwise diff against the last factored values, so
-    /// the reachable closure covers only rows the devices that actually
-    /// moved can influence — never more, usually strictly fewer, than
-    /// the monolithic template dirty set.
-    pub device: u64,
     /// Factor rows actually re-eliminated, summed over all refreshes.
     pub rows_eliminated: u64,
     /// Factor rows a full-only scheme would have re-eliminated.
@@ -623,21 +577,6 @@ impl AssemblyTemplate {
     }
 }
 
-/// Assembles the linearized MNA system around solution estimate `x`.
-///
-/// Returns `(matrix, rhs)` such that solving gives the *next* Newton
-/// estimate directly (not a delta). One-shot convenience over
-/// [`AssemblyTemplate`]; iteration loops should build the template once
-/// and call [`AssemblyTemplate::assemble_into`].
-pub fn assemble(netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>) -> (Matrix, Vec<f64>) {
-    let template = AssemblyTemplate::new(netlist, ctx);
-    let n = template.dim();
-    let mut a = Matrix::zeros(n, n);
-    let mut rhs = vec![0.0; n];
-    template.assemble_into(&mut a, &mut rhs, x, ctx.gmin);
-    (a, rhs)
-}
-
 /// One MOSFET's pre-resolved stamp for the sparse assembly: the node/
 /// model data plus the **CSR value indices** of its six conductance
 /// positions, so the per-iteration restamp is direct array writes — no
@@ -678,17 +617,6 @@ pub struct SparseAssemblyTemplate {
     /// at `base.values()[slot_of[k]]` — the value-only retarget writes
     /// through this instead of re-sorting a triplet builder.
     slot_of: Vec<usize>,
-    /// Sorted, deduplicated value indices of everything that varies
-    /// between assemblies of one template: the MOSFET restamp slots and
-    /// the `gmin` diagonal — the dirty-input set for KLU-style partial
-    /// refactorization.
-    dirty_idx: Vec<usize>,
-    /// The narrow dirty set: MOSFET restamp slots only. Valid whenever
-    /// two consecutive assemblies used the **same** `gmin` (every rung of
-    /// the ladder holds `gmin` constant across its Newton refreshes), in
-    /// which case the gmin diagonal cancels out of the value delta and
-    /// the partial refactorization touches far fewer rows.
-    mos_dirty_idx: Vec<usize>,
     n_nodes: usize,
     /// Topology fingerprint of the netlist this template was walked
     /// from — the key guarding the value-only retarget fast path.
@@ -753,16 +681,6 @@ impl SparseAssemblyTemplate {
         let gmin_idx: Vec<usize> = (0..n_nodes)
             .map(|i| base.value_index(i, i).expect("node diagonal in pattern"))
             .collect();
-        let mut mos_dirty_idx: Vec<usize> = Vec::new();
-        for m in &mosfets {
-            mos_dirty_idx.extend([m.pdg, m.pdd, m.pds, m.psg, m.psd, m.pss].into_iter().flatten());
-        }
-        mos_dirty_idx.sort_unstable();
-        mos_dirty_idx.dedup();
-        let mut dirty_idx: Vec<usize> = gmin_idx.clone();
-        dirty_idx.extend_from_slice(&mos_dirty_idx);
-        dirty_idx.sort_unstable();
-        dirty_idx.dedup();
         let rhs = RhsTemplate::new(rhs_static, dynamic_rhs, ctx);
         Self {
             base,
@@ -770,8 +688,6 @@ impl SparseAssemblyTemplate {
             mosfets,
             gmin_idx,
             slot_of,
-            dirty_idx,
-            mos_dirty_idx,
             n_nodes,
             fingerprint: netlist.topology_fingerprint(),
         }
@@ -835,26 +751,6 @@ impl SparseAssemblyTemplate {
         debug_assert_eq!(mos_i, self.mosfets.len(), "fingerprint-equal walk changed shape");
         self.rhs.repoint(rhs_static, dynamic_rhs, ctx);
         true
-    }
-
-    /// Value indices of the stamps that vary between assemblies of this
-    /// template (MOSFET restamps and the `gmin` diagonal) — the
-    /// dirty-input set handed to
-    /// [`glova_linalg::sparse::SparseLu::plan_partial`]. Exposed so
-    /// benches and advanced callers can build partial-refactorization
-    /// plans against factorizations of this template's systems.
-    pub fn dirty_value_indices(&self) -> &[usize] {
-        &self.dirty_idx
-    }
-
-    /// The **narrow** dirty set — MOSFET restamp slots only, the `gmin`
-    /// diagonal excluded. Valid for refreshes whose assembly reused the
-    /// previous refresh's `gmin`: the diagonal contribution is then
-    /// bitwise unchanged, so only the nonlinear restamps can differ
-    /// (this is every chord/Newton refresh after the first within one
-    /// ladder rung).
-    pub fn mos_dirty_value_indices(&self) -> &[usize] {
-        &self.mos_dirty_idx
     }
 
     /// Re-points the template at a new context of the same kind — the
@@ -1019,14 +915,7 @@ impl MnaTemplate {
                 },
             },
             repivots: 0,
-            template_epoch: 0,
-            factor_epoch: None,
-            partial_plan: None,
-            narrow_plan: None,
             ordering: FillOrdering::default(),
-            assembled_gmin: f64::NAN,
-            factor_gmin: None,
-            plan_mode: PartialPlanMode::default(),
             factored_values: None,
             device_plans: Vec::new(),
             newton_iterations: 0,
@@ -1057,43 +946,15 @@ pub struct MnaState {
     /// Times the sparse path abandoned its frozen pivot order for a
     /// fresh Markowitz analysis (see [`MnaState::repivots`]).
     repivots: u64,
-    /// Bumped whenever the template's matrix *values* are replaced
-    /// wholesale (retarget / value-only retarget) — constant stamps can
-    /// then no longer be assumed equal to the last factored input.
-    template_epoch: u64,
-    /// Template epoch the current factorization's values were computed
-    /// under (`None` before the first successful refresh, or after a
-    /// failed one). When it matches `template_epoch`, consecutive
-    /// assemblies differ only at the template's dirty value set and the
-    /// refresh can run a partial refactorization.
-    factor_epoch: Option<u64>,
-    /// Cached partial-refactorization schedule for the current sparse
-    /// symbolic analysis; dropped whenever the factorization re-pivots.
-    partial_plan: Option<SparsePartialPlan>,
-    /// Cached **narrow** schedule (MOSFET dirty slots only, the gmin
-    /// diagonal excluded) — used when the assembly's `gmin` matches the
-    /// last factored one; dropped alongside `partial_plan` on re-pivot.
-    narrow_plan: Option<SparsePartialPlan>,
     /// Fill-reducing ordering for fresh sparse symbolic analyses (first
     /// factor and post-collapse re-pivots). Markowitz by default;
     /// threaded in from [`NewtonOptions::ordering`] by the solve entry
     /// points.
     ordering: FillOrdering,
-    /// `gmin` of the most recent [`assemble`](Self::assemble) (NaN before
-    /// the first), compared against `factor_gmin` to pick the narrow
-    /// dirty set.
-    assembled_gmin: f64,
-    /// `gmin` under which the current factorization's values were
-    /// assembled (`None` before the first successful refresh or after a
-    /// failed one — mirrors `factor_epoch`).
-    factor_gmin: Option<f64>,
-    /// Dirty-set selection policy for sparse partial refactorizations.
-    plan_mode: PartialPlanMode,
     /// Snapshot of the assembled input values the current factorization
-    /// was computed from (sparse backend, [`PartialPlanMode::PerDevice`]
-    /// only; `None` before the first successful refresh or after a
-    /// failed one). The bitwise diff of the next assembly against it is
-    /// the exact per-device dirty set.
+    /// was computed from (sparse backend only; `None` before the first
+    /// successful refresh or after a failed one). The bitwise diff of
+    /// the next assembly against it is the exact per-device dirty set.
     factored_values: Option<Vec<f64>>,
     /// Small move-to-front cache of per-device partial schedules keyed
     /// by their exact dirty slot set — Newton chord refreshes and
@@ -1162,7 +1023,6 @@ impl MnaState {
 
     /// Assembles the linearized system around `x`.
     pub(crate) fn assemble(&mut self, x: &[f64], gmin: f64) {
-        self.assembled_gmin = gmin;
         match &mut self.inner {
             StateInner::Dense { template, a, rhs, .. } => {
                 template.assemble_into(a, rhs, x, gmin);
@@ -1196,36 +1056,16 @@ impl MnaState {
     /// restricts the numeric pass to the factor rows reachable from the
     /// inputs that changed since the last successful refresh (KLU-style
     /// partial refactorization — bitwise identical to the full pass).
-    /// Under [`PartialPlanMode::PerDevice`] (the default) the changed
-    /// inputs are discovered **exactly**, by bitwise-diffing the
-    /// assembled values against a snapshot of the last factored ones —
-    /// so only the slots of devices that actually moved seed the
-    /// closure, and an assembly identical to the factored one skips the
-    /// elimination entirely. Under [`PartialPlanMode::Monolithic`] the
-    /// template's declared dirty set (all MOSFET restamps + the `gmin`
-    /// diagonal, or its gmin-free narrow subset) is used instead,
-    /// requiring the template epoch to confirm no other value moved. If
-    /// drifting values break a frozen pivot it transparently re-pivots
-    /// (fresh Markowitz analysis, counted in [`Self::repivots`]) before
-    /// giving up.
+    /// The changed inputs are found **exactly**, by bitwise-diffing the
+    /// assembled values against a snapshot of the last factored ones, so
+    /// only the slots of devices that actually moved seed the closure,
+    /// and an assembly identical to the factored one skips the
+    /// elimination entirely. Without a snapshot (first use, or a failed
+    /// refresh that left the factor values unspecified) the pass is
+    /// full. If drifting values break a frozen pivot it transparently
+    /// re-pivots (fresh symbolic analysis, counted in
+    /// [`Self::repivots`]) before giving up.
     pub(crate) fn refresh_factor(&mut self) -> Result<(), SpiceError> {
-        let epoch = self.template_epoch;
-        let partial_ok = self.factor_epoch == Some(epoch);
-        // Whether the gmin diagonal is unchanged since the factored
-        // assembly. (NaN never equals, so a pre-first-assembly state
-        // can't take the gmin-free paths.)
-        let gmin_clean = self.factor_gmin == Some(self.assembled_gmin);
-        // The monolithic narrow (gmin-free) dirty set applies only when
-        // the values can differ from the factored ones *solely* at the
-        // MOSFET restamps: same template epoch AND the same gmin.
-        let narrow_ok = partial_ok && gmin_clean;
-        // Invalidate until the refresh succeeds: an error leaves the
-        // factor values unspecified, so the next attempt must run full.
-        // The snapshot is likewise consumed up front — it only describes
-        // the factor again once this refresh lands.
-        self.factor_epoch = None;
-        self.factor_gmin = None;
-        let snapshot = self.factored_values.take();
         let mut repivoted = false;
         match &mut self.inner {
             StateInner::Dense { a, lu, .. } => match lu {
@@ -1233,83 +1073,49 @@ impl MnaState {
                 None => *lu = Some(a.lu().map_err(SpiceError::from)?),
             },
             StateInner::Sparse { a, lu, template, .. } => {
+                // Consumed up front: an error leaves the factor values
+                // unspecified, so the snapshot only describes the factor
+                // again once this refresh lands.
+                let snapshot = self.factored_values.take();
                 // Rows the *successful* partial pass re-eliminated;
                 // `None` means full-refactor work produced the factor
-                // (plain refactor, fallback, fresh analysis or first
-                // use). Stats are recorded only after the refresh
-                // succeeds, classified by the path that actually ran.
+                // (no snapshot, fallback, fresh analysis or first use).
+                // Stats are recorded only after the refresh succeeds,
+                // classified by the path that actually ran.
                 let mut partial_rows: Option<usize> = None;
-                let mut device_pass = false;
-                let mut narrow_pass = false;
-                let refreshed = match lu.as_mut() {
-                    Some(f) => {
-                        // Exact per-device dirty set: the bitwise diff
-                        // against the snapshot is valid whenever the
-                        // snapshot exists — it is ground truth about
-                        // what changed, independent of template epochs.
-                        let exact: Option<Vec<usize>> = match (&snapshot, self.plan_mode) {
-                            (Some(s), PartialPlanMode::PerDevice)
-                                if s.len() == a.values().len() =>
-                            {
-                                Some(
-                                    a.values()
-                                        .iter()
-                                        .zip(s.iter())
-                                        .enumerate()
-                                        .filter(|(_, (v, o))| v.to_bits() != o.to_bits())
-                                        .map(|(k, _)| k)
-                                        .collect(),
-                                )
-                            }
-                            _ => None,
-                        };
-                        match exact {
-                            Some(dirty) => {
-                                device_pass = true;
-                                narrow_pass = gmin_clean;
-                                if dirty.is_empty() {
-                                    // The assembly is bitwise the input
-                                    // the factor was computed from — it
-                                    // is already fresh.
-                                    partial_rows = Some(0);
+                let refreshed = match (lu.as_mut(), &snapshot) {
+                    (Some(f), Some(s)) if s.len() == a.values().len() => {
+                        let dirty: Vec<usize> = a
+                            .values()
+                            .iter()
+                            .zip(s)
+                            .enumerate()
+                            .filter(|(_, (v, o))| v.to_bits() != o.to_bits())
+                            .map(|(k, _)| k)
+                            .collect();
+                        if dirty.is_empty() {
+                            // The assembly is bitwise the input the
+                            // factor was computed from — already fresh.
+                            partial_rows = Some(0);
+                            Ok(())
+                        } else {
+                            let plan = Self::device_plan(&mut self.device_plans, f, dirty);
+                            match f.refactor_partial(a, plan) {
+                                Ok(()) => {
+                                    partial_rows = Some(plan.rows_eliminated());
                                     Ok(())
-                                } else {
-                                    let plan = Self::device_plan(&mut self.device_plans, f, dirty);
-                                    match f.refactor_partial(a, plan) {
-                                        Ok(()) => {
-                                            partial_rows = Some(plan.rows_eliminated());
-                                            Ok(())
-                                        }
-                                        // A plan/symbolic mismatch cannot
-                                        // normally happen (plans drop on
-                                        // re-pivot); fall back to the full
-                                        // pass defensively.
-                                        Err(LinalgError::DimensionMismatch { .. }) => f.refactor(a),
-                                        other => other,
-                                    }
                                 }
+                                // A plan/symbolic mismatch cannot
+                                // normally happen (plans drop on
+                                // re-pivot); fall back to the full pass
+                                // defensively.
+                                Err(LinalgError::DimensionMismatch { .. }) => f.refactor(a),
+                                other => other,
                             }
-                            None if partial_ok => {
-                                let (plan_slot, dirty) = if narrow_ok {
-                                    (&mut self.narrow_plan, template.mos_dirty_value_indices())
-                                } else {
-                                    (&mut self.partial_plan, template.dirty_value_indices())
-                                };
-                                let plan = plan_slot.get_or_insert_with(|| f.plan_partial(dirty));
-                                match f.refactor_partial(a, plan) {
-                                    Ok(()) => {
-                                        partial_rows = Some(plan.rows_eliminated());
-                                        narrow_pass = narrow_ok;
-                                        Ok(())
-                                    }
-                                    Err(LinalgError::DimensionMismatch { .. }) => f.refactor(a),
-                                    other => other,
-                                }
-                            }
-                            None => f.refactor(a),
                         }
                     }
-                    None => Err(LinalgError::Singular { index: 0 }),
+                    (Some(f), _) => f.refactor(a),
+                    (None, _) => Err(LinalgError::Singular { index: 0 }),
                 };
                 match (refreshed, lu.is_some()) {
                     (Ok(()), _) => {}
@@ -1320,8 +1126,6 @@ impl MnaState {
                         *lu = Some(
                             SparseLu::factor_with(a, self.ordering).map_err(SpiceError::from)?,
                         );
-                        self.partial_plan = None;
-                        self.narrow_plan = None;
                         self.device_plans.clear();
                         repivoted = had_factor;
                     }
@@ -1331,38 +1135,26 @@ impl MnaState {
                 match partial_rows {
                     Some(rows) => {
                         self.refactor_stats.partial += 1;
-                        if device_pass {
-                            self.refactor_stats.device += 1;
-                        }
-                        if narrow_pass {
-                            self.refactor_stats.narrow += 1;
-                        }
                         self.refactor_stats.rows_eliminated += rows as u64;
-                        self.refactor_stats.rows_total += n;
                     }
                     None => {
                         self.refactor_stats.full += 1;
                         self.refactor_stats.rows_eliminated += n;
-                        self.refactor_stats.rows_total += n;
                     }
                 }
-            }
-        }
-        if repivoted {
-            self.repivots += 1;
-        }
-        // Record what this factor was computed from so the next refresh
-        // can diff against it (reusing the consumed snapshot's buffer).
-        if self.plan_mode == PartialPlanMode::PerDevice {
-            if let StateInner::Sparse { a, .. } = &self.inner {
+                self.refactor_stats.rows_total += n;
+                // Record what this factor was computed from so the next
+                // refresh can diff against it (reusing the consumed
+                // snapshot's buffer).
                 let mut buf = snapshot.unwrap_or_default();
                 buf.clear();
                 buf.extend_from_slice(a.values());
                 self.factored_values = Some(buf);
             }
         }
-        self.factor_epoch = Some(epoch);
-        self.factor_gmin = Some(self.assembled_gmin);
+        if repivoted {
+            self.repivots += 1;
+        }
         Ok(())
     }
 
@@ -1421,23 +1213,6 @@ impl MnaState {
         self.ordering
     }
 
-    /// Sets the dirty-set policy for sparse partial refactorizations
-    /// (see [`PartialPlanMode`]); solver configuration, so it survives
-    /// topology retargets. Switching drops the exact-diff snapshot so
-    /// the next refresh re-establishes its invariant from scratch.
-    pub fn set_partial_plan_mode(&mut self, mode: PartialPlanMode) {
-        if self.plan_mode != mode {
-            self.plan_mode = mode;
-            self.factored_values = None;
-            self.device_plans.clear();
-        }
-    }
-
-    /// The dirty-set policy sparse partial refactorizations run under.
-    pub fn partial_plan_mode(&self) -> PartialPlanMode {
-        self.plan_mode
-    }
-
     /// Cumulative Newton/chord iterations run through this state (all
     /// solves, all `gmin` rungs) — survives topology retargets, like the
     /// re-pivot counter.
@@ -1485,7 +1260,6 @@ impl MnaState {
                 // full, so keeping the stale `lu` slot is purely an
                 // allocation reuse.
                 *slot = t;
-                self.template_epoch += 1;
                 RetargetOutcome::Pattern
             }
             (StateInner::Sparse { template: slot, .. }, MnaTemplate::Sparse(t))
@@ -1493,9 +1267,9 @@ impl MnaState {
             {
                 // Identical pattern: the working system and the frozen
                 // symbolic factorization both remain valid; assembly
-                // overwrites every value.
+                // overwrites every value, and the next refresh diffs it
+                // against the factored snapshot as usual.
                 *slot = t;
-                self.template_epoch += 1;
                 RetargetOutcome::Pattern
             }
             (_, template) => {
@@ -1510,12 +1284,10 @@ impl MnaState {
                 // not per-topology state.
                 let repivots = self.repivots;
                 let ordering = self.ordering;
-                let plan_mode = self.plan_mode;
                 let newton_iterations = self.newton_iterations;
                 *self = template.into_state();
                 self.repivots = repivots;
                 self.ordering = ordering;
-                self.plan_mode = plan_mode;
                 self.newton_iterations = newton_iterations;
                 RetargetOutcome::Topology
             }
@@ -1534,14 +1306,10 @@ impl MnaState {
     /// Panics if `ctx` changes the analysis kind or time step the
     /// template was built for.
     pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
-        let patched = match &mut self.inner {
+        match &mut self.inner {
             StateInner::Dense { template, .. } => template.retarget_values(netlist, ctx),
             StateInner::Sparse { template, .. } => template.retarget_values(netlist, ctx),
-        };
-        if patched {
-            self.template_epoch += 1;
         }
-        patched
     }
 
     /// Re-points the underlying template at a new context of the same
@@ -1951,6 +1719,18 @@ fn newton_solve_inner(
 mod tests {
     use super::*;
     use crate::netlist::GROUND;
+
+    /// One-shot dense assembly of the linearized system around `x`: the
+    /// template built and assembled once — the reference the reusable
+    /// template path is compared against.
+    fn assemble(netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>) -> (Matrix, Vec<f64>) {
+        let template = AssemblyTemplate::new(netlist, ctx);
+        let n = template.dim();
+        let mut a = Matrix::zeros(n, n);
+        let mut rhs = vec![0.0; n];
+        template.assemble_into(&mut a, &mut rhs, x, ctx.gmin);
+        (a, rhs)
+    }
 
     #[test]
     fn divider_assembles_and_solves_linearly() {

@@ -1,37 +1,38 @@
 //! Property tests for the sweep fast paths:
 //!
-//! - **value-only retarget** ([`OpSolver::retarget`] /
-//!   `retarget_values`) must be bitwise identical to the template-rebuild
-//!   path across random device-parameter perturbations — the fast path
-//!   is an optimization, never a semantic change;
-//! - **partial refactorization** ([`SparseLu::refactor_partial`]) must be
-//!   bitwise identical to a full [`SparseLu::refactor`] for arbitrary
-//!   dirty-value subsets on the inverter-chain and RC-ladder patterns,
-//!   and both must agree with the dense LU oracle to ≤ 1e-9;
-//! - **AC value retargeting** ([`AcSolverPool::solve_point`]) must be
-//!   bitwise identical to the per-point netlist re-walk
-//!   ([`AcSolverPool::solve_point_rebuild`]) on both backends;
-//! - the **blocked numeric kernel** must agree with the scalar kernel to
-//!   ≤ 1e-12 on SPICE-assembled systems and repeat bitwise with itself;
-//! - **per-device refactor plans** ([`PartialPlanMode::PerDevice`]) must
-//!   solve bitwise identically to the monolithic schedule for random
-//!   device dirty sets while eliminating no more rows;
+//! - **value-only retarget** (`MnaState::retarget_values`, behind
+//!   [`OpSolver::retarget`]) must be bitwise identical to retargeting to a
+//!   freshly built template ([`MnaState::retarget`]) across random
+//!   device-parameter perturbations — the fast path is an optimization,
+//!   never a semantic change;
+//! - **partial refactorization** ([`SparseLu::refactor_partial`], the
+//!   scalar row loop) must be bitwise identical to a full
+//!   [`SparseLu::refactor`] (the compiled elimination schedule) for
+//!   arbitrary dirty-value subsets on the inverter-chain and RC-ladder
+//!   patterns, and both must agree with the dense LU oracle to ≤ 1e-9;
+//! - **history independence** of the per-device partial refreshes: a
+//!   solver that walked a random retarget+solve sequence must return, on
+//!   its last netlist, the same bits as a fresh clone of the primed
+//!   prototype retargeted straight to it — on the mixed netlist and a
+//!   sparse sense-amp array;
+//! - the sparse **AC pool** must solve through its pooled event template
+//!   and repeat bitwise (template == netlist re-walk parity lives in the
+//!   `ac` module's unit tests, next to the re-walk oracle);
 //! - **warm-started corner sweeps** ([`OpSolver::solve_corner_sweep`])
 //!   must reach the cold gmin-ladder operating points on the
 //!   inverter-chain, OTA and sense-amp testcases.
 
 use glova_linalg::sparse::SparseLu;
-use glova_linalg::NumericKernel;
 use glova_spice::ac::{log_sweep, AcSolverPool};
 use glova_spice::dc::OpSolver;
 use glova_spice::mna::{
-    NewtonOptions, PartialPlanMode, RetargetOutcome, SolverBackend, SparseAssemblyTemplate,
-    StampContext,
+    newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, SolverBackend,
+    SparseAssemblyTemplate, StampContext,
 };
 use glova_spice::model::MosModel;
 use glova_spice::netlist::{
-    inverter_chain_with_load, ota_two_stage, rc_ladder, sense_amp_array, sense_amp_array_with,
-    Netlist, OtaParams, SenseAmpParams, GROUND,
+    inverter_chain_with_load, ota_two_stage, rc_ladder, sense_amp_array_with, Netlist, OtaParams,
+    SenseAmpParams, GROUND,
 };
 use proptest::prelude::*;
 
@@ -58,8 +59,69 @@ fn mixed_netlist(p: &[f64]) -> Netlist {
     nl
 }
 
+/// The DC `gmin` continuation over prebuilt state (each rung starts
+/// from the previous rung's solution), returned as solution bits.
+fn ladder_bits(state: &mut MnaState, n: usize, options: &NewtonOptions) -> Vec<u64> {
+    let mut x = vec![0.0; n];
+    for gmin in [1e-3, 1e-5, 1e-7, 1e-9, 1e-12] {
+        x = newton_solve_with_state(state, &x, gmin, options).expect("mixed netlist converges");
+    }
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Retargets `solver` to `nl` and solves, as solution bits.
+fn solve_bits(solver: &mut OpSolver, nl: &Netlist) -> Vec<u64> {
+    assert_ne!(solver.retarget(nl), RetargetOutcome::Topology, "history shares one topology");
+    let op = solver.solve().expect("history netlist converges");
+    op.raw().iter().map(|v| v.to_bits()).collect()
+}
+
+/// History independence of the pooled solver: a clone of the primed
+/// `proto` that retargeted to and solved every netlist of `history` in
+/// turn must return, on the last one, the same bits as a fresh clone
+/// retargeted straight to it. Every refresh after the first diffs
+/// against the previous factored values, so the two clones reach the
+/// last solve through different partial schedules — which must not
+/// move a bit.
+fn check_history_independence(proto: &OpSolver, history: &[Netlist]) -> Result<(), TestCaseError> {
+    let (last, earlier) = history.split_last().expect("non-empty history");
+    let mut walked = proto.clone();
+    for nl in earlier {
+        solve_bits(&mut walked, nl);
+    }
+    // The property is the pool's: a pool retires any solver that left
+    // the canonical pivot order, so the walked one must not have.
+    prop_assert_eq!(walked.noncanonical_events(), 0);
+    let via_history = solve_bits(&mut walked, last);
+    let direct = solve_bits(&mut proto.clone(), last);
+    prop_assert_eq!(via_history, direct, "solve history moved the result");
+    let stats = walked.refactor_stats();
+    prop_assert!(stats.partial > 0, "partial refreshes must engage: {:?}", stats);
+    prop_assert!(
+        stats.rows_eliminated < stats.rows_total,
+        "partial refreshes must skip rows: {:?}",
+        stats
+    );
+    Ok(())
+}
+
+/// A 6×6 sense-amp array with the wordline drive, latch width and cell
+/// anchor taken from `v` (each in `0..1`), topology fixed.
+fn senseamp(v: (f64, f64, f64)) -> Netlist {
+    sense_amp_array_with(
+        6,
+        6,
+        &SenseAmpParams {
+            r_wordline: 600.0 + 1000.0 * v.0,
+            w_latch_um: 0.35 + 0.35 * v.1,
+            r_cell: 50e3 + 150e3 * v.2,
+            ..SenseAmpParams::default()
+        },
+    )
+}
+
 proptest! {
-    // `retarget` (value-only fast path) == `retarget_rebuild` bitwise:
+    // Value-only retarget == retarget to a rebuilt template, bitwise:
     // same outcome classification, identical assembled systems,
     // identical operating points, on both backends.
     #[test]
@@ -70,19 +132,24 @@ proptest! {
         let base_nl = mixed_netlist(&base);
         let target_nl = mixed_netlist(&target);
         prop_assert_eq!(base_nl.topology_fingerprint(), target_nl.topology_fingerprint());
+        let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
+        let n = target_nl.unknown_count();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let options = NewtonOptions::default().with_backend(backend);
-            let mut fast = OpSolver::primed(&base_nl, options).unwrap();
-            let mut slow = OpSolver::primed(&base_nl, options).unwrap();
-            prop_assert_eq!(fast.retarget(&target_nl), RetargetOutcome::Values);
-            prop_assert_eq!(slow.retarget_rebuild(&target_nl), RetargetOutcome::Pattern);
-            let x_fast = fast.solve().unwrap();
-            let x_slow = slow.solve().unwrap();
-            for (a, b) in x_fast.raw().iter().zip(x_slow.raw()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "{} backend: value-retarget {} vs rebuild {}", backend, a, b);
-            }
-            prop_assert_eq!(fast.noncanonical_events(), 0);
+            let mut fast = MnaTemplate::new(&base_nl, &ctx, backend).into_state();
+            fast.prime(ctx.gmin).unwrap();
+            let mut slow = fast.clone();
+            prop_assert!(fast.retarget_values(&target_nl, &ctx));
+            prop_assert_eq!(
+                slow.retarget(MnaTemplate::new(&target_nl, &ctx, backend)),
+                RetargetOutcome::Pattern
+            );
+            prop_assert_eq!(
+                ladder_bits(&mut fast, n, &options),
+                ladder_bits(&mut slow, n, &options),
+                "{} backend: value retarget vs rebuilt template", backend
+            );
+            prop_assert_eq!(fast.repivots(), 0);
         }
     }
 
@@ -150,92 +217,19 @@ proptest! {
         prop_check_partial(a, &mask, &bumps)?;
     }
 
-    // AC event-template retargeting == per-point netlist re-walk,
-    // bitwise, across random device parameters and both backends. The
-    // mixed netlist covers every AC stamp kind (resistor conductances,
-    // source branch rows, MOSFET gm/gds and gate caps).
+    // History independence on the mixed netlist: random retarget
+    // sequences where only a random subset of device parameters moves
+    // per step.
     #[test]
-    fn prop_ac_retarget_matches_rebuild_bitwise(
-        p in proptest::collection::vec(-1.0f64..1.0, 8),
-    ) {
-        let nl = mixed_netlist(&p);
-        let freqs = log_sweep(1e3, 1e9, 2);
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let pool = AcSolverPool::new(&nl, "VIN", &freqs, backend).unwrap();
-            for &f in &freqs {
-                let fast = pool.solve_point(f).unwrap();
-                let slow = pool.solve_point_rebuild(f).unwrap();
-                prop_assert_eq!(fast.len(), slow.len());
-                for (a, b) in fast.iter().zip(&slow) {
-                    prop_assert_eq!(a.re.to_bits(), b.re.to_bits(),
-                        "{} backend @ {} Hz: retarget {} vs rebuild {}", backend, f, a.re, b.re);
-                    prop_assert_eq!(a.im.to_bits(), b.im.to_bits(),
-                        "{} backend @ {} Hz: retarget {} vs rebuild {}", backend, f, a.im, b.im);
-                }
-            }
-        }
-    }
-
-    // Blocked numeric kernel vs scalar on the SPICE-assembled sense-amp
-    // system: solutions agree to ≤ 1e-12, and the blocked kernel repeats
-    // bitwise on a second refactor of the same values.
-    #[test]
-    fn prop_blocked_kernel_matches_scalar_on_senseamp(
-        bumps in proptest::collection::vec(0.7f64..1.4, 10),
-        estimate in -0.2f64..0.9,
-    ) {
-        let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let template = SparseAssemblyTemplate::new(&sense_amp_array(4, 4), &ctx);
-        let n = template.dim();
-        let mut a = template.new_system();
-        let mut rhs = vec![0.0; n];
-        template.assemble_into(&mut a, &mut rhs, &vec![estimate; n], 1e-9);
-        let mut scalar = SparseLu::factor(&a).unwrap();
-        let mut blocked = SparseLu::factor(&a).unwrap().with_numeric_kernel(NumericKernel::Blocked);
-        // Perturb every value (a full Newton re-assembly) and refresh
-        // both kernels over the frozen pivot order.
-        let mut b = a.clone();
-        for (k, v) in b.values_mut().iter_mut().enumerate() {
-            *v *= bumps[k % bumps.len()];
-        }
-        let scalar_ok = scalar.refactor(&b).is_ok();
-        prop_assert_eq!(scalar_ok, blocked.refactor(&b).is_ok(),
-            "kernels disagree on pivot viability");
-        if !scalar_ok {
-            return Ok(());
-        }
-        let x_s = scalar.solve(&rhs);
-        let x_b = blocked.solve(&rhs);
-        for (s, bl) in x_s.iter().zip(&x_b) {
-            prop_assert!((s - bl).abs() <= 1e-12 * (1.0 + s.abs()),
-                "blocked {} vs scalar {}", bl, s);
-        }
-        // Repeat-bitwise: the compiled schedule is deterministic.
-        blocked.refactor(&b).unwrap();
-        let x_b2 = blocked.solve(&rhs);
-        for (one, two) in x_b.iter().zip(&x_b2) {
-            prop_assert_eq!(one.to_bits(), two.to_bits(), "blocked repeat {} vs {}", two, one);
-        }
-    }
-
-    // Per-device refactor plans == monolithic schedule, bitwise, across
-    // random retarget sequences where only a random subset of device
-    // parameters moves per step — the exact-diff schedule may skip or
-    // shrink eliminations but never change a bit of the solution.
-    #[test]
-    fn prop_device_plan_matches_monolithic_bitwise(
+    fn prop_pooled_solver_is_history_independent(
         base in proptest::collection::vec(-1.0f64..1.0, 8),
         steps in proptest::collection::vec(
             (proptest::collection::vec(-1.0f64..1.0, 8), 1u64..256), 3),
     ) {
-        let base_nl = mixed_netlist(&base);
         let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let mut dev = OpSolver::primed(&base_nl, options).unwrap();
-        let mut mono = OpSolver::primed(&base_nl, options).unwrap();
-        mono.set_partial_plan_mode(PartialPlanMode::Monolithic);
-        prop_assert_eq!(dev.refactor_stats().device, 0);
+        let proto = OpSolver::primed(&mixed_netlist(&base), options).unwrap();
         let mut cur = base.clone();
-        let mut nls = vec![base_nl];
+        let mut history = Vec::new();
         for (delta, mask) in &steps {
             // The mask picks which parameters (device dirty set) move.
             for (i, d) in delta.iter().enumerate() {
@@ -243,25 +237,23 @@ proptest! {
                     cur[i] = *d;
                 }
             }
-            nls.push(mixed_netlist(&cur));
+            history.push(mixed_netlist(&cur));
         }
-        for nl in &nls {
-            prop_assert!(dev.retarget(nl) != RetargetOutcome::Topology);
-            prop_assert!(mono.retarget(nl) != RetargetOutcome::Topology);
-            let x_dev = dev.solve().unwrap();
-            let x_mono = mono.solve().unwrap();
-            for (d, m) in x_dev.raw().iter().zip(x_mono.raw()) {
-                prop_assert_eq!(d.to_bits(), m.to_bits(),
-                    "per-device {} vs monolithic {}", d, m);
-            }
-        }
-        // The exact-diff schedule engaged, and never re-eliminated more
-        // rows than the monolithic template dirty set.
-        prop_assert!(dev.refactor_stats().device > 0);
-        prop_assert!(
-            dev.refactor_stats().rows_eliminated <= mono.refactor_stats().rows_eliminated,
-            "device rows {} > monolithic rows {}",
-            dev.refactor_stats().rows_eliminated, mono.refactor_stats().rows_eliminated);
+        check_history_independence(&proto, &history)?;
+    }
+
+    // History independence on a sparse sense-amp array with random
+    // wordline, latch and cell values — a 2-D pattern where the
+    // per-device closures genuinely differ between histories.
+    #[test]
+    fn prop_pooled_solver_is_history_independent_on_senseamp(
+        base in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+        steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 3),
+    ) {
+        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
+        let proto = OpSolver::primed(&senseamp(base), options).unwrap();
+        let history: Vec<Netlist> = steps.iter().map(|&v| senseamp(v)).collect();
+        check_history_independence(&proto, &history)?;
     }
 }
 
@@ -362,10 +354,12 @@ fn value_retarget_rejects_context_kind_change() {
     template.retarget_values(&nl, &transient);
 }
 
-/// The sparse AC pool actually compiles an event template (the fast path
-/// engages, it does not silently fall back to the re-walk), and the
-/// template replay is bitwise-stable across repeated solves of the same
-/// point.
+/// The sparse AC pool actually solves through its pooled event template
+/// (it does not silently fall back to per-point dense builds, which never
+/// check a worker out), and the template replay is bitwise-stable across
+/// repeated solves of the same point. Template == netlist re-walk
+/// parity is a unit test of the `ac` module, where the re-walk oracle
+/// lives.
 #[test]
 fn ac_pool_compiles_event_template_on_ota() {
     let nl = ota_two_stage(&OtaParams::nominal());
@@ -374,17 +368,14 @@ fn ac_pool_compiles_event_template_on_ota() {
     // sparse backend to exercise the pooled event-template path.
     let pool = AcSolverPool::new(&nl, "VINP", &freqs, SolverBackend::Sparse).unwrap();
     for &f in &freqs {
-        assert!(pool.restamp_point(f) > 0, "no events replayed at {f} Hz");
         let once = pool.solve_point(f).unwrap();
         let twice = pool.solve_point(f).unwrap();
-        let rebuild = pool.solve_point_rebuild(f).unwrap();
-        for ((a, b), c) in once.iter().zip(&twice).zip(&rebuild) {
+        for (a, b) in once.iter().zip(&twice) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
-            assert_eq!(a.re.to_bits(), c.re.to_bits(), "retarget {} vs rebuild {}", a.re, c.re);
-            assert_eq!(a.im.to_bits(), c.im.to_bits(), "retarget {} vs rebuild {}", a.im, c.im);
         }
     }
+    assert!(pool.workers_spawned() > 0, "sparse points must run on pooled workers");
 }
 
 /// Warm-started corner sweeps reach the cold gmin-ladder operating
