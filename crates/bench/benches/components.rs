@@ -3,8 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use glova_circuits::{Circuit, DramCoreSense, FloatingInverterAmp, StrongArmLatch};
-use glova_nn::{Activation, Adam, Mlp, MlpConfig};
-use glova_rl::EnsembleCritic;
+use glova_nn::{Activation, Adam, BatchWorkspace, Gradients, Mlp, MlpConfig};
+use glova_rl::{AgentConfig, EnsembleCritic, RiskSensitiveAgent};
 use glova_stats::rng::seeded;
 use glova_turbo::GaussianProcess;
 use glova_variation::corner::PvtCorner;
@@ -50,15 +50,46 @@ fn bench_nn(c: &mut Criterion) {
     let net = Mlp::new(&MlpConfig::new(14, &[64, 64, 64], 14, Activation::Relu), &mut rng);
     let x = vec![0.5; 14];
     c.bench_function("mlp_forward_64x3", |b| b.iter(|| black_box(net.forward(&x))));
+    // One paper-sized training minibatch: forward, backward, Adam step.
+    let batch: Vec<Vec<f64>> =
+        (0..10).map(|i| (0..14).map(|d| ((i * 14 + d) % 17) as f64 / 17.0).collect()).collect();
     let mut trainable = net.clone();
     let mut adam = Adam::new(1e-3);
+    let mut ws = BatchWorkspace::new();
+    let mut grads = Gradients::zeros_like(&trainable);
     c.bench_function("mlp_train_step_64x3", |b| {
         b.iter(|| {
-            let (out, cache) = trainable.forward_cached(&x);
-            let grad: Vec<f64> = out.iter().map(|o| 2.0 * o).collect();
-            let (g, _) = trainable.backward(&cache, &grad);
-            adam.step(&mut trainable, &g);
+            ws.load(&trainable, batch.iter().map(Vec::as_slice));
+            trainable.forward_batch(&mut ws);
+            let grad: Vec<f64> = ws.output().iter().map(|o| 2.0 * o / 10.0).collect();
+            grads.clear();
+            trainable.backward_batch(&mut ws, &grad, &mut grads);
+            adam.step(&mut trainable, &grads);
         })
+    });
+}
+
+/// A paper-configuration agent (`AgentConfig::new(14)`) with 40 replayed
+/// designs and a proximal target.
+fn paper_agent() -> (RiskSensitiveAgent, Vec<f64>, glova_stats::rng::Rng64) {
+    let mut rng = seeded(5);
+    let mut agent = RiskSensitiveAgent::new(AgentConfig::new(14), &mut rng);
+    for i in 0..40 {
+        let x: Vec<f64> = (0..14).map(|d| ((i * 7 + d * 3) % 19) as f64 / 18.0).collect();
+        let reward = -x.iter().map(|v| (v - 0.4) * (v - 0.4)).sum::<f64>();
+        agent.observe(x, reward);
+    }
+    let target = agent.best_design().map(|(x, _)| x.to_vec()).expect("designs observed");
+    agent.set_proximal_target(Some(target.clone()));
+    (agent, target, rng)
+}
+
+fn bench_agent(c: &mut Criterion) {
+    let (mut agent, _, mut rng) = paper_agent();
+    c.bench_function("agent_train_step_paper", |b| b.iter(|| agent.train_step(&mut rng)));
+    let (mut agent, target, mut rng) = paper_agent();
+    c.bench_function("agent_pretrain_200", |b| {
+        b.iter(|| agent.pretrain_actor_towards(&target, 200, &mut rng))
     });
 }
 
@@ -89,6 +120,7 @@ criterion_group!(
     bench_circuit_eval,
     bench_mismatch_sampling,
     bench_nn,
+    bench_agent,
     bench_critic,
     bench_gp
 );

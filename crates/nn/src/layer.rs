@@ -1,4 +1,6 @@
-//! A fully connected layer with explicit forward/backward passes.
+//! A fully connected layer: parameters, initialization and gradient
+//! buffers. Its forward and backward passes run a minibatch at a time in
+//! [`crate::batch`].
 
 use crate::init::Init;
 use crate::Activation;
@@ -7,8 +9,7 @@ use rand::Rng;
 
 /// A dense layer `y = act(W x + b)`.
 ///
-/// Weights are stored row-major, one row per output unit, so the backward
-/// pass walks memory contiguously.
+/// Weights are stored row-major, one row per output unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weights: Vec<f64>, // out × in, row-major
@@ -16,15 +17,6 @@ pub struct Linear {
     fan_in: usize,
     fan_out: usize,
     activation: Activation,
-}
-
-/// Per-layer cache produced by [`Linear::forward_cached`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerCache {
-    /// The layer input.
-    pub input: Vec<f64>,
-    /// Pre-activation values `W x + b`.
-    pub pre_activation: Vec<f64>,
 }
 
 /// Parameter gradients for one layer, same shapes as the parameters.
@@ -111,12 +103,41 @@ impl Linear {
         (&mut self.weights, &mut self.biases)
     }
 
+    /// Applies `params -= lr * grads` (plain SGD step, used by optimizers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if gradient shapes differ from parameter shapes.
+    pub fn apply_gradients(&mut self, grads: &LayerGradients, lr: f64) {
+        assert_eq!(grads.weights.len(), self.weights.len(), "gradient shape mismatch");
+        for (w, g) in self.weights.iter_mut().zip(&grads.weights) {
+            *w -= lr * g;
+        }
+        for (b, g) in self.biases.iter_mut().zip(&grads.biases) {
+            *b -= lr * g;
+        }
+    }
+}
+
+/// Per-layer cache of the one-sample oracle: the layer input and its
+/// pre-activations.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LayerCache {
+    pub(crate) input: Vec<f64>,
+    pub(crate) pre_activation: Vec<f64>,
+}
+
+/// The one-sample passes the lane kernels in [`crate::batch`] replaced,
+/// kept as the oracles their bitwise tests compare against.
+#[cfg(test)]
+impl Linear {
     /// Forward pass without caching.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != fan_in`.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.fan_in, "layer input width mismatch");
         let mut out = Vec::with_capacity(self.fan_out);
         for o in 0..self.fan_out {
@@ -128,7 +149,7 @@ impl Linear {
     }
 
     /// Forward pass that records the cache needed by [`Linear::backward`].
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, LayerCache) {
+    pub(crate) fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, LayerCache) {
         assert_eq!(x.len(), self.fan_in, "layer input width mismatch");
         let mut pre = Vec::with_capacity(self.fan_out);
         for o in 0..self.fan_out {
@@ -147,7 +168,11 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `grad_output.len() != fan_out`.
-    pub fn backward(&self, cache: &LayerCache, grad_output: &[f64]) -> (LayerGradients, Vec<f64>) {
+    pub(crate) fn backward(
+        &self,
+        cache: &LayerCache,
+        grad_output: &[f64],
+    ) -> (LayerGradients, Vec<f64>) {
         assert_eq!(grad_output.len(), self.fan_out, "grad width mismatch");
         let mut grads = LayerGradients::zeros(self.fan_in, self.fan_out);
         let mut grad_input = vec![0.0; self.fan_in];
@@ -163,21 +188,6 @@ impl Linear {
             }
         }
         (grads, grad_input)
-    }
-
-    /// Applies `params -= lr * grads` (plain SGD step, used by optimizers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if gradient shapes differ from parameter shapes.
-    pub fn apply_gradients(&mut self, grads: &LayerGradients, lr: f64) {
-        assert_eq!(grads.weights.len(), self.weights.len(), "gradient shape mismatch");
-        for (w, g) in self.weights.iter_mut().zip(&grads.weights) {
-            *w -= lr * g;
-        }
-        for (b, g) in self.biases.iter_mut().zip(&grads.biases) {
-            *b -= lr * g;
-        }
     }
 }
 

@@ -108,31 +108,45 @@ impl Adam {
         let m = self.m.get_or_insert_with(|| Gradients::zeros_like(net));
         let v = self.v.get_or_insert_with(|| Gradients::zeros_like(net));
 
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-
-        for (layer_idx, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads.layers()[layer_idx];
-            let lm = &mut m.layers_mut()[layer_idx];
-            let lv = &mut v.layers_mut()[layer_idx];
+        let rule = AdamRule {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        let layers = net.layers_mut().iter_mut().zip(grads.layers());
+        for ((layer, g), (lm, lv)) in layers.zip(m.layers_mut().iter_mut().zip(v.layers_mut())) {
             let (w, b) = layer.params_mut();
+            rule.apply(w, &g.weights, &mut lm.weights, &mut lv.weights);
+            rule.apply(b, &g.biases, &mut lm.biases, &mut lv.biases);
+        }
+    }
+}
 
-            for i in 0..w.len() {
-                lm.weights[i] = self.beta1 * lm.weights[i] + (1.0 - self.beta1) * g.weights[i];
-                lv.weights[i] =
-                    self.beta2 * lv.weights[i] + (1.0 - self.beta2) * g.weights[i] * g.weights[i];
-                let m_hat = lm.weights[i] / bc1;
-                let v_hat = lv.weights[i] / bc2;
-                w[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            for i in 0..b.len() {
-                lm.biases[i] = self.beta1 * lm.biases[i] + (1.0 - self.beta1) * g.biases[i];
-                lv.biases[i] =
-                    self.beta2 * lv.biases[i] + (1.0 - self.beta2) * g.biases[i] * g.biases[i];
-                let m_hat = lm.biases[i] / bc1;
-                let v_hat = lv.biases[i] / bc2;
-                b[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
+/// One Adam step's constants, bias corrections included.
+struct AdamRule {
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    bc1: f64,
+    bc2: f64,
+}
+
+impl AdamRule {
+    /// Updates parameters `p` and moments `m`, `v` from gradients `g`.
+    /// Zipped slices carry no bounds checks, so the loop vectorises; each
+    /// element keeps the scalar rule's operation order.
+    fn apply(&self, p: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64]) {
+        assert!(g.len() == p.len() && m.len() == p.len() && v.len() == p.len());
+        for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let m_hat = *m / self.bc1;
+            let v_hat = *v / self.bc2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 }
@@ -140,8 +154,9 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, Mlp, MlpConfig};
+    use crate::{Activation, BatchWorkspace, Mlp, MlpConfig};
     use glova_stats::rng::seeded;
+    use rand::Rng;
 
     fn regression_task() -> (Vec<[f64; 1]>, Vec<[f64; 1]>) {
         // y = sin(3x) on [-1, 1]
@@ -154,14 +169,19 @@ mod tests {
         let mut rng = seeded(77);
         let mut net = Mlp::new(&MlpConfig::new(1, &[16, 16], 1, Activation::Tanh), &mut rng);
         let (xs, ys) = regression_task();
+        let mut ws = BatchWorkspace::new();
+        let mut total = Gradients::zeros_like(&net);
         for _ in 0..300 {
-            let mut total = Gradients::zeros_like(&net);
-            for (x, y) in xs.iter().zip(&ys) {
-                let (out, cache) = net.forward_cached(x);
-                let grad_out = crate::mse_gradient(&out, y);
-                let (g, _) = net.backward(&cache, &grad_out);
-                total.accumulate(&g);
-            }
+            ws.load(&net, xs.iter().map(|x| &x[..]));
+            net.forward_batch(&mut ws);
+            let grad_out: Vec<f64> = ws
+                .output()
+                .iter()
+                .zip(&ys)
+                .map(|(o, y)| crate::mse_gradient(&[*o], y)[0])
+                .collect();
+            total.clear();
+            net.backward_batch(&mut ws, &grad_out, &mut total);
             total.scale(1.0 / xs.len() as f64);
             optimize(&mut net, &total);
         }
@@ -197,11 +217,15 @@ mod tests {
         let target = [3.0];
         let initial = crate::mse(&net.forward(&x), &target);
         let mut last = initial;
+        let mut ws = BatchWorkspace::new();
+        let mut g = Gradients::zeros_like(&net);
         for _ in 0..500 {
-            let (out, cache) = net.forward_cached(&x);
-            last = crate::mse(&out, &target);
-            let grad_out = crate::mse_gradient(&out, &target);
-            let (g, _) = net.backward(&cache, &grad_out);
+            ws.load(&net, [&x[..]]);
+            net.forward_batch(&mut ws);
+            last = crate::mse(ws.output(), &target);
+            let grad_out = crate::mse_gradient(ws.output(), &target);
+            g.clear();
+            net.backward_batch(&mut ws, &grad_out, &mut g);
             adam.step(&mut net, &g);
         }
         assert!(last < 1e-3, "adam did not converge: {initial} -> {last}");
@@ -229,5 +253,69 @@ mod tests {
     #[should_panic(expected = "momentum must be in")]
     fn bad_momentum_panics() {
         let _ = Sgd::new(0.1).with_momentum(1.0);
+    }
+
+    /// The indexed per-layer loop the zipped update replaced.
+    fn adam_indexed_oracle(
+        net: &mut Mlp,
+        grads: &Gradients,
+        m: &mut Gradients,
+        v: &mut Gradients,
+        t: u64,
+        (lr, beta1, beta2, eps): (f64, f64, f64, f64),
+    ) {
+        let bc1 = 1.0 - beta1.powi(t as i32);
+        let bc2 = 1.0 - beta2.powi(t as i32);
+        for (layer_idx, layer) in net.layers_mut().iter_mut().enumerate() {
+            let g = &grads.layers()[layer_idx];
+            let lm = &mut m.layers_mut()[layer_idx];
+            let lv = &mut v.layers_mut()[layer_idx];
+            let (w, b) = layer.params_mut();
+            for i in 0..w.len() {
+                lm.weights[i] = beta1 * lm.weights[i] + (1.0 - beta1) * g.weights[i];
+                lv.weights[i] = beta2 * lv.weights[i] + (1.0 - beta2) * g.weights[i] * g.weights[i];
+                let m_hat = lm.weights[i] / bc1;
+                let v_hat = lv.weights[i] / bc2;
+                w[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            for i in 0..b.len() {
+                lm.biases[i] = beta1 * lm.biases[i] + (1.0 - beta1) * g.biases[i];
+                lv.biases[i] = beta2 * lv.biases[i] + (1.0 - beta2) * g.biases[i] * g.biases[i];
+                let m_hat = lm.biases[i] / bc1;
+                let v_hat = lv.biases[i] / bc2;
+                b[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        }
+    }
+
+    #[test]
+    fn zipped_adam_matches_the_indexed_loop_bitwise() {
+        let mut rng = seeded(8);
+        let mut net = Mlp::new(&MlpConfig::new(14, &[64, 17], 3, Activation::Relu), &mut rng);
+        let mut oracle = net.clone();
+        let (mut m, mut v) = (Gradients::zeros_like(&net), Gradients::zeros_like(&net));
+        let mut adam = Adam::new(3e-4).with_betas(0.85, 0.995);
+        let mut grads = Gradients::zeros_like(&net);
+        for t in 1..=50 {
+            for layer in grads.layers_mut() {
+                for g in layer.weights.iter_mut().chain(&mut layer.biases) {
+                    // Mixed magnitudes and signed zeros.
+                    *g = match rng.gen_range(0u32..10) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => {
+                            rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(0u32..9) as i32 - 6)
+                        }
+                    };
+                }
+            }
+            adam.step(&mut net, &grads);
+            adam_indexed_oracle(&mut oracle, &grads, &mut m, &mut v, t, (3e-4, 0.85, 0.995, 1e-8));
+            for (a, b) in net.layers().iter().zip(oracle.layers()) {
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a.params().0), bits(b.params().0), "weights after step {t}");
+                assert_eq!(bits(a.params().1), bits(b.params().1), "biases after step {t}");
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! The risk-sensitive agent — Algorithm 1 of the paper.
 
-use crate::critic::EnsembleCritic;
+use crate::critic::{CriticScratch, EnsembleCritic};
 use crate::noise::GaussianNoise;
 use crate::replay::WorstCaseReplayBuffer;
-use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig};
+use glova_nn::{Activation, Adam, BatchWorkspace, Gradients, Mlp, MlpConfig};
 use rand::Rng;
 
 /// Reward target for the actor loss `MSE(0.2, Q(A(x̂)))` (paper Eq. 4).
@@ -110,7 +110,13 @@ impl RiskSensitiveAgent {
     /// With `config.goal_dim > 0` both networks take the full
     /// `dim + goal_dim` observation (design ++ goal encoding); the actor's
     /// output stays `dim`-wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.batch_size == 0`, if `config.ensemble_size == 0`
+    /// or if a hidden width is zero.
     pub fn new<R: Rng + ?Sized>(config: AgentConfig, rng: &mut R) -> Self {
+        assert!(config.batch_size >= 1, "batch_size must be at least 1");
         let actor_cfg =
             MlpConfig::new(config.obs_dim(), &config.hidden, config.dim, Activation::Relu)
                 .with_output_activation(Activation::Sigmoid);
@@ -196,46 +202,56 @@ impl RiskSensitiveAgent {
     /// Runs `updates_per_step` critic+actor gradient steps on replayed
     /// worst-case data, then decays the exploration noise.
     ///
-    /// No-op when the buffer is empty.
+    /// Each step trains a minibatch at a time: every critic base runs one
+    /// forward and one backward over its batch, and the actor's batch is
+    /// scored by one fused ensemble pass. The workspaces live for this
+    /// call only. No-op when the buffer is empty.
     pub fn train_step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if self.buffer.is_empty() {
             return;
         }
+        let mut s = TrainScratch::new(&self.actor);
+        let mut critic = CriticScratch::default();
+        let dim = self.config.dim;
         for _ in 0..self.config.updates_per_step {
             // Critic: one independent batch per base model.
             let batches: Vec<Vec<(&[f64], f64)>> = (0..self.critic.ensemble_size())
                 .map(|_| self.buffer.sample(self.config.batch_size, rng))
                 .collect();
-            self.critic.train_batches(&batches);
+            self.critic.train_batches_in(&batches, &mut critic);
 
             // Actor: minimize MSE(0.2, Q(A(x̂))) (Algorithm 1) plus the
             // proximal cloning term toward the incumbent.
             let batch = self.buffer.sample(self.config.batch_size, rng);
-            let mut total = Gradients::zeros_like(&self.actor);
-            for (x, _) in &batch {
-                let (action, cache) = self.actor.forward_cached(x);
-                // The critic scores the proposed action under the same goal
-                // as the replayed observation; the goal suffix is a constant
-                // input, so only the action components of ∂Q/∂input flow
-                // back through the actor.
-                let critic_in: Vec<f64> =
-                    action.iter().chain(x[self.config.dim..].iter()).copied().collect();
-                let q = self.critic.predict(&critic_in);
-                let dq_da = self.critic.input_gradient(&critic_in);
-                let dl_dq =
-                    self.config.ddpg_weight * 2.0 * (q - SATISFIED_REWARD) / batch.len() as f64;
-                let mut grad_out: Vec<f64> =
-                    dq_da[..self.config.dim].iter().map(|g| dl_dq * g).collect();
-                if let Some(target) = &self.proximal_target {
-                    for ((g, a), t) in grad_out.iter_mut().zip(&action).zip(target) {
-                        *g += self.config.proximal_weight * 2.0 * (a - t) / batch.len() as f64;
+            let b = batch.len();
+            s.forward(&self.actor, &batch);
+            // The critic scores each proposed action under the same goal
+            // as its replayed observation; the goal suffix is a constant
+            // input, so only the action rows of ∂Q/∂input flow back
+            // through the actor.
+            let critic_in = self.critic.input_mut(&mut critic, b);
+            let (actions, goals) = critic_in.split_at_mut(dim * b);
+            actions.copy_from_slice(s.ws.output());
+            for (l, (x, _)) in batch.iter().enumerate() {
+                for (row, &g) in goals.chunks_exact_mut(b).zip(&x[dim..]) {
+                    row[l] = g;
+                }
+            }
+            self.critic.score(&mut critic);
+            let dl_dq = |q: f64| self.config.ddpg_weight * 2.0 * (q - SATISFIED_REWARD) / b as f64;
+            s.grad_out.clear();
+            for dq_da in critic.grad[..dim * b].chunks_exact(b) {
+                s.grad_out.extend(dq_da.iter().zip(&critic.bound).map(|(g, &q)| dl_dq(q) * g));
+            }
+            if let Some(target) = &self.proximal_target {
+                let actions = s.ws.output().chunks_exact(b);
+                for ((g, a), t) in s.grad_out.chunks_exact_mut(b).zip(actions).zip(target) {
+                    for (g, a) in g.iter_mut().zip(a) {
+                        *g += self.config.proximal_weight * 2.0 * (a - t) / b as f64;
                     }
                 }
-                let (g, _) = self.actor.backward(&cache, &grad_out);
-                total.accumulate(&g);
             }
-            total.clip_global_norm(5.0);
-            self.actor_opt.step(&mut self.actor, &total);
+            s.step(&mut self.actor, &mut self.actor_opt);
         }
         self.noise.step();
     }
@@ -265,22 +281,50 @@ impl RiskSensitiveAgent {
         if self.buffer.is_empty() {
             return;
         }
+        let mut s = TrainScratch::new(&self.actor);
         for _ in 0..steps {
             let batch = self.buffer.sample(self.config.batch_size, rng);
-            let mut total = Gradients::zeros_like(&self.actor);
-            for (x, _) in &batch {
-                let (action, cache) = self.actor.forward_cached(x);
-                let grad_out: Vec<f64> = action
-                    .iter()
-                    .zip(target)
-                    .map(|(a, t)| 2.0 * (a - t) / batch.len() as f64)
-                    .collect();
-                let (g, _) = self.actor.backward(&cache, &grad_out);
-                total.accumulate(&g);
+            let b = batch.len();
+            s.forward(&self.actor, &batch);
+            s.grad_out.clear();
+            for (action, t) in s.ws.output().chunks_exact(b).zip(target) {
+                s.grad_out.extend(action.iter().map(|a| 2.0 * (a - t) / b as f64));
             }
-            total.clip_global_norm(5.0);
-            self.actor_opt.step(&mut self.actor, &total);
+            s.step(&mut self.actor, &mut self.actor_opt);
         }
+    }
+}
+
+/// The actor's minibatch buffers for one training call.
+struct TrainScratch {
+    ws: BatchWorkspace,
+    /// `∂L/∂action` (`dim × batch`, feature-major).
+    grad_out: Vec<f64>,
+    grads: Gradients,
+}
+
+impl TrainScratch {
+    fn new(actor: &Mlp) -> Self {
+        Self {
+            ws: BatchWorkspace::new(),
+            grad_out: Vec::new(),
+            grads: Gradients::zeros_like(actor),
+        }
+    }
+
+    /// The actor's forward over the replayed observations of `batch`.
+    fn forward(&mut self, actor: &Mlp, batch: &[(&[f64], f64)]) {
+        self.ws.load(actor, batch.iter().map(|(x, _)| *x));
+        actor.forward_batch(&mut self.ws);
+    }
+
+    /// Backward from `grad_out`, clipped to global norm 5, then one Adam
+    /// step.
+    fn step(&mut self, actor: &mut Mlp, opt: &mut Adam) {
+        self.grads.clear();
+        actor.backward_batch(&mut self.ws, &self.grad_out, &mut self.grads);
+        self.grads.clip_global_norm(5.0);
+        opt.step(actor, &self.grads);
     }
 }
 
@@ -412,6 +456,77 @@ mod tests {
         let mut rng = seeded(24);
         let mut agent = RiskSensitiveAgent::new(config().with_goal_dim(1), &mut rng);
         agent.observe(vec![0.5, 0.5, 0.5], 0.0);
+    }
+
+    /// Digest of a seeded training run: every proposal, then every actor
+    /// and critic parameter after `pretrain_actor_towards(200)` and 20
+    /// `train_step`s. A proximal target is set throughout, and with
+    /// `goal_dim > 0` each observation carries a fixed goal suffix.
+    fn training_digest(config: AgentConfig, seed: u64) -> u64 {
+        let (dim, goal_dim) = (config.dim, config.goal_dim);
+        let optimum: Vec<f64> = (0..dim).map(|d| 0.25 + 0.5 * (d % 3) as f64 / 2.0).collect();
+        let reward = |x: &[f64]| -> f64 {
+            let dist: f64 =
+                x.iter().zip(&optimum).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+            if dist < 0.1 * (dim as f64).sqrt() {
+                SATISFIED_REWARD
+            } else {
+                -dist
+            }
+        };
+        let goal: Vec<f64> = (0..goal_dim).map(|g| 0.9 + 0.1 * g as f64).collect();
+        let obs = |x: &[f64]| -> Vec<f64> { x.iter().chain(&goal).copied().collect() };
+
+        let mut rng = seeded(seed);
+        let mut agent = RiskSensitiveAgent::new(config, &mut rng);
+        let mut digest = glova_stats::hash::Fnv1a::new();
+        for _ in 0..6 {
+            let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
+            agent.observe(obs(&x), reward(&x));
+        }
+        let best = agent.best_design().map(|(x, _)| x[..dim].to_vec()).unwrap();
+        agent.set_proximal_target(Some(best.clone()));
+        agent.pretrain_actor_towards(&best, 200, &mut rng);
+        let mut last = obs(&best);
+        for _ in 0..20 {
+            agent.train_step(&mut rng);
+            let next = agent.propose(&last, &mut rng);
+            digest.write_f64_slice(&next);
+            agent.observe(obs(&next), reward(&next));
+            let best = agent.best_design().map(|(x, _)| x[..dim].to_vec()).unwrap();
+            agent.set_proximal_target(Some(best));
+            last = obs(&next);
+        }
+        for net in std::iter::once(&agent.actor).chain(agent.critic.bases()) {
+            for layer in net.layers() {
+                let (w, b) = layer.params();
+                digest.write_f64_slice(w);
+                digest.write_f64_slice(b);
+            }
+        }
+        digest.finish()
+    }
+
+    /// Golden digests of [`training_digest`], recorded with the
+    /// one-sample-at-a-time forward and backward passes.
+    const GOLDEN_PAPER_14: u64 = 0xe9c2_a574_bd16_1f24;
+    const GOLDEN_QUICK_GOAL: u64 = 0xef21_9236_9d16_6fe5;
+
+    #[test]
+    fn golden_training_digest_paper_config() {
+        let digest = training_digest(AgentConfig::new(14), 31);
+        assert_eq!(digest, GOLDEN_PAPER_14, "digest {digest:016x}");
+    }
+
+    #[test]
+    fn golden_training_digest_quick_goal_config() {
+        // The campaign quick configuration: hidden [32, 32], 4 updates per
+        // step, a 2-wide goal suffix.
+        let config =
+            AgentConfig { hidden: vec![32, 32], updates_per_step: 4, ..AgentConfig::new(6) }
+                .with_goal_dim(2);
+        let digest = training_digest(config, 32);
+        assert_eq!(digest, GOLDEN_QUICK_GOAL, "digest {digest:016x}");
     }
 
     #[test]

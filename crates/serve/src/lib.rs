@@ -548,7 +548,9 @@ impl CampaignServer {
     /// # Errors
     ///
     /// [`ServeError::InvalidRequest`] for shapes the circuit
-    /// constructors reject or an empty seeding phase;
+    /// constructors reject, an empty seeding phase, or agent settings the
+    /// agent cannot train with (no critic base, a zero hidden width, a
+    /// zero batch);
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// has begun (checked under the queue lock, so a submit racing a
     /// concurrent shutdown either lands in the drain or fails fast —
@@ -557,8 +559,21 @@ impl CampaignServer {
     /// not enqueued).
     pub fn submit(&self, request: SizingRequest) -> Result<JobId, ServeError> {
         request.circuit.validate()?;
-        if request.config.init_designs == 0 {
-            return Err(ServeError::InvalidRequest("init_designs must be positive".into()));
+        let config = &request.config;
+        let invalid = |why: &str| Err(ServeError::InvalidRequest(why.into()));
+        if config.init_designs == 0 {
+            return invalid("init_designs must be positive");
+        }
+        // The agent would panic on the first two; a zero batch would train
+        // nothing while the job spends its whole budget.
+        if config.ensemble_size == 0 {
+            return invalid("ensemble_size must be positive");
+        }
+        if config.hidden.contains(&0) {
+            return invalid("hidden widths must be positive");
+        }
+        if config.batch_size == 0 {
+            return invalid("batch_size must be positive");
         }
         let mut control = CampaignControl::new();
         if let Some(max_sims) = request.budget.max_sims {
@@ -923,6 +938,17 @@ mod tests {
         let mut empty_init = quick_request(1);
         empty_init.config.init_designs = 0;
         assert!(matches!(server.submit(empty_init), Err(ServeError::InvalidRequest(_))));
+        let mut no_ensemble = quick_request(1);
+        no_ensemble.config.ensemble_size = 0;
+        assert!(matches!(server.submit(no_ensemble), Err(ServeError::InvalidRequest(_))));
+        let mut zero_width = quick_request(1);
+        zero_width.config.hidden = vec![32, 0];
+        assert!(matches!(server.submit(zero_width), Err(ServeError::InvalidRequest(_))));
+        let mut zero_batch = quick_request(1);
+        zero_batch.config.batch_size = 0;
+        assert!(matches!(server.submit(zero_batch), Err(ServeError::InvalidRequest(_))));
+        // Nothing was ever enqueued.
+        assert_eq!(server.shutdown().queue_high_water, 0);
     }
 
     #[test]
