@@ -4,9 +4,7 @@
 //! this bench tracks the end-to-end cost of a campaign per framework.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use glova::optimizer::{GlovaConfig, GlovaOptimizer};
-use glova_baselines::pvtsizing::{PvtSizing, PvtSizingConfig};
-use glova_baselines::robustanalog::{RobustAnalog, RobustAnalogConfig};
+use glova::optimizer::{Framework, GlovaConfig, GlovaOptimizer};
 use glova_circuits::{Circuit, StrongArmLatch};
 use glova_variation::config::VerificationMethod;
 use std::sync::Arc;
@@ -16,39 +14,26 @@ fn bench_table2_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2_sal_corner");
     group.sample_size(10);
 
-    group.bench_function("glova", |b| {
-        b.iter_batched(
-            || {
-                let mut config = GlovaConfig::paper(VerificationMethod::Corner);
-                config.max_iterations = 100;
-                GlovaOptimizer::new(circuit.clone(), config)
-            },
-            |mut opt| opt.run(1),
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("pvtsizing", |b| {
-        b.iter_batched(
-            || {
-                let mut config = PvtSizingConfig::new(VerificationMethod::Corner);
-                config.max_iterations = 100;
-                PvtSizing::new(circuit.clone(), config)
-            },
-            |mut opt| opt.run(1),
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("robustanalog", |b| {
-        b.iter_batched(
-            || {
-                let mut config = RobustAnalogConfig::new(VerificationMethod::Corner);
-                config.max_iterations = 200;
-                RobustAnalog::new(circuit.clone(), config)
-            },
-            |mut opt| opt.run(1),
-            BatchSize::PerIteration,
-        )
-    });
+    for (name, framework, max_iterations) in [
+        ("glova", Framework::GLOVA, 100),
+        ("pvtsizing", Framework::PvtSizing, 100),
+        ("robustanalog", Framework::RobustAnalog, 200),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let config = GlovaConfig {
+                        framework,
+                        max_iterations,
+                        ..GlovaConfig::paper(VerificationMethod::Corner)
+                    };
+                    GlovaOptimizer::new(circuit.clone(), config)
+                },
+                |mut opt| opt.run(1),
+                BatchSize::PerIteration,
+            )
+        });
+    }
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 //! table is produced by the `table3` binary.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use glova::optimizer::{GlovaConfig, GlovaOptimizer};
+use glova::optimizer::{Framework, GlovaConfig, GlovaOptimizer};
 use glova_circuits::{Circuit, DramCoreSense};
 use glova_variation::config::VerificationMethod;
 use std::sync::Arc;
@@ -14,27 +14,30 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("table3_dram_corner");
     group.sample_size(10);
 
-    let variants: Vec<(&str, Box<dyn Fn() -> GlovaConfig>)> = vec![
-        ("proposed", Box::new(|| GlovaConfig::paper(VerificationMethod::Corner))),
+    let variants = [
+        ("proposed", Framework::GLOVA),
         (
             "without_ec",
-            Box::new(|| GlovaConfig::paper(VerificationMethod::Corner).without_ensemble_critic()),
+            Framework::Glova { ensemble_critic: false, mu_sigma: true, reordering: true },
         ),
         (
             "without_mu_sigma",
-            Box::new(|| GlovaConfig::paper(VerificationMethod::Corner).without_mu_sigma()),
+            Framework::Glova { ensemble_critic: true, mu_sigma: false, reordering: true },
         ),
         (
             "without_sr",
-            Box::new(|| GlovaConfig::paper(VerificationMethod::Corner).without_reordering()),
+            Framework::Glova { ensemble_critic: true, mu_sigma: true, reordering: false },
         ),
     ];
-    for (name, make) in variants {
+    for (name, framework) in variants {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let mut config = make();
-                    config.max_iterations = 120;
+                    let config = GlovaConfig {
+                        framework,
+                        max_iterations: 120,
+                        ..GlovaConfig::paper(VerificationMethod::Corner)
+                    };
                     GlovaOptimizer::new(circuit.clone(), config)
                 },
                 |mut opt| opt.run(1),

@@ -17,10 +17,11 @@
 //! simulations in every cell, PVTSizing sits in between, RobustAnalog is
 //! the most expensive and drops success rate on the hard DRAM cells.
 
+use glova::optimizer::Framework;
 use glova_bench::report::{BenchRecord, BenchReport};
 use glova_bench::{
     engine_from_args, fmt_mean, fmt_ratio, report_requested, run_cell, table2_circuits,
-    write_report, Budget, CellResult, Framework,
+    write_report, Budget, CellResult,
 };
 use glova_variation::config::VerificationMethod;
 use std::time::Duration;

@@ -16,7 +16,7 @@
 //! "w/o SR" inflates the *simulation* count most, "w/o EC" the iteration
 //! count, matching the paper's Table III.
 
-use glova::optimizer::{GlovaConfig, GlovaOptimizer};
+use glova::optimizer::{Framework, GlovaConfig, GlovaOptimizer};
 use glova_bench::report::{BenchRecord, BenchReport};
 use glova_bench::{
     engine_from_args, fmt_mean, fmt_ratio, report_requested, write_report, CellResult,
@@ -48,13 +48,19 @@ impl Ablation {
     }
 
     fn configure(self, method: VerificationMethod) -> GlovaConfig {
-        let base = GlovaConfig::paper(method);
-        match self {
-            Ablation::Proposed => base,
-            Ablation::WithoutEc => base.without_ensemble_critic(),
-            Ablation::WithoutMuSigma => base.without_mu_sigma(),
-            Ablation::WithoutSr => base.without_reordering(),
-        }
+        let framework = match self {
+            Ablation::Proposed => Framework::GLOVA,
+            Ablation::WithoutEc => {
+                Framework::Glova { ensemble_critic: false, mu_sigma: true, reordering: true }
+            }
+            Ablation::WithoutMuSigma => {
+                Framework::Glova { ensemble_critic: true, mu_sigma: false, reordering: true }
+            }
+            Ablation::WithoutSr => {
+                Framework::Glova { ensemble_critic: true, mu_sigma: true, reordering: false }
+            }
+        };
+        GlovaConfig { framework, ..GlovaConfig::paper(method) }
     }
 }
 

@@ -8,40 +8,12 @@
 pub mod report;
 
 use glova::engine::EngineSpec;
-use glova::optimizer::{GlovaConfig, GlovaOptimizer};
+use glova::optimizer::{Framework, GlovaConfig, GlovaOptimizer};
 use glova::report::RunResult;
-use glova_baselines::pvtsizing::{PvtSizing, PvtSizingConfig};
-use glova_baselines::robustanalog::{RobustAnalog, RobustAnalogConfig};
 use glova_circuits::Circuit;
 use glova_variation::config::VerificationMethod;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The frameworks compared in Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framework {
-    /// The proposed framework.
-    Glova,
-    /// PVTSizing (paper reference \[9\]).
-    PvtSizing,
-    /// RobustAnalog (paper reference \[8\]).
-    RobustAnalog,
-}
-
-impl Framework {
-    /// All frameworks in table order.
-    pub const ALL: [Framework; 3] =
-        [Framework::Glova, Framework::PvtSizing, Framework::RobustAnalog];
-
-    /// Row label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Framework::Glova => "Ours",
-            Framework::PvtSizing => "PVTSizing",
-            Framework::RobustAnalog => "RobustAnalog",
-        }
-    }
-}
 
 /// The testcase circuits of Table II.
 pub fn table2_circuits() -> Vec<(&'static str, Arc<dyn Circuit>)> {
@@ -55,11 +27,11 @@ pub fn table2_circuits() -> Vec<(&'static str, Arc<dyn Circuit>)> {
 /// Aggregated results of one table cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
-    /// Mean RL iterations over successful runs (`NaN` if none).
+    /// Mean RL iterations over successful runs (0 if none).
     pub mean_iterations: f64,
-    /// Mean simulation count over successful runs (`NaN` if none).
+    /// Mean simulation count over successful runs (0 if none).
     pub mean_simulations: f64,
-    /// Mean wall time over successful runs.
+    /// Mean wall time over successful runs (zero if none).
     pub mean_wall: Duration,
     /// Fraction of runs that succeeded.
     pub success_rate: f64,
@@ -130,26 +102,15 @@ pub fn run_cell(
     budget: Budget,
     engine: EngineSpec,
 ) -> CellResult {
+    let (max_iterations, first_seed) = match framework {
+        Framework::Glova { .. } => (budget.base_iterations, 1000),
+        Framework::PvtSizing => (budget.base_iterations, 2000),
+        Framework::RobustAnalog => (budget.robustanalog_iterations, 3000),
+    };
+    let config =
+        GlovaConfig { framework, max_iterations, ..GlovaConfig::paper(method).with_engine(engine) };
     let runs: Vec<RunResult> = (0..seeds)
-        .map(|seed| match framework {
-            Framework::Glova => {
-                let mut config = GlovaConfig::paper(method).with_engine(engine);
-                config.max_iterations = budget.base_iterations;
-                GlovaOptimizer::new(circuit.clone(), config).run(1000 + seed)
-            }
-            Framework::PvtSizing => {
-                let mut config = PvtSizingConfig::new(method);
-                config.max_iterations = budget.base_iterations;
-                config.engine = engine;
-                PvtSizing::new(circuit.clone(), config).run(2000 + seed)
-            }
-            Framework::RobustAnalog => {
-                let mut config = RobustAnalogConfig::new(method);
-                config.max_iterations = budget.robustanalog_iterations;
-                config.engine = engine;
-                RobustAnalog::new(circuit.clone(), config).run(3000 + seed)
-            }
-        })
+        .map(|seed| GlovaOptimizer::new(circuit.clone(), config.clone()).run(first_seed + seed))
         .collect();
     CellResult::from_runs(runs)
 }

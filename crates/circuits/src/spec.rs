@@ -172,6 +172,12 @@ impl DesignSpec {
     /// The paper's reward (Eq. 4–5): `0.2` when feasible, else
     /// `Σ min(f_i, 0) < 0`.
     ///
+    /// A `NaN` metric (a diverged simulation) makes the reward `NaN`:
+    /// `f64::min` would drop it and score the design as if that metric
+    /// were met. The pipeline's NaN-propagating reductions then poison
+    /// the batch, and storage boundaries sanitize it to their decisively
+    /// infeasible stand-in (`glova_stats::reduce::finite_worst`).
+    ///
     /// # Panics
     ///
     /// Panics if `values.len() != len()`.
@@ -179,7 +185,7 @@ impl DesignSpec {
         if self.satisfied(values) {
             SATISFIED_REWARD
         } else {
-            self.normalized(values).iter().map(|f| f.min(0.0)).sum()
+            self.normalized(values).iter().map(|&f| if f.is_nan() { f } else { f.min(0.0) }).sum()
         }
     }
 
@@ -255,6 +261,22 @@ mod tests {
         // Worse violation ⇒ lower reward.
         let r_worse = s.reward(&[80.0, 100.0]);
         assert!(r_worse < r);
+    }
+
+    #[test]
+    fn diverged_metric_rewards_nan_and_ranks_below_every_finite_reward() {
+        use glova_stats::reduce::{finite_worst, DIVERGED_REWARD};
+        let s = spec();
+        for metrics in [[f64::NAN, 100.0], [30.0, f64::NAN], [f64::NAN, f64::NAN]] {
+            let r = s.reward(&metrics);
+            assert!(r.is_nan(), "{metrics:?} rewarded {r}");
+            assert_eq!(finite_worst(r), DIVERGED_REWARD);
+        }
+        // Every finite reward of this spec — feasible or violating by any
+        // margin — outranks the diverged stand-in.
+        for metrics in [[30.0, 100.0], [50.0, 100.0], [1e6, 1e-6]] {
+            assert!(s.reward(&metrics) > finite_worst(s.reward(&[f64::NAN, 100.0])));
+        }
     }
 
     #[test]

@@ -55,11 +55,12 @@
 use crate::cache::EvalCacheConfig;
 use crate::engine::EngineSpec;
 use crate::fault::FaultPlan;
+use crate::optimizer::PROPOSAL_CLIP;
 use crate::problem::SizingProblem;
 use crate::yield_est::YieldEstimate;
 use glova_circuits::spec::{DesignSpec, SATISFIED_REWARD};
 use glova_circuits::{Circuit, FailureStats};
-use glova_rl::{AgentConfig, RiskSensitiveAgent};
+use glova_rl::{AgentConfig, LastWorstBuffer, RiskSensitiveAgent};
 use glova_stats::binomial::clopper_pearson;
 use glova_stats::reduce::{self, finite_worst};
 use glova_stats::rng::{forked, Rng64};
@@ -138,7 +139,7 @@ pub struct StepPlan {
 /// ranking.
 #[derive(Debug, Clone)]
 pub struct CornerScheduler {
-    worst: Vec<f64>,
+    worst: LastWorstBuffer,
     pruning: Option<PruningConfig>,
     steps_since_rerank: usize,
     stats: PruningStats,
@@ -154,7 +155,7 @@ impl CornerScheduler {
     pub fn new(corner_count: usize, pruning: Option<PruningConfig>) -> Self {
         assert!(corner_count > 0, "need at least one corner");
         Self {
-            worst: vec![f64::NEG_INFINITY; corner_count],
+            worst: LastWorstBuffer::new(corner_count),
             pruning,
             steps_since_rerank: 0,
             stats: PruningStats::default(),
@@ -166,25 +167,19 @@ impl CornerScheduler {
         self.worst.len()
     }
 
-    /// The most recent worst reward per corner (`-∞` = never visited).
-    pub fn worst_rewards(&self) -> &[f64] {
-        &self.worst
-    }
-
     /// Cumulative scheduling counters.
     pub fn stats(&self) -> &PruningStats {
         &self.stats
     }
 
     /// Records the worst reward observed at `corner_index` (most recent
-    /// observation wins, like
-    /// [`LastWorstBuffer`](glova_rl::LastWorstBuffer)).
+    /// observation wins).
     ///
     /// # Panics
     ///
     /// Panics if `corner_index` is out of range.
     pub fn record(&mut self, corner_index: usize, worst_reward: f64) {
-        self.worst[corner_index] = worst_reward;
+        self.worst.record(corner_index, worst_reward);
     }
 
     /// Computes the next step's corner plan **without** committing it:
@@ -199,7 +194,7 @@ impl CornerScheduler {
             None => true,
             Some(p) => {
                 p.k >= n
-                    || self.worst.contains(&f64::NEG_INFINITY)
+                    || (0..n).any(|ci| self.worst.last(ci) == f64::NEG_INFINITY)
                     || self.steps_since_rerank + 1 >= p.rerank_every
             }
         };
@@ -207,9 +202,8 @@ impl CornerScheduler {
             (0..n).collect()
         } else {
             let k = self.pruning.as_ref().expect("pruned plans require a config").k;
-            let mut ranked: Vec<usize> = (0..n).collect();
-            ranked.sort_by(|&a, &b| self.worst[a].total_cmp(&self.worst[b]).then(a.cmp(&b)));
-            let mut selected: Vec<usize> = ranked.into_iter().take(k).collect();
+            let mut selected: Vec<usize> =
+                self.worst.corners_worst_first().into_iter().take(k).collect();
             selected.sort_unstable();
             selected
         };
@@ -381,9 +375,6 @@ pub struct CampaignConfig {
     /// Behaviour-cloning steps pulling the fresh actor toward the best
     /// seed design.
     pub pretrain_steps: usize,
-    /// Clamp each proposal into a box of this half-width around the
-    /// incumbent (`None` disables).
-    pub proposal_clip: Option<f64>,
     /// Steps without incumbent improvement before the exploration noise
     /// restarts.
     pub stagnation_restart: usize,
@@ -419,7 +410,6 @@ impl CampaignConfig {
             max_steps: 500,
             init_designs: 3,
             pretrain_steps: 200,
-            proposal_clip: Some(0.2),
             stagnation_restart: 60,
             pruning: None,
             goal_factors: None,
@@ -857,12 +847,10 @@ impl SizingCampaign {
             let sims_before = self.problem.simulations();
 
             // Propose anchored at the incumbent, clamped to its trust box.
-            let anchor = best.0.clone();
-            let mut x_new = agent.propose(&obs(&anchor), &mut agent_rng);
-            if let Some(clip) = self.config.proposal_clip {
-                for (v, a) in x_new.iter_mut().zip(&anchor) {
-                    *v = v.clamp((a - clip).max(0.0), (a + clip).min(1.0));
-                }
+            let anchor = &best.0;
+            let mut x_new = agent.propose(&obs(anchor), &mut agent_rng);
+            for (v, a) in x_new.iter_mut().zip(anchor) {
+                *v = v.clamp((a - PROPOSAL_CLIP).max(0.0), (a + PROPOSAL_CLIP).min(1.0));
             }
 
             // Simulate the planned (possibly pruned) corner set in one

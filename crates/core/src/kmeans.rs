@@ -1,11 +1,13 @@
 //! Lloyd's k-means with k-means++ initialization.
 //!
-//! RobustAnalog clusters PVT corners by their recent reward signatures to
-//! pick the dominant corner of each cluster; the feature vectors are tiny
+//! The RobustAnalog configuration of the paper-run loop
+//! ([`Framework::RobustAnalog`](crate::optimizer::Framework)) clusters PVT
+//! corners by their recent reward signatures to pick the dominant corner
+//! of each cluster; the feature vectors are tiny
 //! (tens of corners × a few features), so a simple dense implementation
 //! is plenty.
 
-use rand::Rng;
+use glova_stats::rng::Rng;
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, PartialEq)]

@@ -18,13 +18,15 @@
 //!   verifier re-sweeps and yield grids stop re-simulating identical
 //!   points (results stay bitwise-identical with the cache on or off);
 //! - the **optimization phase** ([`optimizer`]) — TuRBO initial sampling
-//!   followed by the risk-sensitive RL loop of Algorithm 1 / Fig. 2;
+//!   followed by the risk-sensitive RL loop of Algorithm 1 / Fig. 2, with
+//!   the Table II baselines (PVTSizing, RobustAnalog) as configurations of
+//!   the same loop ([`Framework`]);
 //! - the **verification phase** ([`verification`]) — Algorithm 2:
 //!   [µ-σ evaluation](evaluation) (Eq. 7) and
 //!   [simulation reordering](reorder) (t-SCORE, Eq. 8; h-SCORE,
 //!   Eq. 9–10);
 //! - ablation switches for Table III (disable the ensemble critic, the
-//!   µ-σ gate, or the reordering);
+//!   µ-σ gate, or the reordering — [`Framework::Glova`]);
 //! - run reports ([`report`]) with iteration/simulation counts and the
 //!   reliability-bound trace behind Fig. 3.
 //!
@@ -47,10 +49,13 @@ pub mod campaign;
 pub mod engine;
 pub mod evaluation;
 pub mod fault;
+mod kmeans;
 pub mod optimizer;
 pub mod problem;
+mod pvtsizing;
 pub mod reorder;
 pub mod report;
+mod robustanalog;
 pub mod sensitivity;
 pub mod sweep;
 pub mod verification;
@@ -66,7 +71,7 @@ pub use campaign::{
 pub use engine::{EngineSpec, EvalEngine, Sequential, Threaded};
 pub use evaluation::MuSigmaEvaluation;
 pub use fault::{FaultKind, FaultPlan};
-pub use optimizer::{GlovaConfig, GlovaOptimizer};
+pub use optimizer::{Framework, GlovaConfig, GlovaOptimizer};
 pub use problem::SizingProblem;
 pub use report::{IterationTrace, RunResult};
 pub use sensitivity::{sensitivity_sweep, SensitivityReport};
@@ -79,7 +84,7 @@ pub mod prelude {
     pub use crate::cache::{CachePolicy, EvalCacheConfig};
     pub use crate::campaign::{CampaignConfig, PruningConfig, SizingCampaign};
     pub use crate::engine::EngineSpec;
-    pub use crate::optimizer::{GlovaConfig, GlovaOptimizer};
+    pub use crate::optimizer::{Framework, GlovaConfig, GlovaOptimizer};
     pub use crate::problem::SizingProblem;
     pub use crate::report::RunResult;
     pub use glova_circuits::Circuit;

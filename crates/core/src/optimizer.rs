@@ -1,44 +1,154 @@
-//! The GLOVA optimization loop — Fig. 2 of the paper.
+//! The paper-run loop — Fig. 2 of the paper — and the two Table II
+//! baselines as configurations of it.
 //!
-//! 1. **Initial sampling** with TuRBO under the typical condition.
+//! [`GlovaOptimizer::run`] is one loop for every [`Framework`]:
+//!
+//! 1. **Seeding** at the typical condition: TuRBO (GLOVA, PVTSizing) or
+//!    uniform random designs (RobustAnalog).
 //! 2. The initial designs are simulated across sampled mismatch
 //!    conditions on every corner; the worst rewards seed the worst-case
 //!    replay buffer and the last-worst-case (per-corner) buffer.
-//! 3. Each RL iteration: the actor proposes a design; the *worst corner*
-//!    (from the last-worst buffer) is simulated under `N'` sampled
-//!    mismatch conditions; the µ-σ gate decides whether to attempt full
-//!    verification (Algorithm 2); the worst reward is stored and the agent
-//!    trained (Algorithm 1).
+//! 3. Each RL iteration: the actor proposes a design anchored at the
+//!    incumbent; the framework's corners for this iteration are simulated
+//!    under `N'` sampled mismatch conditions each; a gate (µ-σ, or every
+//!    sample passing) decides whether to attempt full verification
+//!    (Algorithm 2); the worst reward is stored and the agent trained
+//!    (Algorithm 1).
+//!
+//! The frameworks differ only in the pieces [`Framework`] documents per
+//! variant — RNG streams, seeding, corners per iteration, the Table III
+//! switches, and how verification feeds back — so Table II differences
+//! come from the algorithms rather than from implementation quality.
 //!
 //! Every simulation batch in the loop — the TuRBO space-filling prefix,
-//! the initial corner × condition grids, the per-iteration `N'`-condition
-//! sweeps and the Algorithm-2 verification — dispatches through the
-//! [`engine`](crate::engine) layer selected by [`GlovaConfig::engine`]:
-//! [`Sequential`](crate::engine::Sequential) reproduces the reference
-//! semantics, [`Threaded`](crate::engine::Threaded) fans the same batches
-//! out over worker threads with bitwise-identical results (mismatch
-//! conditions are pre-sampled in deterministic order, reductions are
-//! order-independent).
+//! the initial corner × condition grids, the per-iteration corner ×
+//! `N'`-condition sweeps and the Algorithm-2 verification — dispatches
+//! through the [`engine`](crate::engine) layer selected by
+//! [`GlovaConfig::engine`]: [`Sequential`](crate::engine::Sequential)
+//! reproduces the reference semantics,
+//! [`Threaded`](crate::engine::Threaded) fans the same batches out over
+//! worker threads with bitwise-identical results (mismatch conditions are
+//! pre-sampled in deterministic order, reductions are order-independent).
 
 use crate::cache::EvalCacheConfig;
 use crate::engine::{map_indexed, EngineSpec};
-use crate::problem::SizingProblem;
+use crate::evaluation::MuSigmaEvaluation;
+use crate::problem::{SimOutcome, SizingProblem};
 use crate::report::{IterationTrace, RunResult};
+use crate::robustanalog::{dominant_corners, RECLUSTER_EVERY};
 use crate::verification::{ReusableSamples, Verifier};
+use glova_circuits::spec::SATISFIED_REWARD;
 use glova_circuits::Circuit;
 use glova_rl::{AgentConfig, LastWorstBuffer, RiskSensitiveAgent};
 use glova_stats::reduce::{self, finite_worst};
-use glova_stats::rng::forked;
+use glova_stats::rng::{forked, Rng, Rng64};
 use glova_turbo::{Turbo, TurboConfig};
 use glova_variation::config::VerificationMethod;
+use glova_variation::sampler::MismatchVector;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// GLOVA configuration (paper §VI.B defaults unless noted).
+/// Half-width of the trust box each proposal is clamped into around the
+/// incumbent (clipped to `[0, 1]`). DDPG-style actors on bandit-shaped
+/// problems chase critic-extrapolation artifacts early in training; the
+/// clamp is a trust region on the policy output (see `docs/DESIGN.md`
+/// §5). Campaigns clamp with the same box.
+pub(crate) const PROPOSAL_CLIP: f64 = 0.2;
+
+/// The sizing framework a [`GlovaOptimizer`] runs — the rows of the
+/// paper's Table II.
+///
+/// All three share the loop, the agent, the verifier and every
+/// hyperparameter of [`GlovaConfig`]. The baselines are closed source and
+/// reimplemented from their published descriptions (`docs/DESIGN.md`
+/// §2); what sets each apart is documented on its variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framework {
+    /// GLOVA, the proposed framework. TuRBO seeding (the space-filling
+    /// prefix as one engine batch, then ask/tell); each iteration
+    /// simulates only the last-worst buffer's worst corner; verification
+    /// reuses that corner's `N'` samples, and a failed verification
+    /// tightens the stored reward. The switches are the Table III
+    /// ablations.
+    Glova {
+        /// The ensemble critic; off is "w/o EC" (a single base model,
+        /// risk-neutral).
+        ensemble_critic: bool,
+        /// The µ-σ gate and the µ-σ-tightened stored reward; off is
+        /// "w/o µ-σ" (the gate becomes "every sample passes").
+        mu_sigma: bool,
+        /// Simulation reordering in verification; off is "w/o SR".
+        reordering: bool,
+    },
+    /// PVTSizing — *"PVTSizing: a TuRBO-RL-based batch-sampling
+    /// optimization framework for PVT-robust analog circuit synthesis"*
+    /// (DAC 2024, the paper's ref \[9\]). TuRBO seeding asked one design
+    /// at a time from the first point, stopping as soon as
+    /// `n_initial_designs` are feasible; every iteration simulates
+    /// **all** corners (batch sampling); a risk-neutral critic;
+    /// verification whenever every sampled condition passes, with neither
+    /// the µ-σ gate nor reordering. A failed verification does not feed
+    /// the stored reward — PVTSizing trains only on its batch-sampled
+    /// rewards, the inefficiency the paper's µ-σ machinery addresses.
+    PvtSizing,
+    /// RobustAnalog — *"RobustAnalog: fast variation-aware analog
+    /// circuit design via multi-task RL"* (MLCAD 2022, ref \[8\]).
+    /// **Uniform random** seeding (the weakness TuRBO seeding fixes);
+    /// corners are tasks, clustered with k-means into 4 clusters on
+    /// their last worst rewards and conditions (re-clustered every 25
+    /// iterations), and each iteration simulates the worst corner of
+    /// every cluster; a risk-neutral critic; verification as for
+    /// PVTSizing, whose per-corner worsts refresh the clustering input.
+    RobustAnalog,
+}
+
+impl Framework {
+    /// GLOVA with every Table III switch on — the paper configuration.
+    pub const GLOVA: Framework =
+        Framework::Glova { ensemble_critic: true, mu_sigma: true, reordering: true };
+
+    /// The frameworks of Table II, in table order.
+    pub const ALL: [Framework; 3] =
+        [Framework::GLOVA, Framework::PvtSizing, Framework::RobustAnalog];
+
+    /// The Table II row label.
+    pub fn name(self) -> &'static str {
+        match self {
+            Framework::Glova { .. } => "Ours",
+            Framework::PvtSizing => "PVTSizing",
+            Framework::RobustAnalog => "RobustAnalog",
+        }
+    }
+
+    /// RNG stream ids forked from the run seed: seeding, agent, sample.
+    fn streams(self) -> [u64; 3] {
+        match self {
+            Framework::Glova { .. } => [1, 2, 3],
+            Framework::PvtSizing => [11, 12, 13],
+            Framework::RobustAnalog => [21, 22, 23],
+        }
+    }
+
+    /// The Table III switches: ensemble critic, µ-σ, reordering (all off
+    /// for the baselines).
+    fn switches(self) -> [bool; 3] {
+        match self {
+            Framework::Glova { ensemble_critic, mu_sigma, reordering } => {
+                [ensemble_critic, mu_sigma, reordering]
+            }
+            Framework::PvtSizing | Framework::RobustAnalog => [false; 3],
+        }
+    }
+}
+
+/// Paper-run configuration (paper §VI.B defaults unless noted).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlovaConfig {
     /// Target verification method (Table I).
     pub method: VerificationMethod,
+    /// The framework to run: GLOVA (with its Table III switches) or one
+    /// of the Table II baselines.
+    pub framework: Framework,
     /// Risk-avoidance parameter β₁ of the ensemble critic (paper: −3).
     pub beta1: f64,
     /// Reliability factor β₂ of the µ-σ evaluation (paper: 4).
@@ -51,32 +161,15 @@ pub struct GlovaConfig {
     pub hidden: Vec<usize>,
     /// Gradient updates per RL iteration.
     pub updates_per_step: usize,
-    /// TuRBO evaluation budget for initial sampling.
+    /// Seeding budget: typical-condition simulations before the RL phase
+    /// (TuRBO evaluations, or RobustAnalog's random designs).
     pub turbo_budget: usize,
     /// Number of initial designs carried into the RL phase.
     pub n_initial_designs: usize,
     /// Maximum RL iterations before declaring failure.
     pub max_iterations: usize,
-    /// Ablation: enable the ensemble critic (Table III "w/o EC" when
-    /// `false` — single base model, risk-neutral).
-    pub use_ensemble_critic: bool,
-    /// Ablation: enable the µ-σ evaluation gate (Table III "w/o µ-σ").
-    pub use_mu_sigma: bool,
-    /// Ablation: enable simulation reordering (Table III "w/o SR").
-    pub use_reordering: bool,
     /// Record the per-iteration reliability-bound trace (Fig. 3).
     pub trace: bool,
-    /// Feed the actor the best-known design instead of the raw previous
-    /// proposal. Algorithm 1 writes `x_new = A(x_last) + noise`; anchoring
-    /// `x_last` to the incumbent keeps the proposal chain from drifting
-    /// (see `docs/DESIGN.md` §5).
-    pub anchor_to_best: bool,
-    /// Clamp each proposal into a box of this half-width around the
-    /// incumbent (`None` disables). DDPG-style actors on bandit-shaped
-    /// problems can chase critic-extrapolation artifacts early in
-    /// training; the clamp is a trust region on the policy output
-    /// (see `docs/DESIGN.md` §5).
-    pub proposal_clip: Option<f64>,
     /// Evaluation engine for simulation batches (sequential by default;
     /// results are engine-independent).
     pub engine: EngineSpec,
@@ -86,10 +179,11 @@ pub struct GlovaConfig {
 }
 
 impl GlovaConfig {
-    /// Paper-default configuration for a verification method.
+    /// Paper-default GLOVA configuration for a verification method.
     pub fn paper(method: VerificationMethod) -> Self {
         Self {
             method,
+            framework: Framework::GLOVA,
             beta1: -3.0,
             beta2: 4.0,
             ensemble_size: 5,
@@ -99,12 +193,7 @@ impl GlovaConfig {
             turbo_budget: 150,
             n_initial_designs: 3,
             max_iterations: 500,
-            use_ensemble_critic: true,
-            use_mu_sigma: true,
-            use_reordering: true,
             trace: false,
-            anchor_to_best: true,
-            proposal_clip: Some(0.2),
             engine: EngineSpec::Sequential,
             cache: None,
         }
@@ -119,24 +208,6 @@ impl GlovaConfig {
             max_iterations: 100,
             ..Self::paper(method)
         }
-    }
-
-    /// Disables the ensemble critic (builder style).
-    pub fn without_ensemble_critic(mut self) -> Self {
-        self.use_ensemble_critic = false;
-        self
-    }
-
-    /// Disables the µ-σ gate (builder style).
-    pub fn without_mu_sigma(mut self) -> Self {
-        self.use_mu_sigma = false;
-        self
-    }
-
-    /// Disables simulation reordering (builder style).
-    pub fn without_reordering(mut self) -> Self {
-        self.use_reordering = false;
-        self
     }
 
     /// Enables Fig.-3 tracing (builder style).
@@ -158,7 +229,8 @@ impl GlovaConfig {
     }
 }
 
-/// The GLOVA sizing optimizer.
+/// The paper-run optimizer: GLOVA or a Table II baseline, per
+/// [`GlovaConfig::framework`].
 #[derive(Debug)]
 pub struct GlovaOptimizer {
     problem: SizingProblem,
@@ -167,7 +239,14 @@ pub struct GlovaOptimizer {
 
 impl GlovaOptimizer {
     /// Creates an optimizer for `circuit` under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.turbo_budget == 0` or
+    /// `config.n_initial_designs == 0`.
     pub fn new(circuit: Arc<dyn Circuit>, config: GlovaConfig) -> Self {
+        assert!(config.turbo_budget > 0, "need a seeding budget of at least one simulation");
+        assert!(config.n_initial_designs > 0, "need at least one initial design");
         let mut problem = SizingProblem::with_engine(circuit, config.method, config.engine.build());
         if let Some(cache) = config.cache {
             problem = problem.with_cache(cache);
@@ -184,135 +263,80 @@ impl GlovaOptimizer {
     pub fn run(&mut self, seed: u64) -> RunResult {
         let start = Instant::now();
         self.problem.reset_simulations();
-        let mut turbo_rng = forked(seed, 1);
-        let mut agent_rng = forked(seed, 2);
-        let mut sample_rng = forked(seed, 3);
+        let framework = self.config.framework;
+        let [seed_stream, agent_stream, sample_stream] = framework.streams();
+        let [ensemble_critic, mu_sigma, reordering] = framework.switches();
+        let mut agent_rng = forked(seed, agent_stream);
+        let mut sample_rng = forked(seed, sample_stream);
 
-        let dim = self.problem.dim();
-        let spec_reward = glova_circuits::spec::SATISFIED_REWARD;
-        let corners = self.problem.config().corners.clone();
-        let n_prime = self.problem.config().optim_samples;
+        let corners = &self.problem.config().corners;
+        let all_corners: Vec<usize> = (0..corners.len()).collect();
+        let spec = self.problem.circuit().spec();
 
-        // ---- Phase 0: TuRBO initial sampling at the typical condition ----
-        let mut turbo = Turbo::new(TurboConfig::new(dim), &mut turbo_rng);
-        let mut evaluated: Vec<(Vec<f64>, f64)> = Vec::new();
-        let mut feasible: Vec<Vec<f64>> = Vec::new();
-        // The space-filling prefix consumes no RNG per ask and depends on
-        // no tells, so it fans out through the engine as one batch. Block
-        // boundaries are engine-independent: every engine evaluates the
-        // same prefix, then the same sequential ask/tell suffix.
-        let init_batch: Vec<Vec<f64>> = (0..turbo.init_remaining().min(self.config.turbo_budget))
-            .map(|_| turbo.ask(&mut turbo_rng))
-            .collect();
-        let init_outcomes = map_indexed(self.problem.engine().as_ref(), init_batch.len(), |i| {
-            self.problem.simulate_typical(&init_batch[i])
-        });
-        for (x, outcome) in init_batch.into_iter().zip(init_outcomes) {
-            // Diverged (NaN) typical-condition rewards read as decisively
-            // infeasible: `Turbo::tell` and the sort below require finite.
-            let reward = finite_worst(outcome.reward);
-            turbo.tell(x.clone(), reward);
-            evaluated.push((x.clone(), reward));
-            if reward == spec_reward {
-                feasible.push(x);
-            }
-        }
-        // Surrogate-guided suffix: each ask depends on all prior tells, so
-        // this stays sequential by construction.
-        while evaluated.len() < self.config.turbo_budget
-            && feasible.len() < self.config.n_initial_designs
-        {
-            let x = turbo.ask(&mut turbo_rng);
-            let reward = finite_worst(self.problem.simulate_typical(&x).reward);
-            turbo.tell(x.clone(), reward);
-            evaluated.push((x.clone(), reward));
-            if reward == spec_reward {
-                feasible.push(x);
-            }
-        }
-        // Initial design set: feasible solutions first (capped — the
-        // batched prefix can surface more than the sequential early break
-        // ever did), then the best of the rest.
-        feasible.truncate(self.config.n_initial_designs);
-        evaluated.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite rewards"));
-        let mut initial: Vec<Vec<f64>> = feasible;
-        for (x, _) in &evaluated {
-            if initial.len() >= self.config.n_initial_designs {
-                break;
-            }
-            if !initial.iter().any(|e| e == x) {
-                initial.push(x.clone());
-            }
-        }
+        // ---- Phase 0: seeding at the typical condition ------------------
+        let initial = self.seed_designs(&mut forked(seed, seed_stream));
 
         // ---- Build the initial dataset across all corners ----------------
         let agent_config = AgentConfig {
-            ensemble_size: if self.config.use_ensemble_critic {
-                self.config.ensemble_size
-            } else {
-                1
-            },
+            ensemble_size: if ensemble_critic { self.config.ensemble_size } else { 1 },
             beta1: self.config.beta1,
             batch_size: self.config.batch_size,
             hidden: self.config.hidden.clone(),
             updates_per_step: self.config.updates_per_step,
-            ..AgentConfig::new(dim)
+            ..AgentConfig::new(self.problem.dim())
         };
         let mut agent = RiskSensitiveAgent::new(agent_config, &mut agent_rng);
         let mut last_worst = LastWorstBuffer::new(corners.len());
 
         // The incumbent carries *worst-case* reward semantics only.
-        let mut incumbent: Option<(Vec<f64>, f64)> = None;
-        for x in &initial {
-            // The whole corner × condition grid fans out through the
-            // engine in one dispatch (conditions pre-sampled corner-major
-            // inside `simulate_corner_grid` — the engine-parity invariant).
-            let per_corner = self.problem.simulate_corner_grid(x, n_prime, &mut sample_rng);
-            let mut overall_worst = f64::INFINITY;
-            for (ci, corner_outcomes) in per_corner.iter().enumerate() {
-                let worst = finite_worst(reduce::worst(corner_outcomes.iter().map(|o| o.reward)));
-                last_worst.record(ci, worst);
-                overall_worst = overall_worst.min(worst);
-            }
-            agent.observe(x.clone(), overall_worst);
-            if incumbent.as_ref().is_none_or(|(_, r)| overall_worst > *r) {
-                incumbent = Some((x.clone(), overall_worst));
+        let mut incumbent = (initial[0].clone(), f64::NEG_INFINITY);
+        for x in initial {
+            let (_, outcomes) = self.simulate_corners(&x, &all_corners, &mut sample_rng);
+            let (worst, _) = record_worst(&mut last_worst, &all_corners, &outcomes);
+            agent.observe(x.clone(), worst);
+            if worst > incumbent.1 {
+                incumbent = (x, worst);
             }
         }
-        let mut x_last =
-            incumbent.as_ref().map(|(x, _)| x.clone()).unwrap_or_else(|| vec![0.5; dim]);
         // Behaviour-clone the fresh actor toward the incumbent so early
         // proposals explore around it instead of an arbitrary fixed point.
-        agent.pretrain_actor_towards(&x_last.clone(), 200, &mut agent_rng);
+        agent.pretrain_actor_towards(&incumbent.0, 200, &mut agent_rng);
+        agent.set_proximal_target(Some(incumbent.0.clone()));
 
         // ---- Main loop (Fig. 2 steps 1–6) ---------------------------------
         let mut trace = Vec::new();
         let mut verification_attempts = 0usize;
         let mut stagnation = 0usize;
+        let mut clusters: Vec<usize> = Vec::new();
         for iteration in 1..=self.config.max_iterations {
-            // Step 1: generate a design solution.
-            if self.config.anchor_to_best {
-                if let Some((best, _)) = &incumbent {
-                    x_last = best.clone();
-                }
-            }
-            let mut x_new = agent.propose(&x_last, &mut agent_rng);
-            if let Some(clip) = self.config.proposal_clip {
-                for (v, anchor) in x_new.iter_mut().zip(&x_last) {
-                    *v = v.clamp((anchor - clip).max(0.0), (anchor + clip).min(1.0));
-                }
+            // Step 1: generate a design solution. Algorithm 1 writes
+            // `x_new = A(x_last) + noise`; anchoring `x_last` to the
+            // incumbent keeps the proposal chain from drifting (see
+            // `docs/DESIGN.md` §5), and the clip bounds the step.
+            let anchor = &incumbent.0;
+            let mut x_new = agent.propose(anchor, &mut agent_rng);
+            for (v, a) in x_new.iter_mut().zip(anchor) {
+                *v = v.clamp((a - PROPOSAL_CLIP).max(0.0), (a + PROPOSAL_CLIP).min(1.0));
             }
 
-            // Step 2: pick the worst corner; sample N' mismatch conditions.
-            let worst_ci = last_worst.worst_corner();
-            let corner = corners.corner(worst_ci);
-            let conditions = self.problem.sample_conditions(&x_new, n_prime, &mut sample_rng);
+            // Step 2: pick this iteration's corners and sample N' mismatch
+            // conditions for each.
+            let selected = match framework {
+                Framework::Glova { .. } => vec![last_worst.worst_corner()],
+                Framework::PvtSizing => all_corners.clone(),
+                Framework::RobustAnalog => {
+                    if (iteration - 1) % RECLUSTER_EVERY == 0 {
+                        clusters = dominant_corners(corners, &last_worst, &mut sample_rng);
+                    }
+                    clusters.clone()
+                }
+            };
 
             // Step 3: simulate.
-            let (outcomes, sampled_worst) =
-                self.problem.simulate_conditions(&x_new, &corner, &conditions);
-            let mut worst_reward = finite_worst(sampled_worst);
-            last_worst.record(worst_ci, worst_reward);
+            let (mut conditions, mut outcomes) =
+                self.simulate_corners(&x_new, &selected, &mut sample_rng);
+            let (mut worst_reward, worst_corner) =
+                record_worst(&mut last_worst, &selected, &outcomes);
 
             if self.config.trace {
                 let (mean, std) = agent.critic().predict_detail(&x_new);
@@ -321,7 +345,7 @@ impl GlovaOptimizer {
                     critic_mean: mean,
                     critic_bound: mean + self.config.beta1 * std,
                     sampled_worst: worst_reward,
-                    corner_index: worst_ci,
+                    corner_index: worst_corner,
                 });
             }
 
@@ -332,42 +356,37 @@ impl GlovaOptimizer {
             // is not yet robust and must not look like one to the critic —
             // this grades the otherwise flat 0.2 plateau by robustness
             // margin (Eq. 7 folded into Eq. 4, see `docs/DESIGN.md` §5).
-            let gate = if self.config.use_mu_sigma {
-                let eval = crate::evaluation::MuSigmaEvaluation::evaluate(
-                    self.problem.circuit().spec(),
-                    &outcomes,
-                    self.config.beta2,
-                );
-                let bound_reward = self.problem.circuit().spec().reward(&eval.bounds);
-                worst_reward = worst_reward.min(finite_worst(bound_reward));
+            let gate = if mu_sigma {
+                let eval = MuSigmaEvaluation::evaluate(spec, &outcomes.concat(), self.config.beta2);
+                worst_reward = worst_reward.min(finite_worst(spec.reward(&eval.bounds)));
                 eval.passed
             } else {
-                outcomes.iter().all(|o| o.reward == spec_reward)
+                worst_reward == SATISFIED_REWARD
             };
 
-            // Step 5: full verification.
+            // Step 5: full verification. GLOVA hands the verifier the
+            // samples it just simulated on its one corner.
             if gate {
                 verification_attempts += 1;
                 let mut verifier = Verifier::new(&self.problem, self.config.beta2);
-                if !self.config.use_mu_sigma {
+                if !mu_sigma {
                     verifier = verifier.without_mu_sigma();
                 }
-                if !self.config.use_reordering {
+                if !reordering {
                     verifier = verifier.without_reordering();
                 }
-                let reuse = ReusableSamples {
-                    corner_index: worst_ci,
-                    conditions: conditions.clone(),
-                    outcomes: outcomes.clone(),
+                let reuse = match framework {
+                    Framework::Glova { .. } => Some(ReusableSamples {
+                        corner_index: selected[0],
+                        conditions: conditions.swap_remove(0),
+                        outcomes: outcomes.swap_remove(0),
+                    }),
+                    Framework::PvtSizing | Framework::RobustAnalog => None,
                 };
                 let hint = last_worst.corners_worst_first();
-                let outcome = verifier.verify(&x_new, &hint, Some(&reuse), &mut sample_rng);
+                let outcome = verifier.verify(&x_new, &hint, reuse.as_ref(), &mut sample_rng);
                 for &(ci, worst) in &outcome.per_corner_worst {
-                    let worst = finite_worst(worst);
-                    last_worst.record(ci, worst);
-                    if ci == worst_ci {
-                        worst_reward = worst_reward.min(worst);
-                    }
+                    last_worst.record(ci, finite_worst(worst));
                 }
                 if outcome.passed {
                     return RunResult {
@@ -380,17 +399,29 @@ impl GlovaOptimizer {
                         trace,
                     };
                 }
-                // Verification failed: fold the newly discovered worst
-                // reward into this iteration's stored observation.
-                let verified_worst =
-                    finite_worst(reduce::worst(outcome.per_corner_worst.iter().map(|&(_, w)| w)));
-                worst_reward = worst_reward.min(verified_worst);
+                // GLOVA folds the failed verification into this
+                // iteration's stored observation: first the iteration
+                // corner's own entries, then the overall verified worst.
+                // The first fold is not redundant — the overall worst of a
+                // batch holding a diverged (NaN) corner sanitizes to
+                // DIVERGED_REWARD and would hide a corner reward below it.
+                if let Framework::Glova { .. } = framework {
+                    for &(ci, worst) in &outcome.per_corner_worst {
+                        if ci == selected[0] {
+                            worst_reward = worst_reward.min(finite_worst(worst));
+                        }
+                    }
+                    let verified_worst =
+                        reduce::worst(outcome.per_corner_worst.iter().map(|w| w.1));
+                    worst_reward = worst_reward.min(finite_worst(verified_worst));
+                }
             }
 
             // Step 6: store the worst reward; update the agent.
             agent.observe(x_new.clone(), worst_reward);
-            if incumbent.as_ref().is_none_or(|(_, r)| worst_reward > *r) {
-                incumbent = Some((x_new.clone(), worst_reward));
+            if worst_reward > incumbent.1 {
+                incumbent = (x_new, worst_reward);
+                agent.set_proximal_target(Some(incumbent.0.clone()));
                 stagnation = 0;
             } else {
                 stagnation += 1;
@@ -401,20 +432,118 @@ impl GlovaOptimizer {
                     stagnation = 0;
                 }
             }
-            agent.set_proximal_target(incumbent.as_ref().map(|(x, _)| x.clone()));
             agent.train_step(&mut agent_rng);
-            x_last = x_new;
         }
 
-        let mut result = RunResult::failed(
-            self.config.max_iterations,
-            self.problem.simulations(),
-            start.elapsed(),
-        );
-        result.verification_attempts = verification_attempts;
-        result.trace = trace;
-        result
+        RunResult {
+            success: false,
+            rl_iterations: self.config.max_iterations,
+            simulations: self.problem.simulations(),
+            verification_attempts,
+            wall_time: start.elapsed(),
+            final_design: None,
+            trace,
+        }
     }
+
+    /// Phase 0: simulates seed designs at the typical condition until
+    /// `n_initial_designs` are feasible or the budget is spent, and
+    /// returns the initial design set — feasible designs first (capped:
+    /// GLOVA's batched prefix can surface more), then the best of the
+    /// rest.
+    fn seed_designs(&self, rng: &mut Rng64) -> Vec<Vec<f64>> {
+        let dim = self.problem.dim();
+        let budget = self.config.turbo_budget;
+        let n_initial = self.config.n_initial_designs;
+        let mut turbo = match self.config.framework {
+            Framework::Glova { .. } | Framework::PvtSizing => {
+                Some(Turbo::new(TurboConfig::new(dim), rng))
+            }
+            Framework::RobustAnalog => None,
+        };
+        let batched_prefix = matches!(self.config.framework, Framework::Glova { .. });
+        let mut evaluated: Vec<(Vec<f64>, f64)> = Vec::new();
+        let mut feasible: Vec<Vec<f64>> = Vec::new();
+        while evaluated.len() < budget && feasible.len() < n_initial {
+            let batch: Vec<Vec<f64>> = match &mut turbo {
+                // The space-filling prefix consumes no RNG per ask and
+                // depends on no tells, so GLOVA fans it out through the
+                // engine as one batch. Block boundaries are
+                // engine-independent: every engine evaluates the same
+                // prefix, then the same sequential ask/tell suffix, where
+                // each ask depends on all prior tells.
+                Some(turbo) if batched_prefix && turbo.init_remaining() > 0 => {
+                    let n = turbo.init_remaining().min(budget - evaluated.len());
+                    (0..n).map(|_| turbo.ask(rng)).collect()
+                }
+                Some(turbo) => vec![turbo.ask(rng)],
+                None => vec![(0..dim).map(|_| rng.gen()).collect()],
+            };
+            let outcomes = map_indexed(self.problem.engine().as_ref(), batch.len(), |i| {
+                self.problem.simulate_typical(&batch[i])
+            });
+            for (x, outcome) in batch.into_iter().zip(outcomes) {
+                // Diverged (NaN) typical-condition rewards read as
+                // decisively infeasible: `Turbo::tell` and the sort below
+                // require finite.
+                let reward = finite_worst(outcome.reward);
+                if let Some(turbo) = &mut turbo {
+                    turbo.tell(x.clone(), reward);
+                }
+                if reward == SATISFIED_REWARD {
+                    feasible.push(x.clone());
+                }
+                evaluated.push((x, reward));
+            }
+        }
+        feasible.truncate(n_initial);
+        evaluated.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite rewards"));
+        let mut initial = feasible;
+        for (x, _) in evaluated {
+            if initial.len() >= n_initial {
+                break;
+            }
+            if !initial.contains(&x) {
+                initial.push(x);
+            }
+        }
+        initial
+    }
+
+    /// Samples `N'` shared-die conditions for each selected corner and
+    /// simulates them in one engine dispatch. The RNG is consumed
+    /// corner-major *before* dispatch — the engine-parity invariant.
+    fn simulate_corners(
+        &self,
+        x: &[f64],
+        selected: &[usize],
+        rng: &mut Rng64,
+    ) -> (Vec<Vec<MismatchVector>>, Vec<Vec<SimOutcome>>) {
+        let n_prime = self.problem.config().optim_samples;
+        let conditions: Vec<Vec<MismatchVector>> =
+            selected.iter().map(|_| self.problem.sample_conditions(x, n_prime, rng)).collect();
+        let outcomes = self.problem.simulate_selected_corners(x, selected, &conditions);
+        (conditions, outcomes)
+    }
+}
+
+/// Records each selected corner's worst reward (NaN-sanitized) and
+/// returns the overall worst with the corner it came from.
+fn record_worst(
+    last_worst: &mut LastWorstBuffer,
+    selected: &[usize],
+    outcomes: &[Vec<SimOutcome>],
+) -> (f64, usize) {
+    let mut overall = (f64::INFINITY, selected[0]);
+    for (&ci, corner_outcomes) in selected.iter().zip(outcomes) {
+        let worst = finite_worst(reduce::worst(corner_outcomes.iter().map(|o| o.reward)));
+        last_worst.record(ci, worst);
+        if worst < overall.0 {
+            overall.1 = ci;
+        }
+        overall.0 = overall.0.min(worst);
+    }
+    overall
 }
 
 #[cfg(test)]
@@ -428,6 +557,10 @@ mod tests {
         // optimum under local MC (the standard instance's limit is 0.05 and
         // the worst-corner penalty ≈ 0.026).
         Arc::new(ToyQuadratic::standard().with_mismatch_sensitivity(0.05))
+    }
+
+    fn quick(framework: Framework) -> GlovaConfig {
+        GlovaConfig { framework, ..GlovaConfig::quick(VerificationMethod::Corner) }
     }
 
     #[test]
@@ -491,15 +624,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one initial design")]
+    fn zero_initial_designs_panics() {
+        let config = GlovaConfig { n_initial_designs: 0, ..quick(Framework::GLOVA) };
+        GlovaOptimizer::new(toy(), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "seeding budget of at least one")]
+    fn zero_seeding_budget_panics() {
+        let config = GlovaConfig { turbo_budget: 0, ..quick(Framework::PvtSizing) };
+        GlovaOptimizer::new(toy(), config);
+    }
+
+    #[test]
     fn ablations_run_and_succeed_on_toy() {
-        for config in [
-            GlovaConfig::quick(VerificationMethod::Corner).without_ensemble_critic(),
-            GlovaConfig::quick(VerificationMethod::Corner).without_mu_sigma(),
-            GlovaConfig::quick(VerificationMethod::Corner).without_reordering(),
+        for framework in [
+            Framework::Glova { ensemble_critic: false, mu_sigma: true, reordering: true },
+            Framework::Glova { ensemble_critic: true, mu_sigma: false, reordering: true },
+            Framework::Glova { ensemble_critic: true, mu_sigma: true, reordering: false },
         ] {
-            let mut opt = GlovaOptimizer::new(toy(), config.clone());
-            let result = opt.run(13);
-            assert!(result.success, "ablation failed: {config:?}");
+            let result = GlovaOptimizer::new(toy(), quick(framework)).run(13);
+            assert!(result.success, "ablation failed: {framework:?}");
         }
     }
 }

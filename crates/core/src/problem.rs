@@ -253,32 +253,23 @@ impl SizingProblem {
         (outcomes, worst)
     }
 
-    /// Samples `n` shared-die conditions per corner (Eq. 3) and
-    /// simulates the full corner × condition grid through the engine.
-    /// Returns the outcomes grouped per corner, in corner order.
+    /// Samples `n` conditions per corner with a fresh global draw per
+    /// sample (independent dies — yield estimation) and simulates the full
+    /// corner × condition grid in one engine dispatch. Returns the
+    /// outcomes grouped per corner, in corner order.
     ///
-    /// Used by the full-grid sweeps (initial dataset) where no early
-    /// abort applies and the whole grid can fan out at once. The RNG is
-    /// consumed corner-major *before* dispatch — the determinism-critical
-    /// invariant behind engine parity lives here, in one place.
-    pub fn simulate_corner_grid(
-        &self,
-        x: &[f64],
-        n: usize,
-        rng: &mut Rng64,
-    ) -> Vec<Vec<SimOutcome>> {
-        self.grid_over_corners(x, n, rng, Self::sample_conditions)
-    }
-
-    /// [`simulate_corner_grid`](Self::simulate_corner_grid) with a fresh
-    /// global draw per sample (independent dies — yield estimation).
+    /// The RNG is consumed corner-major *before* dispatch — the
+    /// determinism-critical invariant behind engine parity.
     pub fn simulate_corner_grid_independent(
         &self,
         x: &[f64],
         n: usize,
         rng: &mut Rng64,
     ) -> Vec<Vec<SimOutcome>> {
-        self.grid_over_corners(x, n, rng, Self::sample_conditions_independent)
+        let corners: Vec<usize> = (0..self.config.corners.len()).collect();
+        let conditions: Vec<Vec<MismatchVector>> =
+            corners.iter().map(|_| self.sample_conditions_independent(x, n, rng)).collect();
+        self.simulate_selected_corners(x, &corners, &conditions)
     }
 
     /// Simulates `x` over an arbitrary subset of this problem's corners —
@@ -286,9 +277,10 @@ impl SizingProblem {
     /// in **one** engine dispatch, returning outcomes grouped per selected
     /// corner in the given order.
     ///
-    /// This is the campaign fast path behind corner-set pruning
-    /// ([`crate::campaign`]): a policy step's candidate × active-corner ×
-    /// mismatch grid flattens into a single [`map_indexed`] batch, so a
+    /// This is the one corner-batch path: a campaign policy step's
+    /// candidate × active-corner × mismatch grid ([`crate::campaign`]), a
+    /// paper-run iteration's corners ([`crate::optimizer`]) and the yield
+    /// grid each flatten into a single [`map_indexed`] batch, so a
     /// threaded engine keeps its per-worker SPICE solvers hot instead of
     /// draining between per-corner mini-batches. Conditions are sampled by
     /// the caller *before* dispatch (the engine-parity invariant); results
@@ -323,28 +315,6 @@ impl SizingProblem {
             offset += hs.len();
         }
         grouped
-    }
-
-    fn grid_over_corners(
-        &self,
-        x: &[f64],
-        n: usize,
-        rng: &mut Rng64,
-        sample: fn(&Self, &[f64], usize, &mut Rng64) -> Vec<MismatchVector>,
-    ) -> Vec<Vec<SimOutcome>> {
-        let corners = &self.config.corners;
-        let conditions: Vec<Vec<MismatchVector>> =
-            corners.iter().map(|_| sample(self, x, n, rng)).collect();
-        let pairs: Vec<(&PvtCorner, &MismatchVector)> = corners
-            .iter()
-            .zip(&conditions)
-            .flat_map(|(corner, hs)| hs.iter().map(move |h| (corner, h)))
-            .collect();
-        let outcomes = map_indexed(self.engine.as_ref(), pairs.len(), |i| {
-            let (corner, h) = pairs[i];
-            self.simulate(x, corner, h)
-        });
-        outcomes.chunks(n.max(1)).map(<[SimOutcome]>::to_vec).collect()
     }
 }
 

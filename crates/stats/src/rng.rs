@@ -9,6 +9,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The draw methods of [`Rng64`] (`gen`, `gen_range`, …), re-exported so
+/// a crate that only draws from the workspace RNG needs no `rand`
+/// dependency of its own.
+pub use rand::Rng;
+
 /// The concrete RNG used throughout the workspace.
 ///
 /// A type alias keeps call sites readable and allows swapping the generator

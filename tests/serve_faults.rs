@@ -31,6 +31,7 @@ use glova_serve::{
 use glova_spice::mna::NewtonOptions;
 use glova_spice::netlist::rc_ladder;
 use glova_spice::registry::SolverRegistry;
+use glova_stats::reduce::DIVERGED_REWARD;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -214,21 +215,34 @@ fn injected_panic_fails_one_job_and_leaves_neighbours_bitwise_intact() {
 fn injected_nonconvergence_degrades_without_unwinding_or_polluting_the_cache() {
     let reference = reference_run(chain_request(5));
     let server = CampaignServer::new(1);
-    // Degrade a handful of early evaluations: the campaign must absorb
-    // them as worst-reward observations and still terminate normally.
-    let faulted = server
-        .submit(chain_request(5).with_fault_plan(Arc::new(FaultPlan::seeded(
-            11,
-            400,
-            5,
-            FaultKind::NonConvergence,
-        ))))
-        .unwrap();
+    // Degrade a handful of evaluations past the seeding sweep, so they
+    // land in policy steps: the campaign must absorb them as worst-reward
+    // observations and still terminate normally.
+    let faults: Vec<u64> = [3, 40, 75].iter().map(|k| reference.init_sims + k).collect();
+    let plan = faults.iter().fold(FaultPlan::new(), |plan, &ordinal| {
+        plan.with_fault(ordinal, FaultKind::NonConvergence)
+    });
+    let faulted = server.submit(chain_request(5).with_fault_plan(Arc::new(plan))).unwrap();
     let snapshot = server.wait(faulted).unwrap();
     assert_eq!(snapshot.status, JobStatus::Done, "degraded observations must not unwind the job");
     let degraded = snapshot.result.unwrap();
     assert_eq!(degraded.termination, CampaignTermination::Completed);
     assert_eq!(degraded.total_sims, reference.total_sims, "accounting counts requests, not faults");
+
+    // A diverged evaluation poisons its step: the step's worst reward is
+    // the decisively infeasible stand-in, never a score a real design
+    // could beat.
+    let mut first_ordinal = degraded.init_sims;
+    let mut faulted_steps = 0;
+    for step in &degraded.steps {
+        let ordinals = first_ordinal..first_ordinal + step.sims;
+        if faults.iter().any(|o| ordinals.contains(o)) {
+            assert_eq!(step.worst_reward, DIVERGED_REWARD, "step {} holds a fault", step.step);
+            faulted_steps += 1;
+        }
+        first_ordinal = ordinals.end;
+    }
+    assert_eq!(faulted_steps, faults.len(), "every fault lands in its own policy step");
 
     // The same request fault-free on the same (warm, shared-cache)
     // server must replay the clean reference exactly: injected outcomes
