@@ -51,15 +51,6 @@
 //!   508-unknown 2-D sense-amp array, Markowitz dynamic pivoting vs the
 //!   AMD fill-reducing pre-ordering, gated at ≥ `--min-amd-speedup`
 //!   (default 1.5×; measured ≈5× locally).
-//! - `spice_multirhs` — 32 right-hand sides against one factored
-//!   sense-amp system, repeated single-RHS solves vs one batched
-//!   [`SparseLu::solve_into_batch`] sweep, gated at ≥
-//!   `--min-multirhs-speedup` (default 1.0× — the batch path streams
-//!   the factor once and must never lose to the loop).
-//! - `spice_warm` — a 30-corner OTA sweep, cold per-corner gmin ladders
-//!   vs [`OpSolver::solve_corner_sweep`] warm starts; gated on the
-//!   deterministic Newton-iteration ratio ≥ `--min-warm-iter-ratio`
-//!   (default 1.3×).
 //! - `campaign` — end-to-end risk-sensitive sizing campaigns
 //!   ([`SizingCampaign`]) on the SPICE OTA and inverter chain, full
 //!   30-corner grid vs RobustAnalog-style corner-set pruning with the
@@ -87,9 +78,8 @@
 //! cache-off wall (median of per-round ratios over interleaved rounds), the
 //! sparse-backend floors (≥ 1.5× dense at 24 stages, ≥ 4× at 64), the
 //! threaded SPICE sweep floor (≥ 1.5× sequential on 4 workers,
-//! skipped below 4 cores), the AMD / multi-RHS floors, and the
-//! deterministic gates of `spice_warm`, `spice_ota`, `campaign`, `serve`
-//! and `serve_robust` above.
+//! skipped below 4 cores), the AMD floor, and the deterministic gates of
+//! `spice_ota`, `campaign`, `serve` and `serve_robust` above.
 //! Timings gate on the best of two runs per
 //! measurement — single samples of millisecond-scale batches are
 //! CI-noise, not signal.
@@ -109,14 +99,11 @@ use glova_linalg::FillOrdering;
 use glova_serve::{CampaignServer, CircuitSpec, JobBudget, JobStatus, SizingRequest};
 use glova_spice::dc::OpSolver;
 use glova_spice::mna::{NewtonOptions, SolverBackend, SparseAssemblyTemplate, StampContext};
-use glova_spice::model::MosModel;
-use glova_spice::netlist::{
-    inverter_chain, ota_two_stage_with_cards, sense_amp_array, Netlist, OtaCards, OtaParams,
-};
+use glova_spice::netlist::{inverter_chain, sense_amp_array, Netlist};
 use glova_spice::registry::SolverRegistry;
 use glova_stats::rng::seeded;
 use glova_variation::config::VerificationMethod;
-use glova_variation::corner::{CornerSet, PvtCorner};
+use glova_variation::corner::PvtCorner;
 use glova_variation::sampler::MismatchVector;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -621,140 +608,6 @@ fn main() {
     }
     sections.push(("spice_amd", "markowitz".into(), "factor", mark_wall));
     sections.push(("spice_amd", "amd".into(), "factor", amd_wall));
-
-    // ---- spice_multirhs: batched vs repeated single-RHS solves ---------
-    // 32 right-hand sides against the factored sense-amp system — the
-    // corner-sweep shape `solve_into_batch` serves: one pass over the
-    // factor streams every column instead of re-walking L and U per
-    // side. Gated: the batch path must never lose to the repeated loop
-    // (≥ `--min-multirhs-speedup`, default 1.0×).
-    let multirhs_floor: f64 =
-        flag(&args, "--min-multirhs-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let mut array_lu =
-        SparseLu::factor_with(&array_a, FillOrdering::Amd).expect("sense-amp array factors");
-    let nrhs = 32usize;
-    let b: Vec<f64> = (0..array_n * nrhs).map(|i| ((i % 23) as f64 - 11.0) * 0.01).collect();
-    let solve_reps = if quick { 50 } else { 200 };
-    let mut x_single = vec![0.0; array_n];
-    let mut repeated_wall = Duration::MAX;
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..solve_reps {
-            for r in 0..nrhs {
-                array_lu.solve_into(&b[r * array_n..(r + 1) * array_n], &mut x_single);
-            }
-        }
-        repeated_wall = repeated_wall.min(start.elapsed());
-    }
-    let rhs_total = (nrhs * solve_reps) as u64;
-    let repeated_rec = BenchRecord::new(
-        "spice_multirhs",
-        "senseamp21x21",
-        "repeated",
-        nrhs,
-        rhs_total,
-        repeated_wall,
-    );
-    print_record(&repeated_rec);
-    report.push(repeated_rec);
-    let mut x_batch = vec![0.0; array_n * nrhs];
-    let mut batch_wall = Duration::MAX;
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..solve_reps {
-            array_lu.solve_into_batch(&b, &mut x_batch, nrhs);
-        }
-        batch_wall = batch_wall.min(start.elapsed());
-    }
-    let multirhs_speedup = repeated_wall.as_secs_f64() / batch_wall.as_secs_f64().max(1e-12);
-    let batch_rec =
-        BenchRecord::new("spice_multirhs", "senseamp21x21", "batched", nrhs, rhs_total, batch_wall)
-            .with_speedup(multirhs_speedup);
-    print_record(&batch_rec);
-    report.push(batch_rec);
-    if gate && multirhs_speedup < multirhs_floor {
-        failures.push(format!(
-            "spice_multirhs: batched solve is {multirhs_speedup:.2}x the repeated \
-             single-RHS loop (floor {multirhs_floor:.1}x)"
-        ));
-    }
-    sections.push(("spice_multirhs", "repeated".into(), "solve", repeated_wall));
-    sections.push(("spice_multirhs", "batched".into(), "solve", batch_wall));
-
-    // ---- spice_warm: warm-started corner sweep vs cold gmin ladders ----
-    // The 30-corner industrial grid on the two-stage OTA (supply and
-    // process cards move per corner, topology fixed). Cold runs the full
-    // gmin ladder from zeros at every corner; `solve_corner_sweep` seeds
-    // each corner's Newton from the previous corner's solution and
-    // skips the ladder when the warm iteration converges. Gated on the
-    // deterministic Newton-iteration ratio (`MnaState` counts every
-    // loop pass), ≥ `--min-warm-iter-ratio` (default 1.3×) — a count,
-    // not a timing, so the gate holds on noisy shared runners.
-    let warm_floor: f64 =
-        flag(&args, "--min-warm-iter-ratio").and_then(|s| s.parse().ok()).unwrap_or(1.3);
-    let warm_corners = CornerSet::industrial_30();
-    let warm_nls: Vec<Netlist> = (0..warm_corners.len())
-        .map(|ci| {
-            let corner = warm_corners.corner(ci);
-            let params = OtaParams {
-                vdd: corner.vdd,
-                vcm: corner.vdd * (0.55 / 0.9),
-                ..OtaParams::nominal()
-            };
-            let nmos = MosModel::nmos_28nm().at_corner(&corner);
-            let pmos = MosModel::pmos_28nm().at_corner(&corner);
-            let cards = OtaCards { m1: nmos, m2: nmos, m3: pmos, m4: pmos, m6: pmos };
-            ota_two_stage_with_cards(&params, &cards)
-        })
-        .collect();
-    let sparse_options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-    let mut cold_solver = OpSolver::primed(&warm_nls[0], sparse_options).expect("OTA primes");
-    let cold_start = Instant::now();
-    for nl in &warm_nls {
-        cold_solver.retarget(nl);
-        cold_solver.solve().expect("cold corner converges");
-    }
-    let cold_wall = cold_start.elapsed();
-    let cold_iters = cold_solver.newton_iterations();
-    let cold_rec = BenchRecord::new(
-        "spice_warm",
-        "ota_two_stage",
-        "cold-ladder",
-        warm_nls.len(),
-        cold_iters,
-        cold_wall,
-    );
-    print_record(&cold_rec);
-    report.push(cold_rec);
-    let mut warm_solver = OpSolver::primed(&warm_nls[0], sparse_options).expect("OTA primes");
-    let warm_start = Instant::now();
-    warm_solver.solve_corner_sweep(&warm_nls).expect("warm sweep converges");
-    let warm_wall = warm_start.elapsed();
-    let warm_iters = warm_solver.newton_iterations();
-    let iter_ratio = cold_iters as f64 / warm_iters.max(1) as f64;
-    let warm_rec = BenchRecord::new(
-        "spice_warm",
-        "ota_two_stage",
-        "warm-sweep",
-        warm_nls.len(),
-        warm_iters,
-        warm_wall,
-    )
-    .with_speedup(iter_ratio);
-    print_record(&warm_rec);
-    report.push(warm_rec);
-    println!(
-        "    (Newton iterations: warm {warm_iters} vs cold {cold_iters}, \
-         {iter_ratio:.2}x fewer)"
-    );
-    if gate && iter_ratio < warm_floor {
-        failures.push(format!(
-            "spice_warm: warm corner sweep took {warm_iters} Newton iterations vs \
-             {cold_iters} cold ({iter_ratio:.2}x, floor {warm_floor:.1}x)"
-        ));
-    }
-    sections.push(("spice_warm", "cold-ladder".into(), "solve", cold_wall));
-    sections.push(("spice_warm", "warm-sweep".into(), "solve", warm_wall));
 
     // ---- spice_ota: DC+AC evaluations through the full solver stack ----
     // The two-stage Miller OTA testcase: every evaluation is a pooled DC

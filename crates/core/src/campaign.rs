@@ -151,9 +151,15 @@ impl CornerScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `corner_count == 0`.
+    /// Panics if `corner_count == 0`, or if `pruning` has `k == 0` or
+    /// `rerank_every == 0` — the contract of [`PruningConfig::new`],
+    /// which a struct literal can bypass.
     pub fn new(corner_count: usize, pruning: Option<PruningConfig>) -> Self {
         assert!(corner_count > 0, "need at least one corner");
+        if let Some(p) = &pruning {
+            assert!(p.k > 0, "need at least one active corner");
+            assert!(p.rerank_every > 0, "re-rank cadence must be positive");
+        }
         Self {
             worst: LastWorstBuffer::new(corner_count),
             pruning,
@@ -1127,6 +1133,12 @@ mod tests {
     #[should_panic(expected = "re-rank cadence must be positive")]
     fn zero_cadence_panics() {
         PruningConfig::new(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one active corner")]
+    fn scheduler_rejects_a_zero_k_literal() {
+        CornerScheduler::new(4, Some(PruningConfig { k: 0, rerank_every: 10 }));
     }
 
     #[test]

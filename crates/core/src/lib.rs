@@ -56,8 +56,6 @@ mod pvtsizing;
 pub mod reorder;
 pub mod report;
 mod robustanalog;
-pub mod sensitivity;
-pub mod sweep;
 pub mod verification;
 pub mod yield_est;
 
@@ -74,8 +72,6 @@ pub use fault::{FaultKind, FaultPlan};
 pub use optimizer::{Framework, GlovaConfig, GlovaOptimizer};
 pub use problem::SizingProblem;
 pub use report::{IterationTrace, RunResult};
-pub use sensitivity::{sensitivity_sweep, SensitivityReport};
-pub use sweep::ac_sweep_with_engine;
 pub use verification::{VerificationOutcome, Verifier};
 pub use yield_est::{estimate_yield, YieldEstimate};
 

@@ -174,67 +174,6 @@ impl Lu {
         }
     }
 
-    /// Solves `A X = B` for `nrhs` right-hand sides sharing this one
-    /// factorization — the dense counterpart of
-    /// [`SparseLu::solve_into_batch`](crate::sparse::SparseLu::solve_into_batch).
-    /// The packed factor is streamed through memory once with an inner
-    /// loop over the batch instead of once per side.
-    ///
-    /// `b` holds the right-hand sides back to back (`b[r*n..(r+1)*n]` is
-    /// side `r`); `x` is laid out the same way on return. Results are
-    /// **bitwise identical** to `nrhs` separate [`Self::solve_into`]
-    /// calls: per side, every floating-point operation happens in the
-    /// same order on the same values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim() * nrhs`.
-    pub fn solve_into_batch(&self, b: &[f64], x: &mut Vec<f64>, nrhs: usize) {
-        let n = self.dim();
-        assert_eq!(b.len(), n * nrhs, "batched rhs length mismatch");
-        if nrhs == 0 {
-            x.clear();
-            return;
-        }
-        // Interleaved workspace: w[i*nrhs + r] is permuted row i of side
-        // r, so the inner per-entry loops run over contiguous memory.
-        let mut w = vec![0.0f64; n * nrhs];
-        for (i, &p) in self.perm.iter().enumerate() {
-            for r in 0..nrhs {
-                w[i * nrhs + r] = b[r * n + p];
-            }
-        }
-        // Forward then backward substitution, same per-side operation
-        // order as `solve_into` (ascending k per row, subtract in place).
-        for i in 1..n {
-            for k in 0..i {
-                let l = self.lu[(i, k)];
-                for r in 0..nrhs {
-                    w[i * nrhs + r] -= l * w[k * nrhs + r];
-                }
-            }
-        }
-        for i in (0..n).rev() {
-            for k in i + 1..n {
-                let u = self.lu[(i, k)];
-                for r in 0..nrhs {
-                    w[i * nrhs + r] -= u * w[k * nrhs + r];
-                }
-            }
-            let d = self.lu[(i, i)];
-            for r in 0..nrhs {
-                w[i * nrhs + r] /= d;
-            }
-        }
-        x.clear();
-        x.resize(n * nrhs, 0.0);
-        for i in 0..n {
-            for r in 0..nrhs {
-                x[r * n + i] = w[i * nrhs + r];
-            }
-        }
-    }
-
     /// Determinant of the original matrix.
     pub fn determinant(&self) -> f64 {
         self.sign * (0..self.dim()).map(|i| self.lu[(i, i)]).product::<f64>()
@@ -347,38 +286,6 @@ mod tests {
         // a division by zero.
         let zero_row = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0]]);
         assert!(matches!(zero_row.lu(), Err(LinalgError::Singular { .. })));
-    }
-
-    #[test]
-    fn solve_into_batch_matches_single_solves_bitwise() {
-        let a = Matrix::from_rows(&[
-            &[2.0, 1.0, 0.0, 0.5],
-            &[1.0, 3.0, 1.0, 0.0],
-            &[0.0, 1.0, 2.5, -1.0],
-            &[0.5, 0.0, -1.0, 4.0],
-        ]);
-        let lu = a.lu().unwrap();
-        let n = 4;
-        let nrhs = 3;
-        let b: Vec<f64> = (0..n * nrhs).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut batch = Vec::new();
-        lu.solve_into_batch(&b, &mut batch, nrhs);
-        assert_eq!(batch.len(), n * nrhs);
-        let mut single = Vec::new();
-        for r in 0..nrhs {
-            lu.solve_into(&b[r * n..(r + 1) * n], &mut single);
-            for (i, &s) in single.iter().enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    batch[r * n + i].to_bits(),
-                    "side {r} row {i}: batch {} vs single {s}",
-                    batch[r * n + i]
-                );
-            }
-        }
-        // Empty batch is a no-op, not a panic.
-        lu.solve_into_batch(&[], &mut batch, 0);
-        assert!(batch.is_empty());
     }
 
     #[test]

@@ -35,10 +35,6 @@
 //!   computed by [`amd_order`](crate::ordering::amd_order)) consumed as a
 //!   static pivot sequence with Markowitz threshold pivoting retained as
 //!   the per-step numeric fallback.
-//! - **Multi-RHS solves**: [`SparseLu::solve_into_batch`] streams the
-//!   packed factor once across a whole batch of right-hand sides (the
-//!   corner-batch pattern), bitwise identical per side to repeated
-//!   [`SparseLu::solve_into`] calls.
 //! - **Partial refactorization** (KLU-style): when only a known subset of
 //!   input values changes between refreshes (in MNA terms: the nonlinear
 //!   device stamps and the `gmin` diagonal), [`SparseLu::plan_partial`]
@@ -354,9 +350,6 @@ pub struct SparseLu<T = f64> {
     a_to_lu: Vec<usize>,
     /// Dense scatter workspace for elimination and solves.
     work: Vec<T>,
-    /// Interleaved workspace for [`Self::solve_into_batch`], grown on
-    /// first use and reused across batches.
-    batch_work: Vec<T>,
     /// Pre-ordered factorizations only: elimination steps where the
     /// static pivot failed the numeric stability test and Markowitz
     /// threshold pivoting chose instead. Zero for [`Self::factor`].
@@ -1040,7 +1033,6 @@ impl<T: Scalar> SparseLu<T> {
             diag_idx,
             a_to_lu,
             work: vec![T::zero(); n],
-            batch_work: Vec::new(),
             fallback_steps: 0,
             symbolic_id: SYMBOLIC_IDS.fetch_add(1, Ordering::Relaxed),
             schedule,
@@ -1341,74 +1333,6 @@ impl<T: Scalar> SparseLu<T> {
         let mut x = Vec::new();
         self.solve_into(b, &mut x);
         x
-    }
-
-    /// Solves `A X = B` for `nrhs` right-hand sides sharing this one
-    /// factorization, amortizing the triangular sweeps: the packed factor
-    /// is streamed through memory **once** with an inner loop over the
-    /// batch, instead of once per right-hand side — the corner-batch
-    /// pattern where many sweep points share a frozen factor.
-    ///
-    /// `b` holds the right-hand sides back to back (`b[r*n..(r+1)*n]` is
-    /// side `r`); `x` is laid out the same way on return. Results are
-    /// **bitwise identical** to `nrhs` separate [`Self::solve_into`]
-    /// calls: per side, every floating-point operation happens in the
-    /// same order on the same values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim() * nrhs`.
-    pub fn solve_into_batch(&mut self, b: &[T], x: &mut Vec<T>, nrhs: usize) {
-        let n = self.n;
-        assert_eq!(b.len(), n * nrhs, "batched rhs length mismatch");
-        if nrhs == 0 {
-            x.clear();
-            return;
-        }
-        // Interleaved workspace: w[p*nrhs + r] is permuted row p of side
-        // r, so the inner per-entry loops run over contiguous memory.
-        self.batch_work.clear();
-        self.batch_work.resize(n * nrhs, T::zero());
-        let w = &mut self.batch_work;
-        for p in 0..n {
-            let src = self.perm_r[p];
-            for r in 0..nrhs {
-                w[p * nrhs + r] = b[r * n + src];
-            }
-        }
-        // Unit-lower forward sweep: identical operation order per side as
-        // the single-rhs path (ascending idx, subtract-then-store).
-        for p in 0..n {
-            for idx in self.lu_ptr[p]..self.diag_idx[p] {
-                let l = self.lu_vals[idx];
-                let c = self.lu_cols[idx];
-                for r in 0..nrhs {
-                    w[p * nrhs + r] = w[p * nrhs + r] - l * w[c * nrhs + r];
-                }
-            }
-        }
-        // Upper backward sweep.
-        for p in (0..n).rev() {
-            for idx in self.diag_idx[p] + 1..self.lu_ptr[p + 1] {
-                let u = self.lu_vals[idx];
-                let c = self.lu_cols[idx];
-                for r in 0..nrhs {
-                    w[p * nrhs + r] = w[p * nrhs + r] - u * w[c * nrhs + r];
-                }
-            }
-            let d = self.lu_vals[self.diag_idx[p]];
-            for r in 0..nrhs {
-                w[p * nrhs + r] = w[p * nrhs + r] / d;
-            }
-        }
-        x.clear();
-        x.resize(n * nrhs, T::zero());
-        for p in 0..n {
-            let dst = self.perm_c[p];
-            for r in 0..nrhs {
-                x[r * n + dst] = w[p * nrhs + r];
-            }
-        }
     }
 }
 
@@ -1763,33 +1687,6 @@ mod tests {
                 SparseLu::factor_preordered(&a, &bad),
                 Err(LinalgError::DimensionMismatch { .. })
             ));
-        }
-    }
-
-    #[test]
-    fn sparse_solve_into_batch_matches_single_solves_bitwise() {
-        let a = grid_laplacian(7, 5);
-        let n = a.rows();
-        let nrhs = 4;
-        for ordering in [crate::FillOrdering::Markowitz, crate::FillOrdering::Amd] {
-            let mut lu = SparseLu::factor_with(&a, ordering).unwrap();
-            let b: Vec<f64> = (0..n * nrhs).map(|i| (i as f64 * 0.17).sin()).collect();
-            let mut batch = Vec::new();
-            lu.solve_into_batch(&b, &mut batch, nrhs);
-            assert_eq!(batch.len(), n * nrhs);
-            let mut single = Vec::new();
-            for r in 0..nrhs {
-                lu.solve_into(&b[r * n..(r + 1) * n], &mut single);
-                for (i, &s) in single.iter().enumerate() {
-                    assert_eq!(
-                        s.to_bits(),
-                        batch[r * n + i].to_bits(),
-                        "{ordering}: side {r} row {i}"
-                    );
-                }
-            }
-            lu.solve_into_batch(&[], &mut batch, 0);
-            assert!(batch.is_empty());
         }
     }
 

@@ -183,7 +183,8 @@ pub struct JobBudget {
     /// Hard cap on simulations. `None` = unlimited.
     pub max_sims: Option<u64>,
     /// Wall-clock allowance measured from the moment the job **starts
-    /// running** (queue time excluded). `None` = unlimited.
+    /// running** (queue time excluded). `None` = unlimited, as is an
+    /// allowance that reaches past the last representable instant.
     pub max_wall: Option<Duration>,
     /// Absolute deadline (queue time included). `None` = no deadline.
     pub deadline: Option<Instant>,
@@ -550,7 +551,8 @@ impl CampaignServer {
     /// [`ServeError::InvalidRequest`] for shapes the circuit
     /// constructors reject, an empty seeding phase, or agent settings the
     /// agent cannot train with (no critic base, a zero hidden width, a
-    /// zero batch);
+    /// zero batch), or a pruning schedule with a zero `k` or re-rank
+    /// cadence;
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// has begun (checked under the queue lock, so a submit racing a
     /// concurrent shutdown either lands in the drain or fails fast —
@@ -574,6 +576,12 @@ impl CampaignServer {
         }
         if config.batch_size == 0 {
             return invalid("batch_size must be positive");
+        }
+        // The fields are public, so a literal can bypass the contract
+        // `PruningConfig::new` asserts; a zero `k` would run pruned steps
+        // that simulate no corner.
+        if config.pruning.as_ref().is_some_and(|p| p.k == 0 || p.rerank_every == 0) {
+            return invalid("pruning k and rerank_every must be positive");
         }
         let mut control = CampaignControl::new();
         if let Some(max_sims) = request.budget.max_sims {
@@ -823,9 +831,12 @@ fn run_job(shared: &ServerShared, job: &Job) {
     }
     // `max_wall` is measured from run start (queue time excluded):
     // translate it to an absolute deadline now, tightening any absolute
-    // deadline already on the control.
-    if let Some(max_wall) = job.request.budget.max_wall {
-        job.control.tighten_deadline(Instant::now() + max_wall);
+    // deadline already on the control. An allowance past the last
+    // representable instant sets no deadline.
+    if let Some(deadline) =
+        job.request.budget.max_wall.and_then(|max_wall| Instant::now().checked_add(max_wall))
+    {
+        job.control.tighten_deadline(deadline);
     }
     // A panicking campaign (solver assertion, config mismatch the cheap
     // validation missed) fails its own job, never the fleet.
@@ -948,6 +959,20 @@ mod tests {
         zero_batch.config.batch_size = 0;
         assert!(matches!(server.submit(zero_batch), Err(ServeError::InvalidRequest(_))));
         // Nothing was ever enqueued.
+        assert_eq!(server.shutdown().queue_high_water, 0);
+    }
+
+    #[test]
+    fn zero_pruning_schedule_is_rejected_at_submission() {
+        let server = CampaignServer::new(1);
+        for (k, rerank_every) in [(0, 10), (2, 0)] {
+            let mut request = quick_request(1);
+            request.config.pruning = Some(glova::campaign::PruningConfig { k, rerank_every });
+            assert!(
+                matches!(server.submit(request), Err(ServeError::InvalidRequest(_))),
+                "k = {k}, rerank_every = {rerank_every} must be rejected"
+            );
+        }
         assert_eq!(server.shutdown().queue_high_water, 0);
     }
 

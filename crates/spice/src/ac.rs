@@ -6,10 +6,10 @@
 //! unit AC source superimposed on one voltage source, so node results are
 //! transfer functions relative to it.
 //!
-//! On the sparse backend [`AcSolverPool`] walks the netlist once into a
-//! compiled event template and replays it per frequency point — bitwise
-//! identical to re-walking the stamp loop, which survives only as the
-//! unit tests' oracle.
+//! The sweep solves its points in order. On the sparse backend it walks
+//! the netlist once into a compiled event template and replays it per
+//! frequency point — bitwise identical to re-walking the stamp loop,
+//! which survives only as the unit tests' oracle.
 
 use crate::complex::{Complex, ComplexMatrix};
 use crate::dc::{operating_point, OperatingPoint};
@@ -19,8 +19,6 @@ use crate::model::MosPolarity;
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
 use glova_linalg::sparse::{CsrMatrix, SparseLu, Triplets};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Result of an AC sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,21 +71,6 @@ impl AcResult {
         }
         None
     }
-
-    /// Assembles a result from independently solved points — the entry
-    /// point for engine-dispatched sweeps that fan
-    /// [`AcSolverPool::solve_point`] out over worker threads and collect
-    /// in index order. `solutions[i]` must be the node-voltage vector
-    /// (length = non-ground node count) at `frequencies[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths disagree.
-    pub fn from_parts(frequencies: Vec<f64>, solutions: Vec<Vec<Complex>>, n_nodes: usize) -> Self {
-        assert_eq!(frequencies.len(), solutions.len(), "one solution per frequency");
-        assert!(solutions.iter().all(|s| s.len() == n_nodes), "solution dimension mismatch");
-        Self { frequencies, solutions, n_nodes }
-    }
 }
 
 /// Logarithmic frequency sweep: `points_per_decade` points from `f_start`
@@ -129,10 +112,7 @@ pub fn ac_sweep(
 /// values change), so on the sparse backend the Markowitz pivot order and
 /// fill pattern are computed once and every point pays a numeric-only
 /// complex refactorization — the same symbolic reuse the DC path gets
-/// across Newton iterations. Implemented as a sequential drive of
-/// [`AcSolverPool`]; engine-dispatched sweeps fan the same pool out over
-/// worker threads (`glova::sweep::ac_sweep_with_engine`) with bitwise
-/// identical results.
+/// across Newton iterations.
 ///
 /// # Errors
 ///
@@ -143,12 +123,8 @@ pub fn ac_sweep_with_backend(
     frequencies: &[f64],
     backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
-    let pool = AcSolverPool::new(netlist, ac_source_name, frequencies, backend)?;
-    let mut solutions = Vec::with_capacity(frequencies.len());
-    for &freq in frequencies {
-        solutions.push(pool.solve_point(freq)?);
-    }
-    Ok(AcResult::from_parts(frequencies.to_vec(), solutions, pool.n_nodes()))
+    let op = operating_point(netlist)?;
+    ac_sweep_with_backend_from_op(netlist, op, ac_source_name, frequencies, backend)
 }
 
 /// [`ac_sweep_with_backend`] over a caller-provided DC operating point —
@@ -166,12 +142,7 @@ pub fn ac_sweep_with_backend_from_op(
     frequencies: &[f64],
     backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
-    let pool = AcSolverPool::from_op(netlist, op, ac_source_name, frequencies, backend)?;
-    let mut solutions = Vec::with_capacity(frequencies.len());
-    for &freq in frequencies {
-        solutions.push(pool.solve_point(freq)?);
-    }
-    Ok(AcResult::from_parts(frequencies.to_vec(), solutions, pool.n_nodes()))
+    AcSweep::new(netlist, op, ac_source_name, frequencies, backend)?.run(frequencies)
 }
 
 /// One compiled small-signal stamp event: the value added to packed CSR
@@ -189,114 +160,57 @@ struct AcEvent {
     c: f64,
 }
 
-/// Per-worker state for one sparse AC point solve: the CSR system (value
-/// array rewritten per point through the shared event template) and a
-/// complex [`SparseLu`] cloned from the pool's primed prototype, so
-/// every worker refactors over the same canonical symbolic analysis.
+/// The sparse per-point solver: the CSR system, whose value array is
+/// rewritten for every point, and a complex [`SparseLu`] cloned from the
+/// sweep's primed prototype, so every point refactors over the same
+/// canonical symbolic analysis.
 #[derive(Debug, Clone)]
 struct AcWorker {
     system: CsrMatrix<Complex>,
-    /// Compiled value-retarget template: the stamp walk flattened into
-    /// `(slot, re, c)` events replayed per point without touching the
-    /// netlist.
-    events: Arc<Vec<AcEvent>>,
     lu: SparseLu<Complex>,
-    x: Vec<Complex>,
-    /// Whether this worker abandoned the canonical pivot order (fresh
-    /// factorization after a refactor failure) — retired on return.
-    repivoted: bool,
 }
 
-/// Returns the worker on every exit path, retiring non-canonical or
-/// unwound checkouts (mirrors `OpSolverPool`).
-struct Checkout<'p, 'a> {
-    pool: &'p AcSolverPool<'a>,
-    worker: Option<AcWorker>,
-}
-
-impl Drop for Checkout<'_, '_> {
-    fn drop(&mut self) {
-        let Some(worker) = self.worker.take() else { return };
-        let canonical = !std::thread::panicking() && !worker.repivoted;
-        let returned = if canonical {
-            worker
-        } else {
-            self.pool.retired.fetch_add(1, Ordering::Relaxed);
-            self.pool.proto.clone().expect("sparse pool has a prototype")
-        };
-        if let Ok(mut free) = self.pool.free.lock() {
-            free.push(returned);
-        }
-    }
-}
-
-/// A thread-safe pool of per-worker AC point solvers sharing one complex
-/// symbolic analysis — the frequency-sweep analogue of
-/// [`OpSolverPool`](crate::dc::OpSolverPool).
+/// One AC sweep, solved point by point in frequency order.
 ///
 /// The linearization point (DC operating point) and, on the sparse
-/// backend, the CSR pattern plus the primed [`SparseLu`] prototype are
-/// computed once at construction; each [`solve_point`](Self::solve_point)
-/// then checks a worker out of the free list (cloning the prototype when
-/// empty, so at most one worker per concurrent caller materializes),
-/// rewrites the value array in place and runs a numeric-only complex
-/// refactorization.
+/// backend, the compiled event template plus the primed [`SparseLu`]
+/// prototype are built once; each sparse point then rewrites the value
+/// array in place and runs a numeric-only complex refactorization.
 ///
 /// # Determinism
 ///
 /// A point's solution is a pure function of `(netlist, operating point,
-/// frequency)` plus the canonical symbolic analysis: workers rewrite
-/// every stored value before refactoring, so no per-point state leaks
-/// between points, and a worker whose refactor had to fall back to a
-/// fresh factorization (still a pure function of the point) is retired
-/// rather than returned. Sequential and engine-dispatched sweeps are
-/// therefore bitwise identical — `tests/ac_engine_parity.rs` locks this
-/// in.
-#[derive(Debug)]
-pub struct AcSolverPool<'a> {
+/// frequency)` plus the canonical symbolic analysis: every stored value
+/// is rewritten before refactoring, so no per-point state leaks between
+/// points, and a point whose refactor had to fall back to a fresh
+/// factorization (still a pure function of the point) hands the next
+/// point a fresh clone of the prototype.
+struct AcSweep<'a> {
     netlist: &'a Netlist,
     op: OperatingPoint,
     ac_branch: usize,
     n_nodes: usize,
     n: usize,
+    /// Compiled value-retarget template: the stamp walk flattened into
+    /// `(slot, re, c)` events replayed per point without touching the
+    /// netlist (empty on the dense backend).
+    events: Vec<AcEvent>,
     /// Primed sparse prototype; `None` on the dense backend (dense
     /// points are independent full solves) or for empty sweeps.
     proto: Option<AcWorker>,
-    free: Mutex<Vec<AcWorker>>,
-    spawned: AtomicUsize,
-    retired: AtomicUsize,
 }
 
-impl<'a> AcSolverPool<'a> {
-    /// Builds the pool: solves the DC operating point, resolves the AC
+impl<'a> AcSweep<'a> {
+    /// Builds the sweep over a solved operating point: resolves the AC
     /// source and (sparse backend, non-empty sweep) primes the prototype
     /// at the sweep's first frequency.
     ///
     /// # Errors
     ///
     /// - [`SpiceError::InvalidNetlist`] if the named source is missing.
-    /// - DC-solve failures propagate; a structurally singular
-    ///   small-signal system surfaces as [`SpiceError::SingularMatrix`]
-    ///   at priming time.
-    pub fn new(
-        netlist: &'a Netlist,
-        ac_source_name: &str,
-        frequencies: &[f64],
-        backend: SolverBackend,
-    ) -> Result<Self, SpiceError> {
-        let op = operating_point(netlist)?;
-        Self::from_op(netlist, op, ac_source_name, frequencies, backend)
-    }
-
-    /// [`new`](Self::new) over a caller-provided operating point —
-    /// circuits that already solved DC through a pooled
-    /// [`OpSolver`](crate::dc::OpSolver) (e.g. for power metrics) reuse
-    /// it here instead of paying a second Newton solve.
-    ///
-    /// # Errors
-    ///
-    /// See [`AcSolverPool::new`].
-    pub fn from_op(
+    /// - A structurally singular small-signal system surfaces as
+    ///   [`SpiceError::SingularMatrix`] at priming time.
+    fn new(
         netlist: &'a Netlist,
         op: OperatingPoint,
         ac_source_name: &str,
@@ -309,14 +223,15 @@ impl<'a> AcSolverPool<'a> {
             })?;
         let n_nodes = netlist.node_count() - 1;
         let n = netlist.unknown_count();
-        let proto = if backend.resolves_to_sparse(n) && !frequencies.is_empty() {
+        let mut events = Vec::new();
+        let mut proto = None;
+        if backend.resolves_to_sparse(n) && !frequencies.is_empty() {
             // The stamp pattern is frequency-invariant (only the jωC
             // values change) and the device walk is deterministic, so
             // the stamp walk is run exactly once here, in `(re, c)`
             // parts form: it yields the CSR pattern and the compiled
             // event template every point replays. The symbolic analysis
-            // is primed at the first sweep frequency and shared by every
-            // worker clone.
+            // is primed at the first sweep frequency.
             let omega = 2.0 * std::f64::consts::PI * frequencies[0];
             let mut parts: Vec<(usize, usize, f64, f64)> = Vec::new();
             stamp_ac_parts(netlist, &op, &mut |i, j, re, c| parts.push((i, j, re, c)));
@@ -325,78 +240,54 @@ impl<'a> AcSolverPool<'a> {
                 t.push(i, j, Complex::new(re, omega * c));
             }
             let system = t.to_csr();
-            let events: Arc<Vec<AcEvent>> = Arc::new(
-                parts
-                    .iter()
-                    .map(|&(i, j, re, c)| {
-                        let slot =
-                            system.value_index(i, j).expect("pushed entry is in the pattern");
-                        AcEvent { slot: slot as u32, re, c }
-                    })
-                    .collect(),
-            );
+            events = parts
+                .iter()
+                .map(|&(i, j, re, c)| {
+                    let slot = system.value_index(i, j).expect("pushed entry is in the pattern");
+                    AcEvent { slot: slot as u32, re, c }
+                })
+                .collect();
             let lu = SparseLu::factor(&system).map_err(|_| SpiceError::SingularMatrix)?;
-            Some(AcWorker { system, events, lu, x: Vec::new(), repivoted: false })
-        } else {
-            None
-        };
-        Ok(Self {
-            netlist,
-            op,
-            ac_branch,
-            n_nodes,
-            n,
-            proto,
-            free: Mutex::new(Vec::new()),
-            spawned: AtomicUsize::new(0),
-            retired: AtomicUsize::new(0),
-        })
-    }
-
-    /// Non-ground node count (the length of each solution vector).
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Workers materialized so far — bounded by the peak number of
-    /// concurrent [`solve_point`](Self::solve_point) callers.
-    pub fn workers_spawned(&self) -> usize {
-        self.spawned.load(Ordering::Relaxed)
-    }
-
-    /// Workers retired after abandoning the canonical pivot order.
-    pub fn workers_retired(&self) -> usize {
-        self.retired.load(Ordering::Relaxed)
-    }
-
-    /// Solves the small-signal system at `freq_hz` (unit excitation on
-    /// the AC source), returning the non-ground node voltages.
-    ///
-    /// On the sparse backend the per-point values come from the compiled
-    /// event template (value-only retargeting) — no netlist walk per
-    /// point, yet bitwise identical to re-walking the netlist's stamp
-    /// loop (the unit tests hold that parity against the walk).
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::SingularMatrix`] if the point's system cannot be
-    /// factored even freshly.
-    pub fn solve_point(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        if self.proto.is_none() {
-            // Dense backend: each point is an independent full solve.
-            let mut a = ComplexMatrix::zeros(self.n);
-            stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| a.add_at(i, j, v));
-            let x = a.solve(&self.excitation()).map_err(|_| SpiceError::SingularMatrix)?;
-            return Ok(x[..self.n_nodes].to_vec());
+            proto = Some(AcWorker { system, lu });
         }
-        let mut checkout = self.checkout();
-        let w = checkout.worker.as_mut().expect("worker present until drop");
+        Ok(Self { netlist, op, ac_branch, n_nodes, n, events, proto })
+    }
+
+    /// Solves every point in order. Sparse points run on a clone of the
+    /// primed prototype, never on the prototype itself, so that a point
+    /// whose refactor re-pivots can hand the next point a fresh clone.
+    fn run(&self, frequencies: &[f64]) -> Result<AcResult, SpiceError> {
+        let mut worker = self.proto.clone();
+        let solutions = frequencies
+            .iter()
+            .map(|&freq| match worker.as_mut() {
+                Some(w) => self.solve_sparse(w, freq),
+                None => self.solve_dense(freq),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(AcResult { frequencies: frequencies.to_vec(), solutions, n_nodes: self.n_nodes })
+    }
+
+    /// Dense backend: each point is an independent full solve.
+    fn solve_dense(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
+        let omega = 2.0 * std::f64::consts::PI * freq_hz;
+        let mut a = ComplexMatrix::zeros(self.n);
+        stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| a.add_at(i, j, v));
+        let x = a.solve(&self.excitation()).map_err(|_| SpiceError::SingularMatrix)?;
+        Ok(x[..self.n_nodes].to_vec())
+    }
+
+    /// Sparse backend: the point's values come from the compiled event
+    /// template (value-only retargeting) — no netlist walk per point, yet
+    /// bitwise identical to re-walking the netlist's stamp loop (the unit
+    /// tests hold that parity against the walk).
+    fn solve_sparse(&self, w: &mut AcWorker, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
+        let omega = 2.0 * std::f64::consts::PI * freq_hz;
         // Rewrite every stored value for this point — no state carries
-        // over from whatever point the worker solved last.
+        // over from the point the worker solved last.
         let values = w.system.values_mut();
         values.fill(Complex::ZERO);
-        for ev in w.events.iter() {
+        for ev in &self.events {
             values[ev.slot as usize] += Complex::new(ev.re, omega * ev.c);
         }
         self.solve_worker(w)
@@ -412,28 +303,33 @@ impl<'a> AcSolverPool<'a> {
     /// Refactors and solves a worker whose system holds the point's
     /// values. Numeric-only refresh over the canonical symbolic
     /// analysis; a pivot that collapsed at this frequency falls back to
-    /// a fresh factorization (pure per point) and retires the worker.
+    /// a fresh factorization (pure per point), after which the worker is
+    /// replaced by a fresh prototype clone.
     fn solve_worker(&self, w: &mut AcWorker) -> Result<Vec<Complex>, SpiceError> {
-        if w.lu.refactor(&w.system).is_err() {
+        let repivoted = w.lu.refactor(&w.system).is_err();
+        if repivoted {
             w.lu = SparseLu::factor(&w.system).map_err(|_| SpiceError::SingularMatrix)?;
-            w.repivoted = true;
         }
-        let mut x = std::mem::take(&mut w.x);
+        let mut x = Vec::new();
         w.lu.solve_into(&self.excitation(), &mut x);
-        let solution = x[..self.n_nodes].to_vec();
-        w.x = x;
-        Ok(solution)
+        if repivoted {
+            *w = self.proto.clone().expect("sparse sweep has a prototype");
+        }
+        x.truncate(self.n_nodes);
+        Ok(x)
     }
 
-    /// [`solve_point`](Self::solve_point) with the values written by
+    /// [`solve_sparse`](Self::solve_sparse) with the values written by
     /// re-walking the netlist's stamp loop instead of replaying the
     /// event template — the parity oracle the template is tested
     /// against (same slots, same addends, same order).
     #[cfg(test)]
-    fn solve_point_rewalk(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
+    fn solve_point_rewalk(
+        &self,
+        w: &mut AcWorker,
+        freq_hz: f64,
+    ) -> Result<Vec<Complex>, SpiceError> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let mut checkout = self.checkout();
-        let w = checkout.worker.as_mut().expect("worker present until drop");
         let system = &mut w.system;
         system.values_mut().fill(Complex::ZERO);
         stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| {
@@ -441,17 +337,6 @@ impl<'a> AcSolverPool<'a> {
             system.values_mut()[slot] += v;
         });
         self.solve_worker(w)
-    }
-
-    /// Checks a worker out of the free list (cloning the prototype when
-    /// empty). Only valid on the sparse backend.
-    fn checkout(&self) -> Checkout<'_, 'a> {
-        let proto = self.proto.as_ref().expect("sparse pool has a prototype");
-        let worker = self.free.lock().expect("ac pool poisoned").pop().unwrap_or_else(|| {
-            self.spawned.fetch_add(1, Ordering::Relaxed);
-            proto.clone()
-        });
-        Checkout { pool: self, worker: Some(worker) }
     }
 }
 
@@ -475,8 +360,8 @@ fn stamp_ac(
 
 /// The frequency-independent decomposition of the small-signal stamp
 /// walk: each emitted `(i, j, re, c)` contributes `re + j·ω·c` at
-/// angular frequency ω. Run once per pool, this walk yields the compiled
-/// event template [`AcSolverPool`] replays per point; signed zeros in
+/// angular frequency ω. Run once per sweep, this walk yields the compiled
+/// event template [`AcSweep`] replays per point; signed zeros in
 /// the `re`/`c` parts are chosen so the reconstruction matches the
 /// direct stamps (which negate whole [`Complex`] values) bitwise.
 fn stamp_ac_parts(
@@ -708,20 +593,29 @@ mod tests {
         x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
     }
 
+    /// A sparse sweep over `nl` and a clone of its primed prototype to
+    /// solve points on.
+    fn sparse_sweep<'a>(nl: &'a Netlist, source: &str, freqs: &[f64]) -> (AcSweep<'a>, AcWorker) {
+        let op = operating_point(nl).unwrap();
+        let sweep = AcSweep::new(nl, op, source, freqs, SolverBackend::Sparse).unwrap();
+        let worker = sweep.proto.clone().expect("sparse sweep primes a prototype");
+        (sweep, worker)
+    }
+
     proptest::proptest! {
         // Event-template replay == per-point netlist re-walk, bitwise,
-        // across random device parameters on the pooled sparse path (the
-        // dense backend has no template: every point is a fresh build).
+        // across random device parameters on the sparse path (the dense
+        // backend has no template: every point is a fresh build).
         #[test]
         fn prop_ac_retarget_matches_rebuild_bitwise(
             p in proptest::collection::vec(-1.0f64..1.0, 8),
         ) {
             let nl = mixed_netlist(&p);
             let freqs = log_sweep(1e3, 1e9, 2);
-            let pool = AcSolverPool::new(&nl, "VIN", &freqs, SolverBackend::Sparse).unwrap();
+            let (sweep, mut w) = sparse_sweep(&nl, "VIN", &freqs);
             for &f in &freqs {
-                let fast = pool.solve_point(f).unwrap();
-                let slow = pool.solve_point_rewalk(f).unwrap();
+                let fast = sweep.solve_sparse(&mut w, f).unwrap();
+                let slow = sweep.solve_point_rewalk(&mut w, f).unwrap();
                 proptest::prop_assert_eq!(
                     point_bits(&fast), point_bits(&slow), "template vs re-walk @ {} Hz", f
                 );
@@ -732,14 +626,127 @@ mod tests {
     #[test]
     fn event_template_matches_rewalk_on_ota() {
         // The OTA has 10 unknowns — below the dense cutoff — so force the
-        // sparse backend to exercise the pooled event-template path.
+        // sparse backend to exercise the event-template path. Each point
+        // also re-solves to the same bits and matches the whole sweep.
         let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
         let freqs = log_sweep(1e3, 1e9, 3);
-        let pool = AcSolverPool::new(&nl, "VINP", &freqs, SolverBackend::Sparse).unwrap();
-        for &f in &freqs {
-            let fast = pool.solve_point(f).unwrap();
-            let slow = pool.solve_point_rewalk(f).unwrap();
+        let (sweep, mut w) = sparse_sweep(&nl, "VINP", &freqs);
+        let swept = sweep.run(&freqs).unwrap();
+        for (i, &f) in freqs.iter().enumerate() {
+            let fast = sweep.solve_sparse(&mut w, f).unwrap();
+            let again = sweep.solve_sparse(&mut w, f).unwrap();
+            let slow = sweep.solve_point_rewalk(&mut w, f).unwrap();
             assert_eq!(point_bits(&fast), point_bits(&slow), "template vs re-walk @ {f} Hz");
+            assert_eq!(point_bits(&fast), point_bits(&again), "re-solve @ {f} Hz");
+            assert_eq!(point_bits(&fast), point_bits(&swept.solutions[i]), "sweep @ {f} Hz");
         }
+    }
+
+    #[test]
+    fn refactor_fallback_hands_the_next_point_a_fresh_prototype() {
+        // A factor of another pattern cannot be refactored over the
+        // point's system, so the first point solved falls back to a
+        // fresh factorization.
+        let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
+        let freqs = log_sweep(1e3, 1e9, 3);
+        let (sweep, mut w) = sparse_sweep(&nl, "VINP", &freqs);
+        let mut identity = Triplets::new(sweep.n, sweep.n);
+        for i in 0..sweep.n {
+            identity.push(i, i, Complex::ONE);
+        }
+        w.lu = SparseLu::factor(&identity.to_csr()).unwrap();
+        let alone = |f: f64| sweep.solve_sparse(&mut sweep.proto.clone().unwrap(), f).unwrap();
+        // At the top frequency the fresh factorization pivots away from
+        // the prototype's order: other bits, the same values.
+        let top = *freqs.last().unwrap();
+        let (fallback, canonical) = (sweep.solve_sparse(&mut w, top).unwrap(), alone(top));
+        assert_ne!(point_bits(&fallback), point_bits(&canonical));
+        for (a, b) in fallback.iter().zip(&canonical) {
+            assert!((*a - *b).abs() <= 1e-9 * (1.0 + b.abs()), "{a:?} vs {b:?}");
+        }
+        // Every later point runs on a fresh prototype clone again.
+        for &f in &freqs {
+            assert_eq!(point_bits(&sweep.solve_sparse(&mut w, f).unwrap()), point_bits(&alone(f)));
+        }
+    }
+
+    /// Digests of [`golden_solver_digest`], recorded while the AC sweep
+    /// ran on a thread-safe solver pool and the Newton loop carried a
+    /// warm-start flag; the code that replaced both must reproduce them.
+    const GOLDEN_AC: u64 = 0xb103_1b8b_8ecd_72c6;
+    const GOLDEN_DC: u64 = 0xb2d7_a7c2_8b60_f0f0;
+
+    /// Every output bit of AC sweeps on both entry points and every
+    /// backend, and of DC operating points with their Newton iteration
+    /// counts under four option sets. No workload reaches the sparse AC
+    /// path (the OTA resolves to dense), so this is its bit-level guard.
+    #[test]
+    fn golden_solver_digest() {
+        use crate::dc::OpSolver;
+        use crate::mna::NewtonOptions;
+        use crate::netlist::{
+            inverter_chain, ota_two_stage, rc_ladder, sense_amp_array, OtaParams,
+        };
+        use glova_stats::hash::Fnv1a;
+
+        fn absorb(digest: &mut Fnv1a, ac: &AcResult) {
+            digest.write_f64_slice(&ac.frequencies);
+            for v in ac.solutions.iter().flatten() {
+                digest.write_f64(v.re);
+                digest.write_f64(v.im);
+            }
+        }
+
+        let freqs = log_sweep(1e3, 1e9, 7);
+        let backends = [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto];
+        let nominal = OtaParams::nominal();
+        let sizings = [
+            nominal,
+            OtaParams { w_in_um: 4.0, itail_ua: 40.0, ..nominal },
+            OtaParams { w_mir_um: 3.0, w_out_um: 12.0, ..nominal },
+            OtaParams { l_um: 0.2, cc_ff: 400.0, ..nominal },
+            OtaParams { rl_kohm: 20.0, cl_ff: 1000.0, ..nominal },
+            OtaParams { w_in_um: 1.0, w_out_um: 3.0, itail_ua: 10.0, vcm: 0.5, ..nominal },
+        ];
+        let mut ac = Fnv1a::new();
+        for p in &sizings {
+            let nl = ota_two_stage(p);
+            for backend in backends {
+                absorb(&mut ac, &ac_sweep_with_backend(&nl, "VINP", &freqs, backend).unwrap());
+                let op = OpSolver::new(&nl, NewtonOptions::default().with_backend(backend))
+                    .solve()
+                    .unwrap();
+                let swept = ac_sweep_with_backend_from_op(&nl, op, "VINP", &freqs, backend);
+                absorb(&mut ac, &swept.unwrap());
+            }
+        }
+        let ladder = rc_ladder(40, 1e3, 1e-12);
+        for backend in backends {
+            absorb(&mut ac, &ac_sweep_with_backend(&ladder, "VIN", &freqs, backend).unwrap());
+        }
+
+        let mut dc = Fnv1a::new();
+        let circuits =
+            [inverter_chain(4), inverter_chain(24), sense_amp_array(5, 4), ota_two_stage(&nominal)];
+        let options = [
+            NewtonOptions::default(),
+            NewtonOptions::default().with_backend(SolverBackend::Sparse),
+            NewtonOptions::default().with_backend(SolverBackend::Dense),
+            NewtonOptions::full_newton(),
+        ];
+        for nl in &circuits {
+            for o in options {
+                let mut solver = OpSolver::new(nl, o);
+                dc.write_f64_slice(solver.solve().unwrap().raw());
+                dc.write_u64(solver.newton_iterations());
+            }
+        }
+        assert_eq!(
+            (ac.finish(), dc.finish()),
+            (GOLDEN_AC, GOLDEN_DC),
+            "digests {:016x} {:016x}",
+            ac.finish(),
+            dc.finish()
+        );
     }
 }

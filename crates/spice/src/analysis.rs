@@ -1,9 +1,7 @@
 //! Waveform measurement utilities.
 //!
-//! The performance metrics of the paper's testcases are waveform
-//! measurements: set/reset delays are threshold-crossing times, energy per
-//! conversion integrates supply current, sensing margins read settled
-//! differential voltages.
+//! The paper's delay metrics are waveform measurements: set/reset delays
+//! are threshold-crossing times.
 
 /// Edge direction for crossing searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,57 +34,6 @@ pub fn crossing_time(times: &[f64], values: &[f64], threshold: f64, edge: Edge) 
     None
 }
 
-/// Trapezoidal integral of `values` over `times`.
-///
-/// # Panics
-///
-/// Panics if `times.len() != values.len()`.
-pub fn integrate(times: &[f64], values: &[f64]) -> f64 {
-    assert_eq!(times.len(), values.len(), "waveform length mismatch");
-    let mut acc = 0.0;
-    for i in 1..values.len() {
-        acc += 0.5 * (values[i] + values[i - 1]) * (times[i] - times[i - 1]);
-    }
-    acc
-}
-
-/// Energy delivered by a voltage source given its branch-current and
-/// terminal-voltage waveforms (positive = delivered to the circuit).
-///
-/// MNA branch current flows *into* the plus terminal, so delivered power is
-/// `−i·v`.
-///
-/// # Panics
-///
-/// Panics if waveform lengths differ.
-pub fn source_energy(times: &[f64], branch_current: &[f64], voltage: &[f64]) -> f64 {
-    assert_eq!(branch_current.len(), voltage.len(), "waveform length mismatch");
-    let power: Vec<f64> = branch_current.iter().zip(voltage).map(|(i, v)| -i * v).collect();
-    integrate(times, &power)
-}
-
-/// Mean of the waveform tail starting at time `t_from` (settled value).
-///
-/// Returns `None` when no samples lie at or after `t_from`.
-///
-/// # Panics
-///
-/// Panics if `times.len() != values.len()`.
-pub fn settled_value(times: &[f64], values: &[f64], t_from: f64) -> Option<f64> {
-    assert_eq!(times.len(), values.len(), "waveform length mismatch");
-    let tail: Vec<f64> =
-        times.iter().zip(values).filter(|(t, _)| **t >= t_from).map(|(_, v)| *v).collect();
-    if tail.is_empty() {
-        None
-    } else {
-        Some(glova_sum(&tail) / tail.len() as f64)
-    }
-}
-
-fn glova_sum(xs: &[f64]) -> f64 {
-    xs.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,37 +60,5 @@ mod tests {
         let values = [0.0, 0.5];
         assert_eq!(crossing_time(&times, &values, 0.9, Edge::Rising), None);
         assert_eq!(crossing_time(&times, &values, 0.2, Edge::Falling), None);
-    }
-
-    #[test]
-    fn integral_of_constant() {
-        let times = [0.0, 0.5, 2.0];
-        let values = [3.0, 3.0, 3.0];
-        assert!((integrate(&times, &values) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn integral_of_ramp() {
-        let times: Vec<f64> = (0..=100).map(|i| i as f64 / 100.0).collect();
-        let values: Vec<f64> = times.clone();
-        assert!((integrate(&times, &values) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn settled_value_tail_mean() {
-        let times = [0.0, 1.0, 2.0, 3.0];
-        let values = [9.0, 9.0, 2.0, 4.0];
-        assert_eq!(settled_value(&times, &values, 2.0), Some(3.0));
-        assert_eq!(settled_value(&times, &values, 5.0), None);
-    }
-
-    #[test]
-    fn source_energy_sign_convention() {
-        // Source at 1 V delivering 1 A (branch current −1 A by convention)
-        // for 1 s delivers 1 J.
-        let times = [0.0, 1.0];
-        let current = [-1.0, -1.0];
-        let voltage = [1.0, 1.0];
-        assert!((source_energy(&times, &current, &voltage) - 1.0).abs() < 1e-12);
     }
 }

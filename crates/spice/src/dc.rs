@@ -6,8 +6,8 @@
 //! [`OpSolverPool`] clones one primed solver per worker thread.
 
 use crate::mna::{
-    newton_solve_with_state, newton_solve_with_state_warm, MnaState, MnaTemplate, NewtonOptions,
-    RefactorStats, RetargetOutcome, StampContext,
+    newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RefactorStats, RetargetOutcome,
+    StampContext,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
@@ -220,152 +220,11 @@ impl OpSolver {
         ladder_solve(&mut self.state, initial, &self.options, self.n_nodes)
     }
 
-    /// Batched corner sweep over **source-only** variants of one linear
-    /// netlist: a single factorization serves the entire batch, with all
-    /// right-hand sides swept through the factor in one multi-RHS
-    /// triangular pass ([`SparseLu::solve_into_batch`] /
-    /// [`Lu::solve_into_batch`]). This is the DC analogue of reusing one
-    /// LU across an AC frequency sweep — applicable exactly when the
-    /// variants share the system matrix bitwise, i.e. a linear circuit
-    /// (no MOSFETs) whose corners perturb only independent-source
-    /// values.
-    ///
-    /// Each returned operating point is the direct solution of the final
-    /// `gmin`-rung system `A·x = b_r` — for a linear circuit that is the
-    /// same fixed point the Newton ladder of [`solve`](Self::solve)
-    /// converges to (the ladder only matters for nonlinear
-    /// continuation), and per side the result is bitwise identical to a
-    /// repeated single-RHS solve against the same factor.
-    ///
-    /// [`SparseLu::solve_into_batch`]:
-    /// glova_linalg::sparse::SparseLu::solve_into_batch
-    /// [`Lu::solve_into_batch`]: glova_linalg::Lu::solve_into_batch
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::InvalidNetlist`] if the circuit is nonlinear, a
-    /// variant changes the topology, or a variant perturbs anything
-    /// besides source values (detected by a bitwise matrix-value check);
-    /// [`SpiceError::SingularMatrix`] if the shared matrix cannot be
-    /// factored.
-    pub fn solve_source_batch(
-        &mut self,
-        netlists: &[Netlist],
-    ) -> Result<Vec<OperatingPoint>, SpiceError> {
-        if netlists.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.state.nonlinear_count() != 0 {
-            return Err(SpiceError::InvalidNetlist {
-                reason: "solve_source_batch requires a linear circuit (no MOSFETs): nonlinear \
-                         corners change the matrix, so there is no shared factorization"
-                    .into(),
-            });
-        }
-        let n = self.unknowns;
-        let gmin = *GMIN_LADDER.last().unwrap();
-        let zeros = vec![0.0; n];
-        let mut b = vec![0.0; n * netlists.len()];
-        let mut matrix_hash = None;
-        for (r, nl) in netlists.iter().enumerate() {
-            if self.retarget(nl) == RetargetOutcome::Topology {
-                return Err(SpiceError::InvalidNetlist {
-                    reason: "solve_source_batch requires every variant to share one topology"
-                        .into(),
-                });
-            }
-            self.state.assemble(&zeros, gmin);
-            let hash = self.state.matrix_value_hash();
-            if *matrix_hash.get_or_insert(hash) != hash {
-                return Err(SpiceError::InvalidNetlist {
-                    reason: "solve_source_batch variants must perturb source values only (the \
-                             assembled matrices differ)"
-                        .into(),
-                });
-            }
-            self.state.rhs_into(&mut b[r * n..(r + 1) * n]);
-        }
-        // One numeric refresh for the whole batch (the matrices are
-        // bitwise equal, so the factor of the last assembly serves every
-        // side), then one batched triangular sweep.
-        self.state.refresh_factor()?;
-        let mut x = Vec::new();
-        self.state.solve_batch_into(&b, &mut x, netlists.len());
-        Ok((0..netlists.len())
-            .map(|r| OperatingPoint::new(x[r * n..(r + 1) * n].to_vec(), self.n_nodes))
-            .collect())
-    }
-
     /// Cumulative Newton/chord iterations this solver has run (all
-    /// solves, all `gmin` rungs) — the deterministic work measure the
-    /// warm-started corner-sweep gate compares against the cold ladder.
+    /// solves, all `gmin` rungs) — the deterministic work measure of a
+    /// solve sequence.
     pub fn newton_iterations(&self) -> u64 {
         self.state.newton_iterations()
-    }
-
-    /// **Warm-started** batched corner sweep over nonlinear variants of
-    /// one topology — the nonlinear counterpart of
-    /// [`solve_source_batch`](Self::solve_source_batch). Corners of a
-    /// sweep share a converged operating region, so after the first
-    /// corner's full `gmin` ladder each subsequent corner seeds its
-    /// Newton iteration from the previous corner's solution and runs a
-    /// **single** solve at the final `gmin` rung, taking the first step
-    /// through the inherited factorization (a chord step through the
-    /// neighboring corner's Jacobian — see
-    /// [`newton_solve_with_state_warm`]). The continuation ladder only
-    /// exists to walk from the all-zeros guess into the operating
-    /// region; a neighboring corner's solution is already there.
-    ///
-    /// A corner whose warm solve fails to converge (a corner that jumped
-    /// operating regions) transparently falls back to the full ladder
-    /// from the all-zeros guess — bitwise identical to what
-    /// [`solve`](Self::solve) computes for that corner, since ladder,
-    /// guess and canonical symbolic state all match. Warm-converged
-    /// corners reach the same operating point through a different
-    /// iterate path, so they agree with the cold ladder to solver
-    /// tolerance rather than bitwise; the `sweep_fastpaths` battery pins
-    /// both properties.
-    ///
-    /// # Errors
-    ///
-    /// Any error of [`solve`](Self::solve) on the corner that failed
-    /// (after the ladder fallback also failed).
-    pub fn solve_corner_sweep(
-        &mut self,
-        netlists: &[Netlist],
-    ) -> Result<Vec<OperatingPoint>, SpiceError> {
-        let mut out = Vec::with_capacity(netlists.len());
-        let mut prev: Option<Vec<f64>> = None;
-        let final_gmin = *GMIN_LADDER.last().unwrap();
-        for nl in netlists {
-            if self.retarget(nl) == RetargetOutcome::Topology {
-                // A topology change voids the warm seed (different
-                // unknown vector) along with the symbolic state.
-                prev = None;
-            }
-            let op = match prev.as_deref() {
-                Some(seed) if seed.len() == self.unknowns => {
-                    match newton_solve_with_state_warm(
-                        &mut self.state,
-                        seed,
-                        final_gmin,
-                        &self.options,
-                    ) {
-                        Ok(x) => OperatingPoint::new(x, self.n_nodes),
-                        // Non-convergence or a numeric collapse at the
-                        // warm iterate: this corner pays the cold ladder.
-                        Err(SpiceError::NonConvergent { .. } | SpiceError::SingularMatrix) => {
-                            self.solve()?
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                _ => self.solve()?,
-            };
-            prev = Some(op.raw().to_vec());
-            out.push(op);
-        }
-        Ok(out)
     }
 }
 
@@ -861,75 +720,6 @@ mod tests {
         for (a, b) in op_chord.raw().iter().zip(op_full.raw()) {
             assert!((a - b).abs() < 1e-7, "chord+partial {a} vs full Newton {b}");
         }
-    }
-
-    /// A `sections`-long resistive ladder driven by a variable source —
-    /// linear, so source-only corner variants share one matrix bitwise.
-    fn resistive_ladder(sections: usize, volts: f64, r_ohms: f64) -> Netlist {
-        let mut nl = Netlist::new();
-        let vin = nl.node("vin");
-        nl.vsource("VIN", vin, GROUND, volts);
-        let mut prev = vin;
-        for s in 0..sections {
-            let node = nl.node(&format!("l{s}"));
-            nl.resistor(&format!("R{s}"), prev, node, r_ohms);
-            prev = node;
-        }
-        nl.resistor("RT", prev, GROUND, r_ohms);
-        nl
-    }
-
-    #[test]
-    fn solve_source_batch_matches_per_point_solves() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let options = NewtonOptions::default().with_backend(backend);
-            let base = resistive_ladder(24, 1.0, 1e3);
-            let corners: Vec<Netlist> =
-                (0..6).map(|c| resistive_ladder(24, 0.5 + 0.1 * c as f64, 1e3)).collect();
-            let batch = OpSolver::primed(&base, options).unwrap().solve_source_batch(&corners);
-            let batch = batch.unwrap();
-            assert_eq!(batch.len(), corners.len());
-            for (op, nl) in batch.iter().zip(&corners) {
-                let reference = operating_point(nl).unwrap();
-                for (a, b) in op.raw().iter().zip(reference.raw()) {
-                    assert!((a - b).abs() < 1e-6, "{backend}: batch {a} vs ladder {b}");
-                }
-            }
-            // Deterministic: a second batch over the same corners is
-            // bitwise identical.
-            let again =
-                OpSolver::primed(&base, options).unwrap().solve_source_batch(&corners).unwrap();
-            for (x, y) in batch.iter().zip(&again) {
-                for (a, b) in x.raw().iter().zip(y.raw()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{backend}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn solve_source_batch_rejects_inapplicable_sweeps() {
-        use crate::mna::NewtonOptions;
-        use crate::netlist::inverter_chain_with_load;
-        // Nonlinear circuit: no shared factorization exists.
-        let nl = inverter_chain_with_load(4, Some(10e3));
-        let mut solver = OpSolver::primed(&nl, NewtonOptions::default()).unwrap();
-        assert!(matches!(
-            solver.solve_source_batch(std::slice::from_ref(&nl)),
-            Err(SpiceError::InvalidNetlist { .. })
-        ));
-        // Linear circuit, but a corner perturbs a resistor: the matrices
-        // differ, which the bitwise guard must catch.
-        let base = resistive_ladder(8, 1.0, 1e3);
-        let mut solver = OpSolver::primed(&base, NewtonOptions::default()).unwrap();
-        let corners = vec![resistive_ladder(8, 1.0, 1e3), resistive_ladder(8, 1.0, 2e3)];
-        assert!(matches!(
-            solver.solve_source_batch(&corners),
-            Err(SpiceError::InvalidNetlist { .. })
-        ));
-        // Empty batch is a no-op.
-        assert!(solver.solve_source_batch(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod netlist;
 pub mod registry;
 pub mod transient;
 
-pub use ac::{ac_sweep, ac_sweep_with_backend, log_sweep, AcResult, AcSolverPool};
+pub use ac::{ac_sweep, ac_sweep_with_backend, log_sweep, AcResult};
 pub use complex::Complex;
 pub use dc::{operating_point, OpSolver, OpSolverPool, OperatingPoint};
 pub use glova_linalg::FillOrdering;

@@ -922,12 +922,6 @@ impl MnaTemplate {
             refactor_stats: RefactorStats::default(),
         }
     }
-
-    /// [`into_state`](Self::into_state) without consuming the template
-    /// (clones the cached base system).
-    pub fn state(&self) -> MnaState {
-        self.clone().into_state()
-    }
 }
 
 /// Working storage for Newton solves over one [`MnaTemplate`]: the
@@ -962,8 +956,8 @@ pub struct MnaState {
     /// whenever the factorization re-pivots.
     device_plans: Vec<(Vec<usize>, SparsePartialPlan)>,
     /// Cumulative Newton/chord iterations run through this state — the
-    /// deterministic work measure warm-started corner sweeps are gated
-    /// on (wall time would be noisy; iteration count is exact).
+    /// deterministic work measure of a solve sequence (wall time would be
+    /// noisy; iteration count is exact).
     newton_iterations: u64,
     /// Cumulative full/partial refresh accounting.
     refactor_stats: RefactorStats,
@@ -1340,68 +1334,6 @@ impl MnaState {
             }
         }
     }
-
-    /// Solves the factored system for `nrhs` right-hand sides stacked
-    /// back to back in `b` (side `r` at `b[r·n .. (r+1)·n]`) — one
-    /// factor streaming pass for the whole batch, bitwise identical per
-    /// side to repeated [`solve_into`](Self::solve_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no factorization is present or `b.len() ≠ n·nrhs`.
-    pub(crate) fn solve_batch_into(&mut self, b: &[f64], x: &mut Vec<f64>, nrhs: usize) {
-        match &mut self.inner {
-            StateInner::Dense { lu, .. } => {
-                lu.as_ref()
-                    .expect("factorization present after refresh")
-                    .solve_into_batch(b, x, nrhs);
-            }
-            StateInner::Sparse { lu, .. } => {
-                lu.as_mut()
-                    .expect("factorization present after refresh")
-                    .solve_into_batch(b, x, nrhs);
-            }
-        }
-    }
-
-    /// Number of nonlinear devices restamped per assembly.
-    pub(crate) fn nonlinear_count(&self) -> usize {
-        match &self.inner {
-            StateInner::Dense { template, .. } => template.nonlinear_count(),
-            StateInner::Sparse { template, .. } => template.nonlinear_count(),
-        }
-    }
-
-    /// Copies the most recently assembled right-hand side into `out`.
-    pub(crate) fn rhs_into(&self, out: &mut [f64]) {
-        match &self.inner {
-            StateInner::Dense { rhs, .. } => out.copy_from_slice(rhs),
-            StateInner::Sparse { rhs, .. } => out.copy_from_slice(rhs),
-        }
-    }
-
-    /// FNV-1a over the assembled matrix values' bit patterns — the guard
-    /// batched corner sweeps use to verify every variant shares one
-    /// matrix bitwise (source-only perturbations never touch it).
-    pub(crate) fn matrix_value_hash(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        match &self.inner {
-            StateInner::Dense { a, .. } => {
-                for i in 0..a.rows() {
-                    for &v in a.row(i) {
-                        acc = (acc ^ v.to_bits()).wrapping_mul(FNV_PRIME);
-                    }
-                }
-            }
-            StateInner::Sparse { a, .. } => {
-                for &v in a.values() {
-                    acc = (acc ^ v.to_bits()).wrapping_mul(FNV_PRIME);
-                }
-            }
-        }
-        acc
-    }
 }
 
 /// When the Newton loop re-factors the Jacobian.
@@ -1510,30 +1442,6 @@ pub fn newton_solve(
     newton_solve_with_state(&mut state, initial, ctx.gmin, options)
 }
 
-/// [`newton_solve`] over a prebuilt [`MnaTemplate`] — callers that solve
-/// the same `(netlist, time, step)` system repeatedly build the template
-/// once instead of re-walking the netlist per solve. Allocates a fresh
-/// [`MnaState`]; callers that additionally want factorization reuse
-/// *across* solves (the DC `gmin` ladder) should hold a state and use
-/// [`newton_solve_with_state`].
-///
-/// # Errors
-///
-/// See [`newton_solve`].
-///
-/// # Panics
-///
-/// Panics if `initial.len()` differs from the template dimension.
-pub fn newton_solve_with_template(
-    template: &MnaTemplate,
-    initial: &[f64],
-    gmin: f64,
-    options: &NewtonOptions,
-) -> Result<Vec<f64>, SpiceError> {
-    let mut state = template.state();
-    newton_solve_with_state(&mut state, initial, gmin, options)
-}
-
 /// The Newton/chord iteration over persistent working state.
 ///
 /// The state owns the assembled system and the factorization. On the
@@ -1557,42 +1465,6 @@ pub fn newton_solve_with_state(
     gmin: f64,
     options: &NewtonOptions,
 ) -> Result<Vec<f64>, SpiceError> {
-    newton_solve_inner(state, initial, gmin, options, false)
-}
-
-/// [`newton_solve_with_state`] with a **warm first iteration**: when the
-/// state already carries a factorization (e.g. from the previous corner
-/// of a sweep) and the strategy is chord, the first step reuses it
-/// instead of refreshing — a chord step through the neighboring corner's
-/// Jacobian. The residual is always evaluated against the *current*
-/// system, so the converged fixed point is unchanged; only the path
-/// (and the saved first refactorization) differs. If the inherited
-/// Jacobian steps poorly, the ordinary chord stall rule triggers a
-/// refresh on the next iteration.
-///
-/// # Errors
-///
-/// See [`newton_solve_with_state`].
-///
-/// # Panics
-///
-/// Panics if `initial.len()` differs from the state dimension.
-pub fn newton_solve_with_state_warm(
-    state: &mut MnaState,
-    initial: &[f64],
-    gmin: f64,
-    options: &NewtonOptions,
-) -> Result<Vec<f64>, SpiceError> {
-    newton_solve_inner(state, initial, gmin, options, true)
-}
-
-fn newton_solve_inner(
-    state: &mut MnaState,
-    initial: &[f64],
-    gmin: f64,
-    options: &NewtonOptions,
-    warm: bool,
-) -> Result<Vec<f64>, SpiceError> {
     let n = state.dim();
     assert_eq!(initial.len(), n, "initial guess dimension mismatch");
     // Fresh symbolic analyses inside this solve (first factor, re-pivot
@@ -1614,10 +1486,6 @@ fn newton_solve_inner(
     // convergence is never accepted off a boosted factor.
     let mut boosted = false;
     let mut last_max_delta = f64::INFINITY;
-    // Warm start: take the very first step through the inherited factor
-    // (chord only — a factor to inherit must exist). Consumed once; the
-    // stall rule governs every later refresh as usual.
-    let mut skip_refresh_once = warm && state.has_factor();
 
     for _ in 0..options.max_iterations {
         state.newton_iterations += 1;
@@ -1628,8 +1496,7 @@ fn newton_solve_inner(
         let refresh = match options.strategy {
             JacobianStrategy::Full => true,
             JacobianStrategy::Chord { refactor_threshold, .. } => {
-                !std::mem::take(&mut skip_refresh_once)
-                    && (!state.has_factor() || refresh_next || last_max_delta > refactor_threshold)
+                !state.has_factor() || refresh_next || last_max_delta > refactor_threshold
             }
         };
         if refresh {

@@ -14,16 +14,12 @@
 //!   solver that walked a random retarget+solve sequence must return, on
 //!   its last netlist, the same bits as a fresh clone of the primed
 //!   prototype retargeted straight to it — on the mixed netlist and a
-//!   sparse sense-amp array;
-//! - the sparse **AC pool** must solve through its pooled event template
-//!   and repeat bitwise (template == netlist re-walk parity lives in the
-//!   `ac` module's unit tests, next to the re-walk oracle);
-//! - **warm-started corner sweeps** ([`OpSolver::solve_corner_sweep`])
-//!   must reach the cold gmin-ladder operating points on the
-//!   inverter-chain, OTA and sense-amp testcases.
+//!   sparse sense-amp array.
+//!
+//! The sparse AC sweep's event template is held to the netlist re-walk
+//! in the `ac` module's unit tests, next to the re-walk oracle.
 
 use glova_linalg::sparse::SparseLu;
-use glova_spice::ac::{log_sweep, AcSolverPool};
 use glova_spice::dc::OpSolver;
 use glova_spice::mna::{
     newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, SolverBackend,
@@ -31,8 +27,7 @@ use glova_spice::mna::{
 };
 use glova_spice::model::MosModel;
 use glova_spice::netlist::{
-    inverter_chain_with_load, ota_two_stage, rc_ladder, sense_amp_array_with, Netlist, OtaParams,
-    SenseAmpParams, GROUND,
+    inverter_chain_with_load, rc_ladder, sense_amp_array_with, Netlist, SenseAmpParams, GROUND,
 };
 use proptest::prelude::*;
 
@@ -352,90 +347,4 @@ fn value_retarget_rejects_context_kind_change() {
     let prev = vec![0.0; template.dim()];
     let transient = StampContext { time: 1e-9, step: Some((1e-9, &prev)), gmin: 1e-9 };
     template.retarget_values(&nl, &transient);
-}
-
-/// The sparse AC pool actually solves through its pooled event template
-/// (it does not silently fall back to per-point dense builds, which never
-/// check a worker out), and the template replay is bitwise-stable across
-/// repeated solves of the same point. Template == netlist re-walk
-/// parity is a unit test of the `ac` module, where the re-walk oracle
-/// lives.
-#[test]
-fn ac_pool_compiles_event_template_on_ota() {
-    let nl = ota_two_stage(&OtaParams::nominal());
-    let freqs = log_sweep(1e3, 1e9, 3);
-    // The OTA has 10 unknowns — below the dense cutoff — so force the
-    // sparse backend to exercise the pooled event-template path.
-    let pool = AcSolverPool::new(&nl, "VINP", &freqs, SolverBackend::Sparse).unwrap();
-    for &f in &freqs {
-        let once = pool.solve_point(f).unwrap();
-        let twice = pool.solve_point(f).unwrap();
-        for (a, b) in once.iter().zip(&twice) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-    }
-    assert!(pool.workers_spawned() > 0, "sparse points must run on pooled workers");
-}
-
-/// Warm-started corner sweeps reach the cold gmin-ladder operating
-/// points on the inverter-chain, OTA and sense-amp testcases, using no
-/// more Newton iterations than the cold per-corner solves.
-#[test]
-fn warm_corner_sweep_matches_cold_ladder() {
-    let inv: Vec<Netlist> =
-        (0..8).map(|k| inverter_chain_with_load(6, Some(8e3 + 1.5e3 * k as f64))).collect();
-    let ota: Vec<Netlist> = (0..8)
-        .map(|k| {
-            let s = 1.0 + 0.04 * k as f64;
-            ota_two_stage(&OtaParams {
-                itail_ua: 20.0 * s,
-                rl_kohm: 11.0 / s,
-                w_out_um: 6.0 * (2.0 - s).max(0.5),
-                ..OtaParams::nominal()
-            })
-        })
-        .collect();
-    let senseamp: Vec<Netlist> = (0..8)
-        .map(|k| {
-            let s = 1.0 + 0.05 * k as f64;
-            sense_amp_array_with(
-                3,
-                3,
-                &SenseAmpParams {
-                    r_precharge: 2e3 * s,
-                    r_wordline: 1e3 / s,
-                    ..SenseAmpParams::default()
-                },
-            )
-        })
-        .collect();
-    for (label, family) in [("inverter", inv), ("ota", ota), ("senseamp", senseamp)] {
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let mut warm = OpSolver::primed(&family[0], options).unwrap();
-        let warm_ops = warm.solve_corner_sweep(&family).unwrap();
-        let mut cold = OpSolver::primed(&family[0], options).unwrap();
-        let cold_ops: Vec<_> = family
-            .iter()
-            .map(|nl| {
-                cold.retarget(nl);
-                cold.solve().unwrap()
-            })
-            .collect();
-        assert_eq!(warm_ops.len(), cold_ops.len());
-        for (corner, (w, c)) in warm_ops.iter().zip(&cold_ops).enumerate() {
-            for (a, b) in w.raw().iter().zip(c.raw()) {
-                assert!(
-                    (a - b).abs() <= 1e-6 * (1.0 + b.abs()),
-                    "{label} corner {corner}: warm {a} vs cold {b}"
-                );
-            }
-        }
-        assert!(
-            warm.newton_iterations() < cold.newton_iterations(),
-            "{label}: warm sweep took {} Newton iterations vs cold {}",
-            warm.newton_iterations(),
-            cold.newton_iterations()
-        );
-    }
 }

@@ -7,7 +7,8 @@
 //! - **Budget exactness** — a `max_sims` budget is a hard cap checked
 //!   before every dispatch, so a budgeted job's simulation count never
 //!   exceeds it, and the trajectory it did record is a bitwise prefix of
-//!   the unbudgeted run (the control checks consume no RNG).
+//!   the unbudgeted run (the control checks consume no RNG). A
+//!   `max_wall` past the last representable instant sets no deadline.
 //! - **Cancellation** — queued jobs cancel immediately to a terminal
 //!   status without running; running jobs stop cooperatively with their
 //!   partial trajectory preserved.
@@ -135,6 +136,31 @@ fn budget_caps_sims_exactly_and_preserves_a_bitwise_prefix() {
     assert_eq!(partial.init_sims, reference.init_sims);
     let report = server.shutdown();
     assert_eq!(report.jobs_budget_exhausted, 1);
+}
+
+/// A `max_wall` past the last representable instant sets no deadline:
+/// the job runs to completion, and so does the job queued behind it on
+/// the same worker. Polls under a bounded wait so that a worker killed by
+/// the deadline arithmetic fails the test instead of hanging it.
+#[test]
+fn unbounded_max_wall_runs_to_completion_and_keeps_the_worker() {
+    let server = CampaignServer::new(1);
+    let unbounded = server
+        .submit(chain_request(1).with_budget(JobBudget::unlimited().with_max_wall(Duration::MAX)))
+        .unwrap();
+    let behind = server.submit(chain_request(2)).unwrap();
+    let give_up = Instant::now() + Duration::from_secs(120);
+    let statuses = loop {
+        let statuses = [unbounded, behind].map(|id| server.snapshot(id).unwrap().status);
+        if statuses.iter().all(|s| !matches!(s, JobStatus::Queued | JobStatus::Running))
+            || Instant::now() > give_up
+        {
+            break statuses;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(statuses, [JobStatus::Done, JobStatus::Done]);
+    assert_eq!(server.shutdown().jobs_completed, 2);
 }
 
 #[test]
