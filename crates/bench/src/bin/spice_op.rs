@@ -1,6 +1,6 @@
 //! SPICE operating-point microbenchmark: DC solves across circuit sizes,
 //! solver backends and Jacobian strategies, plus the sparse symbolic
-//! cold-start and partial-refactorization costs.
+//! cold-start and refactor costs.
 //!
 //! ```sh
 //! cargo run --release -p glova-bench --bin spice_op
@@ -28,8 +28,8 @@
 //! used by every solve (default `markowitz`, the historical behaviour);
 //! the symbolic section always times **both** orderings side by side
 //! and reports the AMD speedup plus its threshold-pivot fallback count,
-//! next to the sparse factor / full-refactor / partial-refactor trio per
-//! pattern. Timings are best-of-two; `--report` writes
+//! next to the sparse factor / refactor pair per pattern. Timings are
+//! best-of-two; `--report` writes
 //! `BENCH_spice_op.json`.
 
 use glova::engine::EngineSpec;
@@ -95,6 +95,19 @@ fn solve_op_engine(
         best = best.min(start.elapsed());
     }
     Some(best)
+}
+
+/// Best-of-two wall time for `reps` back-to-back calls of `f`.
+fn best_of_two(reps: u64, mut f: impl FnMut()) -> Duration {
+    let mut best = Duration::MAX;
+    for _ in 0..2 {
+        let start = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        best = best.min(start.elapsed());
+    }
+    best
 }
 
 fn main() {
@@ -269,17 +282,11 @@ fn main() {
         }
     }
 
-    // ---- symbolic: sparse cold-start + partial refactorization ---------
-    // factor = symbolic analysis + first numeric elimination; refactor =
-    // numeric-only; refactor-partial = numeric over the rows reachable
-    // from the input slots that differ between the primed assembly
-    // (all-zeros estimate, gmin 1e-3) and the first assembly of the next
-    // ladder rung (mid-rail estimate, gmin 1e-5) — found by a bitwise
-    // diff of the two value arrays, the way the solver's refresh finds
-    // its dirty set. The batch field of the partial record carries the
-    // re-eliminated row count (vs dim for the full rows), making the
-    // <100% coverage visible in the artifact.
-    println!("\n--- sparse symbolic / partial-refactor costs ---");
+    // ---- symbolic: sparse cold-start vs numeric refresh -----------------
+    // factor = symbolic analysis + first numeric elimination at the
+    // primed point (all-zeros estimate, gmin 1e-3); refactor =
+    // numeric-only over the frozen pattern, the per-refresh cost.
+    println!("\n--- sparse symbolic / refactor costs ---");
     let mut symbolic_circuits: Vec<(String, Netlist)> = Vec::new();
     if circuit_set.iter().any(|k| k == "inv") {
         symbolic_circuits.extend(
@@ -306,68 +313,29 @@ fn main() {
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
         template.assemble_into(&mut a, &mut rhs, &vec![0.0; n], 1e-3);
-        let mut next = template.new_system();
-        template.assemble_into(&mut next, &mut rhs, &vec![0.45; n], 1e-5);
-        let dirty: Vec<usize> = (0..a.nnz())
-            .filter(|&k| a.values()[k].to_bits() != next.values()[k].to_bits())
-            .collect();
         let reps: u64 = 200;
-        let mut best_factor = Duration::MAX;
         let mut lu = None;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for _ in 0..reps {
-                lu = SparseLu::factor(&a).ok();
-            }
-            best_factor = best_factor.min(start.elapsed());
-        }
+        let best_factor = best_of_two(reps, || lu = SparseLu::factor(&a).ok());
         let Some(mut lu) = lu else {
             println!("{name:<14} singular at the primed point — skipped");
             continue;
         };
-        // The full refactors leave the factor of `a`, which `next`
-        // differs from only at the planned slots — the partial refresh
-        // contract.
-        let time_refresh = |lu: &mut SparseLu<f64>, partial: Option<&_>| -> Duration {
-            let mut best = Duration::MAX;
-            for _ in 0..2 {
-                let start = Instant::now();
-                for _ in 0..reps {
-                    match partial {
-                        Some(plan) => lu.refactor_partial(&next, plan).unwrap(),
-                        None => lu.refactor(&a).unwrap(),
-                    }
-                }
-                best = best.min(start.elapsed());
-            }
-            best
-        };
-        let best_refactor = time_refresh(&mut lu, None);
-        let plan = lu.plan_partial(&dirty);
-        let best_partial = time_refresh(&mut lu, Some(&plan));
+        let best_refactor = best_of_two(reps, || lu.refactor(&a).unwrap());
         // Cold symbolic+factor under the AMD pre-ordering — the number
         // the ≥1.5× perfsuite gate compares against the Markowitz
         // `factor` row on the sense-amp arrays.
-        let mut best_amd = Duration::MAX;
         let mut amd_fallbacks = 0;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for _ in 0..reps {
-                if let Ok(amd_lu) = SparseLu::factor_with(&a, FillOrdering::Amd) {
-                    amd_fallbacks = amd_lu.preorder_fallbacks();
-                }
+        let best_amd = best_of_two(reps, || {
+            if let Ok(amd_lu) = SparseLu::factor_with(&a, FillOrdering::Amd) {
+                amd_fallbacks = amd_lu.preorder_fallbacks();
             }
-            best_amd = best_amd.min(start.elapsed());
-        }
+        });
         let us = |d: Duration| d.as_secs_f64() * 1e6 / reps as f64;
         println!(
             "{name:<14} {n:>4} unknowns  factor {:8.1} us  refactor {:6.2} us  \
-             partial {:6.2} us ({}/{} rows)  symbolic ~{:.1} us",
+             symbolic ~{:.1} us",
             us(best_factor),
             us(best_refactor),
-            us(best_partial),
-            plan.rows_eliminated(),
-            plan.dim(),
             us(best_factor) - us(best_refactor),
         );
         println!(
@@ -377,19 +345,8 @@ fn main() {
             us(best_amd),
             us(best_factor) / us(best_amd).max(1e-9),
         );
-        for (engine, batch, wall) in [
-            ("factor", n, best_factor),
-            ("refactor", n, best_refactor),
-            ("refactor-partial", plan.rows_eliminated(), best_partial),
-        ] {
-            report.push(BenchRecord::new(
-                "spice_symbolic",
-                name.clone(),
-                engine,
-                batch,
-                reps,
-                wall,
-            ));
+        for (engine, wall) in [("factor", best_factor), ("refactor", best_refactor)] {
+            report.push(BenchRecord::new("spice_symbolic", name.clone(), engine, n, reps, wall));
         }
         report.push(
             BenchRecord::new("spice_symbolic", name.clone(), "factor-amd", n, reps, best_amd)

@@ -35,7 +35,7 @@ use glova_variation::sampler::MismatchVector;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Pass-through hasher: cache keys are already 64-bit FNV digests, so
@@ -556,8 +556,8 @@ pub struct CacheRegistry {
 }
 
 impl CacheRegistry {
-    /// Creates an empty registry (tests and scoped servers; production
-    /// code normally shares [`Self::global`]).
+    /// Creates an empty registry. Callers that want one shared across
+    /// servers or campaigns hand each the same instance.
     pub fn new() -> Self {
         Self::default()
     }
@@ -569,12 +569,6 @@ impl CacheRegistry {
     /// re-creates on the next miss).
     pub fn with_config(config: RegistryConfig) -> Self {
         Self { config, ..Self::default() }
-    }
-
-    /// The process-wide registry instance.
-    pub fn global() -> &'static CacheRegistry {
-        static GLOBAL: OnceLock<CacheRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(CacheRegistry::new)
     }
 
     /// Returns the shared cache for `identity` under `config`, creating

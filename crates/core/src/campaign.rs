@@ -402,7 +402,8 @@ pub struct CampaignConfig {
     /// Fresh-die MC samples per corner for the final yield estimate on a
     /// successful design (0 skips the estimate).
     pub yield_samples: usize,
-    /// Confidence level of the yield interval.
+    /// Confidence level of the yield interval, in `(0, 1)` whenever
+    /// `yield_samples > 0`.
     pub yield_confidence: f64,
 }
 
@@ -565,18 +566,11 @@ impl SizingCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if `config.init_designs == 0` or the goal-factor count does
-    /// not match the circuit's spec.
+    /// Panics if `config.init_designs == 0`, the goal-factor count does
+    /// not match the circuit's spec, or `config.yield_samples > 0` with a
+    /// `config.yield_confidence` outside `(0, 1)`.
     pub fn new(circuit: Arc<dyn Circuit>, config: CampaignConfig) -> Self {
-        assert!(config.init_designs > 0, "need at least one seed design");
-        if let Some(factors) = &config.goal_factors {
-            assert_eq!(factors.len(), circuit.spec().len(), "one goal factor per spec metric");
-        }
-        let mut problem = SizingProblem::with_engine(circuit, config.method, config.engine.build());
-        if let Some(cache) = config.cache {
-            problem = problem.with_cache(cache);
-        }
-        Self { problem, config }
+        Self::build(circuit, config, None)
     }
 
     /// Like [`Self::new`], but memoizing through a **shared**
@@ -596,12 +590,34 @@ impl SizingCampaign {
         config: CampaignConfig,
         cache: Arc<crate::cache::EvalCache>,
     ) -> Self {
+        Self::build(circuit, config, Some(cache))
+    }
+
+    /// The constructors' common body: checks the contract they document
+    /// under `# Panics`, then memoizes through the `shared` cache handle
+    /// when given and through `config.cache` otherwise.
+    fn build(
+        circuit: Arc<dyn Circuit>,
+        config: CampaignConfig,
+        shared: Option<Arc<crate::cache::EvalCache>>,
+    ) -> Self {
         assert!(config.init_designs > 0, "need at least one seed design");
         if let Some(factors) = &config.goal_factors {
             assert_eq!(factors.len(), circuit.spec().len(), "one goal factor per spec metric");
         }
-        let problem = SizingProblem::with_engine(circuit, config.method, config.engine.build())
-            .with_cache_handle(cache);
+        if config.yield_samples > 0 {
+            assert!(
+                config.yield_confidence > 0.0 && config.yield_confidence < 1.0,
+                "yield confidence must be in (0, 1), got {}",
+                config.yield_confidence
+            );
+        }
+        let problem = SizingProblem::with_engine(circuit, config.method, config.engine.build());
+        let problem = match (shared, config.cache) {
+            (Some(handle), _) => problem.with_cache_handle(handle),
+            (None, Some(cache)) => problem.with_cache(cache),
+            (None, None) => problem,
+        };
         Self { problem, config }
     }
 
@@ -804,27 +820,15 @@ impl SizingCampaign {
         };
 
         // A seed design can already satisfy the goal on the full grid —
-        // the campaign is then complete before any policy step.
-        if best.1 >= SATISFIED_REWARD {
-            return CampaignResult {
-                success: true,
-                final_design: Some(best.0.clone()),
-                best_design: best.0,
-                best_reward: best.1,
-                steps: Vec::new(),
-                init_sims,
-                sims_to_success: Some(init_sims),
-                total_sims: self.problem.simulations() - sims_start,
-                yield_estimate: None,
-                pruning: scheduler.stats().clone(),
-                goal_factors,
-                termination: CampaignTermination::Completed,
-                failures: self.problem.circuit().failure_stats().since(failures_start),
-                wall: start.elapsed(),
-            };
-        }
-
-        if termination == CampaignTermination::Completed {
+        // the campaign is then complete before any policy step, even if
+        // the control cut later seeds short, and the agent (shared across
+        // a family run) is left untouched.
+        let mut success = best.1 >= SATISFIED_REWARD;
+        let mut final_design = success.then(|| best.0.clone());
+        let mut sims_to_success = success.then_some(init_sims);
+        if success {
+            termination = CampaignTermination::Completed;
+        } else if termination == CampaignTermination::Completed {
             agent.pretrain_actor_towards(&best.0, self.config.pretrain_steps, &mut agent_rng);
             agent.set_proximal_target(Some(best.0.clone()));
         }
@@ -832,11 +836,8 @@ impl SizingCampaign {
         // ---- Policy loop ------------------------------------------------
         let mut steps: Vec<CampaignStep> = Vec::new();
         let mut stagnation = 0usize;
-        let mut success = false;
-        let mut final_design: Option<Vec<f64>> = None;
-        let mut sims_to_success: Option<u64> = None;
         for step in 1..=self.config.max_steps {
-            if termination != CampaignTermination::Completed {
+            if success || termination != CampaignTermination::Completed {
                 break;
             }
             // Price the next dispatch before committing to the step:
@@ -1343,5 +1344,29 @@ mod tests {
         assert!(y.yield_point > 0.5, "feasible design should mostly pass: {y}");
         // The estimate's sims are part of the campaign total.
         assert!(result.total_sims > result.sims_to_success.unwrap());
+    }
+
+    #[test]
+    fn seeding_success_still_runs_the_requested_yield_estimate() {
+        // A goal this loose is met by a seed design, so the campaign
+        // succeeds before any policy step; the estimate it asked for must
+        // still run, and its sims land in the total.
+        let config = CampaignConfig { yield_samples: 5, ..quick().with_goal(vec![100.0]) };
+        let result = SizingCampaign::new(toy(), config).run(7);
+        assert!(result.success && result.steps.is_empty(), "goal must be met at seeding");
+        assert_eq!(result.termination, CampaignTermination::Completed);
+        assert_eq!(result.sims_to_success, Some(result.init_sims));
+        let y = result.yield_estimate.expect("requested yield estimate");
+        assert_eq!(y.samples, 30 * 5);
+        assert_eq!(result.total_sims, result.init_sims + 150);
+    }
+
+    #[test]
+    #[should_panic(expected = "yield confidence must be in (0, 1)")]
+    fn out_of_range_yield_confidence_is_rejected() {
+        // A percentage instead of a fraction: caught at construction, not
+        // after the campaign has paid for its yield sims.
+        let config = CampaignConfig { yield_samples: 2, yield_confidence: 95.0, ..quick() };
+        SizingCampaign::new(toy(), config);
     }
 }

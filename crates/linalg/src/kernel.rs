@@ -20,16 +20,9 @@
 //! update sequence (rows ascending, each row's sources ascending, each
 //! source's `U` entries in packed order) on exactly the same operands,
 //! so the two agree **bit for bit** on success and fail on the same
-//! first singular pivot. That agreement carries load: full refreshes
-//! run this schedule while
-//! [`SparseLu::refactor_partial`](crate::sparse::SparseLu::refactor_partial)
-//! re-eliminates its reachable rows with the scalar row loop. The SPICE
-//! solver's per-device contract — a partial refresh is bitwise identical
-//! to a full one — and the independence of every pooled solver's result
-//! from its solve history both hold only because the two kernels agree
-//! bitwise. A kernel that reassociates cannot replace this one. The unit
-//! tests below check the schedule bitwise against a `#[cfg(test)]`
-//! scalar full-refactor oracle.
+//! first singular pivot. A kernel that reassociates cannot replace this
+//! one. The unit tests below check the schedule bitwise against a
+//! `#[cfg(test)]` scalar full-refactor oracle.
 
 use crate::sparse::Scalar;
 use crate::LinalgError;

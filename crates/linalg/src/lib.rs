@@ -14,10 +14,9 @@
 //! and from a few dozen unknowns the dense `O(n³)` factorization dominates
 //! every solve — the [`sparse`] module provides CSR storage and a
 //! Markowitz-ordered sparse LU with symbolic-factorization reuse for that
-//! path (one numeric refresh path: a compiled elimination schedule for
-//! full refactors, the matching row loop for partial ones), with the
-//! dense [`Lu`] retained as the small-system fast path and parity
-//! oracle.
+//! path (one numeric refresh path: a compiled elimination schedule over
+//! every row), with the dense [`Lu`] retained as the small-system fast
+//! path and parity oracle.
 //!
 //! # Example
 //!

@@ -18,10 +18,10 @@
 //!   (fill-minimizing, threshold-pivoted for stability) whose **symbolic
 //!   step runs once per topology** — [`SparseLu::factor`] chooses the
 //!   pivot order and fill pattern, then [`SparseLu::refactor`] re-runs
-//!   only the numeric elimination over the frozen pattern — as an
-//!   elimination schedule compiled once per symbolic analysis and run in
-//!   place over the packed factor — and [`SparseLu::solve_into`] reuses
-//!   its workspace allocation. This is the classic SPICE arrangement:
+//!   only the numeric elimination over the frozen pattern — every row,
+//!   as an elimination schedule compiled once per symbolic analysis and
+//!   run in place over the packed factor — and [`SparseLu::solve_into`]
+//!   reuses its workspace allocation. This is the classic SPICE arrangement:
 //!   the Newton loop, the `gmin` ladder and corner/mismatch sweeps all
 //!   solve the *same topology* with different values, so pivot search
 //!   and fill analysis are paid once.
@@ -35,16 +35,6 @@
 //!   computed by [`amd_order`](crate::ordering::amd_order)) consumed as a
 //!   static pivot sequence with Markowitz threshold pivoting retained as
 //!   the per-step numeric fallback.
-//! - **Partial refactorization** (KLU-style): when only a known subset of
-//!   input values changes between refreshes (in MNA terms: the nonlinear
-//!   device stamps and the `gmin` diagonal), [`SparseLu::plan_partial`]
-//!   computes once, from the frozen elimination structure, which factor
-//!   rows are reachable from those inputs; [`SparseLu::refactor_partial`]
-//!   then re-eliminates only that set, row by row, leaving every
-//!   untouched row's `L`/`U` values frozen — bitwise identical to a full
-//!   [`SparseLu::refactor`] of the same matrix, because the compiled
-//!   schedule and the row loop perform the same operations in the same
-//!   order.
 //!
 //! Everything is generic over [`Scalar`] so the AC engine's complex MNA
 //! systems factor through the same machinery (and the same reuse) as the
@@ -76,14 +66,7 @@
 use crate::kernel::{self, BlockedPlan};
 use crate::LinalgError;
 use std::ops::{Add, Div, Mul, Neg, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Monotonic id source for symbolic analyses: every [`SparseLu::factor`]
-/// stamps the factorization (and all clones of it, which share the
-/// symbolic state) with a fresh id, so a [`PartialPlan`] can be checked
-/// against the exact pivot order it was computed for.
-static SYMBOLIC_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Field-like scalar the sparse kernels are generic over.
 ///
@@ -354,48 +337,9 @@ pub struct SparseLu<T = f64> {
     /// static pivot failed the numeric stability test and Markowitz
     /// threshold pivoting chose instead. Zero for [`Self::factor`].
     fallback_steps: usize,
-    /// Identity of this symbolic analysis (shared by clones); partial
-    /// plans are only valid against the analysis they were computed for.
-    symbolic_id: u64,
     /// The compiled elimination schedule [`Self::refactor`] runs —
     /// pattern-only, so clones share it with the symbolic analysis.
     schedule: Arc<BlockedPlan>,
-}
-
-/// A precomputed partial-refactorization schedule: the set of factor rows
-/// (pivot steps) reachable from a fixed set of "dirty" input nonzeros.
-///
-/// Built once per symbolic analysis by [`SparseLu::plan_partial`], then
-/// passed to [`SparseLu::refactor_partial`] on every refresh whose input
-/// differs from the previously factored matrix only at the planned dirty
-/// positions. The plan is tied to the exact pivot order it was computed
-/// for — using it against a re-pivoted factorization is rejected.
-#[derive(Debug, Clone)]
-pub struct PartialPlan {
-    /// Id of the symbolic analysis this plan belongs to.
-    symbolic_id: u64,
-    /// Pivot steps to re-eliminate, ascending.
-    rows: Vec<usize>,
-    /// Pre-resolved `(input value index, packed destination)` pairs for
-    /// every input nonzero landing in a dirty row — the scatter loop
-    /// runs without touching the `a_to_lu` map.
-    scatter: Vec<(usize, usize)>,
-    /// Dimension of the owning factorization.
-    n: usize,
-}
-
-impl PartialPlan {
-    /// Number of factor rows [`SparseLu::refactor_partial`] will
-    /// re-eliminate (the rest keep their frozen values).
-    pub fn rows_eliminated(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Dimension of the factorization the plan was computed for — the
-    /// row count a full [`SparseLu::refactor`] re-eliminates.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -470,10 +414,9 @@ impl<T: Scalar> SparseLu<T> {
     /// diagonals, for example). [`Self::preorder_fallbacks`] reports how
     /// often the fallback fired.
     ///
-    /// The result is an ordinary [`SparseLu`] — refactors, partial plans,
-    /// clones and solves behave identically to a Markowitz-ordered
-    /// factor, and the pivot choice is a deterministic function of the
-    /// input alone.
+    /// The result is an ordinary [`SparseLu`] — refactors, clones and
+    /// solves behave identically to a Markowitz-ordered factor, and the
+    /// pivot choice is a deterministic function of the input alone.
     ///
     /// # Errors
     ///
@@ -1034,17 +977,16 @@ impl<T: Scalar> SparseLu<T> {
             a_to_lu,
             work: vec![T::zero(); n],
             fallback_steps: 0,
-            symbolic_id: SYMBOLIC_IDS.fetch_add(1, Ordering::Relaxed),
             schedule,
         }
     }
 
     /// Up-looking elimination of packed row `p` over the frozen pattern —
-    /// the inner loop of [`Self::refactor_partial`] (reachable rows
-    /// only). Free-standing over split borrows. Bitwise identical to the
+    /// the row loop of the [`Self::refactor_scalar`] oracle.
+    /// Free-standing over split borrows. Bitwise identical to the
     /// compiled schedule [`Self::refactor`] runs over the same row (see
     /// the `kernel` module's parity contract).
-    #[inline]
+    #[cfg(test)]
     fn eliminate_row(
         lu_ptr: &[usize],
         lu_cols: &[usize],
@@ -1101,7 +1043,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Checks `a` against the factored pattern, then zeroes the packed
     /// values and scatters `a` through the precomputed map (pattern
     /// slots that are pure fill stay zero) — the common head of every
-    /// full refactor.
+    /// refactor.
     fn scatter_input(&mut self, a: &CsrMatrix<T>) -> Result<(), LinalgError> {
         if a.rows() != self.n || a.cols() != self.n || a.nnz() != self.a_nnz {
             return Err(LinalgError::DimensionMismatch {
@@ -1145,141 +1087,9 @@ impl<T: Scalar> SparseLu<T> {
         &self.lu_vals
     }
 
-    /// Computes the partial-refactorization schedule for a fixed set of
-    /// "dirty" input nonzeros (`dirty_values` indexes the input CSR's
-    /// value array, i.e. [`CsrMatrix::value_index`] results).
-    ///
-    /// A factor row must be re-eliminated iff a dirty input scatters into
-    /// it or it references (through its `L` columns) a row that must be —
-    /// the reachability closure over the frozen elimination structure,
-    /// computed in one ascending pass. Everything outside that closure is
-    /// provably untouched by [`Self::refactor_partial`], which is what
-    /// makes the partial result bitwise identical to a full refactor.
-    ///
-    /// Out-of-range indices in `dirty_values` are ignored (callers pass
-    /// template-derived index sets; the dimension check happens at
-    /// refactor time). Duplicates are harmless.
-    pub fn plan_partial(&self, dirty_values: &[usize]) -> PartialPlan {
-        let mut dirty = vec![false; self.n];
-        let packed_row_of = |pos: usize| -> usize {
-            // lu_ptr is ascending with lu_ptr[p] <= pos < lu_ptr[p+1].
-            self.lu_ptr.partition_point(|&q| q <= pos) - 1
-        };
-        for &k in dirty_values {
-            if k < self.a_to_lu.len() {
-                dirty[packed_row_of(self.a_to_lu[k])] = true;
-            }
-        }
-        // Closure: row p is dirty if any of its L columns (earlier pivot
-        // rows it references) is dirty. One ascending pass suffices —
-        // L columns are strictly smaller than p.
-        for p in 0..self.n {
-            if dirty[p] {
-                continue;
-            }
-            for idx in self.lu_ptr[p]..self.diag_idx[p] {
-                if dirty[self.lu_cols[idx]] {
-                    dirty[p] = true;
-                    break;
-                }
-            }
-        }
-        let rows: Vec<usize> = (0..self.n).filter(|&p| dirty[p]).collect();
-        let scatter: Vec<(usize, usize)> = self
-            .a_to_lu
-            .iter()
-            .enumerate()
-            .filter(|&(_, &dst)| dirty[packed_row_of(dst)])
-            .map(|(k, &dst)| (k, dst))
-            .collect();
-        PartialPlan { symbolic_id: self.symbolic_id, rows, scatter, n: self.n }
-    }
-
-    /// Numeric refactorization restricted to the rows of a
-    /// [`PartialPlan`] — the KLU-style refresh for refreshes where only
-    /// the planned dirty inputs changed since the last successful
-    /// (re)factorization.
-    ///
-    /// **Contract:** `a` must have the same pattern as the factored
-    /// matrix, and must differ from the matrix consumed by the last
-    /// successful [`Self::refactor`] / `refactor_partial` **only at the
-    /// plan's dirty value positions**. Under that contract the result is
-    /// bitwise identical to `refactor(a)`: untouched rows keep values
-    /// that a full pass would have recomputed from bit-identical inputs.
-    ///
-    /// On error the factor values are unspecified (like
-    /// [`Self::refactor`]) and must be rebuilt by a successful full
-    /// refactor or a fresh [`Self::factor`].
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::DimensionMismatch`] if `a`'s shape or nonzero
-    ///   count differs, or the plan was computed for a different symbolic
-    ///   analysis (e.g. the factorization has re-pivoted since).
-    /// - [`LinalgError::Singular`] if a re-eliminated pivot drifted below
-    ///   the numeric floor.
-    pub fn refactor_partial(
-        &mut self,
-        a: &CsrMatrix<T>,
-        plan: &PartialPlan,
-    ) -> Result<(), LinalgError> {
-        if a.rows() != self.n || a.cols() != self.n || a.nnz() != self.a_nnz {
-            return Err(LinalgError::DimensionMismatch {
-                context: "sparse partial refactor pattern mismatch",
-            });
-        }
-        if plan.symbolic_id != self.symbolic_id || plan.n != self.n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "partial plan belongs to a different symbolic analysis",
-            });
-        }
-        // A plan that reaches every row has no rows to skip — the plain
-        // refactor's straight-line scatter is cheaper than the planned
-        // indirection.
-        if plan.rows.len() == self.n {
-            return self.refactor(a);
-        }
-        // Re-scatter only the dirty rows: zero their packed ranges, then
-        // copy in every input nonzero that lands in one.
-        for &p in &plan.rows {
-            for v in &mut self.lu_vals[self.lu_ptr[p]..self.lu_ptr[p + 1]] {
-                *v = T::zero();
-            }
-        }
-        for &(k, dst) in &plan.scatter {
-            self.lu_vals[dst] = a.values()[k];
-        }
-        // Re-eliminate the dirty rows in ascending pivot order; clean
-        // rows' values are final from the previous refactor and are read
-        // (never written) by the dirty rows' updates.
-        for &p in &plan.rows {
-            Self::eliminate_row(
-                &self.lu_ptr,
-                &self.lu_cols,
-                &self.diag_idx,
-                &mut self.lu_vals,
-                &mut self.work,
-                p,
-            );
-            if self.lu_vals[self.diag_idx[p]].modulus() < Self::SINGULARITY_EPS {
-                return Err(LinalgError::Singular { index: p });
-            }
-        }
-        Ok(())
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Identity of this factorization's symbolic analysis. Clones share
-    /// the id (they share the pivot order and fill pattern); a fresh
-    /// [`SparseLu::factor`] — including one replacing a collapsed frozen
-    /// pivot — gets a new one. [`PartialPlan`]s are only accepted by the
-    /// analysis they were computed for.
-    pub fn symbolic_id(&self) -> u64 {
-        self.symbolic_id
     }
 
     /// Stored entries in the `L + U` pattern (fill included).
@@ -1487,84 +1297,6 @@ mod tests {
         assert_eq!(lu.solve(&[3.0, 4.0]), vec![3.0, 4.0]);
     }
 
-    #[test]
-    fn partial_refactor_matches_full_bitwise() {
-        // Tridiagonal ladder; dirty set = two interior diagonal entries.
-        // The partial refresh must agree with a full refactor bit for
-        // bit, and must re-eliminate strictly fewer rows.
-        let n = 16;
-        let build = |d2: f64, d9: f64| {
-            let mut t = Triplets::new(n, n);
-            for i in 0..n {
-                let d = if i == 2 {
-                    d2
-                } else if i == 9 {
-                    d9
-                } else {
-                    4.0 + i as f64 * 0.1
-                };
-                t.push(i, i, d);
-            }
-            for i in 0..n - 1 {
-                t.push(i, i + 1, -1.0);
-                t.push(i + 1, i, -1.0);
-            }
-            t.to_csr()
-        };
-        let a0 = build(4.2, 4.9);
-        let a1 = build(6.5, 3.1);
-        let mut full = SparseLu::factor(&a0).unwrap();
-        let mut partial = full.clone();
-        let dirty = vec![a0.value_index(2, 2).unwrap(), a0.value_index(9, 9).unwrap()];
-        let plan = partial.plan_partial(&dirty);
-        assert!(plan.rows_eliminated() < n, "plan must exclude unreachable rows");
-        assert!(plan.rows_eliminated() >= 2, "dirty rows themselves are in the plan");
-        full.refactor(&a1).unwrap();
-        partial.refactor_partial(&a1, &plan).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let xf = full.solve(&b);
-        let xp = partial.solve(&b);
-        for (f, p) in xf.iter().zip(&xp) {
-            assert_eq!(f.to_bits(), p.to_bits(), "partial {p} vs full {f}");
-        }
-    }
-
-    #[test]
-    fn partial_plan_with_all_inputs_dirty_is_a_full_refactor() {
-        let mut t = Triplets::new(4, 4);
-        for i in 0..4 {
-            t.push(i, i, 3.0 + i as f64);
-        }
-        t.push(0, 3, 1.0);
-        t.push(3, 0, 1.0);
-        let a = t.to_csr();
-        let lu = SparseLu::factor(&a).unwrap();
-        let plan = lu.plan_partial(&(0..a.nnz()).collect::<Vec<_>>());
-        assert_eq!(plan.rows_eliminated(), plan.dim(), "all dirty ⇒ every row re-eliminated");
-    }
-
-    #[test]
-    fn partial_plan_rejected_after_repivot() {
-        let mut t = Triplets::new(3, 3);
-        for i in 0..3 {
-            t.push(i, i, 2.0);
-        }
-        let a = t.to_csr();
-        let lu = SparseLu::factor(&a).unwrap();
-        let plan = lu.plan_partial(&[0]);
-        // A fresh factorization is a different symbolic analysis even on
-        // the same matrix — the plan must not be accepted against it.
-        let mut refreshed = SparseLu::factor(&a).unwrap();
-        assert_ne!(lu.symbolic_id(), refreshed.symbolic_id());
-        assert!(matches!(
-            refreshed.refactor_partial(&a, &plan),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-        // Clones share the analysis and accept it.
-        let mut clone = lu.clone();
-        clone.refactor_partial(&a, &plan).unwrap();
-    }
-
     /// A `rows × cols` 2-D grid Laplacian — the coupling shape of the
     /// sense-amp array workload, where fill-reducing ordering matters.
     fn grid_laplacian(rows: usize, cols: usize) -> CsrMatrix<f64> {
@@ -1643,22 +1375,6 @@ mod tests {
         });
         for (a_bits, b_bits) in seq.iter().zip(t1.iter().chain(t2.iter())) {
             assert_eq!(a_bits.to_bits(), b_bits.to_bits());
-        }
-        // Partial plans work against pre-ordered factors too.
-        let mut partial = proto.clone();
-        let mut full = proto.clone();
-        let dirty: Vec<usize> = (0..3).map(|i| a.value_index(i, i).unwrap()).collect();
-        let plan = partial.plan_partial(&dirty);
-        let mut shifted = a.clone();
-        for &k in &dirty {
-            shifted.values_mut()[k] += 0.25;
-        }
-        full.refactor(&shifted).unwrap();
-        partial.refactor_partial(&shifted, &plan).unwrap();
-        let xf = full.solve(&rhs);
-        let xp = partial.solve(&rhs);
-        for (f, p) in xf.iter().zip(&xp) {
-            assert_eq!(f.to_bits(), p.to_bits(), "partial {p} vs full {f}");
         }
     }
 

@@ -551,8 +551,9 @@ impl CampaignServer {
     /// [`ServeError::InvalidRequest`] for shapes the circuit
     /// constructors reject, an empty seeding phase, or agent settings the
     /// agent cannot train with (no critic base, a zero hidden width, a
-    /// zero batch), or a pruning schedule with a zero `k` or re-rank
-    /// cadence;
+    /// zero batch), a pruning schedule with a zero `k` or re-rank
+    /// cadence, or a yield estimate whose confidence lies outside
+    /// `(0, 1)`;
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// has begun (checked under the queue lock, so a submit racing a
     /// concurrent shutdown either lands in the drain or fails fast —
@@ -582,6 +583,13 @@ impl CampaignServer {
         // that simulate no corner.
         if config.pruning.as_ref().is_some_and(|p| p.k == 0 || p.rerank_every == 0) {
             return invalid("pruning k and rerank_every must be positive");
+        }
+        // Checked up front: an out-of-range confidence would otherwise
+        // fail the job only after it paid for its yield sims.
+        if config.yield_samples > 0
+            && !(config.yield_confidence > 0.0 && config.yield_confidence < 1.0)
+        {
+            return invalid("yield_confidence must be in (0, 1)");
         }
         let mut control = CampaignControl::new();
         if let Some(max_sims) = request.budget.max_sims {
@@ -974,6 +982,26 @@ mod tests {
             );
         }
         assert_eq!(server.shutdown().queue_high_water, 0);
+    }
+
+    #[test]
+    fn out_of_range_yield_confidence_is_rejected_at_submission() {
+        let server = CampaignServer::new(1);
+        for confidence in [95.0, 1.0, 0.0, -0.5, f64::NAN] {
+            let mut request = quick_request(1);
+            request.config = request.config.with_yield_estimate(2);
+            request.config.yield_confidence = confidence;
+            assert!(
+                matches!(server.submit(request), Err(ServeError::InvalidRequest(_))),
+                "yield_confidence = {confidence} must be rejected"
+            );
+        }
+        // Without a yield estimate the confidence is never used.
+        let mut unused = quick_request(1);
+        unused.config.yield_confidence = 95.0;
+        let id = server.submit(unused).expect("confidence unused without yield samples");
+        assert_eq!(server.wait(id).unwrap().status, JobStatus::Done);
+        assert_eq!(server.shutdown().queue_high_water, 1);
     }
 
     #[test]

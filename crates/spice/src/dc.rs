@@ -6,8 +6,7 @@
 //! [`OpSolverPool`] clones one primed solver per worker thread.
 
 use crate::mna::{
-    newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RefactorStats, RetargetOutcome,
-    StampContext,
+    newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, StampContext,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
@@ -194,12 +193,6 @@ impl OpSolver {
     /// counter.
     pub fn noncanonical_events(&self) -> u64 {
         self.state.repivots() + self.topology_retargets
-    }
-
-    /// Cumulative numeric-refresh accounting (partial vs full
-    /// refactorizations; see [`RefactorStats`]).
-    pub fn refactor_stats(&self) -> RefactorStats {
-        self.state.refactor_stats()
     }
 
     /// Computes the operating point from an all-zeros initial guess.
@@ -659,56 +652,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_solver_engages_partial_refactorization() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        use crate::netlist::inverter_chain_with_load;
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let mut solver =
-            OpSolver::primed(&inverter_chain_with_load(12, Some(10e3)), options).unwrap();
-        for i in 0..4 {
-            solver.retarget(&inverter_chain_with_load(12, Some(9e3 + 500.0 * i as f64)));
-            solver.solve().unwrap();
-        }
-        let stats = solver.refactor_stats();
-        assert!(stats.partial > 0, "gmin-ladder refreshes after the first must go partial");
-        assert!(
-            stats.elimination_ratio() < 1.0,
-            "the V-source branch rows sit outside the dirty reachable set: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn narrow_partial_refactor_drops_gmin_rows() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        use crate::netlist::inverter_chain_with_load;
-        // Within one solve — no retarget — every refresh after the
-        // priming one diffs against the factored snapshot. Within a
-        // ladder rung the gmin diagonal is bitwise unchanged, so only
-        // the moved MOSFET slots seed the reachable set: the solve must
-        // take partial passes that together re-eliminate a strict row
-        // subset.
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let mut solver =
-            OpSolver::primed(&inverter_chain_with_load(12, Some(10e3)), options).unwrap();
-        let primed = solver.refactor_stats();
-        assert_eq!((primed.full, primed.partial), (1, 0), "priming is one full factor");
-        solver.solve().unwrap();
-        let stats = solver.refactor_stats();
-        assert!(stats.partial > 0, "refreshes within one solve must go partial: {stats:?}");
-        assert_eq!(stats.full, primed.full, "one solve needs no second full pass: {stats:?}");
-        assert!(
-            stats.rows_eliminated - primed.rows_eliminated < stats.rows_total - primed.rows_total,
-            "partial refreshes must re-eliminate a strict row subset: {stats:?}"
-        );
-    }
-
-    #[test]
     fn narrow_refresh_matches_full_newton_fixed_point() {
         use crate::mna::{JacobianStrategy, NewtonOptions, SolverBackend};
         use crate::netlist::inverter_chain_with_load;
-        // Chord iterates through a stale factor between (partial)
-        // refreshes; full Newton refreshes every iteration. Both must
-        // reach the same fixed point.
+        // Chord iterates through a stale factor between refreshes; full
+        // Newton refreshes every iteration. Both must reach the same
+        // fixed point.
         let nl = inverter_chain_with_load(12, Some(10e3));
         let chord = NewtonOptions::default().with_backend(SolverBackend::Sparse);
         let full = NewtonOptions {
@@ -741,6 +690,73 @@ mod tests {
         for (a, b) in op_a.raw().iter().zip(op_a2.raw()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// Pooled solver digest: every operating-point bit (or, for a point
+    /// that does not converge, its error kind), the checked-out solver's
+    /// cumulative `newton_iterations()` after each point and the final
+    /// `solvers_retired()` of one [`OpSolverPool`] per sparse pattern
+    /// the workloads reach, each retargeted through a fixed sequence of
+    /// value variants — the bit-level guard for the retargeted sparse
+    /// refresh. The digest was recorded while sparse refreshes still
+    /// re-eliminated only the rows reachable from changed inputs, so it
+    /// pins the full refresh to those bits.
+    #[test]
+    fn golden_pooled_sweep_digest() {
+        use crate::mna::{NewtonOptions, SolverBackend};
+        use crate::netlist::{inverter_chain_with_load, sense_amp_array_with, SenseAmpParams};
+        use glova_stats::hash::Fnv1a;
+
+        const GOLDEN_POOLED: u64 = 0xaa92_a7ce_02db_f712;
+
+        fn sweep(digest: &mut Fnv1a, options: NewtonOptions, variants: &[Netlist]) {
+            let pool = OpSolverPool::new(&variants[0], options).unwrap();
+            assert!(pool.is_sparse(), "every digested pool runs the sparse backend");
+            for nl in variants {
+                pool.with_solver(|solver| {
+                    assert_eq!(solver.retarget(nl), RetargetOutcome::Values);
+                    match solver.solve() {
+                        Ok(op) => digest.write_f64_slice(op.raw()),
+                        Err(e) => digest.write_u64(match e {
+                            SpiceError::InvalidNetlist { .. } => 1,
+                            SpiceError::NonConvergent { .. } => 2,
+                            SpiceError::SingularMatrix => 3,
+                        }),
+                    }
+                    digest.write_u64(solver.newton_iterations());
+                });
+            }
+            digest.write_u64(pool.solvers_retired() as u64);
+        }
+
+        let d = SenseAmpParams::default();
+        let senseamp_params = [
+            d,
+            SenseAmpParams { r_wordline: 600.0, w_latch_um: 0.7, ..d },
+            SenseAmpParams { r_cell: 50e3, r_precharge: 3e3, ..d },
+            SenseAmpParams { r_cell: 50e3, r_precharge: 3e3, ..d },
+            SenseAmpParams { vdd: 0.81, w_access_um: 1.2, ..d },
+            SenseAmpParams { vdd: 0.99, l_um: 0.06, w_latch_um: 0.35, ..d },
+            SenseAmpParams { r_wordline: 1.6e3, r_cell: 200e3, ..d },
+            SenseAmpParams { w_latch_um: 2.0, w_access_um: 4.0, ..d },
+            SenseAmpParams { r_precharge: 500.0, l_um: 0.2, ..d },
+            SenseAmpParams { vdd: 0.4, ..d },
+            SenseAmpParams { r_cell: 1e9, w_latch_um: 5.0, ..d },
+            d,
+        ];
+        let loads = [10e3, 4.7e3, 4.7e3, 22e3, 1e3, 100e3, 2.2e3, 15e3, 330.0, 1e6, 6.8e3, 10e3];
+        let mut digest = Fnv1a::new();
+        for (rows, cols) in [(5, 4), (12, 12)] {
+            let variants: Vec<Netlist> =
+                senseamp_params.iter().map(|p| sense_amp_array_with(rows, cols, p)).collect();
+            sweep(&mut digest, NewtonOptions::default(), &variants);
+        }
+        for (stages, backend) in [(24, SolverBackend::Auto), (8, SolverBackend::Sparse)] {
+            let variants: Vec<Netlist> =
+                loads.iter().map(|&r| inverter_chain_with_load(stages, Some(r))).collect();
+            sweep(&mut digest, NewtonOptions::default().with_backend(backend), &variants);
+        }
+        assert_eq!(digest.finish(), GOLDEN_POOLED, "digest {:016x}", digest.finish());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   per-device mismatch** ([`model::MosModel`]),
 //! - Newton–Raphson DC operating-point analysis with `gmin` stepping
 //!   ([`dc`]) over dense or sparse MNA systems ([`mna`]; the sparse
-//!   backend refreshes its factor through one bitwise-exact partial
-//!   refactorization path),
+//!   backend refreshes its factor through one compiled refactorization
+//!   path),
 //! - small-signal AC sweeps ([`ac`]), and
 //! - fixed-step backward-Euler / trapezoidal transient analysis
 //!   ([`transient`]) with waveform measurement helpers ([`analysis`]).
@@ -52,7 +52,7 @@ pub use ac::{ac_sweep, ac_sweep_with_backend, log_sweep, AcResult};
 pub use complex::Complex;
 pub use dc::{operating_point, OpSolver, OpSolverPool, OperatingPoint};
 pub use glova_linalg::FillOrdering;
-pub use mna::{RefactorStats, RetargetOutcome, SolverBackend};
+pub use mna::{RetargetOutcome, SolverBackend};
 pub use model::{MosModel, MosPolarity};
 pub use netlist::{
     inverter_chain, ota_two_stage, rc_ladder, sense_amp_array, sense_amp_array_with, Netlist,

@@ -8,12 +8,10 @@
 //!
 //! The sparse backend has one numeric refresh path
 //! (`MnaState::refresh_factor`): the first factorization fixes the pivot
-//! order and fill pattern; every later refresh diffs the assembled values
-//! bitwise against the last factored ones and re-eliminates only the
-//! factor rows reachable from the slots that changed (a full refresh runs
-//! only without a valid snapshot, i.e. first use or after a failure). Both
-//! passes are bitwise identical to a full refactorization, so a solve's
-//! result never depends on the refreshes that came before it.
+//! order and fill pattern, and every later refresh re-runs the compiled
+//! elimination over every row of that frozen pattern. The factor is a
+//! function of the assembled values alone, so a solve's result never
+//! depends on the refreshes that came before it.
 
 use crate::device::Device;
 use crate::model::MosModel;
@@ -118,39 +116,6 @@ pub enum RetargetOutcome {
     /// the factorization and (on the sparse backend) the canonical pivot
     /// order — solver pools must retire the instance.
     Topology,
-}
-
-/// Cumulative numeric-refactorization accounting for one [`MnaState`]
-/// (sparse backend; the dense backend always refreshes in full and
-/// reports zeros). The partial/full split — and especially
-/// `rows_eliminated` vs `rows_total` — is the measured effect of
-/// KLU-style partial refactorization: rows outside the reachable
-/// closure of the input slots that actually changed keep their frozen
-/// `L`/`U` values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefactorStats {
-    /// Full numeric refactorizations (every row re-eliminated).
-    pub full: u64,
-    /// Partial refactorizations: the input slots that changed since the
-    /// last factored values, found by a bitwise diff, seeded the
-    /// reachable set (an unchanged assembly counts here with no rows).
-    pub partial: u64,
-    /// Factor rows actually re-eliminated, summed over all refreshes.
-    pub rows_eliminated: u64,
-    /// Factor rows a full-only scheme would have re-eliminated.
-    pub rows_total: u64,
-}
-
-impl RefactorStats {
-    /// Fraction of rows re-eliminated vs the full-refactor baseline
-    /// (1.0 when partial refactorization never engaged).
-    pub fn elimination_ratio(&self) -> f64 {
-        if self.rows_total == 0 {
-            1.0
-        } else {
-            self.rows_eliminated as f64 / self.rows_total as f64
-        }
-    }
 }
 
 /// Maps a node to its row/column in the MNA system (`None` for ground).
@@ -916,10 +881,7 @@ impl MnaTemplate {
             },
             repivots: 0,
             ordering: FillOrdering::default(),
-            factored_values: None,
-            device_plans: Vec::new(),
             newton_iterations: 0,
-            refactor_stats: RefactorStats::default(),
         }
     }
 }
@@ -945,32 +907,11 @@ pub struct MnaState {
     /// threaded in from [`NewtonOptions::ordering`] by the solve entry
     /// points.
     ordering: FillOrdering,
-    /// Snapshot of the assembled input values the current factorization
-    /// was computed from (sparse backend only; `None` before the first
-    /// successful refresh or after a failed one). The bitwise diff of
-    /// the next assembly against it is the exact per-device dirty set.
-    factored_values: Option<Vec<f64>>,
-    /// Small move-to-front cache of per-device partial schedules keyed
-    /// by their exact dirty slot set — Newton chord refreshes and
-    /// value-retargeted sweeps revisit the same few sets; dropped
-    /// whenever the factorization re-pivots.
-    device_plans: Vec<(Vec<usize>, SparsePartialPlan)>,
     /// Cumulative Newton/chord iterations run through this state — the
     /// deterministic work measure of a solve sequence (wall time would be
     /// noisy; iteration count is exact).
     newton_iterations: u64,
-    /// Cumulative full/partial refresh accounting.
-    refactor_stats: RefactorStats,
 }
-
-/// Capacity of [`MnaState::device_plans`] — big enough for the handful
-/// of dirty-set shapes one solve sequence revisits (per-rung MOSFET
-/// sets, the post-retarget set), small enough that a linear scan wins.
-const DEVICE_PLAN_CACHE: usize = 8;
-
-/// Alias kept local so the `glova_linalg` type stays an implementation
-/// detail of the state.
-type SparsePartialPlan = glova_linalg::sparse::PartialPlan;
 
 // One `MnaState` exists per solver (never collections of them), so the
 // dense/sparse variant size imbalance costs nothing — boxing would only
@@ -1046,134 +987,37 @@ impl MnaState {
     }
 
     /// Factors (first use) or numerically re-factors the assembled
-    /// system. The sparse path reuses the frozen pivot order/pattern and
-    /// restricts the numeric pass to the factor rows reachable from the
-    /// inputs that changed since the last successful refresh (KLU-style
-    /// partial refactorization — bitwise identical to the full pass).
-    /// The changed inputs are found **exactly**, by bitwise-diffing the
-    /// assembled values against a snapshot of the last factored ones, so
-    /// only the slots of devices that actually moved seed the closure,
-    /// and an assembly identical to the factored one skips the
-    /// elimination entirely. Without a snapshot (first use, or a failed
-    /// refresh that left the factor values unspecified) the pass is
-    /// full. If drifting values break a frozen pivot it transparently
-    /// re-pivots (fresh symbolic analysis, counted in
-    /// [`Self::repivots`]) before giving up.
+    /// system. The sparse path reuses the frozen pivot order and pattern
+    /// and re-runs the compiled elimination over every row; if drifting
+    /// values break a frozen pivot it transparently re-pivots (fresh
+    /// symbolic analysis, counted in [`Self::repivots`]) before giving
+    /// up.
     pub(crate) fn refresh_factor(&mut self) -> Result<(), SpiceError> {
-        let mut repivoted = false;
         match &mut self.inner {
             StateInner::Dense { a, lu, .. } => match lu {
                 Some(f) => f.refactor(a).map_err(SpiceError::from)?,
                 None => *lu = Some(a.lu().map_err(SpiceError::from)?),
             },
-            StateInner::Sparse { a, lu, template, .. } => {
-                // Consumed up front: an error leaves the factor values
-                // unspecified, so the snapshot only describes the factor
-                // again once this refresh lands.
-                let snapshot = self.factored_values.take();
-                // Rows the *successful* partial pass re-eliminated;
-                // `None` means full-refactor work produced the factor
-                // (no snapshot, fallback, fresh analysis or first use).
-                // Stats are recorded only after the refresh succeeds,
-                // classified by the path that actually ran.
-                let mut partial_rows: Option<usize> = None;
-                let refreshed = match (lu.as_mut(), &snapshot) {
-                    (Some(f), Some(s)) if s.len() == a.values().len() => {
-                        let dirty: Vec<usize> = a
-                            .values()
-                            .iter()
-                            .zip(s)
-                            .enumerate()
-                            .filter(|(_, (v, o))| v.to_bits() != o.to_bits())
-                            .map(|(k, _)| k)
-                            .collect();
-                        if dirty.is_empty() {
-                            // The assembly is bitwise the input the
-                            // factor was computed from — already fresh.
-                            partial_rows = Some(0);
-                            Ok(())
-                        } else {
-                            let plan = Self::device_plan(&mut self.device_plans, f, dirty);
-                            match f.refactor_partial(a, plan) {
-                                Ok(()) => {
-                                    partial_rows = Some(plan.rows_eliminated());
-                                    Ok(())
-                                }
-                                // A plan/symbolic mismatch cannot
-                                // normally happen (plans drop on
-                                // re-pivot); fall back to the full pass
-                                // defensively.
-                                Err(LinalgError::DimensionMismatch { .. }) => f.refactor(a),
-                                other => other,
-                            }
-                        }
-                    }
-                    (Some(f), _) => f.refactor(a),
-                    (None, _) => Err(LinalgError::Singular { index: 0 }),
-                };
-                match (refreshed, lu.is_some()) {
-                    (Ok(()), _) => {}
-                    // A collapsed frozen pivot (or a first-use factor):
+            StateInner::Sparse { a, lu, .. } => {
+                let had_factor = lu.is_some();
+                match lu.as_mut().map(|f| f.refactor(a)) {
+                    Some(Ok(())) => {}
+                    // A collapsed frozen pivot, or a first-use factor:
                     // fresh symbolic analysis under the configured
-                    // fill-reducing ordering, schedules invalidated.
-                    (Err(LinalgError::Singular { .. }), had_factor) => {
+                    // fill-reducing ordering.
+                    Some(Err(LinalgError::Singular { .. })) | None => {
                         *lu = Some(
                             SparseLu::factor_with(a, self.ordering).map_err(SpiceError::from)?,
                         );
-                        self.device_plans.clear();
-                        repivoted = had_factor;
+                        if had_factor {
+                            self.repivots += 1;
+                        }
                     }
-                    (Err(e), _) => return Err(SpiceError::from(e)),
+                    Some(Err(e)) => return Err(SpiceError::from(e)),
                 }
-                let n = template.dim() as u64;
-                match partial_rows {
-                    Some(rows) => {
-                        self.refactor_stats.partial += 1;
-                        self.refactor_stats.rows_eliminated += rows as u64;
-                    }
-                    None => {
-                        self.refactor_stats.full += 1;
-                        self.refactor_stats.rows_eliminated += n;
-                    }
-                }
-                self.refactor_stats.rows_total += n;
-                // Record what this factor was computed from so the next
-                // refresh can diff against it (reusing the consumed
-                // snapshot's buffer).
-                let mut buf = snapshot.unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(a.values());
-                self.factored_values = Some(buf);
             }
         }
-        if repivoted {
-            self.repivots += 1;
-        }
         Ok(())
-    }
-
-    /// Looks up — or computes and caches — the partial schedule for an
-    /// exact dirty slot set (move-to-front, capped at
-    /// [`DEVICE_PLAN_CACHE`]).
-    fn device_plan<'p>(
-        cache: &'p mut Vec<(Vec<usize>, SparsePartialPlan)>,
-        f: &SparseLu<f64>,
-        dirty: Vec<usize>,
-    ) -> &'p SparsePartialPlan {
-        if let Some(i) = cache.iter().position(|(d, _)| *d == dirty) {
-            let hit = cache.remove(i);
-            cache.insert(0, hit);
-        } else {
-            let plan = f.plan_partial(&dirty);
-            cache.insert(0, (dirty, plan));
-            cache.truncate(DEVICE_PLAN_CACHE);
-        }
-        &cache[0].1
-    }
-
-    /// Cumulative numeric-refresh accounting (see [`RefactorStats`]).
-    pub fn refactor_stats(&self) -> RefactorStats {
-        self.refactor_stats
     }
 
     /// Times a frozen sparse pivot collapsed numerically and a fresh
@@ -1261,8 +1105,7 @@ impl MnaState {
             {
                 // Identical pattern: the working system and the frozen
                 // symbolic factorization both remain valid; assembly
-                // overwrites every value, and the next refresh diffs it
-                // against the factored snapshot as usual.
+                // overwrites every value before the next refresh.
                 *slot = t;
                 RetargetOutcome::Pattern
             }

@@ -42,7 +42,7 @@ use crate::netlist::Netlist;
 use crate::SpiceError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Eviction policy shared by the process-wide registries
@@ -110,8 +110,8 @@ pub struct SolverRegistry {
 }
 
 impl SolverRegistry {
-    /// Creates an empty registry (tests and scoped servers; production
-    /// code normally shares [`Self::global`]).
+    /// Creates an empty registry. Callers that want one shared across
+    /// servers or campaigns hand each the same instance.
     pub fn new() -> Self {
         Self::default()
     }
@@ -119,12 +119,6 @@ impl SolverRegistry {
     /// Creates an empty registry under an eviction policy.
     pub fn with_config(config: RegistryConfig) -> Self {
         Self { config, ..Self::default() }
-    }
-
-    /// The process-wide registry instance.
-    pub fn global() -> &'static SolverRegistry {
-        static GLOBAL: OnceLock<SolverRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(SolverRegistry::new)
     }
 
     /// Returns the shared pool for `netlist`'s topology under `options`,

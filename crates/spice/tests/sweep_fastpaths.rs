@@ -5,12 +5,11 @@
 //!   freshly built template ([`MnaState::retarget`]) across random
 //!   device-parameter perturbations — the fast path is an optimization,
 //!   never a semantic change;
-//! - **partial refactorization** ([`SparseLu::refactor_partial`], the
-//!   scalar row loop) must be bitwise identical to a full
-//!   [`SparseLu::refactor`] (the compiled elimination schedule) for
-//!   arbitrary dirty-value subsets on the inverter-chain and RC-ladder
-//!   patterns, and both must agree with the dense LU oracle to ≤ 1e-9;
-//! - **history independence** of the per-device partial refreshes: a
+//! - a **refactor after value perturbations** ([`SparseLu::refactor`]
+//!   over the frozen pattern, the compiled elimination schedule) must
+//!   agree with the dense LU oracle to ≤ 1e-9 for arbitrary perturbed
+//!   value subsets on the inverter-chain and RC-ladder patterns;
+//! - **history independence** of the pooled solver's refreshes: a
 //!   solver that walked a random retarget+solve sequence must return, on
 //!   its last netlist, the same bits as a fresh clone of the primed
 //!   prototype retargeted straight to it — on the mixed netlist and a
@@ -19,7 +18,7 @@
 //! The sparse AC sweep's event template is held to the netlist re-walk
 //! in the `ac` module's unit tests, next to the re-walk oracle.
 
-use glova_linalg::sparse::SparseLu;
+use glova_linalg::sparse::{CsrMatrix, SparseLu};
 use glova_spice::dc::OpSolver;
 use glova_spice::mna::{
     newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, SolverBackend,
@@ -74,10 +73,8 @@ fn solve_bits(solver: &mut OpSolver, nl: &Netlist) -> Vec<u64> {
 /// History independence of the pooled solver: a clone of the primed
 /// `proto` that retargeted to and solved every netlist of `history` in
 /// turn must return, on the last one, the same bits as a fresh clone
-/// retargeted straight to it. Every refresh after the first diffs
-/// against the previous factored values, so the two clones reach the
-/// last solve through different partial schedules — which must not
-/// move a bit.
+/// retargeted straight to it. The two clones reach the last solve
+/// through different refresh histories, which must not move a bit.
 fn check_history_independence(proto: &OpSolver, history: &[Netlist]) -> Result<(), TestCaseError> {
     let (last, earlier) = history.split_last().expect("non-empty history");
     let mut walked = proto.clone();
@@ -90,13 +87,6 @@ fn check_history_independence(proto: &OpSolver, history: &[Netlist]) -> Result<(
     let via_history = solve_bits(&mut walked, last);
     let direct = solve_bits(&mut proto.clone(), last);
     prop_assert_eq!(via_history, direct, "solve history moved the result");
-    let stats = walked.refactor_stats();
-    prop_assert!(stats.partial > 0, "partial refreshes must engage: {:?}", stats);
-    prop_assert!(
-        stats.rows_eliminated < stats.rows_total,
-        "partial refreshes must skip rows: {:?}",
-        stats
-    );
     Ok(())
 }
 
@@ -179,11 +169,10 @@ proptest! {
         }
     }
 
-    // `refactor_partial` == `refactor` bitwise for random dirty-value
-    // subsets on the inverter-chain pattern, and both ≤ 1e-9 from the
-    // dense oracle.
+    // A refactor after random value perturbations on the inverter-chain
+    // pattern stays ≤ 1e-9 from the dense oracle.
     #[test]
-    fn prop_partial_refactor_matches_full_on_inverter_chain(
+    fn prop_perturbed_refactor_matches_dense_on_inverter_chain(
         mask in proptest::collection::vec(0.0f64..1.0, 12),
         bumps in proptest::collection::vec(0.6f64..1.6, 12),
     ) {
@@ -193,13 +182,13 @@ proptest! {
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
         template.assemble_into(&mut a, &mut rhs, &vec![0.0; n], 1e-3);
-        prop_check_partial(a, &mask, &bumps)?;
+        check_perturbed_refactor(a, &mask, &bumps)?;
     }
 
     // The same property on the RC-ladder (tridiagonal-plus-border)
-    // pattern, where the reachable sets are genuinely narrow.
+    // pattern.
     #[test]
-    fn prop_partial_refactor_matches_full_on_rc_ladder(
+    fn prop_perturbed_refactor_matches_dense_on_rc_ladder(
         mask in proptest::collection::vec(0.0f64..1.0, 12),
         bumps in proptest::collection::vec(0.6f64..1.6, 12),
     ) {
@@ -209,7 +198,7 @@ proptest! {
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
         template.assemble_into(&mut a, &mut rhs, &vec![0.0; n], 1e-6);
-        prop_check_partial(a, &mask, &bumps)?;
+        check_perturbed_refactor(a, &mask, &bumps)?;
     }
 
     // History independence on the mixed netlist: random retarget
@@ -238,8 +227,7 @@ proptest! {
     }
 
     // History independence on a sparse sense-amp array with random
-    // wordline, latch and cell values — a 2-D pattern where the
-    // per-device closures genuinely differ between histories.
+    // wordline, latch and cell values — a 2-D pattern.
     #[test]
     fn prop_pooled_solver_is_history_independent_on_senseamp(
         base in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
@@ -253,56 +241,31 @@ proptest! {
 }
 
 /// Shared body: factor `a`, perturb a masked subset of its values, then
-/// compare full refactor vs planned partial refactor bitwise and both
-/// against the dense LU oracle.
-fn prop_check_partial(
-    a: glova_linalg::sparse::CsrMatrix<f64>,
+/// refactor over the frozen pattern and compare against the dense LU
+/// oracle.
+fn check_perturbed_refactor(
+    a: CsrMatrix<f64>,
     mask: &[f64],
     bumps: &[f64],
 ) -> Result<(), TestCaseError> {
-    let full0 = SparseLu::factor(&a).unwrap();
-    let mut full = full0.clone();
-    let mut partial = full0.clone();
-    // Random dirty subset: indices k where mask[k % mask.len()] holds a
-    // marker — always at least one (index 0) so the plan is never empty.
-    let mut dirty: Vec<usize> =
-        (0..a.nnz()).filter(|&k| mask[k % mask.len()] > 0.5 && k % 3 == 0).collect();
-    dirty.push(0);
-    let plan = partial.plan_partial(&dirty);
-    prop_assert!(plan.rows_eliminated() <= plan.dim());
-    // Perturb exactly the dirty values (the refactor_partial contract).
+    let mut lu = SparseLu::factor(&a).unwrap();
+    // Random perturbed subset: indices k where mask[k % mask.len()] holds
+    // a marker — always including index 0, so some value moves.
     let mut b = a.clone();
-    for &k in &dirty {
+    for k in (0..b.nnz()).filter(|&k| k == 0 || (mask[k % mask.len()] > 0.5 && k % 3 == 0)) {
         b.values_mut()[k] *= bumps[k % bumps.len()];
     }
-    // A perturbation could in principle collapse a frozen pivot; both
-    // paths must then agree on the failure, and the property trivially
-    // holds — only compare solves when the full path succeeds.
-    let full_ok = full.refactor(&b).is_ok();
-    let partial_result = partial.refactor_partial(&b, &plan);
-    prop_assert_eq!(full_ok, partial_result.is_ok(), "partial/full disagree on viability");
-    if !full_ok {
+    // A perturbation could in principle collapse a frozen pivot; the
+    // refresh then reports it and the solver re-pivots, so only compare
+    // solves when the refactor succeeds.
+    if lu.refactor(&b).is_err() {
         return Ok(());
     }
     let rhs: Vec<f64> = (0..b.rows()).map(|i| (i as f64 * 0.31).cos()).collect();
-    let x_full = full.solve(&rhs);
-    let x_partial = partial.solve(&rhs);
-    for (f, p) in x_full.iter().zip(&x_partial) {
-        prop_assert_eq!(f.to_bits(), p.to_bits(), "partial {} vs full {}", p, f);
-    }
-    // Dense oracle.
+    let x = lu.solve(&rhs);
     let x_dense = b.to_dense().lu().unwrap().solve(&rhs);
-    for (s, d) in x_partial.iter().zip(&x_dense) {
+    for (s, d) in x.iter().zip(&x_dense) {
         prop_assert!((s - d).abs() < 1e-9 * (1.0 + d.abs()), "sparse {} vs dense {}", s, d);
-    }
-    // All-dirty plan degenerates to a bitwise full refactor.
-    let mut all_dirty = full0.clone();
-    let all_plan = all_dirty.plan_partial(&(0..b.nnz()).collect::<Vec<_>>());
-    prop_assert_eq!(all_plan.rows_eliminated(), all_plan.dim());
-    all_dirty.refactor_partial(&b, &all_plan).unwrap();
-    let x_all = all_dirty.solve(&rhs);
-    for (f, p) in x_full.iter().zip(&x_all) {
-        prop_assert_eq!(f.to_bits(), p.to_bits(), "all-dirty partial {} vs full {}", p, f);
     }
     Ok(())
 }
