@@ -9,14 +9,7 @@
 //! cargo run --release -p glova-bench --bin perfsuite -- --report --gate \
 //!     --min-speedup 1.0 --max-wall-seconds 120
 //! cargo run --release -p glova-bench --bin perfsuite -- --quick
-//! cargo run --release -p glova-bench --bin perfsuite -- --emit-sections
 //! ```
-//!
-//! `--emit-sections` additionally writes
-//! `BENCH_perfsuite_sections.json`: the per-scenario wall time broken
-//! down by solver phase (`factor` / `solve`), so a CI regression is
-//! attributable to the phase that moved rather than just the scenario
-//! total.
 //!
 //! Scenarios:
 //!
@@ -91,7 +84,7 @@ use glova::fault::{FaultKind, FaultPlan};
 use glova::problem::SizingProblem;
 use glova::verification::Verifier;
 use glova::yield_est::estimate_yield;
-use glova_bench::report::{write_json_to_repo_root, BenchRecord, BenchReport};
+use glova_bench::report::{BenchRecord, BenchReport};
 use glova_bench::{report_requested, write_report};
 use glova_circuits::{Circuit, ToyQuadratic};
 use glova_linalg::sparse::SparseLu;
@@ -271,11 +264,6 @@ fn main() {
 
     let mut report = BenchReport::new("perfsuite");
     let mut failures: Vec<String> = Vec::new();
-    // (scenario, engine, phase, wall) rows for `--emit-sections` — the
-    // phase is factor or solve, so a CI regression in a scenario total is
-    // attributable to the phase that actually moved.
-    let emit_sections = args.iter().any(|a| a == "--emit-sections");
-    let mut sections: Vec<(&str, String, &str, Duration)> = Vec::new();
 
     // ---- yield_grid: circuit × batch × engine --------------------------
     // The gate checks the *best* threaded speedup across the matrix, not
@@ -606,8 +594,6 @@ fn main() {
              sense-amp array (floor {amd_floor:.1}x)"
         ));
     }
-    sections.push(("spice_amd", "markowitz".into(), "factor", mark_wall));
-    sections.push(("spice_amd", "amd".into(), "factor", amd_wall));
 
     // ---- spice_ota: DC+AC evaluations through the full solver stack ----
     // The two-stage Miller OTA testcase: every evaluation is a pooled DC
@@ -946,24 +932,6 @@ fn main() {
                     r.scenario, r.circuit, r.engine, r.wall_seconds
                 ));
             }
-        }
-    }
-
-    if emit_sections {
-        let rows: Vec<String> = sections
-            .iter()
-            .map(|(scenario, engine, phase, wall)| {
-                format!(
-                    "    {{\"scenario\": \"{scenario}\", \"engine\": \"{engine}\", \
-                     \"phase\": \"{phase}\", \"wall_seconds\": {:.6}}}",
-                    wall.as_secs_f64()
-                )
-            })
-            .collect();
-        let json = format!("{{\n  \"sections\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
-        match write_json_to_repo_root("perfsuite_sections", &json) {
-            Ok(path) => println!("\nwrote per-phase sections to {}", path.display()),
-            Err(err) => eprintln!("\nfailed to write sections artifact: {err}"),
         }
     }
 

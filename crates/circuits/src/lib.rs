@@ -132,10 +132,12 @@ pub trait Circuit: Send + Sync {
     /// Maps a normalized point into physical parameter values.
     fn denormalize(&self, x_norm: &[f64]) -> Vec<f64> {
         assert_eq!(x_norm.len(), self.dim(), "design vector dimension mismatch");
-        self.bounds()
-            .iter()
-            .zip(x_norm)
-            .map(|(&(lo, hi), &u)| lo + (hi - lo) * u.clamp(0.0, 1.0))
-            .collect()
+        denormalize_within(&self.bounds(), x_norm)
     }
+}
+
+/// Maps each normalized coordinate (clamped to `[0, 1]`) linearly into
+/// its `(lo, hi)` bound — the formula behind [`Circuit::denormalize`].
+fn denormalize_within(bounds: &[(f64, f64)], x_norm: &[f64]) -> Vec<f64> {
+    bounds.iter().zip(x_norm).map(|(&(lo, hi), &u)| lo + (hi - lo) * u.clamp(0.0, 1.0)).collect()
 }

@@ -1,13 +1,16 @@
-//! A genuinely SPICE-backed testcase: every evaluation is a DC
-//! operating-point solve of a real netlist.
+//! The SPICE-backed testcases: every evaluation solves a real netlist.
 //!
 //! The three paper testcases ([`StrongArmLatch`](crate::StrongArmLatch)
 //! etc.) are physics-based *analytic* models layered over the 28 nm
 //! device cards — fast, but they never exercise the MNA solver stack.
-//! [`SpiceInverterChain`] closes that gap: its `evaluate` builds a
-//! corner- and mismatch-specialized inverter-chain netlist and solves it
-//! through a shared [`OpSolverPool`], so SPICE-backed corner/mismatch
-//! sweeps flow through the same
+//! [`SpiceInverterChain`], [`SpiceOta`] and [`SpiceSenseAmpArray`] close
+//! that gap: each `evaluate` builds a corner- and mismatch-specialized
+//! netlist and solves it through one private pooled-solve harness. The
+//! harness holds the [`OpSolverPool`] (private, or shared through a
+//! [`SolverRegistry`]), retargets a pooled solver at the point's netlist
+//! and solves it, retries a non-convergent solve once with full Newton,
+//! and keeps the failure ledger behind [`Circuit::failure_stats`].
+//! SPICE-backed corner/mismatch sweeps flow through the same
 //! [`EvalEngine`](../../glova/engine/trait.EvalEngine.html)-dispatched
 //! [`SizingProblem`](../../glova/problem/struct.SizingProblem.html) batch
 //! entry points as every other circuit — with each engine worker
@@ -26,7 +29,7 @@
 //! `tests/spice_engine_parity.rs` is the battery that locks this in.
 
 use crate::spec::{DesignSpec, MetricSpec};
-use crate::{Circuit, FailureStats};
+use crate::{denormalize_within, Circuit, FailureStats};
 use glova_spice::ac::{ac_sweep_with_backend_from_op, log_sweep};
 use glova_spice::dc::{OpSolver, OpSolverPool, OperatingPoint};
 use glova_spice::mna::{JacobianStrategy, NewtonOptions, SolverBackend};
@@ -41,53 +44,87 @@ use glova_variation::sampler::MismatchVector;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-instance atomic counters behind [`Circuit::failure_stats`].
-#[derive(Debug, Default)]
-struct FailureCounters {
+/// The pooled-solve harness every SPICE testcase evaluates through: the
+/// solver pool (private, or shared through a [`SolverRegistry`]), the
+/// retarget–solve–retry sequence, and the failure ledger behind
+/// [`Circuit::failure_stats`].
+#[derive(Debug)]
+struct PooledSolve {
+    pool: Arc<OpSolverPool>,
     nonconvergent: AtomicU64,
     recovered: AtomicU64,
     degraded: AtomicU64,
 }
 
-impl FailureCounters {
-    fn snapshot(&self) -> FailureStats {
+impl PooledSolve {
+    /// Primes a private pool for `prototype` under `options`, or resolves
+    /// the shared one through `registry` (the `glova-serve` path —
+    /// concurrent campaigns over one topology share one primed symbolic
+    /// analysis; trajectories are unaffected, see the determinism notes
+    /// on [`SolverRegistry`]).
+    ///
+    /// The prototype fixes the topology (and on the sparse backend the
+    /// symbolic factorization); its device *values* are irrelevant —
+    /// every evaluation retargets the solver at its own netlist. Nominal
+    /// mid-range sizing keeps the primed system well conditioned.
+    fn new(prototype: &Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
+        let pool = match registry {
+            Some(registry) => registry.pool_for(prototype, options),
+            None => OpSolverPool::new(prototype, options).map(Arc::new),
+        };
+        Self {
+            pool: pool.expect("testcase netlists are structurally sound"),
+            nonconvergent: AtomicU64::new(0),
+            recovered: AtomicU64::new(0),
+            degraded: AtomicU64::new(0),
+        }
+    }
+
+    /// The operating point of `netlist`, solved on a pooled solver
+    /// retargeted at it, or `None` when the point degrades.
+    ///
+    /// A non-convergent pooled solve retries once on a fresh cold solver
+    /// running the full `gmin` ladder from zeros with a full-Newton
+    /// Jacobian and a much larger iteration budget. A transient failure
+    /// (a chord iteration stalling on an extreme point the pooled
+    /// solver's reused LU linearized badly) recovers there; a genuinely
+    /// unsolvable point fails again and degrades. Both paths are pure
+    /// functions of `(netlist, options)`, so engine parity and trajectory
+    /// bitwise identity hold — every engine retries the same points the
+    /// same way.
+    fn solve(&self, netlist: &Netlist) -> Option<OperatingPoint> {
+        let solved = self.pool.with_solver(|solver| {
+            solver.retarget(netlist);
+            solver.solve()
+        });
+        if let Ok(op) = solved {
+            return Some(op);
+        }
+        self.nonconvergent.fetch_add(1, Ordering::Relaxed);
+        let base = self.pool.options();
+        let escalated = NewtonOptions {
+            max_iterations: (base.max_iterations * 4).max(800),
+            strategy: JacobianStrategy::Full,
+            ..*base
+        };
+        let retried = OpSolver::new(netlist, escalated).solve().ok();
+        let outcome = if retried.is_some() { &self.recovered } else { &self.degraded };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        retried
+    }
+
+    /// Books a failure that has no retry path: one nonconvergent and one
+    /// degraded evaluation together.
+    fn degrade(&self) {
+        self.nonconvergent.fetch_add(1, Ordering::Relaxed);
+        self.degraded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn stats(&self) -> FailureStats {
         FailureStats {
             nonconvergent: self.nonconvergent.load(Ordering::Relaxed),
             recovered: self.recovered.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One-shot escalated recovery for a non-convergent pooled solve: a
-/// fresh cold solver running the full `gmin` ladder from zeros with a
-/// full-Newton Jacobian and a much larger iteration budget. A transient
-/// failure (a chord iteration stalling on an extreme point the pooled
-/// solver's reused LU linearized badly) recovers here; a genuinely
-/// unsolvable point fails again and the caller degrades to NaN metrics.
-///
-/// Deterministic: the retry is a pure function of `(netlist, options)`,
-/// so engine parity and trajectory bitwise identity are preserved —
-/// every engine retries the same points the same way.
-fn recover_nonconvergent(
-    nl: &Netlist,
-    base: &NewtonOptions,
-    counters: &FailureCounters,
-) -> Option<OperatingPoint> {
-    counters.nonconvergent.fetch_add(1, Ordering::Relaxed);
-    let escalated = NewtonOptions {
-        max_iterations: (base.max_iterations * 4).max(800),
-        strategy: JacobianStrategy::Full,
-        ..*base
-    };
-    match OpSolver::new(nl, escalated).solve() {
-        Ok(op) => {
-            counters.recovered.fetch_add(1, Ordering::Relaxed);
-            Some(op)
-        }
-        Err(_) => {
-            counters.degraded.fetch_add(1, Ordering::Relaxed);
-            None
         }
     }
 }
@@ -114,8 +151,7 @@ fn recover_nonconvergent(
 pub struct SpiceInverterChain {
     stages: usize,
     spec: DesignSpec,
-    pool: Arc<OpSolverPool>,
-    failures: FailureCounters,
+    solve: PooledSolve,
 }
 
 /// Mismatch components contributed per stage: `ΔV_th`/`Δβ` for the PMOS,
@@ -140,37 +176,24 @@ impl SpiceInverterChain {
     ///
     /// Panics if `stages < 2`.
     pub fn with_backend(stages: usize, backend: SolverBackend) -> Self {
-        assert!(stages >= 2, "the chain metrics need at least two stages");
-        // The pool prototype fixes the topology (and on the sparse
-        // backend the symbolic factorization); its device *values* are
-        // irrelevant — every evaluation retargets the solver at its own
-        // netlist. Nominal mid-range sizing keeps the primed system well
-        // conditioned.
-        let pool = Arc::new(
-            OpSolverPool::new(
-                &Self::prototype_netlist(stages),
-                NewtonOptions::default().with_backend(backend),
-            )
-            .expect("inverter chain netlist is structurally sound"),
-        );
-        Self { stages, spec: Self::static_spec(stages), pool, failures: FailureCounters::default() }
+        Self::build(stages, NewtonOptions::default().with_backend(backend), None)
     }
 
     /// Builds the chain testcase on a pool resolved through `registry`,
     /// so every concurrent campaign over a `stages`-stage chain shares
-    /// one primed symbolic analysis instead of paying its own (the
-    /// `glova-serve` path; trajectories are unaffected — see the
-    /// determinism notes on [`SolverRegistry`]).
+    /// one primed symbolic analysis instead of paying its own.
     ///
     /// # Panics
     ///
     /// Panics if `stages < 2`.
     pub fn from_registry(stages: usize, registry: &SolverRegistry) -> Self {
+        Self::build(stages, NewtonOptions::default(), Some(registry))
+    }
+
+    fn build(stages: usize, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
         assert!(stages >= 2, "the chain metrics need at least two stages");
-        let pool = registry
-            .pool_for(&Self::prototype_netlist(stages), NewtonOptions::default())
-            .expect("inverter chain netlist is structurally sound");
-        Self { stages, spec: Self::static_spec(stages), pool, failures: FailureCounters::default() }
+        let solve = PooledSolve::new(&Self::prototype_netlist(stages), options, registry);
+        Self { stages, spec: Self::static_spec(stages), solve }
     }
 
     /// Number of inverter stages.
@@ -202,7 +225,7 @@ impl SpiceInverterChain {
     fn prototype_netlist(stages: usize) -> Netlist {
         Self::netlist_for(
             stages,
-            &Self::static_denormalize(&[0.5; 4]),
+            &denormalize_within(&Self::static_bounds(), &[0.5; 4]),
             &PvtCorner::typical(),
             &MismatchVector::nominal(stages * MISMATCH_PER_STAGE),
         )
@@ -211,12 +234,12 @@ impl SpiceInverterChain {
     /// The shared solver pool (counters are useful in tests and benches:
     /// solvers spawned == peak concurrent workers).
     pub fn solver_pool(&self) -> &OpSolverPool {
-        &self.pool
+        &self.solve.pool
     }
 
     /// Whether evaluations run the sparse MNA backend.
     pub fn is_sparse(&self) -> bool {
-        self.pool.is_sparse()
+        self.solve.pool.is_sparse()
     }
 
     fn static_bounds() -> Vec<(f64, f64)> {
@@ -226,14 +249,6 @@ impl SpiceInverterChain {
             (0.03, 0.08), // l_um
             (5e3, 20e3),  // rl_ohm
         ]
-    }
-
-    fn static_denormalize(x_norm: &[f64]) -> Vec<f64> {
-        Self::static_bounds()
-            .iter()
-            .zip(x_norm)
-            .map(|(&(lo, hi), &u)| lo + (hi - lo) * u.clamp(0.0, 1.0))
-            .collect()
     }
 
     /// Builds the netlist for one `(x, corner, h)` point. The topology
@@ -308,7 +323,7 @@ impl Circuit for SpiceInverterChain {
     }
 
     fn mismatch_domain(&self, x_norm: &[f64]) -> MismatchDomain {
-        let x = Self::static_denormalize(x_norm);
+        let x = self.denormalize(x_norm);
         let (wn, wp, l) = (x[0], x[1], x[2]);
         let mut devices = Vec::with_capacity(2 * self.stages);
         for s in 0..self.stages {
@@ -325,19 +340,9 @@ impl Circuit for SpiceInverterChain {
             self.stages * MISMATCH_PER_STAGE,
             "mismatch vector dimension mismatch"
         );
-        let x = Self::static_denormalize(x_norm);
+        let x = self.denormalize(x_norm);
         let mut nl = Self::netlist_for(self.stages, &x, corner, mismatch);
-        let solved = self.pool.with_solver(|solver| {
-            solver.retarget(&nl);
-            solver.solve()
-        });
-        let recovered = match solved {
-            Ok(op) => Some(op),
-            // Retry once on an escalated cold solve before degrading —
-            // both paths are deterministic properties of the point.
-            Err(_) => recover_nonconvergent(&nl, self.pool.options(), &self.failures),
-        };
-        match recovered {
+        match self.solve.solve(&nl) {
             Some(op) => {
                 let branch = nl.vsource_branch("VDD").expect("VDD source present");
                 let supply_current_ua = op.branch_current(branch).abs() * 1e6;
@@ -351,7 +356,7 @@ impl Circuit for SpiceInverterChain {
     }
 
     fn failure_stats(&self) -> FailureStats {
-        self.failures.snapshot()
+        self.solve.stats()
     }
 }
 
@@ -380,10 +385,8 @@ impl Circuit for SpiceInverterChain {
 #[derive(Debug)]
 pub struct SpiceOta {
     spec: DesignSpec,
-    pool: Arc<OpSolverPool>,
-    backend: SolverBackend,
+    solve: PooledSolve,
     freqs: Vec<f64>,
-    failures: FailureCounters,
 }
 
 /// Mismatch components: `ΔV_th`/`Δβ` for M1, M2, M3, M4, M6 in order.
@@ -398,42 +401,26 @@ impl SpiceOta {
 
     /// Builds the OTA testcase on an explicit solver backend.
     pub fn with_backend(backend: SolverBackend) -> Self {
-        let pool = Arc::new(
-            OpSolverPool::new(
-                &Self::prototype_netlist(),
-                NewtonOptions::default().with_backend(backend),
-            )
-            .expect("OTA netlist is structurally sound"),
-        );
-        Self {
-            spec: Self::static_spec(),
-            pool,
-            backend,
-            freqs: log_sweep(1e3, 1e9, 3),
-            failures: FailureCounters::default(),
-        }
+        Self::build(NewtonOptions::default().with_backend(backend), None)
     }
 
-    /// Builds the OTA testcase on a pool resolved through `registry`
-    /// (the `glova-serve` path — concurrent campaigns share one primed
-    /// symbolic analysis; see the determinism notes on
-    /// [`SolverRegistry`]).
+    /// Builds the OTA testcase on a pool resolved through `registry`, so
+    /// concurrent campaigns share one primed symbolic analysis.
     pub fn from_registry(registry: &SolverRegistry) -> Self {
-        let pool = registry
-            .pool_for(&Self::prototype_netlist(), NewtonOptions::default())
-            .expect("OTA netlist is structurally sound");
+        Self::build(NewtonOptions::default(), Some(registry))
+    }
+
+    fn build(options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
         Self {
             spec: Self::static_spec(),
-            pool,
-            backend: SolverBackend::Auto,
+            solve: PooledSolve::new(&Self::prototype_netlist(), options, registry),
             freqs: log_sweep(1e3, 1e9, 3),
-            failures: FailureCounters::default(),
         }
     }
 
     /// The shared DC solver pool (counters useful in tests/benches).
     pub fn solver_pool(&self) -> &OpSolverPool {
-        &self.pool
+        &self.solve.pool
     }
 
     /// Fingerprint of the evaluated DC topology — the key this
@@ -458,7 +445,7 @@ impl SpiceOta {
 
     fn prototype_netlist() -> Netlist {
         Self::netlist_for(
-            &Self::static_denormalize(&[0.5; 6]),
+            &denormalize_within(&Self::static_bounds(), &[0.5; 6]),
             &PvtCorner::typical(),
             &MismatchVector::nominal(OTA_MISMATCH_DIM),
         )
@@ -473,14 +460,6 @@ impl SpiceOta {
             (10.0, 40.0), // itail_ua
             (5.0, 20.0),  // rl_kohm
         ]
-    }
-
-    fn static_denormalize(x_norm: &[f64]) -> Vec<f64> {
-        Self::static_bounds()
-            .iter()
-            .zip(x_norm)
-            .map(|(&(lo, hi), &u)| lo + (hi - lo) * u.clamp(0.0, 1.0))
-            .collect()
     }
 
     /// Builds the netlist for one `(x, corner, h)` point. Topology (and
@@ -542,7 +521,7 @@ impl Circuit for SpiceOta {
     }
 
     fn mismatch_domain(&self, x_norm: &[f64]) -> MismatchDomain {
-        let x = Self::static_denormalize(x_norm);
+        let x = self.denormalize(x_norm);
         let (w_in, w_mir, w_out, l) = (x[0], x[1], x[2], x[3]);
         MismatchDomain::new(
             vec![
@@ -559,25 +538,16 @@ impl Circuit for SpiceOta {
     fn evaluate(&self, x_norm: &[f64], corner: &PvtCorner, mismatch: &MismatchVector) -> Vec<f64> {
         assert_eq!(x_norm.len(), self.dim(), "design vector dimension mismatch");
         assert_eq!(mismatch.dim(), OTA_MISMATCH_DIM, "mismatch vector dimension mismatch");
-        let x = Self::static_denormalize(x_norm);
+        let x = self.denormalize(x_norm);
         let mut nl = Self::netlist_for(&x, corner, mismatch);
-        let solved = self.pool.with_solver(|solver| {
-            solver.retarget(&nl);
-            solver.solve()
-        });
-        let op = match solved {
-            Ok(op) => op,
-            // Retry the DC solve once on an escalated cold ladder before
-            // degrading the point to NaN metrics.
-            Err(_) => match recover_nonconvergent(&nl, self.pool.options(), &self.failures) {
-                Some(op) => op,
-                None => return vec![f64::NAN; self.spec.len()],
-            },
+        let Some(op) = self.solve.solve(&nl) else {
+            return vec![f64::NAN; self.spec.len()];
         };
         let branch = nl.vsource_branch("VDD").expect("VDD source present");
         let supply_current_ua = op.branch_current(branch).abs() * 1e6;
         let out = nl.node("out");
-        match ac_sweep_with_backend_from_op(&nl, op, "VINP", &self.freqs, self.backend) {
+        let backend = self.solve.pool.options().backend;
+        match ac_sweep_with_backend_from_op(&nl, op, "VINP", &self.freqs, backend) {
             Ok(ac) => {
                 let gain_db = ac.magnitude_db(out)[0];
                 // Single-pole GBW estimate; a response that never drops
@@ -588,17 +558,15 @@ impl Circuit for SpiceOta {
             }
             Err(_) => {
                 // A failed small-signal sweep has no retry path (it is
-                // already a direct factorization, not an iteration);
-                // count the failure and the degradation together.
-                self.failures.nonconvergent.fetch_add(1, Ordering::Relaxed);
-                self.failures.degraded.fetch_add(1, Ordering::Relaxed);
+                // already a direct factorization, not an iteration).
+                self.solve.degrade();
                 vec![f64::NAN; self.spec.len()]
             }
         }
     }
 
     fn failure_stats(&self) -> FailureStats {
-        self.failures.snapshot()
+        self.solve.stats()
     }
 }
 
@@ -635,8 +603,7 @@ pub struct SpiceSenseAmpArray {
     rows: usize,
     cols: usize,
     spec: DesignSpec,
-    pool: Arc<OpSolverPool>,
-    failures: FailureCounters,
+    solve: PooledSolve,
 }
 
 /// Mismatch components contributed per column: `ΔV_th`/`Δβ` for the
@@ -674,40 +641,29 @@ impl SpiceSenseAmpArray {
     ///
     /// Panics if `rows == 0` or `cols == 0`.
     pub fn with_options(rows: usize, cols: usize, options: NewtonOptions) -> Self {
-        assert!(rows > 0 && cols > 0, "a sense-amp array needs at least one row and column");
-        let pool = Arc::new(
-            OpSolverPool::new(&Self::prototype_netlist(rows, cols), options)
-                .expect("sense-amp array netlist is structurally sound"),
-        );
-        Self {
-            rows,
-            cols,
-            spec: Self::static_spec(rows, cols),
-            pool,
-            failures: FailureCounters::default(),
-        }
+        Self::build(rows, cols, options, None)
     }
 
-    /// Builds the array testcase on a pool resolved through `registry`
-    /// (the `glova-serve` path — concurrent campaigns over one array
-    /// shape share one primed symbolic analysis; see the determinism
-    /// notes on [`SolverRegistry`]).
+    /// Builds the array testcase on a pool resolved through `registry`,
+    /// so concurrent campaigns over one array shape share one primed
+    /// symbolic analysis.
     ///
     /// # Panics
     ///
     /// Panics if `rows == 0` or `cols == 0`.
     pub fn from_registry(rows: usize, cols: usize, registry: &SolverRegistry) -> Self {
+        Self::build(rows, cols, NewtonOptions::default(), Some(registry))
+    }
+
+    fn build(
+        rows: usize,
+        cols: usize,
+        options: NewtonOptions,
+        registry: Option<&SolverRegistry>,
+    ) -> Self {
         assert!(rows > 0 && cols > 0, "a sense-amp array needs at least one row and column");
-        let pool = registry
-            .pool_for(&Self::prototype_netlist(rows, cols), NewtonOptions::default())
-            .expect("sense-amp array netlist is structurally sound");
-        Self {
-            rows,
-            cols,
-            spec: Self::static_spec(rows, cols),
-            pool,
-            failures: FailureCounters::default(),
-        }
+        let solve = PooledSolve::new(&Self::prototype_netlist(rows, cols), options, registry);
+        Self { rows, cols, spec: Self::static_spec(rows, cols), solve }
     }
 
     /// Array shape as `(rows, cols)`.
@@ -743,7 +699,7 @@ impl SpiceSenseAmpArray {
         Self::netlist_for(
             rows,
             cols,
-            &Self::static_denormalize(&[0.5; 4]),
+            &denormalize_within(&Self::static_bounds(), &[0.5; 4]),
             &PvtCorner::typical(),
             &MismatchVector::nominal(cols * MISMATCH_PER_COLUMN),
         )
@@ -751,12 +707,12 @@ impl SpiceSenseAmpArray {
 
     /// The shared solver pool (counters useful in tests and benches).
     pub fn solver_pool(&self) -> &OpSolverPool {
-        &self.pool
+        &self.solve.pool
     }
 
     /// Whether evaluations run the sparse MNA backend.
     pub fn is_sparse(&self) -> bool {
-        self.pool.is_sparse()
+        self.solve.pool.is_sparse()
     }
 
     fn static_bounds() -> Vec<(f64, f64)> {
@@ -773,14 +729,6 @@ impl SpiceSenseAmpArray {
             (0.08, 0.2),  // l_um
             (0.5e3, 2e3), // r_precharge_ohm
         ]
-    }
-
-    fn static_denormalize(x_norm: &[f64]) -> Vec<f64> {
-        Self::static_bounds()
-            .iter()
-            .zip(x_norm)
-            .map(|(&(lo, hi), &u)| lo + (hi - lo) * u.clamp(0.0, 1.0))
-            .collect()
     }
 
     /// Builds the netlist for one `(x, corner, h)` point: the exact
@@ -873,7 +821,7 @@ impl Circuit for SpiceSenseAmpArray {
     }
 
     fn mismatch_domain(&self, x_norm: &[f64]) -> MismatchDomain {
-        let x = Self::static_denormalize(x_norm);
+        let x = self.denormalize(x_norm);
         let (w_latch, l) = (x[1], x[2]);
         let mut devices = Vec::with_capacity(2 * self.cols);
         for c in 0..self.cols {
@@ -890,17 +838,9 @@ impl Circuit for SpiceSenseAmpArray {
             self.cols * MISMATCH_PER_COLUMN,
             "mismatch vector dimension mismatch"
         );
-        let x = Self::static_denormalize(x_norm);
+        let x = self.denormalize(x_norm);
         let mut nl = Self::netlist_for(self.rows, self.cols, &x, corner, mismatch);
-        let solved = self.pool.with_solver(|solver| {
-            solver.retarget(&nl);
-            solver.solve()
-        });
-        let recovered = match solved {
-            Ok(op) => Some(op),
-            Err(_) => recover_nonconvergent(&nl, self.pool.options(), &self.failures),
-        };
-        match recovered {
+        match self.solve.solve(&nl) {
             Some(op) => {
                 let vpre = corner.vdd / 2.0;
                 let mut worst_diff = f64::INFINITY;
@@ -920,7 +860,7 @@ impl Circuit for SpiceSenseAmpArray {
     }
 
     fn failure_stats(&self) -> FailureStats {
-        self.failures.snapshot()
+        self.solve.stats()
     }
 }
 
@@ -938,7 +878,7 @@ mod tests {
         let nl = SpiceSenseAmpArray::netlist_for(
             5,
             4,
-            &SpiceSenseAmpArray::static_denormalize(&[0.5; 4]),
+            &denormalize_within(&SpiceSenseAmpArray::static_bounds(), &[0.5; 4]),
             &PvtCorner::typical(),
             &MismatchVector::nominal(4 * MISMATCH_PER_COLUMN),
         );
@@ -1092,6 +1032,98 @@ mod tests {
         skew[0] = 0.02;
         let skewed = ota.evaluate(&x, &PvtCorner::typical(), &MismatchVector::from_values(skew));
         assert_ne!(skewed, typical, "mismatch must perturb the OTA metrics");
+    }
+
+    /// Evaluates a point whose pooled solve fails to converge and checks
+    /// that the escalated retry recovers it: the ledger moves by exactly
+    /// one nonconvergent and one recovered, and the metrics keep their
+    /// recorded bits.
+    fn assert_recovers_once(
+        circuit: &dyn Circuit,
+        x: &[f64],
+        corner: PvtCorner,
+        h: &[f64],
+        bits: [u64; 3],
+    ) {
+        let before = circuit.failure_stats();
+        let m = circuit.evaluate(x, &corner, &MismatchVector::from_values(h.to_vec()));
+        let moved = circuit.failure_stats().since(before);
+        assert_eq!(moved, FailureStats { nonconvergent: 1, recovered: 1, degraded: 0 });
+        assert_eq!(m.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits, "metrics {m:?}");
+        // Nominal mismatch at the same design converges on the pool.
+        circuit.evaluate(x, &corner, &MismatchVector::nominal(h.len()));
+        assert_eq!(circuit.failure_stats().since(before).nonconvergent, 1);
+    }
+
+    #[test]
+    fn ota_escalated_retry_recovers_a_nonconvergent_point() {
+        use glova_variation::corner::ProcessCorner;
+        let x = [
+            0.5937501448280743,
+            0.6687146702455976,
+            0.8196072081534386,
+            0.9336689035179422,
+            0.13257217135801447,
+            0.2782936373312048,
+        ];
+        let h = [
+            -0.0001344642336917456,
+            -0.014962146606030381,
+            0.0009693362647296188,
+            0.006600745751511634,
+            -0.0029614396169764167,
+            -0.012660446751543928,
+            0.000651817529297104,
+            -0.0019755351414591765,
+            -0.004059217118150253,
+            -0.0005545083631703979,
+        ];
+        let ss = PvtCorner { process: ProcessCorner::Ss, vdd: 0.8, temp_c: 27.0 };
+        let bits = [0x4030_3c20_0d7f_3aea, 0x403e_16d2_5089_dd94, 0x4058_0872_bcc0_8034];
+        assert_recovers_once(&SpiceOta::new(), &x, ss, &h, bits);
+    }
+
+    #[test]
+    fn chain_escalated_retry_recovers_a_nonconvergent_point() {
+        use glova_variation::corner::ProcessCorner;
+        let x = [0.6154502042908195, 0.5904766587903673, 0.4467818279388489, 0.2051570164360368];
+        let h = [
+            -0.00420621556190286,
+            0.0066850171627223795,
+            -0.01698789721275455,
+            0.0060426498765024355,
+            0.00575380024165525,
+            0.04879795298745071,
+            0.004631991161739676,
+            -0.05406952345393898,
+            0.013936052380668865,
+            -0.022182816109819654,
+            -0.0015749769653920721,
+            0.0005519325045692194,
+            0.0008864418439326802,
+            -0.046858093985256435,
+            -0.002758214012398249,
+            -0.045200498576011244,
+            -0.003232289352250866,
+            0.03389027431037648,
+            -0.0019094699671165453,
+            -0.04335181674131282,
+            0.005753610312740751,
+            0.007166421064360534,
+            -0.017257481516672307,
+            -0.01089013311720454,
+            0.005496248123193517,
+            0.03571755479429569,
+            -0.014434680544064712,
+            -0.004703609476286939,
+            0.0015200622896781658,
+            0.011410880153599154,
+            -0.009129824181457554,
+            0.03432893448539969,
+        ];
+        let sf = PvtCorner { process: ProcessCorner::Sf, vdd: 0.9, temp_c: 80.0 };
+        let bits = [0x407b_dad4_6255_0dff, 0x3feb_d636_eb1c_3710, 0x3e4d_1ff3_3fc3_3e6d];
+        assert_recovers_once(&SpiceInverterChain::new(8), &x, sf, &h, bits);
     }
 
     #[test]

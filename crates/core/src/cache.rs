@@ -26,8 +26,17 @@
 //! identical across engines and cache configurations, while
 //! [`CacheStats::misses`] counts the circuit evaluations actually paid
 //! for.
+//!
+//! # Sharing across campaigns
+//!
+//! [`CacheRegistry`] hands one cache per circuit identity to every
+//! campaign in a process. It is an instantiation of the generic
+//! [`Registry`] that the solver-pool registry shares, so lookup, the
+//! identity-and-config confirm, eviction and the counters have one
+//! implementation.
 
 use crate::problem::SimOutcome;
+use glova_spice::registry::Registry;
 pub use glova_spice::registry::RegistryConfig;
 use glova_stats::hash::Fnv1a;
 use glova_variation::corner::{ProcessCorner, PvtCorner};
@@ -35,8 +44,7 @@ use glova_variation::sampler::MismatchVector;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// Pass-through hasher: cache keys are already 64-bit FNV digests, so
 /// running them through SipHash again would only burn lookup-path cycles.
@@ -505,19 +513,9 @@ impl EvalCache {
     }
 }
 
-/// One registered cache: the full identity it was created for plus the
-/// shared cache itself.
-#[derive(Debug)]
-struct CacheRegistryEntry {
-    identity: Vec<u64>,
-    config: EvalCacheConfig,
-    cache: Arc<EvalCache>,
-    last_used: Instant,
-    expired: bool,
-}
-
 /// A process-wide map from circuit identity to a shared [`EvalCache`] —
-/// the memo-table sibling of `glova_spice::SolverRegistry`.
+/// the [`Registry`] instantiation the serving layer resolves caches
+/// through (`registry.get_or_insert_with(&identity, config, EvalCache::new)`).
 ///
 /// Concurrent campaigns on the same circuit revisit each other's
 /// `(design, corner, mismatch)` points (seed grids, confirmation sweeps,
@@ -533,189 +531,21 @@ struct CacheRegistryEntry {
 /// share memoized outcomes. Callers therefore present a full **identity
 /// word sequence** — circuit name, dimension, bounds bits, spec digest,
 /// topology fingerprint, whatever distinguishes evaluation semantics
-/// (`glova-serve` builds this per circuit). Like the solver registry,
-/// hits confirm the entire sequence against the stored one, so a digest
-/// collision creates a separate entry and can never alias outcomes; the
-/// cache *config* is part of the match too, so requests with different
-/// capacity or policy get distinct caches rather than surprising each
-/// other.
+/// (`glova-serve` builds this per circuit). Hits confirm the entire
+/// sequence, so a digest collision creates a separate entry and can
+/// never alias outcomes; the cache *config* is part of the match too, so
+/// requests with different capacity or policy get distinct caches rather
+/// than surprising each other.
 ///
 /// Goal conditioning stays safe under sharing: campaigns re-derive
 /// goal-spec rewards from the cached raw metrics, so one cache serves a
 /// whole goal family (see [`crate::campaign`]).
-#[derive(Debug, Default)]
-pub struct CacheRegistry {
-    /// Digest → entries; multiple entries under one digest only on a
-    /// genuine collision or a config difference.
-    buckets: Mutex<HashMap<u64, Vec<CacheRegistryEntry>>>,
-    config: RegistryConfig,
-    creations: AtomicU64,
-    hits: AtomicU64,
-    collisions: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CacheRegistry {
-    /// Creates an empty registry. Callers that want one shared across
-    /// servers or campaigns hand each the same instance.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty registry under an eviction policy (shared
-    /// [`RegistryConfig`] from `glova_spice` — the same LRU/TTL semantics
-    /// as the solver registry, and the same `Arc`-safety: an evicted
-    /// cache stays alive for in-flight holders, the registry merely
-    /// re-creates on the next miss).
-    pub fn with_config(config: RegistryConfig) -> Self {
-        Self { config, ..Self::default() }
-    }
-
-    /// Returns the shared cache for `identity` under `config`, creating
-    /// (and registering) one if no confirmed entry exists. Hits confirm
-    /// the full identity sequence and the config; a digest collision
-    /// creates a separate entry, it never aliases.
-    pub fn cache_for(&self, identity: &[u64], config: EvalCacheConfig) -> Arc<EvalCache> {
-        let mut hasher = Fnv1a::new();
-        for &w in identity {
-            hasher.write_word(w);
-        }
-        self.cache_for_keyed(hasher.finish(), identity, config)
-    }
-
-    /// [`Self::cache_for`] with a caller-supplied digest — internal seam
-    /// for the collision-confirm test.
-    fn cache_for_keyed(
-        &self,
-        digest: u64,
-        identity: &[u64],
-        config: EvalCacheConfig,
-    ) -> Arc<EvalCache> {
-        let mut buckets = self.buckets.lock().expect("cache registry poisoned");
-        self.sweep_expired(&mut buckets);
-        let bucket = buckets.entry(digest).or_default();
-        if let Some(entry) =
-            bucket.iter_mut().find(|e| e.config == config && e.identity == identity)
-        {
-            entry.last_used = Instant::now();
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.cache.clone();
-        }
-        if bucket.iter().any(|e| e.identity != identity) {
-            self.collisions.fetch_add(1, Ordering::Relaxed);
-        }
-        let cache = Arc::new(EvalCache::new(config));
-        self.creations.fetch_add(1, Ordering::Relaxed);
-        bucket.push(CacheRegistryEntry {
-            identity: identity.to_vec(),
-            config,
-            cache: cache.clone(),
-            last_used: Instant::now(),
-            expired: false,
-        });
-        self.enforce_capacity(&mut buckets);
-        cache
-    }
-
-    /// Drops TTL-expired and force-expired entries (lock held by caller).
-    fn sweep_expired(&self, buckets: &mut HashMap<u64, Vec<CacheRegistryEntry>>) {
-        let ttl = self.config.ttl;
-        let now = Instant::now();
-        let mut evicted = 0u64;
-        buckets.retain(|_, bucket| {
-            bucket.retain(|e| {
-                let stale =
-                    e.expired || ttl.is_some_and(|ttl| now.duration_since(e.last_used) >= ttl);
-                if stale {
-                    evicted += 1;
-                }
-                !stale
-            });
-            !bucket.is_empty()
-        });
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Evicts globally-LRU entries until `max_entries` holds (lock held
-    /// by caller). The just-inserted entry is the newest, so it is never
-    /// the victim.
-    fn enforce_capacity(&self, buckets: &mut HashMap<u64, Vec<CacheRegistryEntry>>) {
-        let Some(max) = self.config.max_entries else { return };
-        loop {
-            let total: usize = buckets.values().map(Vec::len).sum();
-            if total <= max {
-                return;
-            }
-            let Some((&fp, idx)) = buckets
-                .iter()
-                .flat_map(|(fp, bucket)| {
-                    bucket.iter().enumerate().map(move |(i, e)| ((fp, i), e.last_used))
-                })
-                .min_by_key(|&(_, last_used)| last_used)
-                .map(|((fp, i), _)| (fp, i))
-            else {
-                return;
-            };
-            let bucket = buckets.get_mut(&fp).expect("victim bucket exists");
-            bucket.remove(idx);
-            if bucket.is_empty() {
-                buckets.remove(&fp);
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks every resident entry expired, forcing eviction on the next
-    /// registry access — the wall-clock-free TTL test seam (mirrors
-    /// `SolverRegistry::force_expire_all`). Outstanding `Arc` handles
-    /// keep their caches alive and usable.
-    pub fn force_expire_all(&self) {
-        let mut buckets = self.buckets.lock().expect("cache registry poisoned");
-        for bucket in buckets.values_mut() {
-            for entry in bucket.iter_mut() {
-                entry.expired = true;
-            }
-        }
-    }
-
-    /// Caches created (unique identity × config keys).
-    pub fn creations(&self) -> u64 {
-        self.creations.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered by an existing confirmed entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Digest matches whose identity confirm failed (each resolved by a
-    /// separate entry, never by aliasing).
-    pub fn collisions(&self) -> u64 {
-        self.collisions.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted by TTL expiry, forced expiry or the
-    /// `max_entries` LRU cap.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Registered entries.
-    pub fn len(&self) -> usize {
-        self.buckets.lock().expect("cache registry poisoned").values().map(Vec::len).sum()
-    }
-
-    /// Whether the registry holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+pub type CacheRegistry = Registry<EvalCacheConfig, EvalCache>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn outcome(v: f64) -> SimOutcome {
         SimOutcome { metrics: vec![v, v + 1.0], reward: -v }
@@ -833,7 +663,7 @@ mod tests {
         // 8 threads × 200 disjoint points: the relaxed atomic counters
         // must not drop a single event (fetch_add is a read-modify-write;
         // Relaxed waives ordering, not atomicity).
-        let cache = std::sync::Arc::new(EvalCache::new(EvalCacheConfig {
+        let cache = Arc::new(EvalCache::new(EvalCacheConfig {
             capacity: 4096,
             policy: CachePolicy::On,
             shards: 8,
@@ -947,8 +777,8 @@ mod tests {
         let registry = CacheRegistry::new();
         let config = EvalCacheConfig::default();
         let id = [1u64, 2, 3];
-        let a = registry.cache_for(&id, config);
-        let b = registry.cache_for(&id, config);
+        let a = registry.get_or_insert_with(&id, config, EvalCache::new);
+        let b = registry.get_or_insert_with(&id, config, EvalCache::new);
         assert!(Arc::ptr_eq(&a, &b), "one identity must resolve to one shared cache");
         assert_eq!((registry.creations(), registry.hits()), (1, 1));
         // Writes through one handle are visible through the other.
@@ -961,82 +791,16 @@ mod tests {
     fn registry_separates_identities_and_configs() {
         let registry = CacheRegistry::new();
         let config = EvalCacheConfig::default();
-        let a = registry.cache_for(&[1, 2, 3], config);
-        let b = registry.cache_for(&[1, 2, 4], config);
+        let a = registry.get_or_insert_with(&[1, 2, 3], config, EvalCache::new);
+        let b = registry.get_or_insert_with(&[1, 2, 4], config, EvalCache::new);
         assert!(!Arc::ptr_eq(&a, &b), "distinct identities must not share outcomes");
         // Same identity under a different config is a distinct cache.
-        let c = registry.cache_for(&[1, 2, 3], EvalCacheConfig::with_policy(CachePolicy::Off));
+        let off = EvalCacheConfig::with_policy(CachePolicy::Off);
+        let c = registry.get_or_insert_with(&[1, 2, 3], off, EvalCache::new);
         assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!c.memoizing(), "the entry is built from the requested config");
         assert_eq!(registry.creations(), 3);
         assert_eq!(registry.collisions(), 0);
-    }
-
-    #[test]
-    fn registry_digest_clash_confirms_identity_and_never_aliases() {
-        // Force two different identities under one digest: the confirm
-        // must refuse the hit, count a collision, and create a separate
-        // cache — aliasing outcomes across circuits is the failure mode
-        // the identity confirm exists to rule out.
-        let registry = CacheRegistry::new();
-        let config = EvalCacheConfig::default();
-        let forced = 0xfeed_face_dead_beef;
-        let a = registry.cache_for_keyed(forced, &[1, 2, 3], config);
-        let b = registry.cache_for_keyed(forced, &[9, 9, 9], config);
-        assert!(!Arc::ptr_eq(&a, &b), "digest collision must not alias caches");
-        assert_eq!(registry.collisions(), 1);
-        assert_eq!(registry.len(), 2);
-        // Both entries stay individually reachable.
-        assert!(Arc::ptr_eq(&a, &registry.cache_for_keyed(forced, &[1, 2, 3], config)));
-        assert!(Arc::ptr_eq(&b, &registry.cache_for_keyed(forced, &[9, 9, 9], config)));
-    }
-
-    #[test]
-    fn registry_lru_cap_bounds_entries_under_churn() {
-        let registry = CacheRegistry::with_config(RegistryConfig::default().with_max_entries(8));
-        let config = EvalCacheConfig::default();
-        for i in 0..1000u64 {
-            registry.cache_for(&[i], config);
-            assert!(registry.len() <= 8, "cap must hold at every step");
-        }
-        assert_eq!(registry.len(), 8);
-        assert_eq!(registry.evictions(), 992);
-        assert_eq!(registry.creations(), 1000);
-    }
-
-    #[test]
-    fn registry_forced_expiry_recreates_once_and_keeps_old_handles_alive() {
-        let registry = CacheRegistry::new();
-        let config = EvalCacheConfig::default();
-        let old = registry.cache_for(&[7, 7, 7], config);
-        let h = MismatchVector::nominal(1);
-        old.insert(&[0.5], &corner(), &h, outcome(2.0));
-        registry.force_expire_all();
-        let fresh = registry.cache_for(&[7, 7, 7], config);
-        assert!(!Arc::ptr_eq(&old, &fresh), "expired entry must re-create, not alias");
-        assert_eq!(registry.evictions(), 1);
-        assert_eq!(registry.creations(), 2);
-        // The held handle keeps its contents; the fresh cache is cold.
-        assert_eq!(old.lookup(&[0.5], &corner(), &h), Some(outcome(2.0)));
-        assert_eq!(fresh.lookup(&[0.5], &corner(), &h), None);
-    }
-
-    #[test]
-    fn registry_racing_requests_after_expiry_recreate_exactly_once() {
-        let registry = CacheRegistry::new();
-        let config = EvalCacheConfig::default();
-        let held = registry.cache_for(&[42], config);
-        registry.force_expire_all();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    let cache = registry.cache_for(&[42], config);
-                    assert!(!Arc::ptr_eq(&held, &cache), "evicted cache must not be handed out");
-                });
-            }
-        });
-        assert_eq!(registry.creations(), 2, "one original creation + exactly one re-create");
-        assert_eq!(registry.evictions(), 1);
-        assert_eq!(registry.len(), 1);
     }
 
     #[test]

@@ -57,11 +57,10 @@ use crate::engine::EngineSpec;
 use crate::fault::FaultPlan;
 use crate::optimizer::PROPOSAL_CLIP;
 use crate::problem::SizingProblem;
-use crate::yield_est::YieldEstimate;
+use crate::yield_est::{estimate_yield_against, YieldEstimate};
 use glova_circuits::spec::{DesignSpec, SATISFIED_REWARD};
 use glova_circuits::{Circuit, FailureStats};
 use glova_rl::{AgentConfig, LastWorstBuffer, RiskSensitiveAgent};
-use glova_stats::binomial::clopper_pearson;
 use glova_stats::reduce::{self, finite_worst};
 use glova_stats::rng::{forked, Rng64};
 use glova_turbo::latin_hypercube;
@@ -553,6 +552,27 @@ pub struct CampaignResult {
     pub wall: Duration,
 }
 
+/// Checks goal factors against a spec of `metric_count` metrics: one
+/// factor per metric, each finite and positive — what
+/// [`DesignSpec::with_scaled_limits`] needs. [`SizingCampaign`] asserts
+/// it; `glova-serve` rejects a request that fails it at submission.
+///
+/// # Errors
+///
+/// A message naming the first violation.
+pub fn check_goal_factors(factors: &[f64], metric_count: usize) -> Result<(), String> {
+    if factors.len() != metric_count {
+        return Err(format!(
+            "one goal factor per spec metric: {} factors for {metric_count} metrics",
+            factors.len()
+        ));
+    }
+    match factors.iter().find(|f| !(f.is_finite() && **f > 0.0)) {
+        Some(f) => Err(format!("goal factors must be finite and positive, got {f}")),
+        None => Ok(()),
+    }
+}
+
 /// An end-to-end risk-sensitive sizing campaign (see the
 /// [module docs](self)).
 #[derive(Debug)]
@@ -566,8 +586,10 @@ impl SizingCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if `config.init_designs == 0`, the goal-factor count does
-    /// not match the circuit's spec, or `config.yield_samples > 0` with a
+    /// Panics if `config.init_designs == 0`, the goal factors fail
+    /// [`check_goal_factors`] against the circuit's spec (a count other
+    /// than one factor per metric, or a factor that is not finite and
+    /// positive), or `config.yield_samples > 0` with a
     /// `config.yield_confidence` outside `(0, 1)`.
     pub fn new(circuit: Arc<dyn Circuit>, config: CampaignConfig) -> Self {
         Self::build(circuit, config, None)
@@ -603,7 +625,7 @@ impl SizingCampaign {
     ) -> Self {
         assert!(config.init_designs > 0, "need at least one seed design");
         if let Some(factors) = &config.goal_factors {
-            assert_eq!(factors.len(), circuit.spec().len(), "one goal factor per spec metric");
+            check_goal_factors(factors, circuit.spec().len()).unwrap_or_else(|why| panic!("{why}"));
         }
         if config.yield_samples > 0 {
             assert!(
@@ -692,13 +714,14 @@ impl SizingCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if `goals` is empty or any goal's factor count does not
-    /// match the circuit's spec.
+    /// Panics if `goals` is empty or any goal fails
+    /// [`check_goal_factors`] against the circuit's spec — checked for
+    /// every goal before the first one runs.
     pub fn run_family(&self, goals: &[Vec<f64>], seed: u64) -> Vec<CampaignResult> {
         assert!(!goals.is_empty(), "need at least one goal");
         let m = self.problem.circuit().spec().len();
         for g in goals {
-            assert_eq!(g.len(), m, "one goal factor per spec metric");
+            check_goal_factors(g, m).unwrap_or_else(|why| panic!("{why}"));
         }
         let mut agent = self.make_agent(m, &mut forked(seed, 2));
         let control = CampaignControl::new();
@@ -962,7 +985,14 @@ impl SizingCampaign {
                         .interruption(self.problem.simulations() - sims_start, yield_cost)
                         .is_none() =>
             {
-                Some(self.goal_yield(x, goal_spec, samples, &mut sample_rng))
+                Some(estimate_yield_against(
+                    &self.problem,
+                    goal_spec,
+                    x,
+                    samples,
+                    self.config.yield_confidence,
+                    &mut sample_rng,
+                ))
             }
             _ => None,
         };
@@ -1023,44 +1053,6 @@ impl SizingCampaign {
             overall = overall.min(worst);
         }
         overall
-    }
-
-    /// Goal-spec yield of `x`: fresh-die MC on every corner, batched
-    /// through the engine, with a Clopper–Pearson interval — the
-    /// goal-aware sibling of [`crate::yield_est::estimate_yield`].
-    fn goal_yield(
-        &self,
-        x: &[f64],
-        goal_spec: &DesignSpec,
-        samples_per_corner: usize,
-        rng: &mut Rng64,
-    ) -> YieldEstimate {
-        let per_corner = self.problem.simulate_corner_grid_independent(x, samples_per_corner, rng);
-        let mut passes = 0u64;
-        let mut total = 0u64;
-        let mut worst_corner = 0usize;
-        let mut worst_rate = f64::INFINITY;
-        for (ci, outcomes) in per_corner.iter().enumerate() {
-            let corner_passes =
-                outcomes.iter().filter(|o| goal_spec.satisfied(&o.metrics)).count() as u64;
-            passes += corner_passes;
-            total += outcomes.len() as u64;
-            let rate = corner_passes as f64 / samples_per_corner as f64;
-            if rate < worst_rate {
-                worst_rate = rate;
-                worst_corner = ci;
-            }
-        }
-        let (lo, hi) = clopper_pearson(passes, total, 1.0 - self.config.yield_confidence);
-        YieldEstimate {
-            samples: total,
-            passes,
-            yield_point: passes as f64 / total as f64,
-            confidence_interval: (lo, hi),
-            confidence: self.config.yield_confidence,
-            worst_corner,
-            worst_corner_yield: worst_rate,
-        }
     }
 }
 
@@ -1359,6 +1351,24 @@ mod tests {
         let y = result.yield_estimate.expect("requested yield estimate");
         assert_eq!(y.samples, 30 * 5);
         assert_eq!(result.total_sims, result.init_sims + 150);
+    }
+
+    #[test]
+    #[should_panic(expected = "goal factors must be finite and positive, got 0")]
+    fn nonpositive_goal_factor_is_rejected_at_construction() {
+        let chain: Arc<dyn Circuit> = Arc::new(glova_circuits::SpiceInverterChain::new(2));
+        SizingCampaign::new(chain, quick().with_goal(vec![1.0, 0.0, 1.0]));
+    }
+
+    #[test]
+    fn run_family_checks_every_goal_before_running_the_first() {
+        let campaign = SizingCampaign::new(toy(), quick());
+        let goals = [vec![1.0], vec![f64::NAN]];
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            campaign.run_family(&goals, 19);
+        }));
+        assert!(run.is_err(), "a NaN goal factor must be rejected");
+        assert_eq!(campaign.problem().simulations(), 0, "no goal may run before the check");
     }
 
     #[test]

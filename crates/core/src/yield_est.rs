@@ -7,7 +7,7 @@
 //! Clopper–Pearson confidence interval on the pass proportion.
 
 use crate::problem::SizingProblem;
-use glova_circuits::spec::SATISFIED_REWARD;
+use glova_circuits::spec::DesignSpec;
 use glova_stats::binomial::clopper_pearson;
 use glova_stats::rng::Rng64;
 
@@ -64,6 +64,21 @@ pub fn estimate_yield(
     confidence: f64,
     rng: &mut Rng64,
 ) -> YieldEstimate {
+    let spec = problem.circuit().spec();
+    estimate_yield_against(problem, spec, x, samples_per_corner, confidence, rng)
+}
+
+/// [`estimate_yield`] judging each sample against `spec` instead of the
+/// circuit's own — the goal-spec yield a goal-conditioned campaign
+/// reports.
+pub(crate) fn estimate_yield_against(
+    problem: &SizingProblem,
+    spec: &DesignSpec,
+    x: &[f64],
+    samples_per_corner: usize,
+    confidence: f64,
+    rng: &mut Rng64,
+) -> YieldEstimate {
     assert!(samples_per_corner > 0, "need at least one sample per corner");
     assert!(confidence > 0.0 && confidence < 1.0, "confidence must be in (0, 1)");
     let per_corner = problem.simulate_corner_grid_independent(x, samples_per_corner, rng);
@@ -73,7 +88,7 @@ pub fn estimate_yield(
     let mut worst_corner = 0usize;
     let mut worst_rate = f64::INFINITY;
     for (ci, outcomes) in per_corner.iter().enumerate() {
-        let corner_passes = outcomes.iter().filter(|o| o.reward == SATISFIED_REWARD).count() as u64;
+        let corner_passes = outcomes.iter().filter(|o| spec.satisfied(&o.metrics)).count() as u64;
         total += outcomes.len() as u64;
         passes += corner_passes;
         let rate = corner_passes as f64 / samples_per_corner as f64;

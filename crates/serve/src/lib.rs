@@ -16,9 +16,11 @@
 //!   the final [`CampaignResult`] once done.
 //! - Process-wide sharing: circuits resolve their solver pools through a
 //!   [`SolverRegistry`] and their evaluation caches through a
-//!   [`CacheRegistry`], so N concurrent campaigns on one topology pay
-//!   **one** symbolic prime (instead of N) and answer each other's
-//!   repeated evaluation points.
+//!   [`CacheRegistry`] — two instantiations of one generic
+//!   [`Registry`](glova_spice::registry::Registry), which implements
+//!   lookup, confirm, eviction and the counters once — so N concurrent
+//!   campaigns on one topology pay **one** symbolic prime (instead of
+//!   N) and answer each other's repeated evaluation points.
 //!
 //! # Determinism
 //!
@@ -59,10 +61,10 @@
 //! assert_eq!(report.jobs_completed + report.jobs_budget_exhausted, 1);
 //! ```
 
-use glova::cache::CacheRegistry;
+use glova::cache::{CacheRegistry, EvalCache};
 use glova::campaign::{
-    CampaignConfig, CampaignControl, CampaignResult, CampaignStep, CampaignTermination,
-    SizingCampaign,
+    check_goal_factors, CampaignConfig, CampaignControl, CampaignResult, CampaignStep,
+    CampaignTermination, SizingCampaign,
 };
 use glova::fault::FaultPlan;
 use glova_circuits::{Circuit, SpiceInverterChain, SpiceOta, SpiceSenseAmpArray};
@@ -110,6 +112,16 @@ impl CircuitSpec {
                 )))
             }
             _ => Ok(()),
+        }
+    }
+
+    /// The metric count of the circuit [`build`](Self::build) returns,
+    /// known without building it, so submission primes no pool.
+    fn metric_count(&self) -> usize {
+        match self {
+            CircuitSpec::InverterChain { .. }
+            | CircuitSpec::Ota
+            | CircuitSpec::SenseAmpArray { .. } => 3,
         }
     }
 
@@ -552,8 +564,9 @@ impl CampaignServer {
     /// constructors reject, an empty seeding phase, or agent settings the
     /// agent cannot train with (no critic base, a zero hidden width, a
     /// zero batch), a pruning schedule with a zero `k` or re-rank
-    /// cadence, or a yield estimate whose confidence lies outside
-    /// `(0, 1)`;
+    /// cadence, a yield estimate whose confidence lies outside `(0, 1)`,
+    /// or goal factors that fail [`check_goal_factors`] against the
+    /// circuit's metrics;
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// has begun (checked under the queue lock, so a submit racing a
     /// concurrent shutdown either lands in the drain or fails fast —
@@ -590,6 +603,10 @@ impl CampaignServer {
             && !(config.yield_confidence > 0.0 && config.yield_confidence < 1.0)
         {
             return invalid("yield_confidence must be in (0, 1)");
+        }
+        if let Some(factors) = &config.goal_factors {
+            check_goal_factors(factors, request.circuit.metric_count())
+                .map_err(ServeError::InvalidRequest)?;
         }
         let mut control = CampaignControl::new();
         if let Some(max_sims) = request.budget.max_sims {
@@ -877,7 +894,7 @@ fn execute(shared: &ServerShared, job: &Job) -> CampaignResult {
     let mut campaign = match request.config.cache {
         Some(cache_config) => {
             let identity = request.circuit.cache_identity(fingerprint);
-            let cache = shared.caches.cache_for(&identity, cache_config);
+            let cache = shared.caches.get_or_insert_with(&identity, cache_config, EvalCache::new);
             SizingCampaign::with_shared_cache(circuit, request.config.clone(), cache)
         }
         None => SizingCampaign::new(circuit, request.config.clone()),
@@ -903,6 +920,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glova::fault::FaultKind;
     use glova_variation::config::VerificationMethod;
 
     fn quick_request(seed: u64) -> SizingRequest {
@@ -1005,6 +1023,43 @@ mod tests {
     }
 
     #[test]
+    fn malformed_goal_factors_are_rejected_at_submission() {
+        let server = CampaignServer::new(1);
+        let bad_goals = [
+            vec![1.0],
+            vec![1.0, 0.0, 1.0],
+            vec![1.0, -1.0, 1.0],
+            vec![1.0, f64::NAN, 1.0],
+            vec![1.0, f64::INFINITY, 1.0],
+        ];
+        for goal in bad_goals {
+            let mut request = quick_request(1);
+            request.config.goal_factors = Some(goal.clone());
+            assert!(
+                matches!(server.submit(request), Err(ServeError::InvalidRequest(_))),
+                "goal {goal:?} accepted"
+            );
+        }
+        let mut good = quick_request(1);
+        good.config.goal_factors = Some(vec![1.0, 1.1, 0.9]);
+        let id = server.submit(good).expect("a well-formed goal is accepted");
+        assert_eq!(server.wait(id).unwrap().status, JobStatus::Done);
+        assert_eq!(server.shutdown().queue_high_water, 1);
+    }
+
+    #[test]
+    fn metric_count_matches_each_built_circuit() {
+        let solvers = SolverRegistry::new();
+        for spec in [
+            CircuitSpec::InverterChain { stages: 2 },
+            CircuitSpec::Ota,
+            CircuitSpec::SenseAmpArray { rows: 2, cols: 2 },
+        ] {
+            assert_eq!(spec.metric_count(), spec.build(&solvers).0.spec().len(), "{spec:?}");
+        }
+    }
+
+    #[test]
     fn unknown_job_is_an_error() {
         let server = CampaignServer::new(1);
         let bogus = JobId(999);
@@ -1021,11 +1076,10 @@ mod tests {
     #[test]
     fn panicking_job_fails_without_killing_the_fleet() {
         let server = CampaignServer::new(1);
-        // A goal-factor count that does not match the 3-metric spec
-        // passes the cheap submission validation but panics inside the
-        // campaign constructor — the worker must absorb it.
-        let mut poisoned = quick_request(7);
-        poisoned.config.goal_factors = Some(vec![1.0]);
+        // A panic injected at the first simulation passes submission but
+        // unwinds inside the campaign — the worker must absorb it.
+        let poisoned = quick_request(7)
+            .with_fault_plan(Arc::new(FaultPlan::new().with_fault(0, FaultKind::Panic)));
         let bad = server.submit(poisoned).unwrap();
         let failed = server.wait(bad).unwrap();
         assert_eq!(failed.status, JobStatus::Failed);

@@ -235,23 +235,15 @@ impl Netlist {
     /// precondition for the value-only retarget fast path
     /// (`glova_spice::mna` assembly templates key on this).
     pub fn topology_fingerprint(&self) -> u64 {
-        // FNV-1a over the structural words; collisions are negligible at
-        // 64 bits and the consumers additionally check dimensions. The
-        // process-wide solver registry (`glova_spice::registry`) cannot
-        // tolerate even a negligible collision silently reusing a wrong
-        // symbolic analysis, so it confirms hits against the full
+        // The registry's bucket digest of the structural words;
+        // collisions are negligible at 64 bits and the consumers
+        // additionally check dimensions. The process-wide solver
+        // registry (`glova_spice::registry`) cannot tolerate even a
+        // negligible collision silently reusing a wrong symbolic
+        // analysis, so it confirms hits against the full
         // [`structural_signature`](Self::structural_signature) word
         // sequence this digest is computed from.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for w in self.structural_signature() {
-            for byte in w.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        }
-        h
+        crate::registry::fnv1a(&self.structural_signature())
     }
 
     /// The exact structural word sequence [`Self::topology_fingerprint`]
@@ -790,6 +782,20 @@ mod tests {
         let d2 = m2.node("d");
         m2.mosfet("M", d2, d2, GROUND, MosModel::pmos_28nm().with_mismatch(0.01, 0.02), 2.0, 0.05);
         assert_eq!(m1.topology_fingerprint(), m2.topology_fingerprint());
+    }
+
+    #[test]
+    fn topology_fingerprints_keep_their_recorded_values() {
+        // Fingerprints are cache-identity words in `glova-serve` and key
+        // the value-only retarget, so their values are pinned, not just
+        // their equalities.
+        assert_eq!(inverter_chain(8).topology_fingerprint(), 0x3da0_a003_c7d7_a7fc);
+        assert_eq!(rc_ladder(8, 1e3, 1e-12).topology_fingerprint(), 0x288e_bd3e_d6f7_7e15);
+        assert_eq!(
+            ota_two_stage(&OtaParams::nominal()).topology_fingerprint(),
+            0xe7ad_f9de_d49d_0a66
+        );
+        assert_eq!(sense_amp_array(5, 4).topology_fingerprint(), 0x1e02_052c_ecc3_fe61);
     }
 
     #[test]

@@ -1,25 +1,36 @@
-//! Process-wide solver-pool registry — one primed symbolic analysis per
-//! topology, shared across every concurrent campaign.
+//! Process-wide residents — one shared value per identity, created
+//! once and handed to every concurrent campaign.
 //!
-//! A sweep-local [`OpSolverPool`] amortizes its prototype's symbolic
-//! factorization across the points of *one* sweep. A long-running server
-//! multiplexing N campaigns over the same circuit topology should pay
-//! that prime exactly **once per process**, not once per request —
-//! [`SolverRegistry`] is the map that makes pools process-wide residents,
-//! keyed by [`Netlist::topology_fingerprint`].
+//! [`Registry`] is the one implementation behind both of the serving
+//! layer's residents:
+//!
+//! - [`SolverRegistry`] holds one primed [`OpSolverPool`] per netlist
+//!   topology. A sweep-local pool amortizes its prototype's symbolic
+//!   factorization across the points of *one* sweep; a long-running
+//!   server multiplexing N campaigns over one topology should pay that
+//!   prime exactly **once per process**, not once per request.
+//! - `glova::cache::CacheRegistry` holds one evaluation cache per
+//!   circuit identity, so campaigns on one circuit answer each other's
+//!   repeated points.
+//!
+//! An entry is keyed by a caller-supplied **identity word sequence** (a
+//! netlist's [`structural_signature`](Netlist::structural_signature),
+//! or a circuit's identity words) and a **config** (the
+//! [`NewtonOptions`] that bake into a primed prototype, or a cache
+//! config). The bucket key is a 64-bit FNV digest of the identity — for
+//! a netlist signature that digest is exactly
+//! [`Netlist::topology_fingerprint`].
 //!
 //! # Collision safety
 //!
-//! The fingerprint is a 64-bit digest; a collision is negligible but not
-//! impossible, and silently reusing a wrong symbolic analysis would be a
-//! correctness bug (wrong sparsity pattern ⇒ wrong solves), not a slow
-//! path. Every registry hit therefore **confirms** the candidate entry
-//! against the requesting netlist's full
-//! [`structural_signature`](Netlist::structural_signature) word sequence
-//! (and the requested [`NewtonOptions`], since the options bake into the
-//! primed prototype). A fingerprint match whose confirm fails is counted
-//! as a collision and resolved by priming a *separate* entry under the
-//! same fingerprint bucket — never by aliasing.
+//! A 64-bit digest collision is negligible but not impossible, and
+//! silently reusing a wrong resident would be a correctness bug (a wrong
+//! sparsity pattern means wrong solves; a wrong cache means aliased
+//! outcomes), not a slow path. Every hit therefore **confirms** the
+//! candidate entry against the full identity sequence and the config. A
+//! digest match whose identity differs is counted as a collision and
+//! resolved by creating a *separate* entry in the same bucket — never by
+//! aliasing.
 //!
 //! # Determinism
 //!
@@ -30,9 +41,9 @@
 //! given solver out is therefore unobservable in the outcomes — the
 //! property the concurrent-campaign determinism battery locks in.
 //!
-//! Lookup-or-prime holds the registry lock across the prime, so exactly
-//! one prime happens per unique key no matter how many campaigns race on
-//! a cold topology — which also makes the registry's
+//! Lookup-or-create holds the registry lock across the creation, so
+//! exactly one creation happens per unique key no matter how many
+//! campaigns race on a cold key — which also makes the
 //! [`primes`](SolverRegistry::primes) counter a deterministic quantity
 //! the perfsuite `serve` scenario can gate on.
 
@@ -45,15 +56,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Eviction policy shared by the process-wide registries
-/// ([`SolverRegistry`] here, `CacheRegistry` in the core crate).
+/// Eviction policy of a [`Registry`].
 ///
-/// The default policy is unbounded — exactly the pre-eviction behavior.
-/// Eviction is `Arc`-safe by construction: the registries hand out
-/// `Arc` handles, so evicting an entry only drops the *registry's*
-/// reference. In-flight holders keep the evicted pool or cache alive
-/// and fully usable; the next registry miss on that key re-primes a
-/// fresh entry.
+/// The default policy is unbounded and non-expiring. Eviction is
+/// `Arc`-safe by construction: the registry hands out `Arc` handles, so
+/// evicting an entry only drops the *registry's* reference. In-flight
+/// holders keep the evicted value alive and fully usable; the next miss
+/// on that key creates a fresh entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryConfig {
     /// Maximum resident entries; the least-recently-used entry is
@@ -65,11 +74,6 @@ pub struct RegistryConfig {
 }
 
 impl RegistryConfig {
-    /// Unbounded, non-expiring (the default).
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
     /// Caps resident entries (builder style).
     pub fn with_max_entries(mut self, max_entries: usize) -> Self {
         self.max_entries = Some(max_entries.max(1));
@@ -83,35 +87,64 @@ impl RegistryConfig {
     }
 }
 
-/// One registered pool: the full structural identity it was primed for
-/// plus the shared pool itself.
+/// Byte-wise 64-bit FNV-1a over `words` (little-endian): the registry's
+/// bucket digest, and [`Netlist::topology_fingerprint`] of a structural
+/// signature.
+pub(crate) fn fnv1a(words: &[u64]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(PRIME))
+}
+
+/// One resident: the full identity and config it was created for, plus
+/// the shared value.
 #[derive(Debug)]
-struct RegistryEntry {
-    signature: Vec<u64>,
-    options: NewtonOptions,
-    pool: Arc<OpSolverPool>,
+struct Entry<C, V> {
+    identity: Vec<u64>,
+    config: C,
+    value: Arc<V>,
     last_used: Instant,
     expired: bool,
 }
 
-/// A process-wide map from netlist topology to a shared, primed
-/// [`OpSolverPool`] (see the [module docs](self)).
-#[derive(Debug, Default)]
-pub struct SolverRegistry {
-    /// Fingerprint → entries. A bucket normally holds one entry; it holds
-    /// several only under a genuine fingerprint collision or when the
-    /// same topology is requested under different Newton options.
-    buckets: Mutex<HashMap<u64, Vec<RegistryEntry>>>,
+/// A process-wide map from `(identity, config)` to one shared `Arc<V>`
+/// (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Registry<C, V> {
+    /// Digest → entries. A bucket normally holds one entry; it holds
+    /// several only under a genuine digest collision or when one
+    /// identity is requested under different configs.
+    buckets: Mutex<HashMap<u64, Vec<Entry<C, V>>>>,
     config: RegistryConfig,
-    primes: AtomicU64,
+    creations: AtomicU64,
     hits: AtomicU64,
     collisions: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl SolverRegistry {
-    /// Creates an empty registry. Callers that want one shared across
-    /// servers or campaigns hand each the same instance.
+/// The process-wide map from netlist topology to a shared, primed
+/// [`OpSolverPool`], keyed by structural signature and [`NewtonOptions`].
+pub type SolverRegistry = Registry<NewtonOptions, OpSolverPool>;
+
+impl<C, V> Default for Registry<C, V> {
+    fn default() -> Self {
+        Self {
+            buckets: Mutex::default(),
+            config: RegistryConfig::default(),
+            creations: AtomicU64::default(),
+            hits: AtomicU64::default(),
+            collisions: AtomicU64::default(),
+            evictions: AtomicU64::default(),
+        }
+    }
+}
+
+impl<C: Copy + PartialEq, V> Registry<C, V> {
+    /// Creates an empty, unbounded registry. Callers that want one
+    /// shared across servers or campaigns hand each the same instance.
     pub fn new() -> Self {
         Self::default()
     }
@@ -121,67 +154,80 @@ impl SolverRegistry {
         Self { config, ..Self::default() }
     }
 
-    /// Returns the shared pool for `netlist`'s topology under `options`,
-    /// priming (and registering) one if no confirmed entry exists.
+    /// Returns the shared value for `identity` under `config`, creating
+    /// (and registering) one with `create` if no confirmed entry exists.
     ///
-    /// Hits are confirmed against the full structural signature and the
-    /// Newton options — a fingerprint collision primes a separate entry,
-    /// it never aliases. The registry lock is held across a cold prime,
-    /// so racing requesters of one topology produce exactly one prime.
+    /// Hits confirm the full identity sequence and the config — a digest
+    /// collision creates a separate entry, it never aliases. The
+    /// registry lock is held across `create`, so racing requesters of one
+    /// key produce exactly one creation.
     ///
     /// # Errors
     ///
-    /// [`SpiceError::SingularMatrix`] for structurally singular netlists
-    /// (nothing is registered on error).
-    pub fn pool_for(
+    /// Whatever `create` returns; nothing is registered on error.
+    pub fn get_or_try_insert_with<E>(
         &self,
-        netlist: &Netlist,
-        options: NewtonOptions,
-    ) -> Result<Arc<OpSolverPool>, SpiceError> {
-        self.pool_for_keyed(netlist.topology_fingerprint(), netlist, options)
+        identity: &[u64],
+        config: C,
+        create: impl FnOnce(C) -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        self.get_or_try_insert_keyed(fnv1a(identity), identity, config, create)
     }
 
-    /// [`Self::pool_for`] with a caller-supplied fingerprint — internal
-    /// seam that lets the collision-confirm test force two distinct
-    /// topologies into one bucket.
-    fn pool_for_keyed(
+    /// [`Self::get_or_try_insert_with`] for a `create` that cannot fail.
+    pub fn get_or_insert_with(
         &self,
-        fingerprint: u64,
-        netlist: &Netlist,
-        options: NewtonOptions,
-    ) -> Result<Arc<OpSolverPool>, SpiceError> {
-        let signature = netlist.structural_signature();
-        let mut buckets = self.buckets.lock().expect("solver registry poisoned");
+        identity: &[u64],
+        config: C,
+        create: impl FnOnce(C) -> V,
+    ) -> Arc<V> {
+        let Ok(value) = self.get_or_try_insert_with(identity, config, |config| {
+            Ok::<_, std::convert::Infallible>(create(config))
+        });
+        value
+    }
+
+    /// [`Self::get_or_try_insert_with`] under a caller-supplied digest —
+    /// the seam that lets the collision-confirm test force two
+    /// identities into one bucket.
+    fn get_or_try_insert_keyed<E>(
+        &self,
+        digest: u64,
+        identity: &[u64],
+        config: C,
+        create: impl FnOnce(C) -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        let mut buckets = self.buckets.lock().expect("registry poisoned");
         self.sweep_expired(&mut buckets);
-        let bucket = buckets.entry(fingerprint).or_default();
+        let bucket = buckets.entry(digest).or_default();
         if let Some(entry) =
-            bucket.iter_mut().find(|e| e.options == options && e.signature == signature)
+            bucket.iter_mut().find(|e| e.config == config && e.identity == identity)
         {
             entry.last_used = Instant::now();
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry.pool.clone());
+            return Ok(entry.value.clone());
         }
-        if bucket.iter().any(|e| e.signature != signature) {
-            // Same fingerprint, different structure: a genuine digest
-            // collision. Count it and fall through to priming a separate
-            // entry in the same bucket.
+        if bucket.iter().any(|e| e.identity != identity) {
+            // Same digest, different identity: a genuine collision.
+            // Count it and fall through to a separate entry in the same
+            // bucket.
             self.collisions.fetch_add(1, Ordering::Relaxed);
         }
-        let pool = Arc::new(OpSolverPool::new(netlist, options)?);
-        self.primes.fetch_add(1, Ordering::Relaxed);
-        bucket.push(RegistryEntry {
-            signature,
-            options,
-            pool: pool.clone(),
+        let value = Arc::new(create(config)?);
+        self.creations.fetch_add(1, Ordering::Relaxed);
+        bucket.push(Entry {
+            identity: identity.to_vec(),
+            config,
+            value: value.clone(),
             last_used: Instant::now(),
             expired: false,
         });
         self.enforce_capacity(&mut buckets);
-        Ok(pool)
+        Ok(value)
     }
 
     /// Drops TTL-expired and force-expired entries (lock held by caller).
-    fn sweep_expired(&self, buckets: &mut HashMap<u64, Vec<RegistryEntry>>) {
+    fn sweep_expired(&self, buckets: &mut HashMap<u64, Vec<Entry<C, V>>>) {
         let ttl = self.config.ttl;
         let now = Instant::now();
         let mut evicted = 0u64;
@@ -204,27 +250,27 @@ impl SolverRegistry {
     /// Evicts globally-LRU entries until `max_entries` holds (lock held
     /// by caller). The just-inserted entry is the newest, so it is never
     /// the victim.
-    fn enforce_capacity(&self, buckets: &mut HashMap<u64, Vec<RegistryEntry>>) {
+    fn enforce_capacity(&self, buckets: &mut HashMap<u64, Vec<Entry<C, V>>>) {
         let Some(max) = self.config.max_entries else { return };
         loop {
             let total: usize = buckets.values().map(Vec::len).sum();
             if total <= max {
                 return;
             }
-            let Some((&fp, idx)) = buckets
+            let Some((&digest, idx)) = buckets
                 .iter()
-                .flat_map(|(fp, bucket)| {
-                    bucket.iter().enumerate().map(move |(i, e)| ((fp, i), e.last_used))
+                .flat_map(|(digest, bucket)| {
+                    bucket.iter().enumerate().map(move |(i, e)| ((digest, i), e.last_used))
                 })
                 .min_by_key(|&(_, last_used)| last_used)
-                .map(|((fp, i), _)| (fp, i))
+                .map(|(slot, _)| slot)
             else {
                 return;
             };
-            let bucket = buckets.get_mut(&fp).expect("victim bucket exists");
+            let bucket = buckets.get_mut(&digest).expect("victim bucket exists");
             bucket.remove(idx);
             if bucket.is_empty() {
-                buckets.remove(&fp);
+                buckets.remove(&digest);
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -236,20 +282,16 @@ impl SolverRegistry {
     /// handles are unaffected (eviction only drops the registry's
     /// reference).
     pub fn force_expire_all(&self) {
-        let mut buckets = self.buckets.lock().expect("solver registry poisoned");
-        for bucket in buckets.values_mut() {
-            for entry in bucket.iter_mut() {
-                entry.expired = true;
-            }
+        let mut buckets = self.buckets.lock().expect("registry poisoned");
+        for entry in buckets.values_mut().flatten() {
+            entry.expired = true;
         }
     }
 
-    /// Prototype primes performed (cold topologies × option sets). Under
-    /// registry sharing this counts **unique keys**, not requests — the
-    /// deterministic quantity the perfsuite `serve` gate compares against
-    /// one-pool-per-campaign construction.
-    pub fn primes(&self) -> u64 {
-        self.primes.load(Ordering::Relaxed)
+    /// Values created, including re-creations after eviction. Under
+    /// sharing this counts **unique keys**, not requests.
+    pub fn creations(&self) -> u64 {
+        self.creations.load(Ordering::Relaxed)
     }
 
     /// Requests answered by an existing confirmed entry.
@@ -257,8 +299,8 @@ impl SolverRegistry {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Fingerprint matches whose structural confirm failed (each resolved
-    /// by priming a separate entry, never by aliasing).
+    /// Digest matches whose identity confirm failed (each resolved by a
+    /// separate entry, never by aliasing).
     pub fn collisions(&self) -> u64 {
         self.collisions.load(Ordering::Relaxed)
     }
@@ -269,14 +311,44 @@ impl SolverRegistry {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Registered entries (unique topology × options keys).
+    /// Registered entries (unique identity × config keys).
     pub fn len(&self) -> usize {
-        self.buckets.lock().expect("solver registry poisoned").values().map(Vec::len).sum()
+        self.buckets.lock().expect("registry poisoned").values().map(Vec::len).sum()
     }
 
     /// Whether the registry holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl SolverRegistry {
+    /// Returns the shared pool for `netlist`'s topology under `options`,
+    /// priming (and registering) one if no confirmed entry exists.
+    ///
+    /// Hits are confirmed against the full structural signature and the
+    /// Newton options (the options bake into the primed prototype).
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::SingularMatrix`] for structurally singular netlists
+    /// (nothing is registered on error).
+    pub fn pool_for(
+        &self,
+        netlist: &Netlist,
+        options: NewtonOptions,
+    ) -> Result<Arc<OpSolverPool>, SpiceError> {
+        self.get_or_try_insert_with(&netlist.structural_signature(), options, |options| {
+            OpSolverPool::new(netlist, options)
+        })
+    }
+
+    /// Prototype primes performed (cold topologies × option sets,
+    /// re-primes after eviction included) — the deterministic quantity
+    /// the perfsuite `serve` gate compares against one-pool-per-campaign
+    /// construction.
+    pub fn primes(&self) -> u64 {
+        self.creations()
     }
 }
 
@@ -327,18 +399,25 @@ mod tests {
         // is the failure mode this registry exists to rule out.
         let registry = SolverRegistry::new();
         let options = NewtonOptions::default();
-        let forced_key = 0xdead_beef_cafe_f00d;
-        let chain = registry.pool_for_keyed(forced_key, &inverter_chain(8), options).unwrap();
-        let ladder =
-            registry.pool_for_keyed(forced_key, &rc_ladder(8, 1e3, 1e-12), options).unwrap();
+        let pool_at_forced_key = |nl: &Netlist| {
+            registry
+                .get_or_try_insert_keyed(
+                    0xdead_beef_cafe_f00d,
+                    &nl.structural_signature(),
+                    options,
+                    |options| OpSolverPool::new(nl, options),
+                )
+                .unwrap()
+        };
+        let chain = pool_at_forced_key(&inverter_chain(8));
+        let ladder = pool_at_forced_key(&rc_ladder(8, 1e3, 1e-12));
         assert!(!Arc::ptr_eq(&chain, &ladder), "collision must not alias pools");
         assert_eq!(registry.collisions(), 1);
         assert_eq!(registry.primes(), 2);
         assert_eq!(registry.len(), 2, "both entries live under one bucket");
         // Both entries stay individually reachable and confirmed.
-        let chain2 = registry.pool_for_keyed(forced_key, &inverter_chain(8), options).unwrap();
-        let ladder2 =
-            registry.pool_for_keyed(forced_key, &rc_ladder(8, 1e3, 1e-12), options).unwrap();
+        let chain2 = pool_at_forced_key(&inverter_chain(8));
+        let ladder2 = pool_at_forced_key(&rc_ladder(8, 1e3, 1e-12));
         assert!(Arc::ptr_eq(&chain, &chain2));
         assert!(Arc::ptr_eq(&ladder, &ladder2));
         assert_eq!(registry.hits(), 2);

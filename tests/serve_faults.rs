@@ -21,7 +21,7 @@
 //!   1000-distinct-key churn, and forced expiry re-primes exactly once
 //!   while outstanding handles stay alive.
 
-use glova::cache::{CacheRegistry, EvalCacheConfig, RegistryConfig};
+use glova::cache::{CacheRegistry, EvalCache, EvalCacheConfig, RegistryConfig};
 use glova::campaign::{CampaignConfig, CampaignResult, CampaignStep, CampaignTermination};
 use glova::fault::{FaultKind, FaultPlan};
 use glova::prelude::*;
@@ -393,7 +393,7 @@ fn bounded_registries_hold_max_entries_across_thousand_key_churn() {
     // Cache registry: 1000 distinct identities.
     let caches = CacheRegistry::with_config(RegistryConfig::default().with_max_entries(8));
     for i in 0..1000u64 {
-        caches.cache_for(&[i], EvalCacheConfig::default());
+        caches.get_or_insert_with(&[i], EvalCacheConfig::default(), EvalCache::new);
         assert!(caches.len() <= 8, "cache registry cap must hold at every step");
     }
     assert_eq!(caches.len(), 8);
