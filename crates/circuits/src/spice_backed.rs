@@ -867,6 +867,7 @@ impl Circuit for SpiceSenseAmpArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glova_variation::corner::ProcessCorner;
 
     #[test]
     fn sense_amp_array_matches_generator_topology() {
@@ -1055,75 +1056,143 @@ mod tests {
         assert_eq!(circuit.failure_stats().since(before).nonconvergent, 1);
     }
 
+    /// A recorded OTA point whose pooled solve fails to converge and whose
+    /// escalated retry recovers.
+    const OTA_RETRY_X: [f64; 6] = [
+        0.5937501448280743,
+        0.6687146702455976,
+        0.8196072081534386,
+        0.9336689035179422,
+        0.13257217135801447,
+        0.2782936373312048,
+    ];
+    const OTA_RETRY_H: [f64; 10] = [
+        -0.0001344642336917456,
+        -0.014962146606030381,
+        0.0009693362647296188,
+        0.006600745751511634,
+        -0.0029614396169764167,
+        -0.012660446751543928,
+        0.000651817529297104,
+        -0.0019755351414591765,
+        -0.004059217118150253,
+        -0.0005545083631703979,
+    ];
+    const OTA_RETRY_CORNER: PvtCorner =
+        PvtCorner { process: ProcessCorner::Ss, vdd: 0.8, temp_c: 27.0 };
+
+    /// The same for the 8-stage chain.
+    const CHAIN_RETRY_X: [f64; 4] =
+        [0.6154502042908195, 0.5904766587903673, 0.4467818279388489, 0.2051570164360368];
+    const CHAIN_RETRY_H: [f64; 32] = [
+        -0.00420621556190286,
+        0.0066850171627223795,
+        -0.01698789721275455,
+        0.0060426498765024355,
+        0.00575380024165525,
+        0.04879795298745071,
+        0.004631991161739676,
+        -0.05406952345393898,
+        0.013936052380668865,
+        -0.022182816109819654,
+        -0.0015749769653920721,
+        0.0005519325045692194,
+        0.0008864418439326802,
+        -0.046858093985256435,
+        -0.002758214012398249,
+        -0.045200498576011244,
+        -0.003232289352250866,
+        0.03389027431037648,
+        -0.0019094699671165453,
+        -0.04335181674131282,
+        0.005753610312740751,
+        0.007166421064360534,
+        -0.017257481516672307,
+        -0.01089013311720454,
+        0.005496248123193517,
+        0.03571755479429569,
+        -0.014434680544064712,
+        -0.004703609476286939,
+        0.0015200622896781658,
+        0.011410880153599154,
+        -0.009129824181457554,
+        0.03432893448539969,
+    ];
+    const CHAIN_RETRY_CORNER: PvtCorner =
+        PvtCorner { process: ProcessCorner::Sf, vdd: 0.9, temp_c: 80.0 };
+
     #[test]
     fn ota_escalated_retry_recovers_a_nonconvergent_point() {
-        use glova_variation::corner::ProcessCorner;
-        let x = [
-            0.5937501448280743,
-            0.6687146702455976,
-            0.8196072081534386,
-            0.9336689035179422,
-            0.13257217135801447,
-            0.2782936373312048,
-        ];
-        let h = [
-            -0.0001344642336917456,
-            -0.014962146606030381,
-            0.0009693362647296188,
-            0.006600745751511634,
-            -0.0029614396169764167,
-            -0.012660446751543928,
-            0.000651817529297104,
-            -0.0019755351414591765,
-            -0.004059217118150253,
-            -0.0005545083631703979,
-        ];
-        let ss = PvtCorner { process: ProcessCorner::Ss, vdd: 0.8, temp_c: 27.0 };
         let bits = [0x4030_3c20_0d7f_3aea, 0x403e_16d2_5089_dd94, 0x4058_0872_bcc0_8034];
-        assert_recovers_once(&SpiceOta::new(), &x, ss, &h, bits);
+        assert_recovers_once(&SpiceOta::new(), &OTA_RETRY_X, OTA_RETRY_CORNER, &OTA_RETRY_H, bits);
     }
 
     #[test]
     fn chain_escalated_retry_recovers_a_nonconvergent_point() {
-        use glova_variation::corner::ProcessCorner;
-        let x = [0.6154502042908195, 0.5904766587903673, 0.4467818279388489, 0.2051570164360368];
-        let h = [
-            -0.00420621556190286,
-            0.0066850171627223795,
-            -0.01698789721275455,
-            0.0060426498765024355,
-            0.00575380024165525,
-            0.04879795298745071,
-            0.004631991161739676,
-            -0.05406952345393898,
-            0.013936052380668865,
-            -0.022182816109819654,
-            -0.0015749769653920721,
-            0.0005519325045692194,
-            0.0008864418439326802,
-            -0.046858093985256435,
-            -0.002758214012398249,
-            -0.045200498576011244,
-            -0.003232289352250866,
-            0.03389027431037648,
-            -0.0019094699671165453,
-            -0.04335181674131282,
-            0.005753610312740751,
-            0.007166421064360534,
-            -0.017257481516672307,
-            -0.01089013311720454,
-            0.005496248123193517,
-            0.03571755479429569,
-            -0.014434680544064712,
-            -0.004703609476286939,
-            0.0015200622896781658,
-            0.011410880153599154,
-            -0.009129824181457554,
-            0.03432893448539969,
-        ];
-        let sf = PvtCorner { process: ProcessCorner::Sf, vdd: 0.9, temp_c: 80.0 };
         let bits = [0x407b_dad4_6255_0dff, 0x3feb_d636_eb1c_3710, 0x3e4d_1ff3_3fc3_3e6d];
-        assert_recovers_once(&SpiceInverterChain::new(8), &x, sf, &h, bits);
+        let chain = SpiceInverterChain::new(8);
+        assert_recovers_once(&chain, &CHAIN_RETRY_X, CHAIN_RETRY_CORNER, &CHAIN_RETRY_H, bits);
+    }
+
+    /// Every metric bit and every failure-ledger move of `evaluate` on a
+    /// fixed point list per SPICE testcase shape that sizing jobs run:
+    /// 24 seeded points (a uniform design vector, a corner of the
+    /// industrial 30-corner set, global-local mismatch drawn from that
+    /// design's own domain), the two corners of the design box at
+    /// nominal mismatch, and the recorded retry points. A device value
+    /// written out of order, or any other change to the evaluation
+    /// arithmetic, moves this digest.
+    #[test]
+    fn golden_evaluation_digest() {
+        use glova_stats::hash::Fnv1a;
+        use glova_stats::rng::{seeded, Rng};
+        use glova_variation::corner::CornerSet;
+        use glova_variation::sampler::{MismatchSampler, VarianceLayers};
+
+        const GOLDEN_EVALUATION: u64 = 0xcbaa_5df7_8339_144d;
+
+        fn absorb(
+            digest: &mut Fnv1a,
+            circuit: &dyn Circuit,
+            x: &[f64],
+            corner: &PvtCorner,
+            h: &MismatchVector,
+        ) {
+            let before = circuit.failure_stats();
+            digest.write_f64_slice(&circuit.evaluate(x, corner, h));
+            let moved = circuit.failure_stats().since(before);
+            for count in [moved.nonconvergent, moved.recovered, moved.degraded] {
+                digest.write_u64(count);
+            }
+        }
+
+        let ota = SpiceOta::new();
+        let chain = SpiceInverterChain::new(8);
+        let small = SpiceSenseAmpArray::new(5, 4);
+        let large = SpiceSenseAmpArray::new(12, 12);
+        let corners = CornerSet::industrial_30();
+        let mut rng = seeded(0x5eed);
+        let mut digest = Fnv1a::new();
+        for circuit in [&ota as &dyn Circuit, &chain, &small, &large] {
+            for _ in 0..24 {
+                let x: Vec<f64> = (0..circuit.dim()).map(|_| rng.gen::<f64>()).collect();
+                let corner = corners.corner(rng.gen_range(0..corners.len()));
+                let sampler =
+                    MismatchSampler::new(circuit.mismatch_domain(&x), VarianceLayers::GLOBAL_LOCAL);
+                let h = sampler.sample_independent(&mut rng, 1).remove(0);
+                absorb(&mut digest, circuit, &x, &corner, &h);
+            }
+            for edge in [0.0, 1.0] {
+                let x = vec![edge; circuit.dim()];
+                let corner = corners.corner(rng.gen_range(0..corners.len()));
+                let h = MismatchVector::nominal(circuit.mismatch_domain(&x).dim());
+                absorb(&mut digest, circuit, &x, &corner, &h);
+            }
+        }
+        let retry = |h: &[f64]| MismatchVector::from_values(h.to_vec());
+        absorb(&mut digest, &ota, &OTA_RETRY_X, &OTA_RETRY_CORNER, &retry(&OTA_RETRY_H));
+        absorb(&mut digest, &chain, &CHAIN_RETRY_X, &CHAIN_RETRY_CORNER, &retry(&CHAIN_RETRY_H));
+        assert_eq!(digest.finish(), GOLDEN_EVALUATION, "digest {:016x}", digest.finish());
     }
 
     #[test]
