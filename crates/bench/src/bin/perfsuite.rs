@@ -553,7 +553,7 @@ fn main() {
         flag(&args, "--min-amd-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.5);
     let array = sense_amp_array(21, 21);
     let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
-    let array_template = SparseAssemblyTemplate::new(&array, &ctx);
+    let array_template = SparseAssemblyTemplate::new(&array, array.values(), &ctx);
     let array_n = array_template.dim();
     let mut array_a = array_template.new_system();
     let mut array_rhs = vec![0.0; array_n];

@@ -308,7 +308,7 @@ fn main() {
     }
     for (name, nl) in &symbolic_circuits {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
-        let template = SparseAssemblyTemplate::new(nl, &ctx);
+        let template = SparseAssemblyTemplate::new(nl, nl.values(), &ctx);
         let n = template.dim();
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];

@@ -4,12 +4,16 @@
 //! etc.) are physics-based *analytic* models layered over the 28 nm
 //! device cards — fast, but they never exercise the MNA solver stack.
 //! [`SpiceInverterChain`], [`SpiceOta`] and [`SpiceSenseAmpArray`] close
-//! that gap: each `evaluate` builds a corner- and mismatch-specialized
-//! netlist and solves it through one private pooled-solve harness. The
-//! harness holds the [`OpSolverPool`] (private, or shared through a
-//! [`SolverRegistry`]), retargets a pooled solver at the point's netlist
-//! and solves it, retries a non-convergent solve once with full Newton,
-//! and keeps the failure ledger behind [`Circuit::failure_stats`].
+//! that gap. Each builds its topology once, at construction, from the
+//! `glova_spice::netlist` generator that defines it, and resolves there
+//! the node and branch ids its metrics read. Each `evaluate` then only
+//! writes the point's corner- and mismatch-specialized device values,
+//! one per device in topology order, and solves them through one private
+//! pooled-solve harness. The harness holds the [`OpSolverPool`] (private,
+//! or shared through a [`SolverRegistry`]), writes the values into a
+//! pooled solver's primed template and solves it, retries a
+//! non-convergent solve once with full Newton, and keeps the failure
+//! ledger behind [`Circuit::failure_stats`].
 //! SPICE-backed corner/mismatch sweeps flow through the same
 //! [`EvalEngine`](../../glova/engine/trait.EvalEngine.html)-dispatched
 //! [`SizingProblem`](../../glova/problem/struct.SizingProblem.html) batch
@@ -21,21 +25,23 @@
 //!
 //! # Determinism
 //!
-//! `evaluate` is a pure function of `(x, corner, h)`: the netlist is
-//! rebuilt per point, the solver runs the full `gmin` ladder from zeros,
-//! and the pool keeps every worker's solver on the canonical symbolic
-//! factorization (retiring any solver that re-pivoted). Sequential and
-//! threaded sweeps are therefore bitwise identical —
-//! `tests/spice_engine_parity.rs` is the battery that locks this in.
+//! `evaluate` is a pure function of `(x, corner, h)`: every point's
+//! values are written in full over the one topology, the solver runs the
+//! full `gmin` ladder from zeros, and the pool keeps every worker's
+//! solver on the canonical symbolic factorization (retiring any solver
+//! that re-pivoted). Sequential and threaded sweeps are therefore bitwise
+//! identical — `tests/spice_engine_parity.rs` is the battery that locks
+//! this in, and `golden_evaluation_digest` pins the bits themselves.
 
 use crate::spec::{DesignSpec, MetricSpec};
 use crate::{denormalize_within, Circuit, FailureStats};
 use glova_spice::ac::{ac_sweep_with_backend_from_op, log_sweep};
 use glova_spice::dc::{OpSolver, OpSolverPool, OperatingPoint};
+use glova_spice::device::DeviceValue;
 use glova_spice::mna::{JacobianStrategy, NewtonOptions, SolverBackend};
 use glova_spice::model::MosModel;
 use glova_spice::netlist::{
-    ota_two_stage_with_cards, Netlist, OtaCards, OtaParams, SenseAmpParams, GROUND,
+    inverter_chain, ota_two_stage, sense_amp_array, Netlist, NodeId, OtaParams, SenseAmpParams,
 };
 use glova_spice::registry::SolverRegistry;
 use glova_variation::corner::PvtCorner;
@@ -45,11 +51,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The pooled-solve harness every SPICE testcase evaluates through: the
-/// solver pool (private, or shared through a [`SolverRegistry`]), the
-/// retarget–solve–retry sequence, and the failure ledger behind
-/// [`Circuit::failure_stats`].
+/// testcase's topology, the solver pool (private, or shared through a
+/// [`SolverRegistry`]), the retarget–solve–retry sequence, and the
+/// failure ledger behind [`Circuit::failure_stats`].
 #[derive(Debug)]
 struct PooledSolve {
+    topology: Arc<Netlist>,
+    /// [`Netlist::topology_fingerprint`] of `topology`, hashed once.
+    fingerprint: u64,
     pool: Arc<OpSolverPool>,
     nonconvergent: AtomicU64,
     recovered: AtomicU64,
@@ -57,22 +66,24 @@ struct PooledSolve {
 }
 
 impl PooledSolve {
-    /// Primes a private pool for `prototype` under `options`, or resolves
-    /// the shared one through `registry` (the `glova-serve` path —
-    /// concurrent campaigns over one topology share one primed symbolic
-    /// analysis; trajectories are unaffected, see the determinism notes
-    /// on [`SolverRegistry`]).
+    /// Takes `prototype` as the testcase's topology and primes a private
+    /// pool for it under `options`, or resolves the shared one through
+    /// `registry` (the `glova-serve` path — concurrent campaigns over one
+    /// topology share one primed symbolic analysis; trajectories are
+    /// unaffected, see the determinism notes on [`SolverRegistry`]).
     ///
-    /// The prototype fixes the topology (and on the sparse backend the
-    /// symbolic factorization); its device *values* are irrelevant —
-    /// every evaluation retargets the solver at its own netlist. Nominal
-    /// mid-range sizing keeps the primed system well conditioned.
-    fn new(prototype: &Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
+    /// The prototype's devices fix the topology; its values are the
+    /// testcase's mid-range sizing at the typical corner without
+    /// mismatch. They prime the pool, so on the sparse backend they fix
+    /// the canonical pivot order every evaluation refactors over.
+    fn new(prototype: Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
         let pool = match registry {
-            Some(registry) => registry.pool_for(prototype, options),
-            None => OpSolverPool::new(prototype, options).map(Arc::new),
+            Some(registry) => registry.pool_for(&prototype, options),
+            None => OpSolverPool::new(&prototype, options).map(Arc::new),
         };
         Self {
+            fingerprint: prototype.topology_fingerprint(),
+            topology: Arc::new(prototype),
             pool: pool.expect("testcase netlists are structurally sound"),
             nonconvergent: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -80,8 +91,9 @@ impl PooledSolve {
         }
     }
 
-    /// The operating point of `netlist`, solved on a pooled solver
-    /// retargeted at it, or `None` when the point degrades.
+    /// The operating point under device values `values` (one per device
+    /// of the topology, in device order), solved on a pooled solver
+    /// retargeted at them, or `None` when the point degrades.
     ///
     /// A non-convergent pooled solve retries once on a fresh cold solver
     /// running the full `gmin` ladder from zeros with a full-Newton
@@ -89,12 +101,12 @@ impl PooledSolve {
     /// (a chord iteration stalling on an extreme point the pooled
     /// solver's reused LU linearized badly) recovers there; a genuinely
     /// unsolvable point fails again and degrades. Both paths are pure
-    /// functions of `(netlist, options)`, so engine parity and trajectory
+    /// functions of `(values, options)`, so engine parity and trajectory
     /// bitwise identity hold — every engine retries the same points the
     /// same way.
-    fn solve(&self, netlist: &Netlist) -> Option<OperatingPoint> {
+    fn solve(&self, values: &[DeviceValue]) -> Option<OperatingPoint> {
         let solved = self.pool.with_solver(|solver| {
-            solver.retarget(netlist);
+            solver.retarget_values(values);
             solver.solve()
         });
         if let Ok(op) = solved {
@@ -107,7 +119,8 @@ impl PooledSolve {
             strategy: JacobianStrategy::Full,
             ..*base
         };
-        let retried = OpSolver::new(netlist, escalated).solve().ok();
+        let retried =
+            OpSolver::with_values(Arc::clone(&self.topology), values, escalated).solve().ok();
         let outcome = if retried.is_some() { &self.recovered } else { &self.degraded };
         outcome.fetch_add(1, Ordering::Relaxed);
         retried
@@ -152,6 +165,9 @@ pub struct SpiceInverterChain {
     stages: usize,
     spec: DesignSpec,
     solve: PooledSolve,
+    /// The VDD branch and the last two stage outputs the metrics read.
+    vdd_branch: usize,
+    outputs: [NodeId; 2],
 }
 
 /// Mismatch components contributed per stage: `ΔV_th`/`Δβ` for the PMOS,
@@ -192,8 +208,17 @@ impl SpiceInverterChain {
 
     fn build(stages: usize, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
         assert!(stages >= 2, "the chain metrics need at least two stages");
-        let solve = PooledSolve::new(&Self::prototype_netlist(stages), options, registry);
-        Self { stages, spec: Self::static_spec(stages), solve }
+        let mut prototype = inverter_chain(stages);
+        prototype.set_values(&Self::values_for(
+            &denormalize_within(&Self::static_bounds(), &[0.5; 4]),
+            &PvtCorner::typical(),
+            &MismatchVector::nominal(stages * MISMATCH_PER_STAGE),
+        ));
+        let vdd_branch = prototype.vsource_branch("VDD").expect("VDD source present");
+        let output = |s: usize| prototype.find_node(&format!("n{s}")).expect("stage output");
+        let outputs = [output(stages - 1), output(stages - 2)];
+        let solve = PooledSolve::new(prototype, options, registry);
+        Self { stages, spec: Self::static_spec(stages), solve, vdd_branch, outputs }
     }
 
     /// Number of inverter stages.
@@ -205,7 +230,7 @@ impl SpiceInverterChain {
     /// pool registers under, and an identity word for shared eval
     /// caches.
     pub fn topology_fingerprint(&self) -> u64 {
-        Self::prototype_netlist(self.stages).topology_fingerprint()
+        self.solve.fingerprint
     }
 
     fn static_spec(stages: usize) -> DesignSpec {
@@ -220,15 +245,6 @@ impl SpiceInverterChain {
             MetricSpec::above("out_high_v", 0.6),
             MetricSpec::below("out_low_v", 0.15),
         ])
-    }
-
-    fn prototype_netlist(stages: usize) -> Netlist {
-        Self::netlist_for(
-            stages,
-            &denormalize_within(&Self::static_bounds(), &[0.5; 4]),
-            &PvtCorner::typical(),
-            &MismatchVector::nominal(stages * MISMATCH_PER_STAGE),
-        )
     }
 
     /// The shared solver pool (counters are useful in tests and benches:
@@ -251,53 +267,26 @@ impl SpiceInverterChain {
         ]
     }
 
-    /// Builds the netlist for one `(x, corner, h)` point. The topology
-    /// (and therefore the MNA pattern) depends only on `stages`; the
-    /// point enters exclusively through device values, which is what
-    /// lets the solver pool keep one frozen symbolic factorization for
-    /// the whole sweep.
-    fn netlist_for(
-        stages: usize,
-        x_phys: &[f64],
-        corner: &PvtCorner,
-        h: &MismatchVector,
-    ) -> Netlist {
+    /// The device values of one `(x, corner, h)` point, in the device
+    /// order of [`inverter_chain`]: the VDD and VIN sources, then per
+    /// stage its PMOS, NMOS and load. The topology (and therefore the
+    /// MNA pattern) depends only on `stages`; the point enters
+    /// exclusively through these values, which is what lets the solver
+    /// pool keep one frozen symbolic factorization for the whole sweep.
+    fn values_for(x_phys: &[f64], corner: &PvtCorner, h: &MismatchVector) -> Vec<DeviceValue> {
         let (wn, wp, l, rl) = (x_phys[0], x_phys[1], x_phys[2], x_phys[3]);
-        let hv = h.values();
-        let mut nl = Netlist::new();
-        let vdd = nl.node("vdd");
-        let vin = nl.node("vin");
-        nl.vsource("VDD", vdd, GROUND, corner.vdd);
-        // Input biased near the switching threshold, tracking the supply.
-        nl.vsource("VIN", vin, GROUND, corner.vdd * (0.42 / 0.9));
         let pmos = MosModel::pmos_28nm().at_corner(corner);
         let nmos = MosModel::nmos_28nm().at_corner(corner);
-        let mut prev = vin;
-        for s in 0..stages {
-            let out = nl.node(&format!("n{s}"));
-            let base = s * MISMATCH_PER_STAGE;
-            nl.mosfet(
-                &format!("MP{s}"),
-                out,
-                prev,
-                vdd,
-                pmos.with_mismatch(hv[base], hv[base + 1]),
-                wp,
-                l,
-            );
-            nl.mosfet(
-                &format!("MN{s}"),
-                out,
-                prev,
-                GROUND,
-                nmos.with_mismatch(hv[base + 2], hv[base + 3]),
-                wn,
-                l,
-            );
-            nl.resistor(&format!("RL{s}"), out, GROUND, rl);
-            prev = out;
+        let mut values = Vec::with_capacity(2 + 3 * (h.dim() / MISMATCH_PER_STAGE));
+        values.push(DeviceValue::vsource(corner.vdd));
+        // Input biased near the switching threshold, tracking the supply.
+        values.push(DeviceValue::vsource(corner.vdd * (0.42 / 0.9)));
+        for hs in h.values().chunks_exact(MISMATCH_PER_STAGE) {
+            values.push(DeviceValue::mosfet(pmos.with_mismatch(hs[0], hs[1]), wp, l));
+            values.push(DeviceValue::mosfet(nmos.with_mismatch(hs[2], hs[3]), wn, l));
+            values.push(DeviceValue::resistor(rl));
         }
-        nl
+        values
     }
 }
 
@@ -341,13 +330,11 @@ impl Circuit for SpiceInverterChain {
             "mismatch vector dimension mismatch"
         );
         let x = self.denormalize(x_norm);
-        let mut nl = Self::netlist_for(self.stages, &x, corner, mismatch);
-        match self.solve.solve(&nl) {
+        match self.solve.solve(&Self::values_for(&x, corner, mismatch)) {
             Some(op) => {
-                let branch = nl.vsource_branch("VDD").expect("VDD source present");
-                let supply_current_ua = op.branch_current(branch).abs() * 1e6;
-                let va = op.voltage(nl.node(&format!("n{}", self.stages - 1)));
-                let vb = op.voltage(nl.node(&format!("n{}", self.stages - 2)));
+                let supply_current_ua = op.branch_current(self.vdd_branch).abs() * 1e6;
+                let va = op.voltage(self.outputs[0]);
+                let vb = op.voltage(self.outputs[1]);
                 vec![supply_current_ua, va.max(vb), va.min(vb)]
             }
             // NaN metrics fail every constraint.
@@ -361,7 +348,7 @@ impl Circuit for SpiceInverterChain {
 }
 
 /// A SPICE-backed two-stage Miller OTA: every evaluation is a **DC plus
-/// AC** solve of [`ota_two_stage_with_cards`] — the first testcase whose
+/// AC** solve of [`ota_two_stage`]'s topology — the first testcase whose
 /// metrics exercise the whole solver stack (Newton DC through the pooled
 /// per-worker [`OpSolver`]s with value-only
 /// retargeting, then a complex small-signal sweep linearized around that
@@ -387,6 +374,9 @@ pub struct SpiceOta {
     spec: DesignSpec,
     solve: PooledSolve,
     freqs: Vec<f64>,
+    /// The VDD branch and the output node the metrics read.
+    vdd_branch: usize,
+    out: NodeId,
 }
 
 /// Mismatch components: `ΔV_th`/`Δβ` for M1, M2, M3, M4, M6 in order.
@@ -411,10 +401,20 @@ impl SpiceOta {
     }
 
     fn build(options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
+        let mut prototype = ota_two_stage(&OtaParams::nominal());
+        prototype.set_values(&Self::values_for(
+            &denormalize_within(&Self::static_bounds(), &[0.5; 6]),
+            &PvtCorner::typical(),
+            &MismatchVector::nominal(OTA_MISMATCH_DIM),
+        ));
+        let vdd_branch = prototype.vsource_branch("VDD").expect("VDD source present");
+        let out = prototype.find_node("out").expect("OTA output node");
         Self {
             spec: Self::static_spec(),
-            solve: PooledSolve::new(&Self::prototype_netlist(), options, registry),
+            solve: PooledSolve::new(prototype, options, registry),
             freqs: log_sweep(1e3, 1e9, 3),
+            vdd_branch,
+            out,
         }
     }
 
@@ -427,7 +427,7 @@ impl SpiceOta {
     /// circuit's pool registers under, and an identity word for shared
     /// eval caches.
     pub fn topology_fingerprint(&self) -> u64 {
-        Self::prototype_netlist().topology_fingerprint()
+        self.solve.fingerprint
     }
 
     fn static_spec() -> DesignSpec {
@@ -443,14 +443,6 @@ impl SpiceOta {
         ])
     }
 
-    fn prototype_netlist() -> Netlist {
-        Self::netlist_for(
-            &denormalize_within(&Self::static_bounds(), &[0.5; 6]),
-            &PvtCorner::typical(),
-            &MismatchVector::nominal(OTA_MISMATCH_DIM),
-        )
-    }
-
     fn static_bounds() -> Vec<(f64, f64)> {
         vec![
             (1.0, 4.0),   // w_in_um
@@ -462,12 +454,14 @@ impl SpiceOta {
         ]
     }
 
-    /// Builds the netlist for one `(x, corner, h)` point. Topology (and
-    /// the MNA pattern) is fixed; the point enters purely through values
-    /// — every DC retarget across a sweep takes the value-only path.
-    fn netlist_for(x_phys: &[f64], corner: &PvtCorner, h: &MismatchVector) -> Netlist {
+    /// The device values of one `(x, corner, h)` point, in the device
+    /// order of [`ota_two_stage`]: the VDD, VINP and VINN sources, M1–M4,
+    /// the tail source, M6, the load resistor and the two capacitors.
+    /// Topology (and the MNA pattern) is fixed; the point enters purely
+    /// through these values.
+    fn values_for(x_phys: &[f64], corner: &PvtCorner, h: &MismatchVector) -> Vec<DeviceValue> {
         let hv = h.values();
-        let params = OtaParams {
+        let p = OtaParams {
             w_in_um: x_phys[0],
             w_mir_um: x_phys[1],
             w_out_um: x_phys[2],
@@ -480,14 +474,20 @@ impl SpiceOta {
         };
         let nmos = MosModel::nmos_28nm().at_corner(corner);
         let pmos = MosModel::pmos_28nm().at_corner(corner);
-        let cards = OtaCards {
-            m1: nmos.with_mismatch(hv[0], hv[1]),
-            m2: nmos.with_mismatch(hv[2], hv[3]),
-            m3: pmos.with_mismatch(hv[4], hv[5]),
-            m4: pmos.with_mismatch(hv[6], hv[7]),
-            m6: pmos.with_mismatch(hv[8], hv[9]),
-        };
-        ota_two_stage_with_cards(&params, &cards)
+        vec![
+            DeviceValue::vsource(p.vdd),
+            DeviceValue::vsource(p.vcm),
+            DeviceValue::vsource(p.vcm),
+            DeviceValue::mosfet(nmos.with_mismatch(hv[0], hv[1]), p.w_in_um, p.l_um),
+            DeviceValue::mosfet(nmos.with_mismatch(hv[2], hv[3]), p.w_in_um, p.l_um),
+            DeviceValue::mosfet(pmos.with_mismatch(hv[4], hv[5]), p.w_mir_um, p.l_um),
+            DeviceValue::mosfet(pmos.with_mismatch(hv[6], hv[7]), p.w_mir_um, p.l_um),
+            DeviceValue::isource(p.itail_ua * 1e-6),
+            DeviceValue::mosfet(pmos.with_mismatch(hv[8], hv[9]), p.w_out_um, p.l_um),
+            DeviceValue::resistor(p.rl_kohm * 1e3),
+            DeviceValue::capacitor(p.cc_ff * 1e-15),
+            DeviceValue::capacitor(p.cl_ff * 1e-15),
+        ]
     }
 }
 
@@ -539,20 +539,20 @@ impl Circuit for SpiceOta {
         assert_eq!(x_norm.len(), self.dim(), "design vector dimension mismatch");
         assert_eq!(mismatch.dim(), OTA_MISMATCH_DIM, "mismatch vector dimension mismatch");
         let x = self.denormalize(x_norm);
-        let mut nl = Self::netlist_for(&x, corner, mismatch);
-        let Some(op) = self.solve.solve(&nl) else {
+        let values = Self::values_for(&x, corner, mismatch);
+        let Some(op) = self.solve.solve(&values) else {
             return vec![f64::NAN; self.spec.len()];
         };
-        let branch = nl.vsource_branch("VDD").expect("VDD source present");
-        let supply_current_ua = op.branch_current(branch).abs() * 1e6;
-        let out = nl.node("out");
+        let supply_current_ua = op.branch_current(self.vdd_branch).abs() * 1e6;
         let backend = self.solve.pool.options().backend;
-        match ac_sweep_with_backend_from_op(&nl, op, "VINP", &self.freqs, backend) {
+        let topology = &self.solve.topology;
+        match ac_sweep_with_backend_from_op(topology, &values, op, "VINP", &self.freqs, backend) {
             Ok(ac) => {
-                let gain_db = ac.magnitude_db(out)[0];
+                let gain_db = ac.magnitude_db(self.out)[0];
                 // Single-pole GBW estimate; a response that never drops
                 // 3 dB inside the sweep is credited with the sweep edge.
-                let f3 = ac.bandwidth_3db(out).unwrap_or_else(|| *self.freqs.last().unwrap());
+                let f3 =
+                    ac.bandwidth_3db(self.out).unwrap_or_else(|| *self.freqs.last().unwrap());
                 let gbw_mhz = f3 * 10f64.powf(gain_db / 20.0) / 1e6;
                 vec![gain_db, gbw_mhz, supply_current_ua]
             }
@@ -604,6 +604,10 @@ pub struct SpiceSenseAmpArray {
     cols: usize,
     spec: DesignSpec,
     solve: PooledSolve,
+    /// The VDD branch and each column's `(bl, blb)` pair the metrics
+    /// read.
+    vdd_branch: usize,
+    bitlines: Vec<(NodeId, NodeId)>,
 }
 
 /// Mismatch components contributed per column: `ΔV_th`/`Δβ` for the
@@ -662,8 +666,18 @@ impl SpiceSenseAmpArray {
         registry: Option<&SolverRegistry>,
     ) -> Self {
         assert!(rows > 0 && cols > 0, "a sense-amp array needs at least one row and column");
-        let solve = PooledSolve::new(&Self::prototype_netlist(rows, cols), options, registry);
-        Self { rows, cols, spec: Self::static_spec(rows, cols), solve }
+        let mut prototype = sense_amp_array(rows, cols);
+        prototype.set_values(&Self::values_for(
+            rows,
+            &denormalize_within(&Self::static_bounds(), &[0.5; 4]),
+            &PvtCorner::typical(),
+            &MismatchVector::nominal(cols * MISMATCH_PER_COLUMN),
+        ));
+        let vdd_branch = prototype.vsource_branch("VDD").expect("VDD source present");
+        let node = |name: String| prototype.find_node(&name).expect("bitline node");
+        let bitlines = (0..cols).map(|c| (node(format!("bl{c}")), node(format!("blb{c}")))).collect();
+        let solve = PooledSolve::new(prototype, options, registry);
+        Self { rows, cols, spec: Self::static_spec(rows, cols), solve, vdd_branch, bitlines }
     }
 
     /// Array shape as `(rows, cols)`.
@@ -675,7 +689,7 @@ impl SpiceSenseAmpArray {
     /// pool registers under, and an identity word for shared eval
     /// caches.
     pub fn topology_fingerprint(&self) -> u64 {
-        Self::prototype_netlist(self.rows, self.cols).topology_fingerprint()
+        self.solve.fingerprint
     }
 
     fn static_spec(rows: usize, cols: usize) -> DesignSpec {
@@ -693,16 +707,6 @@ impl SpiceSenseAmpArray {
             MetricSpec::below("droop_mv", 3.5 * rows as f64),
             MetricSpec::below("supply_current_ua", 5.0 * cols as f64 + 0.1 * (rows * cols) as f64),
         ])
-    }
-
-    fn prototype_netlist(rows: usize, cols: usize) -> Netlist {
-        Self::netlist_for(
-            rows,
-            cols,
-            &denormalize_within(&Self::static_bounds(), &[0.5; 4]),
-            &PvtCorner::typical(),
-            &MismatchVector::nominal(cols * MISMATCH_PER_COLUMN),
-        )
     }
 
     /// The shared solver pool (counters useful in tests and benches).
@@ -731,20 +735,19 @@ impl SpiceSenseAmpArray {
         ]
     }
 
-    /// Builds the netlist for one `(x, corner, h)` point: the exact
-    /// [`sense_amp_array_with`](glova_spice::netlist::sense_amp_array_with)
-    /// topology (same node names, same device order — locked in by a
-    /// fingerprint test), with the corner folded into every model card
-    /// and the mismatch vector into the per-column latch NMOS pair. The
-    /// point enters only through device values, so sweep retargets take
-    /// the value-only fast path.
-    fn netlist_for(
+    /// The device values of one `(x, corner, h)` point, in the device
+    /// order of [`sense_amp_array`]: the VDD and VPRE sources, the
+    /// wordline drivers, per column its precharge resistors, bitline
+    /// capacitors and latch (the true-side and reference NMOS carrying
+    /// the column's mismatch, then the PMOS pair), then per cell its
+    /// access device, storage capacitor and anchor. The corner is folded
+    /// into every model card; the point enters only through these values.
+    fn values_for(
         rows: usize,
-        cols: usize,
         x_phys: &[f64],
         corner: &PvtCorner,
         h: &MismatchVector,
-    ) -> Netlist {
+    ) -> Vec<DeviceValue> {
         let (w_access, w_latch, l, r_pre) = (x_phys[0], x_phys[1], x_phys[2], x_phys[3]);
         let p = SenseAmpParams {
             vdd: corner.vdd,
@@ -754,48 +757,31 @@ impl SpiceSenseAmpArray {
             l_um: l,
             ..SenseAmpParams::default()
         };
-        let hv = h.values();
         let nmos = MosModel::nmos_28nm().at_corner(corner);
         let pmos = MosModel::pmos_28nm().at_corner(corner);
-        let mut nl = Netlist::new();
-        let vdd = nl.node("vdd");
-        let vpre = nl.node("vpre");
-        nl.vsource("VDD", vdd, GROUND, p.vdd);
-        nl.vsource("VPRE", vpre, GROUND, p.vdd / 2.0);
-        let wordlines: Vec<_> = (0..rows)
-            .map(|r| {
-                let wl = nl.node(&format!("wl{r}"));
-                nl.resistor(&format!("RWL{r}"), vdd, wl, p.r_wordline);
-                wl
-            })
-            .collect();
-        let bitlines: Vec<_> = (0..cols)
-            .map(|c| {
-                let bl = nl.node(&format!("bl{c}"));
-                let blb = nl.node(&format!("blb{c}"));
-                nl.resistor(&format!("RPB{c}"), vpre, bl, p.r_precharge);
-                nl.resistor(&format!("RPBB{c}"), vpre, blb, p.r_precharge);
-                nl.capacitor(&format!("CBL{c}"), bl, GROUND, p.c_bitline_f);
-                nl.capacitor(&format!("CBLB{c}"), blb, GROUND, p.c_bitline_f);
-                let base = c * MISMATCH_PER_COLUMN;
-                let n1 = nmos.with_mismatch(hv[base], hv[base + 1]);
-                let n2 = nmos.with_mismatch(hv[base + 2], hv[base + 3]);
-                nl.mosfet(&format!("MN1_{c}"), bl, blb, GROUND, n1, p.w_latch_um, p.l_um);
-                nl.mosfet(&format!("MN2_{c}"), blb, bl, GROUND, n2, p.w_latch_um, p.l_um);
-                nl.mosfet(&format!("MP1_{c}"), bl, blb, vdd, pmos, p.w_latch_um, p.l_um);
-                nl.mosfet(&format!("MP2_{c}"), blb, bl, vdd, pmos, p.w_latch_um, p.l_um);
-                bl
-            })
-            .collect();
-        for (r, &wl) in wordlines.iter().enumerate() {
-            for (c, &bl) in bitlines.iter().enumerate() {
-                let cell = nl.node(&format!("cell{r}_{c}"));
-                nl.mosfet(&format!("MA{r}_{c}"), bl, wl, cell, nmos, p.w_access_um, p.l_um);
-                nl.capacitor(&format!("CC{r}_{c}"), cell, GROUND, p.c_cell_f);
-                nl.resistor(&format!("RC{r}_{c}"), cell, GROUND, p.r_cell);
-            }
+        let cols = h.dim() / MISMATCH_PER_COLUMN;
+        let mut values = Vec::with_capacity(2 + rows + 8 * cols + 3 * rows * cols);
+        values.push(DeviceValue::vsource(p.vdd));
+        values.push(DeviceValue::vsource(p.vdd / 2.0));
+        values.extend(std::iter::repeat(DeviceValue::resistor(p.r_wordline)).take(rows));
+        let precharge = DeviceValue::resistor(p.r_precharge);
+        let bitline = DeviceValue::capacitor(p.c_bitline_f);
+        let latch_p = DeviceValue::mosfet(pmos, p.w_latch_um, p.l_um);
+        for hc in h.values().chunks_exact(MISMATCH_PER_COLUMN) {
+            values.extend([precharge, precharge, bitline, bitline]);
+            values.push(DeviceValue::mosfet(nmos.with_mismatch(hc[0], hc[1]), p.w_latch_um, p.l_um));
+            values.push(DeviceValue::mosfet(nmos.with_mismatch(hc[2], hc[3]), p.w_latch_um, p.l_um));
+            values.extend([latch_p, latch_p]);
         }
-        nl
+        let cell = [
+            DeviceValue::mosfet(nmos, p.w_access_um, p.l_um),
+            DeviceValue::capacitor(p.c_cell_f),
+            DeviceValue::resistor(p.r_cell),
+        ];
+        for _ in 0..rows * cols {
+            values.extend(cell);
+        }
+        values
     }
 }
 
@@ -839,20 +825,17 @@ impl Circuit for SpiceSenseAmpArray {
             "mismatch vector dimension mismatch"
         );
         let x = self.denormalize(x_norm);
-        let mut nl = Self::netlist_for(self.rows, self.cols, &x, corner, mismatch);
-        match self.solve.solve(&nl) {
+        match self.solve.solve(&Self::values_for(self.rows, &x, corner, mismatch)) {
             Some(op) => {
                 let vpre = corner.vdd / 2.0;
                 let mut worst_diff = f64::INFINITY;
                 let mut worst_droop = f64::NEG_INFINITY;
-                for c in 0..self.cols {
-                    let bl = op.voltage(nl.node(&format!("bl{c}")));
-                    let blb = op.voltage(nl.node(&format!("blb{c}")));
+                for &(bl, blb) in &self.bitlines {
+                    let (bl, blb) = (op.voltage(bl), op.voltage(blb));
                     worst_diff = worst_diff.min((blb - bl) * 1e3);
                     worst_droop = worst_droop.max((vpre - 0.5 * (bl + blb)) * 1e3);
                 }
-                let branch = nl.vsource_branch("VDD").expect("VDD source present");
-                let supply_current_ua = op.branch_current(branch).abs() * 1e6;
+                let supply_current_ua = op.branch_current(self.vdd_branch).abs() * 1e6;
                 vec![worst_diff, worst_droop, supply_current_ua]
             }
             None => vec![f64::NAN; self.spec.len()],
@@ -868,24 +851,6 @@ impl Circuit for SpiceSenseAmpArray {
 mod tests {
     use super::*;
     use glova_variation::corner::ProcessCorner;
-
-    #[test]
-    fn sense_amp_array_matches_generator_topology() {
-        use glova_spice::netlist::sense_amp_array;
-        // The circuit's per-point netlist must be the generator's
-        // topology exactly (same fingerprint ⇒ same MNA pattern and
-        // stamp order), so benches over `sense_amp_array` measure the
-        // very systems the circuit solves.
-        let nl = SpiceSenseAmpArray::netlist_for(
-            5,
-            4,
-            &denormalize_within(&SpiceSenseAmpArray::static_bounds(), &[0.5; 4]),
-            &PvtCorner::typical(),
-            &MismatchVector::nominal(4 * MISMATCH_PER_COLUMN),
-        );
-        assert_eq!(nl.topology_fingerprint(), sense_amp_array(5, 4).topology_fingerprint());
-        assert_eq!(nl.unknown_count(), sense_amp_array(5, 4).unknown_count());
-    }
 
     #[test]
     fn sense_amp_nominal_is_feasible_and_deterministic() {

@@ -7,13 +7,13 @@
 //! transfer functions relative to it.
 //!
 //! The sweep solves its points in order. On the sparse backend it walks
-//! the netlist once into a compiled event template and replays it per
-//! frequency point — bitwise identical to re-walking the stamp loop,
-//! which survives only as the unit tests' oracle.
+//! the topology and its values once into a compiled event template and
+//! replays it per frequency point — bitwise identical to re-walking the
+//! stamp loop, which survives only as the unit tests' oracle.
 
 use crate::complex::{Complex, ComplexMatrix};
 use crate::dc::{operating_point, OperatingPoint};
-use crate::device::Device;
+use crate::device::{Device, DeviceValue};
 use crate::mna::SolverBackend;
 use crate::model::MosPolarity;
 use crate::netlist::{Netlist, NodeId};
@@ -124,25 +124,32 @@ pub fn ac_sweep_with_backend(
     backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
     let op = operating_point(netlist)?;
-    ac_sweep_with_backend_from_op(netlist, op, ac_source_name, frequencies, backend)
+    ac_sweep_with_backend_from_op(netlist, netlist.values(), op, ac_source_name, frequencies, backend)
 }
 
-/// [`ac_sweep_with_backend`] over a caller-provided DC operating point —
-/// for circuits that already solved DC through a pooled solver (power
-/// metrics) and linearize around that same solution for AC metrics,
-/// skipping the second Newton solve per evaluation.
+/// [`ac_sweep_with_backend`] over `topology` with device values
+/// `values` (pass `netlist.values()` for a netlist's own), linearized
+/// around a caller-provided DC operating point — for circuits that
+/// already solved DC through a pooled solver (power metrics) and
+/// linearize around that same solution for AC metrics, skipping the
+/// second Newton solve and any netlist build per evaluation.
 ///
 /// # Errors
 ///
 /// See [`ac_sweep`] (minus the DC-solve failures).
+///
+/// # Panics
+///
+/// Panics unless `topology` [accepts](Netlist::accepts) `values`.
 pub fn ac_sweep_with_backend_from_op(
-    netlist: &Netlist,
+    topology: &Netlist,
+    values: &[DeviceValue],
     op: OperatingPoint,
     ac_source_name: &str,
     frequencies: &[f64],
     backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
-    AcSweep::new(netlist, op, ac_source_name, frequencies, backend)?.run(frequencies)
+    AcSweep::new(topology, values, op, ac_source_name, frequencies, backend)?.run(frequencies)
 }
 
 /// One compiled small-signal stamp event: the value added to packed CSR
@@ -179,21 +186,23 @@ struct AcWorker {
 ///
 /// # Determinism
 ///
-/// A point's solution is a pure function of `(netlist, operating point,
-/// frequency)` plus the canonical symbolic analysis: every stored value
+/// A point's solution is a pure function of `(topology, values,
+/// operating point, frequency)` plus the canonical symbolic analysis:
+/// every stored value
 /// is rewritten before refactoring, so no per-point state leaks between
 /// points, and a point whose refactor had to fall back to a fresh
 /// factorization (still a pure function of the point) hands the next
 /// point a fresh clone of the prototype.
 struct AcSweep<'a> {
-    netlist: &'a Netlist,
+    topology: &'a Netlist,
+    values: &'a [DeviceValue],
     op: OperatingPoint,
     ac_branch: usize,
     n_nodes: usize,
     n: usize,
     /// Compiled value-retarget template: the stamp walk flattened into
     /// `(slot, re, c)` events replayed per point without touching the
-    /// netlist (empty on the dense backend).
+    /// topology (empty on the dense backend).
     events: Vec<AcEvent>,
     /// Primed sparse prototype; `None` on the dense backend (dense
     /// points are independent full solves) or for empty sweeps.
@@ -211,18 +220,20 @@ impl<'a> AcSweep<'a> {
     /// - A structurally singular small-signal system surfaces as
     ///   [`SpiceError::SingularMatrix`] at priming time.
     fn new(
-        netlist: &'a Netlist,
+        topology: &'a Netlist,
+        values: &'a [DeviceValue],
         op: OperatingPoint,
         ac_source_name: &str,
         frequencies: &[f64],
         backend: SolverBackend,
     ) -> Result<Self, SpiceError> {
+        assert!(topology.accepts(values), "device values do not fit the topology");
         let ac_branch =
-            netlist.vsource_branch(ac_source_name).ok_or_else(|| SpiceError::InvalidNetlist {
+            topology.vsource_branch(ac_source_name).ok_or_else(|| SpiceError::InvalidNetlist {
                 reason: format!("no voltage source named {ac_source_name}"),
             })?;
-        let n_nodes = netlist.node_count() - 1;
-        let n = netlist.unknown_count();
+        let n_nodes = topology.node_count() - 1;
+        let n = topology.unknown_count();
         let mut events = Vec::new();
         let mut proto = None;
         if backend.resolves_to_sparse(n) && !frequencies.is_empty() {
@@ -234,7 +245,7 @@ impl<'a> AcSweep<'a> {
             // is primed at the first sweep frequency.
             let omega = 2.0 * std::f64::consts::PI * frequencies[0];
             let mut parts: Vec<(usize, usize, f64, f64)> = Vec::new();
-            stamp_ac_parts(netlist, &op, &mut |i, j, re, c| parts.push((i, j, re, c)));
+            stamp_ac_parts(topology, values, &op, &mut |i, j, re, c| parts.push((i, j, re, c)));
             let mut t = Triplets::new(n, n);
             for &(i, j, re, c) in &parts {
                 t.push(i, j, Complex::new(re, omega * c));
@@ -250,7 +261,7 @@ impl<'a> AcSweep<'a> {
             let lu = SparseLu::factor(&system).map_err(|_| SpiceError::SingularMatrix)?;
             proto = Some(AcWorker { system, lu });
         }
-        Ok(Self { netlist, op, ac_branch, n_nodes, n, events, proto })
+        Ok(Self { topology, values, op, ac_branch, n_nodes, n, events, proto })
     }
 
     /// Solves every point in order. Sparse points run on a clone of the
@@ -272,7 +283,7 @@ impl<'a> AcSweep<'a> {
     fn solve_dense(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
         let mut a = ComplexMatrix::zeros(self.n);
-        stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| a.add_at(i, j, v));
+        stamp_ac(self.topology, self.values, &self.op, omega, &mut |i, j, v| a.add_at(i, j, v));
         let x = a.solve(&self.excitation()).map_err(|_| SpiceError::SingularMatrix)?;
         Ok(x[..self.n_nodes].to_vec())
     }
@@ -320,7 +331,7 @@ impl<'a> AcSweep<'a> {
     }
 
     /// [`solve_sparse`](Self::solve_sparse) with the values written by
-    /// re-walking the netlist's stamp loop instead of replaying the
+    /// re-walking the stamp loop instead of replaying the
     /// event template — the parity oracle the template is tested
     /// against (same slots, same addends, same order).
     #[cfg(test)]
@@ -332,7 +343,7 @@ impl<'a> AcSweep<'a> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
         let system = &mut w.system;
         system.values_mut().fill(Complex::ZERO);
-        stamp_ac(self.netlist, &self.op, omega, &mut |i, j, v| {
+        stamp_ac(self.topology, self.values, &self.op, omega, &mut |i, j, v| {
             let slot = system.value_index(i, j).expect("stamp slot in the pattern");
             system.values_mut()[slot] += v;
         });
@@ -350,26 +361,29 @@ impl<'a> AcSweep<'a> {
 /// `re + j·ω·c` here is bitwise identical to computing each stamp
 /// directly at ω.
 fn stamp_ac(
-    netlist: &Netlist,
+    topology: &Netlist,
+    values: &[DeviceValue],
     op: &OperatingPoint,
     omega: f64,
     add: &mut impl FnMut(usize, usize, Complex),
 ) {
-    stamp_ac_parts(netlist, op, &mut |i, j, re, c| add(i, j, Complex::new(re, omega * c)));
+    stamp_ac_parts(topology, values, op, &mut |i, j, re, c| add(i, j, Complex::new(re, omega * c)));
 }
 
 /// The frequency-independent decomposition of the small-signal stamp
-/// walk: each emitted `(i, j, re, c)` contributes `re + j·ω·c` at
+/// walk over `topology`'s connectivity and `values` (checked by the
+/// caller): each emitted `(i, j, re, c)` contributes `re + j·ω·c` at
 /// angular frequency ω. Run once per sweep, this walk yields the compiled
 /// event template [`AcSweep`] replays per point; signed zeros in
 /// the `re`/`c` parts are chosen so the reconstruction matches the
 /// direct stamps (which negate whole [`Complex`] values) bitwise.
 fn stamp_ac_parts(
-    netlist: &Netlist,
+    topology: &Netlist,
+    values: &[DeviceValue],
     op: &OperatingPoint,
     add: &mut impl FnMut(usize, usize, f64, f64),
 ) {
-    let n_nodes = netlist.node_count() - 1;
+    let n_nodes = topology.node_count() - 1;
     let idx = |node: NodeId| -> Option<usize> {
         if node.is_ground() {
             None
@@ -388,9 +402,9 @@ fn stamp_ac_parts(
         }
     };
 
-    for device in netlist.devices() {
-        match device {
-            Device::Resistor { a: na, b: nb, ohms, .. } => {
+    for (device, value) in topology.devices().iter().zip(values) {
+        match (device, *value) {
+            (Device::Resistor { a: na, b: nb, .. }, DeviceValue::Resistor { ohms }) => {
                 let g = 1.0 / ohms;
                 let (i, j) = (idx(*na), idx(*nb));
                 stamp(i, i, g, 0.0);
@@ -398,14 +412,14 @@ fn stamp_ac_parts(
                 stamp(i, j, -g, -0.0);
                 stamp(j, i, -g, -0.0);
             }
-            Device::Capacitor { a: na, b: nb, farads, .. } => {
+            (Device::Capacitor { a: na, b: nb, .. }, DeviceValue::Capacitor { farads }) => {
                 let (i, j) = (idx(*na), idx(*nb));
                 stamp(i, j, -0.0, -farads);
                 stamp(j, i, -0.0, -farads);
-                stamp(i, i, 0.0, *farads);
-                stamp(j, j, 0.0, *farads);
+                stamp(i, i, 0.0, farads);
+                stamp(j, j, 0.0, farads);
             }
-            Device::Vsource { plus, minus, branch, .. } => {
+            (Device::Vsource { plus, minus, branch, .. }, DeviceValue::Vsource { .. }) => {
                 let k = Some(n_nodes + branch);
                 let (p, m) = (idx(*plus), idx(*minus));
                 stamp(p, k, 1.0, 0.0);
@@ -414,10 +428,13 @@ fn stamp_ac_parts(
                 stamp(k, m, -1.0, -0.0);
                 // RHS handled by the caller (AC source selection).
             }
-            Device::Isource { .. } => {
+            (Device::Isource { .. }, DeviceValue::Isource { .. }) => {
                 // Independent current sources are AC-open.
             }
-            Device::Mosfet { drain, gate, source, model, w_um, l_um, .. } => {
+            (
+                Device::Mosfet { drain, gate, source, .. },
+                DeviceValue::Mosfet { model, w_um, l_um },
+            ) => {
                 // Small-signal conductances at the DC operating point, in
                 // the same carrier-space formulation as the DC stamps.
                 let p = match model.polarity {
@@ -442,8 +459,9 @@ fn stamp_ac_parts(
                 stamp(s, d, -gds, -0.0);
                 stamp(s, s, gm + gds, 0.0);
                 // Gate capacitance loads the driving node.
-                stamp(g, g, 0.0, crate::model_gate_cap(*w_um, *l_um));
+                stamp(g, g, 0.0, crate::model_gate_cap(w_um, l_um));
             }
+            (device, _) => unreachable!("device {} holds a value of another kind", device.name()),
         }
     }
 }
@@ -597,7 +615,7 @@ mod tests {
     /// solve points on.
     fn sparse_sweep<'a>(nl: &'a Netlist, source: &str, freqs: &[f64]) -> (AcSweep<'a>, AcWorker) {
         let op = operating_point(nl).unwrap();
-        let sweep = AcSweep::new(nl, op, source, freqs, SolverBackend::Sparse).unwrap();
+        let sweep = AcSweep::new(nl, nl.values(), op, source, freqs, SolverBackend::Sparse).unwrap();
         let worker = sweep.proto.clone().expect("sparse sweep primes a prototype");
         (sweep, worker)
     }
@@ -716,7 +734,8 @@ mod tests {
                 let op = OpSolver::new(&nl, NewtonOptions::default().with_backend(backend))
                     .solve()
                     .unwrap();
-                let swept = ac_sweep_with_backend_from_op(&nl, op, "VINP", &freqs, backend);
+                let swept =
+                    ac_sweep_with_backend_from_op(&nl, nl.values(), op, "VINP", &freqs, backend);
                 absorb(&mut ac, &swept.unwrap());
             }
         }

@@ -1,17 +1,20 @@
 //! DC operating-point analysis with `gmin` stepping.
 //!
-//! [`OpSolver`] keeps one template and factorization across solves;
-//! [`OpSolver::retarget`] re-points it at a netlist, rewriting stamp
-//! values in place when the topology matches and rebuilding otherwise.
-//! [`OpSolverPool`] clones one primed solver per worker thread.
+//! [`OpSolver`] keeps one topology, template and factorization across
+//! solves; [`OpSolver::retarget_values`] writes a new value slice into
+//! the template in place, and [`OpSolver::retarget`] re-points it at a
+//! netlist, rewriting stamp values in place when the topology matches
+//! and rebuilding otherwise. [`OpSolverPool`] clones one primed solver
+//! per worker thread.
 
+use crate::device::DeviceValue;
 use crate::mna::{
     newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, StampContext,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A solved DC operating point.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +53,9 @@ impl OperatingPoint {
 /// final operating point.
 const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12];
 
+/// The stamp context every DC template is built and retargeted under.
+const DC_CONTEXT: StampContext<'static> = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
+
 /// A reusable operating-point solver for one netlist topology.
 ///
 /// [`operating_point`] rebuilds the assembly template and solver state on
@@ -66,16 +72,18 @@ const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12];
 /// identical to [`operating_point_with_options`] on the same inputs.
 ///
 /// For sweeps whose *device values* change per point (corner/mismatch
-/// campaigns), [`retarget`](Self::retarget) swaps in a rebuilt template
-/// of the same topology while keeping the factorization — and
-/// [`OpSolverPool`] extends the pattern across worker threads by cloning
-/// one [`primed`](Self::primed) solver per worker.
+/// campaigns), [`retarget_values`](Self::retarget_values) writes each
+/// point's value slice into the template of the one topology while
+/// keeping the factorization — and [`OpSolverPool`] extends the pattern
+/// across worker threads by cloning one [`primed`](Self::primed) solver
+/// per worker. The topology is shared, never copied, between clones.
 #[derive(Debug, Clone)]
 pub struct OpSolver {
     state: MnaState,
     options: NewtonOptions,
-    n_nodes: usize,
-    unknowns: usize,
+    /// The topology the template was walked over (its values are the
+    /// construction-time ones; value retargets leave them alone).
+    topology: Arc<Netlist>,
     sparse: bool,
     /// Times a retarget crossed a topology boundary (the state was
     /// rebuilt wholesale, abandoning the canonical symbolic state).
@@ -85,22 +93,29 @@ pub struct OpSolver {
 impl OpSolver {
     /// Builds the template (and resolves the backend) once for `netlist`.
     pub fn new(netlist: &Netlist, options: NewtonOptions) -> Self {
-        let ctx = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
-        let template = MnaTemplate::new(netlist, &ctx, options.backend);
+        Self::with_values(Arc::new(netlist.clone()), netlist.values(), options)
+    }
+
+    /// Builds the template once over the shared `topology` with device
+    /// values `values` — [`new`](Self::new) over a netlist carrying
+    /// `values`, bit for bit, without building or copying one.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
+    pub fn with_values(
+        topology: Arc<Netlist>,
+        values: &[DeviceValue],
+        options: NewtonOptions,
+    ) -> Self {
+        let template = MnaTemplate::new(&topology, values, &DC_CONTEXT, options.backend);
         let sparse = template.is_sparse();
         let mut state = template.into_state();
         // Priming happens before any solve threads the options through,
         // so the symbolic analysis every clone shares must already know
         // the ordering choice.
         state.set_ordering(options.ordering);
-        Self {
-            state,
-            options,
-            n_nodes: netlist.node_count() - 1,
-            unknowns: netlist.unknown_count(),
-            sparse,
-            topology_retargets: 0,
-        }
+        Self { state, options, topology, sparse, topology_retargets: 0 }
     }
 
     /// [`new`](Self::new) plus an eager [`prime`](Self::prime): the
@@ -129,33 +144,45 @@ impl OpSolver {
         self.state.prime(GMIN_LADDER[0])
     }
 
-    /// Re-points the solver at `netlist` — the sweep primitive. For the
-    /// same topology (the overwhelmingly common case: a corner/mismatch
-    /// point is the same circuit graph with different device values) the
-    /// template's stamp values are rewritten **in place** — no netlist
-    /// re-walk into a fresh template, no allocation, no pattern rebuild
-    /// ([`RetargetOutcome::Values`]; bitwise identical to handing
-    /// [`MnaState::retarget`] a rebuilt template). Only a topology change
-    /// pays the full rebuild
+    /// Re-points the solver at `netlist`. For the same topology (checked
+    /// by [`Netlist::topology_fingerprint`]) the template's stamp values
+    /// are rewritten **in place** — no fresh template, no allocation, no
+    /// pattern rebuild ([`RetargetOutcome::Values`]; bitwise identical to
+    /// handing [`MnaState::retarget`] a rebuilt template). Only a
+    /// topology change pays the full rebuild
     /// ([`RetargetOutcome::Topology`] — reported explicitly so pools
     /// retire the now-non-canonical solver).
     pub fn retarget(&mut self, netlist: &Netlist) -> RetargetOutcome {
-        let ctx = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
-        if self.state.retarget_values(netlist, &ctx) {
+        if self.state.retarget_values(netlist, &DC_CONTEXT) {
             return RetargetOutcome::Values;
         }
         self.retarget_rebuild(netlist)
+    }
+
+    /// Writes `values` — one per device of the solver's topology, in
+    /// device order — into the template in place: the sweep primitive.
+    /// The same rewrite as a [`RetargetOutcome::Values`] retarget to a
+    /// netlist carrying `values`, bit for bit, but with no netlist to
+    /// build and no fingerprint to hash: the slice is checked against the
+    /// topology by count and per-device kind only.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the solver's topology [accepts](Netlist::accepts)
+    /// `values`.
+    pub fn retarget_values(&mut self, values: &[DeviceValue]) {
+        assert!(self.topology.accepts(values), "device values do not fit the solver's topology");
+        self.state.write_values(&self.topology, values, &DC_CONTEXT);
     }
 
     /// The topology-change arm of [`retarget`](Self::retarget): rebuilds
     /// the assembly template from a netlist walk and hands it to
     /// [`MnaState::retarget`].
     fn retarget_rebuild(&mut self, netlist: &Netlist) -> RetargetOutcome {
-        let ctx = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
-        let template = MnaTemplate::new(netlist, &ctx, self.options.backend);
+        let template =
+            MnaTemplate::new(netlist, netlist.values(), &DC_CONTEXT, self.options.backend);
         self.sparse = template.is_sparse();
-        self.n_nodes = netlist.node_count() - 1;
-        self.unknowns = netlist.unknown_count();
+        self.topology = Arc::new(netlist.clone());
         let outcome = self.state.retarget(template);
         if outcome == RetargetOutcome::Topology {
             self.topology_retargets += 1;
@@ -201,7 +228,7 @@ impl OpSolver {
     ///
     /// See [`operating_point`].
     pub fn solve(&mut self) -> Result<OperatingPoint, SpiceError> {
-        self.solve_from(&vec![0.0; self.unknowns])
+        self.solve_from(&vec![0.0; self.topology.unknown_count()])
     }
 
     /// Computes the operating point from a caller-provided guess.
@@ -210,7 +237,7 @@ impl OpSolver {
     ///
     /// See [`operating_point`].
     pub fn solve_from(&mut self, initial: &[f64]) -> Result<OperatingPoint, SpiceError> {
-        ladder_solve(&mut self.state, initial, &self.options, self.n_nodes)
+        ladder_solve(&mut self.state, initial, &self.options, self.topology.node_count() - 1)
     }
 
     /// Cumulative Newton/chord iterations this solver has run (all
@@ -450,8 +477,8 @@ pub fn operating_point_with_options(
     // backend the Markowitz pivot order and fill pattern are computed
     // once per topology and every later rung pays numeric-only
     // refactorizations.
-    let ctx = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
-    let mut state = MnaTemplate::new(netlist, &ctx, options.backend).into_state();
+    let mut state =
+        MnaTemplate::new(netlist, netlist.values(), &DC_CONTEXT, options.backend).into_state();
     ladder_solve(&mut state, initial, options, netlist.node_count() - 1)
 }
 

@@ -1,9 +1,15 @@
-//! Device instances stored in a netlist.
+//! Device instances stored in a netlist: each device's connectivity
+//! ([`Device`]) and, beside it, its values ([`DeviceValue`]).
+//!
+//! The split is what lets a sweep keep one topology: every corner,
+//! mismatch or sizing point of a circuit is the same device list with a
+//! different value slice, and the MNA stamp walk reads its connectivity
+//! from the one and its values from the other.
 
 use crate::model::MosModel;
 use crate::netlist::{NodeId, SourceWaveform};
 
-/// One device instance.
+/// One device instance's kind, name and connectivity.
 ///
 /// Kept as an enum rather than trait objects: the device set is closed (a
 /// SPICE engine's device library is part of its definition), matching is
@@ -19,8 +25,6 @@ pub enum Device {
         a: NodeId,
         /// Second terminal.
         b: NodeId,
-        /// Resistance, Ω.
-        ohms: f64,
     },
     /// Linear capacitor.
     Capacitor {
@@ -30,8 +34,6 @@ pub enum Device {
         a: NodeId,
         /// Second terminal.
         b: NodeId,
-        /// Capacitance, F.
-        farads: f64,
     },
     /// Independent voltage source.
     Vsource {
@@ -41,13 +43,11 @@ pub enum Device {
         plus: NodeId,
         /// Negative terminal.
         minus: NodeId,
-        /// Source waveform.
-        waveform: SourceWaveform,
         /// MNA branch-unknown index.
         branch: usize,
     },
-    /// Independent current source (`amps` flows `from → to` through the
-    /// source, i.e. it is injected into `to`).
+    /// Independent current source (its current flows `from → to` through
+    /// the source, i.e. it is injected into `to`).
     Isource {
         /// Instance name.
         name: String,
@@ -55,8 +55,6 @@ pub enum Device {
         from: NodeId,
         /// Terminal the current enters.
         to: NodeId,
-        /// Current, A.
-        amps: f64,
     },
     /// Level-1 MOSFET (three-terminal; bulk tied to source).
     Mosfet {
@@ -68,12 +66,6 @@ pub enum Device {
         gate: NodeId,
         /// Source.
         source: NodeId,
-        /// Model card (already specialized to corner/mismatch).
-        model: MosModel,
-        /// Gate width, µm.
-        w_um: f64,
-        /// Gate length, µm.
-        l_um: f64,
     },
 }
 
@@ -90,6 +82,99 @@ impl Device {
     }
 }
 
+/// One device instance's values: everything the stamp walk reads about a
+/// device apart from its connectivity.
+///
+/// Build values through the constructors ([`resistor`](Self::resistor),
+/// [`mosfet`](Self::mosfet), …), which hold the same positivity checks as
+/// the [`Netlist`](crate::netlist::Netlist) builders.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DeviceValue {
+    /// Resistance, Ω.
+    Resistor {
+        /// Resistance, Ω.
+        ohms: f64,
+    },
+    /// Capacitance, F.
+    Capacitor {
+        /// Capacitance, F.
+        farads: f64,
+    },
+    /// Voltage-source waveform.
+    Vsource {
+        /// Source waveform.
+        waveform: SourceWaveform,
+    },
+    /// Current-source current, A.
+    Isource {
+        /// Current, A.
+        amps: f64,
+    },
+    /// MOSFET model card and geometry.
+    Mosfet {
+        /// Model card (already specialized to corner/mismatch).
+        model: MosModel,
+        /// Gate width, µm.
+        w_um: f64,
+        /// Gate length, µm.
+        l_um: f64,
+    },
+}
+
+impl DeviceValue {
+    /// A resistance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ohms <= 0` (or NaN).
+    pub fn resistor(ohms: f64) -> Self {
+        assert!(ohms > 0.0, "resistance must be positive");
+        Self::Resistor { ohms }
+    }
+
+    /// A capacitance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `farads <= 0` (or NaN).
+    pub fn capacitor(farads: f64) -> Self {
+        assert!(farads > 0.0, "capacitance must be positive");
+        Self::Capacitor { farads }
+    }
+
+    /// A DC voltage-source level.
+    pub fn vsource(volts: f64) -> Self {
+        Self::Vsource { waveform: SourceWaveform::Dc(volts) }
+    }
+
+    /// A DC current-source level.
+    pub fn isource(amps: f64) -> Self {
+        Self::Isource { amps }
+    }
+
+    /// A MOSFET card and geometry (`w_um`/`l_um` in micrometers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is non-positive (or NaN).
+    pub fn mosfet(model: MosModel, w_um: f64, l_um: f64) -> Self {
+        assert!(w_um > 0.0 && l_um > 0.0, "MOSFET geometry must be positive");
+        Self::Mosfet { model, w_um, l_um }
+    }
+
+    /// Whether this value is of `device`'s kind.
+    pub fn fits(&self, device: &Device) -> bool {
+        matches!(
+            (device, self),
+            (Device::Resistor { .. }, DeviceValue::Resistor { .. })
+                | (Device::Capacitor { .. }, DeviceValue::Capacitor { .. })
+                | (Device::Vsource { .. }, DeviceValue::Vsource { .. })
+                | (Device::Isource { .. }, DeviceValue::Isource { .. })
+                | (Device::Mosfet { .. }, DeviceValue::Mosfet { .. })
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,17 +182,17 @@ mod tests {
 
     #[test]
     fn names_accessible() {
-        let d = Device::Resistor { name: "R1".into(), a: GROUND, b: GROUND, ohms: 1.0 };
+        let d = Device::Resistor { name: "R1".into(), a: GROUND, b: GROUND };
         assert_eq!(d.name(), "R1");
-        let m = Device::Mosfet {
-            name: "M1".into(),
-            drain: GROUND,
-            gate: GROUND,
-            source: GROUND,
-            model: MosModel::nmos_28nm(),
-            w_um: 1.0,
-            l_um: 0.03,
-        };
+        let m = Device::Mosfet { name: "M1".into(), drain: GROUND, gate: GROUND, source: GROUND };
         assert_eq!(m.name(), "M1");
+        assert!(DeviceValue::mosfet(MosModel::nmos_28nm(), 1.0, 0.03).fits(&m));
+        assert!(!DeviceValue::resistor(1.0).fits(&m));
+    }
+
+    #[test]
+    #[should_panic(expected = "MOSFET geometry must be positive")]
+    fn nan_width_panics() {
+        DeviceValue::mosfet(MosModel::nmos_28nm(), f64::NAN, 0.03);
     }
 }

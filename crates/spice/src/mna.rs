@@ -13,7 +13,7 @@
 //! function of the assembled values alone, so a solve's result never
 //! depends on the refreshes that came before it.
 
-use crate::device::Device;
+use crate::device::{Device, DeviceValue};
 use crate::model::MosModel;
 use crate::netlist::{Netlist, NodeId, SourceWaveform};
 use crate::SpiceError;
@@ -292,7 +292,8 @@ impl RhsTemplate {
 
 /// One event of the deterministic netlist→stamps walk shared by the
 /// dense and sparse assembly templates — both template construction
-/// (`new`) **and** the value-only retarget path (`retarget_values`)
+/// (`new`) **and** the in-place value rewrite (`write_values`, behind
+/// `retarget_values` and [`OpSolver::retarget_values`](crate::dc::OpSolver::retarget_values))
 /// consume the identical event stream, which is what makes a patched
 /// template bitwise equal to a freshly built one: same stamps, same
 /// order, same summation sequence.
@@ -310,17 +311,25 @@ enum StampEvent {
     Mos(MosStamp),
 }
 
-/// Walks `netlist` in device order, emitting every constant stamp for
-/// the analysis `ctx` describes. The event sequence is a pure function
-/// of the netlist and the analysis kind (`ctx.step` presence and `dt`);
-/// two netlists with equal [`Netlist::topology_fingerprint`] produce
-/// event streams of identical shape (same variants, same node indices,
-/// same emission order), differing only in values.
-fn walk_stamps(netlist: &Netlist, ctx: &StampContext<'_>, sink: &mut impl FnMut(StampEvent)) {
-    let n_nodes = netlist.node_count() - 1;
-    for device in netlist.devices() {
-        match device {
-            Device::Resistor { a: na, b: nb, ohms, .. } => {
+/// Walks `topology` in device order, taking each device's connectivity
+/// from the netlist and its values from `values` (one per device, of the
+/// device's kind — [`Netlist::accepts`]), and emits every constant stamp
+/// for the analysis `ctx` describes. The event sequence is a pure
+/// function of the connectivity, the values and the analysis kind
+/// (`ctx.step` presence and `dt`); one topology produces event streams of
+/// identical shape (same variants, same node indices, same emission
+/// order) under every value slice, differing only in values.
+fn walk_stamps(
+    topology: &Netlist,
+    values: &[DeviceValue],
+    ctx: &StampContext<'_>,
+    sink: &mut impl FnMut(StampEvent),
+) {
+    debug_assert!(topology.accepts(values), "values checked against the topology");
+    let n_nodes = topology.node_count() - 1;
+    for (device, value) in topology.devices().iter().zip(values) {
+        match (device, *value) {
+            (Device::Resistor { a: na, b: nb, .. }, DeviceValue::Resistor { ohms }) => {
                 let g = 1.0 / ohms;
                 let (ia, ib) = (node_index(*na), node_index(*nb));
                 sink(StampEvent::Mat { a: ia, b: ia, v: g });
@@ -328,7 +337,7 @@ fn walk_stamps(netlist: &Netlist, ctx: &StampContext<'_>, sink: &mut impl FnMut(
                 sink(StampEvent::Mat { a: ia, b: ib, v: -g });
                 sink(StampEvent::Mat { a: ib, b: ia, v: -g });
             }
-            Device::Capacitor { a: na, b: nb, farads, .. } => {
+            (Device::Capacitor { a: na, b: nb, .. }, DeviceValue::Capacitor { farads }) => {
                 if let Some((dt, _)) = ctx.step {
                     // Backward-Euler companion: geq ∥ ieq. The
                     // conductance goes into the matrix; the companion
@@ -344,7 +353,7 @@ fn walk_stamps(netlist: &Netlist, ctx: &StampContext<'_>, sink: &mut impl FnMut(
                 }
                 // DC: capacitor is open — no stamp.
             }
-            Device::Vsource { plus, minus, waveform, branch, .. } => {
+            (Device::Vsource { plus, minus, branch, .. }, DeviceValue::Vsource { waveform }) => {
                 let k = Some(n_nodes + branch);
                 let (ip, im) = (node_index(*plus), node_index(*minus));
                 // Branch current enters the plus node.
@@ -352,16 +361,16 @@ fn walk_stamps(netlist: &Netlist, ctx: &StampContext<'_>, sink: &mut impl FnMut(
                 sink(StampEvent::Mat { a: im, b: k, v: -1.0 });
                 sink(StampEvent::Mat { a: k, b: ip, v: 1.0 });
                 sink(StampEvent::Mat { a: k, b: im, v: -1.0 });
-                sink(StampEvent::Dynamic(DynamicRhs::Vsrc {
-                    row: n_nodes + branch,
-                    waveform: waveform.clone(),
-                }));
+                sink(StampEvent::Dynamic(DynamicRhs::Vsrc { row: n_nodes + branch, waveform }));
             }
-            Device::Isource { from, to, amps, .. } => {
-                sink(StampEvent::StatRhs { node: node_index(*to), v: *amps });
-                sink(StampEvent::StatRhs { node: node_index(*from), v: -*amps });
+            (Device::Isource { from, to, .. }, DeviceValue::Isource { amps }) => {
+                sink(StampEvent::StatRhs { node: node_index(*to), v: amps });
+                sink(StampEvent::StatRhs { node: node_index(*from), v: -amps });
             }
-            Device::Mosfet { drain, gate, source, model, w_um, l_um, .. } => {
+            (
+                Device::Mosfet { drain, gate, source, .. },
+                DeviceValue::Mosfet { model, w_um, l_um },
+            ) => {
                 let p = match model.polarity {
                     crate::model::MosPolarity::Nmos => 1.0,
                     crate::model::MosPolarity::Pmos => -1.0,
@@ -379,16 +388,17 @@ fn walk_stamps(netlist: &Netlist, ctx: &StampContext<'_>, sink: &mut impl FnMut(
                     drain: d,
                     gate: g,
                     source: s,
-                    model: *model,
+                    model,
                     ratio: w_um / l_um,
                     p,
                 }));
             }
+            (device, _) => unreachable!("device {} holds a value of another kind", device.name()),
         }
     }
 }
 
-/// Cached MNA assembly for one `(netlist, context)` pair.
+/// Cached MNA assembly for one `(topology, values, context)` triple.
 ///
 /// Everything except the MOSFETs is affine in the unknowns and constant
 /// across Newton iterations — resistor/capacitor-companion conductances,
@@ -404,25 +414,32 @@ pub struct AssemblyTemplate {
     mosfets: Vec<MosStamp>,
     n_nodes: usize,
     /// Topology fingerprint of the netlist this template was walked
-    /// from — the key guarding the value-only retarget fast path.
+    /// from — the key guarding [`retarget_values`](Self::retarget_values).
     fingerprint: u64,
 }
 
 impl AssemblyTemplate {
-    /// Builds the template: stamps every constant device, extracts the
-    /// nonlinear ones. The template bakes in `ctx.time` and `ctx.step`
-    /// (source values, capacitor companions) but **not** `ctx.gmin` —
-    /// the gmin diagonal is applied per [`assemble_into`](Self::assemble_into)
-    /// call, so one template serves an entire gmin continuation ladder.
-    pub fn new(netlist: &Netlist, ctx: &StampContext<'_>) -> Self {
-        let n_nodes = netlist.node_count() - 1;
-        let n = netlist.unknown_count();
+    /// Builds the template over `topology` with device values `values`:
+    /// stamps every constant device, extracts the nonlinear ones. The
+    /// template bakes in `ctx.time` and `ctx.step` (source values,
+    /// capacitor companions) but **not** `ctx.gmin` — the gmin diagonal
+    /// is applied per [`assemble_into`](Self::assemble_into) call, so one
+    /// template serves an entire gmin continuation ladder. Pass
+    /// `netlist.values()` to build from a netlist's own values.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
+    pub fn new(topology: &Netlist, values: &[DeviceValue], ctx: &StampContext<'_>) -> Self {
+        assert!(topology.accepts(values), "device values do not fit the topology");
+        let n_nodes = topology.node_count() - 1;
+        let n = topology.unknown_count();
         let mut a = Matrix::zeros(n, n);
         let mut rhs_static = vec![0.0; n];
         let mut dynamic_rhs = Vec::new();
         let mut mosfets = Vec::new();
 
-        walk_stamps(netlist, ctx, &mut |event| match event {
+        walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a: ia, b: ib, v } => stamp(&mut a, ia, ib, v),
             StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs_static, node, v),
             StampEvent::Dynamic(d) => dynamic_rhs.push(d),
@@ -433,7 +450,7 @@ impl AssemblyTemplate {
             rhs: RhsTemplate::new(rhs_static, dynamic_rhs, ctx),
             mosfets,
             n_nodes,
-            fingerprint: netlist.topology_fingerprint(),
+            fingerprint: topology.topology_fingerprint(),
         }
     }
 
@@ -450,14 +467,31 @@ impl AssemblyTemplate {
     ///
     /// Panics if `ctx` changes the analysis kind or time step.
     pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
+        if netlist.topology_fingerprint() != self.fingerprint {
+            return false;
+        }
+        self.write_values(netlist, netlist.values(), ctx);
+        true
+    }
+
+    /// The in-place rewrite behind [`retarget_values`](Self::retarget_values):
+    /// `topology` must be the one this template was built over and
+    /// accept `values` — the caller's check, not repeated here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` changes the analysis kind or time step.
+    pub(crate) fn write_values(
+        &mut self,
+        topology: &Netlist,
+        values: &[DeviceValue],
+        ctx: &StampContext<'_>,
+    ) {
         assert_eq!(
             self.rhs.step_dt,
             ctx.step.map(|(dt, _)| dt),
             "value-only retarget must keep the analysis kind and time step"
         );
-        if netlist.topology_fingerprint() != self.fingerprint {
-            return false;
-        }
         let n = self.base.rows();
         for i in 0..n {
             for v in self.base.row_mut(i) {
@@ -469,7 +503,7 @@ impl AssemblyTemplate {
         let mut mos_i = 0;
         let base = &mut self.base;
         let mosfets = &mut self.mosfets;
-        walk_stamps(netlist, ctx, &mut |event| match event {
+        walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a: ia, b: ib, v } => stamp(base, ia, ib, v),
             StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs_static, node, v),
             StampEvent::Dynamic(d) => dynamic_rhs.push(d),
@@ -478,9 +512,8 @@ impl AssemblyTemplate {
                 mos_i += 1;
             }
         });
-        debug_assert_eq!(mos_i, self.mosfets.len(), "fingerprint-equal walk changed shape");
+        debug_assert_eq!(mos_i, self.mosfets.len(), "same-topology walk changed shape");
         self.rhs.repoint(rhs_static, dynamic_rhs, ctx);
-        true
     }
 
     /// Re-points the template at a new context **of the same kind**: same
@@ -559,8 +592,8 @@ struct SparseMosStamp {
     pss: Option<usize>,
 }
 
-/// Cached **CSR** MNA assembly for one `(netlist, context)` pair — the
-/// sparse analogue of [`AssemblyTemplate`].
+/// Cached **CSR** MNA assembly for one `(topology, values, context)`
+/// triple — the sparse analogue of [`AssemblyTemplate`].
 ///
 /// The CSR pattern is built once from the netlist with slots reserved for
 /// everything that varies per iteration (MOSFET conductances, the `gmin`
@@ -584,24 +617,29 @@ pub struct SparseAssemblyTemplate {
     slot_of: Vec<usize>,
     n_nodes: usize,
     /// Topology fingerprint of the netlist this template was walked
-    /// from — the key guarding the value-only retarget fast path.
+    /// from — the key guarding [`retarget_values`](Self::retarget_values).
     fingerprint: u64,
 }
 
 impl SparseAssemblyTemplate {
-    /// Builds the template: reserves the full pattern, stamps every
-    /// constant device, resolves the nonzero indices of the per-iteration
-    /// stamps. Like the dense template it bakes in `ctx.time` / `ctx.step`
-    /// but not `ctx.gmin`.
-    pub fn new(netlist: &Netlist, ctx: &StampContext<'_>) -> Self {
-        let n_nodes = netlist.node_count() - 1;
-        let n = netlist.unknown_count();
+    /// Builds the template over `topology` with device values `values`:
+    /// reserves the full pattern, stamps every constant device, resolves
+    /// the nonzero indices of the per-iteration stamps. Like the dense
+    /// template it bakes in `ctx.time` / `ctx.step` but not `ctx.gmin`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
+    pub fn new(topology: &Netlist, values: &[DeviceValue], ctx: &StampContext<'_>) -> Self {
+        assert!(topology.accepts(values), "device values do not fit the topology");
+        let n_nodes = topology.node_count() - 1;
+        let n = topology.unknown_count();
         let mut t = Triplets::new(n, n);
         let mut rhs_static = vec![0.0; n];
         let mut dynamic_rhs = Vec::new();
         let mut mos_stamps: Vec<MosStamp> = Vec::new();
 
-        walk_stamps(netlist, ctx, &mut |event| match event {
+        walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a, b, v } => {
                 if let (Some(i), Some(j)) = (a, b) {
                     t.push(i, j, v);
@@ -654,7 +692,7 @@ impl SparseAssemblyTemplate {
             gmin_idx,
             slot_of,
             n_nodes,
-            fingerprint: netlist.topology_fingerprint(),
+            fingerprint: topology.topology_fingerprint(),
         }
     }
 
@@ -673,14 +711,30 @@ impl SparseAssemblyTemplate {
     ///
     /// Panics if `ctx` changes the analysis kind or time step.
     pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
+        if netlist.topology_fingerprint() != self.fingerprint {
+            return false;
+        }
+        self.write_values(netlist, netlist.values(), ctx);
+        true
+    }
+
+    /// The in-place rewrite behind [`retarget_values`](Self::retarget_values)
+    /// (see [`AssemblyTemplate::write_values`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` changes the analysis kind or time step.
+    pub(crate) fn write_values(
+        &mut self,
+        topology: &Netlist,
+        values: &[DeviceValue],
+        ctx: &StampContext<'_>,
+    ) {
         assert_eq!(
             self.rhs.step_dt,
             ctx.step.map(|(dt, _)| dt),
             "value-only retarget must keep the analysis kind and time step"
         );
-        if netlist.topology_fingerprint() != self.fingerprint {
-            return false;
-        }
         let n = self.base.rows();
         for v in self.base.values_mut() {
             *v = 0.0;
@@ -689,15 +743,15 @@ impl SparseAssemblyTemplate {
         let mut dynamic_rhs = Vec::with_capacity(self.rhs.dynamic.len());
         let mut slot = 0usize;
         let mut mos_i = 0usize;
-        let values = self.base.values_mut();
+        let stored = self.base.values_mut();
         // Pre-borrow the pieces the closure needs (splitting the
         // template's fields keeps the borrows disjoint).
         let slot_of = &self.slot_of;
         let mosfets = &mut self.mosfets;
-        walk_stamps(netlist, ctx, &mut |event| match event {
+        walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a, b, v } => {
                 if a.is_some() && b.is_some() {
-                    values[slot_of[slot]] += v;
+                    stored[slot_of[slot]] += v;
                     slot += 1;
                 }
             }
@@ -711,11 +765,10 @@ impl SparseAssemblyTemplate {
         debug_assert_eq!(
             slot + self.n_nodes,
             self.slot_of.len(),
-            "fingerprint-equal walk changed shape"
+            "same-topology walk changed shape"
         );
-        debug_assert_eq!(mos_i, self.mosfets.len(), "fingerprint-equal walk changed shape");
+        debug_assert_eq!(mos_i, self.mosfets.len(), "same-topology walk changed shape");
         self.rhs.repoint(rhs_static, dynamic_rhs, ctx);
-        true
     }
 
     /// Re-points the template at a new context of the same kind — the
@@ -800,9 +853,9 @@ impl SparseAssemblyTemplate {
     }
 }
 
-/// A backend-resolved MNA assembly template: the netlist walked once,
-/// the constant stamps cached in the representation the chosen
-/// [`SolverBackend`] factors.
+/// A backend-resolved MNA assembly template: the topology and its values
+/// walked once, the constant stamps cached in the representation the
+/// chosen [`SolverBackend`] factors.
 #[derive(Debug, Clone)]
 pub enum MnaTemplate {
     /// Dense base matrix + dense LU.
@@ -812,13 +865,22 @@ pub enum MnaTemplate {
 }
 
 impl MnaTemplate {
-    /// Builds the template for `netlist`, resolving `backend` by the
-    /// system's unknown count.
-    pub fn new(netlist: &Netlist, ctx: &StampContext<'_>, backend: SolverBackend) -> Self {
-        if backend.resolves_to_sparse(netlist.unknown_count()) {
-            MnaTemplate::Sparse(SparseAssemblyTemplate::new(netlist, ctx))
+    /// Builds the template over `topology` with device values `values`,
+    /// resolving `backend` by the system's unknown count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
+    pub fn new(
+        topology: &Netlist,
+        values: &[DeviceValue],
+        ctx: &StampContext<'_>,
+        backend: SolverBackend,
+    ) -> Self {
+        if backend.resolves_to_sparse(topology.unknown_count()) {
+            MnaTemplate::Sparse(SparseAssemblyTemplate::new(topology, values, ctx))
         } else {
-            MnaTemplate::Dense(AssemblyTemplate::new(netlist, ctx))
+            MnaTemplate::Dense(AssemblyTemplate::new(topology, values, ctx))
         }
     }
 
@@ -1149,6 +1211,26 @@ impl MnaState {
         }
     }
 
+    /// Rewrites the template's stamp values in place from `values` over
+    /// `topology`, which must be the template's own topology and accept
+    /// `values` (the caller's check — no fingerprint is computed here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` changes the analysis kind or time step the
+    /// template was built for.
+    pub(crate) fn write_values(
+        &mut self,
+        topology: &Netlist,
+        values: &[DeviceValue],
+        ctx: &StampContext<'_>,
+    ) {
+        match &mut self.inner {
+            StateInner::Dense { template, .. } => template.write_values(topology, values, ctx),
+            StateInner::Sparse { template, .. } => template.write_values(topology, values, ctx),
+        }
+    }
+
     /// Re-points the underlying template at a new context of the same
     /// kind (see [`AssemblyTemplate::update_context`]).
     ///
@@ -1281,7 +1363,7 @@ pub fn newton_solve(
 ) -> Result<Vec<f64>, SpiceError> {
     // The constant stamps are assembled once; per-iteration work is a
     // memcpy of the base system plus the nonlinear restamp.
-    let mut state = MnaTemplate::new(netlist, ctx, options.backend).into_state();
+    let mut state = MnaTemplate::new(netlist, netlist.values(), ctx, options.backend).into_state();
     newton_solve_with_state(&mut state, initial, ctx.gmin, options)
 }
 
@@ -1434,7 +1516,7 @@ mod tests {
     /// template built and assembled once — the reference the reusable
     /// template path is compared against.
     fn assemble(netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>) -> (Matrix, Vec<f64>) {
-        let template = AssemblyTemplate::new(netlist, ctx);
+        let template = AssemblyTemplate::new(netlist, netlist.values(), ctx);
         let n = template.dim();
         let mut a = Matrix::zeros(n, n);
         let mut rhs = vec![0.0; n];
@@ -1496,7 +1578,7 @@ mod tests {
         nl.resistor("RL", vdd, out, 10e3);
         nl.mosfet("M1", out, vin, GROUND, crate::model::MosModel::nmos_28nm(), 2.0, 0.1);
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let template = AssemblyTemplate::new(&nl, &ctx);
+        let template = AssemblyTemplate::new(&nl, nl.values(), &ctx);
         assert_eq!(template.nonlinear_count(), 1);
         let n = nl.unknown_count();
         for estimate in [vec![0.0; n], vec![0.3; n], vec![0.9; n]] {
@@ -1569,8 +1651,8 @@ mod tests {
         // both run the same linearization, so equality is exact.
         let nl = mixed_netlist();
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let dense = AssemblyTemplate::new(&nl, &ctx);
-        let sparse = SparseAssemblyTemplate::new(&nl, &ctx);
+        let dense = AssemblyTemplate::new(&nl, nl.values(), &ctx);
+        let sparse = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
         assert_eq!(sparse.dim(), dense.dim());
         assert_eq!(sparse.nonlinear_count(), dense.nonlinear_count());
         let n = nl.unknown_count();

@@ -1,10 +1,13 @@
 //! Netlist representation.
 //!
-//! A [`Netlist`] is a flat list of device instances over named nodes.
-//! Nodes are created through [`Netlist::node`]; ground is the pre-existing
-//! node [`GROUND`].
+//! A [`Netlist`] is a flat list of device instances over named nodes,
+//! with one [`DeviceValue`] per device beside it. Nodes are created
+//! through [`Netlist::node`]; ground is the pre-existing node [`GROUND`].
+//! The devices alone are the circuit's topology: a sweep over device
+//! values keeps one netlist and hands the solver value slices
+//! ([`OpSolver::retarget_values`](crate::dc::OpSolver::retarget_values)).
 
-use crate::device::Device;
+use crate::device::{Device, DeviceValue};
 use crate::model::MosModel;
 use std::collections::HashMap;
 
@@ -28,7 +31,7 @@ impl NodeId {
 }
 
 /// Time-dependent source waveform.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceWaveform {
     /// Constant value.
     Dc(f64),
@@ -72,12 +75,13 @@ impl SourceWaveform {
     }
 }
 
-/// A circuit: nodes plus device instances.
+/// A circuit: nodes, device instances and one value per device.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     node_names: Vec<String>,
     name_to_node: HashMap<String, NodeId>,
     devices: Vec<Device>,
+    values: Vec<DeviceValue>,
     vsource_count: usize,
 }
 
@@ -88,6 +92,7 @@ impl Netlist {
             node_names: Vec::new(),
             name_to_node: HashMap::new(),
             devices: Vec::new(),
+            values: Vec::new(),
             vsource_count: 0,
         };
         nl.node_names.push("0".to_string());
@@ -104,6 +109,12 @@ impl Netlist {
         self.node_names.push(name.to_string());
         self.name_to_node.insert(name.to_string(), id);
         id
+    }
+
+    /// The node named `name`, if the netlist has one (never creates a
+    /// node, unlike [`node`](Self::node)).
+    pub fn find_node(&self, name: &str) -> Option<NodeId> {
+        self.name_to_node.get(name).copied()
     }
 
     /// Name of a node.
@@ -130,15 +141,43 @@ impl Netlist {
         &self.devices
     }
 
+    /// The device values, one per device in insertion order.
+    pub fn values(&self) -> &[DeviceValue] {
+        &self.values
+    }
+
+    /// Whether `values` holds exactly one value per device, each of its
+    /// device's kind — the check a value slice passes before it is
+    /// stamped over this netlist's topology.
+    pub fn accepts(&self, values: &[DeviceValue]) -> bool {
+        values.len() == self.devices.len()
+            && self.devices.iter().zip(values).all(|(device, value)| value.fits(device))
+    }
+
+    /// Replaces every device value, keeping the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`accepts`](Self::accepts) holds for `values`.
+    pub fn set_values(&mut self, values: &[DeviceValue]) {
+        assert!(self.accepts(values), "device values do not fit the netlist's devices");
+        self.values.copy_from_slice(values);
+    }
+
+    fn push(&mut self, device: Device, value: DeviceValue) -> &mut Self {
+        self.devices.push(device);
+        self.values.push(value);
+        self
+    }
+
     /// Adds a resistor between `a` and `b`.
     ///
     /// # Panics
     ///
     /// Panics if `ohms <= 0`.
     pub fn resistor(&mut self, name: &str, a: NodeId, b: NodeId, ohms: f64) -> &mut Self {
-        assert!(ohms > 0.0, "resistance must be positive");
-        self.devices.push(Device::Resistor { name: name.to_string(), a, b, ohms });
-        self
+        let value = DeviceValue::resistor(ohms);
+        self.push(Device::Resistor { name: name.to_string(), a, b }, value)
     }
 
     /// Adds a capacitor between `a` and `b`.
@@ -147,9 +186,8 @@ impl Netlist {
     ///
     /// Panics if `farads <= 0`.
     pub fn capacitor(&mut self, name: &str, a: NodeId, b: NodeId, farads: f64) -> &mut Self {
-        assert!(farads > 0.0, "capacitance must be positive");
-        self.devices.push(Device::Capacitor { name: name.to_string(), a, b, farads });
-        self
+        let value = DeviceValue::capacitor(farads);
+        self.push(Device::Capacitor { name: name.to_string(), a, b }, value)
     }
 
     /// Adds a DC voltage source: `v(plus) − v(minus) = volts`.
@@ -167,20 +205,13 @@ impl Netlist {
     ) -> &mut Self {
         let branch = self.vsource_count;
         self.vsource_count += 1;
-        self.devices.push(Device::Vsource {
-            name: name.to_string(),
-            plus,
-            minus,
-            waveform,
-            branch,
-        });
-        self
+        let device = Device::Vsource { name: name.to_string(), plus, minus, branch };
+        self.push(device, DeviceValue::Vsource { waveform })
     }
 
     /// Adds a DC current source pushing `amps` from `from` into `to`.
     pub fn isource(&mut self, name: &str, from: NodeId, to: NodeId, amps: f64) -> &mut Self {
-        self.devices.push(Device::Isource { name: name.to_string(), from, to, amps });
-        self
+        self.push(Device::Isource { name: name.to_string(), from, to }, DeviceValue::isource(amps))
     }
 
     /// Adds a MOSFET. `w_um`/`l_um` in micrometers; the model card fixes
@@ -199,17 +230,8 @@ impl Netlist {
         w_um: f64,
         l_um: f64,
     ) -> &mut Self {
-        assert!(w_um > 0.0 && l_um > 0.0, "MOSFET geometry must be positive");
-        self.devices.push(Device::Mosfet {
-            name: name.to_string(),
-            drain,
-            gate,
-            source,
-            model,
-            w_um,
-            l_um,
-        });
-        self
+        let value = DeviceValue::mosfet(model, w_um, l_um);
+        self.push(Device::Mosfet { name: name.to_string(), drain, gate, source }, value)
     }
 
     /// Index of the MNA branch unknown of voltage source `name`, if any.
@@ -227,13 +249,15 @@ impl Netlist {
 
     /// A 64-bit fingerprint of the netlist **topology**: node and
     /// voltage-source counts plus, per device in insertion order, the
-    /// device kind and its node/branch connectivity. Device *values*
-    /// (resistances, source levels, waveform parameters, MOSFET model
-    /// cards and geometry) and names are deliberately excluded — two
-    /// netlists with equal fingerprints assemble MNA systems with
-    /// identical sparsity patterns and stamp ordering, which is the
-    /// precondition for the value-only retarget fast path
-    /// (`glova_spice::mna` assembly templates key on this).
+    /// device kind and its node/branch connectivity. Device
+    /// [`values`](Self::values) (resistances, source levels, waveform
+    /// parameters, MOSFET model cards and geometry) and names are
+    /// deliberately excluded — two netlists with equal fingerprints
+    /// assemble MNA systems with identical sparsity patterns and stamp
+    /// ordering, which is the precondition for retargeting a solver
+    /// from one to the other in place (`glova_spice::mna` assembly
+    /// templates key [`OpSolver::retarget`](crate::dc::OpSolver::retarget)
+    /// on this).
     pub fn topology_fingerprint(&self) -> u64 {
         // The registry's bucket digest of the structural words;
         // collisions are negligible at 64 bits and the consumers

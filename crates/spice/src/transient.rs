@@ -164,7 +164,9 @@ pub fn transient_from_with_options(
                 s.update_context(&ctx);
                 s
             }
-            None => state.insert(MnaTemplate::new(netlist, &ctx, options.backend).into_state()),
+            None => state.insert(
+                MnaTemplate::new(netlist, netlist.values(), &ctx, options.backend).into_state(),
+            ),
         };
         let sol = newton_solve_with_state(state, &prev, ctx.gmin, options)?;
         times.push(t);

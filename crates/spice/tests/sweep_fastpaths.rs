@@ -121,12 +121,12 @@ proptest! {
         let n = target_nl.unknown_count();
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let options = NewtonOptions::default().with_backend(backend);
-            let mut fast = MnaTemplate::new(&base_nl, &ctx, backend).into_state();
+            let mut fast = MnaTemplate::new(&base_nl, base_nl.values(), &ctx, backend).into_state();
             fast.prime(ctx.gmin).unwrap();
             let mut slow = fast.clone();
             prop_assert!(fast.retarget_values(&target_nl, &ctx));
             prop_assert_eq!(
-                slow.retarget(MnaTemplate::new(&target_nl, &ctx, backend)),
+                slow.retarget(MnaTemplate::new(&target_nl, target_nl.values(), &ctx, backend)),
                 RetargetOutcome::Pattern
             );
             prop_assert_eq!(
@@ -148,10 +148,11 @@ proptest! {
         estimate in -0.2f64..1.0,
     ) {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let mut patched = SparseAssemblyTemplate::new(&mixed_netlist(&base), &ctx);
+        let base_nl = mixed_netlist(&base);
+        let mut patched = SparseAssemblyTemplate::new(&base_nl, base_nl.values(), &ctx);
         let target_nl = mixed_netlist(&target);
         prop_assert!(patched.retarget_values(&target_nl, &ctx));
-        let fresh = SparseAssemblyTemplate::new(&target_nl, &ctx);
+        let fresh = SparseAssemblyTemplate::new(&target_nl, target_nl.values(), &ctx);
         let n = fresh.dim();
         let mut a_patched = patched.new_system();
         let mut a_fresh = fresh.new_system();
@@ -177,7 +178,8 @@ proptest! {
         bumps in proptest::collection::vec(0.6f64..1.6, 12),
     ) {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
-        let template = SparseAssemblyTemplate::new(&inverter_chain_with_load(8, Some(10e3)), &ctx);
+        let nl = inverter_chain_with_load(8, Some(10e3));
+        let template = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
         let n = template.dim();
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
@@ -193,7 +195,8 @@ proptest! {
         bumps in proptest::collection::vec(0.6f64..1.6, 12),
     ) {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-6 };
-        let template = SparseAssemblyTemplate::new(&rc_ladder(16, 1e3, 1e-12), &ctx);
+        let nl = rc_ladder(16, 1e3, 1e-12);
+        let template = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
         let n = template.dim();
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
@@ -285,10 +288,11 @@ fn transient_template_value_retarget_matches_fresh() {
     };
     let prev = vec![0.1, 0.2, -0.3];
     let ctx = StampContext { time: 2e-9, step: Some((1e-9, &prev)), gmin: 1e-12 };
-    let mut patched = SparseAssemblyTemplate::new(&build(1e3, 1e-9, 1.0), &ctx);
+    let base = build(1e3, 1e-9, 1.0);
+    let mut patched = SparseAssemblyTemplate::new(&base, base.values(), &ctx);
     let target = build(2.2e3, 3.3e-10, 0.7);
     assert!(patched.retarget_values(&target, &ctx));
-    let fresh = SparseAssemblyTemplate::new(&target, &ctx);
+    let fresh = SparseAssemblyTemplate::new(&target, target.values(), &ctx);
     let n = fresh.dim();
     let (mut ap, mut af) = (patched.new_system(), fresh.new_system());
     let (mut rp, mut rf) = (vec![0.0; n], vec![0.0; n]);
@@ -306,7 +310,7 @@ fn transient_template_value_retarget_matches_fresh() {
 fn value_retarget_rejects_context_kind_change() {
     let nl = inverter_chain_with_load(4, Some(10e3));
     let dc = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-    let mut template = SparseAssemblyTemplate::new(&nl, &dc);
+    let mut template = SparseAssemblyTemplate::new(&nl, nl.values(), &dc);
     let prev = vec![0.0; template.dim()];
     let transient = StampContext { time: 1e-9, step: Some((1e-9, &prev)), gmin: 1e-9 };
     template.retarget_values(&nl, &transient);
