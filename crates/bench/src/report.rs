@@ -135,13 +135,14 @@ pub struct BenchReport {
     pub records: Vec<BenchRecord>,
 }
 
-/// `git rev-parse HEAD` at the workspace root — the local-run fallback
-/// so checked-in artifacts stay attributable even when no CI variable is
-/// exported (every pre-fallback `BENCH_*.json` carried `git_rev: null`).
-fn git_rev_from_worktree() -> Option<String> {
+/// `git rev-parse HEAD` in `dir` — run at the source tree, the
+/// local-run fallback so checked-in artifacts stay attributable even
+/// when no CI variable is exported (every pre-fallback `BENCH_*.json`
+/// carried `git_rev: null`). `None` outside a git checkout.
+fn git_rev_from_worktree(dir: &Path) -> Option<String> {
     let out = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .current_dir(dir)
         .output()
         .ok()?;
     if !out.status.success() {
@@ -164,7 +165,7 @@ pub fn resolve_git_rev() -> Option<String> {
         .or_else(|_| std::env::var("GITHUB_SHA"))
         .ok()
         .filter(|s| !s.is_empty())
-        .or_else(git_rev_from_worktree)
+        .or_else(|| git_rev_from_worktree(Path::new(env!("CARGO_MANIFEST_DIR"))))
 }
 
 /// Writes an arbitrary JSON document to `BENCH_<name>.json` at the
@@ -328,13 +329,36 @@ mod tests {
         // Exercise the fallback directly rather than through
         // `BenchReport::new`, whose result depends on whatever
         // `GLOVA_GIT_REV`/`GITHUB_SHA` happen to be exported (and may
-        // legitimately be non-hex strings). This workspace is always a
-        // git checkout — locally, on CI runners, and in the build
-        // image — so the worktree probe must produce a commit hash.
-        let rev = git_rev_from_worktree().expect("workspace is a git checkout");
+        // legitimately be non-hex strings), and on a throwaway
+        // repository rather than the source tree, which need not be a
+        // git checkout (an unpacked `git archive` is not).
+        let root = std::env::temp_dir().join(format!("glova-git-rev-{}", std::process::id()));
+        let repo = root.join("repo");
+        let outside = root.join("outside");
+        std::fs::create_dir_all(&repo).unwrap();
+        std::fs::create_dir_all(&outside).unwrap();
+        let git = |args: &[&str]| {
+            let status = std::process::Command::new("git")
+                .args(["-c", "user.name=t", "-c", "user.email=t@example.com"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .current_dir(&repo)
+                .output()
+                .expect("git runs")
+                .status;
+            assert!(status.success(), "git {args:?} failed");
+        };
+        git(&["init", "-q"]);
+        git(&["commit", "-q", "--allow-empty", "-m", "one commit"]);
+        let rev = git_rev_from_worktree(&repo);
+        let outside_rev = git_rev_from_worktree(&outside);
+        std::fs::remove_dir_all(&root).unwrap();
+        let rev = rev.expect("a repository with a commit resolves");
         assert!(rev.len() >= 7, "short/odd revision: {rev:?}");
         assert!(rev.chars().all(|c| c.is_ascii_hexdigit()), "non-hex revision: {rev:?}");
-        // And a report picks up *some* source here (env or fallback).
-        assert!(BenchReport::new("t").git_rev.is_some());
+        assert_eq!(outside_rev, None, "a directory outside any repository has no revision");
+        // And a report carries whatever revision the resolution order
+        // finds (env or fallback), wherever the tree was unpacked.
+        assert_eq!(BenchReport::new("t").git_rev, resolve_git_rev());
     }
 }

@@ -51,13 +51,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The pooled-solve harness every SPICE testcase evaluates through: the
-/// testcase's topology, the solver pool (private, or shared through a
-/// [`SolverRegistry`]), the retarget–solve–retry sequence, and the
-/// failure ledger behind [`Circuit::failure_stats`].
+/// solver pool (private, or shared through a [`SolverRegistry`]), which
+/// holds the testcase's topology, the retarget–solve–retry sequence, and
+/// the failure ledger behind [`Circuit::failure_stats`].
 #[derive(Debug)]
 struct PooledSolve {
-    topology: Arc<Netlist>,
-    /// [`Netlist::topology_fingerprint`] of `topology`, hashed once.
+    /// [`Netlist::topology_fingerprint`] of the topology, hashed once.
     fingerprint: u64,
     pool: Arc<OpSolverPool>,
     nonconvergent: AtomicU64,
@@ -66,8 +65,8 @@ struct PooledSolve {
 }
 
 impl PooledSolve {
-    /// Takes `prototype` as the testcase's topology and primes a private
-    /// pool for it under `options`, or resolves the shared one through
+    /// Primes a private pool for the testcase's topology `prototype`
+    /// under `options`, or resolves the shared one through
     /// `registry` (the `glova-serve` path — concurrent campaigns over one
     /// topology share one primed symbolic analysis; trajectories are
     /// unaffected, see the determinism notes on [`SolverRegistry`]).
@@ -76,14 +75,13 @@ impl PooledSolve {
     /// testcase's mid-range sizing at the typical corner without
     /// mismatch. They prime the pool, so on the sparse backend they fix
     /// the canonical pivot order every evaluation refactors over.
-    fn new(prototype: Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
+    fn new(prototype: &Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
         let pool = match registry {
-            Some(registry) => registry.pool_for(&prototype, options),
-            None => OpSolverPool::new(&prototype, options).map(Arc::new),
+            Some(registry) => registry.pool_for(prototype, options),
+            None => OpSolverPool::new(prototype, options).map(Arc::new),
         };
         Self {
             fingerprint: prototype.topology_fingerprint(),
-            topology: Arc::new(prototype),
             pool: pool.expect("testcase netlists are structurally sound"),
             nonconvergent: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -119,8 +117,8 @@ impl PooledSolve {
             strategy: JacobianStrategy::Full,
             ..*base
         };
-        let retried =
-            OpSolver::with_values(Arc::clone(&self.topology), values, escalated).solve().ok();
+        let topology = Arc::clone(self.pool.topology());
+        let retried = OpSolver::with_values(topology, values, escalated).solve().ok();
         let outcome = if retried.is_some() { &self.recovered } else { &self.degraded };
         outcome.fetch_add(1, Ordering::Relaxed);
         retried
@@ -217,7 +215,7 @@ impl SpiceInverterChain {
         let vdd_branch = prototype.vsource_branch("VDD").expect("VDD source present");
         let output = |s: usize| prototype.find_node(&format!("n{s}")).expect("stage output");
         let outputs = [output(stages - 1), output(stages - 2)];
-        let solve = PooledSolve::new(prototype, options, registry);
+        let solve = PooledSolve::new(&prototype, options, registry);
         Self { stages, spec: Self::static_spec(stages), solve, vdd_branch, outputs }
     }
 
@@ -411,7 +409,7 @@ impl SpiceOta {
         let out = prototype.find_node("out").expect("OTA output node");
         Self {
             spec: Self::static_spec(),
-            solve: PooledSolve::new(prototype, options, registry),
+            solve: PooledSolve::new(&prototype, options, registry),
             freqs: log_sweep(1e3, 1e9, 3),
             vdd_branch,
             out,
@@ -545,14 +543,13 @@ impl Circuit for SpiceOta {
         };
         let supply_current_ua = op.branch_current(self.vdd_branch).abs() * 1e6;
         let backend = self.solve.pool.options().backend;
-        let topology = &self.solve.topology;
+        let topology = self.solve.pool.topology();
         match ac_sweep_with_backend_from_op(topology, &values, op, "VINP", &self.freqs, backend) {
             Ok(ac) => {
                 let gain_db = ac.magnitude_db(self.out)[0];
                 // Single-pole GBW estimate; a response that never drops
                 // 3 dB inside the sweep is credited with the sweep edge.
-                let f3 =
-                    ac.bandwidth_3db(self.out).unwrap_or_else(|| *self.freqs.last().unwrap());
+                let f3 = ac.bandwidth_3db(self.out).unwrap_or_else(|| *self.freqs.last().unwrap());
                 let gbw_mhz = f3 * 10f64.powf(gain_db / 20.0) / 1e6;
                 vec![gain_db, gbw_mhz, supply_current_ua]
             }
@@ -675,8 +672,9 @@ impl SpiceSenseAmpArray {
         ));
         let vdd_branch = prototype.vsource_branch("VDD").expect("VDD source present");
         let node = |name: String| prototype.find_node(&name).expect("bitline node");
-        let bitlines = (0..cols).map(|c| (node(format!("bl{c}")), node(format!("blb{c}")))).collect();
-        let solve = PooledSolve::new(prototype, options, registry);
+        let bitlines =
+            (0..cols).map(|c| (node(format!("bl{c}")), node(format!("blb{c}")))).collect();
+        let solve = PooledSolve::new(&prototype, options, registry);
         Self { rows, cols, spec: Self::static_spec(rows, cols), solve, vdd_branch, bitlines }
     }
 
@@ -763,14 +761,22 @@ impl SpiceSenseAmpArray {
         let mut values = Vec::with_capacity(2 + rows + 8 * cols + 3 * rows * cols);
         values.push(DeviceValue::vsource(p.vdd));
         values.push(DeviceValue::vsource(p.vdd / 2.0));
-        values.extend(std::iter::repeat(DeviceValue::resistor(p.r_wordline)).take(rows));
+        values.extend(std::iter::repeat_n(DeviceValue::resistor(p.r_wordline), rows));
         let precharge = DeviceValue::resistor(p.r_precharge);
         let bitline = DeviceValue::capacitor(p.c_bitline_f);
         let latch_p = DeviceValue::mosfet(pmos, p.w_latch_um, p.l_um);
         for hc in h.values().chunks_exact(MISMATCH_PER_COLUMN) {
             values.extend([precharge, precharge, bitline, bitline]);
-            values.push(DeviceValue::mosfet(nmos.with_mismatch(hc[0], hc[1]), p.w_latch_um, p.l_um));
-            values.push(DeviceValue::mosfet(nmos.with_mismatch(hc[2], hc[3]), p.w_latch_um, p.l_um));
+            values.push(DeviceValue::mosfet(
+                nmos.with_mismatch(hc[0], hc[1]),
+                p.w_latch_um,
+                p.l_um,
+            ));
+            values.push(DeviceValue::mosfet(
+                nmos.with_mismatch(hc[2], hc[3]),
+                p.w_latch_um,
+                p.l_um,
+            ));
             values.extend([latch_p, latch_p]);
         }
         let cell = [
@@ -851,6 +857,19 @@ impl Circuit for SpiceSenseAmpArray {
 mod tests {
     use super::*;
     use glova_variation::corner::ProcessCorner;
+
+    #[test]
+    fn topology_fingerprints_keep_their_recorded_values() {
+        // Fingerprints are cache-identity words in `glova-serve`, so the
+        // testcases' values are pinned: recorded from the netlists the
+        // testcases built per point before they took their topology
+        // from the generators, whose own values `glova_spice::netlist`
+        // pins identically.
+        assert_eq!(SpiceInverterChain::new(8).topology_fingerprint(), 0x3da0_a003_c7d7_a7fc);
+        assert_eq!(SpiceOta::new().topology_fingerprint(), 0xe7ad_f9de_d49d_0a66);
+        assert_eq!(SpiceSenseAmpArray::new(5, 4).topology_fingerprint(), 0x1e02_052c_ecc3_fe61);
+        assert_eq!(SpiceSenseAmpArray::new(12, 12).topology_fingerprint(), 0x64dd_73ae_1535_fc46);
+    }
 
     #[test]
     fn sense_amp_nominal_is_feasible_and_deterministic() {

@@ -124,7 +124,14 @@ pub fn ac_sweep_with_backend(
     backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
     let op = operating_point(netlist)?;
-    ac_sweep_with_backend_from_op(netlist, netlist.values(), op, ac_source_name, frequencies, backend)
+    ac_sweep_with_backend_from_op(
+        netlist,
+        netlist.values(),
+        op,
+        ac_source_name,
+        frequencies,
+        backend,
+    )
 }
 
 /// [`ac_sweep_with_backend`] over `topology` with device values
@@ -615,7 +622,8 @@ mod tests {
     /// solve points on.
     fn sparse_sweep<'a>(nl: &'a Netlist, source: &str, freqs: &[f64]) -> (AcSweep<'a>, AcWorker) {
         let op = operating_point(nl).unwrap();
-        let sweep = AcSweep::new(nl, nl.values(), op, source, freqs, SolverBackend::Sparse).unwrap();
+        let sweep =
+            AcSweep::new(nl, nl.values(), op, source, freqs, SolverBackend::Sparse).unwrap();
         let worker = sweep.proto.clone().expect("sparse sweep primes a prototype");
         (sweep, worker)
     }

@@ -54,7 +54,8 @@ impl OperatingPoint {
 const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12];
 
 /// The stamp context every DC template is built and retargeted under.
-const DC_CONTEXT: StampContext<'static> = StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
+const DC_CONTEXT: StampContext<'static> =
+    StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
 
 /// A reusable operating-point solver for one netlist topology.
 ///
@@ -265,7 +266,7 @@ impl OpSolver {
 ///
 /// Every pooled solver derives from the same prototype, so all of them
 /// carry the *canonical* symbolic factorization; a solve is a pure
-/// function of the netlist it is retargeted at (the full `gmin` ladder
+/// function of the values (or netlist) it is retargeted at (the full `gmin` ladder
 /// runs from the caller's guess, and refactoring overwrites all numeric
 /// state). If a solve has to re-pivot (a frozen pivot collapsed on some
 /// extreme point), that solver's pivot order is no longer canonical — the
@@ -329,6 +330,13 @@ impl OpSolverPool {
     /// The Newton options every pooled solver runs with.
     pub fn options(&self) -> &NewtonOptions {
         self.prototype.options()
+    }
+
+    /// The topology every pooled solver was built over, shared by all of
+    /// them (and by any caller that needs its connectivity) without a
+    /// copy.
+    pub fn topology(&self) -> &Arc<Netlist> {
+        &self.prototype.topology
     }
 
     /// Solvers materialized so far (prototype clones). Bounded by the

@@ -163,7 +163,7 @@ impl DeviceValue {
     }
 
     /// Whether this value is of `device`'s kind.
-    pub fn fits(&self, device: &Device) -> bool {
+    pub(crate) fn fits(&self, device: &Device) -> bool {
         matches!(
             (device, self),
             (Device::Resistor { .. }, DeviceValue::Resistor { .. })

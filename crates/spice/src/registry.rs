@@ -36,7 +36,7 @@
 //!
 //! Sharing a pool cannot change results: every pooled solver is a clone
 //! of one canonical primed prototype, a solve is a pure function of the
-//! retargeted netlist, and non-canonical solvers are retired on return
+//! values it is retargeted at, and non-canonical solvers are retired on return
 //! (see [`OpSolverPool`]). Which campaign's worker happens to check a
 //! given solver out is therefore unobservable in the outcomes — the
 //! property the concurrent-campaign determinism battery locks in.
