@@ -860,11 +860,9 @@ mod tests {
 
     #[test]
     fn topology_fingerprints_keep_their_recorded_values() {
-        // Fingerprints are cache-identity words in `glova-serve`, so the
-        // testcases' values are pinned: recorded from the netlists the
-        // testcases built per point before they took their topology
-        // from the generators, whose own values `glova_spice::netlist`
-        // pins identically.
+        // Fingerprints are cache-identity words in `glova-serve`, so
+        // their values are pinned, not just their equalities. They are
+        // the generators' values that `glova_spice::netlist` pins.
         assert_eq!(SpiceInverterChain::new(8).topology_fingerprint(), 0x3da0_a003_c7d7_a7fc);
         assert_eq!(SpiceOta::new().topology_fingerprint(), 0xe7ad_f9de_d49d_0a66);
         assert_eq!(SpiceSenseAmpArray::new(5, 4).topology_fingerprint(), 0x1e02_052c_ecc3_fe61);

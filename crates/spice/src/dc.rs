@@ -266,9 +266,9 @@ impl OpSolver {
 ///
 /// Every pooled solver derives from the same prototype, so all of them
 /// carry the *canonical* symbolic factorization; a solve is a pure
-/// function of the values (or netlist) it is retargeted at (the full `gmin` ladder
-/// runs from the caller's guess, and refactoring overwrites all numeric
-/// state). If a solve has to re-pivot (a frozen pivot collapsed on some
+/// function of the values (or netlist) it is retargeted at (the full
+/// `gmin` ladder runs from the caller's guess, and refactoring overwrites
+/// all numeric state). If a solve has to re-pivot (a frozen pivot collapsed on some
 /// extreme point), that solver's pivot order is no longer canonical — the
 /// pool detects this via [`OpSolver::repivots`] and retires the solver,
 /// replacing it with a fresh prototype clone, so results stay bitwise
