@@ -465,7 +465,8 @@ impl AssemblyTemplate {
     ///
     /// # Panics
     ///
-    /// Panics if `ctx` changes the analysis kind or time step.
+    /// Panics if `netlist` has this template's topology and `ctx`
+    /// changes the analysis kind or time step.
     pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
         if netlist.topology_fingerprint() != self.fingerprint {
             return false;
@@ -709,7 +710,8 @@ impl SparseAssemblyTemplate {
     ///
     /// # Panics
     ///
-    /// Panics if `ctx` changes the analysis kind or time step.
+    /// Panics if `netlist` has this template's topology and `ctx`
+    /// changes the analysis kind or time step.
     pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
         if netlist.topology_fingerprint() != self.fingerprint {
             return false;
@@ -1202,8 +1204,8 @@ impl MnaState {
     ///
     /// # Panics
     ///
-    /// Panics if `ctx` changes the analysis kind or time step the
-    /// template was built for.
+    /// Panics if `netlist` has the template's topology and `ctx` changes
+    /// the analysis kind or time step the template was built for.
     pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
         match &mut self.inner {
             StateInner::Dense { template, .. } => template.retarget_values(netlist, ctx),
