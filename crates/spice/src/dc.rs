@@ -676,14 +676,41 @@ mod tests {
             let target = inverter_chain_with_load(8, Some(14.5e3));
             let mut fast = OpSolver::primed(&base, options).unwrap();
             let mut slow = OpSolver::primed(&base, options).unwrap();
+            let mut slice = OpSolver::primed(&base, options).unwrap();
             assert_eq!(fast.retarget(&target), RetargetOutcome::Values, "{backend}");
             assert_eq!(slow.retarget_rebuild(&target), RetargetOutcome::Pattern, "{backend}");
+            slice.retarget_values(target.values());
             let x_fast = fast.solve().unwrap();
             let x_slow = slow.solve().unwrap();
-            for (a, b) in x_fast.raw().iter().zip(x_slow.raw()) {
+            let x_slice = slice.solve().unwrap();
+            for ((a, b), c) in x_fast.raw().iter().zip(x_slow.raw()).zip(x_slice.raw()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{backend}: values {a} vs rebuild {b}");
+                assert_eq!(a.to_bits(), c.to_bits(), "{backend}: netlist {a} vs value slice {c}");
             }
         }
+    }
+
+    #[test]
+    fn value_slices_must_fit_the_topology() {
+        use crate::device::DeviceValue;
+        use crate::mna::NewtonOptions;
+        use crate::netlist::inverter_chain;
+        let fits = |values: &[DeviceValue]| {
+            let mut solver = OpSolver::new(&inverter_chain(4), NewtonOptions::default());
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                solver.retarget_values(values);
+            }))
+            .is_ok()
+        };
+        let values = inverter_chain(4).values().to_vec();
+        assert!(fits(&values));
+        // One device short, one too many, and a resistor value where a
+        // MOSFET sits.
+        assert!(!fits(&values[1..]));
+        assert!(!fits(inverter_chain(5).values()));
+        let mut swapped = values.clone();
+        swapped.swap(2, 4);
+        assert!(!fits(&swapped));
     }
 
     #[test]
