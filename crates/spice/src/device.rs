@@ -87,7 +87,8 @@ impl Device {
 ///
 /// Build values through the constructors ([`resistor`](Self::resistor),
 /// [`mosfet`](Self::mosfet), …), which hold the same positivity checks as
-/// the [`Netlist`](crate::netlist::Netlist) builders.
+/// [`Netlist::resistor`](crate::netlist::Netlist::resistor) and the other
+/// methods that add devices to a netlist.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceValue {
     /// Resistance, Ω.
