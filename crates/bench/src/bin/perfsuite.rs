@@ -22,9 +22,7 @@
 //!   parity arms): with the [`EvalCache`](glova::cache::EvalCache)
 //!   attached, the second sweep's phase-2 points are answered from
 //!   memory, so the scenario measures a real hit rate and the wall-time
-//!   ratio vs the cache-off reference. The arms run round-robin over
-//!   fresh problems; each round yields one auto/off ratio sample, and the
-//!   gate reads their median.
+//!   ratio vs the cache-off reference.
 //! - `spice_op` — repeated DC operating-point solves of CMOS inverter
 //!   chains (4 and 24 stages) on the dense reference backend,
 //!   chord-Newton (the default) vs full Newton; the LU reuse wins grow
@@ -66,9 +64,6 @@
 //! speedup across the yield-grid matrix ≥ `--min-speedup` (skipped on
 //! single-core machines, where a threaded engine cannot win), a nonzero
 //! cache hit rate on the re-sweep scenario with the cache pinned on, the
-//! auto-policy cache switched off by its cost probe (no longer memoizing,
-//! every request evaluated as with no cache) and never below 0.95× the
-//! cache-off wall (median of per-round ratios over interleaved rounds), the
 //! sparse-backend floors (≥ 1.5× dense at 24 stages, ≥ 4× at 64), the
 //! threaded SPICE sweep floor (≥ 1.5× sequential on 4 workers,
 //! skipped below 4 cores), the AMD floor, and the deterministic gates of
@@ -77,7 +72,7 @@
 //! measurement — single samples of millisecond-scale batches are
 //! CI-noise, not signal.
 
-use glova::cache::{CachePolicy, CacheRegistry, EvalCacheConfig};
+use glova::cache::{CachePolicy, CacheRegistry, CacheStats, EvalCacheConfig};
 use glova::campaign::{CampaignConfig, PruningConfig, SizingCampaign};
 use glova::engine::EngineSpec;
 use glova::fault::{FaultKind, FaultPlan};
@@ -153,73 +148,18 @@ fn verify_twice(problem: &SizingProblem, x: &[f64]) -> (u64, Duration) {
     (problem.simulations(), start.elapsed())
 }
 
-/// Rounds of [`verify_interleaved`]: the wall-ratio gate takes the
-/// median of this many per-round ratio samples. The auto arm really
-/// costs a few percent of cache-off on the toy's sub-microsecond
-/// evaluate (median ratio ≈ 0.96 on a 2-core VM), so the estimate must
-/// be tight to sit clearly on one side of the 0.95 bound: medians of 9
-/// or 25 rounds still failed 2 of 12 and 3 of 16 runs of an untouched
-/// tree, 101 rounds (about one second) 1 of 16.
-const RESWEEP_ROUNDS: usize = 101;
-
-/// One `verify_resweep` arm over [`RESWEEP_ROUNDS`] rounds.
-struct ResweepArm {
-    /// Simulations of one round (identical across rounds by
-    /// construction).
-    sims: u64,
-    /// The wall of each round, in round order.
-    walls: Vec<Duration>,
-    /// Cache counters of the first round.
-    stats: Option<glova::cache::CacheStats>,
-    /// Whether the first round's cache was still memoizing after its
-    /// re-sweep.
-    memoizing: Option<bool>,
-}
-
-impl ResweepArm {
-    fn best(&self) -> Duration {
-        self.walls.iter().copied().min().unwrap_or_default()
-    }
-}
-
-/// [`verify_twice`] per arm over **fresh problems** (cache state must not
-/// leak between rounds), every arm once per round. Host noise comes in
-/// bursts longer than one round, so a ratio of two arms is only
-/// meaningful within a round: the caller gates on the median of the
-/// per-round ratios, never on a ratio of two walls drawn from different
-/// windows. Odd rounds run the arms in reverse order, so no arm always
-/// runs first or always follows the same neighbour.
-fn verify_interleaved(arms: &[&dyn Fn() -> SizingProblem], x: &[f64]) -> Vec<ResweepArm> {
-    let mut out: Vec<ResweepArm> = arms
-        .iter()
-        .map(|_| ResweepArm { sims: 0, walls: Vec::new(), stats: None, memoizing: None })
-        .collect();
-    for round in 0..RESWEEP_ROUNDS {
-        let mut order: Vec<usize> = (0..arms.len()).collect();
-        if round % 2 == 1 {
-            order.reverse();
-        }
-        for i in order {
-            let problem = arms[i]();
-            let (sims, wall) = verify_twice(&problem, x);
-            let arm = &mut out[i];
-            if round == 0 {
-                arm.sims = sims;
-                arm.stats = problem.cache_stats();
-                arm.memoizing = problem.cache().map(|c| c.memoizing());
-            }
-            arm.walls.push(wall);
-        }
-    }
-    out
-}
-
-/// Lower quartile, median and upper quartile of `samples`.
-fn quartiles(samples: &[f64]) -> [f64; 3] {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    [at(0.25), at(0.5), at(0.75)]
+/// [`verify_twice`] on two fresh problems from `problem` (cache state
+/// must not leak between timing repeats); returns (sims, best wall,
+/// cache stats), the counts from the first run — identical across runs
+/// by construction.
+fn verify_resweep(
+    problem: impl Fn() -> SizingProblem,
+    x: &[f64],
+) -> (u64, Duration, Option<CacheStats>) {
+    let first = problem();
+    let (sims, wall) = verify_twice(&first, x);
+    let (_, again) = verify_twice(&problem(), x);
+    (sims, wall.min(again), first.cache_stats())
 }
 
 /// Repeated DC operating-point solves through a persistent
@@ -228,7 +168,7 @@ fn quartiles(samples: &[f64]) -> [f64; 3] {
 /// the best-of-two wall time (both timing loops run warm solver state,
 /// so the repeats are symmetric across backends).
 fn solve_op(netlist: &Netlist, options: &NewtonOptions, solves: usize) -> Duration {
-    let mut solver = OpSolver::new(netlist, *options);
+    let mut solver = OpSolver::new(netlist.clone(), *options);
     let mut best = Duration::MAX;
     for _ in 0..2 {
         let start = Instant::now();
@@ -307,108 +247,34 @@ fn main() {
         }
     }
 
-    // ---- verify_resweep: cache off vs pinned-on vs auto ----------------
+    // ---- verify_resweep: cache off vs pinned on ------------------------
     // A mismatch-tolerant toy at its optimum: verification passes, so
     // both runs execute the full phase-2 sweep; the second, identically
-    // seeded run re-visits every point. The pinned-on record measures
-    // the hit machinery (and must see hits); the auto record measures
-    // the *default* policy, whose cost probe turns memoization off for
-    // a ~1 µs analytic evaluate — so cache-on may never land visibly
-    // below cache-off.
+    // seeded run re-visits every point, which the cached record must see
+    // as hits.
     let toy: Arc<dyn Circuit> = Arc::new(ToyQuadratic::standard().with_mismatch_sensitivity(0.05));
     let x_opt = ToyQuadratic::standard().optimum().to_vec();
-    let resweep_arms = verify_interleaved(
-        &[
-            &|| SizingProblem::new(toy.clone(), VerificationMethod::CornerLocalMc),
-            &|| {
-                SizingProblem::new(toy.clone(), VerificationMethod::CornerLocalMc)
-                    .with_cache(EvalCacheConfig::with_policy(CachePolicy::On))
-            },
-            &|| {
-                SizingProblem::new(toy.clone(), VerificationMethod::CornerLocalMc)
-                    .with_cache(EvalCacheConfig::default())
-            },
-        ],
-        &x_opt,
-    );
-    let [off_arm, on_arm, auto_arm] = &resweep_arms[..] else { unreachable!("three arms") };
-    let off_wall = off_arm.best();
+    let problem = || SizingProblem::new(toy.clone(), VerificationMethod::CornerLocalMc);
+    let (off_sims, off_wall, _) = verify_resweep(problem, &x_opt);
     let off =
-        BenchRecord::new("verify_resweep", "ToyQuadratic", "sequential", 2, off_arm.sims, off_wall);
+        BenchRecord::new("verify_resweep", "ToyQuadratic", "sequential", 2, off_sims, off_wall);
     print_record(&off);
     report.push(off);
 
-    let stats = on_arm.stats.expect("cache attached");
-    let on_wall = on_arm.best();
+    let (on_sims, on_wall, stats) = verify_resweep(
+        || problem().with_cache(EvalCacheConfig::with_policy(CachePolicy::On)),
+        &x_opt,
+    );
+    let stats = stats.expect("cache attached");
     let cache_speedup = off_wall.as_secs_f64() / on_wall.as_secs_f64().max(1e-12);
-    let on = BenchRecord::new(
-        "verify_resweep",
-        "ToyQuadratic",
-        "sequential+cache",
-        2,
-        on_arm.sims,
-        on_wall,
-    )
-    .with_speedup(cache_speedup)
-    .with_cache(stats);
+    let on =
+        BenchRecord::new("verify_resweep", "ToyQuadratic", "sequential+cache", 2, on_sims, on_wall)
+            .with_speedup(cache_speedup)
+            .with_cache(stats);
     print_record(&on);
     report.push(on);
     if gate && stats.hit_rate() <= 0.0 {
         failures.push("verify_resweep: cache hit rate is zero".to_string());
-    }
-
-    let auto_stats = auto_arm.stats.expect("cache attached");
-    let auto_wall = auto_arm.best();
-    let auto = BenchRecord::new(
-        "verify_resweep",
-        "ToyQuadratic",
-        "sequential+cache-auto",
-        2,
-        auto_arm.sims,
-        auto_wall,
-    )
-    .with_speedup(off_wall.as_secs_f64() / auto_wall.as_secs_f64().max(1e-12))
-    .with_cache(auto_stats);
-    print_record(&auto);
-    report.push(auto);
-    // The mechanism behind the cache-regression bound, checked by count:
-    // on a ~1 µs analytic evaluate the Auto policy's cost probe must turn
-    // memoization off, after which every request is evaluated exactly as
-    // with no cache at all.
-    if gate
-        && (auto_arm.memoizing != Some(false)
-            || auto_arm.sims != off_arm.sims
-            || auto_stats.misses != off_arm.sims)
-    {
-        failures.push(format!(
-            "verify_resweep: auto-policy cache still memoizing ({:?}) or evaluating \
-             {} of {} requests (cache-off: {})",
-            auto_arm.memoizing, auto_stats.misses, auto_arm.sims, off_arm.sims
-        ));
-    }
-    // The cache-regression bound itself: with the Auto policy the cache
-    // must never cost more than a few percent of the cache-off wall,
-    // however cheap the circuit (0.84× before the cost probe existed).
-    // One ratio sample per round, both arms timed inside it; the gate
-    // reads their median.
-    let ratios: Vec<f64> = off_arm
-        .walls
-        .iter()
-        .zip(&auto_arm.walls)
-        .map(|(off, auto)| off.as_secs_f64() / auto.as_secs_f64().max(1e-12))
-        .collect();
-    let [q1, median, q3] = quartiles(&ratios);
-    println!(
-        "verify_resweep auto/off wall ratio over {} rounds: median {median:.3}x \
-         (quartiles {q1:.3}x / {q3:.3}x)",
-        ratios.len()
-    );
-    if gate && median < 0.95 {
-        failures.push(format!(
-            "verify_resweep: auto-policy cache is {median:.2}x of cache-off wall, median of \
-             {} interleaved rounds (bound 0.95x)",
-            ratios.len()
-        ));
     }
 
     // ---- spice_op: chord vs full Newton (dense reference) --------------

@@ -54,7 +54,7 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 /// on the sparse backend, the symbolic factorization built once).
 /// `None` when the backend cannot solve the circuit.
 fn solve_op(netlist: &Netlist, options: &NewtonOptions, solves: usize) -> Option<Duration> {
-    let mut solver = OpSolver::new(netlist, *options);
+    let mut solver = OpSolver::new(netlist.clone(), *options);
     let mut best = Duration::MAX;
     for _ in 0..2 {
         let start = Instant::now();
@@ -78,7 +78,7 @@ fn solve_op_engine(
     solves: usize,
     engine: EngineSpec,
 ) -> Option<Duration> {
-    let pool = OpSolverPool::new(netlist, *options).ok()?;
+    let pool = OpSolverPool::new(netlist.clone(), *options).ok()?;
     let engine = engine.build();
     let failed = AtomicBool::new(false);
     let mut best = Duration::MAX;

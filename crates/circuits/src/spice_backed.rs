@@ -75,13 +75,14 @@ impl PooledSolve {
     /// testcase's mid-range sizing at the typical corner without
     /// mismatch. They prime the pool, so on the sparse backend they fix
     /// the canonical pivot order every evaluation refactors over.
-    fn new(prototype: &Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
+    fn new(prototype: Netlist, options: NewtonOptions, registry: Option<&SolverRegistry>) -> Self {
+        let fingerprint = prototype.topology_fingerprint();
         let pool = match registry {
             Some(registry) => registry.pool_for(prototype, options),
             None => OpSolverPool::new(prototype, options).map(Arc::new),
         };
         Self {
-            fingerprint: prototype.topology_fingerprint(),
+            fingerprint,
             pool: pool.expect("testcase netlists are structurally sound"),
             nonconvergent: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -215,7 +216,7 @@ impl SpiceInverterChain {
         let vdd_branch = prototype.vsource_branch("VDD").expect("VDD source present");
         let output = |s: usize| prototype.find_node(&format!("n{s}")).expect("stage output");
         let outputs = [output(stages - 1), output(stages - 2)];
-        let solve = PooledSolve::new(&prototype, options, registry);
+        let solve = PooledSolve::new(prototype, options, registry);
         Self { stages, spec: Self::static_spec(stages), solve, vdd_branch, outputs }
     }
 
@@ -409,7 +410,7 @@ impl SpiceOta {
         let out = prototype.find_node("out").expect("OTA output node");
         Self {
             spec: Self::static_spec(),
-            solve: PooledSolve::new(&prototype, options, registry),
+            solve: PooledSolve::new(prototype, options, registry),
             freqs: log_sweep(1e3, 1e9, 3),
             vdd_branch,
             out,
@@ -674,7 +675,7 @@ impl SpiceSenseAmpArray {
         let node = |name: String| prototype.find_node(&name).expect("bitline node");
         let bitlines =
             (0..cols).map(|c| (node(format!("bl{c}")), node(format!("blb{c}")))).collect();
-        let solve = PooledSolve::new(&prototype, options, registry);
+        let solve = PooledSolve::new(prototype, options, registry);
         Self { rows, cols, spec: Self::static_spec(rows, cols), solve, vdd_branch, bitlines }
     }
 

@@ -43,7 +43,7 @@ use glova_variation::corner::{ProcessCorner, PvtCorner};
 use glova_variation::sampler::MismatchVector;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Pass-through hasher: cache keys are already 64-bit FNV digests, so
@@ -67,24 +67,18 @@ impl Hasher for IdentityHasher {
 
 type KeyMap = HashMap<u64, Entry, BuildHasherDefault<IdentityHasher>>;
 
-/// When the cache actually memoizes.
+/// Whether the cache memoizes.
 ///
 /// Memoization is only a win when one circuit evaluation costs more than
-/// the digest + locked-map traffic of a lookup/insert round trip. The
-/// analytic testcase models evaluate in ~1 µs — hashing them costs more
+/// the digest + locked-map traffic of a lookup/insert round trip.
+/// SPICE-backed evaluations cost hundreds of µs and cache handsomely; the
+/// analytic testcase models evaluate in ~1 µs, where hashing costs more
 /// than recomputing (measured 0.84× on `verify_resweep` with the cache
-/// unconditionally on), while SPICE-backed evaluations cost hundreds of
-/// µs and cache handsomely.
+/// on), so paper runs on them attach no cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
-    /// Measure the first few evaluations, then keep memoizing only when
-    /// the mean evaluation cost clears
-    /// [`EvalCache::AUTO_MIN_COMPUTE_NANOS`]; cheap problems degrade to
-    /// pass-through (no digest, no lock).
+    /// Always memoize.
     #[default]
-    Auto,
-    /// Always memoize (the pre-policy behavior; what the hit-rate
-    /// scenarios measure).
     On,
     /// Never memoize: [`EvalCache::get_or_compute`] evaluates directly.
     Off,
@@ -95,8 +89,7 @@ pub enum CachePolicy {
 pub struct EvalCacheConfig {
     /// Maximum resident entries before LRU eviction (summed over shards).
     pub capacity: usize,
-    /// Memoization policy (cost-probing [`CachePolicy::Auto`] by
-    /// default).
+    /// Memoization policy ([`CachePolicy::On`] by default).
     pub policy: CachePolicy,
     /// Lock shards the key space is striped over (clamped to
     /// `1..=capacity`). One shard recovers the strict global-LRU order;
@@ -192,13 +185,6 @@ impl Entry {
     }
 }
 
-/// Resolved memoization modes for the `EvalCache::mode` atomic:
-/// probing ([`CachePolicy::Auto`] before its decision), memoize, or
-/// pass-through.
-const MODE_PROBING: u8 = 0;
-const MODE_ON: u8 = 1;
-const MODE_OFF: u8 = 2;
-
 /// A bounded, thread-safe memo table over simulation points.
 ///
 /// Shared by every worker of a [`Threaded`](crate::engine::Threaded)
@@ -236,12 +222,9 @@ const MODE_OFF: u8 = 2;
 /// outside the cache lock, a worker holding a solver never blocks on
 /// another worker's lookup, and the lock-ordering is always
 /// cache-then-pool (never nested the other way), so the two mutexes
-/// cannot deadlock. The [`CachePolicy::Auto`] probe's timing votes are
-/// aggregated atomically across workers; the probe's on/off *decision*
-/// may differ run to run under scheduler noise, but outcomes never do —
-/// a hit returns the bitwise-identical outcome a recompute would
-/// produce, which is what keeps the parity batteries green across every
-/// `CachePolicy` × engine combination.
+/// cannot deadlock. A hit returns the bitwise-identical outcome a
+/// recompute would produce, which is what keeps the parity batteries
+/// green across every `CachePolicy` × engine combination.
 #[derive(Debug)]
 pub struct EvalCache {
     shards: Box<[Mutex<KeyMap>]>,
@@ -252,34 +235,14 @@ pub struct EvalCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Resolved memoization mode (`MODE_*`); starts at `MODE_PROBING`
-    /// only under [`CachePolicy::Auto`].
-    mode: AtomicU8,
-    /// Auto-probe accounting: evaluations timed so far and their summed
-    /// cost.
-    probe_count: AtomicU64,
-    probe_nanos: AtomicU64,
+    /// Whether [`Self::get_or_compute`] memoizes ([`CachePolicy::On`]).
+    memoize: bool,
 }
 
 impl EvalCache {
-    /// Memoization pays when one evaluation costs at least this much —
-    /// below it, the FNV digest plus the locked map round trip rivals
-    /// the evaluation itself (analytic circuits evaluate in ~1 µs).
-    pub const AUTO_MIN_COMPUTE_NANOS: u64 = 2_000;
-
-    /// Evaluations the [`CachePolicy::Auto`] probe times before
-    /// deciding. During the probe the cache memoizes normally, so the
-    /// decision costs nothing beyond a few clock reads.
-    pub const AUTO_PROBE_EVALS: u64 = 32;
-
     /// Creates an empty cache (capacity clamped to ≥ 1, shard count
     /// clamped to `1..=capacity` so per-shard capacities stay ≥ 1).
     pub fn new(config: EvalCacheConfig) -> Self {
-        let mode = match config.policy {
-            CachePolicy::Auto => MODE_PROBING,
-            CachePolicy::On => MODE_ON,
-            CachePolicy::Off => MODE_OFF,
-        };
         let capacity = config.capacity.max(1);
         let shard_count = config.shards.clamp(1, capacity);
         Self {
@@ -290,9 +253,7 @@ impl EvalCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            mode: AtomicU8::new(mode),
-            probe_count: AtomicU64::new(0),
-            probe_nanos: AtomicU64::new(0),
+            memoize: config.policy == CachePolicy::On,
         }
     }
 
@@ -314,13 +275,6 @@ impl EvalCache {
         &self.shards[(key >> 48) as usize % self.shards.len()]
     }
 
-    /// Whether [`Self::get_or_compute`] currently memoizes (`false` once
-    /// an [`CachePolicy::Auto`] probe has measured evaluations too cheap
-    /// to be worth hashing).
-    pub fn memoizing(&self) -> bool {
-        self.mode.load(Ordering::Relaxed) != MODE_OFF
-    }
-
     /// Resident entries (summed over shards).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("cache poisoned").len()).sum()
@@ -329,13 +283,6 @@ impl EvalCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every resident entry (counters are untouched).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache poisoned").clear();
-        }
     }
 
     /// Counter snapshot.
@@ -429,16 +376,11 @@ impl EvalCache {
     /// a miss (and outside the lock, so concurrent workers never block on
     /// a simulation).
     ///
-    /// Under [`CachePolicy::Auto`] the first
-    /// [`AUTO_PROBE_EVALS`](Self::AUTO_PROBE_EVALS) evaluations are
-    /// timed (while memoizing normally); once the probe shows the mean
-    /// evaluation under
-    /// [`AUTO_MIN_COMPUTE_NANOS`](Self::AUTO_MIN_COMPUTE_NANOS) the
-    /// cache degrades to pass-through — no digest, no lock, the
-    /// evaluation still counted as a miss so
-    /// [`CacheStats::misses`] keeps meaning "circuit evaluations
-    /// actually executed". Outcomes are identical under every mode; only
-    /// wall time changes.
+    /// Under [`CachePolicy::Off`] it evaluates directly — no digest, no
+    /// lock — and still counts the evaluation as a miss, so
+    /// [`CacheStats::misses`] keeps meaning "circuit evaluations actually
+    /// executed". Outcomes are identical under both policies; only wall
+    /// time changes.
     pub fn get_or_compute(
         &self,
         x: &[f64],
@@ -446,70 +388,17 @@ impl EvalCache {
         h: &MismatchVector,
         compute: impl FnOnce() -> SimOutcome,
     ) -> SimOutcome {
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_OFF => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                compute()
-            }
-            MODE_PROBING => {
-                let key = self.key(x, corner, h);
-                if let Some(outcome) = self.lookup_keyed(key, x, corner, h) {
-                    return outcome;
-                }
-                let start = std::time::Instant::now();
-                let outcome = compute();
-                let nanos = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                self.probe_nanos.fetch_add(nanos, Ordering::Relaxed);
-                let timed = self.probe_count.fetch_add(1, Ordering::Relaxed) + 1;
-                if timed >= Self::AUTO_PROBE_EVALS {
-                    let mean = self.probe_nanos.load(Ordering::Relaxed) / timed;
-                    let decided =
-                        if mean < Self::AUTO_MIN_COMPUTE_NANOS { MODE_OFF } else { MODE_ON };
-                    // Racing probers agree on direction within noise; a
-                    // compare_exchange keeps the first decision.
-                    let won = self
-                        .mode
-                        .compare_exchange(
-                            MODE_PROBING,
-                            decided,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok();
-                    if decided == MODE_OFF {
-                        // Pass-through never consults the map again, so
-                        // entries memoized during the probe would sit
-                        // stranded for the cache's lifetime — a real leak
-                        // once caches are long-lived registry residents.
-                        // Drop them (and skip the insert below); stragglers
-                        // who lost the race or were still mid-evaluation
-                        // fall through to the insert, so the winner's
-                        // clear is followed by at most a probe-window's
-                        // worth of stragglers — bounded, not a leak.
-                        if won {
-                            self.clear();
-                        }
-                        return outcome;
-                    }
-                }
-                // Re-check the mode: a racer may have flipped to OFF (and
-                // cleared) while this evaluation ran — inserting now would
-                // re-strand an entry behind the pass-through fast path.
-                if self.mode.load(Ordering::Relaxed) != MODE_OFF {
-                    self.insert_keyed(key, x, corner, h, outcome.clone());
-                }
-                outcome
-            }
-            _ => {
-                let key = self.key(x, corner, h);
-                if let Some(outcome) = self.lookup_keyed(key, x, corner, h) {
-                    return outcome;
-                }
-                let outcome = compute();
-                self.insert_keyed(key, x, corner, h, outcome.clone());
-                outcome
-            }
+        if !self.memoize {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return compute();
         }
+        let key = self.key(x, corner, h);
+        if let Some(outcome) = self.lookup_keyed(key, x, corner, h) {
+            return outcome;
+        }
+        let outcome = compute();
+        self.insert_keyed(key, x, corner, h, outcome.clone());
+        outcome
     }
 }
 
@@ -689,22 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_probe_off_clears_probe_entries() {
-        // Regression: entries memoized during the probe window used to
-        // stay resident after the probe decided pass-through — never
-        // consulted again (OFF bypasses the map), never evicted, pinned
-        // for the cache's lifetime. The decision must drop them.
-        let cache = EvalCache::new(EvalCacheConfig::default());
-        let h = MismatchVector::nominal(1);
-        for i in 0..EvalCache::AUTO_PROBE_EVALS {
-            let x = [i as f64];
-            cache.get_or_compute(&x, &corner(), &h, || outcome(i as f64));
-        }
-        assert!(!cache.memoizing(), "cheap problem degrades to pass-through");
-        assert!(cache.is_empty(), "probe-window entries must not stay stranded");
-    }
-
-    #[test]
     fn empty_stats_are_zero() {
         let cache = EvalCache::new(EvalCacheConfig::default());
         assert!(cache.is_empty());
@@ -715,7 +588,6 @@ mod tests {
     #[test]
     fn policy_off_bypasses_but_counts_evaluations() {
         let cache = EvalCache::new(EvalCacheConfig::with_policy(CachePolicy::Off));
-        assert!(!cache.memoizing());
         let h = MismatchVector::nominal(1);
         let mut evals = 0;
         for _ in 0..3 {
@@ -734,8 +606,8 @@ mod tests {
 
     #[test]
     fn policy_on_always_memoizes() {
+        assert_eq!(EvalCacheConfig::default().policy, CachePolicy::On, "memoizing is the default");
         let cache = EvalCache::new(EvalCacheConfig::with_policy(CachePolicy::On));
-        assert!(cache.memoizing());
         let h = MismatchVector::nominal(1);
         let mut evals = 0;
         for _ in 0..3 {
@@ -746,28 +618,6 @@ mod tests {
         }
         assert_eq!(evals, 1, "one miss, then hits");
         assert_eq!(cache.stats().hits, 2);
-    }
-
-    #[test]
-    fn auto_probe_turns_off_for_cheap_evaluations() {
-        // Instant-returning closures are far below the nanos floor, so
-        // once the probe window closes the cache must degrade to
-        // pass-through.
-        let cache = EvalCache::new(EvalCacheConfig::default());
-        let h = MismatchVector::nominal(1);
-        for i in 0..EvalCache::AUTO_PROBE_EVALS {
-            let x = [i as f64];
-            cache.get_or_compute(&x, &corner(), &h, || outcome(i as f64));
-        }
-        assert!(!cache.memoizing(), "cheap problem must stop memoizing after the probe");
-        // Previously cached points are no longer consulted; the closure
-        // runs again.
-        let mut reran = false;
-        cache.get_or_compute(&[0.0], &corner(), &h, || {
-            reran = true;
-            outcome(0.0)
-        });
-        assert!(reran);
     }
 
     // ---- CacheRegistry --------------------------------------------------
@@ -798,29 +648,10 @@ mod tests {
         let off = EvalCacheConfig::with_policy(CachePolicy::Off);
         let c = registry.get_or_insert_with(&[1, 2, 3], off, EvalCache::new);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert!(!c.memoizing(), "the entry is built from the requested config");
+        let h = MismatchVector::nominal(1);
+        c.get_or_compute(&[0.5], &corner(), &h, || outcome(1.0));
+        assert!(c.is_empty(), "the entry is built from the requested config");
         assert_eq!(registry.creations(), 3);
         assert_eq!(registry.collisions(), 0);
-    }
-
-    #[test]
-    fn auto_probe_keeps_memoizing_expensive_evaluations() {
-        let cache = EvalCache::new(EvalCacheConfig::default());
-        let h = MismatchVector::nominal(1);
-        let cost = std::time::Duration::from_nanos(4 * EvalCache::AUTO_MIN_COMPUTE_NANOS);
-        for i in 0..EvalCache::AUTO_PROBE_EVALS {
-            let x = [i as f64];
-            cache.get_or_compute(&x, &corner(), &h, || {
-                std::thread::sleep(cost);
-                outcome(i as f64)
-            });
-        }
-        assert!(cache.memoizing(), "expensive problem keeps the cache on");
-        let mut reran = false;
-        cache.get_or_compute(&[0.0], &corner(), &h, || {
-            reran = true;
-            outcome(0.0)
-        });
-        assert!(!reran, "memoized point must hit");
     }
 }

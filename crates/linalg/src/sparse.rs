@@ -258,18 +258,6 @@ impl<T: Scalar> CsrMatrix<T> {
         self.value_index(row, col).map_or_else(T::zero, |i| self.values[i])
     }
 
-    /// Whether `other` stores exactly the same sparsity pattern (shape,
-    /// row pointers and column indices) — values are ignored. This is the
-    /// precondition for handing `other` to a [`SparseLu::refactor`] built
-    /// from `self`, and for a retargeted assembly template to keep a
-    /// previously frozen symbolic factorization.
-    pub fn same_pattern(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-    }
-
     /// `out = A x`, allocation-free.
     ///
     /// # Panics

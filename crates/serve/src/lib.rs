@@ -66,6 +66,7 @@ use glova::campaign::{
     check_goal_factors, CampaignConfig, CampaignControl, CampaignResult, CampaignStep,
     CampaignTermination, SizingCampaign,
 };
+use glova::engine::EngineSpec;
 use glova::fault::FaultPlan;
 use glova_circuits::{Circuit, SpiceInverterChain, SpiceOta, SpiceSenseAmpArray};
 use glova_spice::registry::SolverRegistry;
@@ -561,12 +562,13 @@ impl CampaignServer {
     /// # Errors
     ///
     /// [`ServeError::InvalidRequest`] for shapes the circuit
-    /// constructors reject, an empty seeding phase, or agent settings the
-    /// agent cannot train with (no critic base, a zero hidden width, a
-    /// zero batch), a pruning schedule with a zero `k` or re-rank
-    /// cadence, a yield estimate whose confidence lies outside `(0, 1)`,
-    /// or goal factors that fail [`check_goal_factors`] against the
-    /// circuit's metrics;
+    /// constructors reject, an engine with more workers than the host's
+    /// available parallelism (`EngineSpec::Threaded(0)`'s sizing), an
+    /// empty seeding phase, or agent settings the agent cannot train
+    /// with (no critic base, a zero hidden width, a zero batch), a
+    /// pruning schedule with a zero `k` or re-rank cadence, a yield
+    /// estimate whose confidence lies outside `(0, 1)`, or goal factors
+    /// that fail [`check_goal_factors`] against the circuit's metrics;
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// has begun (checked under the queue lock, so a submit racing a
     /// concurrent shutdown either lands in the drain or fails fast —
@@ -577,6 +579,14 @@ impl CampaignServer {
         request.circuit.validate()?;
         let config = &request.config;
         let invalid = |why: &str| Err(ServeError::InvalidRequest(why.into()));
+        // Every dispatch of a threaded engine spawns up to its worker
+        // count in scoped threads, on batches the request sizes itself
+        // (a yield grid is corners × `yield_samples`): an unchecked count
+        // would let one request spawn tens of thousands of threads on a
+        // fleet worker.
+        if config.engine.resolved_workers() > EngineSpec::Threaded(0).resolved_workers() {
+            return invalid("engine workers must not exceed the host's available parallelism");
+        }
         if config.init_designs == 0 {
             return invalid("init_designs must be positive");
         }
@@ -1045,6 +1055,33 @@ mod tests {
         let id = server.submit(good).expect("a well-formed goal is accepted");
         assert_eq!(server.wait(id).unwrap().status, JobStatus::Done);
         assert_eq!(server.shutdown().queue_high_water, 1);
+    }
+
+    #[test]
+    fn engine_wider_than_the_host_is_rejected_at_submission() {
+        let server = CampaignServer::new(1);
+        let host = EngineSpec::Threaded(0).resolved_workers();
+        let request = |engine| {
+            let mut request = quick_request(1);
+            request.config = request.config.with_engine(engine).with_max_steps(1);
+            request
+        };
+        for engine in [EngineSpec::Threaded(host + 1), EngineSpec::Threaded(usize::MAX)] {
+            assert!(
+                matches!(server.submit(request(engine)), Err(ServeError::InvalidRequest(_))),
+                "{engine:?} must be rejected on a {host}-worker host"
+            );
+        }
+        // Nothing rejected reached the queue, so no worker ran it and no
+        // engine thread was spawned for it.
+        assert_eq!(server.queue_depth(), 0);
+        for engine in [EngineSpec::Sequential, EngineSpec::Threaded(0), EngineSpec::Threaded(host)]
+        {
+            let id = server.submit(request(engine)).expect("an engine within the host is accepted");
+            assert_eq!(server.wait(id).unwrap().status, JobStatus::Done, "{engine:?}");
+        }
+        let report = server.shutdown();
+        assert_eq!((report.jobs_completed, report.queue_high_water), (3, 1));
     }
 
     #[test]

@@ -739,7 +739,7 @@ mod tests {
             let nl = ota_two_stage(p);
             for backend in backends {
                 absorb(&mut ac, &ac_sweep_with_backend(&nl, "VINP", &freqs, backend).unwrap());
-                let op = OpSolver::new(&nl, NewtonOptions::default().with_backend(backend))
+                let op = OpSolver::new(nl.clone(), NewtonOptions::default().with_backend(backend))
                     .solve()
                     .unwrap();
                 let swept =
@@ -763,7 +763,7 @@ mod tests {
         ];
         for nl in &circuits {
             for o in options {
-                let mut solver = OpSolver::new(nl, o);
+                let mut solver = OpSolver::new(nl.clone(), o);
                 dc.write_f64_slice(solver.solve().unwrap().raw());
                 dc.write_u64(solver.newton_iterations());
             }

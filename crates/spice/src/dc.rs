@@ -2,15 +2,11 @@
 //!
 //! [`OpSolver`] keeps one topology, template and factorization across
 //! solves; [`OpSolver::retarget_values`] writes a new value slice into
-//! the template in place, and [`OpSolver::retarget`] re-points it at a
-//! netlist, rewriting stamp values in place when the topology matches
-//! and rebuilding otherwise. [`OpSolverPool`] clones one primed solver
-//! per worker thread.
+//! the template in place. [`OpSolverPool`] clones one primed solver per
+//! worker thread.
 
 use crate::device::DeviceValue;
-use crate::mna::{
-    newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, StampContext,
-};
+use crate::mna::{newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, StampContext};
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,16 +81,14 @@ pub struct OpSolver {
     /// The topology the template was walked over (its values are the
     /// construction-time ones; value retargets leave them alone).
     topology: Arc<Netlist>,
-    sparse: bool,
-    /// Times a retarget crossed a topology boundary (the state was
-    /// rebuilt wholesale, abandoning the canonical symbolic state).
-    topology_retargets: u64,
 }
 
 impl OpSolver {
-    /// Builds the template (and resolves the backend) once for `netlist`.
-    pub fn new(netlist: &Netlist, options: NewtonOptions) -> Self {
-        Self::with_values(Arc::new(netlist.clone()), netlist.values(), options)
+    /// Builds the template (and resolves the backend) once for `netlist`,
+    /// which the solver keeps as its topology without copying it.
+    pub fn new(netlist: Netlist, options: NewtonOptions) -> Self {
+        let topology = Arc::new(netlist);
+        Self::with_values(Arc::clone(&topology), topology.values(), options)
     }
 
     /// Builds the template once over the shared `topology` with device
@@ -109,14 +103,13 @@ impl OpSolver {
         values: &[DeviceValue],
         options: NewtonOptions,
     ) -> Self {
-        let template = MnaTemplate::new(&topology, values, &DC_CONTEXT, options.backend);
-        let sparse = template.is_sparse();
-        let mut state = template.into_state();
+        let mut state =
+            MnaTemplate::new(&topology, values, &DC_CONTEXT, options.backend).into_state();
         // Priming happens before any solve threads the options through,
         // so the symbolic analysis every clone shares must already know
         // the ordering choice.
         state.set_ordering(options.ordering);
-        Self { state, options, topology, sparse, topology_retargets: 0 }
+        Self { state, options, topology }
     }
 
     /// [`new`](Self::new) plus an eager [`prime`](Self::prime): the
@@ -126,7 +119,7 @@ impl OpSolver {
     /// # Errors
     ///
     /// [`SpiceError::SingularMatrix`] for structurally singular netlists.
-    pub fn primed(netlist: &Netlist, options: NewtonOptions) -> Result<Self, SpiceError> {
+    pub fn primed(netlist: Netlist, options: NewtonOptions) -> Result<Self, SpiceError> {
         let mut solver = Self::new(netlist, options);
         solver.prime()?;
         Ok(solver)
@@ -145,27 +138,12 @@ impl OpSolver {
         self.state.prime(GMIN_LADDER[0])
     }
 
-    /// Re-points the solver at `netlist`. For the same topology (checked
-    /// by [`Netlist::topology_fingerprint`]) the template's stamp values
-    /// are rewritten **in place** — no fresh template, no allocation, no
-    /// pattern rebuild ([`RetargetOutcome::Values`]; bitwise identical to
-    /// handing [`MnaState::retarget`] a rebuilt template). Only a
-    /// topology change pays the full rebuild
-    /// ([`RetargetOutcome::Topology`] — reported explicitly so pools
-    /// retire the now-non-canonical solver).
-    pub fn retarget(&mut self, netlist: &Netlist) -> RetargetOutcome {
-        if self.state.retarget_values(netlist, &DC_CONTEXT) {
-            return RetargetOutcome::Values;
-        }
-        self.retarget_rebuild(netlist)
-    }
-
     /// Writes `values` — one per device of the solver's topology, in
     /// device order — into the template in place: the sweep primitive.
-    /// The same rewrite as a [`RetargetOutcome::Values`] retarget to a
-    /// netlist carrying `values`, bit for bit, but with no netlist to
-    /// build and no fingerprint to hash: the slice is checked against the
-    /// topology by count and per-device kind only.
+    /// No template rebuild, no allocation, no pattern change, and the
+    /// factorization survives; the result is bitwise identical to a
+    /// solver freshly built over a netlist carrying `values`. The slice
+    /// is checked against the topology by count and per-device kind.
     ///
     /// # Panics
     ///
@@ -176,24 +154,9 @@ impl OpSolver {
         self.state.write_values(&self.topology, values, &DC_CONTEXT);
     }
 
-    /// The topology-change arm of [`retarget`](Self::retarget): rebuilds
-    /// the assembly template from a netlist walk and hands it to
-    /// [`MnaState::retarget`].
-    fn retarget_rebuild(&mut self, netlist: &Netlist) -> RetargetOutcome {
-        let template =
-            MnaTemplate::new(netlist, netlist.values(), &DC_CONTEXT, self.options.backend);
-        self.sparse = template.is_sparse();
-        self.topology = Arc::new(netlist.clone());
-        let outcome = self.state.retarget(template);
-        if outcome == RetargetOutcome::Topology {
-            self.topology_retargets += 1;
-        }
-        outcome
-    }
-
     /// Whether the sparse backend was selected.
     pub fn is_sparse(&self) -> bool {
-        self.sparse
+        self.state.is_sparse()
     }
 
     /// The Newton options this solver runs with.
@@ -206,21 +169,6 @@ impl OpSolver {
     /// [`MnaState::repivots`]).
     pub fn repivots(&self) -> u64 {
         self.state.repivots()
-    }
-
-    /// Times a retarget crossed a topology boundary (reported as
-    /// [`RetargetOutcome::Topology`] and counted here for pools).
-    pub fn topology_retargets(&self) -> u64 {
-        self.topology_retargets
-    }
-
-    /// Total canonical-state-losing events: numeric re-pivots plus
-    /// wholesale topology retargets. [`OpSolverPool`] retires any solver
-    /// whose count moved during a checkout — the explicit-outcome
-    /// replacement for inferring topology changes from the re-pivot
-    /// counter.
-    pub fn noncanonical_events(&self) -> u64 {
-        self.state.repivots() + self.topology_retargets
     }
 
     /// Computes the operating point from an all-zeros initial guess.
@@ -266,9 +214,9 @@ impl OpSolver {
 ///
 /// Every pooled solver derives from the same prototype, so all of them
 /// carry the *canonical* symbolic factorization; a solve is a pure
-/// function of the values (or netlist) it is retargeted at (the full
-/// `gmin` ladder runs from the caller's guess, and refactoring overwrites
-/// all numeric state). If a solve has to re-pivot (a frozen pivot collapsed on some
+/// function of the values it is retargeted at (the full `gmin` ladder
+/// runs from the caller's guess, and refactoring overwrites all numeric
+/// state). If a solve has to re-pivot (a frozen pivot collapsed on some
 /// extreme point), that solver's pivot order is no longer canonical — the
 /// pool detects this via [`OpSolver::repivots`] and retires the solver,
 /// replacing it with a fresh prototype clone, so results stay bitwise
@@ -304,7 +252,7 @@ impl OpSolverPool {
     /// # Errors
     ///
     /// [`SpiceError::SingularMatrix`] for structurally singular netlists.
-    pub fn new(netlist: &Netlist, options: NewtonOptions) -> Result<Self, SpiceError> {
+    pub fn new(netlist: Netlist, options: NewtonOptions) -> Result<Self, SpiceError> {
         Ok(Self {
             prototype: OpSolver::primed(netlist, options)?,
             free: Mutex::new(Vec::new()),
@@ -376,11 +324,9 @@ impl OpSolverPool {
     /// list is only locked for the O(1) pop/push, and an empty list
     /// clones the prototype instead of waiting.
     ///
-    /// Retirement is driven by [`OpSolver::noncanonical_events`] — the
-    /// explicit sum of numeric re-pivots and
-    /// [`RetargetOutcome::Topology`] retargets — so a solver that only
-    /// took value-only or same-pattern retargets always returns to the
-    /// free list.
+    /// A solver whose [`OpSolver::repivots`] moved during the checkout
+    /// is retired; one that only took value retargets and solves always
+    /// returns to the free list.
     ///
     /// Panic-safe: if `f` unwinds, the solver is still returned —
     /// retired to a fresh prototype clone, since a solve abandoned
@@ -393,13 +339,13 @@ impl OpSolverPool {
         struct Checkout<'a> {
             pool: &'a OpSolverPool,
             solver: Option<OpSolver>,
-            events_before: u64,
+            repivots_before: u64,
         }
         impl Drop for Checkout<'_> {
             fn drop(&mut self) {
                 let Some(solver) = self.solver.take() else { return };
                 let canonical =
-                    !std::thread::panicking() && solver.noncanonical_events() == self.events_before;
+                    !std::thread::panicking() && solver.repivots() == self.repivots_before;
                 let returned = if canonical {
                     solver
                 } else {
@@ -433,8 +379,8 @@ impl OpSolverPool {
             self.spawned.fetch_add(1, Ordering::Relaxed);
             self.prototype.clone()
         });
-        let events_before = solver.noncanonical_events();
-        let mut checkout = Checkout { pool: self, solver: Some(solver), events_before };
+        let repivots_before = solver.repivots();
+        let mut checkout = Checkout { pool: self, solver: Some(solver), repivots_before };
         f(checkout.solver.as_mut().expect("solver present until drop"))
     }
 }
@@ -639,64 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn retarget_same_topology_keeps_canonical_state() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        use crate::netlist::inverter_chain_with_load;
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let mut solver =
-            OpSolver::primed(&inverter_chain_with_load(8, Some(10e3)), options).unwrap();
-        // Same topology, different values: the in-place fast path, no
-        // symbolic divergence.
-        let outcome = solver.retarget(&inverter_chain_with_load(8, Some(12e3)));
-        assert_eq!(outcome, RetargetOutcome::Values, "same topology takes the value-only path");
-        solver.solve().unwrap();
-        assert_eq!(solver.noncanonical_events(), 0, "value retarget must keep canonical state");
-        // Forcing the rebuild path on the same topology is still only a
-        // pattern swap — the factorization survives.
-        let outcome = solver.retarget_rebuild(&inverter_chain_with_load(8, Some(13e3)));
-        assert_eq!(outcome, RetargetOutcome::Pattern);
-        assert_eq!(solver.noncanonical_events(), 0, "pattern retarget keeps canonical state");
-        // Different topology: the state is rebuilt wholesale, reported
-        // explicitly (not through the numeric re-pivot counter) so a
-        // pool retires the solver.
-        let outcome = solver.retarget(&inverter_chain_with_load(12, Some(10e3)));
-        assert_eq!(outcome, RetargetOutcome::Topology);
-        assert_eq!(solver.repivots(), 0, "topology change is not a numeric re-pivot");
-        assert_eq!(solver.topology_retargets(), 1);
-        assert_eq!(solver.noncanonical_events(), 1, "pools retire on the explicit event count");
-    }
-
-    #[test]
-    fn value_retarget_solution_matches_rebuild_bitwise() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        use crate::netlist::inverter_chain_with_load;
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let options = NewtonOptions::default().with_backend(backend);
-            let base = inverter_chain_with_load(8, Some(10e3));
-            let target = inverter_chain_with_load(8, Some(14.5e3));
-            let mut fast = OpSolver::primed(&base, options).unwrap();
-            let mut slow = OpSolver::primed(&base, options).unwrap();
-            let mut slice = OpSolver::primed(&base, options).unwrap();
-            assert_eq!(fast.retarget(&target), RetargetOutcome::Values, "{backend}");
-            assert_eq!(slow.retarget_rebuild(&target), RetargetOutcome::Pattern, "{backend}");
-            slice.retarget_values(target.values());
-            let x_fast = fast.solve().unwrap();
-            let x_slow = slow.solve().unwrap();
-            let x_slice = slice.solve().unwrap();
-            for ((a, b), c) in x_fast.raw().iter().zip(x_slow.raw()).zip(x_slice.raw()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{backend}: values {a} vs rebuild {b}");
-                assert_eq!(a.to_bits(), c.to_bits(), "{backend}: netlist {a} vs value slice {c}");
-            }
-        }
-    }
-
-    #[test]
     fn value_slices_must_fit_the_topology() {
         use crate::device::DeviceValue;
         use crate::mna::NewtonOptions;
         use crate::netlist::inverter_chain;
         let fits = |values: &[DeviceValue]| {
-            let mut solver = OpSolver::new(&inverter_chain(4), NewtonOptions::default());
+            let mut solver = OpSolver::new(inverter_chain(4), NewtonOptions::default());
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 solver.retarget_values(values);
             }))
@@ -726,8 +620,8 @@ mod tests {
             strategy: JacobianStrategy::Full,
             ..NewtonOptions::default().with_backend(SolverBackend::Sparse)
         };
-        let op_chord = OpSolver::primed(&nl, chord).unwrap().solve().unwrap();
-        let op_full = OpSolver::primed(&nl, full).unwrap().solve().unwrap();
+        let op_chord = OpSolver::primed(nl.clone(), chord).unwrap().solve().unwrap();
+        let op_full = OpSolver::primed(nl, full).unwrap().solve().unwrap();
         for (a, b) in op_chord.raw().iter().zip(op_full.raw()) {
             assert!((a - b).abs() < 1e-7, "chord+partial {a} vs full Newton {b}");
         }
@@ -741,14 +635,14 @@ mod tests {
         let nl = inverter_chain_with_load(12, Some(10e3));
         let markowitz = NewtonOptions::default().with_backend(SolverBackend::Sparse);
         let amd = markowitz.with_ordering(FillOrdering::Amd);
-        let op_m = OpSolver::primed(&nl, markowitz).unwrap().solve().unwrap();
-        let op_a = OpSolver::primed(&nl, amd).unwrap().solve().unwrap();
+        let op_m = OpSolver::primed(nl.clone(), markowitz).unwrap().solve().unwrap();
+        let op_a = OpSolver::primed(nl.clone(), amd).unwrap().solve().unwrap();
         for (a, b) in op_a.raw().iter().zip(op_m.raw()) {
             assert!((a - b).abs() < 1e-7, "amd {a} vs markowitz {b}");
         }
         // AMD solves are themselves bitwise deterministic (pool clones
         // share the pre-ordered symbolic analysis like Markowitz ones).
-        let op_a2 = OpSolver::primed(&nl, amd).unwrap().solve().unwrap();
+        let op_a2 = OpSolver::primed(nl, amd).unwrap().solve().unwrap();
         for (a, b) in op_a.raw().iter().zip(op_a2.raw()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -758,8 +652,8 @@ mod tests {
     /// that does not converge, its error kind), the checked-out solver's
     /// cumulative `newton_iterations()` after each point and the final
     /// `solvers_retired()` of one [`OpSolverPool`] per sparse pattern
-    /// the workloads reach, each retargeted through a fixed sequence of
-    /// value variants — the bit-level guard for the retargeted sparse
+    /// the workloads reach, each retargeted at the value slices of a fixed
+    /// sequence of variants of its topology — the bit-level guard for the retargeted sparse
     /// refresh. The digest was recorded while sparse refreshes still
     /// re-eliminated only the rows reachable from changed inputs, so it
     /// pins the full refresh to those bits.
@@ -772,11 +666,11 @@ mod tests {
         const GOLDEN_POOLED: u64 = 0xaa92_a7ce_02db_f712;
 
         fn sweep(digest: &mut Fnv1a, options: NewtonOptions, variants: &[Netlist]) {
-            let pool = OpSolverPool::new(&variants[0], options).unwrap();
+            let pool = OpSolverPool::new(variants[0].clone(), options).unwrap();
             assert!(pool.is_sparse(), "every digested pool runs the sparse backend");
             for nl in variants {
                 pool.with_solver(|solver| {
-                    assert_eq!(solver.retarget(nl), RetargetOutcome::Values);
+                    solver.retarget_values(nl.values());
                     match solver.solve() {
                         Ok(op) => digest.write_f64_slice(op.raw()),
                         Err(e) => digest.write_u64(match e {
@@ -822,32 +716,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_retires_solver_after_topology_retarget() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        use crate::netlist::inverter_chain_with_load;
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let pool = OpSolverPool::new(&inverter_chain_with_load(8, Some(10e3)), options).unwrap();
-        pool.with_solver(|solver| {
-            solver.retarget(&inverter_chain_with_load(12, Some(10e3)));
-            solver.solve().unwrap();
-        });
-        assert_eq!(pool.solvers_retired(), 1, "non-canonical solver must be retired");
-        // The replacement checkout carries the canonical primed state.
-        pool.with_solver(|solver| {
-            solver.retarget(&inverter_chain_with_load(8, Some(11e3)));
-            solver.solve().unwrap();
-            assert_eq!(solver.repivots(), 0, "fresh prototype clone is canonical");
-        });
-        assert_eq!(pool.solvers_retired(), 1);
-        assert_eq!(pool.solvers_spawned(), 1, "retirement replaces in place, never re-spawns");
-    }
-
-    #[test]
     fn pool_free_list_is_bounded() {
         use crate::mna::NewtonOptions;
         use crate::netlist::inverter_chain_with_load;
         let pool =
-            OpSolverPool::new(&inverter_chain_with_load(4, Some(10e3)), NewtonOptions::default())
+            OpSolverPool::new(inverter_chain_with_load(4, Some(10e3)), NewtonOptions::default())
                 .unwrap()
                 .with_free_capacity(2);
         // Nested checkouts force four concurrent solvers into existence…
@@ -880,7 +753,7 @@ mod tests {
         use crate::mna::NewtonOptions;
         use crate::netlist::inverter_chain_with_load;
         let pool =
-            OpSolverPool::new(&inverter_chain_with_load(4, Some(10e3)), NewtonOptions::default())
+            OpSolverPool::new(inverter_chain_with_load(4, Some(10e3)), NewtonOptions::default())
                 .unwrap();
         for _ in 0..3 {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -902,7 +775,7 @@ mod tests {
             solver.solve().unwrap();
         });
         // A clean checkout after the panics must not move the panic
-        // counter; only repivot/topology retirements are reason-neutral.
+        // counter; only repivot retirements are reason-neutral.
         assert_eq!(pool.solvers_retired_panic(), 3);
     }
 }

@@ -52,7 +52,7 @@ pub use ac::{ac_sweep, ac_sweep_with_backend, log_sweep, AcResult};
 pub use complex::Complex;
 pub use dc::{operating_point, OpSolver, OpSolverPool, OperatingPoint};
 pub use glova_linalg::FillOrdering;
-pub use mna::{RetargetOutcome, SolverBackend};
+pub use mna::SolverBackend;
 pub use model::{MosModel, MosPolarity};
 pub use netlist::{
     inverter_chain, ota_two_stage, rc_ladder, sense_amp_array, sense_amp_array_with, Netlist,

@@ -96,28 +96,6 @@ impl std::fmt::Display for SolverBackend {
     }
 }
 
-/// How a retarget was applied — and, for solver pools, whether the
-/// retargeted state still carries the canonical symbolic factorization.
-///
-/// Returned by [`MnaState::retarget`] /
-/// [`OpSolver::retarget`](crate::dc::OpSolver::retarget) so callers act
-/// on an explicit classification instead of inferring the topology case
-/// from side-channel counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetargetOutcome {
-    /// Value-only fast path: same topology fingerprint, stamp values
-    /// rewritten in place. Template, pattern and any frozen factorization
-    /// all survive.
-    Values,
-    /// Same backend/dimension/pattern, but the template was rebuilt from
-    /// a netlist walk and swapped in. The frozen factorization survives.
-    Pattern,
-    /// Different topology: the state was rebuilt wholesale, abandoning
-    /// the factorization and (on the sparse backend) the canonical pivot
-    /// order — solver pools must retire the instance.
-    Topology,
-}
-
 /// Maps a node to its row/column in the MNA system (`None` for ground).
 fn node_index(node: NodeId) -> Option<usize> {
     if node.is_ground() {
@@ -272,7 +250,7 @@ impl RhsTemplate {
     }
 
     /// Swaps in re-walked RHS content of the same analysis kind (the
-    /// value-only retarget path) and re-materializes the base vector.
+    /// in-place value write) and re-materializes the base vector.
     ///
     /// # Panics
     ///
@@ -293,7 +271,7 @@ impl RhsTemplate {
 /// One event of the deterministic netlist→stamps walk shared by the
 /// dense and sparse assembly templates — both template construction
 /// (`new`) **and** the in-place value rewrite (`write_values`, behind
-/// `retarget_values` and [`OpSolver::retarget_values`](crate::dc::OpSolver::retarget_values))
+/// [`OpSolver::retarget_values`](crate::dc::OpSolver::retarget_values))
 /// consume the identical event stream, which is what makes a patched
 /// template bitwise equal to a freshly built one: same stamps, same
 /// order, same summation sequence.
@@ -413,9 +391,6 @@ pub struct AssemblyTemplate {
     rhs: RhsTemplate,
     mosfets: Vec<MosStamp>,
     n_nodes: usize,
-    /// Topology fingerprint of the netlist this template was walked
-    /// from — the key guarding [`retarget_values`](Self::retarget_values).
-    fingerprint: u64,
 }
 
 impl AssemblyTemplate {
@@ -445,39 +420,17 @@ impl AssemblyTemplate {
             StampEvent::Dynamic(d) => dynamic_rhs.push(d),
             StampEvent::Mos(m) => mosfets.push(m),
         });
-        Self {
-            base: a,
-            rhs: RhsTemplate::new(rhs_static, dynamic_rhs, ctx),
-            mosfets,
-            n_nodes,
-            fingerprint: topology.topology_fingerprint(),
-        }
+        Self { base: a, rhs: RhsTemplate::new(rhs_static, dynamic_rhs, ctx), mosfets, n_nodes }
     }
 
-    /// Value-only retarget: if `netlist` has the same topology as the
-    /// one this template was built from (checked via
-    /// [`Netlist::topology_fingerprint`]), rewrites every
-    /// device-parameter-dependent stamp value in place — no matrix
-    /// allocation, no template rebuild — and returns `true`. The result
+    /// Rewrites every device-value-dependent stamp in place from
+    /// `values` — no matrix allocation, no template rebuild. The result
     /// is bitwise identical to a freshly built template: both paths
     /// consume the same stamp-walk event stream in the same order.
-    /// Returns `false` (template untouched) on a topology mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `netlist` has this template's topology and `ctx`
-    /// changes the analysis kind or time step.
-    pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
-        if netlist.topology_fingerprint() != self.fingerprint {
-            return false;
-        }
-        self.write_values(netlist, netlist.values(), ctx);
-        true
-    }
-
-    /// The in-place rewrite behind [`retarget_values`](Self::retarget_values):
     /// `topology` must be the one this template was built over and
-    /// accept `values` — the caller's check, not repeated here.
+    /// accept `values` — the caller's check, not repeated here (a
+    /// foreign topology with the same device kinds would pass it, which
+    /// is why the write stays crate-private).
     ///
     /// # Panics
     ///
@@ -617,9 +570,6 @@ pub struct SparseAssemblyTemplate {
     /// through this instead of re-sorting a triplet builder.
     slot_of: Vec<usize>,
     n_nodes: usize,
-    /// Topology fingerprint of the netlist this template was walked
-    /// from — the key guarding [`retarget_values`](Self::retarget_values).
-    fingerprint: u64,
 }
 
 impl SparseAssemblyTemplate {
@@ -686,42 +636,18 @@ impl SparseAssemblyTemplate {
             .map(|i| base.value_index(i, i).expect("node diagonal in pattern"))
             .collect();
         let rhs = RhsTemplate::new(rhs_static, dynamic_rhs, ctx);
-        Self {
-            base,
-            rhs,
-            mosfets,
-            gmin_idx,
-            slot_of,
-            n_nodes,
-            fingerprint: topology.topology_fingerprint(),
-        }
+        Self { base, rhs, mosfets, gmin_idx, slot_of, n_nodes }
     }
 
-    /// Value-only retarget — the sparse analogue of
-    /// [`AssemblyTemplate::retarget_values`]: on a fingerprint match,
-    /// rewrites the CSR value array through the precomputed push-order →
-    /// nonzero map (no triplet builder, no sort, no `value_index`
-    /// searches) and refreshes the MOSFET restamp parameters, leaving
-    /// the pattern — and therefore any frozen symbolic factorization
-    /// built on it — untouched. Bitwise identical to a fresh
-    /// [`SparseAssemblyTemplate::new`]: both paths accumulate the same
-    /// stamp stream in push order, exactly as [`Triplets::to_csr`]
-    /// merges duplicates. Returns `false` on a topology mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `netlist` has this template's topology and `ctx`
-    /// changes the analysis kind or time step.
-    pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
-        if netlist.topology_fingerprint() != self.fingerprint {
-            return false;
-        }
-        self.write_values(netlist, netlist.values(), ctx);
-        true
-    }
-
-    /// The in-place rewrite behind [`retarget_values`](Self::retarget_values)
-    /// (see [`AssemblyTemplate::write_values`]).
+    /// The sparse analogue of [`AssemblyTemplate::write_values`], under
+    /// the same contract: rewrites the CSR value array through the
+    /// precomputed push-order → nonzero map (no triplet builder, no
+    /// sort, no `value_index` searches) and refreshes the MOSFET restamp
+    /// parameters, leaving the pattern — and therefore any frozen
+    /// symbolic factorization built on it — untouched. Bitwise identical
+    /// to a fresh [`SparseAssemblyTemplate::new`]: both paths accumulate
+    /// the same stamp stream in push order, exactly as
+    /// [`Triplets::to_csr`] merges duplicates.
     ///
     /// # Panics
     ///
@@ -901,11 +827,6 @@ impl MnaTemplate {
             MnaTemplate::Dense(t) => t.n_nodes,
             MnaTemplate::Sparse(t) => t.n_nodes,
         }
-    }
-
-    /// Whether the sparse backend was selected.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, MnaTemplate::Sparse(_))
     }
 
     /// Re-points the template at a new context of the same kind (see
@@ -1089,9 +1010,6 @@ impl MnaState {
     /// carries the *canonical* pivot order its pool siblings share, so
     /// pools retire it (replacing it with a fresh prototype clone) to
     /// keep results independent of which worker solved which point.
-    /// Topology changes are **not** counted here — they are reported
-    /// explicitly as [`RetargetOutcome::Topology`] by
-    /// [`retarget`](Self::retarget).
     pub fn repivots(&self) -> u64 {
         self.repivots
     }
@@ -1116,8 +1034,7 @@ impl MnaState {
     }
 
     /// Cumulative Newton/chord iterations run through this state (all
-    /// solves, all `gmin` rungs) — survives topology retargets, like the
-    /// re-pivot counter.
+    /// solves, all `gmin` rungs).
     pub fn newton_iterations(&self) -> u64 {
         self.newton_iterations
     }
@@ -1140,82 +1057,10 @@ impl MnaState {
         self.refresh_factor()
     }
 
-    /// Re-points the state at a freshly built template of the **same
-    /// topology** (same backend, dimension and sparsity pattern), keeping
-    /// the factorization storage so the next refresh stays numeric-only —
-    /// the sweep primitive behind corner/mismatch campaigns, where every
-    /// point is the same circuit graph with different device values
-    /// (returns [`RetargetOutcome::Pattern`]). A template of a different
-    /// shape or pattern replaces the state wholesale (working storage
-    /// rebuilt, factorization dropped — [`RetargetOutcome::Topology`],
-    /// the signal on which solver pools retire the instance).
-    ///
-    /// Callers that still hold the netlist should prefer
-    /// [`retarget_values`](Self::retarget_values), which skips the
-    /// template build entirely when the topology is unchanged.
-    pub fn retarget(&mut self, template: MnaTemplate) -> RetargetOutcome {
-        match (&mut self.inner, template) {
-            (StateInner::Dense { template: slot, a, .. }, MnaTemplate::Dense(t))
-                if t.dim() == a.rows() =>
-            {
-                // The dense refactor overwrites the factor storage in
-                // full, so keeping the stale `lu` slot is purely an
-                // allocation reuse.
-                *slot = t;
-                RetargetOutcome::Pattern
-            }
-            (StateInner::Sparse { template: slot, .. }, MnaTemplate::Sparse(t))
-                if t.base.same_pattern(&slot.base) =>
-            {
-                // Identical pattern: the working system and the frozen
-                // symbolic factorization both remain valid; assembly
-                // overwrites every value before the next refresh.
-                *slot = t;
-                RetargetOutcome::Pattern
-            }
-            (_, template) => {
-                // Wholesale replacement abandons whatever factorization
-                // (and, on sparse, canonical pivot order) the state
-                // carried — reported explicitly so solver pools retire
-                // this instance instead of returning it to the free
-                // list with non-canonical symbolic state. The numeric
-                // re-pivot counter is preserved: it tracks collapsed
-                // frozen pivots, not topology changes. The ordering
-                // choice likewise survives — it is solver configuration,
-                // not per-topology state.
-                let repivots = self.repivots;
-                let ordering = self.ordering;
-                let newton_iterations = self.newton_iterations;
-                *self = template.into_state();
-                self.repivots = repivots;
-                self.ordering = ordering;
-                self.newton_iterations = newton_iterations;
-                RetargetOutcome::Topology
-            }
-        }
-    }
-
-    /// Value-only retarget: rewrites the template's stamp values in
-    /// place from `netlist` when its topology fingerprint matches —
-    /// no template rebuild, no allocation, factorization kept. Returns
-    /// `false` (state untouched) on a mismatch; the caller then falls
-    /// back to [`retarget`](Self::retarget) with a freshly built
-    /// template.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `netlist` has the template's topology and `ctx` changes
-    /// the analysis kind or time step the template was built for.
-    pub fn retarget_values(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) -> bool {
-        match &mut self.inner {
-            StateInner::Dense { template, .. } => template.retarget_values(netlist, ctx),
-            StateInner::Sparse { template, .. } => template.retarget_values(netlist, ctx),
-        }
-    }
-
     /// Rewrites the template's stamp values in place from `values` over
     /// `topology`, which must be the template's own topology and accept
-    /// `values` (the caller's check — no fingerprint is computed here).
+    /// `values` (the caller's check) — no template rebuild, no
+    /// allocation, factorization kept.
     ///
     /// # Panics
     ///
@@ -1629,20 +1474,28 @@ mod tests {
         assert_eq!(SolverBackend::Sparse.to_string(), "sparse");
     }
 
-    /// A small mixed netlist exercising every stamp kind in DC.
-    fn mixed_netlist() -> Netlist {
+    /// A small mixed netlist exercising every stamp kind the DC walk
+    /// emits (resistors, V/I sources, both MOSFET polarities), every
+    /// device value — the model cards included — moving with `p` while
+    /// the topology stays fixed.
+    fn mixed_netlist(p: &[f64]) -> Netlist {
+        use crate::model::MosModel;
+        let scale = |i: usize| 1.0 + 0.4 * p[i % p.len()];
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let vin = nl.node("vin");
         let out = nl.node("out");
         let tail = nl.node("tail");
-        nl.vsource("VDD", vdd, GROUND, 0.9);
-        nl.vsource("VIN", vin, GROUND, 0.42);
-        nl.resistor("RL", vdd, out, 10e3);
-        nl.isource("IB", GROUND, tail, 50e-6);
-        nl.resistor("RT", tail, GROUND, 40e3);
-        nl.mosfet("MP", out, vin, vdd, crate::model::MosModel::pmos_28nm(), 2.0, 0.05);
-        nl.mosfet("MN", out, vin, tail, crate::model::MosModel::nmos_28nm(), 1.0, 0.05);
+        nl.vsource("VDD", vdd, GROUND, 0.9 * scale(0).clamp(0.8, 1.2));
+        nl.vsource("VIN", vin, GROUND, 0.42 * scale(1));
+        nl.resistor("RL", vdd, out, 10e3 * scale(2));
+        nl.isource("IB", GROUND, tail, 50e-6 * scale(3));
+        nl.resistor("RT", tail, GROUND, 40e3 * scale(4));
+        let pmos =
+            MosModel::pmos_28nm().with_mismatch(0.01 * p[5 % p.len()], 0.05 * p[6 % p.len()]);
+        let nmos = MosModel::nmos_28nm().with_mismatch(0.01 * p[7 % p.len()], 0.05 * p[0]);
+        nl.mosfet("MP", out, vin, vdd, pmos, 2.0 * scale(1), 0.05);
+        nl.mosfet("MN", out, vin, tail, nmos, 1.0 * scale(2), 0.05);
         nl
     }
 
@@ -1651,7 +1504,7 @@ mod tests {
         // The CSR assembly, densified, must agree entry-for-entry with
         // the dense template at several estimates and gmin values —
         // both run the same linearization, so equality is exact.
-        let nl = mixed_netlist();
+        let nl = mixed_netlist(&[0.0]);
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
         let dense = AssemblyTemplate::new(&nl, nl.values(), &ctx);
         let sparse = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
@@ -1673,7 +1526,7 @@ mod tests {
 
     #[test]
     fn sparse_backend_matches_dense_operating_point() {
-        let nl = mixed_netlist();
+        let nl = mixed_netlist(&[0.0]);
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
         let x0 = vec![0.0; nl.unknown_count()];
         for strategy in [JacobianStrategy::Full, JacobianStrategy::CHORD_DEFAULT] {
@@ -1731,5 +1584,97 @@ mod tests {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
         let x0 = vec![0.0; nl.unknown_count()];
         assert!(newton_solve(&nl, &x0, &ctx, &NewtonOptions::default()).is_ok());
+    }
+
+    /// The system `state` assembles around `x` under `gmin`, as matrix
+    /// value bits (row-major on the dense backend, CSR order on the
+    /// sparse one) and RHS bits.
+    fn assembled_bits(state: &mut MnaState, x: &[f64], gmin: f64) -> (Vec<u64>, Vec<u64>) {
+        state.assemble(x, gmin);
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        match &state.inner {
+            StateInner::Dense { a, rhs, .. } => {
+                ((0..a.rows()).flat_map(|i| bits(a.row(i))).collect(), bits(rhs))
+            }
+            StateInner::Sparse { a, rhs, .. } => (bits(a.values()), bits(rhs)),
+        }
+    }
+
+    /// `write_values` of `target`'s values into a state built over
+    /// `base` against a state freshly built over `target`, on both
+    /// backends: the assembled systems must agree bit for bit at every
+    /// `(estimate, gmin)` in `points`.
+    fn check_patched_assembly(
+        base: &Netlist,
+        target: &Netlist,
+        ctx: &StampContext<'_>,
+        points: &[(Vec<f64>, f64)],
+    ) -> Result<(), proptest::TestCaseError> {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let mut patched = MnaTemplate::new(base, base.values(), ctx, backend).into_state();
+            patched.write_values(base, target.values(), ctx);
+            let mut fresh = MnaTemplate::new(target, target.values(), ctx, backend).into_state();
+            for (x, gmin) in points {
+                proptest::prop_assert_eq!(
+                    assembled_bits(&mut patched, x, *gmin),
+                    assembled_bits(&mut fresh, x, *gmin),
+                    "{} backend, gmin {}",
+                    backend,
+                    gmin
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        // A template built over one value slice and rewritten in place
+        // with another assembles systems bitwise identical to a template
+        // freshly built over the second, at several estimates and gmin
+        // values. The dense arm is the only reference for the dense
+        // in-place write.
+        #[test]
+        fn prop_patched_template_assembles_identically(
+            base in proptest::collection::vec(-1.0f64..1.0, 8),
+            target in proptest::collection::vec(-1.0f64..1.0, 8),
+            estimate in -0.2f64..1.0,
+        ) {
+            let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
+            let (base, target) = (mixed_netlist(&base), mixed_netlist(&target));
+            let x = vec![estimate; base.unknown_count()];
+            check_patched_assembly(&base, &target, &ctx, &[(x.clone(), 1e-3), (x, 1e-9)])?;
+        }
+    }
+
+    /// The transient-context write: capacitor companion stamps and
+    /// waveform updates flow through `write_values` too.
+    #[test]
+    fn transient_template_value_retarget_matches_fresh() {
+        let build = |r: f64, c: f64, v: f64| {
+            let mut nl = Netlist::new();
+            let vin = nl.node("in");
+            let out = nl.node("out");
+            nl.vsource("V1", vin, GROUND, v);
+            nl.resistor("R1", vin, out, r);
+            nl.capacitor("C1", out, GROUND, c);
+            nl
+        };
+        let prev = vec![0.1, 0.2, -0.3];
+        let ctx = StampContext { time: 2e-9, step: Some((1e-9, &prev)), gmin: 1e-12 };
+        let (base, target) = (build(1e3, 1e-9, 1.0), build(2.2e3, 3.3e-10, 0.7));
+        check_patched_assembly(&base, &target, &ctx, &[(vec![0.05; 3], 1e-12)]).unwrap();
+    }
+
+    /// A DC-built template must refuse a transient write context (the
+    /// matrix values bake the analysis kind in).
+    #[test]
+    #[should_panic(expected = "analysis kind")]
+    fn value_retarget_rejects_context_kind_change() {
+        let nl = crate::netlist::inverter_chain_with_load(4, Some(10e3));
+        let dc = StampContext { time: 0.0, step: None, gmin: 1e-9 };
+        let mut template = SparseAssemblyTemplate::new(&nl, nl.values(), &dc);
+        let prev = vec![0.0; template.dim()];
+        let transient = StampContext { time: 1e-9, step: Some((1e-9, &prev)), gmin: 1e-9 };
+        template.write_values(&nl, nl.values(), &transient);
     }
 }

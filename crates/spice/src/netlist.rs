@@ -254,10 +254,8 @@ impl Netlist {
     /// parameters, MOSFET model cards and geometry) and names are
     /// deliberately excluded — two netlists with equal fingerprints
     /// assemble MNA systems with identical sparsity patterns and stamp
-    /// ordering, which is the precondition for retargeting a solver
-    /// from one to the other in place (`glova_spice::mna` assembly
-    /// templates key [`OpSolver::retarget`](crate::dc::OpSolver::retarget)
-    /// on this).
+    /// ordering, which is the precondition for one primed solver pool to
+    /// serve both (the solver registry buckets pools by this digest).
     pub fn topology_fingerprint(&self) -> u64 {
         // The registry's bucket digest of the structural words;
         // collisions are negligible at 64 bits and the consumers
@@ -811,7 +809,7 @@ mod tests {
     #[test]
     fn topology_fingerprints_keep_their_recorded_values() {
         // Fingerprints are cache-identity words in `glova-serve` and key
-        // the value-only retarget, so their values are pinned, not just
+        // the solver registry, so their values are pinned, not just
         // their equalities.
         assert_eq!(inverter_chain(8).topology_fingerprint(), 0x3da0_a003_c7d7_a7fc);
         assert_eq!(rc_ladder(8, 1e3, 1e-12).topology_fingerprint(), 0x288e_bd3e_d6f7_7e15);

@@ -335,7 +335,7 @@ impl SolverRegistry {
     /// (nothing is registered on error).
     pub fn pool_for(
         &self,
-        netlist: &Netlist,
+        netlist: Netlist,
         options: NewtonOptions,
     ) -> Result<Arc<OpSolverPool>, SpiceError> {
         self.get_or_try_insert_with(&netlist.structural_signature(), options, |options| {
@@ -362,8 +362,8 @@ mod tests {
     fn same_topology_shares_one_pool() {
         let registry = SolverRegistry::new();
         let options = NewtonOptions::default();
-        let a = registry.pool_for(&inverter_chain(8), options).unwrap();
-        let b = registry.pool_for(&inverter_chain(8), options).unwrap();
+        let a = registry.pool_for(inverter_chain(8), options).unwrap();
+        let b = registry.pool_for(inverter_chain(8), options).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "one topology must resolve to one shared pool");
         assert_eq!((registry.primes(), registry.hits()), (1, 1));
         assert_eq!(registry.len(), 1);
@@ -373,14 +373,14 @@ mod tests {
     fn distinct_topologies_and_options_get_distinct_pools() {
         let registry = SolverRegistry::new();
         let options = NewtonOptions::default();
-        let chain = registry.pool_for(&inverter_chain(8), options).unwrap();
-        let ladder = registry.pool_for(&rc_ladder(8, 1e3, 1e-12), options).unwrap();
+        let chain = registry.pool_for(inverter_chain(8), options).unwrap();
+        let ladder = registry.pool_for(rc_ladder(8, 1e3, 1e-12), options).unwrap();
         assert!(!Arc::ptr_eq(&chain, &ladder));
         // Same topology under different options is a different prime:
         // the options bake into the prototype.
         let sparse = registry
             .pool_for(
-                &inverter_chain(8),
+                inverter_chain(8),
                 NewtonOptions::default().with_backend(SolverBackend::Sparse),
             )
             .unwrap();
@@ -405,7 +405,7 @@ mod tests {
                     0xdead_beef_cafe_f00d,
                     &nl.structural_signature(),
                     options,
-                    |options| OpSolverPool::new(nl, options),
+                    |options| OpSolverPool::new(nl.clone(), options),
                 )
                 .unwrap()
         };
@@ -430,7 +430,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    registry.pool_for(&inverter_chain(8), options).unwrap();
+                    registry.pool_for(inverter_chain(8), options).unwrap();
                 });
             }
         });
@@ -443,7 +443,7 @@ mod tests {
         let registry = SolverRegistry::with_config(RegistryConfig::default().with_max_entries(4));
         let options = NewtonOptions::default();
         for i in 0..100 {
-            registry.pool_for(&rc_ladder(2 + i, 1e3, 1e-12), options).unwrap();
+            registry.pool_for(rc_ladder(2 + i, 1e3, 1e-12), options).unwrap();
             assert!(registry.len() <= 4, "cap must hold at every step");
         }
         assert_eq!(registry.len(), 4);
@@ -455,15 +455,15 @@ mod tests {
     fn lru_evicts_the_coldest_entry_first() {
         let registry = SolverRegistry::with_config(RegistryConfig::default().with_max_entries(2));
         let options = NewtonOptions::default();
-        let a = registry.pool_for(&rc_ladder(2, 1e3, 1e-12), options).unwrap();
-        registry.pool_for(&rc_ladder(3, 1e3, 1e-12), options).unwrap();
+        let a = registry.pool_for(rc_ladder(2, 1e3, 1e-12), options).unwrap();
+        registry.pool_for(rc_ladder(3, 1e3, 1e-12), options).unwrap();
         // Touch `a` so the size-3 ladder becomes the LRU victim.
-        let a2 = registry.pool_for(&rc_ladder(2, 1e3, 1e-12), options).unwrap();
+        let a2 = registry.pool_for(rc_ladder(2, 1e3, 1e-12), options).unwrap();
         assert!(Arc::ptr_eq(&a, &a2));
-        registry.pool_for(&rc_ladder(4, 1e3, 1e-12), options).unwrap();
+        registry.pool_for(rc_ladder(4, 1e3, 1e-12), options).unwrap();
         assert_eq!(registry.evictions(), 1);
         // `a` survived the eviction; the size-3 ladder did not.
-        let a3 = registry.pool_for(&rc_ladder(2, 1e3, 1e-12), options).unwrap();
+        let a3 = registry.pool_for(rc_ladder(2, 1e3, 1e-12), options).unwrap();
         assert!(Arc::ptr_eq(&a, &a3), "recently-used entry must survive");
         assert_eq!(registry.primes(), 3, "no re-prime for the surviving entry");
     }
@@ -472,10 +472,10 @@ mod tests {
     fn forced_expiry_reprimes_once_and_keeps_old_handles_alive() {
         let registry = SolverRegistry::new();
         let options = NewtonOptions::default();
-        let old = registry.pool_for(&inverter_chain(8), options).unwrap();
+        let old = registry.pool_for(inverter_chain(8), options).unwrap();
         registry.force_expire_all();
         // The held Arc stays alive and usable across the eviction.
-        let fresh = registry.pool_for(&inverter_chain(8), options).unwrap();
+        let fresh = registry.pool_for(inverter_chain(8), options).unwrap();
         assert!(!Arc::ptr_eq(&old, &fresh), "expired entry must re-prime, not alias");
         assert_eq!(registry.evictions(), 1);
         assert_eq!(registry.primes(), 2);
@@ -489,12 +489,12 @@ mod tests {
             RegistryConfig::default().with_ttl(Duration::from_secs(3600)),
         );
         let options = NewtonOptions::default();
-        let held = registry.pool_for(&inverter_chain(8), options).unwrap();
+        let held = registry.pool_for(inverter_chain(8), options).unwrap();
         registry.force_expire_all();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let pool = registry.pool_for(&inverter_chain(8), options).unwrap();
+                    let pool = registry.pool_for(inverter_chain(8), options).unwrap();
                     assert!(!Arc::ptr_eq(&held, &pool), "evicted pool must not be handed out");
                 });
             }
@@ -515,7 +515,7 @@ mod tests {
         nl.vsource("V1", a, crate::netlist::GROUND, 1.0);
         nl.vsource("V2", a, crate::netlist::GROUND, 2.0);
         let registry = SolverRegistry::new();
-        assert!(registry.pool_for(&nl, NewtonOptions::default()).is_err());
+        assert!(registry.pool_for(nl, NewtonOptions::default()).is_err());
         assert!(registry.is_empty());
         assert_eq!(registry.primes(), 0);
     }

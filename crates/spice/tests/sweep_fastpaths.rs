@@ -1,29 +1,23 @@
 //! Property tests for the sweep fast paths:
 //!
-//! - **value-only retarget** (`MnaState::retarget_values`, behind
-//!   [`OpSolver::retarget`]) must be bitwise identical to retargeting to a
-//!   freshly built template ([`MnaState::retarget`]) across random
-//!   device-parameter perturbations — the fast path is an optimization,
-//!   never a semantic change;
 //! - a **refactor after value perturbations** ([`SparseLu::refactor`]
 //!   over the frozen pattern, the compiled elimination schedule) must
 //!   agree with the dense LU oracle to ≤ 1e-9 for arbitrary perturbed
 //!   value subsets on the inverter-chain and RC-ladder patterns;
 //! - **history independence** of the pooled solver's refreshes: a
 //!   solver that walked a random retarget+solve sequence must return, on
-//!   its last netlist, the same bits as a fresh clone of the primed
+//!   its last value slice, the same bits as a fresh clone of the primed
 //!   prototype retargeted straight to it — on the mixed netlist and a
 //!   sparse sense-amp array.
 //!
-//! The sparse AC sweep's event template is held to the netlist re-walk
-//! in the `ac` module's unit tests, next to the re-walk oracle.
+//! The in-place value write itself ([`OpSolver::retarget_values`]) is
+//! held to a freshly built template in the `mna` module's unit tests,
+//! and the sparse AC sweep's event template to the netlist re-walk in
+//! the `ac` module's.
 
 use glova_linalg::sparse::{CsrMatrix, SparseLu};
 use glova_spice::dc::OpSolver;
-use glova_spice::mna::{
-    newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, RetargetOutcome, SolverBackend,
-    SparseAssemblyTemplate, StampContext,
-};
+use glova_spice::mna::{NewtonOptions, SolverBackend, SparseAssemblyTemplate, StampContext};
 use glova_spice::model::MosModel;
 use glova_spice::netlist::{
     inverter_chain_with_load, rc_ladder, sense_amp_array_with, Netlist, SenseAmpParams, GROUND,
@@ -53,27 +47,18 @@ fn mixed_netlist(p: &[f64]) -> Netlist {
     nl
 }
 
-/// The DC `gmin` continuation over prebuilt state (each rung starts
-/// from the previous rung's solution), returned as solution bits.
-fn ladder_bits(state: &mut MnaState, n: usize, options: &NewtonOptions) -> Vec<u64> {
-    let mut x = vec![0.0; n];
-    for gmin in [1e-3, 1e-5, 1e-7, 1e-9, 1e-12] {
-        x = newton_solve_with_state(state, &x, gmin, options).expect("mixed netlist converges");
-    }
-    x.iter().map(|v| v.to_bits()).collect()
-}
-
-/// Retargets `solver` to `nl` and solves, as solution bits.
+/// Retargets `solver` at `nl`'s device values and solves, as solution
+/// bits.
 fn solve_bits(solver: &mut OpSolver, nl: &Netlist) -> Vec<u64> {
-    assert_ne!(solver.retarget(nl), RetargetOutcome::Topology, "history shares one topology");
+    solver.retarget_values(nl.values());
     let op = solver.solve().expect("history netlist converges");
     op.raw().iter().map(|v| v.to_bits()).collect()
 }
 
 /// History independence of the pooled solver: a clone of the primed
-/// `proto` that retargeted to and solved every netlist of `history` in
-/// turn must return, on the last one, the same bits as a fresh clone
-/// retargeted straight to it. The two clones reach the last solve
+/// `proto` that retargeted at and solved the values of every netlist of
+/// `history` in turn must return, on the last one, the same bits as a
+/// fresh clone retargeted straight to it. The two clones reach the last solve
 /// through different refresh histories, which must not move a bit.
 fn check_history_independence(proto: &OpSolver, history: &[Netlist]) -> Result<(), TestCaseError> {
     let (last, earlier) = history.split_last().expect("non-empty history");
@@ -83,7 +68,7 @@ fn check_history_independence(proto: &OpSolver, history: &[Netlist]) -> Result<(
     }
     // The property is the pool's: a pool retires any solver that left
     // the canonical pivot order, so the walked one must not have.
-    prop_assert_eq!(walked.noncanonical_events(), 0);
+    prop_assert_eq!(walked.repivots(), 0);
     let via_history = solve_bits(&mut walked, last);
     let direct = solve_bits(&mut proto.clone(), last);
     prop_assert_eq!(via_history, direct, "solve history moved the result");
@@ -106,70 +91,6 @@ fn senseamp(v: (f64, f64, f64)) -> Netlist {
 }
 
 proptest! {
-    // Value-only retarget == retarget to a rebuilt template, bitwise:
-    // same outcome classification, identical assembled systems,
-    // identical operating points, on both backends.
-    #[test]
-    fn prop_value_retarget_matches_rebuild_bitwise(
-        base in proptest::collection::vec(-1.0f64..1.0, 8),
-        target in proptest::collection::vec(-1.0f64..1.0, 8),
-    ) {
-        let base_nl = mixed_netlist(&base);
-        let target_nl = mixed_netlist(&target);
-        prop_assert_eq!(base_nl.topology_fingerprint(), target_nl.topology_fingerprint());
-        let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
-        let n = target_nl.unknown_count();
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let options = NewtonOptions::default().with_backend(backend);
-            let mut fast = MnaTemplate::new(&base_nl, base_nl.values(), &ctx, backend).into_state();
-            fast.prime(ctx.gmin).unwrap();
-            let mut slow = fast.clone();
-            prop_assert!(fast.retarget_values(&target_nl, &ctx));
-            prop_assert_eq!(
-                slow.retarget(MnaTemplate::new(&target_nl, target_nl.values(), &ctx, backend)),
-                RetargetOutcome::Pattern
-            );
-            prop_assert_eq!(
-                ladder_bits(&mut fast, n, &options),
-                ladder_bits(&mut slow, n, &options),
-                "{} backend: value retarget vs rebuilt template", backend
-            );
-            prop_assert_eq!(fast.repivots(), 0);
-        }
-    }
-
-    // The patched sparse template assembles systems bitwise identical
-    // to a freshly built template of the target netlist, at several
-    // estimates and gmin values.
-    #[test]
-    fn prop_patched_template_assembles_identically(
-        base in proptest::collection::vec(-1.0f64..1.0, 8),
-        target in proptest::collection::vec(-1.0f64..1.0, 8),
-        estimate in -0.2f64..1.0,
-    ) {
-        let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let base_nl = mixed_netlist(&base);
-        let mut patched = SparseAssemblyTemplate::new(&base_nl, base_nl.values(), &ctx);
-        let target_nl = mixed_netlist(&target);
-        prop_assert!(patched.retarget_values(&target_nl, &ctx));
-        let fresh = SparseAssemblyTemplate::new(&target_nl, target_nl.values(), &ctx);
-        let n = fresh.dim();
-        let mut a_patched = patched.new_system();
-        let mut a_fresh = fresh.new_system();
-        let (mut rhs_patched, mut rhs_fresh) = (vec![0.0; n], vec![0.0; n]);
-        for gmin in [1e-3, 1e-9] {
-            let x = vec![estimate; n];
-            patched.assemble_into(&mut a_patched, &mut rhs_patched, &x, gmin);
-            fresh.assemble_into(&mut a_fresh, &mut rhs_fresh, &x, gmin);
-            for (p, f) in a_patched.values().iter().zip(a_fresh.values()) {
-                prop_assert_eq!(p.to_bits(), f.to_bits(), "matrix value {} vs {}", p, f);
-            }
-            for (p, f) in rhs_patched.iter().zip(&rhs_fresh) {
-                prop_assert_eq!(p.to_bits(), f.to_bits(), "rhs value {} vs {}", p, f);
-            }
-        }
-    }
-
     // A refactor after random value perturbations on the inverter-chain
     // pattern stays ≤ 1e-9 from the dense oracle.
     #[test]
@@ -214,7 +135,7 @@ proptest! {
             (proptest::collection::vec(-1.0f64..1.0, 8), 1u64..256), 3),
     ) {
         let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let proto = OpSolver::primed(&mixed_netlist(&base), options).unwrap();
+        let proto = OpSolver::primed(mixed_netlist(&base), options).unwrap();
         let mut cur = base.clone();
         let mut history = Vec::new();
         for (delta, mask) in &steps {
@@ -237,7 +158,7 @@ proptest! {
         steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 3),
     ) {
         let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let proto = OpSolver::primed(&senseamp(base), options).unwrap();
+        let proto = OpSolver::primed(senseamp(base), options).unwrap();
         let history: Vec<Netlist> = steps.iter().map(|&v| senseamp(v)).collect();
         check_history_independence(&proto, &history)?;
     }
@@ -271,47 +192,4 @@ fn check_perturbed_refactor(
         prop_assert!((s - d).abs() < 1e-9 * (1.0 + d.abs()), "sparse {} vs dense {}", s, d);
     }
     Ok(())
-}
-
-/// The transient-context patch path: capacitor companion stamps and
-/// waveform updates flow through `retarget_values` too.
-#[test]
-fn transient_template_value_retarget_matches_fresh() {
-    let build = |r: f64, c: f64, v: f64| {
-        let mut nl = Netlist::new();
-        let vin = nl.node("in");
-        let out = nl.node("out");
-        nl.vsource("V1", vin, GROUND, v);
-        nl.resistor("R1", vin, out, r);
-        nl.capacitor("C1", out, GROUND, c);
-        nl
-    };
-    let prev = vec![0.1, 0.2, -0.3];
-    let ctx = StampContext { time: 2e-9, step: Some((1e-9, &prev)), gmin: 1e-12 };
-    let base = build(1e3, 1e-9, 1.0);
-    let mut patched = SparseAssemblyTemplate::new(&base, base.values(), &ctx);
-    let target = build(2.2e3, 3.3e-10, 0.7);
-    assert!(patched.retarget_values(&target, &ctx));
-    let fresh = SparseAssemblyTemplate::new(&target, target.values(), &ctx);
-    let n = fresh.dim();
-    let (mut ap, mut af) = (patched.new_system(), fresh.new_system());
-    let (mut rp, mut rf) = (vec![0.0; n], vec![0.0; n]);
-    let x = vec![0.05; n];
-    patched.assemble_into(&mut ap, &mut rp, &x, 1e-12);
-    fresh.assemble_into(&mut af, &mut rf, &x, 1e-12);
-    assert_eq!(ap.values(), af.values());
-    assert_eq!(rp, rf);
-}
-
-/// A DC-built template must refuse a transient retarget context (the
-/// matrix values bake the analysis kind in).
-#[test]
-#[should_panic(expected = "analysis kind")]
-fn value_retarget_rejects_context_kind_change() {
-    let nl = inverter_chain_with_load(4, Some(10e3));
-    let dc = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-    let mut template = SparseAssemblyTemplate::new(&nl, nl.values(), &dc);
-    let prev = vec![0.0; template.dim()];
-    let transient = StampContext { time: 1e-9, step: Some((1e-9, &prev)), gmin: 1e-9 };
-    template.retarget_values(&nl, &transient);
 }

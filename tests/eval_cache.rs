@@ -26,9 +26,8 @@ use std::time::Duration;
 #[test]
 fn repeated_sweeps_hit_the_cache_and_counters_stay_request_based() {
     let toy: Arc<dyn Circuit> = Arc::new(ToyQuadratic::standard().with_mismatch_sensitivity(0.05));
-    // `CachePolicy::On` pins memoization: the counter assertions below
-    // must not depend on what the Auto cost probe decides for a cheap
-    // analytic circuit.
+    // `CachePolicy::On` pins memoization for the counter assertions
+    // below.
     let problem = SizingProblem::new(toy, VerificationMethod::CornerLocalMc)
         .with_cache(EvalCacheConfig::with_policy(CachePolicy::On));
     let x = vec![0.5; 4];

@@ -384,7 +384,7 @@ fn bounded_registries_hold_max_entries_across_thousand_key_churn() {
             tolerance: 1e-9 * (1.0 + f64::from(i) * 1e-3),
             ..NewtonOptions::default()
         };
-        solvers.pool_for(&ladder, options).unwrap();
+        solvers.pool_for(ladder.clone(), options).unwrap();
         assert!(solvers.len() <= 8, "solver registry cap must hold at every step");
     }
     assert_eq!(solvers.len(), 8);

@@ -51,7 +51,7 @@ fn op_solver_sweep_reuse_is_result_identical() {
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let options = NewtonOptions::default().with_backend(backend);
         let oneshot = operating_point_with_options(&netlist, &x0, &options).unwrap();
-        let mut solver = OpSolver::new(&netlist, options);
+        let mut solver = OpSolver::new(netlist.clone(), options);
         assert_eq!(solver.is_sparse(), backend == SolverBackend::Sparse);
         for repeat in 0..3 {
             let swept = solver.solve().unwrap();

@@ -5,7 +5,7 @@
 //! thread owning its own `OpSolver` cloned from one primed prototype —
 //! must be a pure performance knob. Sequential and threaded sweeps, on
 //! every solver backend (Dense / Sparse / Auto), every worker count
-//! {1, 2, 4, 8} and every cache policy {On, Off, Auto}, must produce
+//! {1, 2, 4, 8} and every cache policy {On, Off}, must produce
 //! **bitwise-identical** yield grids and verification outcomes, with
 //! identical simulation accounting.
 //!
@@ -28,8 +28,7 @@ use glova_variation::config::VerificationMethod;
 use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const CACHE_POLICIES: [Option<CachePolicy>; 3] =
-    [Some(CachePolicy::On), Some(CachePolicy::Off), Some(CachePolicy::Auto)];
+const CACHE_POLICIES: [Option<CachePolicy>; 2] = [Some(CachePolicy::On), Some(CachePolicy::Off)];
 
 /// 18 stages → 22 unknowns: above the `Auto` sparse threshold, so the
 /// three backend arms genuinely run dense, sparse and (auto-resolved)
@@ -148,7 +147,7 @@ fn verifier_resweep_bitwise_parity() {
             (EngineSpec::Sequential, Some(CachePolicy::On)),
             (EngineSpec::Threaded(4), Some(CachePolicy::Off)),
             (EngineSpec::Threaded(4), Some(CachePolicy::On)),
-            (EngineSpec::Threaded(8), Some(CachePolicy::Auto)),
+            (EngineSpec::Threaded(8), Some(CachePolicy::On)),
         ] {
             let (outcomes, sims) = verify_twice(engine, cache);
             assert_eq!(
@@ -179,16 +178,15 @@ fn solver_pool_sweep_matches_fresh_solvers_bitwise() {
         let netlist_at = |i: usize| inverter_chain_with_load(12, Some(8e3 + 200.0 * i as f64));
         let fresh: Vec<Vec<f64>> = (0..points)
             .map(|i| {
-                let nl = netlist_at(i);
-                OpSolver::new(&nl, options).solve().expect("converges").raw().to_vec()
+                OpSolver::new(netlist_at(i), options).solve().expect("converges").raw().to_vec()
             })
             .collect();
 
-        let pool = OpSolverPool::new(&netlist_at(0), options).expect("primes");
+        let pool = OpSolverPool::new(netlist_at(0), options).expect("primes");
         let sweep = |engine: EngineSpec| -> Vec<Vec<f64>> {
             map_indexed(engine.build().as_ref(), points, |i| {
                 pool.with_solver(|solver| {
-                    solver.retarget(&netlist_at(i));
+                    solver.retarget_values(netlist_at(i).values());
                     solver.solve().expect("converges").raw().to_vec()
                 })
             })
