@@ -1,29 +1,29 @@
 //! End-to-end risk-sensitive sizing campaigns over the engine layer.
 //!
-//! [`GlovaOptimizer`](crate::optimizer::GlovaOptimizer) reproduces the
-//! paper's Algorithm 1/2 loop faithfully — one worst-corner mini-batch per
-//! iteration. A *campaign* is the production-shaped variant of that loop:
-//! every policy step's candidate × corner × mismatch grid is flattened
-//! into a **single** [`EvalEngine`](crate::engine::EvalEngine) dispatch
-//! (via [`SizingProblem::simulate_selected_corners`]), so per-worker SPICE
+//! A *campaign* is the production-shaped configuration of the paper's
+//! sizing loop (see [`crate::optimizer`]): Latin-hypercube initial designs
+//! on the full corner grid, then per policy step one engine dispatch over
+//! the step's candidate × corner × mismatch grid (via
+//! [`SizingProblem::simulate_selected_corners`]), so per-worker SPICE
 //! solver pools, value-only retargeting and the
-//! [`EvalCache`](crate::cache::EvalCache) stay hot across the whole run,
-//! and two throughput ideas from the related work slot directly onto that
+//! [`EvalCache`](crate::cache::EvalCache) stay hot across the whole run.
+//! A design is signed off once every `N'` sample on every corner meets
+//! the spec. Two throughput ideas from the related work slot onto that
 //! batched dispatch:
 //!
-//! - **Corner-set pruning** (RobustAnalog, Shi et al.): the
-//!   [`CornerScheduler`] tracks the most recent worst reward per corner and
-//!   simulates only the current `k`-worst set, re-ranking the full grid
-//!   every `R` steps. A candidate that satisfies the active set is
+//! - **Corner-set pruning** (RobustAnalog, Shi et al.): the loop tracks
+//!   the most recent worst reward per corner and simulates only the
+//!   current `k`-worst set, re-ranking the full grid every `R` steps
+//!   ([`PruningConfig`]). A candidate that satisfies the active set is
 //!   *confirmed* on the remaining corners before being declared feasible,
 //!   so pruning never weakens the success criterion — it only skips
 //!   simulations on corners that were not close to binding.
 //! - **Goal conditioning** (PPAAS, Kim et al.): the spec target — encoded
 //!   as per-metric limit scale factors
-//!   ([`DesignSpec::with_scaled_limits`]) — is appended to the agent's
-//!   observation, so one agent generalizes across a spec family
-//!   ([`SizingCampaign::run_family`]) instead of being retrained per
-//!   target.
+//!   ([`DesignSpec::with_scaled_limits`](glova_circuits::spec::DesignSpec::with_scaled_limits))
+//!   — is appended to the agent's observation, so one agent generalizes
+//!   across a spec family ([`SizingCampaign::run_family`]) instead of
+//!   being retrained per target.
 //!
 //! Determinism contract: conditions are pre-sampled in deterministic order
 //! *before* every dispatch, reductions are NaN-propagating and
@@ -55,17 +55,16 @@
 use crate::cache::EvalCacheConfig;
 use crate::engine::EngineSpec;
 use crate::fault::FaultPlan;
-use crate::optimizer::PROPOSAL_CLIP;
+use crate::optimizer::{SignOff, SizingLoop};
 use crate::problem::SizingProblem;
+use crate::robustanalog::{dominant_corners, CLUSTERS, RECLUSTER_EVERY};
 use crate::yield_est::{estimate_yield_against, YieldEstimate};
-use glova_circuits::spec::{DesignSpec, SATISFIED_REWARD};
 use glova_circuits::{Circuit, FailureStats};
 use glova_rl::{AgentConfig, LastWorstBuffer, RiskSensitiveAgent};
-use glova_stats::reduce::{self, finite_worst};
-use glova_stats::rng::{forked, Rng64};
+use glova_stats::rng::{fork, forked, Rng64};
 use glova_turbo::latin_hypercube;
 use glova_variation::config::VerificationMethod;
-use glova_variation::sampler::MismatchVector;
+use glova_variation::corner::CornerSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -117,121 +116,128 @@ impl PruningStats {
     }
 }
 
-/// One step's corner selection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepPlan {
-    /// Corner indices to simulate, ascending (corner-major sampling order).
-    pub corners: Vec<usize>,
-    /// Whether this plan covers the full grid (re-rank step).
-    pub full: bool,
+/// Which corners each step of the sizing loop simulates.
+#[derive(Debug, Clone)]
+pub(crate) enum CornerPolicy {
+    /// The corner with the lowest last worst reward (GLOVA).
+    LastWorst,
+    /// The worst corner of each k-means cluster of these corners,
+    /// re-clustered every [`RECLUSTER_EVERY`] steps (RobustAnalog).
+    Clusters(CornerSet),
+    /// The full grid, or with pruning the `k` worst corners and the full
+    /// grid every `rerank_every`-th step (campaigns; PVTSizing runs the
+    /// full grid).
+    Grid(Option<PruningConfig>),
 }
 
-/// Tracks per-corner worst rewards and plans which corners each policy
-/// step simulates (RobustAnalog-style corner-set pruning).
+/// The per-corner last-worst buffer, and the [`CornerPolicy`] that plans
+/// each step's corners from it.
 ///
-/// The scheduler keeps the most recent worst reward seen per corner
-/// (`-∞` until first visited — unranked corners force a full step). On a
-/// pruned step it selects the `k` corners with the lowest recorded worst
-/// reward (ties broken by index, selection returned in ascending index
-/// order so condition sampling stays corner-major deterministic); every
-/// `rerank_every`-th step it schedules the full grid to refresh the
-/// ranking.
+/// The buffer keeps the most recent worst reward seen per corner (`-∞`
+/// until first visited; an unranked corner forces a full grid step). A
+/// pruned grid step selects the `k` corners with the lowest recorded
+/// worst reward, ties broken by index. Every plan is in ascending index
+/// order, so condition sampling stays corner-major deterministic.
 #[derive(Debug, Clone)]
-pub struct CornerScheduler {
+pub(crate) struct CornerScheduler {
     worst: LastWorstBuffer,
-    pruning: Option<PruningConfig>,
-    steps_since_rerank: usize,
+    policy: CornerPolicy,
+    /// Steps since the grid was re-ranked or the corners re-clustered.
+    since_refresh: usize,
+    clusters: Vec<usize>,
     stats: PruningStats,
 }
 
 impl CornerScheduler {
-    /// Creates a scheduler over `corner_count` corners; `None` pruning
-    /// plans the full grid every step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corner_count == 0`, or if `pruning` has `k == 0` or
-    /// `rerank_every == 0` — the contract of [`PruningConfig::new`],
-    /// which a struct literal can bypass.
-    pub fn new(corner_count: usize, pruning: Option<PruningConfig>) -> Self {
-        assert!(corner_count > 0, "need at least one corner");
-        if let Some(p) = &pruning {
-            assert!(p.k > 0, "need at least one active corner");
-            assert!(p.rerank_every > 0, "re-rank cadence must be positive");
-        }
+    /// Creates a scheduler over `corner_count` corners.
+    pub(crate) fn new(corner_count: usize, policy: CornerPolicy) -> Self {
         Self {
             worst: LastWorstBuffer::new(corner_count),
-            pruning,
-            steps_since_rerank: 0,
+            policy,
+            since_refresh: 0,
+            clusters: Vec::new(),
             stats: PruningStats::default(),
         }
     }
 
-    /// Number of corners under management.
-    pub fn corner_count(&self) -> usize {
-        self.worst.len()
-    }
-
     /// Cumulative scheduling counters.
-    pub fn stats(&self) -> &PruningStats {
+    pub(crate) fn stats(&self) -> &PruningStats {
         &self.stats
     }
 
     /// Records the worst reward observed at `corner_index` (most recent
     /// observation wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corner_index` is out of range.
-    pub fn record(&mut self, corner_index: usize, worst_reward: f64) {
+    pub(crate) fn record(&mut self, corner_index: usize, worst_reward: f64) {
         self.worst.record(corner_index, worst_reward);
     }
 
-    /// Computes the next step's corner plan **without** committing it:
-    /// no counters move and the re-rank cadence does not advance, so an
-    /// immediately following [`Self::plan_step`] returns the identical
-    /// plan. Campaigns use this to price the next dispatch against a
-    /// simulation budget before deciding to take the step at all —
-    /// pricing an untaken step must not disturb the accounting.
-    pub fn peek_plan(&self) -> StepPlan {
-        let n = self.worst.len();
-        let full = match &self.pruning {
-            None => true,
-            Some(p) => {
-                p.k >= n
-                    || (0..n).any(|ci| self.worst.last(ci) == f64::NEG_INFINITY)
-                    || self.steps_since_rerank + 1 >= p.rerank_every
-            }
-        };
-        let corners: Vec<usize> = if full {
-            (0..n).collect()
-        } else {
-            let k = self.pruning.as_ref().expect("pruned plans require a config").k;
-            let mut selected: Vec<usize> =
-                self.worst.corners_worst_first().into_iter().take(k).collect();
-            selected.sort_unstable();
-            selected
-        };
-        StepPlan { corners, full }
+    /// Corner indices worst first — Algorithm 2's visiting order.
+    pub(crate) fn corners_worst_first(&self) -> Vec<usize> {
+        self.worst.corners_worst_first()
     }
 
-    /// Plans the next step's corner set and updates the counters.
-    ///
-    /// Full-grid plans are issued when pruning is disabled, `k` covers the
-    /// grid, any corner is still unranked, or the re-rank cadence is due;
-    /// otherwise the current `k`-worst corners are selected.
-    pub fn plan_step(&mut self) -> StepPlan {
-        let plan = self.peek_plan();
-        if plan.full {
-            self.steps_since_rerank = 0;
+    /// Whether the next grid step covers the full grid: pruning is off,
+    /// `k` covers the grid, a corner is still unranked, or the re-rank
+    /// cadence is due.
+    fn full_grid_due(&self) -> bool {
+        let n = self.worst.len();
+        match &self.policy {
+            CornerPolicy::Grid(Some(p)) => {
+                p.k >= n
+                    || (0..n).any(|ci| self.worst.last(ci) == f64::NEG_INFINITY)
+                    || self.since_refresh + 1 >= p.rerank_every
+            }
+            _ => true,
+        }
+    }
+
+    /// The most corners the next step simulates, found without planning
+    /// it: pricing moves no counter and draws no sample, so pricing an
+    /// untaken step disturbs nothing. Re-clustering draws samples, so the
+    /// cluster policy is priced by its bound.
+    pub(crate) fn next_step_corners(&self) -> usize {
+        match &self.policy {
+            CornerPolicy::LastWorst => 1,
+            CornerPolicy::Clusters(_) => CLUSTERS.min(self.worst.len()),
+            CornerPolicy::Grid(Some(p)) if !self.full_grid_due() => p.k,
+            CornerPolicy::Grid(_) => self.worst.len(),
+        }
+    }
+
+    /// Plans the next step's corners, ascending, and updates the counters.
+    /// Only re-clustering draws from `rng`.
+    pub(crate) fn plan_step(&mut self, rng: &mut Rng64) -> Vec<usize> {
+        let n = self.worst.len();
+        let corners = match &self.policy {
+            CornerPolicy::LastWorst => vec![self.worst.worst_corner()],
+            CornerPolicy::Clusters(set) => {
+                if self.since_refresh == 0 {
+                    self.clusters = dominant_corners(set, &self.worst, rng);
+                }
+                self.clusters.clone()
+            }
+            CornerPolicy::Grid(Some(p)) if !self.full_grid_due() => {
+                let mut k_worst: Vec<usize> =
+                    self.worst.corners_worst_first().into_iter().take(p.k).collect();
+                k_worst.sort_unstable();
+                k_worst
+            }
+            CornerPolicy::Grid(_) => (0..n).collect(),
+        };
+        let full = corners.len() == n;
+        self.since_refresh = match self.policy {
+            CornerPolicy::Clusters(_) => (self.since_refresh + 1) % RECLUSTER_EVERY,
+            _ if full => 0,
+            _ => self.since_refresh + 1,
+        };
+        if full {
             self.stats.full_steps += 1;
         } else {
-            self.steps_since_rerank += 1;
             self.stats.pruned_steps += 1;
         }
-        self.stats.corners_simulated += plan.corners.len() as u64;
-        self.stats.corners_available += self.worst.len() as u64;
-        plan
+        self.stats.corners_simulated += corners.len() as u64;
+        self.stats.corners_available += n as u64;
+        corners
     }
 
     /// Notes that a feasibility-confirmation dispatch simulated
@@ -240,17 +246,15 @@ impl CornerScheduler {
     /// refreshed every ranking) and counts the slots into
     /// [`PruningStats::corners_simulated`].
     ///
-    /// The counting half fixes a real accounting bug: confirmations used
-    /// to go uncounted, so [`PruningStats::pruned_fraction`] over-stated
-    /// pruning savings on exactly the campaigns where confirmations fire
-    /// most (`corners_simulated × N'` must equal the simulations the
-    /// policy loop actually paid — the invariant the campaign accounting
-    /// regression tests pin down). `corners_available` is untouched: the
-    /// step's full-grid denominator was already added by
-    /// [`Self::plan_step`], and a confirmed step costs exactly a
-    /// full-grid step, driving its marginal pruned fraction to zero.
-    pub fn note_confirmation(&mut self, corners_confirmed: usize) {
-        self.steps_since_rerank = 0;
+    /// Counting them keeps [`PruningStats::pruned_fraction`] honest on
+    /// exactly the campaigns where confirmations fire most:
+    /// `corners_simulated × N'` equals the simulations the steps paid.
+    /// `corners_available` is untouched: the step's full-grid denominator
+    /// was already added by [`Self::plan_step`], and a confirmed step
+    /// costs exactly a full-grid step, driving its marginal pruned
+    /// fraction to zero.
+    pub(crate) fn note_confirmation(&mut self, corners_confirmed: usize) {
+        self.since_refresh = 0;
         self.stats.corners_simulated += corners_confirmed as u64;
     }
 }
@@ -349,7 +353,8 @@ impl CampaignControl {
             }
         }
         if let Some(max) = self.max_sims {
-            if sims_used + next_cost > max {
+            // Saturating: a price that wrapped would let the budget pay it.
+            if sims_used.saturating_add(next_cost) > max {
                 return Some(CampaignTermination::BudgetExhausted);
             }
         }
@@ -360,9 +365,9 @@ impl CampaignControl {
 /// Campaign configuration.
 ///
 /// Mirrors [`GlovaConfig`](crate::optimizer::GlovaConfig) where the two
-/// loops overlap (agent hyperparameters, engine/cache selection) and adds
-/// the campaign-only knobs: corner pruning, goal conditioning and the
-/// final yield estimate.
+/// configurations of the sizing loop overlap (agent hyperparameters,
+/// engine/cache selection) and adds the campaign-only knobs: corner
+/// pruning, goal conditioning and the final yield estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Verification method (Table I) — sets the corner set and `N'`.
@@ -477,6 +482,41 @@ impl CampaignConfig {
         self.yield_samples = samples_per_corner;
         self
     }
+
+    /// Checks the rules a campaign over a circuit with `metric_count`
+    /// spec metrics needs: at least one seed design; a positive ensemble
+    /// size, hidden width and batch size (the agent panics on the first
+    /// two, and a zero batch trains nothing); a pruning schedule with a
+    /// positive `k` and re-rank cadence (the fields are public, so a
+    /// literal can bypass [`PruningConfig::new`]); a yield confidence in
+    /// `(0, 1)` whenever a yield estimate is asked for; and one finite,
+    /// positive goal factor per metric. [`SizingCampaign::new`] panics on
+    /// a broken rule, and `glova-serve` rejects the request.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first rule broken.
+    pub fn check(&self, metric_count: usize) -> Result<(), String> {
+        let rule = |holds: bool, why: &str| if holds { Ok(()) } else { Err(why.to_string()) };
+        rule(self.init_designs > 0, "need at least one seed design")?;
+        rule(self.ensemble_size > 0, "ensemble_size must be positive")?;
+        rule(!self.hidden.contains(&0), "hidden widths must be positive")?;
+        rule(self.batch_size > 0, "batch_size must be positive")?;
+        if let Some(p) = &self.pruning {
+            rule(p.k > 0, "need at least one active corner")?;
+            rule(p.rerank_every > 0, "re-rank cadence must be positive")?;
+        }
+        if self.yield_samples > 0 && !(self.yield_confidence > 0.0 && self.yield_confidence < 1.0) {
+            return Err(format!(
+                "yield confidence must be in (0, 1), got {}",
+                self.yield_confidence
+            ));
+        }
+        match &self.goal_factors {
+            Some(factors) => check_goal_factors(factors, metric_count),
+            None => Ok(()),
+        }
+    }
 }
 
 /// One policy step of a campaign trajectory.
@@ -554,13 +594,9 @@ pub struct CampaignResult {
 
 /// Checks goal factors against a spec of `metric_count` metrics: one
 /// factor per metric, each finite and positive — what
-/// [`DesignSpec::with_scaled_limits`] needs. [`SizingCampaign`] asserts
-/// it; `glova-serve` rejects a request that fails it at submission.
-///
-/// # Errors
-///
-/// A message naming the first violation.
-pub fn check_goal_factors(factors: &[f64], metric_count: usize) -> Result<(), String> {
+/// [`DesignSpec::with_scaled_limits`](glova_circuits::spec::DesignSpec::with_scaled_limits)
+/// needs.
+fn check_goal_factors(factors: &[f64], metric_count: usize) -> Result<(), String> {
     if factors.len() != metric_count {
         return Err(format!(
             "one goal factor per spec metric: {} factors for {metric_count} metrics",
@@ -586,11 +622,10 @@ impl SizingCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if `config.init_designs == 0`, the goal factors fail
-    /// [`check_goal_factors`] against the circuit's spec (a count other
-    /// than one factor per metric, or a factor that is not finite and
-    /// positive), or `config.yield_samples > 0` with a
-    /// `config.yield_confidence` outside `(0, 1)`.
+    /// Panics with the message of [`CampaignConfig::check`] if `config`
+    /// breaks one of its rules against the circuit's spec — among them a
+    /// zero ensemble size, hidden width or batch size, which the agent
+    /// cannot train with.
     pub fn new(circuit: Arc<dyn Circuit>, config: CampaignConfig) -> Self {
         Self::build(circuit, config, None)
     }
@@ -623,17 +658,7 @@ impl SizingCampaign {
         config: CampaignConfig,
         shared: Option<Arc<crate::cache::EvalCache>>,
     ) -> Self {
-        assert!(config.init_designs > 0, "need at least one seed design");
-        if let Some(factors) = &config.goal_factors {
-            check_goal_factors(factors, circuit.spec().len()).unwrap_or_else(|why| panic!("{why}"));
-        }
-        if config.yield_samples > 0 {
-            assert!(
-                config.yield_confidence > 0.0 && config.yield_confidence < 1.0,
-                "yield confidence must be in (0, 1), got {}",
-                config.yield_confidence
-            );
-        }
+        config.check(circuit.spec().len()).unwrap_or_else(|why| panic!("{why}"));
         let problem = SizingProblem::with_engine(circuit, config.method, config.engine.build());
         let problem = match (shared, config.cache) {
             (Some(handle), _) => problem.with_cache_handle(handle),
@@ -694,17 +719,9 @@ impl SizingCampaign {
         control: &CampaignControl,
         on_step: &mut dyn FnMut(&CampaignStep),
     ) -> CampaignResult {
-        let (goal_spec, goal_obs) = self.goal(self.config.goal_factors.as_deref());
-        let mut agent = self.make_agent(goal_obs.len(), &mut forked(seed, 2));
-        self.run_goal(
-            &mut agent,
-            &goal_spec,
-            &goal_obs,
-            self.config.goal_factors.clone(),
-            seed,
-            control,
-            on_step,
-        )
+        let factors = self.config.goal_factors.as_deref();
+        let mut agent = self.make_agent(factors.map_or(0, <[f64]>::len), &mut forked(seed, 2));
+        self.run_goal(&mut agent, factors, seed, control, on_step)
     }
 
     /// Runs one campaign per goal **sharing a single agent** — the
@@ -714,9 +731,9 @@ impl SizingCampaign {
     ///
     /// # Panics
     ///
-    /// Panics if `goals` is empty or any goal fails
-    /// [`check_goal_factors`] against the circuit's spec — checked for
-    /// every goal before the first one runs.
+    /// Panics if `goals` is empty or any goal is not one finite, positive
+    /// factor per spec metric — checked for every goal before the first
+    /// one runs.
     pub fn run_family(&self, goals: &[Vec<f64>], seed: u64) -> Vec<CampaignResult> {
         assert!(!goals.is_empty(), "need at least one goal");
         let m = self.problem.circuit().spec().len();
@@ -729,26 +746,10 @@ impl SizingCampaign {
             .iter()
             .enumerate()
             .map(|(i, factors)| {
-                let (goal_spec, goal_obs) = self.goal(Some(factors));
-                self.run_goal(
-                    &mut agent,
-                    &goal_spec,
-                    &goal_obs,
-                    Some(factors.clone()),
-                    glova_stats::rng::fork(seed, 100 + i as u64),
-                    &control,
-                    &mut |_| {},
-                )
+                let seed = fork(seed, 100 + i as u64);
+                self.run_goal(&mut agent, Some(factors), seed, &control, &mut |_| {})
             })
             .collect()
-    }
-
-    fn goal(&self, factors: Option<&[f64]>) -> (DesignSpec, Vec<f64>) {
-        let base = self.problem.circuit().spec().clone();
-        match factors {
-            Some(f) => (base.with_scaled_limits(f), f.to_vec()),
-            None => (base, Vec::new()),
-        }
     }
 
     fn make_agent(&self, goal_dim: usize, rng: &mut Rng64) -> RiskSensitiveAgent {
@@ -763,16 +764,14 @@ impl SizingCampaign {
         RiskSensitiveAgent::new(config, rng)
     }
 
-    /// The campaign loop for one goal. `agent` may carry experience from
-    /// earlier goals of a family run; its `goal_dim` must equal
-    /// `goal_obs.len()`.
-    #[allow(clippy::too_many_arguments)]
+    /// One campaign for one goal: the sizing loop from Latin-hypercube
+    /// initial designs under the grid sign-off, then the yield estimate.
+    /// `agent` may carry experience from earlier goals of a family run;
+    /// its goal dimension must equal the factor count.
     fn run_goal(
         &self,
         agent: &mut RiskSensitiveAgent,
-        goal_spec: &DesignSpec,
-        goal_obs: &[f64],
-        goal_factors: Option<Vec<f64>>,
+        goal_factors: Option<&[f64]>,
         seed: u64,
         control: &CampaignControl,
         on_step: &mut dyn FnMut(&CampaignStep),
@@ -780,205 +779,33 @@ impl SizingCampaign {
         let start = Instant::now();
         let sims_start = self.problem.simulations();
         let failures_start = self.problem.circuit().failure_stats();
-        let mut init_rng = forked(seed, 1);
-        let mut agent_rng = forked(seed, 4);
-        let mut sample_rng = forked(seed, 3);
-
-        let n_corners = self.problem.config().corners.len();
-        let n_prime = self.problem.config().optim_samples;
-        let all_corners: Vec<usize> = (0..n_corners).collect();
-        let mut scheduler = CornerScheduler::new(n_corners, self.config.pruning.clone());
-        let obs = |x: &[f64]| -> Vec<f64> { x.iter().chain(goal_obs).copied().collect() };
-
-        // ---- Seeding: LHS designs on the full grid ----------------------
-        // Ranks every corner for the scheduler and fills the replay buffer
-        // with genuine worst-case rewards before any policy step.
-        let init_points =
-            latin_hypercube(self.config.init_designs, self.problem.dim(), &mut init_rng);
-        let mut best: Option<(Vec<f64>, f64)> = None;
-        let mut termination = CampaignTermination::Completed;
-        let seed_cost = all_corners.len() as u64 * n_prime as u64;
-        for x in &init_points {
-            if let Some(t) =
-                control.interruption(self.problem.simulations() - sims_start, seed_cost)
-            {
-                termination = t;
-                break;
-            }
-            let worst = self.dispatch(
-                x,
-                &all_corners,
-                n_prime,
-                goal_spec,
-                &mut scheduler,
-                &mut sample_rng,
-                &mut 0,
-                &mut 0,
-            );
-            agent.observe(obs(x), worst);
-            if best.as_ref().is_none_or(|(_, r)| worst > *r) {
-                best = Some((x.clone(), worst));
-            }
-        }
-        let init_sims = self.problem.simulations() - sims_start;
-        let Some(mut best) = best else {
-            // Interrupted before the first seed dispatch: no incumbent
-            // exists, only the (empty) accounting does.
-            return CampaignResult {
-                success: false,
-                final_design: None,
-                best_design: Vec::new(),
-                best_reward: f64::NEG_INFINITY,
-                steps: Vec::new(),
-                init_sims,
-                sims_to_success: None,
-                total_sims: self.problem.simulations() - sims_start,
-                yield_estimate: None,
-                pruning: scheduler.stats().clone(),
-                goal_factors,
-                termination,
-                failures: self.problem.circuit().failure_stats().since(failures_start),
-                wall: start.elapsed(),
-            };
+        let base = self.problem.circuit().spec();
+        let goal_spec = goal_factors.map(|f| base.with_scaled_limits(f));
+        let sizing = SizingLoop {
+            problem: &self.problem,
+            spec: goal_spec.as_ref().unwrap_or(base),
+            goal_obs: goal_factors.unwrap_or_default(),
+            corners: CornerPolicy::Grid(self.config.pruning.clone()),
+            sign_off: SignOff::Grid,
+            max_steps: self.config.max_steps,
+            pretrain_steps: self.config.pretrain_steps,
+            stagnation_restart: self.config.stagnation_restart,
+            trace: false,
         };
-
-        // A seed design can already satisfy the goal on the full grid —
-        // the campaign is then complete before any policy step, even if
-        // the control cut later seeds short, and the agent (shared across
-        // a family run) is left untouched.
-        let mut success = best.1 >= SATISFIED_REWARD;
-        let mut final_design = success.then(|| best.0.clone());
-        let mut sims_to_success = success.then_some(init_sims);
-        if success {
-            termination = CampaignTermination::Completed;
-        } else if termination == CampaignTermination::Completed {
-            agent.pretrain_actor_towards(&best.0, self.config.pretrain_steps, &mut agent_rng);
-            agent.set_proximal_target(Some(best.0.clone()));
-        }
-
-        // ---- Policy loop ------------------------------------------------
-        let mut steps: Vec<CampaignStep> = Vec::new();
-        let mut stagnation = 0usize;
-        for step in 1..=self.config.max_steps {
-            if success || termination != CampaignTermination::Completed {
-                break;
-            }
-            // Price the next dispatch before committing to the step:
-            // peeking moves no scheduler counters, so an untaken step
-            // leaves the accounting (and the RNG streams) untouched.
-            let step_cost = scheduler.peek_plan().corners.len() as u64 * n_prime as u64;
-            if let Some(t) =
-                control.interruption(self.problem.simulations() - sims_start, step_cost)
-            {
-                termination = t;
-                break;
-            }
-            let t0 = Instant::now();
-            let sims_before = self.problem.simulations();
-
-            // Propose anchored at the incumbent, clamped to its trust box.
-            let anchor = &best.0;
-            let mut x_new = agent.propose(&obs(anchor), &mut agent_rng);
-            for (v, a) in x_new.iter_mut().zip(anchor) {
-                *v = v.clamp((a - PROPOSAL_CLIP).max(0.0), (a + PROPOSAL_CLIP).min(1.0));
-            }
-
-            // Simulate the planned (possibly pruned) corner set in one
-            // engine dispatch.
-            let plan = scheduler.plan_step();
-            let mut passes = 0u64;
-            let mut trials = 0u64;
-            let mut worst = self.dispatch(
-                &x_new,
-                &plan.corners,
-                n_prime,
-                goal_spec,
-                &mut scheduler,
-                &mut sample_rng,
-                &mut passes,
-                &mut trials,
-            );
-            let mut full_grid = plan.full;
-
-            // Feasible across the active set: pruning must not weaken the
-            // success criterion, so confirm the skipped corners before
-            // declaring success. Their worst rewards refresh the ranking
-            // either way (a failed confirmation is a fresh re-rank).
-            if worst >= SATISFIED_REWARD && !plan.full {
-                let rest: Vec<usize> =
-                    (0..n_corners).filter(|ci| !plan.corners.contains(ci)).collect();
-                let rest_cost = rest.len() as u64 * n_prime as u64;
-                if let Some(t) =
-                    control.interruption(self.problem.simulations() - sims_start, rest_cost)
-                {
-                    // The control cannot pay the confirmation sweep, so the
-                    // candidate stays unconfirmed — pruning never weakens
-                    // the success criterion, not even at the budget edge.
-                    termination = t;
-                } else {
-                    let rest_worst = self.dispatch(
-                        &x_new,
-                        &rest,
-                        n_prime,
-                        goal_spec,
-                        &mut scheduler,
-                        &mut sample_rng,
-                        &mut passes,
-                        &mut trials,
-                    );
-                    worst = worst.min(rest_worst);
-                    scheduler.note_confirmation(rest.len());
-                    full_grid = true;
-                }
-            }
-            if worst >= SATISFIED_REWARD && full_grid {
-                success = true;
-                final_design = Some(x_new.clone());
-            }
-
-            // Store, update the incumbent, train.
-            agent.observe(obs(&x_new), worst);
-            if worst > best.1 {
-                best = (x_new.clone(), worst);
-                agent.set_proximal_target(Some(best.0.clone()));
-                stagnation = 0;
-            } else {
-                stagnation += 1;
-                if stagnation >= self.config.stagnation_restart {
-                    agent.reset_noise(0.12);
-                    stagnation = 0;
-                }
-            }
-            agent.train_step(&mut agent_rng);
-
-            let sims_now = self.problem.simulations();
-            let step_record = CampaignStep {
-                step,
-                active_corners: plan.corners.len(),
-                corner_count: n_corners,
-                sims: sims_now - sims_before,
-                worst_reward: worst,
-                best_reward: best.1,
-                pass_fraction: if trials == 0 { 0.0 } else { passes as f64 / trials as f64 },
-                full_grid,
-                wall: t0.elapsed(),
-            };
-            on_step(&step_record);
-            steps.push(step_record);
-            if success {
-                sims_to_success = Some(sims_now - sims_start);
-                break;
-            }
-            if termination != CampaignTermination::Completed {
-                break;
-            }
-        }
+        let initial =
+            latin_hypercube(self.config.init_designs, self.problem.dim(), &mut forked(seed, 1));
+        let mut sample_rng = forked(seed, 3);
+        let out =
+            sizing.run(&initial, agent, &mut forked(seed, 4), &mut sample_rng, control, on_step);
 
         // ---- Final yield estimate (goal-spec, fresh dies) ---------------
         // The estimate is a post-success extra: it never fires on an
-        // interrupted campaign and is itself subject to the budget.
-        let yield_cost = (n_corners * self.config.yield_samples) as u64;
-        let yield_estimate = match (&final_design, self.config.yield_samples) {
+        // interrupted campaign and is itself subject to the budget. Its
+        // price saturates, so a huge sample count cannot wrap to a price
+        // the budget pays.
+        let corners = self.problem.config().corners.len() as u64;
+        let yield_cost = corners.saturating_mul(self.config.yield_samples as u64);
+        let yield_estimate = match (&out.final_design, self.config.yield_samples) {
             (Some(x), samples)
                 if samples > 0
                     && control
@@ -987,7 +814,7 @@ impl SizingCampaign {
             {
                 Some(estimate_yield_against(
                     &self.problem,
-                    goal_spec,
+                    sizing.spec,
                     x,
                     samples,
                     self.config.yield_confidence,
@@ -997,62 +824,24 @@ impl SizingCampaign {
             _ => None,
         };
 
+        // Interrupted before the first initial design, no incumbent exists.
+        let (best_design, best_reward) = out.best.unwrap_or((Vec::new(), f64::NEG_INFINITY));
         CampaignResult {
-            success,
-            final_design,
-            best_design: best.0,
-            best_reward: best.1,
-            steps,
-            init_sims,
-            sims_to_success,
+            success: out.final_design.is_some(),
+            final_design: out.final_design,
+            best_design,
+            best_reward,
+            steps: out.steps,
+            init_sims: out.init_sims,
+            sims_to_success: out.sims_to_success,
             total_sims: self.problem.simulations() - sims_start,
             yield_estimate,
-            pruning: scheduler.stats().clone(),
-            goal_factors,
-            termination,
+            pruning: out.pruning,
+            goal_factors: goal_factors.map(<[f64]>::to_vec),
+            termination: out.termination,
             failures: self.problem.circuit().failure_stats().since(failures_start),
             wall: start.elapsed(),
         }
-    }
-
-    /// Samples conditions corner-major, dispatches the whole
-    /// corner-subset × condition grid through the engine in one batch,
-    /// records per-corner worst goal rewards into the scheduler and
-    /// returns the overall worst (NaN-sanitized).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &self,
-        x: &[f64],
-        corner_indices: &[usize],
-        n_prime: usize,
-        goal_spec: &DesignSpec,
-        scheduler: &mut CornerScheduler,
-        sample_rng: &mut Rng64,
-        passes: &mut u64,
-        trials: &mut u64,
-    ) -> f64 {
-        let conditions: Vec<Vec<MismatchVector>> = corner_indices
-            .iter()
-            .map(|_| self.problem.sample_conditions(x, n_prime, sample_rng))
-            .collect();
-        let per_corner = self.problem.simulate_selected_corners(x, corner_indices, &conditions);
-        let mut overall = f64::INFINITY;
-        for (j, outcomes) in per_corner.iter().enumerate() {
-            // The goal spec re-derives rewards from the raw metrics, so the
-            // cache-friendly `SimOutcome` (whose `reward` is the *base*
-            // spec's) stays valid across goals.
-            let worst =
-                finite_worst(reduce::worst(outcomes.iter().map(|o| goal_spec.reward(&o.metrics))));
-            for o in outcomes {
-                *trials += 1;
-                if goal_spec.satisfied(&o.metrics) {
-                    *passes += 1;
-                }
-            }
-            scheduler.record(corner_indices[j], worst);
-            overall = overall.min(worst);
-        }
-        overall
     }
 }
 
@@ -1060,6 +849,7 @@ impl SizingCampaign {
 mod tests {
     use super::*;
     use crate::engine::EngineSpec;
+    use glova_circuits::spec::SATISFIED_REWARD;
     use glova_circuits::ToyQuadratic;
     use glova_variation::corner::PvtCorner;
 
@@ -1073,13 +863,20 @@ mod tests {
 
     // ---- CornerScheduler ------------------------------------------------
 
+    fn grid(corner_count: usize, pruning: Option<PruningConfig>) -> CornerScheduler {
+        CornerScheduler::new(corner_count, CornerPolicy::Grid(pruning))
+    }
+
+    /// Plans a grid step; grid plans draw no samples.
+    fn plan(s: &mut CornerScheduler) -> Vec<usize> {
+        s.plan_step(&mut glova_stats::rng::seeded(0))
+    }
+
     #[test]
     fn scheduler_without_pruning_always_plans_full() {
-        let mut s = CornerScheduler::new(6, None);
+        let mut s = grid(6, None);
         for _ in 0..5 {
-            let plan = s.plan_step();
-            assert!(plan.full);
-            assert_eq!(plan.corners, vec![0, 1, 2, 3, 4, 5]);
+            assert_eq!(plan(&mut s), vec![0, 1, 2, 3, 4, 5]);
         }
         assert_eq!(s.stats().pruned_steps, 0);
         assert_eq!(s.stats().pruned_fraction(), 0.0);
@@ -1087,25 +884,30 @@ mod tests {
 
     #[test]
     fn scheduler_selects_k_worst_in_index_order() {
-        let mut s = CornerScheduler::new(5, Some(PruningConfig::new(2, 100)));
+        let mut s = grid(5, Some(PruningConfig::new(2, 100)));
         // Unranked corners force a full step first.
-        assert!(s.plan_step().full);
+        assert_eq!(plan(&mut s).len(), 5);
         for (ci, w) in [(0, 0.1), (1, -0.5), (2, 0.2), (3, -0.9), (4, 0.0)] {
             s.record(ci, w);
         }
-        let plan = s.plan_step();
-        assert!(!plan.full);
         // Worst two are corners 3 (−0.9) and 1 (−0.5), ascending order.
-        assert_eq!(plan.corners, vec![1, 3]);
+        assert_eq!(plan(&mut s), vec![1, 3]);
     }
 
     #[test]
     fn scheduler_reranks_on_cadence() {
-        let mut s = CornerScheduler::new(4, Some(PruningConfig::new(1, 3)));
+        let mut s = grid(4, Some(PruningConfig::new(1, 3)));
         for ci in 0..4 {
             s.record(ci, ci as f64);
         }
-        let pattern: Vec<bool> = (0..7).map(|_| s.plan_step().full).collect();
+        let pattern: Vec<bool> = (0..7)
+            .map(|_| {
+                let priced = s.next_step_corners();
+                let corners = plan(&mut s);
+                assert_eq!(priced, corners.len(), "pricing matches the plan");
+                corners.len() == 4
+            })
+            .collect();
         // Period 3: two pruned steps, then a full re-rank.
         assert_eq!(pattern, vec![false, false, true, false, false, true, false]);
         assert_eq!(s.stats().full_steps, 2);
@@ -1115,11 +917,11 @@ mod tests {
 
     #[test]
     fn scheduler_ties_break_by_index() {
-        let mut s = CornerScheduler::new(4, Some(PruningConfig::new(2, 100)));
+        let mut s = grid(4, Some(PruningConfig::new(2, 100)));
         for ci in 0..4 {
             s.record(ci, -1.0);
         }
-        assert_eq!(s.plan_step().corners, vec![0, 1]);
+        assert_eq!(plan(&mut s), vec![0, 1]);
     }
 
     #[test]
@@ -1131,7 +933,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least one active corner")]
     fn scheduler_rejects_a_zero_k_literal() {
-        CornerScheduler::new(4, Some(PruningConfig { k: 0, rerank_every: 10 }));
+        let config =
+            CampaignConfig { pruning: Some(PruningConfig { k: 0, rerank_every: 10 }), ..quick() };
+        SizingCampaign::new(toy(), config);
     }
 
     #[test]
@@ -1139,13 +943,12 @@ mod tests {
         // Regression: a feasibility confirmation simulates the complement
         // of the pruned set, but those slots used to go uncounted —
         // `pruned_fraction` over-stated savings on every confirmed step.
-        let mut s = CornerScheduler::new(6, Some(PruningConfig::new(2, 100)));
-        assert!(s.plan_step().full); // unranked corners force a full step
+        let mut s = grid(6, Some(PruningConfig::new(2, 100)));
+        assert_eq!(plan(&mut s).len(), 6); // unranked corners force a full step
         for ci in 0..6 {
             s.record(ci, ci as f64);
         }
-        let plan = s.plan_step();
-        assert_eq!(plan.corners.len(), 2);
+        assert_eq!(plan(&mut s).len(), 2);
         s.note_confirmation(4); // the confirmation covered the other 4
         let stats = s.stats();
         assert_eq!(stats.corners_simulated, 6 + 2 + 4);
@@ -1154,7 +957,7 @@ mod tests {
         // pruned fraction is zero.
         assert_eq!(stats.pruned_fraction(), 0.0);
         // The confirmation also reset the re-rank clock.
-        assert!(!s.plan_step().full, "fresh clock: next step prunes again");
+        assert_eq!(plan(&mut s).len(), 2, "fresh clock: next step prunes again");
     }
 
     // ---- Campaign runs --------------------------------------------------
@@ -1351,6 +1154,20 @@ mod tests {
         let y = result.yield_estimate.expect("requested yield estimate");
         assert_eq!(y.samples, 30 * 5);
         assert_eq!(result.total_sims, result.init_sims + 150);
+    }
+
+    #[test]
+    fn a_huge_yield_estimate_cannot_wrap_its_price_under_a_budget() {
+        // Regression: 30 corners × this count wrapped to a price of 14
+        // sims, so a 200-sim budget let the estimate start, and the run
+        // panicked allocating it (on the multiplication in a debug build).
+        let config = quick().with_goal(vec![100.0]).with_yield_estimate(614_891_469_123_651_721);
+        let control = CampaignControl::new().with_max_sims(200);
+        let result = SizingCampaign::new(toy(), config).run_controlled(7, &control, &mut |_| {});
+        assert!(result.success && result.steps.is_empty(), "goal must be met at seeding");
+        assert!(result.yield_estimate.is_none(), "the budget cannot pay the estimate");
+        assert_eq!(result.total_sims, result.init_sims);
+        assert!(result.total_sims <= 200);
     }
 
     #[test]

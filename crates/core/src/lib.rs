@@ -64,7 +64,7 @@ pub use cache::{
 };
 pub use campaign::{
     CampaignConfig, CampaignControl, CampaignResult, CampaignStep, CampaignTermination,
-    CornerScheduler, PruningConfig, PruningStats, SizingCampaign,
+    PruningConfig, PruningStats, SizingCampaign,
 };
 pub use engine::{EngineSpec, EvalEngine, Sequential, Threaded};
 pub use evaluation::MuSigmaEvaluation;

@@ -1,45 +1,57 @@
-//! The paper-run loop — Fig. 2 of the paper — and the two Table II
-//! baselines as configurations of it.
+//! The sizing loop — Fig. 2 and Algorithm 1 of the paper — and the
+//! paper-run configurations of it.
 //!
-//! [`GlovaOptimizer::run`] is one loop for every [`Framework`]:
+//! One crate-private loop serves every caller: [`GlovaOptimizer::run`]
+//! for GLOVA, its Table III ablations and the two Table II baselines, and
+//! [`SizingCampaign`](crate::campaign::SizingCampaign) for campaigns and
+//! served jobs. The initial designs are simulated on every corner; their
+//! worst rewards seed the worst-case replay buffer and the per-corner
+//! last-worst buffer. Then each step:
 //!
-//! 1. **Seeding** at the typical condition: TuRBO (GLOVA, PVTSizing) or
-//!    uniform random designs (RobustAnalog).
-//! 2. The initial designs are simulated across sampled mismatch
-//!    conditions on every corner; the worst rewards seed the worst-case
-//!    replay buffer and the last-worst-case (per-corner) buffer.
-//! 3. Each RL iteration: the actor proposes a design anchored at the
-//!    incumbent; the framework's corners for this iteration are simulated
-//!    under `N'` sampled mismatch conditions each; a gate (µ-σ, or every
-//!    sample passing) decides whether to attempt full verification
-//!    (Algorithm 2); the worst reward is stored and the agent trained
-//!    (Algorithm 1).
+//! 1. the actor proposes a design anchored at the incumbent, clamped to a
+//!    trust box around it;
+//! 2. the step's corners are simulated under `N'` sampled mismatch
+//!    conditions each;
+//! 3. a sign-off judges the design;
+//! 4. the worst reward is stored and the agent trained (Algorithm 1).
 //!
-//! The frameworks differ only in the pieces [`Framework`] documents per
-//! variant — RNG streams, seeding, corners per iteration, the Table III
-//! switches, and how verification feeds back — so Table II differences
-//! come from the algorithms rather than from implementation quality.
+//! The callers differ only in the initial designs, the corners per step,
+//! the sign-off, and numbers each already sets:
+//!
+//! | caller | initial designs | corners per step | sign-off |
+//! |---|---|---|---|
+//! | GLOVA | TuRBO, its prefix as one batch | the last-worst corner | µ-σ gate, then Algorithm 2 |
+//! | PVTSizing | TuRBO, one ask at a time | the full grid | every sample passing, then Algorithm 2 |
+//! | RobustAnalog | uniform random | k-means cluster leaders | as PVTSizing |
+//! | campaign | Latin hypercube | the full grid, or the `k` worst | every sample on every corner |
+//!
+//! [`Framework`] documents what sets each paper framework apart, so
+//! Table II differences come from the algorithms rather than from
+//! implementation quality; [`crate::campaign`] documents the campaign's
+//! corner pruning and goal conditioning.
 //!
 //! Every simulation batch in the loop — the TuRBO space-filling prefix,
-//! the initial corner × condition grids, the per-iteration corner ×
-//! `N'`-condition sweeps and the Algorithm-2 verification — dispatches
-//! through the [`engine`](crate::engine) layer selected by
-//! [`GlovaConfig::engine`]: [`Sequential`](crate::engine::Sequential)
-//! reproduces the reference semantics,
-//! [`Threaded`](crate::engine::Threaded) fans the same batches out over
-//! worker threads with bitwise-identical results (mismatch conditions are
-//! pre-sampled in deterministic order, reductions are order-independent).
+//! the initial corner × condition grids, the per-step corner × `N'`
+//! sweeps and the Algorithm-2 verification — dispatches through the
+//! [`engine`](crate::engine) layer selected by [`GlovaConfig::engine`]:
+//! [`Sequential`](crate::engine::Sequential) reproduces the reference
+//! semantics, [`Threaded`](crate::engine::Threaded) fans the same batches
+//! out over worker threads with bitwise-identical results (mismatch
+//! conditions are pre-sampled in deterministic order, reductions are
+//! order-independent).
 
 use crate::cache::EvalCacheConfig;
+use crate::campaign::{
+    CampaignControl, CampaignStep, CampaignTermination, CornerPolicy, CornerScheduler, PruningStats,
+};
 use crate::engine::{map_indexed, EngineSpec};
 use crate::evaluation::MuSigmaEvaluation;
 use crate::problem::{SimOutcome, SizingProblem};
 use crate::report::{IterationTrace, RunResult};
-use crate::robustanalog::{dominant_corners, RECLUSTER_EVERY};
 use crate::verification::{ReusableSamples, Verifier};
-use glova_circuits::spec::SATISFIED_REWARD;
+use glova_circuits::spec::{DesignSpec, SATISFIED_REWARD};
 use glova_circuits::Circuit;
-use glova_rl::{AgentConfig, LastWorstBuffer, RiskSensitiveAgent};
+use glova_rl::{AgentConfig, RiskSensitiveAgent};
 use glova_stats::reduce::{self, finite_worst};
 use glova_stats::rng::{forked, Rng, Rng64};
 use glova_turbo::{Turbo, TurboConfig};
@@ -52,8 +64,8 @@ use std::time::Instant;
 /// incumbent (clipped to `[0, 1]`). DDPG-style actors on bandit-shaped
 /// problems chase critic-extrapolation artifacts early in training; the
 /// clamp is a trust region on the policy output (see `docs/DESIGN.md`
-/// §5). Campaigns clamp with the same box.
-pub(crate) const PROPOSAL_CLIP: f64 = 0.2;
+/// §5).
+const PROPOSAL_CLIP: f64 = 0.2;
 
 /// The sizing framework a [`GlovaOptimizer`] runs — the rows of the
 /// paper's Table II.
@@ -266,17 +278,8 @@ impl GlovaOptimizer {
         let framework = self.config.framework;
         let [seed_stream, agent_stream, sample_stream] = framework.streams();
         let [ensemble_critic, mu_sigma, reordering] = framework.switches();
-        let mut agent_rng = forked(seed, agent_stream);
-        let mut sample_rng = forked(seed, sample_stream);
-
-        let corners = &self.problem.config().corners;
-        let all_corners: Vec<usize> = (0..corners.len()).collect();
-        let spec = self.problem.circuit().spec();
-
-        // ---- Phase 0: seeding at the typical condition ------------------
         let initial = self.seed_designs(&mut forked(seed, seed_stream));
 
-        // ---- Build the initial dataset across all corners ----------------
         let agent_config = AgentConfig {
             ensemble_size: if ensemble_critic { self.config.ensemble_size } else { 1 },
             beta1: self.config.beta1,
@@ -285,164 +288,48 @@ impl GlovaOptimizer {
             updates_per_step: self.config.updates_per_step,
             ..AgentConfig::new(self.problem.dim())
         };
+        let mut agent_rng = forked(seed, agent_stream);
         let mut agent = RiskSensitiveAgent::new(agent_config, &mut agent_rng);
-        let mut last_worst = LastWorstBuffer::new(corners.len());
-
-        // The incumbent carries *worst-case* reward semantics only.
-        let mut incumbent = (initial[0].clone(), f64::NEG_INFINITY);
-        for x in initial {
-            let (_, outcomes) = self.simulate_corners(&x, &all_corners, &mut sample_rng);
-            let (worst, _) = record_worst(&mut last_worst, &all_corners, &outcomes);
-            agent.observe(x.clone(), worst);
-            if worst > incumbent.1 {
-                incumbent = (x, worst);
+        let corners = match framework {
+            Framework::Glova { .. } => CornerPolicy::LastWorst,
+            Framework::PvtSizing => CornerPolicy::Grid(None),
+            Framework::RobustAnalog => {
+                CornerPolicy::Clusters(self.problem.config().corners.clone())
             }
-        }
-        // Behaviour-clone the fresh actor toward the incumbent so early
-        // proposals explore around it instead of an arbitrary fixed point.
-        agent.pretrain_actor_towards(&incumbent.0, 200, &mut agent_rng);
-        agent.set_proximal_target(Some(incumbent.0.clone()));
-
-        // ---- Main loop (Fig. 2 steps 1–6) ---------------------------------
-        let mut trace = Vec::new();
-        let mut verification_attempts = 0usize;
-        let mut stagnation = 0usize;
-        let mut clusters: Vec<usize> = Vec::new();
-        for iteration in 1..=self.config.max_iterations {
-            // Step 1: generate a design solution. Algorithm 1 writes
-            // `x_new = A(x_last) + noise`; anchoring `x_last` to the
-            // incumbent keeps the proposal chain from drifting (see
-            // `docs/DESIGN.md` §5), and the clip bounds the step.
-            let anchor = &incumbent.0;
-            let mut x_new = agent.propose(anchor, &mut agent_rng);
-            for (v, a) in x_new.iter_mut().zip(anchor) {
-                *v = v.clamp((a - PROPOSAL_CLIP).max(0.0), (a + PROPOSAL_CLIP).min(1.0));
-            }
-
-            // Step 2: pick this iteration's corners and sample N' mismatch
-            // conditions for each.
-            let selected = match framework {
-                Framework::Glova { .. } => vec![last_worst.worst_corner()],
-                Framework::PvtSizing => all_corners.clone(),
-                Framework::RobustAnalog => {
-                    if (iteration - 1) % RECLUSTER_EVERY == 0 {
-                        clusters = dominant_corners(corners, &last_worst, &mut sample_rng);
-                    }
-                    clusters.clone()
-                }
-            };
-
-            // Step 3: simulate.
-            let (mut conditions, mut outcomes) =
-                self.simulate_corners(&x_new, &selected, &mut sample_rng);
-            let (mut worst_reward, worst_corner) =
-                record_worst(&mut last_worst, &selected, &outcomes);
-
-            if self.config.trace {
-                let (mean, std) = agent.critic().predict_detail(&x_new);
-                trace.push(IterationTrace {
-                    iteration,
-                    critic_mean: mean,
-                    critic_bound: mean + self.config.beta1 * std,
-                    sampled_worst: worst_reward,
-                    corner_index: worst_corner,
-                });
-            }
-
-            // Step 4: µ-σ gate (or plain sample-feasibility without it).
-            // With the gate enabled, the *stored* reward is also tightened
-            // to the reward of the conservative µ-σ bounds: a design whose
-            // samples pass but whose mean+β₂σ bound violates a constraint
-            // is not yet robust and must not look like one to the critic —
-            // this grades the otherwise flat 0.2 plateau by robustness
-            // margin (Eq. 7 folded into Eq. 4, see `docs/DESIGN.md` §5).
-            let gate = if mu_sigma {
-                let eval = MuSigmaEvaluation::evaluate(spec, &outcomes.concat(), self.config.beta2);
-                worst_reward = worst_reward.min(finite_worst(spec.reward(&eval.bounds)));
-                eval.passed
-            } else {
-                worst_reward == SATISFIED_REWARD
-            };
-
-            // Step 5: full verification. GLOVA hands the verifier the
-            // samples it just simulated on its one corner.
-            if gate {
-                verification_attempts += 1;
-                let mut verifier = Verifier::new(&self.problem, self.config.beta2);
-                if !mu_sigma {
-                    verifier = verifier.without_mu_sigma();
-                }
-                if !reordering {
-                    verifier = verifier.without_reordering();
-                }
-                let reuse = match framework {
-                    Framework::Glova { .. } => Some(ReusableSamples {
-                        corner_index: selected[0],
-                        conditions: conditions.swap_remove(0),
-                        outcomes: outcomes.swap_remove(0),
-                    }),
-                    Framework::PvtSizing | Framework::RobustAnalog => None,
-                };
-                let hint = last_worst.corners_worst_first();
-                let outcome = verifier.verify(&x_new, &hint, reuse.as_ref(), &mut sample_rng);
-                for &(ci, worst) in &outcome.per_corner_worst {
-                    last_worst.record(ci, finite_worst(worst));
-                }
-                if outcome.passed {
-                    return RunResult {
-                        success: true,
-                        rl_iterations: iteration,
-                        simulations: self.problem.simulations(),
-                        verification_attempts,
-                        wall_time: start.elapsed(),
-                        final_design: Some(x_new),
-                        trace,
-                    };
-                }
-                // GLOVA folds the failed verification into this
-                // iteration's stored observation: first the iteration
-                // corner's own entries, then the overall verified worst.
-                // The first fold is not redundant — the overall worst of a
-                // batch holding a diverged (NaN) corner sanitizes to
-                // DIVERGED_REWARD and would hide a corner reward below it.
-                if let Framework::Glova { .. } = framework {
-                    for &(ci, worst) in &outcome.per_corner_worst {
-                        if ci == selected[0] {
-                            worst_reward = worst_reward.min(finite_worst(worst));
-                        }
-                    }
-                    let verified_worst =
-                        reduce::worst(outcome.per_corner_worst.iter().map(|w| w.1));
-                    worst_reward = worst_reward.min(finite_worst(verified_worst));
-                }
-            }
-
-            // Step 6: store the worst reward; update the agent.
-            agent.observe(x_new.clone(), worst_reward);
-            if worst_reward > incumbent.1 {
-                incumbent = (x_new, worst_reward);
-                agent.set_proximal_target(Some(incumbent.0.clone()));
-                stagnation = 0;
-            } else {
-                stagnation += 1;
-                // Exploration restart: a long streak without incumbent
-                // improvement means the local neighbourhood is exhausted.
-                if stagnation >= 60 {
-                    agent.reset_noise(0.12);
-                    stagnation = 0;
-                }
-            }
-            agent.train_step(&mut agent_rng);
-        }
-
+        };
+        let sizing = SizingLoop {
+            problem: &self.problem,
+            spec: self.problem.circuit().spec(),
+            goal_obs: &[],
+            corners,
+            sign_off: SignOff::Algorithm2 {
+                beta2: self.config.beta2,
+                mu_sigma,
+                reordering,
+                reuse: matches!(framework, Framework::Glova { .. }),
+            },
+            max_steps: self.config.max_iterations,
+            pretrain_steps: 200,
+            stagnation_restart: 60,
+            trace: self.config.trace,
+        };
+        let out = sizing.run(
+            &initial,
+            &mut agent,
+            &mut agent_rng,
+            &mut forked(seed, sample_stream),
+            &CampaignControl::new(),
+            &mut |_| {},
+        );
+        let success = out.final_design.is_some();
         RunResult {
-            success: false,
-            rl_iterations: self.config.max_iterations,
+            success,
+            rl_iterations: if success { out.steps.len() } else { self.config.max_iterations },
             simulations: self.problem.simulations(),
-            verification_attempts,
+            verification_attempts: out.verification_attempts,
             wall_time: start.elapsed(),
-            final_design: None,
-            trace,
+            final_design: out.final_design,
+            trace: out.trace,
         }
     }
 
@@ -509,41 +396,360 @@ impl GlovaOptimizer {
         }
         initial
     }
-
-    /// Samples `N'` shared-die conditions for each selected corner and
-    /// simulates them in one engine dispatch. The RNG is consumed
-    /// corner-major *before* dispatch — the engine-parity invariant.
-    fn simulate_corners(
-        &self,
-        x: &[f64],
-        selected: &[usize],
-        rng: &mut Rng64,
-    ) -> (Vec<Vec<MismatchVector>>, Vec<Vec<SimOutcome>>) {
-        let n_prime = self.problem.config().optim_samples;
-        let conditions: Vec<Vec<MismatchVector>> =
-            selected.iter().map(|_| self.problem.sample_conditions(x, n_prime, rng)).collect();
-        let outcomes = self.problem.simulate_selected_corners(x, selected, &conditions);
-        (conditions, outcomes)
-    }
 }
 
-/// Records each selected corner's worst reward (NaN-sanitized) and
-/// returns the overall worst with the corner it came from.
-fn record_worst(
-    last_worst: &mut LastWorstBuffer,
-    selected: &[usize],
-    outcomes: &[Vec<SimOutcome>],
-) -> (f64, usize) {
-    let mut overall = (f64::INFINITY, selected[0]);
-    for (&ci, corner_outcomes) in selected.iter().zip(outcomes) {
-        let worst = finite_worst(reduce::worst(corner_outcomes.iter().map(|o| o.reward)));
-        last_worst.record(ci, worst);
-        if worst < overall.0 {
-            overall.1 = ci;
+/// How the [`SizingLoop`] signs a design off. Each variant also fixes
+/// what a pass does to the run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SignOff {
+    /// Every `N'` sample on every corner meets the spec: the step's own
+    /// corners, then the corners a pruned step skipped (campaigns). It
+    /// judges the initial designs too; a signed-off initial design skips
+    /// pretraining, and a signed-off step is still stored and trained on.
+    Grid,
+    /// A gate on the step's samples, then Algorithm 2 against the
+    /// circuit's own spec (paper runs; no caller pairs it with a goal). A
+    /// verified design ends the run before it is stored or trained on.
+    Algorithm2 {
+        /// Reliability factor β₂ of the µ-σ evaluation.
+        beta2: f64,
+        /// Gate on the µ-σ bounds and tighten the stored reward to them;
+        /// off, the gate is every sample passing.
+        mu_sigma: bool,
+        /// Simulation reordering inside Algorithm 2.
+        reordering: bool,
+        /// Hand Algorithm 2 the step's samples on its one corner, and fold
+        /// a failed verification into the stored reward (GLOVA).
+        reuse: bool,
+    },
+}
+
+/// The sizing loop of the [module docs](self), configured by a caller.
+pub(crate) struct SizingLoop<'a> {
+    pub(crate) problem: &'a SizingProblem,
+    /// The spec rewards are judged against: the circuit's, or a goal's.
+    pub(crate) spec: &'a DesignSpec,
+    /// Appended to every design the agent sees (empty without a goal).
+    pub(crate) goal_obs: &'a [f64],
+    pub(crate) corners: CornerPolicy,
+    pub(crate) sign_off: SignOff,
+    pub(crate) max_steps: usize,
+    /// Behaviour-cloning steps pulling the fresh actor toward the best
+    /// initial design.
+    pub(crate) pretrain_steps: usize,
+    /// Steps without incumbent improvement before the exploration noise
+    /// restarts.
+    pub(crate) stagnation_restart: usize,
+    /// Record the reliability-bound trace (Fig. 3).
+    pub(crate) trace: bool,
+}
+
+/// What one run of the [`SizingLoop`] produced.
+pub(crate) struct LoopOutcome {
+    /// The signed-off design, if any.
+    pub(crate) final_design: Option<Vec<f64>>,
+    /// The incumbent and its worst-case reward; `None` when the control
+    /// stopped the run before the first initial design.
+    pub(crate) best: Option<(Vec<f64>, f64)>,
+    pub(crate) steps: Vec<CampaignStep>,
+    /// Simulations spent on the initial designs.
+    pub(crate) init_sims: u64,
+    /// Simulations spent when the design was signed off.
+    pub(crate) sims_to_success: Option<u64>,
+    pub(crate) termination: CampaignTermination,
+    pub(crate) pruning: PruningStats,
+    pub(crate) verification_attempts: usize,
+    pub(crate) trace: Vec<IterationTrace>,
+}
+
+/// One corner sweep's samples and their reduction under the loop's spec.
+struct Sweep {
+    conditions: Vec<Vec<MismatchVector>>,
+    outcomes: Vec<Vec<SimOutcome>>,
+    /// The worst reward over the swept corners (NaN-sanitized) and the
+    /// corner it came from.
+    worst: f64,
+    worst_corner: usize,
+    /// Samples that met the spec, out of `trials`.
+    passes: u64,
+    trials: u64,
+}
+
+impl SizingLoop<'_> {
+    /// Runs the loop from `initial` designs. `agent` may carry experience
+    /// from earlier runs (a campaign family shares one); `agent_rng`
+    /// drives proposals and training, `sample_rng` the mismatch samples
+    /// and the corner policy. `control` is checked before every dispatch
+    /// it can price, and `on_step` sees each step's record as it
+    /// completes.
+    pub(crate) fn run(
+        &self,
+        initial: &[Vec<f64>],
+        agent: &mut RiskSensitiveAgent,
+        agent_rng: &mut Rng64,
+        sample_rng: &mut Rng64,
+        control: &CampaignControl,
+        on_step: &mut dyn FnMut(&CampaignStep),
+    ) -> LoopOutcome {
+        let problem = self.problem;
+        let sims_start = problem.simulations();
+        let spent = || problem.simulations() - sims_start;
+        let n_corners = problem.config().corners.len();
+        let n_prime = problem.config().optim_samples as u64;
+        let all_corners: Vec<usize> = (0..n_corners).collect();
+        let mut scheduler = CornerScheduler::new(n_corners, self.corners.clone());
+        let obs = |x: &[f64]| -> Vec<f64> { x.iter().chain(self.goal_obs).copied().collect() };
+        let mut out = LoopOutcome {
+            final_design: None,
+            best: None,
+            steps: Vec::new(),
+            init_sims: 0,
+            sims_to_success: None,
+            termination: CampaignTermination::Completed,
+            pruning: PruningStats::default(),
+            verification_attempts: 0,
+            trace: Vec::new(),
+        };
+
+        // ---- Initial designs on the full grid ----------------------------
+        // Ranks every corner and fills the replay buffer with genuine
+        // worst-case rewards before any step.
+        let mut best: Option<(Vec<f64>, f64)> = None;
+        for x in initial {
+            if let Some(t) = control.interruption(spent(), n_corners as u64 * n_prime) {
+                out.termination = t;
+                break;
+            }
+            let worst = self.sweep(x, &all_corners, &mut scheduler, sample_rng).worst;
+            agent.observe(obs(x), worst);
+            if best.as_ref().is_none_or(|(_, r)| worst > *r) {
+                best = Some((x.clone(), worst));
+            }
         }
-        overall.0 = overall.0.min(worst);
+        out.init_sims = spent();
+        let Some(mut best) = best else {
+            return out;
+        };
+        if matches!(self.sign_off, SignOff::Grid) && best.1 >= SATISFIED_REWARD {
+            // Signed off before any step, even if the control cut later
+            // initial designs short; the agent is left untouched.
+            out.final_design = Some(best.0.clone());
+            out.sims_to_success = Some(out.init_sims);
+            out.termination = CampaignTermination::Completed;
+        } else if out.termination == CampaignTermination::Completed {
+            // Behaviour-clone the fresh actor toward the incumbent so early
+            // proposals explore around it instead of an arbitrary point.
+            agent.pretrain_actor_towards(&best.0, self.pretrain_steps, agent_rng);
+            agent.set_proximal_target(Some(best.0.clone()));
+        }
+
+        // ---- Steps (Fig. 2 steps 1–6) ------------------------------------
+        let mut stagnation = 0usize;
+        for step in 1..=self.max_steps {
+            if out.final_design.is_some() || out.termination != CampaignTermination::Completed {
+                break;
+            }
+            // Price the step before taking it: pricing moves no counter and
+            // draws no sample, so an untaken step disturbs nothing.
+            let cost = scheduler.next_step_corners() as u64 * n_prime;
+            if let Some(t) = control.interruption(spent(), cost) {
+                out.termination = t;
+                break;
+            }
+            let t0 = Instant::now();
+            let sims_before = problem.simulations();
+
+            // Step 1: generate a design. Algorithm 1 writes
+            // `x_new = A(x_last) + noise`; anchoring `x_last` to the
+            // incumbent keeps the proposal chain from drifting (see
+            // `docs/DESIGN.md` §5), and the clip bounds the step.
+            let anchor = &best.0;
+            let mut x_new = agent.propose(&obs(anchor), agent_rng);
+            for (v, a) in x_new.iter_mut().zip(anchor) {
+                *v = v.clamp((a - PROPOSAL_CLIP).max(0.0), (a + PROPOSAL_CLIP).min(1.0));
+            }
+
+            // Steps 2–3: simulate this step's corners.
+            let corners = scheduler.plan_step(sample_rng);
+            let mut sweep = self.sweep(&x_new, &corners, &mut scheduler, sample_rng);
+            let mut worst = sweep.worst;
+            if self.trace {
+                let (mean, std) = agent.critic().predict_detail(&obs(&x_new));
+                out.trace.push(IterationTrace {
+                    iteration: step,
+                    critic_mean: mean,
+                    critic_bound: mean + agent.config().beta1 * std,
+                    sampled_worst: worst,
+                    corner_index: sweep.worst_corner,
+                });
+            }
+            let (mut passes, mut trials) = (sweep.passes, sweep.trials);
+            let mut full_grid = corners.len() == n_corners;
+
+            // Steps 4–5: sign-off.
+            let verified = match self.sign_off {
+                SignOff::Grid => {
+                    // Pruning must not weaken the success criterion, so the
+                    // skipped corners are confirmed before success; their
+                    // worst rewards refresh the ranking either way.
+                    if worst >= SATISFIED_REWARD && !full_grid {
+                        let rest: Vec<usize> =
+                            (0..n_corners).filter(|ci| !corners.contains(ci)).collect();
+                        let rest_cost = rest.len() as u64 * n_prime;
+                        if let Some(t) = control.interruption(spent(), rest_cost) {
+                            // Unpaid, the candidate stays unconfirmed.
+                            out.termination = t;
+                        } else {
+                            let rest_sweep = self.sweep(&x_new, &rest, &mut scheduler, sample_rng);
+                            worst = worst.min(rest_sweep.worst);
+                            passes += rest_sweep.passes;
+                            trials += rest_sweep.trials;
+                            scheduler.note_confirmation(rest.len());
+                            full_grid = true;
+                        }
+                    }
+                    if worst >= SATISFIED_REWARD && full_grid {
+                        out.final_design = Some(x_new.clone());
+                    }
+                    false
+                }
+                SignOff::Algorithm2 { beta2, mu_sigma, reordering, reuse } => {
+                    // The µ-σ gate also tightens the stored reward to the
+                    // reward of the µ-σ bounds: a design whose samples pass
+                    // but whose mean+β₂σ bound violates a constraint is not
+                    // yet robust and must not look like one to the critic
+                    // (Eq. 7 folded into Eq. 4, see `docs/DESIGN.md` §5).
+                    let gate = if mu_sigma {
+                        let samples = sweep.outcomes.concat();
+                        let eval = MuSigmaEvaluation::evaluate(self.spec, &samples, beta2);
+                        worst = worst.min(finite_worst(self.spec.reward(&eval.bounds)));
+                        eval.passed
+                    } else {
+                        worst == SATISFIED_REWARD
+                    };
+                    gate && {
+                        out.verification_attempts += 1;
+                        let mut verifier = Verifier::new(problem, beta2);
+                        if !mu_sigma {
+                            verifier = verifier.without_mu_sigma();
+                        }
+                        if !reordering {
+                            verifier = verifier.without_reordering();
+                        }
+                        let reused = reuse.then(|| ReusableSamples {
+                            corner_index: corners[0],
+                            conditions: sweep.conditions.swap_remove(0),
+                            outcomes: sweep.outcomes.swap_remove(0),
+                        });
+                        let hint = scheduler.corners_worst_first();
+                        let verdict = verifier.verify(&x_new, &hint, reused.as_ref(), sample_rng);
+                        for &(ci, w) in &verdict.per_corner_worst {
+                            scheduler.record(ci, finite_worst(w));
+                        }
+                        // GLOVA folds a failed verification into the stored
+                        // reward: first the step corner's own entries, then
+                        // the overall verified worst. The first fold is not
+                        // redundant — the overall worst of a batch holding a
+                        // diverged (NaN) corner sanitizes to DIVERGED_REWARD
+                        // and would hide a corner reward below it.
+                        if reuse && !verdict.passed {
+                            for &(ci, w) in &verdict.per_corner_worst {
+                                if ci == corners[0] {
+                                    worst = worst.min(finite_worst(w));
+                                }
+                            }
+                            let verified_worst =
+                                reduce::worst(verdict.per_corner_worst.iter().map(|w| w.1));
+                            worst = worst.min(finite_worst(verified_worst));
+                        }
+                        verdict.passed
+                    }
+                }
+            };
+
+            if verified {
+                out.final_design = Some(x_new);
+            } else {
+                // Step 6: store the worst reward, update the incumbent,
+                // train.
+                agent.observe(obs(&x_new), worst);
+                if worst > best.1 {
+                    best = (x_new, worst);
+                    agent.set_proximal_target(Some(best.0.clone()));
+                    stagnation = 0;
+                } else {
+                    stagnation += 1;
+                    // Exploration restart: a long streak without incumbent
+                    // improvement means the neighbourhood is exhausted.
+                    if stagnation >= self.stagnation_restart {
+                        agent.reset_noise(0.12);
+                        stagnation = 0;
+                    }
+                }
+                agent.train_step(agent_rng);
+            }
+            let record = CampaignStep {
+                step,
+                active_corners: corners.len(),
+                corner_count: n_corners,
+                sims: problem.simulations() - sims_before,
+                worst_reward: worst,
+                best_reward: best.1,
+                pass_fraction: if trials == 0 { 0.0 } else { passes as f64 / trials as f64 },
+                full_grid,
+                wall: t0.elapsed(),
+            };
+            on_step(&record);
+            out.steps.push(record);
+            if out.final_design.is_some() {
+                out.sims_to_success = Some(spent());
+            }
+        }
+        out.best = Some(best);
+        out.pruning = scheduler.stats().clone();
+        out
     }
-    overall
+
+    /// Samples `N'` conditions on each of `corners` — corner-major and
+    /// before dispatch, the engine-parity invariant — simulates them in
+    /// one engine dispatch, and records each corner's worst reward.
+    fn sweep(
+        &self,
+        x: &[f64],
+        corners: &[usize],
+        scheduler: &mut CornerScheduler,
+        rng: &mut Rng64,
+    ) -> Sweep {
+        let n_prime = self.problem.config().optim_samples;
+        let conditions: Vec<Vec<MismatchVector>> =
+            corners.iter().map(|_| self.problem.sample_conditions(x, n_prime, rng)).collect();
+        let outcomes = self.problem.simulate_selected_corners(x, corners, &conditions);
+        let mut sweep = Sweep {
+            conditions,
+            outcomes: Vec::new(),
+            worst: f64::INFINITY,
+            worst_corner: corners[0],
+            passes: 0,
+            trials: 0,
+        };
+        for (&ci, corner_outcomes) in corners.iter().zip(&outcomes) {
+            // Rewards are re-derived from the metrics under the loop's
+            // spec: a cached `SimOutcome` carries the circuit spec's
+            // reward, which a goal does not share.
+            let rewards = corner_outcomes.iter().map(|o| self.spec.reward(&o.metrics));
+            let worst = finite_worst(reduce::worst(rewards));
+            scheduler.record(ci, worst);
+            if worst < sweep.worst {
+                sweep.worst_corner = ci;
+            }
+            sweep.worst = sweep.worst.min(worst);
+            sweep.trials += corner_outcomes.len() as u64;
+            sweep.passes +=
+                corner_outcomes.iter().filter(|o| self.spec.satisfied(&o.metrics)).count() as u64;
+        }
+        sweep.outcomes = outcomes;
+        sweep
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! RobustAnalog's corner policy — the one piece of
 //! [`Framework::RobustAnalog`](crate::optimizer::Framework::RobustAnalog)
-//! the paper-run loop does not share with the other frameworks.
+//! the sizing loop does not share with the other frameworks.
 //!
 //! Corners are tasks, clustered with k-means on their last worst reward
 //! and operating condition; each iteration simulates the worst corner of
@@ -13,7 +13,7 @@ use glova_stats::rng::Rng64;
 use glova_variation::corner::CornerSet;
 
 /// Number of corner clusters (dominant corners per iteration).
-const CLUSTERS: usize = 4;
+pub(crate) const CLUSTERS: usize = 4;
 
 /// The corners are re-clustered every this many iterations.
 pub(crate) const RECLUSTER_EVERY: usize = 25;

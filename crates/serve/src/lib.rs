@@ -63,8 +63,8 @@
 
 use glova::cache::{CacheRegistry, EvalCache};
 use glova::campaign::{
-    check_goal_factors, CampaignConfig, CampaignControl, CampaignResult, CampaignStep,
-    CampaignTermination, SizingCampaign,
+    CampaignConfig, CampaignControl, CampaignResult, CampaignStep, CampaignTermination,
+    SizingCampaign,
 };
 use glova::engine::EngineSpec;
 use glova::fault::FaultPlan;
@@ -563,12 +563,10 @@ impl CampaignServer {
     ///
     /// [`ServeError::InvalidRequest`] for shapes the circuit
     /// constructors reject, an engine with more workers than the host's
-    /// available parallelism (`EngineSpec::Threaded(0)`'s sizing), an
-    /// empty seeding phase, or agent settings the agent cannot train
-    /// with (no critic base, a zero hidden width, a zero batch), a
-    /// pruning schedule with a zero `k` or re-rank cadence, a yield
-    /// estimate whose confidence lies outside `(0, 1)`, or goal factors
-    /// that fail [`check_goal_factors`] against the circuit's metrics;
+    /// available parallelism (`EngineSpec::Threaded(0)`'s sizing), or a
+    /// configuration that fails [`CampaignConfig::check`] against the
+    /// circuit's metrics — checked here, so a bad request fails before it
+    /// queues or pays for a simulation;
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// has begun (checked under the queue lock, so a submit racing a
     /// concurrent shutdown either lands in the drain or fails fast —
@@ -578,46 +576,16 @@ impl CampaignServer {
     pub fn submit(&self, request: SizingRequest) -> Result<JobId, ServeError> {
         request.circuit.validate()?;
         let config = &request.config;
-        let invalid = |why: &str| Err(ServeError::InvalidRequest(why.into()));
         // Every dispatch of a threaded engine spawns up to its worker
         // count in scoped threads, on batches the request sizes itself
         // (a yield grid is corners × `yield_samples`): an unchecked count
         // would let one request spawn tens of thousands of threads on a
         // fleet worker.
         if config.engine.resolved_workers() > EngineSpec::Threaded(0).resolved_workers() {
-            return invalid("engine workers must not exceed the host's available parallelism");
+            let why = "engine workers must not exceed the host's available parallelism";
+            return Err(ServeError::InvalidRequest(why.into()));
         }
-        if config.init_designs == 0 {
-            return invalid("init_designs must be positive");
-        }
-        // The agent would panic on the first two; a zero batch would train
-        // nothing while the job spends its whole budget.
-        if config.ensemble_size == 0 {
-            return invalid("ensemble_size must be positive");
-        }
-        if config.hidden.contains(&0) {
-            return invalid("hidden widths must be positive");
-        }
-        if config.batch_size == 0 {
-            return invalid("batch_size must be positive");
-        }
-        // The fields are public, so a literal can bypass the contract
-        // `PruningConfig::new` asserts; a zero `k` would run pruned steps
-        // that simulate no corner.
-        if config.pruning.as_ref().is_some_and(|p| p.k == 0 || p.rerank_every == 0) {
-            return invalid("pruning k and rerank_every must be positive");
-        }
-        // Checked up front: an out-of-range confidence would otherwise
-        // fail the job only after it paid for its yield sims.
-        if config.yield_samples > 0
-            && !(config.yield_confidence > 0.0 && config.yield_confidence < 1.0)
-        {
-            return invalid("yield_confidence must be in (0, 1)");
-        }
-        if let Some(factors) = &config.goal_factors {
-            check_goal_factors(factors, request.circuit.metric_count())
-                .map_err(ServeError::InvalidRequest)?;
-        }
+        config.check(request.circuit.metric_count()).map_err(ServeError::InvalidRequest)?;
         let mut control = CampaignControl::new();
         if let Some(max_sims) = request.budget.max_sims {
             control = control.with_max_sims(max_sims);
@@ -1055,6 +1023,25 @@ mod tests {
         let id = server.submit(good).expect("a well-formed goal is accepted");
         assert_eq!(server.wait(id).unwrap().status, JobStatus::Done);
         assert_eq!(server.shutdown().queue_high_water, 1);
+    }
+
+    #[test]
+    fn a_huge_yield_estimate_respects_the_job_budget() {
+        // Regression: the estimate's price wrapped to 14 sims, so the job
+        // started it under a 200-sim budget and failed on the allocation.
+        let mut request = quick_request(1).with_budget(JobBudget::unlimited().with_max_sims(200));
+        request.config = request
+            .config
+            .with_goal(vec![100.0, 0.01, 100.0])
+            .with_yield_estimate(614_891_469_123_651_721);
+        let server = CampaignServer::new(1);
+        let id = server.submit(request).unwrap();
+        let done = server.wait(id).unwrap();
+        assert_eq!(done.status, JobStatus::Done, "{:?}", done.error);
+        let result = done.result.expect("done job carries its result");
+        assert!(result.success && result.yield_estimate.is_none());
+        assert!(result.total_sims <= 200);
+        server.shutdown();
     }
 
     #[test]
