@@ -225,7 +225,7 @@ impl CornerScheduler {
             CornerPolicy::Grid(_) => (0..n).collect(),
         };
         let full = corners.len() == n;
-        self.since_refresh = match self.policy {
+        self.since_refresh = match &self.policy {
             CornerPolicy::Clusters(_) => (self.since_refresh + 1) % RECLUSTER_EVERY,
             _ if full => 0,
             _ => self.since_refresh + 1,

@@ -19,8 +19,9 @@
 //!   points (results stay bitwise-identical with the cache on or off);
 //! - the **optimization phase** ([`optimizer`]) — TuRBO initial sampling
 //!   followed by the risk-sensitive RL loop of Algorithm 1 / Fig. 2, with
-//!   the Table II baselines (PVTSizing, RobustAnalog) as configurations of
-//!   the same loop ([`Framework`]);
+//!   the Table II baselines (PVTSizing, RobustAnalog, [`Framework`]) and
+//!   the end-to-end sizing campaigns ([`campaign`]) as configurations of
+//!   the same loop;
 //! - the **verification phase** ([`verification`]) — Algorithm 2:
 //!   [µ-σ evaluation](evaluation) (Eq. 7) and
 //!   [simulation reordering](reorder) (t-SCORE, Eq. 8; h-SCORE,

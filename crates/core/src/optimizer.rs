@@ -627,7 +627,7 @@ impl SizingLoop<'_> {
                     } else {
                         worst == SATISFIED_REWARD
                     };
-                    gate && {
+                    if gate {
                         out.verification_attempts += 1;
                         let mut verifier = Verifier::new(problem, beta2);
                         if !mu_sigma {
@@ -663,6 +663,8 @@ impl SizingLoop<'_> {
                             worst = worst.min(finite_worst(verified_worst));
                         }
                         verdict.passed
+                    } else {
+                        false
                     }
                 }
             };
