@@ -277,10 +277,10 @@ impl SizingProblem {
     /// in **one** engine dispatch, returning outcomes grouped per selected
     /// corner in the given order.
     ///
-    /// This is the one corner-batch path: a campaign policy step's
-    /// candidate × active-corner × mismatch grid ([`crate::campaign`]), a
-    /// paper-run iteration's corners ([`crate::optimizer`]) and the yield
-    /// grid each flatten into a single [`map_indexed`] batch, so a
+    /// This is the one corner-batch path: a sizing-loop step's
+    /// candidate × corner × mismatch grid ([`crate::optimizer`], for paper
+    /// runs and campaigns alike) and the yield grid each flatten into a
+    /// single [`map_indexed`] batch, so a
     /// threaded engine keeps its per-worker SPICE solvers hot instead of
     /// draining between per-corner mini-batches. Conditions are sampled by
     /// the caller *before* dispatch (the engine-parity invariant); results
