@@ -4,6 +4,12 @@
 //! every transient time step; the matrices are unsymmetric (voltage-source
 //! branch equations), so Cholesky does not apply and LU with partial
 //! pivoting is the workhorse.
+//!
+//! Elimination and both substitutions run over row slices of the packed
+//! factor, and the pivot scales live in the factorization, so a
+//! [`Lu::refactor`] allocates nothing. Each entry sees the same IEEE-754
+//! operations in the same order as the index-based loops they replaced,
+//! which the unit tests keep as bitwise oracles.
 
 use crate::{LinalgError, Matrix};
 
@@ -16,6 +22,10 @@ pub struct Lu {
     lu: Matrix,
     perm: Vec<usize>,
     sign: f64,
+    /// Pivot scale of each row in its current position: the row's
+    /// largest original magnitude, or 1 for an all-zero row. Kept so a
+    /// refactor reuses it.
+    scale: Vec<f64>,
 }
 
 impl Lu {
@@ -45,7 +55,8 @@ impl Lu {
             return Err(LinalgError::DimensionMismatch { context: "lu of non-square matrix" });
         }
         let n = a.rows();
-        let mut this = Self { lu: a.clone(), perm: (0..n).collect(), sign: 1.0 };
+        let mut this =
+            Self { lu: a.clone(), perm: (0..n).collect(), sign: 1.0, scale: Vec::with_capacity(n) };
         this.eliminate()?;
         Ok(this)
     }
@@ -76,23 +87,33 @@ impl Lu {
     }
 
     /// Scaled-partial-pivoting elimination over `self.lu` (which holds the
-    /// original matrix on entry and the packed `L`/`U` factors on success).
+    /// original matrix on entry and the packed `L`/`U` factors on success),
+    /// one row slice at a time.
     fn eliminate(&mut self) -> Result<(), LinalgError> {
         let n = self.lu.rows();
-        let lu = &mut self.lu;
-
+        if n == 0 {
+            return Ok(());
+        }
+        let lu = self.lu.as_mut_slice();
         // Scale factors for scaled partial pivoting: more robust for the
-        // badly scaled MNA matrices (conductances span ~1e-12..1e3).
-        let scale: Vec<f64> =
-            (0..n).map(|i| lu.row(i).iter().fold(0.0f64, |m, v| m.max(v.abs()))).collect();
+        // badly scaled MNA matrices (conductances span ~1e-12..1e3). The
+        // buffer follows its row through every swap.
+        self.scale.clear();
+        self.scale.extend(lu.chunks_exact(n).map(|row| {
+            let s = row.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            if s > 0.0 {
+                s
+            } else {
+                1.0
+            }
+        }));
 
         for k in 0..n {
             // Find pivot row.
             let mut pivot_row = k;
             let mut best = 0.0;
             for i in k..n {
-                let s = if scale[self.perm[i]] > 0.0 { scale[self.perm[i]] } else { 1.0 };
-                let mag = lu[(i, k)].abs() / s;
+                let mag = lu[i * n + k].abs() / self.scale[i];
                 if mag > best {
                     best = mag;
                     pivot_row = i;
@@ -106,24 +127,25 @@ impl Lu {
             // guaranteed nonzero-safe to reject before the division
             // below; an all-zero row (scale substituted by 1.0) fails
             // both floors.
-            if lu[(pivot_row, k)].abs() < Self::SINGULARITY_EPS && best < Self::SINGULARITY_EPS {
+            if lu[pivot_row * n + k].abs() < Self::SINGULARITY_EPS && best < Self::SINGULARITY_EPS {
                 return Err(LinalgError::Singular { index: k });
             }
             if pivot_row != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
-                }
+                let (upper, lower) = lu.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 self.perm.swap(k, pivot_row);
+                self.scale.swap(k, pivot_row);
                 self.sign = -self.sign;
             }
-            let pivot = lu[(k, k)];
-            for i in k + 1..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                for j in k + 1..n {
-                    lu[(i, j)] -= factor * lu[(k, j)];
+            let (upper, lower) = lu.split_at_mut((k + 1) * n);
+            let pivot_row = &upper[k * n..];
+            let pivot = pivot_row[k];
+            let u = &pivot_row[k + 1..];
+            for row in lower.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                for (target, &uj) in row[k + 1..].iter_mut().zip(u) {
+                    *target -= factor * uj;
                 }
             }
         }
@@ -155,7 +177,91 @@ impl Lu {
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) {
         let n = self.dim();
         assert_eq!(b.len(), n, "rhs length mismatch");
-        // Apply permutation, then forward/backward substitution.
+        // Apply permutation, then forward/backward substitution, each
+        // row's sum accumulated in ascending column order.
+        x.clear();
+        x.extend(self.perm.iter().map(|&p| b[p]));
+        let lu = self.lu.as_slice();
+        for i in 1..n {
+            let (solved, rest) = x.split_at_mut(i);
+            let mut sum = rest[0];
+            for (l, xk) in lu[i * n..i * n + i].iter().zip(solved.iter()) {
+                sum -= l * xk;
+            }
+            rest[0] = sum;
+        }
+        for i in (0..n).rev() {
+            let (head, solved) = x.split_at_mut(i + 1);
+            let row = &lu[i * n..(i + 1) * n];
+            let mut sum = head[i];
+            for (u, xk) in row[i + 1..].iter().zip(solved.iter()) {
+                sum -= u * xk;
+            }
+            head[i] = sum / row[i];
+        }
+    }
+
+    /// Determinant of the original matrix.
+    pub fn determinant(&self) -> f64 {
+        self.sign * (0..self.dim()).map(|i| self.lu[(i, i)]).product::<f64>()
+    }
+}
+
+/// The index-based elimination and substitutions the row-slice kernels
+/// replaced — the bitwise oracles of the unit tests.
+#[cfg(test)]
+impl Lu {
+    /// [`Lu::factor`] through the index-based elimination (pivot scales
+    /// recomputed per call and read through the permutation).
+    fn factor_indexed(a: &Matrix) -> Result<Self, LinalgError> {
+        let n = a.rows();
+        let mut this = Self { lu: a.clone(), perm: (0..n).collect(), sign: 1.0, scale: Vec::new() };
+        this.eliminate_indexed()?;
+        Ok(this)
+    }
+
+    fn eliminate_indexed(&mut self) -> Result<(), LinalgError> {
+        let n = self.lu.rows();
+        let lu = &mut self.lu;
+        let scale: Vec<f64> =
+            (0..n).map(|i| lu.row(i).iter().fold(0.0f64, |m, v| m.max(v.abs()))).collect();
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut best = 0.0;
+            for i in k..n {
+                let s = if scale[self.perm[i]] > 0.0 { scale[self.perm[i]] } else { 1.0 };
+                let mag = lu[(i, k)].abs() / s;
+                if mag > best {
+                    best = mag;
+                    pivot_row = i;
+                }
+            }
+            if lu[(pivot_row, k)].abs() < Self::SINGULARITY_EPS && best < Self::SINGULARITY_EPS {
+                return Err(LinalgError::Singular { index: k });
+            }
+            if pivot_row != k {
+                for j in 0..n {
+                    let tmp = lu[(k, j)];
+                    lu[(k, j)] = lu[(pivot_row, j)];
+                    lu[(pivot_row, j)] = tmp;
+                }
+                self.perm.swap(k, pivot_row);
+                self.sign = -self.sign;
+            }
+            let pivot = lu[(k, k)];
+            for i in k + 1..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                for j in k + 1..n {
+                    lu[(i, j)] -= factor * lu[(k, j)];
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn solve_into_indexed(&self, b: &[f64], x: &mut Vec<f64>) {
+        let n = self.dim();
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
         for i in 1..n {
@@ -173,17 +279,47 @@ impl Lu {
             x[i] = sum / self.lu[(i, i)];
         }
     }
-
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        self.sign * (0..self.dim()).map(|i| self.lu[(i, i)]).product::<f64>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random `n × n` matrix with zero entries: an entry vanishes
+    /// where its `zeros` draw is below 0.3, a diagonal entry where its
+    /// `zero_diag` draw is below 0.4 (forcing row swaps), and a
+    /// `copy_row` in `1..n` duplicates row 0 there, which makes most such
+    /// matrices singular.
+    fn random_matrix(
+        n: usize,
+        entries: &[f64],
+        zeros: &[f64],
+        zero_diag: &[f64],
+        copy_row: usize,
+    ) -> Matrix {
+        let mut a =
+            Matrix::from_fn(
+                n,
+                n,
+                |i, j| if zeros[i * n + j] < 0.3 { 0.0 } else { entries[i * n + j] },
+            );
+        for i in 0..n {
+            if zero_diag[i] < 0.4 {
+                a[(i, i)] = 0.0;
+            }
+        }
+        if (1..n).contains(&copy_row) {
+            for j in 0..n {
+                a[(copy_row, j)] = a[(0, j)];
+            }
+        }
+        a
+    }
 
     #[test]
     fn solve_2x2() {
@@ -301,6 +437,44 @@ mod tests {
     }
 
     proptest! {
+        // The row-slice elimination and substitutions agree with the
+        // index-based oracle bit for bit: packed factors, permutation,
+        // sign and solutions, and a singular input fails at the same
+        // step. A refactor over a factorization of another matrix runs
+        // the same kernel.
+        #[test]
+        fn prop_row_slice_kernels_match_indexed_oracle(
+            n in 1usize..8,
+            entries in proptest::collection::vec(-10.0f64..10.0, 49),
+            zeros in proptest::collection::vec(0.0f64..1.0, 49),
+            zero_diag in proptest::collection::vec(0.0f64..1.0, 7),
+            copy_row in 0usize..24,
+            rhs in proptest::collection::vec(-10.0f64..10.0, 7),
+        ) {
+            let a = random_matrix(n, &entries, &zeros, &zero_diag, copy_row);
+            let oracle = Lu::factor_indexed(&a);
+            let mut refactored = Matrix::identity(n).lu().unwrap();
+            let refactor = refactored.refactor(&a);
+            match (Lu::factor(&a), oracle) {
+                (Ok(fast), Ok(slow)) => {
+                    prop_assert_eq!(bits(fast.lu.as_slice()), bits(slow.lu.as_slice()));
+                    prop_assert_eq!(&fast.perm, &slow.perm);
+                    prop_assert_eq!(fast.sign.to_bits(), slow.sign.to_bits());
+                    prop_assert_eq!(refactor, Ok(()));
+                    prop_assert_eq!(bits(refactored.lu.as_slice()), bits(slow.lu.as_slice()));
+                    prop_assert_eq!(&refactored.perm, &slow.perm);
+                    let (mut x_fast, mut x_slow) = (Vec::new(), Vec::new());
+                    fast.solve_into(&rhs[..n], &mut x_fast);
+                    slow.solve_into_indexed(&rhs[..n], &mut x_slow);
+                    prop_assert_eq!(bits(&x_fast), bits(&x_slow));
+                }
+                (Err(fast), Err(slow)) => {
+                    prop_assert_eq!(&fast, &slow);
+                    prop_assert_eq!(refactor, Err(slow));
+                }
+                (fast, slow) => prop_assert!(false, "{fast:?} vs {slow:?}"),
+            }
+        }
         #[test]
         fn prop_solve_residual_small(
             entries in proptest::collection::vec(-5.0f64..5.0, 16),

@@ -93,6 +93,19 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Every entry in row-major order: entry `(i, j)` sits at
+    /// `i * cols + j`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable access to every entry in row-major order (see
+    /// [`as_slice`](Self::as_slice)) — the flat value array kernels
+    /// index by precomputed slot.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Copies every entry from an equally sized matrix without
     /// reallocating — the restamp primitive of the MNA assembly cache.
     ///

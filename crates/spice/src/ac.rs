@@ -6,10 +6,11 @@
 //! unit AC source superimposed on one voltage source, so node results are
 //! transfer functions relative to it.
 //!
-//! The sweep solves its points in order. On the sparse backend it walks
-//! the topology and its values once into a compiled event template and
-//! replays it per frequency point — bitwise identical to re-walking the
-//! stamp loop, which survives only as the unit tests' oracle.
+//! The sweep solves its points in order. On either backend it walks the
+//! topology and its values once into a compiled event template and
+//! replays it per frequency point into one reused system — bitwise
+//! identical to re-walking the stamp loop, which survives only as the
+//! unit tests' oracle. Dense points factor that one matrix in place.
 
 use crate::complex::{Complex, ComplexMatrix};
 use crate::dc::{operating_point, OperatingPoint};
@@ -24,7 +25,9 @@ use glova_linalg::sparse::{CsrMatrix, SparseLu, Triplets};
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcResult {
     frequencies: Vec<f64>,
-    solutions: Vec<Vec<Complex>>,
+    /// Node voltages point by point: point `idx` occupies
+    /// `idx * n_nodes..(idx + 1) * n_nodes`.
+    solutions: Vec<Complex>,
     n_nodes: usize,
 }
 
@@ -50,7 +53,7 @@ impl AcResult {
         if node.is_ground() {
             Complex::ZERO
         } else {
-            self.solutions[idx][node.index() - 1]
+            self.solutions[idx * self.n_nodes + node.index() - 1]
         }
     }
 
@@ -156,11 +159,12 @@ pub fn ac_sweep_with_backend_from_op(
     frequencies: &[f64],
     backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
-    AcSweep::new(topology, values, op, ac_source_name, frequencies, backend)?.run(frequencies)
+    AcSweep::new(topology, values, &op, ac_source_name, frequencies, backend)?.run(frequencies)
 }
 
-/// One compiled small-signal stamp event: the value added to packed CSR
-/// slot `slot` at angular frequency ω is `re + j·ω·c`. Every stamp the
+/// One compiled small-signal stamp event: the value added to value slot
+/// `slot` (packed CSR position, or row-major dense position) at angular
+/// frequency ω is `re + j·ω·c`. Every stamp the
 /// linearized system produces is purely real (conductances, source
 /// couplings) or purely ω-proportional imaginary (capacitive
 /// admittances), so this two-scalar form loses nothing — and because
@@ -174,62 +178,76 @@ struct AcEvent {
     c: f64,
 }
 
-/// The sparse per-point solver: the CSR system, whose value array is
-/// rewritten for every point, and a complex [`SparseLu`] cloned from the
-/// sweep's primed prototype, so every point refactors over the same
-/// canonical symbolic analysis.
+/// The per-point system a sweep solves on, its values rewritten for
+/// every point: a dense matrix factored in place, or the CSR system with
+/// a complex [`SparseLu`] cloned from the sweep's primed prototype, so
+/// every sparse point refactors over the same canonical symbolic
+/// analysis.
+// One worker (plus the prototype) exists per sweep, so the variant size
+// imbalance costs nothing — boxing would only add an indirection to the
+// per-point path.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-struct AcWorker {
-    system: CsrMatrix<Complex>,
-    lu: SparseLu<Complex>,
+enum AcWorker {
+    Dense(ComplexMatrix),
+    Sparse { system: CsrMatrix<Complex>, lu: SparseLu<Complex> },
+}
+
+impl AcWorker {
+    /// The value array the compiled events address.
+    fn values_mut(&mut self) -> &mut [Complex] {
+        match self {
+            AcWorker::Dense(a) => a.values_mut(),
+            AcWorker::Sparse { system, .. } => system.values_mut(),
+        }
+    }
 }
 
 /// One AC sweep, solved point by point in frequency order.
 ///
-/// The linearization point (DC operating point) and, on the sparse
-/// backend, the compiled event template plus the primed [`SparseLu`]
-/// prototype are built once; each sparse point then rewrites the value
-/// array in place and runs a numeric-only complex refactorization.
+/// The stamp walk runs once, at construction, into the compiled event
+/// template; on the sparse backend the primed [`SparseLu`] prototype is
+/// built there too. Each point then rewrites the worker's value array in
+/// place and solves: a dense point factors the one reused matrix in
+/// place, a sparse point runs a numeric-only complex refactorization.
 ///
 /// # Determinism
 ///
 /// A point's solution is a pure function of `(topology, values,
-/// operating point, frequency)` plus the canonical symbolic analysis:
-/// every stored value
-/// is rewritten before refactoring, so no per-point state leaks between
-/// points, and a point whose refactor had to fall back to a fresh
-/// factorization (still a pure function of the point) hands the next
-/// point a fresh clone of the prototype.
-struct AcSweep<'a> {
-    topology: &'a Netlist,
-    values: &'a [DeviceValue],
-    op: OperatingPoint,
-    ac_branch: usize,
+/// operating point, frequency)` plus, on the sparse backend, the
+/// canonical symbolic analysis: every stored value is rewritten before
+/// factoring, so no per-point state leaks between points, and a sparse
+/// point whose refactor had to fall back to a fresh factorization (still
+/// a pure function of the point) hands the next point a fresh clone of
+/// the prototype.
+struct AcSweep {
     n_nodes: usize,
-    n: usize,
+    /// The unit excitation: 1 on the AC source's branch row.
+    excitation: Vec<Complex>,
     /// Compiled value-retarget template: the stamp walk flattened into
     /// `(slot, re, c)` events replayed per point without touching the
-    /// topology (empty on the dense backend).
+    /// topology.
     events: Vec<AcEvent>,
-    /// Primed sparse prototype; `None` on the dense backend (dense
-    /// points are independent full solves) or for empty sweeps.
+    /// The worker every run starts from (the primed prototype on the
+    /// sparse backend); `None` for an empty sweep.
     proto: Option<AcWorker>,
 }
 
-impl<'a> AcSweep<'a> {
+impl AcSweep {
     /// Builds the sweep over a solved operating point: resolves the AC
-    /// source and (sparse backend, non-empty sweep) primes the prototype
-    /// at the sweep's first frequency.
+    /// source, compiles the event template and (sparse backend, non-empty
+    /// sweep) primes the prototype at the sweep's first frequency.
     ///
     /// # Errors
     ///
     /// - [`SpiceError::InvalidNetlist`] if the named source is missing.
     /// - A structurally singular small-signal system surfaces as
-    ///   [`SpiceError::SingularMatrix`] at priming time.
+    ///   [`SpiceError::SingularMatrix`] at priming time on the sparse
+    ///   backend.
     fn new(
-        topology: &'a Netlist,
-        values: &'a [DeviceValue],
-        op: OperatingPoint,
+        topology: &Netlist,
+        values: &[DeviceValue],
+        op: &OperatingPoint,
         ac_source_name: &str,
         frequencies: &[f64],
         backend: SolverBackend,
@@ -241,132 +259,124 @@ impl<'a> AcSweep<'a> {
             })?;
         let n_nodes = topology.node_count() - 1;
         let n = topology.unknown_count();
-        let mut events = Vec::new();
-        let mut proto = None;
-        if backend.resolves_to_sparse(n) && !frequencies.is_empty() {
-            // The stamp pattern is frequency-invariant (only the jωC
-            // values change) and the device walk is deterministic, so
-            // the stamp walk is run exactly once here, in `(re, c)`
-            // parts form: it yields the CSR pattern and the compiled
-            // event template every point replays. The symbolic analysis
-            // is primed at the first sweep frequency.
-            let omega = 2.0 * std::f64::consts::PI * frequencies[0];
-            let mut parts: Vec<(usize, usize, f64, f64)> = Vec::new();
-            stamp_ac_parts(topology, values, &op, &mut |i, j, re, c| parts.push((i, j, re, c)));
+        let mut excitation = vec![Complex::ZERO; n];
+        excitation[n_nodes + ac_branch] = Complex::ONE;
+        let Some(&f_first) = frequencies.first() else {
+            return Ok(Self { n_nodes, excitation, events: Vec::new(), proto: None });
+        };
+        // The stamp pattern is frequency-invariant (only the jωC values
+        // change) and the device walk is deterministic, so the stamp
+        // walk is run exactly once here, in `(re, c)` parts form: it
+        // yields the compiled event template every point replays.
+        let mut parts: Vec<(usize, usize, f64, f64)> = Vec::new();
+        stamp_ac_parts(topology, values, op, &mut |i, j, re, c| parts.push((i, j, re, c)));
+        let event = |slot: usize, re: f64, c: f64| AcEvent {
+            slot: u32::try_from(slot).expect("AC value slot fits the event"),
+            re,
+            c,
+        };
+        let (events, proto) = if backend.resolves_to_sparse(n) {
+            // The CSR pattern comes from the same walk; the symbolic
+            // analysis is primed at the first sweep frequency.
+            let omega = 2.0 * std::f64::consts::PI * f_first;
             let mut t = Triplets::new(n, n);
             for &(i, j, re, c) in &parts {
                 t.push(i, j, Complex::new(re, omega * c));
             }
             let system = t.to_csr();
-            events = parts
+            let events = parts
                 .iter()
                 .map(|&(i, j, re, c)| {
-                    let slot = system.value_index(i, j).expect("pushed entry is in the pattern");
-                    AcEvent { slot: slot as u32, re, c }
+                    event(system.value_index(i, j).expect("pushed entry is in the pattern"), re, c)
                 })
                 .collect();
             let lu = SparseLu::factor(&system).map_err(|_| SpiceError::SingularMatrix)?;
-            proto = Some(AcWorker { system, lu });
-        }
-        Ok(Self { topology, values, op, ac_branch, n_nodes, n, events, proto })
+            (events, AcWorker::Sparse { system, lu })
+        } else {
+            let events = parts.iter().map(|&(i, j, re, c)| event(i * n + j, re, c)).collect();
+            (events, AcWorker::Dense(ComplexMatrix::zeros(n)))
+        };
+        Ok(Self { n_nodes, excitation, events, proto: Some(proto) })
     }
 
-    /// Solves every point in order. Sparse points run on a clone of the
-    /// primed prototype, never on the prototype itself, so that a point
-    /// whose refactor re-pivots can hand the next point a fresh clone.
+    /// Solves every point in order on one worker. Sparse points run on a
+    /// clone of the primed prototype, never on the prototype itself, so
+    /// that a point whose refactor re-pivots can hand the next point a
+    /// fresh clone.
     fn run(&self, frequencies: &[f64]) -> Result<AcResult, SpiceError> {
-        let mut worker = self.proto.clone();
-        let solutions = frequencies
-            .iter()
-            .map(|&freq| match worker.as_mut() {
-                Some(w) => self.solve_sparse(w, freq),
-                None => self.solve_dense(freq),
-            })
-            .collect::<Result<_, _>>()?;
+        let mut solutions = Vec::with_capacity(frequencies.len() * self.n_nodes);
+        if let Some(proto) = &self.proto {
+            let mut worker = proto.clone();
+            let mut x = Vec::with_capacity(self.excitation.len());
+            for &freq in frequencies {
+                self.solve_point(&mut worker, freq, &mut x)?;
+                solutions.extend_from_slice(&x[..self.n_nodes]);
+            }
+        }
         Ok(AcResult { frequencies: frequencies.to_vec(), solutions, n_nodes: self.n_nodes })
     }
 
-    /// Dense backend: each point is an independent full solve.
-    fn solve_dense(&self, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let mut a = ComplexMatrix::zeros(self.n);
-        stamp_ac(self.topology, self.values, &self.op, omega, &mut |i, j, v| a.add_at(i, j, v));
-        let x = a.solve(&self.excitation()).map_err(|_| SpiceError::SingularMatrix)?;
-        Ok(x[..self.n_nodes].to_vec())
-    }
-
-    /// Sparse backend: the point's values come from the compiled event
-    /// template (value-only retargeting) — no netlist walk per point, yet
-    /// bitwise identical to re-walking the netlist's stamp loop (the unit
-    /// tests hold that parity against the walk).
-    fn solve_sparse(&self, w: &mut AcWorker, freq_hz: f64) -> Result<Vec<Complex>, SpiceError> {
+    /// Solves the point at `freq_hz` into `x` (every unknown): the
+    /// worker's values come from the compiled event template
+    /// (value-only retargeting) — no netlist walk per point, yet bitwise
+    /// identical to re-walking the netlist's stamp loop (the unit tests
+    /// hold that parity against the walk on both backends).
+    fn solve_point(
+        &self,
+        w: &mut AcWorker,
+        freq_hz: f64,
+        x: &mut Vec<Complex>,
+    ) -> Result<(), SpiceError> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
         // Rewrite every stored value for this point — no state carries
         // over from the point the worker solved last.
-        let values = w.system.values_mut();
+        let values = w.values_mut();
         values.fill(Complex::ZERO);
         for ev in &self.events {
             values[ev.slot as usize] += Complex::new(ev.re, omega * ev.c);
         }
-        self.solve_worker(w)
+        self.solve_worker(w, x)
     }
 
-    /// The unit excitation: 1 on the AC source's branch row.
-    fn excitation(&self) -> Vec<Complex> {
-        let mut b = vec![Complex::ZERO; self.n];
-        b[self.n_nodes + self.ac_branch] = Complex::ONE;
-        b
-    }
-
-    /// Refactors and solves a worker whose system holds the point's
-    /// values. Numeric-only refresh over the canonical symbolic
-    /// analysis; a pivot that collapsed at this frequency falls back to
-    /// a fresh factorization (pure per point), after which the worker is
+    /// Factors and solves a worker whose system holds the point's
+    /// values. A dense matrix is factored in place. A sparse worker
+    /// refreshes numerically over the canonical symbolic analysis; a
+    /// pivot that collapsed at this frequency falls back to a fresh
+    /// factorization (pure per point), after which the worker is
     /// replaced by a fresh prototype clone.
-    fn solve_worker(&self, w: &mut AcWorker) -> Result<Vec<Complex>, SpiceError> {
-        let repivoted = w.lu.refactor(&w.system).is_err();
+    fn solve_worker(&self, w: &mut AcWorker, x: &mut Vec<Complex>) -> Result<(), SpiceError> {
+        let repivoted = match w {
+            AcWorker::Dense(a) => {
+                return a
+                    .solve_in_place(&self.excitation, x)
+                    .map_err(|_| SpiceError::SingularMatrix)
+            }
+            AcWorker::Sparse { system, lu } => {
+                let repivoted = lu.refactor(system).is_err();
+                if repivoted {
+                    *lu = SparseLu::factor(system).map_err(|_| SpiceError::SingularMatrix)?;
+                }
+                lu.solve_into(&self.excitation, x);
+                repivoted
+            }
+        };
         if repivoted {
-            w.lu = SparseLu::factor(&w.system).map_err(|_| SpiceError::SingularMatrix)?;
+            *w = self.proto.clone().expect("a non-empty sweep has a prototype");
         }
-        let mut x = Vec::new();
-        w.lu.solve_into(&self.excitation(), &mut x);
-        if repivoted {
-            *w = self.proto.clone().expect("sparse sweep has a prototype");
-        }
-        x.truncate(self.n_nodes);
-        Ok(x)
-    }
-
-    /// [`solve_sparse`](Self::solve_sparse) with the values written by
-    /// re-walking the stamp loop instead of replaying the
-    /// event template — the parity oracle the template is tested
-    /// against (same slots, same addends, same order).
-    #[cfg(test)]
-    fn solve_point_rewalk(
-        &self,
-        w: &mut AcWorker,
-        freq_hz: f64,
-    ) -> Result<Vec<Complex>, SpiceError> {
-        let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let system = &mut w.system;
-        system.values_mut().fill(Complex::ZERO);
-        stamp_ac(self.topology, self.values, &self.op, omega, &mut |i, j, v| {
-            let slot = system.value_index(i, j).expect("stamp slot in the pattern");
-            system.values_mut()[slot] += v;
-        });
-        self.solve_worker(w)
+        Ok(())
     }
 }
 
 /// Stamps the linearized (small-signal) system at angular frequency ω
-/// into an `(i, j, value)` sink — shared by the dense and sparse
-/// assembly paths, so both backends stamp identical systems.
+/// into an `(i, j, value)` sink — the per-point re-walk the compiled
+/// event template replaced, kept as the unit tests' oracle.
 ///
 /// A thin wrapper over [`stamp_ac_parts`]: every small-signal stamp is
 /// purely real or purely ω-proportional imaginary, and IEEE-754
 /// multiplication is sign-magnitude exact, so reconstructing
 /// `re + j·ω·c` here is bitwise identical to computing each stamp
 /// directly at ω.
+#[cfg(test)]
 fn stamp_ac(
     topology: &Netlist,
     values: &[DeviceValue],
@@ -618,53 +628,105 @@ mod tests {
         x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
     }
 
-    /// A sparse sweep over `nl` and a clone of its primed prototype to
-    /// solve points on.
-    fn sparse_sweep<'a>(nl: &'a Netlist, source: &str, freqs: &[f64]) -> (AcSweep<'a>, AcWorker) {
+    /// A sweep over `nl` on `backend`, its operating point, and a clone
+    /// of its starting worker to solve points on.
+    fn sweep_on(
+        nl: &Netlist,
+        source: &str,
+        freqs: &[f64],
+        backend: SolverBackend,
+    ) -> (AcSweep, OperatingPoint, AcWorker) {
         let op = operating_point(nl).unwrap();
-        let sweep =
-            AcSweep::new(nl, nl.values(), op, source, freqs, SolverBackend::Sparse).unwrap();
-        let worker = sweep.proto.clone().expect("sparse sweep primes a prototype");
-        (sweep, worker)
+        let sweep = AcSweep::new(nl, nl.values(), &op, source, freqs, backend).unwrap();
+        let worker = sweep.proto.clone().expect("a non-empty sweep has a worker");
+        (sweep, op, worker)
+    }
+
+    /// The node voltages of one point solved through the event template.
+    fn solve_fast(sweep: &AcSweep, w: &mut AcWorker, freq_hz: f64) -> Vec<Complex> {
+        let mut x = Vec::new();
+        sweep.solve_point(w, freq_hz, &mut x).unwrap();
+        x.truncate(sweep.n_nodes);
+        x
+    }
+
+    /// The per-point re-walk the event template replaced, on the
+    /// worker's backend — the parity oracle the template is tested
+    /// against. Sparse: the stamp loop re-walked into the worker's CSR
+    /// values (same slots, same addends, same order). Dense: a fresh
+    /// matrix built by the walk and solved by the consuming index-based
+    /// solve.
+    fn solve_rewalk(
+        sweep: &AcSweep,
+        nl: &Netlist,
+        op: &OperatingPoint,
+        w: &mut AcWorker,
+        freq_hz: f64,
+    ) -> Vec<Complex> {
+        let omega = 2.0 * std::f64::consts::PI * freq_hz;
+        let mut x = match w {
+            AcWorker::Dense(_) => {
+                let mut a = ComplexMatrix::zeros(sweep.excitation.len());
+                stamp_ac(nl, nl.values(), op, omega, &mut |i, j, v| a.add_at(i, j, v));
+                a.solve(&sweep.excitation).unwrap()
+            }
+            AcWorker::Sparse { system, .. } => {
+                system.values_mut().fill(Complex::ZERO);
+                stamp_ac(nl, nl.values(), op, omega, &mut |i, j, v| {
+                    let slot = system.value_index(i, j).expect("stamp slot in the pattern");
+                    system.values_mut()[slot] += v;
+                });
+                let mut x = Vec::new();
+                sweep.solve_worker(w, &mut x).unwrap();
+                x
+            }
+        };
+        x.truncate(sweep.n_nodes);
+        x
     }
 
     proptest::proptest! {
         // Event-template replay == per-point netlist re-walk, bitwise,
-        // across random device parameters on the sparse path (the dense
-        // backend has no template: every point is a fresh build).
+        // across random device parameters on both backends.
         #[test]
         fn prop_ac_retarget_matches_rebuild_bitwise(
             p in proptest::collection::vec(-1.0f64..1.0, 8),
         ) {
             let nl = mixed_netlist(&p);
             let freqs = log_sweep(1e3, 1e9, 2);
-            let (sweep, mut w) = sparse_sweep(&nl, "VIN", &freqs);
-            for &f in &freqs {
-                let fast = sweep.solve_sparse(&mut w, f).unwrap();
-                let slow = sweep.solve_point_rewalk(&mut w, f).unwrap();
-                proptest::prop_assert_eq!(
-                    point_bits(&fast), point_bits(&slow), "template vs re-walk @ {} Hz", f
-                );
+            for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+                let (sweep, op, mut w) = sweep_on(&nl, "VIN", &freqs, backend);
+                for &f in &freqs {
+                    let fast = solve_fast(&sweep, &mut w, f);
+                    let slow = solve_rewalk(&sweep, &nl, &op, &mut w, f);
+                    proptest::prop_assert_eq!(
+                        point_bits(&fast), point_bits(&slow), "{} template vs re-walk @ {} Hz", backend, f
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn event_template_matches_rewalk_on_ota() {
-        // The OTA has 10 unknowns — below the dense cutoff — so force the
-        // sparse backend to exercise the event-template path. Each point
-        // also re-solves to the same bits and matches the whole sweep.
+        // The OTA has 10 unknowns — dense under `Auto`; forcing sparse
+        // exercises the other backend's template. Each point also
+        // re-solves to the same bits and matches the whole sweep.
         let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
         let freqs = log_sweep(1e3, 1e9, 3);
-        let (sweep, mut w) = sparse_sweep(&nl, "VINP", &freqs);
-        let swept = sweep.run(&freqs).unwrap();
-        for (i, &f) in freqs.iter().enumerate() {
-            let fast = sweep.solve_sparse(&mut w, f).unwrap();
-            let again = sweep.solve_sparse(&mut w, f).unwrap();
-            let slow = sweep.solve_point_rewalk(&mut w, f).unwrap();
-            assert_eq!(point_bits(&fast), point_bits(&slow), "template vs re-walk @ {f} Hz");
-            assert_eq!(point_bits(&fast), point_bits(&again), "re-solve @ {f} Hz");
-            assert_eq!(point_bits(&fast), point_bits(&swept.solutions[i]), "sweep @ {f} Hz");
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let (sweep, op, mut w) = sweep_on(&nl, "VINP", &freqs, backend);
+            let swept = sweep.run(&freqs).unwrap();
+            let n_nodes = sweep.n_nodes;
+            for (i, &f) in freqs.iter().enumerate() {
+                let fast = solve_fast(&sweep, &mut w, f);
+                let again = solve_fast(&sweep, &mut w, f);
+                let slow = solve_rewalk(&sweep, &nl, &op, &mut w, f);
+                let point = &swept.solutions[i * n_nodes..(i + 1) * n_nodes];
+                assert_eq!(point_bits(&fast), point_bits(&slow), "{backend} vs re-walk @ {f} Hz");
+                assert_eq!(point_bits(&fast), point_bits(&again), "{backend} re-solve @ {f} Hz");
+                assert_eq!(point_bits(&fast), point_bits(point), "{backend} sweep @ {f} Hz");
+            }
         }
     }
 
@@ -675,24 +737,26 @@ mod tests {
         // fresh factorization.
         let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
         let freqs = log_sweep(1e3, 1e9, 3);
-        let (sweep, mut w) = sparse_sweep(&nl, "VINP", &freqs);
-        let mut identity = Triplets::new(sweep.n, sweep.n);
-        for i in 0..sweep.n {
+        let (sweep, _, mut w) = sweep_on(&nl, "VINP", &freqs, SolverBackend::Sparse);
+        let n = sweep.excitation.len();
+        let mut identity = Triplets::new(n, n);
+        for i in 0..n {
             identity.push(i, i, Complex::ONE);
         }
-        w.lu = SparseLu::factor(&identity.to_csr()).unwrap();
-        let alone = |f: f64| sweep.solve_sparse(&mut sweep.proto.clone().unwrap(), f).unwrap();
+        let AcWorker::Sparse { lu, .. } = &mut w else { panic!("sparse sweep") };
+        *lu = SparseLu::factor(&identity.to_csr()).unwrap();
+        let alone = |f: f64| solve_fast(&sweep, &mut sweep.proto.clone().unwrap(), f);
         // At the top frequency the fresh factorization pivots away from
         // the prototype's order: other bits, the same values.
         let top = *freqs.last().unwrap();
-        let (fallback, canonical) = (sweep.solve_sparse(&mut w, top).unwrap(), alone(top));
+        let (fallback, canonical) = (solve_fast(&sweep, &mut w, top), alone(top));
         assert_ne!(point_bits(&fallback), point_bits(&canonical));
         for (a, b) in fallback.iter().zip(&canonical) {
             assert!((*a - *b).abs() <= 1e-9 * (1.0 + b.abs()), "{a:?} vs {b:?}");
         }
         // Every later point runs on a fresh prototype clone again.
         for &f in &freqs {
-            assert_eq!(point_bits(&sweep.solve_sparse(&mut w, f).unwrap()), point_bits(&alone(f)));
+            assert_eq!(point_bits(&solve_fast(&sweep, &mut w, f)), point_bits(&alone(f)));
         }
     }
 
@@ -717,7 +781,7 @@ mod tests {
 
         fn absorb(digest: &mut Fnv1a, ac: &AcResult) {
             digest.write_f64_slice(&ac.frequencies);
-            for v in ac.solutions.iter().flatten() {
+            for v in &ac.solutions {
                 digest.write_f64(v.re);
                 digest.write_f64(v.im);
             }

@@ -2,7 +2,9 @@
 //!
 //! The standard library has no complex type and the offline crate set has
 //! no `num-complex`, so the small amount of complex linear algebra AC
-//! analysis needs lives here.
+//! analysis needs lives here. A dense AC point factors one reused
+//! [`ComplexMatrix`] in place into a caller buffer
+//! (`ComplexMatrix::solve_in_place`).
 
 /// A complex number `re + j·im`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -149,18 +151,99 @@ impl ComplexMatrix {
         self.data[i * self.n + j] += value;
     }
 
-    /// Solves `A x = b` in place via LU with partial pivoting.
+    /// Every entry in row-major order, `(i, j)` at `i * dim + j` — the
+    /// value array a compiled AC event stream is replayed into.
+    pub(crate) fn values_mut(&mut self) -> &mut [Complex] {
+        &mut self.data
+    }
+
+    /// Solves `A x = b` into `x` via LU with partial pivoting, factoring
+    /// the matrix **in place**: on return it holds the packed factors,
+    /// not `A`. Allocates nothing once `x` has grown to the dimension.
+    ///
+    /// Eliminates and substitutes over row slices, each entry seeing the
+    /// same operations in the same order as the index-based solve the
+    /// unit tests keep as its oracle, so the two agree bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err(pivot_index)` if the matrix is numerically singular
+    /// (`x` then holds partial results).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != dim()`.
+    pub(crate) fn solve_in_place(
+        &mut self,
+        b: &[Complex],
+        x: &mut Vec<Complex>,
+    ) -> Result<(), usize> {
+        assert_eq!(b.len(), self.n, "rhs length mismatch");
+        let n = self.n;
+        x.clear();
+        x.extend_from_slice(b);
+        let a = &mut self.data;
+        for k in 0..n {
+            // Partial pivot on magnitude.
+            let mut pivot_row = k;
+            let mut best = 0.0;
+            for i in k..n {
+                let mag = a[i * n + k].abs();
+                if mag > best {
+                    best = mag;
+                    pivot_row = i;
+                }
+            }
+            if best < 1e-300 {
+                return Err(k);
+            }
+            if pivot_row != k {
+                let (upper, lower) = a.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                x.swap(k, pivot_row);
+            }
+            let (upper, lower) = a.split_at_mut((k + 1) * n);
+            let pivot_row = &upper[k * n..];
+            let pivot = pivot_row[k];
+            let u = &pivot_row[k + 1..];
+            let (x_head, x_tail) = x.split_at_mut(k + 1);
+            let xk = x_head[k];
+            for (row, xi) in lower.chunks_exact_mut(n).zip(x_tail.iter_mut()) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                for (target, &uj) in row[k + 1..].iter_mut().zip(u) {
+                    *target -= factor * uj;
+                }
+                *xi -= factor * xk;
+            }
+        }
+        // Back substitution.
+        for i in (0..n).rev() {
+            let (head, solved) = x.split_at_mut(i + 1);
+            let row = &a[i * n..(i + 1) * n];
+            let mut sum = head[i];
+            for (aij, xj) in row[i + 1..].iter().zip(solved.iter()) {
+                sum -= *aij * *xj;
+            }
+            head[i] = sum / row[i];
+        }
+        Ok(())
+    }
+
+    /// The index-based solve [`Self::solve_in_place`] replaced — the
+    /// unit tests' bitwise oracle. Consumes the matrix and allocates the
+    /// solution and a permutation.
     ///
     /// # Errors
     ///
     /// Returns `Err(pivot_index)` if the matrix is numerically singular.
-    pub fn solve(mut self, b: &[Complex]) -> Result<Vec<Complex>, usize> {
+    #[cfg(test)]
+    pub(crate) fn solve(mut self, b: &[Complex]) -> Result<Vec<Complex>, usize> {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         let n = self.n;
         let mut x: Vec<Complex> = b.to_vec();
         let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {
-            // Partial pivot on magnitude.
             let mut pivot_row = k;
             let mut best = 0.0;
             for i in k..n {
@@ -192,7 +275,6 @@ impl ComplexMatrix {
                 x[i] -= sub;
             }
         }
-        // Back substitution.
         for i in (0..n).rev() {
             let mut sum = x[i];
             for j in i + 1..n {
@@ -251,6 +333,54 @@ mod tests {
     fn singular_matrix_detected() {
         let a = ComplexMatrix::zeros(2);
         assert!(a.solve(&[Complex::ONE, Complex::ONE]).is_err());
+    }
+
+    fn bits(x: &[Complex]) -> Vec<(u64, u64)> {
+        x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        // The in-place row-slice solve agrees with the consuming
+        // index-based oracle bit for bit on random systems with zero entries (an entry vanishes where
+        // its `zeros` draw is below 0.3) and zeroed diagonals that force
+        // row swaps; a `copy_row` in `1..n` duplicates row 0, and a
+        // singular input fails at the same pivot.
+        #[test]
+        fn prop_in_place_solve_matches_consuming_oracle(
+            n in 1usize..8,
+            re in proptest::collection::vec(-4.0f64..4.0, 49),
+            im in proptest::collection::vec(-4.0f64..4.0, 49),
+            zeros in proptest::collection::vec(0.0f64..1.0, 49),
+            zero_diag in proptest::collection::vec(0.0f64..1.0, 7),
+            copy_row in 0usize..24,
+            rhs in proptest::collection::vec(-2.0f64..2.0, 14),
+        ) {
+            let mut a = ComplexMatrix::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    let k = i * n + j;
+                    let diag_zero = i == j && zero_diag[i] < 0.4;
+                    if zeros[k] >= 0.3 && !diag_zero {
+                        a.add_at(i, j, Complex::new(re[k], im[k]));
+                    }
+                }
+            }
+            if (1..n).contains(&copy_row) {
+                for j in 0..n {
+                    let v = a.at(0, j);
+                    a.data[copy_row * n + j] = v;
+                }
+            }
+            let b: Vec<Complex> = (0..n).map(|i| Complex::new(rhs[i], rhs[7 + i])).collect();
+            let oracle = a.clone().solve(&b);
+            let mut factored = a.clone();
+            let mut x = vec![Complex::ONE; 3];
+            match (factored.solve_in_place(&b, &mut x), oracle) {
+                (Ok(()), Ok(want)) => proptest::prop_assert_eq!(bits(&x), bits(&want)),
+                (Err(k), Err(want)) => proptest::prop_assert_eq!(k, want),
+                (got, want) => proptest::prop_assert!(false, "{got:?} vs {want:?}"),
+            }
+        }
     }
 
     #[test]

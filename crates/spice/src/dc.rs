@@ -1,12 +1,12 @@
 //! DC operating-point analysis with `gmin` stepping.
 //!
-//! [`OpSolver`] keeps one topology, template and factorization across
-//! solves; [`OpSolver::retarget_values`] writes a new value slice into
-//! the template in place. [`OpSolverPool`] clones one primed solver per
-//! worker thread.
+//! [`OpSolver`] keeps one topology, template, factorization and set of
+//! Newton working vectors across solves; [`OpSolver::retarget_values`]
+//! writes a new value slice into the template in place. [`OpSolverPool`]
+//! clones one primed solver per worker thread.
 
 use crate::device::DeviceValue;
-use crate::mna::{newton_solve_with_state, MnaState, MnaTemplate, NewtonOptions, StampContext};
+use crate::mna::{MnaState, MnaTemplate, NewtonOptions, StampContext};
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,7 +177,10 @@ impl OpSolver {
     ///
     /// See [`operating_point`].
     pub fn solve(&mut self) -> Result<OperatingPoint, SpiceError> {
-        self.solve_from(&vec![0.0; self.topology.unknown_count()])
+        let start = self.state.start_mut();
+        start.clear();
+        start.resize(self.topology.unknown_count(), 0.0);
+        ladder_solve(&mut self.state, &self.options, self.topology.node_count() - 1)
     }
 
     /// Computes the operating point from a caller-provided guess.
@@ -186,7 +189,10 @@ impl OpSolver {
     ///
     /// See [`operating_point`].
     pub fn solve_from(&mut self, initial: &[f64]) -> Result<OperatingPoint, SpiceError> {
-        ladder_solve(&mut self.state, initial, &self.options, self.topology.node_count() - 1)
+        let start = self.state.start_mut();
+        start.clear();
+        start.extend_from_slice(initial);
+        ladder_solve(&mut self.state, &self.options, self.topology.node_count() - 1)
     }
 
     /// Cumulative Newton/chord iterations this solver has run (all
@@ -433,26 +439,24 @@ pub fn operating_point_with_options(
     // refactorizations.
     let mut state =
         MnaTemplate::new(netlist, netlist.values(), &DC_CONTEXT, options.backend).into_state();
-    ladder_solve(&mut state, initial, options, netlist.node_count() - 1)
+    state.start_mut().extend_from_slice(initial);
+    ladder_solve(&mut state, options, netlist.node_count() - 1)
 }
 
-/// The `gmin` continuation over prebuilt solver state.
+/// The `gmin` continuation over prebuilt solver state, from the initial
+/// guess the caller wrote into [`MnaState::start_mut`]. Each rung starts
+/// from the last converged solution, which the state keeps in place.
 fn ladder_solve(
     state: &mut MnaState,
-    initial: &[f64],
     options: &NewtonOptions,
     n_nodes: usize,
 ) -> Result<OperatingPoint, SpiceError> {
-    let mut x = initial.to_vec();
     let mut last_err = None;
     let mut converged_any = false;
 
     for (rung, &gmin) in GMIN_LADDER.iter().enumerate() {
-        match newton_solve_with_state(state, &x, gmin, options) {
-            Ok(sol) => {
-                x = sol;
-                converged_any = true;
-            }
+        match state.newton_from_start(gmin, options) {
+            Ok(()) => converged_any = true,
             // A singular matrix on the *most-regularized* rung (with its
             // large gmin on every node diagonal) is structural — a
             // floating node or V-source loop that every later rung would
@@ -467,8 +471,8 @@ fn ladder_solve(
     }
 
     // The final rung must have converged for the result to be meaningful.
-    match newton_solve_with_state(state, &x, *GMIN_LADDER.last().unwrap(), options) {
-        Ok(sol) => Ok(OperatingPoint::new(sol, n_nodes)),
+    match state.newton_from_start(*GMIN_LADDER.last().unwrap(), options) {
+        Ok(()) => Ok(OperatingPoint::new(state.start().to_vec(), n_nodes)),
         Err(e) => {
             if converged_any {
                 Err(e)
@@ -713,6 +717,61 @@ mod tests {
             sweep(&mut digest, NewtonOptions::default().with_backend(backend), &variants);
         }
         assert_eq!(digest.finish(), GOLDEN_POOLED, "digest {:016x}", digest.finish());
+    }
+
+    #[test]
+    fn pool_retires_a_solver_whose_frozen_pivot_collapsed() {
+        use crate::device::DeviceValue;
+        use crate::mna::{NewtonOptions, SolverBackend};
+        // A source driving a four-node resistor network. The pool
+        // freezes its sparse pivot order on moderate resistances; a
+        // retarget to near-open (1e10–1e11 Ω) and near-shorted (1.8 µΩ)
+        // ones collapses a frozen pivot, so that solve re-pivots.
+        fn network(r: [f64; 6]) -> Netlist {
+            let mut nl = Netlist::new();
+            let (a, b, c, d) = (nl.node("a"), nl.node("b"), nl.node("c"), nl.node("d"));
+            nl.vsource("V1", a, GROUND, 1.0);
+            nl.resistor("R1", a, b, r[0]);
+            nl.resistor("R2", b, c, r[1]);
+            nl.resistor("R3", c, GROUND, r[2]);
+            nl.resistor("R4", b, d, r[3]);
+            nl.resistor("R5", d, GROUND, r[4]);
+            nl.resistor("R6", c, d, r[5]);
+            nl
+        }
+        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
+        let primed = network([6.7e-3, 470e3, 1.6e6, 47e3, 52e3, 12.8e3]);
+        let collapsing = network([2.2e11, 8.8e3, 6.8e10, 2.8e11, 1.7e11, 1.8e-6]);
+        let ordinary = network([1e3, 2.2e3, 4.7e3, 10e3, 22e3, 47e3]);
+        let solve_ordinary = |pool: &OpSolverPool| {
+            pool.with_solver(|solver| {
+                assert_eq!(solver.repivots(), 0, "checkouts carry the canonical pivot order");
+                solver.retarget_values(ordinary.values());
+                let op = solver.solve().expect("ordinary point solves");
+                (
+                    op.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    solver.newton_iterations(),
+                )
+            })
+        };
+
+        let pool = OpSolverPool::new(primed.clone(), options).unwrap();
+        let before = solve_ordinary(&pool);
+        let target: Vec<DeviceValue> = collapsing.values().to_vec();
+        pool.with_solver(|solver| {
+            solver.retarget_values(&target);
+            solver.solve().expect("the re-pivoted solve converges");
+            assert_eq!(solver.repivots(), 1, "the frozen pivot order collapsed once");
+        });
+        assert_eq!(pool.solvers_retired(), 1, "the re-pivoted solver is retired");
+        assert_eq!(pool.solvers_retired_panic(), 0);
+        assert_eq!(pool.solvers_spawned(), 1, "its replacement is a prototype clone");
+        // The replacement solves an ordinary point to the bits (and
+        // Newton iterations) a fresh pool's first solve gives.
+        let fresh = OpSolverPool::new(primed, options).unwrap();
+        let after = solve_ordinary(&pool);
+        assert_eq!(after, solve_ordinary(&fresh));
+        assert_eq!(after.0, before.0);
     }
 
     #[test]

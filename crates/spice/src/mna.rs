@@ -6,6 +6,15 @@
 //! backward-Euler companion conductances during transient steps and are open
 //! in DC.
 //!
+//! Both backends assemble through one restamp: each MOSFET is a compact
+//! record of its card, its terminal unknowns and the six value slots it
+//! stamps into a flat value array (the CSR values, or the dense matrix's
+//! row-major data), listed for both drain/source orientations, so an
+//! iteration's assembly is a `memcpy` of the constant part plus indexed
+//! adds on either backend. The Newton loop's
+//! working vectors live in [`MnaState`], so an iteration allocates
+//! nothing.
+//!
 //! The sparse backend has one numeric refresh path
 //! (`MnaState::refresh_factor`): the first factorization fixes the pivot
 //! order and fill pattern, and every later refresh re-runs the compiled
@@ -119,52 +128,132 @@ fn stamp_rhs(rhs: &mut [f64], a: Option<usize>, value: f64) {
     }
 }
 
-/// One MOSFET's pre-resolved nonlinear stamp: node indices, polarity and
-/// geometry ratio extracted once per Newton solve so the per-iteration
-/// restamp touches no netlist structure.
+/// Marks a grounded terminal, or a stamp slot on a grounded row or
+/// column, in a [`MosRecord`].
+const GROUNDED: u32 = u32::MAX;
+
+/// The value half of one MOSFET's restamp: everything
+/// [`OpSolver::retarget_values`](crate::dc::OpSolver::retarget_values)
+/// may change about the device.
 #[derive(Debug, Clone, Copy)]
-struct MosStamp {
-    drain: Option<usize>,
-    gate: Option<usize>,
-    source: Option<usize>,
+struct MosCard {
     model: MosModel,
+    /// Geometry ratio W/L.
     ratio: f64,
     /// Polarity factor: +1 NMOS, −1 PMOS (carrier-space transform).
     p: f64,
 }
 
-/// One MOSFET linearization around a solution estimate — the numbers
-/// both backends stamp, computed identically so dense and sparse
-/// assemblies agree bit for bit.
+/// One MOSFET's restamp record, the same for both backends: its card
+/// (refreshed by the value write), its terminal unknowns and the six
+/// value slots it stamps into a flat value array — the CSR values, or
+/// the dense matrix's row-major data — in the order each drain/source
+/// orientation stamps them. Ground is resolved when the template is
+/// built, so the per-iteration restamp indexes no netlist structure,
+/// computes no matrix position and picks its orientation's slots
+/// without a data-dependent branch.
 #[derive(Debug, Clone, Copy)]
-struct MosLin {
-    /// Whether the physical source acts as the drain at this estimate
-    /// (the device is symmetric; the higher carrier-space terminal wins).
-    swapped: bool,
-    gm: f64,
-    gds: f64,
-    /// Polarity-signed equivalent current `p · ieq`.
-    ieq_signed: f64,
+struct MosRecord {
+    card: MosCard,
+    /// Unknown indices of drain, gate and source; [`GROUNDED`] for
+    /// ground.
+    terminals: [u32; 3],
+    /// Value slots of (d,g), (d,d), (d,s), (s,g), (s,d), (s,s) in the
+    /// drain/source roles of each orientation — `[0]` in the physical
+    /// naming, `[1]` with source and drain swapped; [`GROUNDED`] where
+    /// either side is ground.
+    slots: [[u32; 6]; 2],
 }
 
-impl MosStamp {
-    /// Linearizes around estimate `x` (ground = 0 V).
-    fn linearize(&self, x: &[f64]) -> MosLin {
+impl MosRecord {
+    /// Resolves the record of a MOSFET on unknowns `terminals` (drain,
+    /// gate, source; `None` for ground), `slot(i, j)` giving the value
+    /// slot of matrix entry `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index or slot does not fit the compact record.
+    fn new(
+        card: MosCard,
+        terminals: [Option<usize>; 3],
+        slot: impl Fn(usize, usize) -> usize,
+    ) -> Self {
+        let compact = |i: usize| u32::try_from(i).ok().filter(|&i| i != GROUNDED);
+        let index = |t: Option<usize>| {
+            t.map_or(GROUNDED, |i| compact(i).expect("MOSFET terminal index fits the record"))
+        };
+        let [d, g, s] = terminals;
+        let pos = |a: Option<usize>, b: Option<usize>| match (a, b) {
+            (Some(i), Some(j)) => compact(slot(i, j)).expect("MOSFET stamp slot fits the record"),
+            _ => GROUNDED,
+        };
+        Self {
+            card,
+            terminals: [index(d), index(g), index(s)],
+            slots: [
+                [pos(d, g), pos(d, d), pos(d, s), pos(s, g), pos(s, d), pos(s, s)],
+                [pos(s, g), pos(s, s), pos(s, d), pos(d, g), pos(d, s), pos(d, d)],
+            ],
+        }
+    }
+
+    /// Linearizes the device around estimate `x` (ground = 0 V) and adds
+    /// its companion stamp into `vals` and `rhs`.
+    fn restamp(&self, vals: &mut [f64], rhs: &mut [f64], x: &[f64]) {
         // Polarity factor: work in "carrier space" w = p·v so PMOS
         // reuses the NMOS equations; p² = 1 keeps the conductance
         // stamps sign-free while the equivalent current gets p.
-        let volt = |idx: Option<usize>| -> f64 { idx.map_or(0.0, |i| x[i]) };
-        let p = self.p;
-        let wd = p * volt(self.drain);
-        let wg = p * volt(self.gate);
-        let ws = p * volt(self.source);
+        let volt = |t: u32| if t == GROUNDED { 0.0 } else { x[t as usize] };
+        let MosCard { model, ratio, p } = self.card;
+        let [d, g, s] = self.terminals;
+        let wd = p * volt(d);
+        let wg = p * volt(g);
+        let ws = p * volt(s);
+        // The device is symmetric: the higher carrier-space terminal
+        // acts as the drain.
         let swapped = wd < ws;
         let (wdd, wss) = if swapped { (ws, wd) } else { (wd, ws) };
         let vgs_c = wg - wss;
         let vds_c = wdd - wss;
-        let (id0, gm0, gds0) = self.model.ids(vgs_c, vds_c);
-        let (id, gm, gds) = (id0 * self.ratio, gm0 * self.ratio, gds0 * self.ratio);
-        MosLin { swapped, gm, gds, ieq_signed: p * (id - gm * vgs_c - gds * vds_c) }
+        let (id0, gm0, gds0) = model.ids(vgs_c, vds_c);
+        let (id, gm, gds) = (id0 * ratio, gm0 * ratio, gds0 * ratio);
+        let ieq_signed = p * (id - gm * vgs_c - gds * vds_c);
+        let addends = [gm, gds, -(gm + gds), -gm, -gds, gm + gds];
+        for (&slot, v) in self.slots[usize::from(swapped)].iter().zip(addends) {
+            if slot != GROUNDED {
+                vals[slot as usize] += v;
+            }
+        }
+        let (rd, rs) = if swapped { (s, d) } else { (d, s) };
+        if rd != GROUNDED {
+            rhs[rd as usize] += -ieq_signed;
+        }
+        if rs != GROUNDED {
+            rhs[rs as usize] += ieq_signed;
+        }
+    }
+}
+
+/// The per-iteration half of an assembly, written once for both
+/// backends over a flat value array: the `gmin` diagonal slots and the
+/// MOSFET records.
+#[derive(Debug, Clone)]
+struct Restamp {
+    /// Value slot of each node's diagonal.
+    gmin_slots: Vec<usize>,
+    mosfets: Vec<MosRecord>,
+}
+
+impl Restamp {
+    /// Adds `gmin` on every node diagonal, then every MOSFET's
+    /// linearization around `x`, in device order.
+    fn apply(&self, vals: &mut [f64], rhs: &mut [f64], x: &[f64], gmin: f64) {
+        for &i in &self.gmin_slots {
+            vals[i] += gmin;
+        }
+        for mos in &self.mosfets {
+            mos.restamp(vals, rhs, x);
+        }
     }
 }
 
@@ -176,7 +265,7 @@ impl MosStamp {
 /// with a value-only RHS rebuild instead of a full netlist re-walk, so
 /// transient stepping inherits the same symbolic/pattern reuse DC sweeps
 /// have.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum DynamicRhs {
     /// Backward-Euler companion current `ieq = geq (v_prev(a) − v_prev(b))`
     /// into rows `ia`/`ib`. `geq = C/dt` is baked into the matrix, so the
@@ -206,12 +295,16 @@ struct RhsTemplate {
 }
 
 impl RhsTemplate {
-    /// Materializes the base RHS for `ctx` from the recorded stamps.
-    fn new(stat: Vec<f64>, dynamic: Vec<DynamicRhs>, ctx: &StampContext<'_>) -> Self {
-        let mut this =
-            Self { base: Vec::new(), stat, dynamic, step_dt: ctx.step.map(|(dt, _)| dt) };
-        this.rebuild(ctx);
-        this
+    /// An empty record for an `n`-unknown system under `ctx`'s analysis
+    /// kind, to be filled in walk order and materialized by
+    /// [`Self::rebuild`].
+    fn empty(n: usize, ctx: &StampContext<'_>) -> Self {
+        Self {
+            base: Vec::with_capacity(n),
+            stat: vec![0.0; n],
+            dynamic: Vec::new(),
+            step_dt: ctx.step.map(|(dt, _)| dt),
+        }
     }
 
     /// Value-only rebuild for a new context **of the same kind** (same
@@ -229,6 +322,7 @@ impl RhsTemplate {
         self.rebuild(ctx);
     }
 
+    /// Materializes the base RHS for `ctx` from the recorded stamps.
     fn rebuild(&mut self, ctx: &StampContext<'_>) {
         self.base.clear();
         self.base.extend_from_slice(&self.stat);
@@ -249,22 +343,23 @@ impl RhsTemplate {
         }
     }
 
-    /// Swaps in re-walked RHS content of the same analysis kind (the
-    /// in-place value write) and re-materializes the base vector.
+    /// Empties the recorded stamps for an in-place refill from a
+    /// same-topology walk of the same analysis kind (the value write):
+    /// the static contributions are zeroed and the dynamic stamps
+    /// cleared, keeping both allocations.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` changes the analysis kind or time step the
     /// template's matrix values bake in.
-    fn repoint(&mut self, stat: Vec<f64>, dynamic: Vec<DynamicRhs>, ctx: &StampContext<'_>) {
+    fn clear_for_refill(&mut self, ctx: &StampContext<'_>) {
         assert_eq!(
             self.step_dt,
             ctx.step.map(|(dt, _)| dt),
             "value-only retarget must keep the analysis kind and time step"
         );
-        self.stat = stat;
-        self.dynamic = dynamic;
-        self.rebuild(ctx);
+        self.stat.fill(0.0);
+        self.dynamic.clear();
     }
 }
 
@@ -285,8 +380,8 @@ enum StampEvent {
     StatRhs { node: Option<usize>, v: f64 },
     /// Context-dependent RHS stamp (see [`DynamicRhs`]).
     Dynamic(DynamicRhs),
-    /// One nonlinear device's pre-resolved restamp data.
-    Mos(MosStamp),
+    /// One MOSFET's card and terminal unknowns (`None` for ground).
+    Mos { card: MosCard, terminals: [Option<usize>; 3] },
 }
 
 /// Walks `topology` in device order, taking each device's connectivity
@@ -362,14 +457,10 @@ fn walk_stamps(
                 sink(StampEvent::Mat { a: s, b: g, v: 0.0 });
                 sink(StampEvent::Mat { a: s, b: d, v: 0.0 });
                 sink(StampEvent::Mat { a: s, b: s, v: 0.0 });
-                sink(StampEvent::Mos(MosStamp {
-                    drain: d,
-                    gate: g,
-                    source: s,
-                    model,
-                    ratio: w_um / l_um,
-                    p,
-                }));
+                sink(StampEvent::Mos {
+                    card: MosCard { model, ratio: w_um / l_um, p },
+                    terminals: [d, g, s],
+                });
             }
             (device, _) => unreachable!("device {} holds a value of another kind", device.name()),
         }
@@ -383,13 +474,14 @@ fn walk_stamps(
 /// voltage-source incidence rows, source currents and the `gmin`
 /// diagonal. The template stamps that constant part **once**; each
 /// iteration then copies it ([`Matrix::copy_from`], a `memcpy`) and
-/// restamps only the nonlinear devices, instead of re-walking the whole
-/// netlist and re-zeroing the system.
+/// restamps only the nonlinear devices into the matrix's row-major
+/// data, instead of re-walking the whole netlist and re-zeroing the
+/// system.
 #[derive(Debug, Clone)]
 pub struct AssemblyTemplate {
     base: Matrix,
     rhs: RhsTemplate,
-    mosfets: Vec<MosStamp>,
+    restamp: Restamp,
     n_nodes: usize,
 }
 
@@ -410,21 +502,25 @@ impl AssemblyTemplate {
         let n_nodes = topology.node_count() - 1;
         let n = topology.unknown_count();
         let mut a = Matrix::zeros(n, n);
-        let mut rhs_static = vec![0.0; n];
-        let mut dynamic_rhs = Vec::new();
+        let mut rhs = RhsTemplate::empty(n, ctx);
         let mut mosfets = Vec::new();
+        let slot = |i: usize, j: usize| i * n + j;
 
         walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a: ia, b: ib, v } => stamp(&mut a, ia, ib, v),
-            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs_static, node, v),
-            StampEvent::Dynamic(d) => dynamic_rhs.push(d),
-            StampEvent::Mos(m) => mosfets.push(m),
+            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
+            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
+            StampEvent::Mos { card, terminals } => {
+                mosfets.push(MosRecord::new(card, terminals, slot));
+            }
         });
-        Self { base: a, rhs: RhsTemplate::new(rhs_static, dynamic_rhs, ctx), mosfets, n_nodes }
+        rhs.rebuild(ctx);
+        let gmin_slots = (0..n_nodes).map(|i| slot(i, i)).collect();
+        Self { base: a, rhs, restamp: Restamp { gmin_slots, mosfets }, n_nodes }
     }
 
     /// Rewrites every device-value-dependent stamp in place from
-    /// `values` — no matrix allocation, no template rebuild. The result
+    /// `values` — no allocation, no template rebuild. The result
     /// is bitwise identical to a freshly built template: both paths
     /// consume the same stamp-walk event stream in the same order.
     /// `topology` must be the one this template was built over and
@@ -441,33 +537,21 @@ impl AssemblyTemplate {
         values: &[DeviceValue],
         ctx: &StampContext<'_>,
     ) {
-        assert_eq!(
-            self.rhs.step_dt,
-            ctx.step.map(|(dt, _)| dt),
-            "value-only retarget must keep the analysis kind and time step"
-        );
-        let n = self.base.rows();
-        for i in 0..n {
-            for v in self.base.row_mut(i) {
-                *v = 0.0;
-            }
-        }
-        let mut rhs_static = vec![0.0; n];
-        let mut dynamic_rhs = Vec::with_capacity(self.rhs.dynamic.len());
+        self.rhs.clear_for_refill(ctx);
+        self.base.as_mut_slice().fill(0.0);
         let mut mos_i = 0;
-        let base = &mut self.base;
-        let mosfets = &mut self.mosfets;
+        let (base, rhs, mosfets) = (&mut self.base, &mut self.rhs, &mut self.restamp.mosfets);
         walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a: ia, b: ib, v } => stamp(base, ia, ib, v),
-            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs_static, node, v),
-            StampEvent::Dynamic(d) => dynamic_rhs.push(d),
-            StampEvent::Mos(m) => {
-                mosfets[mos_i] = m;
+            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
+            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
+            StampEvent::Mos { card, .. } => {
+                mosfets[mos_i].card = card;
                 mos_i += 1;
             }
         });
-        debug_assert_eq!(mos_i, self.mosfets.len(), "same-topology walk changed shape");
-        self.rhs.repoint(rhs_static, dynamic_rhs, ctx);
+        debug_assert_eq!(mos_i, mosfets.len(), "same-topology walk changed shape");
+        self.rhs.rebuild(ctx);
     }
 
     /// Re-points the template at a new context **of the same kind**: same
@@ -492,7 +576,7 @@ impl AssemblyTemplate {
 
     /// Number of nonlinear devices restamped per iteration.
     pub fn nonlinear_count(&self) -> usize {
-        self.mosfets.len()
+        self.restamp.mosfets.len()
     }
 
     /// Assembles the linearized system around estimate `x` into
@@ -506,44 +590,8 @@ impl AssemblyTemplate {
         a.copy_from(&self.base);
         rhs.copy_from_slice(&self.rhs.base);
         assert_eq!(x.len(), self.dim(), "solution estimate dimension mismatch");
-
-        // Floating-node / convergence gmin.
-        for i in 0..self.n_nodes {
-            a[(i, i)] += gmin;
-        }
-
-        for mos in &self.mosfets {
-            let lin = mos.linearize(x);
-            let (idx_d, idx_s) =
-                if lin.swapped { (mos.source, mos.drain) } else { (mos.drain, mos.source) };
-            let idx_g = mos.gate;
-            stamp(a, idx_d, idx_g, lin.gm);
-            stamp(a, idx_d, idx_d, lin.gds);
-            stamp(a, idx_d, idx_s, -(lin.gm + lin.gds));
-            stamp(a, idx_s, idx_g, -lin.gm);
-            stamp(a, idx_s, idx_d, -lin.gds);
-            stamp(a, idx_s, idx_s, lin.gm + lin.gds);
-            stamp_rhs(rhs, idx_d, -lin.ieq_signed);
-            stamp_rhs(rhs, idx_s, lin.ieq_signed);
-        }
+        self.restamp.apply(a.as_mut_slice(), rhs, x, gmin);
     }
-}
-
-/// One MOSFET's pre-resolved stamp for the sparse assembly: the node/
-/// model data plus the **CSR value indices** of its six conductance
-/// positions, so the per-iteration restamp is direct array writes — no
-/// pattern search, mirroring the dense template's indexed stores.
-#[derive(Debug, Clone, Copy)]
-struct SparseMosStamp {
-    stamp: MosStamp,
-    /// Value indices of ((d,g), (d,d), (d,s), (s,g), (s,d), (s,s)) in the
-    /// *physical* drain/source naming; `None` where a terminal is ground.
-    pdg: Option<usize>,
-    pdd: Option<usize>,
-    pds: Option<usize>,
-    psg: Option<usize>,
-    psd: Option<usize>,
-    pss: Option<usize>,
 }
 
 /// Cached **CSR** MNA assembly for one `(topology, values, context)`
@@ -553,7 +601,7 @@ struct SparseMosStamp {
 /// everything that varies per iteration (MOSFET conductances, the `gmin`
 /// diagonal); constant stamps live in the base value array. Each
 /// [`assemble_into`](Self::assemble_into) is then a value-array `memcpy`
-/// plus indexed restamps through a precomputed stamp→nonzero map — the
+/// plus the same slot-indexed restamp the dense template runs — the
 /// pattern never changes, which is also what lets [`SparseLu`] freeze its
 /// symbolic factorization across the whole Newton/`gmin`-ladder/sweep
 /// lifetime of the template.
@@ -561,9 +609,7 @@ struct SparseMosStamp {
 pub struct SparseAssemblyTemplate {
     base: CsrMatrix<f64>,
     rhs: RhsTemplate,
-    mosfets: Vec<SparseMosStamp>,
-    /// Value index of each node's diagonal (the `gmin` slots).
-    gmin_idx: Vec<usize>,
+    restamp: Restamp,
     /// Push-order → value-index map over the stamp walk (gmin slots
     /// appended last): the `k`-th emitted non-ground matrix stamp lands
     /// at `base.values()[slot_of[k]]` — the value-only retarget writes
@@ -586,9 +632,8 @@ impl SparseAssemblyTemplate {
         let n_nodes = topology.node_count() - 1;
         let n = topology.unknown_count();
         let mut t = Triplets::new(n, n);
-        let mut rhs_static = vec![0.0; n];
-        let mut dynamic_rhs = Vec::new();
-        let mut mos_stamps: Vec<MosStamp> = Vec::new();
+        let mut rhs = RhsTemplate::empty(n, ctx);
+        let mut mos_events = Vec::new();
 
         walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a, b, v } => {
@@ -596,10 +641,11 @@ impl SparseAssemblyTemplate {
                     t.push(i, j, v);
                 }
             }
-            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs_static, node, v),
-            StampEvent::Dynamic(d) => dynamic_rhs.push(d),
-            StampEvent::Mos(m) => mos_stamps.push(m),
+            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
+            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
+            StampEvent::Mos { card, terminals } => mos_events.push((card, terminals)),
         });
+        rhs.rebuild(ctx);
         // The gmin diagonal slots for every node.
         for i in 0..n_nodes {
             t.push(i, i, 0.0);
@@ -612,42 +658,24 @@ impl SparseAssemblyTemplate {
             .iter()
             .map(|&(i, j, _)| base.value_index(i, j).expect("pushed entry is in the pattern"))
             .collect();
-        let pos = |a: Option<usize>, b: Option<usize>| -> Option<usize> {
-            match (a, b) {
-                (Some(i), Some(j)) => {
-                    Some(base.value_index(i, j).expect("reserved stamp slot in pattern"))
-                }
-                _ => None,
-            }
-        };
-        let mosfets: Vec<SparseMosStamp> = mos_stamps
+        let slot = |i: usize, j: usize| base.value_index(i, j).expect("reserved slot in pattern");
+        let mosfets = mos_events
             .into_iter()
-            .map(|stamp| SparseMosStamp {
-                stamp,
-                pdg: pos(stamp.drain, stamp.gate),
-                pdd: pos(stamp.drain, stamp.drain),
-                pds: pos(stamp.drain, stamp.source),
-                psg: pos(stamp.source, stamp.gate),
-                psd: pos(stamp.source, stamp.drain),
-                pss: pos(stamp.source, stamp.source),
-            })
+            .map(|(card, terminals)| MosRecord::new(card, terminals, slot))
             .collect();
-        let gmin_idx: Vec<usize> = (0..n_nodes)
-            .map(|i| base.value_index(i, i).expect("node diagonal in pattern"))
-            .collect();
-        let rhs = RhsTemplate::new(rhs_static, dynamic_rhs, ctx);
-        Self { base, rhs, mosfets, gmin_idx, slot_of, n_nodes }
+        let gmin_slots = (0..n_nodes).map(|i| slot(i, i)).collect();
+        Self { base, rhs, restamp: Restamp { gmin_slots, mosfets }, slot_of, n_nodes }
     }
 
     /// The sparse analogue of [`AssemblyTemplate::write_values`], under
     /// the same contract: rewrites the CSR value array through the
     /// precomputed push-order → nonzero map (no triplet builder, no
-    /// sort, no `value_index` searches) and refreshes the MOSFET restamp
-    /// parameters, leaving the pattern — and therefore any frozen
-    /// symbolic factorization built on it — untouched. Bitwise identical
-    /// to a fresh [`SparseAssemblyTemplate::new`]: both paths accumulate
-    /// the same stamp stream in push order, exactly as
-    /// [`Triplets::to_csr`] merges duplicates.
+    /// sort, no `value_index` searches) and refreshes the MOSFET cards,
+    /// leaving the pattern — and therefore any frozen symbolic
+    /// factorization built on it — untouched. Bitwise identical to a
+    /// fresh [`SparseAssemblyTemplate::new`]: both paths accumulate the
+    /// same stamp stream in push order, exactly as [`Triplets::to_csr`]
+    /// merges duplicates.
     ///
     /// # Panics
     ///
@@ -658,24 +686,14 @@ impl SparseAssemblyTemplate {
         values: &[DeviceValue],
         ctx: &StampContext<'_>,
     ) {
-        assert_eq!(
-            self.rhs.step_dt,
-            ctx.step.map(|(dt, _)| dt),
-            "value-only retarget must keep the analysis kind and time step"
-        );
-        let n = self.base.rows();
-        for v in self.base.values_mut() {
-            *v = 0.0;
-        }
-        let mut rhs_static = vec![0.0; n];
-        let mut dynamic_rhs = Vec::with_capacity(self.rhs.dynamic.len());
+        self.rhs.clear_for_refill(ctx);
+        self.base.values_mut().fill(0.0);
         let mut slot = 0usize;
         let mut mos_i = 0usize;
+        // Split the template's fields so the closure's borrows stay
+        // disjoint.
         let stored = self.base.values_mut();
-        // Pre-borrow the pieces the closure needs (splitting the
-        // template's fields keeps the borrows disjoint).
-        let slot_of = &self.slot_of;
-        let mosfets = &mut self.mosfets;
+        let (rhs, slot_of, mosfets) = (&mut self.rhs, &self.slot_of, &mut self.restamp.mosfets);
         walk_stamps(topology, values, ctx, &mut |event| match event {
             StampEvent::Mat { a, b, v } => {
                 if a.is_some() && b.is_some() {
@@ -683,20 +701,16 @@ impl SparseAssemblyTemplate {
                     slot += 1;
                 }
             }
-            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs_static, node, v),
-            StampEvent::Dynamic(d) => dynamic_rhs.push(d),
-            StampEvent::Mos(m) => {
-                mosfets[mos_i].stamp = m;
+            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
+            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
+            StampEvent::Mos { card, .. } => {
+                mosfets[mos_i].card = card;
                 mos_i += 1;
             }
         });
-        debug_assert_eq!(
-            slot + self.n_nodes,
-            self.slot_of.len(),
-            "same-topology walk changed shape"
-        );
-        debug_assert_eq!(mos_i, self.mosfets.len(), "same-topology walk changed shape");
-        self.rhs.repoint(rhs_static, dynamic_rhs, ctx);
+        debug_assert_eq!(slot + self.n_nodes, slot_of.len(), "same-topology walk changed shape");
+        debug_assert_eq!(mos_i, mosfets.len(), "same-topology walk changed shape");
+        self.rhs.rebuild(ctx);
     }
 
     /// Re-points the template at a new context of the same kind — the
@@ -718,7 +732,7 @@ impl SparseAssemblyTemplate {
 
     /// Number of nonlinear devices restamped per iteration.
     pub fn nonlinear_count(&self) -> usize {
-        self.mosfets.len()
+        self.restamp.mosfets.len()
     }
 
     /// Stored pattern entries.
@@ -734,7 +748,7 @@ impl SparseAssemblyTemplate {
 
     /// Assembles the linearized system around estimate `x` into `a` /
     /// `rhs`: base values memcpy'd, `gmin` diagonal applied, MOSFETs
-    /// restamped through the precomputed index map.
+    /// restamped through their precomputed value slots.
     ///
     /// # Panics
     ///
@@ -745,39 +759,7 @@ impl SparseAssemblyTemplate {
         assert_eq!(x.len(), self.dim(), "solution estimate dimension mismatch");
         a.values_mut().copy_from_slice(self.base.values());
         rhs.copy_from_slice(&self.rhs.base);
-        let vals = a.values_mut();
-        for &i in &self.gmin_idx {
-            vals[i] += gmin;
-        }
-        for mos in &self.mosfets {
-            let lin = mos.stamp.linearize(x);
-            // Select the six positions under the current drain/source
-            // role assignment (the reserved set is closed under the
-            // swap).
-            let (pdg, pdd, pds, psg, psd, pss) = if lin.swapped {
-                (mos.psg, mos.pss, mos.psd, mos.pdg, mos.pds, mos.pdd)
-            } else {
-                (mos.pdg, mos.pdd, mos.pds, mos.psg, mos.psd, mos.pss)
-            };
-            let mut add = |idx: Option<usize>, v: f64| {
-                if let Some(i) = idx {
-                    vals[i] += v;
-                }
-            };
-            add(pdg, lin.gm);
-            add(pdd, lin.gds);
-            add(pds, -(lin.gm + lin.gds));
-            add(psg, -lin.gm);
-            add(psd, -lin.gds);
-            add(pss, lin.gm + lin.gds);
-            let (idx_d, idx_s) = if lin.swapped {
-                (mos.stamp.source, mos.stamp.drain)
-            } else {
-                (mos.stamp.drain, mos.stamp.source)
-            };
-            stamp_rhs(rhs, idx_d, -lin.ieq_signed);
-            stamp_rhs(rhs, idx_s, lin.ieq_signed);
-        }
+        self.restamp.apply(a.values_mut(), rhs, x, gmin);
     }
 }
 
@@ -867,12 +849,28 @@ impl MnaTemplate {
             repivots: 0,
             ordering: FillOrdering::default(),
             newton_iterations: 0,
+            work: NewtonWork::default(),
         }
     }
 }
 
+/// The Newton loop's working vectors, kept in [`MnaState`] so that an
+/// iteration, a `gmin` rung or a repeated solve allocates nothing once
+/// they have grown to the system size.
+#[derive(Debug, Clone, Default)]
+struct NewtonWork {
+    /// The starting point of the next Newton run; after a converged run
+    /// it holds the solution.
+    start: Vec<f64>,
+    /// The iterate.
+    x: Vec<f64>,
+    residual: Vec<f64>,
+    dx: Vec<f64>,
+}
+
 /// Working storage for Newton solves over one [`MnaTemplate`]: the
-/// template, the assembled system and the (re)usable factorization.
+/// template, the assembled system, the (re)usable factorization and the
+/// Newton loop's working vectors.
 ///
 /// `MnaState` is `Clone` + `Send`, which is what per-worker solver
 /// pooling builds on: clone a **primed** state (one that already carries
@@ -896,6 +894,7 @@ pub struct MnaState {
     /// deterministic work measure of a solve sequence (wall time would be
     /// noisy; iteration count is exact).
     newton_iterations: u64,
+    work: NewtonWork,
 }
 
 // One `MnaState` exists per solver (never collections of them), so the
@@ -1057,6 +1056,46 @@ impl MnaState {
         self.refresh_factor()
     }
 
+    /// The starting point of the next [`Self::newton_from_start`], which
+    /// the caller fills.
+    pub(crate) fn start_mut(&mut self) -> &mut Vec<f64> {
+        &mut self.work.start
+    }
+
+    /// The starting point; after a converged [`Self::newton_from_start`]
+    /// the solution.
+    pub(crate) fn start(&self) -> &[f64] {
+        &self.work.start
+    }
+
+    /// Runs the Newton/chord iteration from [`Self::start`] and, if it
+    /// converges, leaves the solution there; on an error the starting
+    /// point is untouched.
+    ///
+    /// # Errors
+    ///
+    /// As [`newton_solve_with_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the starting point's length differs from the state
+    /// dimension.
+    pub(crate) fn newton_from_start(
+        &mut self,
+        gmin: f64,
+        options: &NewtonOptions,
+    ) -> Result<(), SpiceError> {
+        let mut work = std::mem::take(&mut self.work);
+        work.x.clear();
+        work.x.extend_from_slice(&work.start);
+        let outcome = newton_iterate(self, &mut work, gmin, options);
+        if outcome.is_ok() {
+            std::mem::swap(&mut work.start, &mut work.x);
+        }
+        self.work = work;
+        outcome
+    }
+
     /// Rewrites the template's stamp values in place from `values` over
     /// `topology`, which must be the template's own topology and accept
     /// `values` (the caller's check) — no template rebuild, no
@@ -1216,8 +1255,10 @@ pub fn newton_solve(
 
 /// The Newton/chord iteration over persistent working state.
 ///
-/// The state owns the assembled system and the factorization. On the
-/// dense backend the factorization slot avoids per-refresh allocation;
+/// The state owns the assembled system, the factorization and the
+/// Newton working vectors, so an iteration allocates nothing; only the
+/// returned solution is a new vector. On the dense backend the
+/// factorization slot avoids per-refresh allocation;
 /// on the sparse backend it additionally carries the **symbolic
 /// factorization** (pivot order + fill pattern), so every refresh after
 /// the first — across iterations, `gmin` rungs and repeated solves of a
@@ -1237,17 +1278,32 @@ pub fn newton_solve_with_state(
     gmin: f64,
     options: &NewtonOptions,
 ) -> Result<Vec<f64>, SpiceError> {
+    let start = state.start_mut();
+    start.clear();
+    start.extend_from_slice(initial);
+    state.newton_from_start(gmin, options)?;
+    Ok(state.start().to_vec())
+}
+
+/// The iteration behind [`newton_solve_with_state`], over the working
+/// vectors `work` (taken out of `state` for the run): iterates `work.x`
+/// in place.
+fn newton_iterate(
+    state: &mut MnaState,
+    work: &mut NewtonWork,
+    gmin: f64,
+    options: &NewtonOptions,
+) -> Result<(), SpiceError> {
     let n = state.dim();
-    assert_eq!(initial.len(), n, "initial guess dimension mismatch");
+    assert_eq!(work.x.len(), n, "initial guess dimension mismatch");
     // Fresh symbolic analyses inside this solve (first factor, re-pivot
     // recovery) honor the caller's ordering choice. A factorization the
     // state already carries is never re-ordered here.
     state.set_ordering(options.ordering);
     let n_nodes = state.n_nodes();
-    let mut x = initial.to_vec();
-
-    let mut residual = vec![0.0; n];
-    let mut dx = Vec::with_capacity(n);
+    let NewtonWork { x, residual, dx, .. } = work;
+    residual.clear();
+    residual.resize(n, 0.0);
     // Whether the factorization is from an *earlier* iterate (chord
     // state). A factor inherited from a previous solve is always stale.
     let mut lu_is_stale = state.has_factor();
@@ -1261,9 +1317,9 @@ pub fn newton_solve_with_state(
 
     for _ in 0..options.max_iterations {
         state.newton_iterations += 1;
-        state.assemble(&x, gmin);
+        state.assemble(x, gmin);
         // residual = rhs − A·x; the Newton/chord step solves J·dx = residual.
-        state.residual_into(&x, &mut residual);
+        state.residual_into(x, residual);
 
         let refresh = match options.strategy {
             JacobianStrategy::Full => true,
@@ -1286,7 +1342,7 @@ pub fn newton_solve_with_state(
                     // solve previously aborted outright.
                     let mut recovered = false;
                     for boost in [1e3, 1e6, 1e9] {
-                        state.assemble(&x, gmin * boost);
+                        state.assemble(x, gmin * boost);
                         if state.refresh_factor().is_ok() {
                             recovered = true;
                             break;
@@ -1301,7 +1357,7 @@ pub fn newton_solve_with_state(
             }
             lu_is_stale = false;
         }
-        state.solve_into(&residual, &mut dx);
+        state.solve_into(residual, dx);
 
         // Damped update with per-component clamp on node voltages.
         let mut max_delta = 0.0f64;
@@ -1323,7 +1379,7 @@ pub fn newton_solve_with_state(
         // through the iteration budget.
         if max_delta < options.tolerance && x.iter().all(|v| v.is_finite()) {
             if !boosted {
-                return Ok(x);
+                return Ok(());
             }
             // A tiny step through a heavily boosted Jacobian is not
             // evidence of convergence (dx ≈ residual / boost). Force a
@@ -1348,8 +1404,8 @@ pub fn newton_solve_with_state(
         last_max_delta = max_delta;
     }
     // Measure the final update magnitude as the reported residual.
-    state.assemble(&x, gmin);
-    state.residual_into(&x, &mut residual);
+    state.assemble(x, gmin);
+    state.residual_into(x, residual);
     let residual = residual.iter().fold(0.0f64, |m, r| m.max(r.abs()));
     Err(SpiceError::NonConvergent { residual })
 }
@@ -1369,6 +1425,241 @@ mod tests {
         let mut rhs = vec![0.0; n];
         template.assemble_into(&mut a, &mut rhs, x, ctx.gmin);
         (a, rhs)
+    }
+
+    /// One MOSFET's stamp in the layout the per-backend restamps read:
+    /// node indices (`None` for ground), card, geometry ratio and
+    /// polarity factor.
+    #[derive(Debug, Clone, Copy)]
+    struct MosStamp {
+        drain: Option<usize>,
+        gate: Option<usize>,
+        source: Option<usize>,
+        model: MosModel,
+        ratio: f64,
+        p: f64,
+    }
+
+    /// One linearization: the numbers both per-backend restamps stamp.
+    #[derive(Debug, Clone, Copy)]
+    struct MosLin {
+        swapped: bool,
+        gm: f64,
+        gds: f64,
+        ieq_signed: f64,
+    }
+
+    impl MosStamp {
+        /// Every MOSFET of `netlist`, in device order, read straight off
+        /// its devices and values.
+        fn all(netlist: &Netlist) -> Vec<Self> {
+            netlist
+                .devices()
+                .iter()
+                .zip(netlist.values())
+                .filter_map(|(device, value)| match (device, *value) {
+                    (
+                        Device::Mosfet { drain, gate, source, .. },
+                        DeviceValue::Mosfet { model, w_um, l_um },
+                    ) => Some(Self {
+                        drain: node_index(*drain),
+                        gate: node_index(*gate),
+                        source: node_index(*source),
+                        model,
+                        ratio: w_um / l_um,
+                        p: match model.polarity {
+                            crate::model::MosPolarity::Nmos => 1.0,
+                            crate::model::MosPolarity::Pmos => -1.0,
+                        },
+                    }),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn linearize(&self, x: &[f64]) -> MosLin {
+            let volt = |idx: Option<usize>| -> f64 { idx.map_or(0.0, |i| x[i]) };
+            let p = self.p;
+            let wd = p * volt(self.drain);
+            let wg = p * volt(self.gate);
+            let ws = p * volt(self.source);
+            let swapped = wd < ws;
+            let (wdd, wss) = if swapped { (ws, wd) } else { (wd, ws) };
+            let vgs_c = wg - wss;
+            let vds_c = wdd - wss;
+            let (id0, gm0, gds0) = self.model.ids(vgs_c, vds_c);
+            let (id, gm, gds) = (id0 * self.ratio, gm0 * self.ratio, gds0 * self.ratio);
+            MosLin { swapped, gm, gds, ieq_signed: p * (id - gm * vgs_c - gds * vds_c) }
+        }
+    }
+
+    /// The dense template's per-backend restamp, through 2-D indexing.
+    fn restamp_dense_oracle(mosfets: &[MosStamp], a: &mut Matrix, rhs: &mut [f64], x: &[f64]) {
+        for mos in mosfets {
+            let lin = mos.linearize(x);
+            let (idx_d, idx_s) =
+                if lin.swapped { (mos.source, mos.drain) } else { (mos.drain, mos.source) };
+            let idx_g = mos.gate;
+            stamp(a, idx_d, idx_g, lin.gm);
+            stamp(a, idx_d, idx_d, lin.gds);
+            stamp(a, idx_d, idx_s, -(lin.gm + lin.gds));
+            stamp(a, idx_s, idx_g, -lin.gm);
+            stamp(a, idx_s, idx_d, -lin.gds);
+            stamp(a, idx_s, idx_s, lin.gm + lin.gds);
+            stamp_rhs(rhs, idx_d, -lin.ieq_signed);
+            stamp_rhs(rhs, idx_s, lin.ieq_signed);
+        }
+    }
+
+    /// The sparse template's per-backend restamp, through CSR value
+    /// positions resolved per record.
+    fn restamp_sparse_oracle(
+        mosfets: &[MosStamp],
+        a: &mut CsrMatrix<f64>,
+        rhs: &mut [f64],
+        x: &[f64],
+    ) {
+        let pos = |a: &CsrMatrix<f64>, i: Option<usize>, j: Option<usize>| match (i, j) {
+            (Some(i), Some(j)) => Some(a.value_index(i, j).expect("reserved stamp slot")),
+            _ => None,
+        };
+        for mos in mosfets {
+            let (d, g, s) = (mos.drain, mos.gate, mos.source);
+            let (pdg, pdd, pds) = (pos(a, d, g), pos(a, d, d), pos(a, d, s));
+            let (psg, psd, pss) = (pos(a, s, g), pos(a, s, d), pos(a, s, s));
+            let lin = mos.linearize(x);
+            let (pdg, pdd, pds, psg, psd, pss) = if lin.swapped {
+                (psg, pss, psd, pdg, pds, pdd)
+            } else {
+                (pdg, pdd, pds, psg, psd, pss)
+            };
+            let vals = a.values_mut();
+            let mut add = |idx: Option<usize>, v: f64| {
+                if let Some(i) = idx {
+                    vals[i] += v;
+                }
+            };
+            add(pdg, lin.gm);
+            add(pdd, lin.gds);
+            add(pds, -(lin.gm + lin.gds));
+            add(psg, -lin.gm);
+            add(psd, -lin.gds);
+            add(pss, lin.gm + lin.gds);
+            let (idx_d, idx_s) = if lin.swapped { (s, d) } else { (d, s) };
+            stamp_rhs(rhs, idx_d, -lin.ieq_signed);
+            stamp_rhs(rhs, idx_s, lin.ieq_signed);
+        }
+    }
+
+    /// A netlist whose MOSFETs cover every restamp shape: both
+    /// polarities, a grounded drain, gate and source, and a
+    /// diode-connected device whose drain and gate slots coincide.
+    fn restamp_netlist() -> Netlist {
+        use crate::model::MosModel;
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let vin = nl.node("vin");
+        let out = nl.node("out");
+        let mid = nl.node("mid");
+        nl.vsource("VDD", vdd, GROUND, 0.9);
+        nl.vsource("VIN", vin, GROUND, 0.42);
+        nl.resistor("RL", vdd, out, 10e3);
+        nl.resistor("RM", mid, GROUND, 20e3);
+        nl.mosfet("MP", out, vin, vdd, MosModel::pmos_28nm(), 2.0, 0.05);
+        nl.mosfet("MN", out, vin, mid, MosModel::nmos_28nm(), 1.0, 0.05);
+        nl.mosfet("MD", GROUND, vin, mid, MosModel::nmos_28nm(), 1.5, 0.06);
+        nl.mosfet("MG", mid, GROUND, out, MosModel::pmos_28nm(), 3.0, 0.08);
+        nl.mosfet("MS", mid, out, GROUND, MosModel::nmos_28nm(), 0.8, 0.04);
+        nl.mosfet("MX", out, out, mid, MosModel::nmos_28nm(), 1.2, 0.05);
+        nl
+    }
+
+    /// The shared slot restamp against both per-backend oracles, bit for
+    /// bit, at estimate `x` under `gmin`.
+    fn check_restamp_against_oracles(
+        nl: &Netlist,
+        x: &[f64],
+        gmin: f64,
+    ) -> Result<(), proptest::TestCaseError> {
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let ctx = StampContext { time: 0.0, step: None, gmin };
+        let mosfets = MosStamp::all(nl);
+        let n = nl.unknown_count();
+        let n_nodes = nl.node_count() - 1;
+
+        let dense = AssemblyTemplate::new(nl, nl.values(), &ctx);
+        let (mut a, mut rhs) = (Matrix::zeros(n, n), vec![0.0; n]);
+        dense.assemble_into(&mut a, &mut rhs, x, gmin);
+        let (mut a_oracle, mut rhs_oracle) = (dense.base.clone(), dense.rhs.base.clone());
+        for i in 0..n_nodes {
+            a_oracle[(i, i)] += gmin;
+        }
+        restamp_dense_oracle(&mosfets, &mut a_oracle, &mut rhs_oracle, x);
+        proptest::prop_assert_eq!(bits(a.as_slice()), bits(a_oracle.as_slice()), "dense matrix");
+        proptest::prop_assert_eq!(bits(&rhs), bits(&rhs_oracle), "dense rhs");
+
+        let sparse = SparseAssemblyTemplate::new(nl, nl.values(), &ctx);
+        let (mut a, mut rhs) = (sparse.new_system(), vec![0.0; n]);
+        sparse.assemble_into(&mut a, &mut rhs, x, gmin);
+        let (mut a_oracle, mut rhs_oracle) = (sparse.base.clone(), sparse.rhs.base.clone());
+        for i in 0..n_nodes {
+            let slot = a_oracle.value_index(i, i).expect("node diagonal in pattern");
+            a_oracle.values_mut()[slot] += gmin;
+        }
+        restamp_sparse_oracle(&mosfets, &mut a_oracle, &mut rhs_oracle, x);
+        proptest::prop_assert_eq!(bits(a.values()), bits(a_oracle.values()), "sparse matrix");
+        proptest::prop_assert_eq!(bits(&rhs), bits(&rhs_oracle), "sparse rhs");
+        Ok(())
+    }
+
+    proptest::proptest! {
+        // The one slot restamp agrees with the dense and sparse
+        // restamps it replaced, bit for bit, at random estimates.
+        #[test]
+        fn prop_slot_restamp_matches_per_backend_oracles(
+            x in proptest::collection::vec(-0.6f64..1.5, 6),
+            gmin in 1e-12f64..1e-3,
+        ) {
+            check_restamp_against_oracles(&restamp_netlist(), &x, gmin)?;
+        }
+    }
+
+    #[test]
+    fn restamp_oracle_grid_covers_every_orientation_and_region() {
+        // Every device on a grid of estimates: the parity check holds at
+        // each, and between them the estimates reach both drain/source
+        // orientations in all three regions (cutoff, triode,
+        // saturation).
+        let nl = restamp_netlist();
+        let mosfets = MosStamp::all(&nl);
+        let levels = [-0.3, 0.0, 0.2, 0.45, 0.9, 1.3];
+        let mut seen = std::collections::BTreeSet::new();
+        let n = nl.unknown_count();
+        for k in 0..levels.len().pow(4) {
+            let mut x = vec![0.0; n];
+            let mut code = k;
+            for v in x.iter_mut().take(4) {
+                *v = levels[code % levels.len()];
+                code /= levels.len();
+            }
+            check_restamp_against_oracles(&nl, &x, 1e-9).unwrap();
+            for mos in &mosfets {
+                let lin = mos.linearize(&x);
+                let volt = |i: Option<usize>| mos.p * i.map_or(0.0, |i| x[i]);
+                let (wd, wg, ws) = (volt(mos.drain), volt(mos.gate), volt(mos.source));
+                let (hi, lo) = if lin.swapped { (ws, wd) } else { (wd, ws) };
+                let vov = wg - lo - mos.model.vth0;
+                let region = if vov <= 0.0 {
+                    0
+                } else if hi - lo < vov {
+                    1
+                } else {
+                    2
+                };
+                seen.insert((lin.swapped, region));
+            }
+        }
+        assert_eq!(seen.len(), 6, "orientation × region combinations reached: {seen:?}");
     }
 
     #[test]
