@@ -187,13 +187,12 @@ impl MosRecord {
             (Some(i), Some(j)) => compact(slot(i, j)).expect("MOSFET stamp slot fits the record"),
             _ => GROUNDED,
         };
+        let [dg, dd, ds, sg, sd, ss] =
+            [pos(d, g), pos(d, d), pos(d, s), pos(s, g), pos(s, d), pos(s, s)];
         Self {
             card,
             terminals: [index(d), index(g), index(s)],
-            slots: [
-                [pos(d, g), pos(d, d), pos(d, s), pos(s, g), pos(s, d), pos(s, s)],
-                [pos(s, g), pos(s, s), pos(s, d), pos(d, g), pos(d, s), pos(d, d)],
-            ],
+            slots: [[dg, dd, ds, sg, sd, ss], [sg, ss, sd, dg, ds, dd]],
         }
     }
 
