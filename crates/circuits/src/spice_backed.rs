@@ -547,10 +547,16 @@ impl Circuit for SpiceOta {
         let topology = self.solve.pool.topology();
         match ac_sweep_with_backend_from_op(topology, &values, op, "VINP", &self.freqs, backend) {
             Ok(ac) => {
-                let gain_db = ac.magnitude_db(self.out)[0];
+                // One magnitude pass serves both the gain and the −3 dB
+                // crossing, found by `AcResult::bandwidth_3db`'s test.
+                let mags = ac.magnitude_db(self.out);
+                let gain_db = mags[0];
                 // Single-pole GBW estimate; a response that never drops
                 // 3 dB inside the sweep is credited with the sweep edge.
-                let f3 = ac.bandwidth_3db(self.out).unwrap_or_else(|| *self.freqs.last().unwrap());
+                let f3 = mags
+                    .iter()
+                    .position(|&m| m <= gain_db - 3.0)
+                    .map_or_else(|| *self.freqs.last().unwrap(), |i| self.freqs[i]);
                 let gbw_mhz = f3 * 10f64.powf(gain_db / 20.0) / 1e6;
                 vec![gain_db, gbw_mhz, supply_current_ua]
             }
