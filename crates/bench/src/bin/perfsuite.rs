@@ -16,7 +16,10 @@
 //! - `yield_grid` — the fresh-die Monte-Carlo yield campaign (the
 //!   pipeline's dominant workload) per circuit, batch size and engine;
 //!   threaded records carry their speedup over the matching sequential
-//!   run.
+//!   run. The analytic grids (SAL, FIA) evaluate in about a microsecond
+//!   per point, too little for two threads to beat the dispatch, so they
+//!   are reported only; the SPICE grids (the 5×4 sense-amp array and the
+//!   8-stage chain on pooled solvers) carry the gate.
 //! - `verify_resweep` — two identically seeded Algorithm-2 verifications
 //!   of a passing design (the re-verification pattern of ablation and
 //!   parity arms): with the [`EvalCache`](glova::cache::EvalCache)
@@ -24,24 +27,15 @@
 //!   memory, so the scenario measures a real hit rate and the wall-time
 //!   ratio vs the cache-off reference.
 //! - `spice_op` — repeated DC operating-point solves of CMOS inverter
-//!   chains (4 and 24 stages) on the dense reference backend,
+//!   chains (4 and 24 stages) through a persistent [`OpSolver`],
 //!   chord-Newton (the default) vs full Newton; the LU reuse wins grow
 //!   with the MNA dimension.
-//! - `spice_sparse` — the same operating-point workload per chain size,
-//!   dense vs sparse backend (both on the default chord strategy,
-//!   through a persistent [`OpSolver`] as a
-//!   sweep would use): the dense-vs-sparse scaling curve, gated so the
-//!   sparse backend never regresses below its measured advantage.
 //! - `spice_threaded` — a SPICE-backed corner × mismatch yield grid
 //!   ([`SpiceInverterChain`](glova_circuits::SpiceInverterChain), 24
 //!   stages) dispatched through the engine layer, sequential vs a
 //!   4-worker threaded engine with per-worker `OpSolver`s cloned from
 //!   one primed prototype — the thread-parallel sweep the engine work
 //!   exists for, gated at ≥ `--min-spice-speedup` (default 1.5×).
-//! - `spice_amd` — cold symbolic analysis + first factorization of the
-//!   508-unknown 2-D sense-amp array, Markowitz dynamic pivoting vs the
-//!   AMD fill-reducing pre-ordering, gated at ≥ `--min-amd-speedup`
-//!   (default 1.5×; measured ≈5× locally).
 //! - `campaign` — end-to-end risk-sensitive sizing campaigns
 //!   ([`SizingCampaign`]) on the SPICE OTA and inverter chain, full
 //!   30-corner grid vs RobustAnalog-style corner-set pruning with the
@@ -60,17 +54,16 @@
 //!   and on cross-arm agreement of every job's simulation count;
 //!   throughput is reported ungated.
 //!
-//! The `--gate` mode enforces: per-scenario wall ceiling, best threaded
-//! speedup across the yield-grid matrix ≥ `--min-speedup` (skipped on
+//! The `--gate` mode enforces: per-scenario wall ceiling, every threaded
+//! speedup across the SPICE yield grids ≥ `--min-speedup` (skipped on
 //! single-core machines, where a threaded engine cannot win), a nonzero
 //! cache hit rate on the re-sweep scenario with the cache pinned on, the
-//! sparse-backend floors (≥ 1.5× dense at 24 stages, ≥ 4× at 64), the
 //! threaded SPICE sweep floor (≥ 1.5× sequential on 4 workers,
-//! skipped below 4 cores), the AMD floor, and the deterministic gates of
+//! skipped below 4 cores), and the deterministic gates of
 //! `spice_ota`, `campaign`, `serve` and `serve_robust` above.
-//! Timings gate on the best of two runs per
-//! measurement — single samples of millisecond-scale batches are
-//! CI-noise, not signal.
+//! Timings gate on the best of several runs per measurement — single
+//! samples of millisecond-scale batches are CI-noise, not signal; the
+//! yield grids also warm each arm up and alternate its engines.
 
 use glova::cache::{CachePolicy, CacheRegistry, CacheStats, EvalCacheConfig};
 use glova::campaign::{CampaignConfig, PruningConfig, SizingCampaign};
@@ -82,12 +75,10 @@ use glova::yield_est::estimate_yield;
 use glova_bench::report::{BenchRecord, BenchReport};
 use glova_bench::{report_requested, write_report};
 use glova_circuits::{Circuit, ToyQuadratic};
-use glova_linalg::sparse::SparseLu;
-use glova_linalg::FillOrdering;
 use glova_serve::{CampaignServer, CircuitSpec, JobBudget, JobStatus, SizingRequest};
 use glova_spice::dc::OpSolver;
-use glova_spice::mna::{NewtonOptions, SolverBackend, SparseAssemblyTemplate, StampContext};
-use glova_spice::netlist::{inverter_chain, sense_amp_array, Netlist};
+use glova_spice::mna::NewtonOptions;
+use glova_spice::netlist::{inverter_chain, Netlist};
 use glova_spice::registry::SolverRegistry;
 use glova_stats::rng::seeded;
 use glova_variation::config::VerificationMethod;
@@ -112,26 +103,48 @@ fn print_record(r: &BenchRecord) {
     );
 }
 
-/// One yield-grid campaign, best wall time of two runs — single-run
-/// timings of millisecond-scale batches are too noisy to gate on
-/// (shared CI runners jitter far more than the scheduler overhead under
-/// measurement).
-fn yield_grid(circuit: &Arc<dyn Circuit>, engine: EngineSpec, batch: usize) -> (u64, Duration) {
+/// Timed rounds per yield-grid arm; each round runs the sequential and
+/// then the threaded campaign, and each engine keeps its best wall.
+const YIELD_GRID_ROUNDS: usize = 3;
+
+/// One yield-grid campaign on `engine`: its simulation count and wall.
+fn yield_grid_once(
+    circuit: &Arc<dyn Circuit>,
+    engine: EngineSpec,
+    batch: usize,
+) -> (u64, Duration) {
     let problem = SizingProblem::with_engine(
         circuit.clone(),
         VerificationMethod::CornerLocalMc,
         engine.build(),
     );
     let x = vec![0.5; circuit.dim()];
-    let mut best = Duration::MAX;
-    for _ in 0..2 {
-        problem.reset_simulations();
-        let mut rng = seeded(2025);
-        let start = Instant::now();
-        let _ = estimate_yield(&problem, &x, batch, 0.95, &mut rng);
-        best = best.min(start.elapsed());
+    let mut rng = seeded(2025);
+    let start = Instant::now();
+    let _ = estimate_yield(&problem, &x, batch, 0.95, &mut rng);
+    (problem.simulations(), start.elapsed())
+}
+
+/// The sequential and the `threaded` yield-grid campaign's simulation
+/// counts and best walls: one untimed warm-up, then
+/// [`YIELD_GRID_ROUNDS`] rounds alternating the two engines. Single
+/// timings of millisecond-scale batches are too noisy to gate on, and a
+/// circuit's first campaign pays its warm-up; alternating spreads the
+/// host's slow phases over both engines.
+fn yield_grid(
+    circuit: &Arc<dyn Circuit>,
+    threaded: EngineSpec,
+    batch: usize,
+) -> [(u64, Duration); 2] {
+    yield_grid_once(circuit, EngineSpec::Sequential, batch);
+    let mut best = [(0, Duration::MAX); 2];
+    for _ in 0..YIELD_GRID_ROUNDS {
+        for (slot, engine) in best.iter_mut().zip([EngineSpec::Sequential, threaded]) {
+            let (sims, wall) = yield_grid_once(circuit, engine, batch);
+            *slot = (sims, slot.1.min(wall));
+        }
     }
-    (problem.simulations(), best)
+    best
 }
 
 /// Two identically seeded verifications of a passing design; returns
@@ -163,10 +176,9 @@ fn verify_resweep(
 }
 
 /// Repeated DC operating-point solves through a persistent
-/// [`OpSolver`] (template and, on the sparse backend, the symbolic
-/// factorization built once — the corner-sweep usage pattern); returns
-/// the best-of-two wall time (both timing loops run warm solver state,
-/// so the repeats are symmetric across backends).
+/// [`OpSolver`] (template and symbolic factorization built once — the
+/// corner-sweep usage pattern); returns the best-of-two wall time (both
+/// timing loops run warm solver state, so the repeats are symmetric).
 fn solve_op(netlist: &Netlist, options: &NewtonOptions, solves: usize) -> Duration {
     let mut solver = OpSolver::new(netlist.clone(), *options);
     let mut best = Duration::MAX;
@@ -189,9 +201,13 @@ fn main() {
         flag(&args, "--max-wall-seconds").and_then(|s| s.parse().ok()).unwrap_or(120.0);
 
     let batches: &[usize] = if quick { &[16, 64] } else { &[64, 256] };
-    let circuits: Vec<(&str, Arc<dyn Circuit>)> = vec![
-        ("SAL", Arc::new(glova_circuits::StrongArmLatch::new()) as Arc<dyn Circuit>),
-        ("FIA", Arc::new(glova_circuits::FloatingInverterAmp::new())),
+    // (name, circuit, gated): the analytic grids are reported, the
+    // SPICE grids carry the threaded-speedup gate.
+    let circuits: Vec<(&str, Arc<dyn Circuit>, bool)> = vec![
+        ("SAL", Arc::new(glova_circuits::StrongArmLatch::new()) as Arc<dyn Circuit>, false),
+        ("FIA", Arc::new(glova_circuits::FloatingInverterAmp::new()), false),
+        ("SPICE-SA5x4", Arc::new(glova_circuits::SpiceSenseAmpArray::new(5, 4)), true),
+        ("SPICE-INV8", Arc::new(glova_circuits::SpiceInverterChain::new(8)), true),
     ];
     let threaded = EngineSpec::Threaded(0);
     let cores = threaded.resolved_workers();
@@ -206,23 +222,27 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     // ---- yield_grid: circuit × batch × engine --------------------------
-    // The gate checks the *best* threaded speedup across the matrix, not
-    // every scenario: small batches are dominated by scheduler overhead
-    // and runner noise, and a per-scenario >= 1.0x requirement would turn
-    // one jittery 2 ms sample into a red build. A real threading
-    // regression drags down every scenario, including the largest batch.
-    let mut best_threaded_speedup = f64::NEG_INFINITY;
-    for (name, circuit) in &circuits {
+    // The gate checks the *slowest* threaded speedup across the SPICE
+    // grids: each point there is a pooled DC solve that dwarfs the
+    // dispatch, so two workers read well above 1.0x on every arm, while
+    // an engine that runs every point on one worker reads about 1.0x on
+    // each and so at least one arm falls below the floor. The analytic
+    // grids' points cost about a microsecond, so their threaded arms
+    // measure the dispatch, not the engine, and read below 1.0x on
+    // untouched code; they stay in the report.
+    let mut slowest_spice_speedup = f64::INFINITY;
+    for (name, circuit, gated) in &circuits {
         for &batch in batches {
-            let (seq_sims, seq_wall) = yield_grid(circuit, EngineSpec::Sequential, batch);
+            let [(seq_sims, seq_wall), (thr_sims, thr_wall)] = yield_grid(circuit, threaded, batch);
             let seq =
                 BenchRecord::new("yield_grid", *name, "sequential", batch, seq_sims, seq_wall);
             print_record(&seq);
             report.push(seq);
 
-            let (thr_sims, thr_wall) = yield_grid(circuit, threaded, batch);
             let speedup = seq_wall.as_secs_f64() / thr_wall.as_secs_f64().max(1e-12);
-            best_threaded_speedup = best_threaded_speedup.max(speedup);
+            if *gated {
+                slowest_spice_speedup = slowest_spice_speedup.min(speedup);
+            }
             let thr = BenchRecord::new(
                 "yield_grid",
                 *name,
@@ -239,10 +259,10 @@ fn main() {
     if gate {
         if cores <= 1 {
             eprintln!("gate: skipping threaded-speedup check (single core)");
-        } else if best_threaded_speedup < min_speedup {
+        } else if slowest_spice_speedup < min_speedup {
             failures.push(format!(
-                "yield_grid: best threaded speedup {best_threaded_speedup:.2}x \
-                 across the matrix is below {min_speedup:.2}x"
+                "yield_grid: slowest threaded speedup {slowest_spice_speedup:.2}x \
+                 across the SPICE grids is below {min_speedup:.2}x"
             ));
         }
     }
@@ -277,18 +297,17 @@ fn main() {
         failures.push("verify_resweep: cache hit rate is zero".to_string());
     }
 
-    // ---- spice_op: chord vs full Newton (dense reference) --------------
+    // ---- spice_op: chord vs full Newton ---------------------------------
     let solves = if quick { 200 } else { 1000 };
-    let dense = |options: NewtonOptions| options.with_backend(SolverBackend::Dense);
     for (name, netlist) in [("inv_chain4", inverter_chain(4)), ("inv_chain24", inverter_chain(24))]
     {
-        let full_wall = solve_op(&netlist, &dense(NewtonOptions::full_newton()), solves);
+        let full_wall = solve_op(&netlist, &NewtonOptions::full_newton(), solves);
         let full =
             BenchRecord::new("spice_op", name, "full-newton", solves, solves as u64, full_wall);
         print_record(&full);
         report.push(full);
 
-        let chord_wall = solve_op(&netlist, &dense(NewtonOptions::default()), solves);
+        let chord_wall = solve_op(&netlist, &NewtonOptions::default(), solves);
         let chord_speedup = full_wall.as_secs_f64() / chord_wall.as_secs_f64().max(1e-12);
         let chord =
             BenchRecord::new("spice_op", name, "chord-newton", solves, solves as u64, chord_wall)
@@ -297,68 +316,11 @@ fn main() {
         report.push(chord);
     }
 
-    // ---- spice_sparse: dense vs sparse backend per chain size ----------
-    // Both backends run the default chord strategy through a persistent
-    // OpSolver; the sparse records carry their speedup over the matching
-    // dense run (best-of-two walls on both sides). Gated floors sit
-    // under the locally measured ratios (~2.9x at 24 stages, ~8.9x at
-    // 64) to absorb shared-runner noise while still catching a real
-    // scaling regression.
-    let sparse_sizes: &[(usize, Option<f64>)] = if quick {
-        &[(4, None), (24, Some(1.5))]
-    } else {
-        &[(4, None), (24, Some(1.5)), (64, Some(4.0))]
-    };
-    for &(stages, floor) in sparse_sizes {
-        let name = format!("inv_chain{stages}");
-        let netlist = inverter_chain(stages);
-        let dense_wall = solve_op(&netlist, &dense(NewtonOptions::default()), solves.min(500));
-        let dense_rec = BenchRecord::new(
-            "spice_sparse",
-            name.clone(),
-            "dense",
-            netlist.unknown_count(),
-            solves.min(500) as u64,
-            dense_wall,
-        );
-        print_record(&dense_rec);
-        report.push(dense_rec);
-
-        let sparse_wall = solve_op(
-            &netlist,
-            &NewtonOptions::default().with_backend(SolverBackend::Sparse),
-            solves.min(500),
-        );
-        let sparse_speedup = dense_wall.as_secs_f64() / sparse_wall.as_secs_f64().max(1e-12);
-        let sparse_rec = BenchRecord::new(
-            "spice_sparse",
-            name.clone(),
-            "sparse",
-            netlist.unknown_count(),
-            solves.min(500) as u64,
-            sparse_wall,
-        )
-        .with_speedup(sparse_speedup);
-        print_record(&sparse_rec);
-        report.push(sparse_rec);
-
-        if gate {
-            if let Some(floor) = floor {
-                if sparse_speedup < floor {
-                    failures.push(format!(
-                        "spice_sparse: {name} sparse backend is {sparse_speedup:.2}x \
-                         dense (floor {floor:.1}x)"
-                    ));
-                }
-            }
-        }
-    }
-
     // ---- spice_threaded: SPICE-backed sweep through the engine layer ----
     // The tentpole workload: a corner × mismatch yield grid whose every
-    // point is a DC operating-point solve of inv_chain24 (auto-resolved
-    // sparse), dispatched through the EvalEngine with one per-worker
-    // OpSolver cloned from a shared primed prototype. The threaded record
+    // point is a DC operating-point solve of inv_chain24, dispatched
+    // through the EvalEngine with one per-worker OpSolver cloned from a
+    // shared primed prototype. The threaded record
     // carries its speedup over the matching sequential sweep; the gate
     // enforces the 4-worker floor (skipped on machines with fewer than 4
     // cores, where a 4-worker engine cannot realize its speedup).
@@ -367,7 +329,8 @@ fn main() {
         flag(&args, "--min-spice-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.5);
     let spice_batch = if quick { 8 } else { 16 };
     let spice_chain: Arc<dyn Circuit> = Arc::new(glova_circuits::SpiceInverterChain::new(24));
-    let (sp_seq_sims, sp_seq_wall) = yield_grid(&spice_chain, EngineSpec::Sequential, spice_batch);
+    let [(sp_seq_sims, sp_seq_wall), (sp_thr_sims, sp_thr_wall)] =
+        yield_grid(&spice_chain, EngineSpec::Threaded(spice_workers), spice_batch);
     let sp_seq = BenchRecord::new(
         "spice_threaded",
         "inv_chain24",
@@ -378,8 +341,6 @@ fn main() {
     );
     print_record(&sp_seq);
     report.push(sp_seq);
-    let (sp_thr_sims, sp_thr_wall) =
-        yield_grid(&spice_chain, EngineSpec::Threaded(spice_workers), spice_batch);
     let sp_speedup = sp_seq_wall.as_secs_f64() / sp_thr_wall.as_secs_f64().max(1e-12);
     let sp_thr = BenchRecord::new(
         "spice_threaded",
@@ -406,61 +367,6 @@ fn main() {
         }
     }
 
-    // ---- spice_amd: fill-reducing pre-ordering on the 2-D array --------
-    // Cold symbolic analysis + first numeric factorization of the
-    // 21×21 sense-amp array (508 unknowns), the fill-heavy 2-D pattern
-    // the AMD pre-ordering exists for: Markowitz dynamic pivoting pays
-    // its per-step degree scan over a pattern it keeps filling in, the
-    // AMD sequence is computed once on the symmetrized pattern and
-    // handed to the factor as a static pivot order. Gated: AMD must stay
-    // ≥ `--min-amd-speedup` (default 1.5×) over Markowitz — measured
-    // ≈5× locally, so the floor absorbs runner noise.
-    let amd_floor: f64 =
-        flag(&args, "--min-amd-speedup").and_then(|s| s.parse().ok()).unwrap_or(1.5);
-    let array = sense_amp_array(21, 21);
-    let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
-    let array_template = SparseAssemblyTemplate::new(&array, array.values(), &ctx);
-    let array_n = array_template.dim();
-    let mut array_a = array_template.new_system();
-    let mut array_rhs = vec![0.0; array_n];
-    array_template.assemble_into(&mut array_a, &mut array_rhs, &vec![0.0; array_n], 1e-3);
-    let factor_reps: u64 = if quick { 5 } else { 20 };
-    let time_factor = |ordering: FillOrdering| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for _ in 0..factor_reps {
-                SparseLu::factor_with(&array_a, ordering).expect("sense-amp array factors");
-            }
-            best = best.min(start.elapsed());
-        }
-        best
-    };
-    let mark_wall = time_factor(FillOrdering::Markowitz);
-    let mark_rec = BenchRecord::new(
-        "spice_amd",
-        "senseamp21x21",
-        "markowitz",
-        array_n,
-        factor_reps,
-        mark_wall,
-    );
-    print_record(&mark_rec);
-    report.push(mark_rec);
-    let amd_wall = time_factor(FillOrdering::Amd);
-    let amd_speedup = mark_wall.as_secs_f64() / amd_wall.as_secs_f64().max(1e-12);
-    let amd_rec =
-        BenchRecord::new("spice_amd", "senseamp21x21", "amd", array_n, factor_reps, amd_wall)
-            .with_speedup(amd_speedup);
-    print_record(&amd_rec);
-    report.push(amd_rec);
-    if gate && amd_speedup < amd_floor {
-        failures.push(format!(
-            "spice_amd: AMD cold factor is {amd_speedup:.2}x Markowitz on the \
-             sense-amp array (floor {amd_floor:.1}x)"
-        ));
-    }
-
     // ---- spice_ota: DC+AC evaluations through the full solver stack ----
     // The two-stage Miller OTA testcase: every evaluation is a pooled DC
     // solve plus a complex small-signal sweep. Gated on feasibility (the
@@ -474,7 +380,7 @@ fn main() {
     let ota_feasible = ota.spec().satisfied(&ota_metrics);
     let ota_circuit: Arc<dyn Circuit> = Arc::new(ota);
     let ota_batch = if quick { 4 } else { 8 };
-    let (ota_sims, ota_wall) = yield_grid(&ota_circuit, EngineSpec::Sequential, ota_batch);
+    let (ota_sims, ota_wall) = yield_grid_once(&ota_circuit, EngineSpec::Sequential, ota_batch);
     let ota_rec =
         BenchRecord::new("spice_ota", "ota_two_stage", "sequential", ota_batch, ota_sims, ota_wall);
     print_record(&ota_rec);

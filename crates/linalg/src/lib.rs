@@ -12,11 +12,10 @@
 //! implementation beats bringing in a BLAS stack (none of which is
 //! available offline anyway). MNA matrices, however, are `O(n)`-sparse,
 //! and from a few dozen unknowns the dense `O(n³)` factorization dominates
-//! every solve — the [`sparse`] module provides CSR storage and a
-//! Markowitz-ordered sparse LU with symbolic-factorization reuse for that
+//! every solve — the [`sparse`] module provides CSR storage and an
+//! AMD-pre-ordered sparse LU with symbolic-factorization reuse for that
 //! path (one numeric refresh path: a compiled elimination schedule over
-//! every row), with the dense [`Lu`] retained as the small-system fast
-//! path and parity oracle.
+//! every row), with the dense [`Lu`] retained as the parity oracle.
 //!
 //! # Example
 //!
@@ -42,7 +41,7 @@ pub mod vector;
 pub use cholesky::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use ordering::{amd_order, FillOrdering};
+pub use ordering::amd_order;
 pub use sparse::{CsrMatrix, Scalar, SparseLu, Triplets};
 pub use vector::{add, axpy, dot, norm2, scale, sub};
 

@@ -33,10 +33,10 @@
 //!   contiguous (better locality for the numeric sweeps) without changing
 //!   the fill bound.
 //!
-//! The result feeds [`SparseLu::factor_with`](crate::sparse::SparseLu::factor_with)
+//! The result feeds [`SparseLu::factor`](crate::sparse::SparseLu::factor)
 //! as a static pivot sequence; numeric threshold pivoting stays in the
 //! loop as a per-step fallback, so stability is never traded for the
-//! pre-order (see [`FillOrdering`]).
+//! pre-order.
 //!
 //! Everything here is deterministic: ties break on the smallest variable
 //! index, iteration orders come from sorted vectors, and the permutation
@@ -44,44 +44,6 @@
 //! contract the rest of the solver stack is built on.
 
 use crate::sparse::{CsrMatrix, Scalar};
-
-/// Pivot-ordering strategy for [`SparseLu`](crate::sparse::SparseLu).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FillOrdering {
-    /// Greedy Markowitz threshold pivoting chosen during elimination —
-    /// the historical default; best on small or near-1-D patterns.
-    #[default]
-    Markowitz,
-    /// Approximate-minimum-degree pre-order ([`amd_order`]) consumed as a
-    /// static pivot sequence, with Markowitz threshold pivoting as the
-    /// per-step numeric fallback. Wins on 2-D coupling patterns where the
-    /// greedy scan's cost and fill both grow.
-    Amd,
-}
-
-impl FillOrdering {
-    /// Parses a CLI-style ordering name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "markowitz" => Ok(Self::Markowitz),
-            "amd" => Ok(Self::Amd),
-            other => Err(format!("unknown fill ordering `{other}` (use amd|markowitz)")),
-        }
-    }
-}
-
-impl std::fmt::Display for FillOrdering {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Markowitz => write!(f, "markowitz"),
-            Self::Amd => write!(f, "amd"),
-        }
-    }
-}
 
 /// Lifecycle of a node in the quotient graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

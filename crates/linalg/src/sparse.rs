@@ -14,27 +14,19 @@
 //!   rewrites ([`CsrMatrix::values_mut`], [`CsrMatrix::value_index`]) so
 //!   an assembly template can memcpy constant stamps and restamp
 //!   nonlinear devices without touching the pattern,
-//! - [`SparseLu`]: LU factorization with Markowitz pivot ordering
-//!   (fill-minimizing, threshold-pivoted for stability) whose **symbolic
-//!   step runs once per topology** — [`SparseLu::factor`] chooses the
-//!   pivot order and fill pattern, then [`SparseLu::refactor`] re-runs
-//!   only the numeric elimination over the frozen pattern — every row,
-//!   as an elimination schedule compiled once per symbolic analysis and
-//!   run in place over the packed factor — and [`SparseLu::solve_into`]
-//!   reuses its workspace allocation. This is the classic SPICE arrangement:
+//! - [`SparseLu`]: LU factorization whose **symbolic step runs once per
+//!   topology** — [`SparseLu::factor`] computes an approximate-minimum-
+//!   degree pre-order ([`amd_order`](crate::ordering::amd_order)) from
+//!   the pattern alone and eliminates down it, with Markowitz threshold
+//!   pivoting as the per-step numeric fallback, fixing the pivot order
+//!   and fill pattern; [`SparseLu::refactor`] then re-runs only the
+//!   numeric elimination over the frozen pattern — every row, as an
+//!   elimination schedule compiled once per symbolic analysis and run in
+//!   place over the packed factor — and [`SparseLu::solve_into`] reuses
+//!   its workspace allocation. This is the classic SPICE arrangement:
 //!   the Newton loop, the `gmin` ladder and corner/mismatch sweeps all
 //!   solve the *same topology* with different values, so pivot search
 //!   and fill analysis are paid once.
-//!   The symbolic phase itself runs on sorted-vec working rows with
-//!   bucketed Markowitz candidate lists (no tree maps, no full-matrix
-//!   scan per pivot), keeping the cold-start cost that solver pools
-//!   amortize low even past a hundred unknowns. For genuinely 2-D
-//!   coupling patterns (grids, sense-amp arrays) where even that scan
-//!   grows with fill, [`SparseLu::factor_with`] accepts a fill-reducing
-//!   **pre-order** ([`FillOrdering::Amd`](crate::ordering::FillOrdering),
-//!   computed by [`amd_order`](crate::ordering::amd_order)) consumed as a
-//!   static pivot sequence with Markowitz threshold pivoting retained as
-//!   the per-step numeric fallback.
 //!
 //! Everything is generic over [`Scalar`] so the AC engine's complex MNA
 //! systems factor through the same machinery (and the same reuse) as the
@@ -290,13 +282,14 @@ impl CsrMatrix<f64> {
     }
 }
 
-/// Sparse LU factorization `P A Q = L U` with Markowitz pivot ordering
+/// Sparse LU factorization `P A Q = L U` with an AMD pivot pre-order
 /// and a frozen fill pattern.
 ///
 /// [`SparseLu::factor`] runs the **symbolic + numeric** first
-/// factorization: threshold-pivoted Markowitz ordering (minimum
-/// fill-cost pivot whose magnitude is at least [`Self::PIVOT_THRESHOLD`]
-/// of its column's largest active entry), recording row/column
+/// factorization: the AMD pre-order's diagonal pivots, each accepted
+/// when its magnitude is at least [`Self::PIVOT_THRESHOLD`] of its
+/// column's largest active entry and replaced by a threshold-pivoted
+/// Markowitz choice otherwise, recording row/column
 /// permutations, the filled `L`/`U` pattern, and a map from the input
 /// matrix's nonzeros into that pattern. [`SparseLu::refactor`] then
 /// re-runs the numeric elimination only — no pivot search, no pattern
@@ -342,8 +335,11 @@ impl<T: Scalar> SparseLu<T> {
     /// iterations, `gmin` rungs).
     pub const PIVOT_THRESHOLD: f64 = 0.1;
 
-    /// Factors a square CSR matrix: Markowitz symbolic analysis plus the
-    /// first numeric elimination.
+    /// Factors a square CSR matrix: an [`amd_order`](crate::ordering::amd_order)
+    /// pre-order over the symmetrized pattern, consumed as a static pivot
+    /// sequence by [`Self::factor_preordered`] (Markowitz threshold
+    /// pivoting stays the per-step numeric fallback), plus the first
+    /// numeric elimination — everything a cold start pays.
     ///
     /// # Errors
     ///
@@ -356,41 +352,22 @@ impl<T: Scalar> SparseLu<T> {
                 context: "sparse lu of non-square matrix",
             });
         }
-        let n = a.rows();
-        let mut this = Self::symbolic(a)?;
-        this.refactor(a)?;
-        debug_assert_eq!(this.n, n);
-        Ok(this)
+        Self::factor_preordered(a, &crate::ordering::amd_order(a))
     }
 
-    /// Factors with an explicit [`FillOrdering`](crate::ordering::FillOrdering):
-    /// [`FillOrdering::Markowitz`](crate::ordering::FillOrdering::Markowitz)
-    /// is [`Self::factor`]; [`FillOrdering::Amd`](crate::ordering::FillOrdering::Amd)
-    /// computes an [`amd_order`](crate::ordering::amd_order) pre-order
-    /// over the symmetrized pattern and consumes it through
-    /// [`Self::factor_preordered`]. Both include everything a cold start
-    /// pays — ordering, symbolic analysis and the first numeric
-    /// elimination — so their costs are directly comparable.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::factor`].
-    pub fn factor_with(
-        a: &CsrMatrix<T>,
-        ordering: crate::ordering::FillOrdering,
-    ) -> Result<Self, LinalgError> {
-        match ordering {
-            crate::ordering::FillOrdering::Markowitz => Self::factor(a),
-            crate::ordering::FillOrdering::Amd => {
-                if a.rows() != a.cols() {
-                    return Err(LinalgError::DimensionMismatch {
-                        context: "sparse lu of non-square matrix",
-                    });
-                }
-                let seq = crate::ordering::amd_order(a);
-                Self::factor_preordered(a, &seq)
-            }
+    /// The greedy bucketed-Markowitz factorization: pivot search
+    /// interleaved with elimination, no pre-order. Kept as the fill and
+    /// parity reference the pre-ordered factor is tested against.
+    #[cfg(test)]
+    pub(crate) fn factor_markowitz(a: &CsrMatrix<T>) -> Result<Self, LinalgError> {
+        if a.rows() != a.cols() {
+            return Err(LinalgError::DimensionMismatch {
+                context: "sparse lu of non-square matrix",
+            });
         }
+        let mut this = Self::symbolic(a)?;
+        this.refactor(a)?;
+        Ok(this)
     }
 
     /// Factors down a **static pivot sequence**: step `k` proposes the
@@ -439,7 +416,7 @@ impl<T: Scalar> SparseLu<T> {
 
     /// Symbolic + threshold analysis down a static pivot sequence.
     ///
-    /// Mirrors [`Self::symbolic`]'s working-row representation (sorted
+    /// Mirrors the Markowitz `symbolic`'s working-row representation (sorted
     /// vecs, lazily pruned column candidate lists) but replaces the
     /// bucketed pivot *search* with a cursor over `seq` — the per-step
     /// cost is one column-max scan for the stability test plus the
@@ -648,6 +625,7 @@ impl<T: Scalar> SparseLu<T> {
     /// per-step full-matrix scans — the cold-start cost that solver pools
     /// amortize — without changing the cost function, the threshold rule
     /// or the deterministic (input-only-dependent) pivot choice.
+    #[cfg(test)]
     fn symbolic(a: &CsrMatrix<T>) -> Result<Self, LinalgError> {
         let n = a.rows();
         // Working rows, sorted by column (CSR rows already are). First
@@ -900,7 +878,7 @@ impl<T: Scalar> SparseLu<T> {
 
     /// Packs a finished elimination (pivot order + per-step `U` columns +
     /// per-row `L` columns) into the frozen factor layout — the tail
-    /// shared by [`Self::symbolic`] and [`Self::symbolic_ordered`].
+    /// shared by `symbolic` and `symbolic_ordered`.
     ///
     /// Per pivot step: L columns (< step, already step indices) then U
     /// columns mapped through the column permutation, everything sorted
@@ -1310,7 +1288,7 @@ mod tests {
     #[test]
     fn amd_factor_matches_dense_oracle_on_grid() {
         let a = grid_laplacian(6, 7);
-        let mut lu = SparseLu::factor_with(&a, crate::FillOrdering::Amd).unwrap();
+        let mut lu = SparseLu::factor(&a).unwrap();
         assert_eq!(lu.preorder_fallbacks(), 0, "SPD-ish grid diagonals pass the threshold");
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -1328,7 +1306,7 @@ mod tests {
         // stability test and fall through to the Markowitz search.
         let dense = mna_shaped(8, &[0.3, -0.7, 0.5, 0.1, -0.2, 0.9], 1e-9);
         let a = csr_from_dense(&dense);
-        let mut lu = SparseLu::factor_with(&a, crate::FillOrdering::Amd).unwrap();
+        let mut lu = SparseLu::factor(&a).unwrap();
         assert!(lu.preorder_fallbacks() >= 1, "zero-diagonal branch row needs the fallback");
         let rhs: Vec<f64> = (0..dense.rows()).map(|i| (i as f64).sin()).collect();
         let x = lu.solve(&rhs);
@@ -1348,7 +1326,7 @@ mod tests {
         for (k, v) in b.values_mut().iter_mut().enumerate() {
             *v *= 1.0 + 1e-3 * (k % 7) as f64;
         }
-        let proto = SparseLu::factor_with(&a, crate::FillOrdering::Amd).unwrap();
+        let proto = SparseLu::factor(&a).unwrap();
         let rhs: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.9).sin()).collect();
         let solve_cloned = |m: &CsrMatrix<f64>| -> Vec<f64> {
             let mut lu = proto.clone();
@@ -1373,8 +1351,8 @@ mod tests {
         // Markowitz one (it usually carries less; allow headroom since
         // threshold pivoting perturbs both).
         let a = grid_laplacian(16, 16);
-        let markowitz = SparseLu::factor(&a).unwrap();
-        let amd = SparseLu::factor_with(&a, crate::FillOrdering::Amd).unwrap();
+        let markowitz = SparseLu::factor_markowitz(&a).unwrap();
+        let amd = SparseLu::factor(&a).unwrap();
         assert!(
             (amd.factor_nnz() as f64) <= 1.25 * markowitz.factor_nnz() as f64,
             "amd fill {} vs markowitz fill {}",
@@ -1557,7 +1535,7 @@ mod tests {
             // Markowitz fallback path).
             let dense = mna_shaped(8, &entries, 10f64.powf(-gmin_exp));
             let a = csr_from_dense(&dense);
-            let mut lu = SparseLu::factor_with(&a, crate::FillOrdering::Amd).unwrap();
+            let mut lu = SparseLu::factor(&a).unwrap();
             let rhs: Vec<f64> = (0..dense.rows()).map(|i| (i as f64).sin()).collect();
             let x = lu.solve(&rhs);
             let x_dense = dense.lu().unwrap().solve(&rhs);

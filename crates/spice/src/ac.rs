@@ -6,16 +6,16 @@
 //! unit AC source superimposed on one voltage source, so node results are
 //! transfer functions relative to it.
 //!
-//! The sweep solves its points in order. On either backend it walks the
-//! topology and its values once into a compiled event template and
-//! replays it per frequency point into one reused system — bitwise
-//! identical to re-walking the stamp loop, which survives only as the
-//! unit tests' oracle. Dense points factor that one matrix in place.
+//! The sweep solves its points in order. It walks the topology and its
+//! values once into a compiled event template and replays it per
+//! frequency point into one reused CSR system, factored by the sparse LU
+//! over one symbolic analysis — bitwise identical to re-walking the
+//! stamp loop, which survives only as the unit tests' oracle, beside a
+//! dense complex LU that checks the sparse solves.
 
-use crate::complex::{Complex, ComplexMatrix};
+use crate::complex::Complex;
 use crate::dc::{operating_point, OperatingPoint};
 use crate::device::{Device, DeviceValue};
-use crate::mna::SolverBackend;
 use crate::model::MosPolarity;
 use crate::netlist::{Netlist, NodeId};
 use crate::SpiceError;
@@ -97,6 +97,11 @@ pub fn log_sweep(f_start: f64, f_stop: f64, points_per_decade: usize) -> Vec<f64
 /// Runs an AC sweep with a 1 V AC excitation on voltage source
 /// `ac_source_name` (all other sources AC-grounded).
 ///
+/// The small-signal pattern is frequency-independent (only the `jωC`
+/// values change), so the pivot order and fill pattern are computed once
+/// and every point pays a numeric-only complex refactorization — the
+/// same symbolic reuse the DC path gets across Newton iterations.
+///
 /// # Errors
 ///
 /// - [`SpiceError::InvalidNetlist`] if the named source does not exist.
@@ -106,43 +111,16 @@ pub fn ac_sweep(
     ac_source_name: &str,
     frequencies: &[f64],
 ) -> Result<AcResult, SpiceError> {
-    ac_sweep_with_backend(netlist, ac_source_name, frequencies, SolverBackend::Auto)
-}
-
-/// [`ac_sweep`] with an explicit [`SolverBackend`].
-///
-/// The small-signal pattern is frequency-independent (only the `jωC`
-/// values change), so on the sparse backend the Markowitz pivot order and
-/// fill pattern are computed once and every point pays a numeric-only
-/// complex refactorization — the same symbolic reuse the DC path gets
-/// across Newton iterations.
-///
-/// # Errors
-///
-/// See [`ac_sweep`].
-pub fn ac_sweep_with_backend(
-    netlist: &Netlist,
-    ac_source_name: &str,
-    frequencies: &[f64],
-    backend: SolverBackend,
-) -> Result<AcResult, SpiceError> {
     let op = operating_point(netlist)?;
-    ac_sweep_with_backend_from_op(
-        netlist,
-        netlist.values(),
-        op,
-        ac_source_name,
-        frequencies,
-        backend,
-    )
+    ac_sweep_from_op(netlist, netlist.values(), op, ac_source_name, frequencies)
 }
 
-/// [`ac_sweep_with_backend`] over `topology` with device values
-/// `values` (pass `netlist.values()` for a netlist's own), linearized
-/// around a caller-provided DC operating point — for circuits that
-/// already solved DC through a pooled solver (power metrics) and
-/// linearize around that same solution for AC metrics, skipping the
-/// second Newton solve and any netlist build per evaluation.
+/// [`ac_sweep`] over `topology` with device values `values` (pass
+/// `netlist.values()` for a netlist's own), linearized around a
+/// caller-provided DC operating point — for circuits that already solved
+/// DC through a pooled solver (power metrics) and linearize around that
+/// same solution for AC metrics, skipping the second Newton solve and
+/// any netlist build per evaluation.
 ///
 /// # Errors
 ///
@@ -151,19 +129,18 @@ pub fn ac_sweep_with_backend(
 /// # Panics
 ///
 /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
-pub fn ac_sweep_with_backend_from_op(
+pub fn ac_sweep_from_op(
     topology: &Netlist,
     values: &[DeviceValue],
     op: OperatingPoint,
     ac_source_name: &str,
     frequencies: &[f64],
-    backend: SolverBackend,
 ) -> Result<AcResult, SpiceError> {
-    AcSweep::new(topology, values, &op, ac_source_name, frequencies, backend)?.run(frequencies)
+    AcSweep::new(topology, values, &op, ac_source_name, frequencies)?.run(frequencies)
 }
 
 /// One compiled small-signal stamp event: the value added to value slot
-/// `slot` (packed CSR position, or row-major dense position) at angular
+/// `slot` (packed CSR position) at angular
 /// frequency ω is `re + j·ω·c`. Every stamp the
 /// linearized system produces is purely real (conductances, source
 /// couplings) or purely ω-proportional imaginary (capacitive
@@ -179,47 +156,30 @@ struct AcEvent {
 }
 
 /// The per-point system a sweep solves on, its values rewritten for
-/// every point: a dense matrix factored in place, or the CSR system with
-/// a complex [`SparseLu`] cloned from the sweep's primed prototype, so
-/// every sparse point refactors over the same canonical symbolic
-/// analysis.
-// One worker (plus the prototype) exists per sweep, so the variant size
-// imbalance costs nothing — boxing would only add an indirection to the
-// per-point path.
-#[allow(clippy::large_enum_variant)]
+/// every point: the CSR system with a complex [`SparseLu`] cloned from
+/// the sweep's primed prototype, so every point refactors over the same
+/// canonical symbolic analysis.
 #[derive(Debug, Clone)]
-enum AcWorker {
-    Dense(ComplexMatrix),
-    Sparse { system: CsrMatrix<Complex>, lu: SparseLu<Complex> },
-}
-
-impl AcWorker {
-    /// The value array the compiled events address.
-    fn values_mut(&mut self) -> &mut [Complex] {
-        match self {
-            AcWorker::Dense(a) => a.values_mut(),
-            AcWorker::Sparse { system, .. } => system.values_mut(),
-        }
-    }
+struct AcWorker {
+    system: CsrMatrix<Complex>,
+    lu: SparseLu<Complex>,
 }
 
 /// One AC sweep, solved point by point in frequency order.
 ///
 /// The stamp walk runs once, at construction, into the compiled event
-/// template; on the sparse backend the primed [`SparseLu`] prototype is
-/// built there too. Each point then rewrites the worker's value array in
-/// place and solves: a dense point factors the one reused matrix in
-/// place, a sparse point runs a numeric-only complex refactorization.
+/// template, and the primed [`SparseLu`] prototype is built there too.
+/// Each point then rewrites the worker's value array in place and runs a
+/// numeric-only complex refactorization.
 ///
 /// # Determinism
 ///
 /// A point's solution is a pure function of `(topology, values,
-/// operating point, frequency)` plus, on the sparse backend, the
-/// canonical symbolic analysis: every stored value is rewritten before
-/// factoring, so no per-point state leaks between points, and a sparse
-/// point whose refactor had to fall back to a fresh factorization (still
-/// a pure function of the point) hands the next point a fresh clone of
-/// the prototype.
+/// operating point, frequency)` plus the canonical symbolic analysis:
+/// every stored value is rewritten before factoring, so no per-point
+/// state leaks between points, and a point whose refactor had to fall
+/// back to a fresh factorization (still a pure function of the point)
+/// hands the next point a fresh clone of the prototype.
 struct AcSweep {
     n_nodes: usize,
     /// The unit excitation: 1 on the AC source's branch row.
@@ -228,29 +188,27 @@ struct AcSweep {
     /// `(slot, re, c)` events replayed per point without touching the
     /// topology.
     events: Vec<AcEvent>,
-    /// The worker every run starts from (the primed prototype on the
-    /// sparse backend); `None` for an empty sweep.
+    /// The worker every run starts from (the primed prototype); `None`
+    /// for an empty sweep.
     proto: Option<AcWorker>,
 }
 
 impl AcSweep {
     /// Builds the sweep over a solved operating point: resolves the AC
-    /// source, compiles the event template and (sparse backend, non-empty
-    /// sweep) primes the prototype at the sweep's first frequency.
+    /// source, compiles the event template and (non-empty sweep) primes
+    /// the prototype at the sweep's first frequency.
     ///
     /// # Errors
     ///
     /// - [`SpiceError::InvalidNetlist`] if the named source is missing.
     /// - A structurally singular small-signal system surfaces as
-    ///   [`SpiceError::SingularMatrix`] at priming time on the sparse
-    ///   backend.
+    ///   [`SpiceError::SingularMatrix`] at priming time.
     fn new(
         topology: &Netlist,
         values: &[DeviceValue],
         op: &OperatingPoint,
         ac_source_name: &str,
         frequencies: &[f64],
-        backend: SolverBackend,
     ) -> Result<Self, SpiceError> {
         assert!(topology.accepts(values), "device values do not fit the topology");
         let ac_branch =
@@ -275,34 +233,28 @@ impl AcSweep {
             re,
             c,
         };
-        let (events, proto) = if backend.resolves_to_sparse(n) {
-            // The CSR pattern comes from the same walk; the symbolic
-            // analysis is primed at the first sweep frequency.
-            let omega = 2.0 * std::f64::consts::PI * f_first;
-            let mut t = Triplets::new(n, n);
-            for &(i, j, re, c) in &parts {
-                t.push(i, j, Complex::new(re, omega * c));
-            }
-            let system = t.to_csr();
-            let events = parts
-                .iter()
-                .map(|&(i, j, re, c)| {
-                    event(system.value_index(i, j).expect("pushed entry is in the pattern"), re, c)
-                })
-                .collect();
-            let lu = SparseLu::factor(&system).map_err(|_| SpiceError::SingularMatrix)?;
-            (events, AcWorker::Sparse { system, lu })
-        } else {
-            let events = parts.iter().map(|&(i, j, re, c)| event(i * n + j, re, c)).collect();
-            (events, AcWorker::Dense(ComplexMatrix::zeros(n)))
-        };
+        // The CSR pattern comes from the same walk; the symbolic analysis
+        // is primed at the first sweep frequency.
+        let omega = 2.0 * std::f64::consts::PI * f_first;
+        let mut t = Triplets::new(n, n);
+        for &(i, j, re, c) in &parts {
+            t.push(i, j, Complex::new(re, omega * c));
+        }
+        let system = t.to_csr();
+        let events = parts
+            .iter()
+            .map(|&(i, j, re, c)| {
+                event(system.value_index(i, j).expect("pushed entry is in the pattern"), re, c)
+            })
+            .collect();
+        let lu = SparseLu::factor(&system).map_err(|_| SpiceError::SingularMatrix)?;
+        let proto = AcWorker { system, lu };
         Ok(Self { n_nodes, excitation, events, proto: Some(proto) })
     }
 
-    /// Solves every point in order on one worker. Sparse points run on a
-    /// clone of the primed prototype, never on the prototype itself, so
-    /// that a point whose refactor re-pivots can hand the next point a
-    /// fresh clone.
+    /// Solves every point in order on one worker: a clone of the primed
+    /// prototype, never the prototype itself, so that a point whose
+    /// refactor re-pivots can hand the next point a fresh clone.
     fn run(&self, frequencies: &[f64]) -> Result<AcResult, SpiceError> {
         let mut solutions = Vec::with_capacity(frequencies.len() * self.n_nodes);
         if let Some(proto) = &self.proto {
@@ -320,7 +272,7 @@ impl AcSweep {
     /// worker's values come from the compiled event template
     /// (value-only retargeting) — no netlist walk per point, yet bitwise
     /// identical to re-walking the netlist's stamp loop (the unit tests
-    /// hold that parity against the walk on both backends).
+    /// hold that parity against the walk).
     fn solve_point(
         &self,
         w: &mut AcWorker,
@@ -330,7 +282,7 @@ impl AcSweep {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
         // Rewrite every stored value for this point — no state carries
         // over from the point the worker solved last.
-        let values = w.values_mut();
+        let values = w.system.values_mut();
         values.fill(Complex::ZERO);
         for ev in &self.events {
             values[ev.slot as usize] += Complex::new(ev.re, omega * ev.c);
@@ -339,27 +291,16 @@ impl AcSweep {
     }
 
     /// Factors and solves a worker whose system holds the point's
-    /// values. A dense matrix is factored in place. A sparse worker
-    /// refreshes numerically over the canonical symbolic analysis; a
+    /// values: a numeric refresh over the canonical symbolic analysis; a
     /// pivot that collapsed at this frequency falls back to a fresh
     /// factorization (pure per point), after which the worker is
     /// replaced by a fresh prototype clone.
     fn solve_worker(&self, w: &mut AcWorker, x: &mut Vec<Complex>) -> Result<(), SpiceError> {
-        let repivoted = match w {
-            AcWorker::Dense(a) => {
-                return a
-                    .solve_in_place(&self.excitation, x)
-                    .map_err(|_| SpiceError::SingularMatrix)
-            }
-            AcWorker::Sparse { system, lu } => {
-                let repivoted = lu.refactor(system).is_err();
-                if repivoted {
-                    *lu = SparseLu::factor(system).map_err(|_| SpiceError::SingularMatrix)?;
-                }
-                lu.solve_into(&self.excitation, x);
-                repivoted
-            }
-        };
+        let repivoted = w.lu.refactor(&w.system).is_err();
+        if repivoted {
+            w.lu = SparseLu::factor(&w.system).map_err(|_| SpiceError::SingularMatrix)?;
+        }
+        w.lu.solve_into(&self.excitation, x);
         if repivoted {
             *w = self.proto.clone().expect("a non-empty sweep has a prototype");
         }
@@ -486,6 +427,7 @@ fn stamp_ac_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::ComplexMatrix;
     use crate::model::MosModel;
     use crate::netlist::GROUND;
 
@@ -551,8 +493,9 @@ mod tests {
     #[test]
     fn sparse_backend_matches_dense_across_sweep() {
         // Common-source stage: MOSFET small-signal stamps, gate caps and
-        // load caps all present; sparse (with its pattern reused across
-        // the sweep) must track dense to solver precision everywhere.
+        // load caps all present; the sparse sweep (its pattern reused
+        // across the sweep) must track the dense complex LU on the same
+        // assembled systems to solver precision everywhere.
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let vin = nl.node("in");
@@ -563,17 +506,14 @@ mod tests {
         nl.mosfet("M1", out, vin, GROUND, MosModel::nmos_28nm(), 2.0, 0.2);
         nl.capacitor("CL", out, GROUND, 1e-12);
         let freqs = log_sweep(1e3, 1e9, 5);
-        let dense =
-            ac_sweep_with_backend(&nl, "VIN", &freqs, crate::mna::SolverBackend::Dense).unwrap();
-        let sparse =
-            ac_sweep_with_backend(&nl, "VIN", &freqs, crate::mna::SolverBackend::Sparse).unwrap();
-        for i in 0..freqs.len() {
-            let d = dense.voltage(out, i);
+        let sparse = ac_sweep(&nl, "VIN", &freqs).unwrap();
+        let (sweep, op, _) = sweep_on(&nl, "VIN", &freqs);
+        for (i, &f) in freqs.iter().enumerate() {
+            let d = solve_dense(&sweep, &nl, &op, f)[out.index() - 1];
             let s = sparse.voltage(out, i);
             assert!(
                 (d - s).abs() < 1e-9 * (1.0 + d.abs()),
-                "f = {:.3e}: dense {d:?} vs sparse {s:?}",
-                freqs[i]
+                "f = {f:.3e}: dense {d:?} vs sparse {s:?}"
             );
         }
     }
@@ -628,16 +568,11 @@ mod tests {
         x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
     }
 
-    /// A sweep over `nl` on `backend`, its operating point, and a clone
-    /// of its starting worker to solve points on.
-    fn sweep_on(
-        nl: &Netlist,
-        source: &str,
-        freqs: &[f64],
-        backend: SolverBackend,
-    ) -> (AcSweep, OperatingPoint, AcWorker) {
+    /// A sweep over `nl`, its operating point, and a clone of its
+    /// starting worker to solve points on.
+    fn sweep_on(nl: &Netlist, source: &str, freqs: &[f64]) -> (AcSweep, OperatingPoint, AcWorker) {
         let op = operating_point(nl).unwrap();
-        let sweep = AcSweep::new(nl, nl.values(), &op, source, freqs, backend).unwrap();
+        let sweep = AcSweep::new(nl, nl.values(), &op, source, freqs).unwrap();
         let worker = sweep.proto.clone().expect("a non-empty sweep has a worker");
         (sweep, op, worker)
     }
@@ -650,12 +585,10 @@ mod tests {
         x
     }
 
-    /// The per-point re-walk the event template replaced, on the
-    /// worker's backend — the parity oracle the template is tested
-    /// against. Sparse: the stamp loop re-walked into the worker's CSR
-    /// values (same slots, same addends, same order). Dense: a fresh
-    /// matrix built by the walk and solved by the consuming index-based
-    /// solve.
+    /// The per-point re-walk the event template replaced — the parity
+    /// oracle the template is tested against: the stamp loop re-walked
+    /// into the worker's CSR values (same slots, same addends, same
+    /// order).
     fn solve_rewalk(
         sweep: &AcSweep,
         nl: &Netlist,
@@ -664,44 +597,53 @@ mod tests {
         freq_hz: f64,
     ) -> Vec<Complex> {
         let omega = 2.0 * std::f64::consts::PI * freq_hz;
-        let mut x = match w {
-            AcWorker::Dense(_) => {
-                let mut a = ComplexMatrix::zeros(sweep.excitation.len());
-                stamp_ac(nl, nl.values(), op, omega, &mut |i, j, v| a.add_at(i, j, v));
-                a.solve(&sweep.excitation).unwrap()
-            }
-            AcWorker::Sparse { system, .. } => {
-                system.values_mut().fill(Complex::ZERO);
-                stamp_ac(nl, nl.values(), op, omega, &mut |i, j, v| {
-                    let slot = system.value_index(i, j).expect("stamp slot in the pattern");
-                    system.values_mut()[slot] += v;
-                });
-                let mut x = Vec::new();
-                sweep.solve_worker(w, &mut x).unwrap();
-                x
-            }
-        };
+        w.system.values_mut().fill(Complex::ZERO);
+        stamp_ac(nl, nl.values(), op, omega, &mut |i, j, v| {
+            let slot = w.system.value_index(i, j).expect("stamp slot in the pattern");
+            w.system.values_mut()[slot] += v;
+        });
+        let mut x = Vec::new();
+        sweep.solve_worker(w, &mut x).unwrap();
+        x.truncate(sweep.n_nodes);
+        x
+    }
+
+    /// The point's system built by the stamp walk into a dense complex
+    /// matrix and solved by the dense complex LU: the oracle the sparse
+    /// solves are checked against.
+    fn solve_dense(
+        sweep: &AcSweep,
+        nl: &Netlist,
+        op: &OperatingPoint,
+        freq_hz: f64,
+    ) -> Vec<Complex> {
+        let omega = 2.0 * std::f64::consts::PI * freq_hz;
+        let mut a = ComplexMatrix::zeros(sweep.excitation.len());
+        stamp_ac(nl, nl.values(), op, omega, &mut |i, j, v| a.add_at(i, j, v));
+        let mut x = a.solve(&sweep.excitation).unwrap();
         x.truncate(sweep.n_nodes);
         x
     }
 
     proptest::proptest! {
         // Event-template replay == per-point netlist re-walk, bitwise,
-        // across random device parameters on both backends.
+        // and both within solver precision of the dense complex LU,
+        // across random device parameters.
         #[test]
         fn prop_ac_retarget_matches_rebuild_bitwise(
             p in proptest::collection::vec(-1.0f64..1.0, 8),
         ) {
             let nl = mixed_netlist(&p);
             let freqs = log_sweep(1e3, 1e9, 2);
-            for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-                let (sweep, op, mut w) = sweep_on(&nl, "VIN", &freqs, backend);
-                for &f in &freqs {
-                    let fast = solve_fast(&sweep, &mut w, f);
-                    let slow = solve_rewalk(&sweep, &nl, &op, &mut w, f);
-                    proptest::prop_assert_eq!(
-                        point_bits(&fast), point_bits(&slow), "{} template vs re-walk @ {} Hz", backend, f
-                    );
+            let (sweep, op, mut w) = sweep_on(&nl, "VIN", &freqs);
+            for &f in &freqs {
+                let fast = solve_fast(&sweep, &mut w, f);
+                let slow = solve_rewalk(&sweep, &nl, &op, &mut w, f);
+                proptest::prop_assert_eq!(
+                    point_bits(&fast), point_bits(&slow), "template vs re-walk @ {} Hz", f
+                );
+                for (s, d) in fast.iter().zip(solve_dense(&sweep, &nl, &op, f)) {
+                    proptest::prop_assert!((*s - d).abs() <= 1e-9 * (1.0 + d.abs()), "{:?} vs {:?}", s, d);
                 }
             }
         }
@@ -709,24 +651,21 @@ mod tests {
 
     #[test]
     fn event_template_matches_rewalk_on_ota() {
-        // The OTA has 10 unknowns — dense under `Auto`; forcing sparse
-        // exercises the other backend's template. Each point also
-        // re-solves to the same bits and matches the whole sweep.
+        // Each point matches the re-walk, re-solves to the same bits and
+        // matches the whole sweep.
         let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
         let freqs = log_sweep(1e3, 1e9, 3);
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let (sweep, op, mut w) = sweep_on(&nl, "VINP", &freqs, backend);
-            let swept = sweep.run(&freqs).unwrap();
-            let n_nodes = sweep.n_nodes;
-            for (i, &f) in freqs.iter().enumerate() {
-                let fast = solve_fast(&sweep, &mut w, f);
-                let again = solve_fast(&sweep, &mut w, f);
-                let slow = solve_rewalk(&sweep, &nl, &op, &mut w, f);
-                let point = &swept.solutions[i * n_nodes..(i + 1) * n_nodes];
-                assert_eq!(point_bits(&fast), point_bits(&slow), "{backend} vs re-walk @ {f} Hz");
-                assert_eq!(point_bits(&fast), point_bits(&again), "{backend} re-solve @ {f} Hz");
-                assert_eq!(point_bits(&fast), point_bits(point), "{backend} sweep @ {f} Hz");
-            }
+        let (sweep, op, mut w) = sweep_on(&nl, "VINP", &freqs);
+        let swept = sweep.run(&freqs).unwrap();
+        let n_nodes = sweep.n_nodes;
+        for (i, &f) in freqs.iter().enumerate() {
+            let fast = solve_fast(&sweep, &mut w, f);
+            let again = solve_fast(&sweep, &mut w, f);
+            let slow = solve_rewalk(&sweep, &nl, &op, &mut w, f);
+            let point = &swept.solutions[i * n_nodes..(i + 1) * n_nodes];
+            assert_eq!(point_bits(&fast), point_bits(&slow), "vs re-walk @ {f} Hz");
+            assert_eq!(point_bits(&fast), point_bits(&again), "re-solve @ {f} Hz");
+            assert_eq!(point_bits(&fast), point_bits(point), "sweep @ {f} Hz");
         }
     }
 
@@ -737,14 +676,13 @@ mod tests {
         // fresh factorization.
         let nl = crate::netlist::ota_two_stage(&crate::netlist::OtaParams::nominal());
         let freqs = log_sweep(1e3, 1e9, 3);
-        let (sweep, _, mut w) = sweep_on(&nl, "VINP", &freqs, SolverBackend::Sparse);
+        let (sweep, _, mut w) = sweep_on(&nl, "VINP", &freqs);
         let n = sweep.excitation.len();
         let mut identity = Triplets::new(n, n);
         for i in 0..n {
             identity.push(i, i, Complex::ONE);
         }
-        let AcWorker::Sparse { lu, .. } = &mut w else { panic!("sparse sweep") };
-        *lu = SparseLu::factor(&identity.to_csr()).unwrap();
+        w.lu = SparseLu::factor(&identity.to_csr()).unwrap();
         let alone = |f: f64| solve_fast(&sweep, &mut sweep.proto.clone().unwrap(), f);
         // At the top frequency the fresh factorization pivots away from
         // the prototype's order: other bits, the same values.
@@ -760,16 +698,17 @@ mod tests {
         }
     }
 
-    /// Digests of [`golden_solver_digest`], recorded while the AC sweep
-    /// ran on a thread-safe solver pool and the Newton loop carried a
-    /// warm-start flag; the code that replaced both must reproduce them.
-    const GOLDEN_AC: u64 = 0xb103_1b8b_8ecd_72c6;
-    const GOLDEN_DC: u64 = 0xb2d7_a7c2_8b60_f0f0;
+    /// Digests of [`golden_solver_digest`], re-recorded when every
+    /// system moved to the AMD-pre-ordered sparse LU: the OTA and the
+    /// small chains had factored on the dense LU, and sparse solves had
+    /// run the Markowitz order.
+    const GOLDEN_AC: u64 = 0x3048_9c2a_320d_d6e1;
+    const GOLDEN_DC: u64 = 0x7510_53b9_294a_dac6;
 
-    /// Every output bit of AC sweeps on both entry points and every
-    /// backend, and of DC operating points with their Newton iteration
-    /// counts under four option sets. No workload reaches the sparse AC
-    /// path (the OTA resolves to dense), so this is its bit-level guard.
+    /// Every output bit of AC sweeps on both entry points, and of DC
+    /// operating points with their Newton iteration counts under both
+    /// Jacobian strategies — the bit-level guard of the sparse AC path
+    /// and of [`OpSolver`]'s unprimed ladder.
     #[test]
     fn golden_solver_digest() {
         use crate::dc::OpSolver;
@@ -788,7 +727,6 @@ mod tests {
         }
 
         let freqs = log_sweep(1e3, 1e9, 7);
-        let backends = [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto];
         let nominal = OtaParams::nominal();
         let sizings = [
             nominal,
@@ -801,32 +739,18 @@ mod tests {
         let mut ac = Fnv1a::new();
         for p in &sizings {
             let nl = ota_two_stage(p);
-            for backend in backends {
-                absorb(&mut ac, &ac_sweep_with_backend(&nl, "VINP", &freqs, backend).unwrap());
-                let op = OpSolver::new(nl.clone(), NewtonOptions::default().with_backend(backend))
-                    .solve()
-                    .unwrap();
-                let swept =
-                    ac_sweep_with_backend_from_op(&nl, nl.values(), op, "VINP", &freqs, backend);
-                absorb(&mut ac, &swept.unwrap());
-            }
+            absorb(&mut ac, &ac_sweep(&nl, "VINP", &freqs).unwrap());
+            let op = OpSolver::new(nl.clone(), NewtonOptions::default()).solve().unwrap();
+            absorb(&mut ac, &ac_sweep_from_op(&nl, nl.values(), op, "VINP", &freqs).unwrap());
         }
         let ladder = rc_ladder(40, 1e3, 1e-12);
-        for backend in backends {
-            absorb(&mut ac, &ac_sweep_with_backend(&ladder, "VIN", &freqs, backend).unwrap());
-        }
+        absorb(&mut ac, &ac_sweep(&ladder, "VIN", &freqs).unwrap());
 
         let mut dc = Fnv1a::new();
         let circuits =
             [inverter_chain(4), inverter_chain(24), sense_amp_array(5, 4), ota_two_stage(&nominal)];
-        let options = [
-            NewtonOptions::default(),
-            NewtonOptions::default().with_backend(SolverBackend::Sparse),
-            NewtonOptions::default().with_backend(SolverBackend::Dense),
-            NewtonOptions::full_newton(),
-        ];
         for nl in &circuits {
-            for o in options {
+            for o in [NewtonOptions::default(), NewtonOptions::full_newton()] {
                 let mut solver = OpSolver::new(nl.clone(), o);
                 dc.write_f64_slice(solver.solve().unwrap().raw());
                 dc.write_u64(solver.newton_iterations());

@@ -1,10 +1,10 @@
-//! Minimal complex arithmetic and a complex LU solver for AC analysis.
+//! Minimal complex arithmetic for AC analysis.
 //!
 //! The standard library has no complex type and the offline crate set has
-//! no `num-complex`, so the small amount of complex linear algebra AC
-//! analysis needs lives here. A dense AC point factors one reused
-//! [`ComplexMatrix`] in place into a caller buffer
-//! (`ComplexMatrix::solve_in_place`).
+//! no `num-complex`, so the complex scalar AC analysis factors through
+//! the sparse LU lives here. The unit tests keep a dense complex LU
+//! (`ComplexMatrix`) as the oracle the sparse AC solves are checked
+//! against.
 
 /// A complex number `re + j·im`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -106,7 +106,7 @@ impl std::ops::Neg for Complex {
 }
 
 /// Lets the complex AC systems run through the sparse LU in
-/// `glova_linalg::sparse` — same Markowitz ordering, same
+/// `glova_linalg::sparse` — same AMD pre-order, same
 /// symbolic-pattern reuse across an entire frequency sweep.
 impl glova_linalg::sparse::Scalar for Complex {
     fn zero() -> Self {
@@ -123,38 +123,29 @@ impl glova_linalg::sparse::Scalar for Complex {
 }
 
 /// Dense complex matrix (row-major) with LU-with-partial-pivoting solve —
-/// just enough for MNA AC systems.
+/// just enough for MNA AC systems; a test oracle.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComplexMatrix {
+pub(crate) struct ComplexMatrix {
     n: usize,
     data: Vec<Complex>,
 }
 
+#[cfg(test)]
 impl ComplexMatrix {
     /// Creates an `n × n` zero matrix.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         Self { n, data: vec![Complex::ZERO; n * n] }
     }
 
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Entry accessor.
-    pub fn at(&self, i: usize, j: usize) -> Complex {
+    pub(crate) fn at(&self, i: usize, j: usize) -> Complex {
         self.data[i * self.n + j]
     }
 
     /// Adds `value` at `(i, j)`.
-    pub fn add_at(&mut self, i: usize, j: usize, value: Complex) {
+    pub(crate) fn add_at(&mut self, i: usize, j: usize, value: Complex) {
         self.data[i * self.n + j] += value;
-    }
-
-    /// Every entry in row-major order, `(i, j)` at `i * dim + j` — the
-    /// value array a compiled AC event stream is replayed into.
-    pub(crate) fn values_mut(&mut self) -> &mut [Complex] {
-        &mut self.data
     }
 
     /// Solves `A x = b` into `x` via LU with partial pivoting, factoring
@@ -237,7 +228,6 @@ impl ComplexMatrix {
     /// # Errors
     ///
     /// Returns `Err(pivot_index)` if the matrix is numerically singular.
-    #[cfg(test)]
     pub(crate) fn solve(mut self, b: &[Complex]) -> Result<Vec<Complex>, usize> {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         let n = self.n;

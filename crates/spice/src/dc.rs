@@ -1,9 +1,14 @@
 //! DC operating-point analysis with `gmin` stepping.
 //!
-//! [`OpSolver`] keeps one topology, template, factorization and set of
-//! Newton working vectors across solves; [`OpSolver::retarget_values`]
-//! writes a new value slice into the template in place. [`OpSolverPool`]
-//! clones one primed solver per worker thread.
+//! [`operating_point`] and its variants run the `gmin` ladder from a
+//! caller's guess (all zeros by default). [`OpSolver`] keeps one
+//! topology, template, factorization and set of Newton working vectors
+//! across solves; [`OpSolver::retarget_values`] writes a new value slice
+//! into the template in place. A primed solver also keeps a warm start —
+//! the operating point of the values it was primed on — and solves each
+//! point by plain Newton at the final `gmin` from there, falling back to
+//! the ladder from zeros only when that fails. [`OpSolverPool`] clones
+//! one primed solver, warm start included, per worker thread.
 
 use crate::device::DeviceValue;
 use crate::mna::{MnaState, MnaTemplate, NewtonOptions, StampContext};
@@ -49,6 +54,10 @@ impl OperatingPoint {
 /// final operating point.
 const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12];
 
+/// The `gmin` of the final rung — the system every converged operating
+/// point solves.
+const FINAL_GMIN: f64 = GMIN_LADDER[GMIN_LADDER.len() - 1];
+
 /// The stamp context every DC template is built and retargeted under.
 const DC_CONTEXT: StampContext<'static> =
     StampContext { time: 0.0, step: None, gmin: GMIN_LADDER[0] };
@@ -59,21 +68,30 @@ const DC_CONTEXT: StampContext<'static> =
 /// every call; sweep-style callers — corner/mismatch campaigns, parameter
 /// sweeps, benchmark loops — solve the *same topology* thousands of
 /// times, so this wrapper builds both once and keeps them across
-/// [`solve`](Self::solve) calls. On the sparse backend that means the
-/// Markowitz pivot order and fill pattern are computed exactly once for
-/// the whole sweep; every subsequent factorization anywhere in the
-/// ladder is numeric-only.
+/// [`solve`](Self::solve) calls: the pivot order and fill pattern are
+/// computed once for the whole sweep, and every later factorization
+/// anywhere in a solve is numeric-only.
 ///
-/// The solver is stateful only for performance: each `solve` runs the
-/// full `gmin` ladder from the caller's initial guess, so results are
-/// identical to [`operating_point_with_options`] on the same inputs.
+/// # Warm start
+///
+/// A [`primed`](Self::primed) solver also keeps the operating point of
+/// the values it was primed on (the full `gmin` ladder from zeros), and
+/// every clone carries it. Its [`solve`](Self::solve) runs plain Newton
+/// at the final `gmin` from that point, and falls back to the ladder from
+/// zeros only when that fails. The start is fixed at priming, so a
+/// solve stays a pure function of the values it is retargeted at and the
+/// values the solver was primed on — never of the solves before it,
+/// unless one of those re-pivoted (see [`repivots`](Self::repivots);
+/// [`OpSolverPool`] retires such a solver). An unprimed solver
+/// ([`new`](Self::new), [`with_values`](Self::with_values)) has no
+/// start and runs the ladder from zeros, like [`operating_point`].
 ///
 /// For sweeps whose *device values* change per point (corner/mismatch
 /// campaigns), [`retarget_values`](Self::retarget_values) writes each
 /// point's value slice into the template of the one topology while
 /// keeping the factorization — and [`OpSolverPool`] extends the pattern
-/// across worker threads by cloning one [`primed`](Self::primed) solver
-/// per worker. The topology is shared, never copied, between clones.
+/// across worker threads by cloning one primed solver per worker. The
+/// topology and the warm start are shared, never copied, between clones.
 #[derive(Debug, Clone)]
 pub struct OpSolver {
     state: MnaState,
@@ -81,11 +99,15 @@ pub struct OpSolver {
     /// The topology the template was walked over (its values are the
     /// construction-time ones; value retargets leave them alone).
     topology: Arc<Netlist>,
+    /// The operating point of the priming values, where every solve's
+    /// Newton iteration starts; `None` when unprimed or when that solve
+    /// failed.
+    warm_start: Option<Arc<[f64]>>,
 }
 
 impl OpSolver {
-    /// Builds the template (and resolves the backend) once for `netlist`,
-    /// which the solver keeps as its topology without copying it.
+    /// Builds the template once for `netlist`, which the solver keeps as
+    /// its topology without copying it.
     pub fn new(netlist: Netlist, options: NewtonOptions) -> Self {
         let topology = Arc::new(netlist);
         Self::with_values(Arc::clone(&topology), topology.values(), options)
@@ -103,18 +125,16 @@ impl OpSolver {
         values: &[DeviceValue],
         options: NewtonOptions,
     ) -> Self {
-        let mut state =
-            MnaTemplate::new(&topology, values, &DC_CONTEXT, options.backend).into_state();
-        // Priming happens before any solve threads the options through,
-        // so the symbolic analysis every clone shares must already know
-        // the ordering choice.
-        state.set_ordering(options.ordering);
-        Self { state, options, topology }
+        let state = MnaTemplate::new(&topology, values, &DC_CONTEXT).into_state();
+        Self { state, options, topology, warm_start: None }
     }
 
-    /// [`new`](Self::new) plus an eager [`prime`](Self::prime): the
-    /// returned solver already carries a factorization, so its clones
-    /// share one symbolic analysis.
+    /// [`new`](Self::new) plus an eager [`prime`](Self::prime) and the
+    /// warm start: the returned solver already carries a factorization,
+    /// so its clones share one symbolic analysis, and the operating point
+    /// of `netlist`'s own values, solved on a clone by the ladder from
+    /// zeros, which every later [`solve`](Self::solve) starts from. If
+    /// that solve fails, the solver keeps no start.
     ///
     /// # Errors
     ///
@@ -122,12 +142,13 @@ impl OpSolver {
     pub fn primed(netlist: Netlist, options: NewtonOptions) -> Result<Self, SpiceError> {
         let mut solver = Self::new(netlist, options);
         solver.prime()?;
+        solver.warm_start = solver.clone().solve().ok().map(|op| op.raw().into());
         Ok(solver)
     }
 
     /// Assembles and factors the system at the all-zeros estimate under
     /// the first `gmin` rung — exactly the system the first iteration of
-    /// [`solve`](Self::solve) factors, so priming never changes results.
+    /// a ladder from zeros factors, so priming never changes results.
     /// After priming, the solver (and every clone of it) carries the
     /// symbolic factorization; see [`MnaState::prime`].
     ///
@@ -141,9 +162,10 @@ impl OpSolver {
     /// Writes `values` — one per device of the solver's topology, in
     /// device order — into the template in place: the sweep primitive.
     /// No template rebuild, no allocation, no pattern change, and the
-    /// factorization survives; the result is bitwise identical to a
-    /// solver freshly built over a netlist carrying `values`. The slice
-    /// is checked against the topology by count and per-device kind.
+    /// factorization and warm start survive; the assembled systems are
+    /// bitwise identical to those of a solver freshly built over a
+    /// netlist carrying `values`. The slice is checked against the
+    /// topology by count and per-device kind.
     ///
     /// # Panics
     ///
@@ -154,50 +176,57 @@ impl OpSolver {
         self.state.write_values(&self.topology, values, &DC_CONTEXT);
     }
 
-    /// Whether the sparse backend was selected.
-    pub fn is_sparse(&self) -> bool {
-        self.state.is_sparse()
-    }
-
     /// The Newton options this solver runs with.
     pub fn options(&self) -> &NewtonOptions {
         &self.options
     }
 
-    /// Times the sparse backend abandoned its frozen pivot order for a
-    /// fresh analysis after a numeric pivot collapse (see
+    /// The warm start every solve begins from (see the
+    /// [type docs](Self#warm-start)); `None` for an unprimed solver.
+    pub fn warm_start(&self) -> Option<&[f64]> {
+        self.warm_start.as_deref()
+    }
+
+    /// Times the solver abandoned its frozen pivot order for a fresh
+    /// analysis after a numeric pivot collapse (see
     /// [`MnaState::repivots`]).
     pub fn repivots(&self) -> u64 {
         self.state.repivots()
     }
 
-    /// Computes the operating point from an all-zeros initial guess.
+    /// Computes the operating point: plain Newton at the final `gmin`
+    /// from the warm start, or — without a start, or when that fails —
+    /// the `gmin` ladder from all zeros. A failed warm attempt leaves
+    /// nothing the ladder reads: every Newton run refreshes the factor
+    /// from its own assembled values first, and a warm attempt that
+    /// re-pivoted hands the ladder back the primed pivot order.
     ///
     /// # Errors
     ///
     /// See [`operating_point`].
     pub fn solve(&mut self) -> Result<OperatingPoint, SpiceError> {
+        let n_nodes = self.topology.node_count() - 1;
+        if let Some(warm) = &self.warm_start {
+            let repivots = self.state.repivots();
+            let start = self.state.start_mut();
+            start.clear();
+            start.extend_from_slice(warm);
+            if self.state.newton_from_start(FINAL_GMIN, &self.options).is_ok() {
+                return Ok(OperatingPoint::new(self.state.start().to_vec(), n_nodes));
+            }
+            if self.state.repivots() != repivots {
+                self.state.restore_primed_factor();
+            }
+        }
         let start = self.state.start_mut();
         start.clear();
         start.resize(self.topology.unknown_count(), 0.0);
-        ladder_solve(&mut self.state, &self.options, self.topology.node_count() - 1)
-    }
-
-    /// Computes the operating point from a caller-provided guess.
-    ///
-    /// # Errors
-    ///
-    /// See [`operating_point`].
-    pub fn solve_from(&mut self, initial: &[f64]) -> Result<OperatingPoint, SpiceError> {
-        let start = self.state.start_mut();
-        start.clear();
-        start.extend_from_slice(initial);
-        ladder_solve(&mut self.state, &self.options, self.topology.node_count() - 1)
+        ladder_solve(&mut self.state, &self.options, n_nodes)
     }
 
     /// Cumulative Newton/chord iterations this solver has run (all
-    /// solves, all `gmin` rungs) — the deterministic work measure of a
-    /// solve sequence.
+    /// solves, warm attempts and `gmin` rungs) — the deterministic work
+    /// measure of a solve sequence.
     pub fn newton_iterations(&self) -> u64 {
         self.state.newton_iterations()
     }
@@ -208,8 +237,8 @@ impl OpSolver {
 /// corner/mismatch sweeps.
 ///
 /// The pool holds one **primed prototype** (template built, system
-/// factored — on the sparse backend that includes the Markowitz pivot
-/// order and fill pattern, the expensive symbolic step). Each concurrent
+/// factored — including the pivot order and fill pattern, the expensive
+/// symbolic step — and the warm start solved). Each concurrent
 /// [`with_solver`](Self::with_solver) caller checks a solver out of the
 /// free list, or clones the prototype when the list is empty — so a
 /// `Threaded` engine with `N` workers materializes at most `N` solvers,
@@ -219,10 +248,11 @@ impl OpSolver {
 /// # Determinism
 ///
 /// Every pooled solver derives from the same prototype, so all of them
-/// carry the *canonical* symbolic factorization; a solve is a pure
-/// function of the values it is retargeted at (the full `gmin` ladder
-/// runs from the caller's guess, and refactoring overwrites all numeric
-/// state). If a solve has to re-pivot (a frozen pivot collapsed on some
+/// carry the *canonical* symbolic factorization and the same warm start;
+/// a solve is a pure function of the values it is retargeted at and of
+/// the pool (Newton runs from the pool's fixed start, the ladder from
+/// zeros, and refactoring overwrites all numeric state). If a solve has
+/// to re-pivot (a frozen pivot collapsed on some
 /// extreme point), that solver's pivot order is no longer canonical — the
 /// pool detects this via [`OpSolver::repivots`] and retires the solver,
 /// replacing it with a fresh prototype clone, so results stay bitwise
@@ -253,7 +283,9 @@ impl OpSolverPool {
     /// symbolic analysis the prototype already amortizes.
     pub const DEFAULT_FREE_CAPACITY: usize = 32;
 
-    /// Builds and primes the prototype solver for `netlist`.
+    /// Builds and primes the prototype solver for `netlist`, whose values
+    /// fix the pool's pivot order and warm start (see
+    /// [`OpSolver::primed`]).
     ///
     /// # Errors
     ///
@@ -274,11 +306,6 @@ impl OpSolverPool {
     pub fn with_free_capacity(mut self, capacity: usize) -> Self {
         self.free_capacity = capacity.max(1);
         self
-    }
-
-    /// Whether the pooled solvers run the sparse backend.
-    pub fn is_sparse(&self) -> bool {
-        self.prototype.is_sparse()
     }
 
     /// The Newton options every pooled solver runs with.
@@ -433,12 +460,10 @@ pub fn operating_point_with_options(
     // One assembly template serves every rung: the ladder varies only
     // gmin, which the template applies per solve — the netlist is walked
     // once for the whole continuation, not once per rung. The shared
-    // solver state likewise persists across rungs, so on the sparse
-    // backend the Markowitz pivot order and fill pattern are computed
-    // once per topology and every later rung pays numeric-only
-    // refactorizations.
-    let mut state =
-        MnaTemplate::new(netlist, netlist.values(), &DC_CONTEXT, options.backend).into_state();
+    // solver state likewise persists across rungs, so the pivot order
+    // and fill pattern are computed once and every later rung pays
+    // numeric-only refactorizations.
+    let mut state = MnaTemplate::new(netlist, netlist.values(), &DC_CONTEXT).into_state();
     state.start_mut().extend_from_slice(initial);
     ladder_solve(&mut state, options, netlist.node_count() - 1)
 }
@@ -471,7 +496,7 @@ fn ladder_solve(
     }
 
     // The final rung must have converged for the result to be meaningful.
-    match state.newton_from_start(*GMIN_LADDER.last().unwrap(), options) {
+    match state.newton_from_start(FINAL_GMIN, options) {
         Ok(()) => Ok(OperatingPoint::new(state.start().to_vec(), n_nodes)),
         Err(e) => {
             if converged_any {
@@ -613,42 +638,18 @@ mod tests {
 
     #[test]
     fn narrow_refresh_matches_full_newton_fixed_point() {
-        use crate::mna::{JacobianStrategy, NewtonOptions, SolverBackend};
+        use crate::mna::{JacobianStrategy, NewtonOptions};
         use crate::netlist::inverter_chain_with_load;
         // Chord iterates through a stale factor between refreshes; full
         // Newton refreshes every iteration. Both must reach the same
         // fixed point.
         let nl = inverter_chain_with_load(12, Some(10e3));
-        let chord = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let full = NewtonOptions {
-            strategy: JacobianStrategy::Full,
-            ..NewtonOptions::default().with_backend(SolverBackend::Sparse)
-        };
+        let chord = NewtonOptions::default();
+        let full = NewtonOptions { strategy: JacobianStrategy::Full, ..NewtonOptions::default() };
         let op_chord = OpSolver::primed(nl.clone(), chord).unwrap().solve().unwrap();
         let op_full = OpSolver::primed(nl, full).unwrap().solve().unwrap();
         for (a, b) in op_chord.raw().iter().zip(op_full.raw()) {
             assert!((a - b).abs() < 1e-7, "chord+partial {a} vs full Newton {b}");
-        }
-    }
-
-    #[test]
-    fn amd_ordering_matches_markowitz_operating_point() {
-        use crate::mna::{NewtonOptions, SolverBackend};
-        use crate::netlist::inverter_chain_with_load;
-        use glova_linalg::FillOrdering;
-        let nl = inverter_chain_with_load(12, Some(10e3));
-        let markowitz = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let amd = markowitz.with_ordering(FillOrdering::Amd);
-        let op_m = OpSolver::primed(nl.clone(), markowitz).unwrap().solve().unwrap();
-        let op_a = OpSolver::primed(nl.clone(), amd).unwrap().solve().unwrap();
-        for (a, b) in op_a.raw().iter().zip(op_m.raw()) {
-            assert!((a - b).abs() < 1e-7, "amd {a} vs markowitz {b}");
-        }
-        // AMD solves are themselves bitwise deterministic (pool clones
-        // share the pre-ordered symbolic analysis like Markowitz ones).
-        let op_a2 = OpSolver::primed(nl, amd).unwrap().solve().unwrap();
-        for (a, b) in op_a.raw().iter().zip(op_a2.raw()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -657,21 +658,21 @@ mod tests {
     /// cumulative `newton_iterations()` after each point and the final
     /// `solvers_retired()` of one [`OpSolverPool`] per sparse pattern
     /// the workloads reach, each retargeted at the value slices of a fixed
-    /// sequence of variants of its topology — the bit-level guard for the retargeted sparse
-    /// refresh. The digest was recorded while sparse refreshes still
-    /// re-eliminated only the rows reachable from changed inputs, so it
-    /// pins the full refresh to those bits.
+    /// sequence of variants of its topology — the bit-level guard for the
+    /// retargeted sparse refresh and the warm start. Re-recorded when
+    /// pooled solves began at the pool's warm start and every factor
+    /// took the AMD pre-order (the Markowitz order and the ladder from
+    /// zeros had produced the earlier bits).
     #[test]
     fn golden_pooled_sweep_digest() {
-        use crate::mna::{NewtonOptions, SolverBackend};
+        use crate::mna::NewtonOptions;
         use crate::netlist::{inverter_chain_with_load, sense_amp_array_with, SenseAmpParams};
         use glova_stats::hash::Fnv1a;
 
-        const GOLDEN_POOLED: u64 = 0xaa92_a7ce_02db_f712;
+        const GOLDEN_POOLED: u64 = 0xd7ab_f87b_92d9_b558;
 
         fn sweep(digest: &mut Fnv1a, options: NewtonOptions, variants: &[Netlist]) {
             let pool = OpSolverPool::new(variants[0].clone(), options).unwrap();
-            assert!(pool.is_sparse(), "every digested pool runs the sparse backend");
             for nl in variants {
                 pool.with_solver(|solver| {
                     solver.retarget_values(nl.values());
@@ -711,38 +712,91 @@ mod tests {
                 senseamp_params.iter().map(|p| sense_amp_array_with(rows, cols, p)).collect();
             sweep(&mut digest, NewtonOptions::default(), &variants);
         }
-        for (stages, backend) in [(24, SolverBackend::Auto), (8, SolverBackend::Sparse)] {
+        for stages in [24, 8] {
             let variants: Vec<Netlist> =
                 loads.iter().map(|&r| inverter_chain_with_load(stages, Some(r))).collect();
-            sweep(&mut digest, NewtonOptions::default().with_backend(backend), &variants);
+            sweep(&mut digest, NewtonOptions::default(), &variants);
         }
         assert_eq!(digest.finish(), GOLDEN_POOLED, "digest {:016x}", digest.finish());
+    }
+
+    /// A supply driving a four-node resistor network through a floating
+    /// voltage source (`b`–`c`), resistances `r`. The floating source's
+    /// branch is what lets a retarget collapse a frozen pivot of the
+    /// pre-ordered factor.
+    fn floating_source_network(r: [f64; 8]) -> Netlist {
+        let mut nl = Netlist::new();
+        let (a, b, c, d) = (nl.node("a"), nl.node("b"), nl.node("c"), nl.node("d"));
+        nl.vsource("V1", a, GROUND, 1.0);
+        nl.vsource("V2", b, c, 0.3);
+        let ends = [(a, b), (b, c), (c, GROUND), (b, d), (d, GROUND), (c, d), (a, d), (b, GROUND)];
+        for (k, ((p, q), ohms)) in ends.into_iter().zip(r).enumerate() {
+            nl.resistor(&format!("R{k}"), p, q, ohms);
+        }
+        nl
+    }
+
+    /// The values every [`floating_source_network`] pool is primed on.
+    const FLOATING_PRIMED: [f64; 8] = [0.044, 38e3, 8.2e3, 2e-3, 9.9, 87e3, 64e3, 610.0];
+
+    /// A solve's outcome in comparable form: the operating point's bits,
+    /// or the error.
+    fn outcome(solved: Result<OperatingPoint, SpiceError>) -> Result<Vec<u64>, String> {
+        solved
+            .map(|op| op.raw().iter().map(|v| v.to_bits()).collect())
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    #[test]
+    fn failed_warm_attempt_falls_back_to_the_ladder_bitwise() {
+        use crate::mna::NewtonOptions;
+        // Retargets whose Newton from the pool's warm start fails — once
+        // plainly, once after re-pivoting, once where the ladder fails
+        // too. Each pooled solve must return exactly what the ladder from
+        // zeros returns over the pool's primed pivot order: a failed warm
+        // attempt leaves no factor or pivot state the ladder reads.
+        let options = NewtonOptions::default();
+        let primed = floating_source_network(FLOATING_PRIMED);
+        let pool = OpSolverPool::new(primed.clone(), options).unwrap();
+        let cases = [
+            ([1.6e8, 0.014, 7.6e10, 1300.0, 2.6e10, 0.047, 2.1e8, 2e11], false, true),
+            ([2.1e10, 1e-6, 19.0, 1.7e8, 0.024, 7.5e10, 2100.0, 4.7e7], true, true),
+            ([9000.0, 1.3e-5, 1.3e9, 4.9e9, 3.2, 9e5, 1.2e10, 2.2e6], false, false),
+        ];
+        for (r, warm_repivots, ladder_converges) in cases {
+            let target = floating_source_network(r);
+            let mut warm = pool.prototype.clone();
+            warm.retarget_values(target.values());
+            let start = warm.warm_start().expect("the primed network solves").to_vec();
+            *warm.state.start_mut() = start;
+            assert!(warm.state.newton_from_start(FINAL_GMIN, &options).is_err(), "{r:?}");
+            assert_eq!(warm.repivots() > 0, warm_repivots, "{r:?}: warm re-pivot");
+
+            let mut ladder = OpSolver::new(primed.clone(), options);
+            ladder.prime().unwrap();
+            ladder.retarget_values(target.values());
+            let want = outcome(ladder.solve());
+            assert_eq!(want.is_ok(), ladder_converges, "{r:?}: {want:?}");
+            let got = pool.with_solver(|solver| {
+                solver.retarget_values(target.values());
+                outcome(solver.solve())
+            });
+            assert_eq!(got, want, "{r:?}");
+        }
     }
 
     #[test]
     fn pool_retires_a_solver_whose_frozen_pivot_collapsed() {
         use crate::device::DeviceValue;
-        use crate::mna::{NewtonOptions, SolverBackend};
-        // A source driving a four-node resistor network. The pool
-        // freezes its sparse pivot order on moderate resistances; a
-        // retarget to near-open (1e10–1e11 Ω) and near-shorted (1.8 µΩ)
+        use crate::mna::NewtonOptions;
+        // The pool freezes its pivot order on moderate resistances; a
+        // retarget to near-open (0.5–640 GΩ) and near-shorted (0.1 mΩ)
         // ones collapses a frozen pivot, so that solve re-pivots.
-        fn network(r: [f64; 6]) -> Netlist {
-            let mut nl = Netlist::new();
-            let (a, b, c, d) = (nl.node("a"), nl.node("b"), nl.node("c"), nl.node("d"));
-            nl.vsource("V1", a, GROUND, 1.0);
-            nl.resistor("R1", a, b, r[0]);
-            nl.resistor("R2", b, c, r[1]);
-            nl.resistor("R3", c, GROUND, r[2]);
-            nl.resistor("R4", b, d, r[3]);
-            nl.resistor("R5", d, GROUND, r[4]);
-            nl.resistor("R6", c, d, r[5]);
-            nl
-        }
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
-        let primed = network([6.7e-3, 470e3, 1.6e6, 47e3, 52e3, 12.8e3]);
-        let collapsing = network([2.2e11, 8.8e3, 6.8e10, 2.8e11, 1.7e11, 1.8e-6]);
-        let ordinary = network([1e3, 2.2e3, 4.7e3, 10e3, 22e3, 47e3]);
+        let options = NewtonOptions::default();
+        let primed = floating_source_network(FLOATING_PRIMED);
+        let collapsing =
+            floating_source_network([1.9e9, 1.1e-4, 30.0, 6.4e11, 2.2e9, 430.0, 1.1e6, 4.6e11]);
+        let ordinary = floating_source_network([1e3, 2.2e3, 4.7e3, 10e3, 22e3, 47e3, 3.3e3, 6.8e3]);
         let solve_ordinary = |pool: &OpSolverPool| {
             pool.with_solver(|solver| {
                 assert_eq!(solver.repivots(), 0, "checkouts carry the canonical pivot order");

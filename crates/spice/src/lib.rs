@@ -10,9 +10,9 @@
 //!   model card responds to **process corner, temperature, supply and
 //!   per-device mismatch** ([`model::MosModel`]),
 //! - Newton–Raphson DC operating-point analysis with `gmin` stepping
-//!   ([`dc`]) over dense or sparse MNA systems ([`mna`]; the sparse
-//!   backend refreshes its factor through one compiled refactorization
-//!   path),
+//!   ([`dc`]; a pooled solve starts from its pool's fixed warm start)
+//!   over sparse MNA systems ([`mna`]; one AMD-pre-ordered sparse LU
+//!   whose factor refreshes through one compiled refactorization path),
 //! - small-signal AC sweeps ([`ac`]), and
 //! - fixed-step backward-Euler / trapezoidal transient analysis
 //!   ([`transient`]) with waveform measurement helpers ([`analysis`]).
@@ -48,11 +48,9 @@ pub mod netlist;
 pub mod registry;
 pub mod transient;
 
-pub use ac::{ac_sweep, ac_sweep_with_backend, log_sweep, AcResult};
+pub use ac::{ac_sweep, log_sweep, AcResult};
 pub use complex::Complex;
 pub use dc::{operating_point, OpSolver, OpSolverPool, OperatingPoint};
-pub use glova_linalg::FillOrdering;
-pub use mna::SolverBackend;
 pub use model::{MosModel, MosPolarity};
 pub use netlist::{
     inverter_chain, ota_two_stage, rc_ladder, sense_amp_array, sense_amp_array_with, Netlist,

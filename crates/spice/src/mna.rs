@@ -6,28 +6,32 @@
 //! backward-Euler companion conductances during transient steps and are open
 //! in DC.
 //!
-//! Both backends assemble through one restamp: each MOSFET is a compact
-//! record of its card, its terminal unknowns and the six value slots it
-//! stamps into a flat value array (the CSR values, or the dense matrix's
-//! row-major data), listed for both drain/source orientations, so an
+//! Every system is assembled into a CSR pattern built once per template
+//! and factored by the AMD-pre-ordered sparse LU
+//! (`glova_linalg::SparseLu`). Each MOSFET is a compact record of its
+//! card, its terminal unknowns and the six value slots it stamps into
+//! the CSR values, listed for both drain/source orientations, so an
 //! iteration's assembly is a `memcpy` of the constant part plus indexed
-//! adds on either backend. The Newton loop's
-//! working vectors live in [`MnaState`], so an iteration allocates
-//! nothing.
+//! adds. The Newton loop's working vectors live in [`MnaState`], so an
+//! iteration allocates nothing.
 //!
-//! The sparse backend has one numeric refresh path
-//! (`MnaState::refresh_factor`): the first factorization fixes the pivot
-//! order and fill pattern, and every later refresh re-runs the compiled
-//! elimination over every row of that frozen pattern. The factor is a
-//! function of the assembled values alone, so a solve's result never
-//! depends on the refreshes that came before it.
+//! There is one numeric refresh path (`MnaState::refresh_factor`): the
+//! first factorization fixes the pivot order and fill pattern, and every
+//! later refresh re-runs the compiled elimination over every row of that
+//! frozen pattern. The factor is a function of the assembled values
+//! alone, so a solve's result never depends on the refreshes that came
+//! before it. The dense `Lu` survives only in the unit tests, as the
+//! oracle the sparse solves are checked against.
 
 use crate::device::{Device, DeviceValue};
 use crate::model::MosModel;
 use crate::netlist::{Netlist, NodeId, SourceWaveform};
 use crate::SpiceError;
 use glova_linalg::sparse::{CsrMatrix, SparseLu, Triplets};
-use glova_linalg::{FillOrdering, LinalgError, Lu, Matrix};
+use glova_linalg::LinalgError;
+#[cfg(test)]
+use glova_linalg::{Lu, Matrix};
+use std::sync::Arc;
 
 /// Assembly context: DC or one implicit transient step.
 #[derive(Debug, Clone, Copy)]
@@ -41,70 +45,6 @@ pub struct StampContext<'a> {
     pub gmin: f64,
 }
 
-/// Which linear-algebra backend the Newton iterations factor and solve
-/// on.
-///
-/// Both backends produce node voltages that agree to well within the
-/// Newton tolerance (locked in by `tests/solver_backend_parity.rs`); the
-/// dense path is the long-standing reference/oracle, the sparse path is
-/// the scaling one — MNA matrices carry `O(n)` nonzeros, so from a few
-/// dozen unknowns the dense `O(n³)` factorization dominates every solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Pick by system size: dense below
-    /// [`AUTO_SPARSE_THRESHOLD`](Self::AUTO_SPARSE_THRESHOLD) unknowns,
-    /// sparse at or above it.
-    #[default]
-    Auto,
-    /// Always the dense LU (`glova_linalg::Lu`).
-    Dense,
-    /// Always the sparse LU (`glova_linalg::sparse::SparseLu`).
-    Sparse,
-}
-
-impl SolverBackend {
-    /// Unknown count at which [`SolverBackend::Auto`] switches to the
-    /// sparse backend. Below this the dense factorization's tiny constant
-    /// factors win; at and above it the sparse solver's `O(nnz)`
-    /// elimination pulls ahead (measured crossover on inverter chains is
-    /// between the 4-stage and 24-stage sizes).
-    pub const AUTO_SPARSE_THRESHOLD: usize = 20;
-
-    /// Whether this backend resolves to sparse for a system of
-    /// `unknowns` unknowns.
-    pub fn resolves_to_sparse(self, unknowns: usize) -> bool {
-        match self {
-            SolverBackend::Auto => unknowns >= Self::AUTO_SPARSE_THRESHOLD,
-            SolverBackend::Dense => false,
-            SolverBackend::Sparse => true,
-        }
-    }
-
-    /// Parses `auto` / `dense` / `sparse` (the CLI override format).
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message for anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(SolverBackend::Auto),
-            "dense" => Ok(SolverBackend::Dense),
-            "sparse" => Ok(SolverBackend::Sparse),
-            other => Err(format!("unknown solver backend `{other}` (use auto|dense|sparse)")),
-        }
-    }
-}
-
-impl std::fmt::Display for SolverBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SolverBackend::Auto => "auto",
-            SolverBackend::Dense => "dense",
-            SolverBackend::Sparse => "sparse",
-        })
-    }
-}
-
 /// Maps a node to its row/column in the MNA system (`None` for ground).
 fn node_index(node: NodeId) -> Option<usize> {
     if node.is_ground() {
@@ -115,6 +55,7 @@ fn node_index(node: NodeId) -> Option<usize> {
 }
 
 /// Adds `value` at `(row(a), col(b))` when both are non-ground.
+#[cfg(test)]
 fn stamp(matrix: &mut Matrix, a: Option<usize>, b: Option<usize>, value: f64) {
     if let (Some(i), Some(j)) = (a, b) {
         matrix[(i, j)] += value;
@@ -144,10 +85,9 @@ struct MosCard {
     p: f64,
 }
 
-/// One MOSFET's restamp record, the same for both backends: its card
-/// (refreshed by the value write), its terminal unknowns and the six
-/// value slots it stamps into a flat value array — the CSR values, or
-/// the dense matrix's row-major data — in the order each drain/source
+/// One MOSFET's restamp record: its card (refreshed by the value
+/// write), its terminal unknowns and the six value slots it stamps into
+/// the CSR values, in the order each drain/source
 /// orientation stamps them. Ground is resolved when the template is
 /// built, so the per-iteration restamp indexes no netlist structure,
 /// computes no matrix position and picks its orientation's slots
@@ -233,9 +173,8 @@ impl MosRecord {
     }
 }
 
-/// The per-iteration half of an assembly, written once for both
-/// backends over a flat value array: the `gmin` diagonal slots and the
-/// MOSFET records.
+/// The per-iteration half of an assembly over the CSR value array: the
+/// `gmin` diagonal slots and the MOSFET records.
 #[derive(Debug, Clone)]
 struct Restamp {
     /// Value slot of each node's diagonal.
@@ -260,7 +199,7 @@ impl Restamp {
 /// with [`StampContext`] `time` / `step` while the matrix pattern *and*
 /// values stay fixed — voltage-source waveform values and backward-Euler
 /// capacitor companion currents. Recording these lets a template be
-/// re-pointed at a new time step ([`AssemblyTemplate::update_context`])
+/// re-pointed at a new time step ([`MnaTemplate::update_context`])
 /// with a value-only RHS rebuild instead of a full netlist re-walk, so
 /// transient stepping inherits the same symbolic/pattern reuse DC sweeps
 /// have.
@@ -275,9 +214,8 @@ enum DynamicRhs {
     Vsrc { row: usize, waveform: SourceWaveform },
 }
 
-/// The context-dependent half of a template's base RHS, shared by the
-/// dense and sparse assembly templates (the split is purely about
-/// *values*, with no backend dependency): the static contributions
+/// The context-dependent half of a template's base RHS: the static
+/// contributions
 /// (current sources), the [`DynamicRhs`] stamps, and the materialized
 /// base vector the per-iteration assembly copies from.
 #[derive(Debug, Clone)]
@@ -362,8 +300,8 @@ impl RhsTemplate {
     }
 }
 
-/// One event of the deterministic netlist→stamps walk shared by the
-/// dense and sparse assembly templates — both template construction
+/// One event of the deterministic netlist→stamps walk — both template
+/// construction
 /// (`new`) **and** the in-place value rewrite (`write_values`, behind
 /// [`OpSolver::retarget_values`](crate::dc::OpSolver::retarget_values))
 /// consume the identical event stream, which is what makes a patched
@@ -372,8 +310,7 @@ impl RhsTemplate {
 enum StampEvent {
     /// Matrix stamp at `(row(a), col(b))` — dropped when either side is
     /// ground. MOSFETs emit six zero-valued events to reserve their
-    /// restamp slots (a no-op for the dense matrix, pattern slots for
-    /// the CSR builder).
+    /// restamp slots in the CSR pattern.
     Mat { a: Option<usize>, b: Option<usize>, v: f64 },
     /// Context-independent RHS contribution (current sources).
     StatRhs { node: Option<usize>, v: f64 },
@@ -466,146 +403,22 @@ fn walk_stamps(
     }
 }
 
-/// Cached MNA assembly for one `(topology, values, context)` triple.
+/// Cached **CSR** MNA assembly for one `(topology, values, context)`
+/// triple.
 ///
 /// Everything except the MOSFETs is affine in the unknowns and constant
 /// across Newton iterations — resistor/capacitor-companion conductances,
-/// voltage-source incidence rows, source currents and the `gmin`
-/// diagonal. The template stamps that constant part **once**; each
-/// iteration then copies it ([`Matrix::copy_from`], a `memcpy`) and
-/// restamps only the nonlinear devices into the matrix's row-major
-/// data, instead of re-walking the whole netlist and re-zeroing the
-/// system.
-#[derive(Debug, Clone)]
-pub struct AssemblyTemplate {
-    base: Matrix,
-    rhs: RhsTemplate,
-    restamp: Restamp,
-    n_nodes: usize,
-}
-
-impl AssemblyTemplate {
-    /// Builds the template over `topology` with device values `values`:
-    /// stamps every constant device, extracts the nonlinear ones. The
-    /// template bakes in `ctx.time` and `ctx.step` (source values,
-    /// capacitor companions) but **not** `ctx.gmin` — the gmin diagonal
-    /// is applied per [`assemble_into`](Self::assemble_into) call, so one
-    /// template serves an entire gmin continuation ladder. Pass
-    /// `netlist.values()` to build from a netlist's own values.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
-    pub fn new(topology: &Netlist, values: &[DeviceValue], ctx: &StampContext<'_>) -> Self {
-        assert!(topology.accepts(values), "device values do not fit the topology");
-        let n_nodes = topology.node_count() - 1;
-        let n = topology.unknown_count();
-        let mut a = Matrix::zeros(n, n);
-        let mut rhs = RhsTemplate::empty(n, ctx);
-        let mut mosfets = Vec::new();
-        let slot = |i: usize, j: usize| i * n + j;
-
-        walk_stamps(topology, values, ctx, &mut |event| match event {
-            StampEvent::Mat { a: ia, b: ib, v } => stamp(&mut a, ia, ib, v),
-            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
-            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
-            StampEvent::Mos { card, terminals } => {
-                mosfets.push(MosRecord::new(card, terminals, slot));
-            }
-        });
-        rhs.rebuild(ctx);
-        let gmin_slots = (0..n_nodes).map(|i| slot(i, i)).collect();
-        Self { base: a, rhs, restamp: Restamp { gmin_slots, mosfets }, n_nodes }
-    }
-
-    /// Rewrites every device-value-dependent stamp in place from
-    /// `values` — no allocation, no template rebuild. The result
-    /// is bitwise identical to a freshly built template: both paths
-    /// consume the same stamp-walk event stream in the same order.
-    /// `topology` must be the one this template was built over and
-    /// accept `values` — the caller's check, not repeated here (a
-    /// foreign topology with the same device kinds would pass it, which
-    /// is why the write stays crate-private).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` changes the analysis kind or time step.
-    pub(crate) fn write_values(
-        &mut self,
-        topology: &Netlist,
-        values: &[DeviceValue],
-        ctx: &StampContext<'_>,
-    ) {
-        self.rhs.clear_for_refill(ctx);
-        self.base.as_mut_slice().fill(0.0);
-        let mut mos_i = 0;
-        let (base, rhs, mosfets) = (&mut self.base, &mut self.rhs, &mut self.restamp.mosfets);
-        walk_stamps(topology, values, ctx, &mut |event| match event {
-            StampEvent::Mat { a: ia, b: ib, v } => stamp(base, ia, ib, v),
-            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
-            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
-            StampEvent::Mos { card, .. } => {
-                mosfets[mos_i].card = card;
-                mos_i += 1;
-            }
-        });
-        debug_assert_eq!(mos_i, mosfets.len(), "same-topology walk changed shape");
-        self.rhs.rebuild(ctx);
-    }
-
-    /// Re-points the template at a new context **of the same kind**: same
-    /// analysis (DC stays DC, transient keeps the same `dt`), new source
-    /// time and/or previous-step solution. Only the context-dependent RHS
-    /// values are rebuilt — the matrix base, the stamp maps and (for the
-    /// sparse analogue) the frozen factorization pattern are untouched,
-    /// which is what lets every backward-Euler step after the first skip
-    /// the netlist walk and the symbolic analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context changes analysis kind or time step.
-    pub fn update_context(&mut self, ctx: &StampContext<'_>) {
-        self.rhs.update_context(ctx);
-    }
-
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        self.base.rows()
-    }
-
-    /// Number of nonlinear devices restamped per iteration.
-    pub fn nonlinear_count(&self) -> usize {
-        self.restamp.mosfets.len()
-    }
-
-    /// Assembles the linearized system around estimate `x` into
-    /// caller-provided storage: constant part copied, the gmin diagonal
-    /// applied, MOSFETs restamped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a`, `rhs` or `x` have the wrong dimensions.
-    pub fn assemble_into(&self, a: &mut Matrix, rhs: &mut [f64], x: &[f64], gmin: f64) {
-        a.copy_from(&self.base);
-        rhs.copy_from_slice(&self.rhs.base);
-        assert_eq!(x.len(), self.dim(), "solution estimate dimension mismatch");
-        self.restamp.apply(a.as_mut_slice(), rhs, x, gmin);
-    }
-}
-
-/// Cached **CSR** MNA assembly for one `(topology, values, context)`
-/// triple — the sparse analogue of [`AssemblyTemplate`].
-///
-/// The CSR pattern is built once from the netlist with slots reserved for
-/// everything that varies per iteration (MOSFET conductances, the `gmin`
-/// diagonal); constant stamps live in the base value array. Each
+/// voltage-source incidence rows, source currents. The CSR pattern is
+/// built once from the netlist with slots reserved for everything that
+/// varies per iteration (MOSFET conductances, the `gmin` diagonal);
+/// constant stamps live in the base value array. Each
 /// [`assemble_into`](Self::assemble_into) is then a value-array `memcpy`
-/// plus the same slot-indexed restamp the dense template runs — the
-/// pattern never changes, which is also what lets [`SparseLu`] freeze its
-/// symbolic factorization across the whole Newton/`gmin`-ladder/sweep
-/// lifetime of the template.
+/// plus the slot-indexed MOSFET restamp — the pattern never changes,
+/// which is also what lets [`SparseLu`] freeze its symbolic
+/// factorization across the whole Newton/`gmin`-ladder/sweep lifetime
+/// of the template.
 #[derive(Debug, Clone)]
-pub struct SparseAssemblyTemplate {
+pub struct MnaTemplate {
     base: CsrMatrix<f64>,
     rhs: RhsTemplate,
     restamp: Restamp,
@@ -617,11 +430,15 @@ pub struct SparseAssemblyTemplate {
     n_nodes: usize,
 }
 
-impl SparseAssemblyTemplate {
+impl MnaTemplate {
     /// Builds the template over `topology` with device values `values`:
     /// reserves the full pattern, stamps every constant device, resolves
-    /// the nonzero indices of the per-iteration stamps. Like the dense
-    /// template it bakes in `ctx.time` / `ctx.step` but not `ctx.gmin`.
+    /// the nonzero indices of the per-iteration stamps. The template
+    /// bakes in `ctx.time` and `ctx.step` (source values, capacitor
+    /// companions) but **not** `ctx.gmin` — the gmin diagonal is applied
+    /// per [`assemble_into`](Self::assemble_into) call, so one template
+    /// serves an entire gmin continuation ladder. Pass
+    /// `netlist.values()` to build from a netlist's own values.
     ///
     /// # Panics
     ///
@@ -666,15 +483,17 @@ impl SparseAssemblyTemplate {
         Self { base, rhs, restamp: Restamp { gmin_slots, mosfets }, slot_of, n_nodes }
     }
 
-    /// The sparse analogue of [`AssemblyTemplate::write_values`], under
-    /// the same contract: rewrites the CSR value array through the
-    /// precomputed push-order → nonzero map (no triplet builder, no
-    /// sort, no `value_index` searches) and refreshes the MOSFET cards,
-    /// leaving the pattern — and therefore any frozen symbolic
-    /// factorization built on it — untouched. Bitwise identical to a
-    /// fresh [`SparseAssemblyTemplate::new`]: both paths accumulate the
-    /// same stamp stream in push order, exactly as [`Triplets::to_csr`]
-    /// merges duplicates.
+    /// Rewrites every device-value-dependent stamp in place from
+    /// `values` through the precomputed push-order → nonzero map (no
+    /// triplet builder, no sort, no `value_index` searches) and refreshes
+    /// the MOSFET cards, leaving the pattern — and therefore any frozen
+    /// symbolic factorization built on it — untouched. Bitwise identical
+    /// to a fresh [`MnaTemplate::new`]: both paths accumulate the same
+    /// stamp stream in push order, exactly as [`Triplets::to_csr`] merges
+    /// duplicates. `topology` must be the one this template was built
+    /// over and accept `values` — the caller's check, not repeated here
+    /// (a foreign topology with the same device kinds would pass it,
+    /// which is why the write stays crate-private).
     ///
     /// # Panics
     ///
@@ -712,10 +531,13 @@ impl SparseAssemblyTemplate {
         self.rhs.rebuild(ctx);
     }
 
-    /// Re-points the template at a new context of the same kind — the
-    /// sparse analogue of [`AssemblyTemplate::update_context`]: a
-    /// value-only RHS rebuild, leaving the CSR pattern (and therefore any
-    /// frozen symbolic factorization built on it) untouched.
+    /// Re-points the template at a new context **of the same kind**: same
+    /// analysis (DC stays DC, transient keeps the same `dt`), new source
+    /// time and/or previous-step solution. Only the context-dependent RHS
+    /// values are rebuilt — the CSR pattern and values (and therefore any
+    /// frozen factorization built on them) are untouched, which is what
+    /// lets every backward-Euler step after the first skip the netlist
+    /// walk and the symbolic analysis.
     ///
     /// # Panics
     ///
@@ -727,6 +549,12 @@ impl SparseAssemblyTemplate {
     /// System dimension.
     pub fn dim(&self) -> usize {
         self.base.rows()
+    }
+
+    /// Non-ground node count (the `gmin` / damping prefix of the
+    /// unknowns).
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
     }
 
     /// Number of nonlinear devices restamped per iteration.
@@ -760,93 +588,21 @@ impl SparseAssemblyTemplate {
         rhs.copy_from_slice(&self.rhs.base);
         self.restamp.apply(a.values_mut(), rhs, x, gmin);
     }
-}
-
-/// A backend-resolved MNA assembly template: the topology and its values
-/// walked once, the constant stamps cached in the representation the
-/// chosen [`SolverBackend`] factors.
-#[derive(Debug, Clone)]
-pub enum MnaTemplate {
-    /// Dense base matrix + dense LU.
-    Dense(AssemblyTemplate),
-    /// CSR base + sparse LU with symbolic reuse.
-    Sparse(SparseAssemblyTemplate),
-}
-
-impl MnaTemplate {
-    /// Builds the template over `topology` with device values `values`,
-    /// resolving `backend` by the system's unknown count.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `topology` [accepts](Netlist::accepts) `values`.
-    pub fn new(
-        topology: &Netlist,
-        values: &[DeviceValue],
-        ctx: &StampContext<'_>,
-        backend: SolverBackend,
-    ) -> Self {
-        if backend.resolves_to_sparse(topology.unknown_count()) {
-            MnaTemplate::Sparse(SparseAssemblyTemplate::new(topology, values, ctx))
-        } else {
-            MnaTemplate::Dense(AssemblyTemplate::new(topology, values, ctx))
-        }
-    }
-
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        match self {
-            MnaTemplate::Dense(t) => t.dim(),
-            MnaTemplate::Sparse(t) => t.dim(),
-        }
-    }
-
-    /// Non-ground node count (the `gmin` / damping prefix of the
-    /// unknowns).
-    pub fn n_nodes(&self) -> usize {
-        match self {
-            MnaTemplate::Dense(t) => t.n_nodes,
-            MnaTemplate::Sparse(t) => t.n_nodes,
-        }
-    }
-
-    /// Re-points the template at a new context of the same kind (see
-    /// [`AssemblyTemplate::update_context`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context changes analysis kind or time step.
-    pub fn update_context(&mut self, ctx: &StampContext<'_>) {
-        match self {
-            MnaTemplate::Dense(t) => t.update_context(ctx),
-            MnaTemplate::Sparse(t) => t.update_context(ctx),
-        }
-    }
 
     /// Consumes the template into working state (system storage +
     /// factorization slot) for Newton solves. Keep one state across
     /// repeated solves — `gmin`-ladder rungs, corner/mismatch re-solves,
-    /// benchmark sweeps — and the factorization storage (for sparse: the
-    /// symbolic pattern and pivot order) is reused instead of recomputed.
+    /// benchmark sweeps — and the symbolic factorization (pivot order
+    /// and fill pattern) is reused instead of recomputed.
     pub fn into_state(self) -> MnaState {
         let n = self.dim();
         MnaState {
-            inner: match self {
-                MnaTemplate::Dense(t) => StateInner::Dense {
-                    a: Matrix::zeros(n, n),
-                    rhs: vec![0.0; n],
-                    lu: None,
-                    template: t,
-                },
-                MnaTemplate::Sparse(t) => StateInner::Sparse {
-                    a: t.new_system(),
-                    rhs: vec![0.0; n],
-                    lu: None,
-                    template: t,
-                },
-            },
+            a: self.new_system(),
+            rhs: vec![0.0; n],
+            lu: None,
+            primed_lu: None,
+            template: self,
             repivots: 0,
-            ordering: FillOrdering::default(),
             newton_iterations: 0,
             work: NewtonWork::default(),
         }
@@ -868,27 +624,28 @@ struct NewtonWork {
 }
 
 /// Working storage for Newton solves over one [`MnaTemplate`]: the
-/// template, the assembled system, the (re)usable factorization and the
-/// Newton loop's working vectors.
+/// template, the assembled system, the (re)usable sparse factorization
+/// and the Newton loop's working vectors.
 ///
 /// `MnaState` is `Clone` + `Send`, which is what per-worker solver
 /// pooling builds on: clone a **primed** state (one that already carries
 /// a factorization — see [`MnaState::prime`]) once per worker thread and
-/// every clone shares the prototype's symbolic analysis (sparse pivot
-/// order + fill pattern) while owning its own numeric storage. Cloning
-/// shares no mutable state, so concurrently refactoring the clones with
-/// different values is race-free and bitwise-deterministic.
+/// every clone shares the prototype's symbolic analysis (pivot order +
+/// fill pattern) while owning its own numeric storage. Cloning shares no
+/// mutable state, so concurrently refactoring the clones with different
+/// values is race-free and bitwise-deterministic.
 #[derive(Debug, Clone)]
 pub struct MnaState {
-    inner: StateInner,
-    /// Times the sparse path abandoned its frozen pivot order for a
-    /// fresh Markowitz analysis (see [`MnaState::repivots`]).
+    template: MnaTemplate,
+    a: CsrMatrix<f64>,
+    rhs: Vec<f64>,
+    lu: Option<SparseLu<f64>>,
+    /// The factorization [`MnaState::prime`] produced — the canonical
+    /// pivot order every clone starts from — shared by the clones.
+    primed_lu: Option<Arc<SparseLu<f64>>>,
+    /// Times the frozen pivot order was abandoned for a fresh symbolic
+    /// analysis (see [`MnaState::repivots`]).
     repivots: u64,
-    /// Fill-reducing ordering for fresh sparse symbolic analyses (first
-    /// factor and post-collapse re-pivots). Markowitz by default;
-    /// threaded in from [`NewtonOptions::ordering`] by the solve entry
-    /// points.
-    ordering: FillOrdering,
     /// Cumulative Newton/chord iterations run through this state — the
     /// deterministic work measure of a solve sequence (wall time would be
     /// noisy; iteration count is exact).
@@ -896,139 +653,53 @@ pub struct MnaState {
     work: NewtonWork,
 }
 
-// One `MnaState` exists per solver (never collections of them), so the
-// dense/sparse variant size imbalance costs nothing — boxing would only
-// add an indirection to the hot assemble/solve path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum StateInner {
-    Dense {
-        template: AssemblyTemplate,
-        a: Matrix,
-        rhs: Vec<f64>,
-        lu: Option<Lu>,
-    },
-    Sparse {
-        template: SparseAssemblyTemplate,
-        a: CsrMatrix<f64>,
-        rhs: Vec<f64>,
-        lu: Option<SparseLu<f64>>,
-    },
-}
-
 impl MnaState {
     fn dim(&self) -> usize {
-        match &self.inner {
-            StateInner::Dense { template, .. } => template.dim(),
-            StateInner::Sparse { template, .. } => template.dim(),
-        }
-    }
-
-    fn n_nodes(&self) -> usize {
-        match &self.inner {
-            StateInner::Dense { template, .. } => template.n_nodes,
-            StateInner::Sparse { template, .. } => template.n_nodes,
-        }
-    }
-
-    /// Whether a factorization from an earlier refresh is available.
-    fn has_factor(&self) -> bool {
-        match &self.inner {
-            StateInner::Dense { lu, .. } => lu.is_some(),
-            StateInner::Sparse { lu, .. } => lu.is_some(),
-        }
+        self.template.dim()
     }
 
     /// Assembles the linearized system around `x`.
     pub(crate) fn assemble(&mut self, x: &[f64], gmin: f64) {
-        match &mut self.inner {
-            StateInner::Dense { template, a, rhs, .. } => {
-                template.assemble_into(a, rhs, x, gmin);
-            }
-            StateInner::Sparse { template, a, rhs, .. } => {
-                template.assemble_into(a, rhs, x, gmin);
-            }
-        }
+        self.template.assemble_into(&mut self.a, &mut self.rhs, x, gmin);
     }
 
     /// `out = rhs − A·x` over the currently assembled system.
     fn residual_into(&self, x: &[f64], out: &mut [f64]) {
-        match &self.inner {
-            StateInner::Dense { a, rhs, .. } => {
-                a.mat_vec_into(x, out);
-                for (r, b) in out.iter_mut().zip(rhs) {
-                    *r = b - *r;
-                }
-            }
-            StateInner::Sparse { a, rhs, .. } => {
-                a.mat_vec_into(x, out);
-                for (r, b) in out.iter_mut().zip(rhs) {
-                    *r = b - *r;
-                }
-            }
+        self.a.mat_vec_into(x, out);
+        for (r, b) in out.iter_mut().zip(&self.rhs) {
+            *r = b - *r;
         }
     }
 
     /// Factors (first use) or numerically re-factors the assembled
-    /// system. The sparse path reuses the frozen pivot order and pattern
-    /// and re-runs the compiled elimination over every row; if drifting
-    /// values break a frozen pivot it transparently re-pivots (fresh
-    /// symbolic analysis, counted in [`Self::repivots`]) before giving
-    /// up.
+    /// system over the frozen pivot order and pattern, re-running the
+    /// compiled elimination over every row; if drifting values break a
+    /// frozen pivot it transparently re-pivots (fresh symbolic analysis,
+    /// counted in [`Self::repivots`]) before giving up.
     pub(crate) fn refresh_factor(&mut self) -> Result<(), SpiceError> {
-        match &mut self.inner {
-            StateInner::Dense { a, lu, .. } => match lu {
-                Some(f) => f.refactor(a).map_err(SpiceError::from)?,
-                None => *lu = Some(a.lu().map_err(SpiceError::from)?),
-            },
-            StateInner::Sparse { a, lu, .. } => {
-                let had_factor = lu.is_some();
-                match lu.as_mut().map(|f| f.refactor(a)) {
-                    Some(Ok(())) => {}
-                    // A collapsed frozen pivot, or a first-use factor:
-                    // fresh symbolic analysis under the configured
-                    // fill-reducing ordering.
-                    Some(Err(LinalgError::Singular { .. })) | None => {
-                        *lu = Some(
-                            SparseLu::factor_with(a, self.ordering).map_err(SpiceError::from)?,
-                        );
-                        if had_factor {
-                            self.repivots += 1;
-                        }
-                    }
-                    Some(Err(e)) => return Err(SpiceError::from(e)),
+        let had_factor = self.lu.is_some();
+        match self.lu.as_mut().map(|f| f.refactor(&self.a)) {
+            Some(Ok(())) => {}
+            // A collapsed frozen pivot, or a first-use factor: fresh
+            // symbolic analysis.
+            Some(Err(LinalgError::Singular { .. })) | None => {
+                self.lu = Some(SparseLu::factor(&self.a).map_err(SpiceError::from)?);
+                if had_factor {
+                    self.repivots += 1;
                 }
             }
+            Some(Err(e)) => return Err(SpiceError::from(e)),
         }
         Ok(())
     }
 
-    /// Times a frozen sparse pivot collapsed numerically and a fresh
-    /// Markowitz analysis replaced it. A state that re-pivoted no longer
-    /// carries the *canonical* pivot order its pool siblings share, so
-    /// pools retire it (replacing it with a fresh prototype clone) to
-    /// keep results independent of which worker solved which point.
+    /// Times a frozen pivot collapsed numerically and a fresh symbolic
+    /// analysis replaced it. A state that re-pivoted no longer carries
+    /// the *canonical* pivot order its pool siblings share, so pools
+    /// retire it (replacing it with a fresh prototype clone) to keep
+    /// results independent of which worker solved which point.
     pub fn repivots(&self) -> u64 {
         self.repivots
-    }
-
-    /// Whether this state runs the sparse backend.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.inner, StateInner::Sparse { .. })
-    }
-
-    /// Sets the fill-reducing ordering used for **fresh** sparse symbolic
-    /// analyses (the first factorization and any post-collapse re-pivot).
-    /// A factorization already frozen is untouched — call this before
-    /// [`prime`](Self::prime) to control the symbolic analysis every
-    /// clone of this state will share.
-    pub fn set_ordering(&mut self, ordering: FillOrdering) {
-        self.ordering = ordering;
-    }
-
-    /// The fill-reducing ordering fresh symbolic analyses run under.
-    pub fn ordering(&self) -> FillOrdering {
-        self.ordering
     }
 
     /// Cumulative Newton/chord iterations run through this state (all
@@ -1039,11 +710,13 @@ impl MnaState {
 
     /// Assembles the system at the all-zeros estimate under `gmin` and
     /// factors it, so the state carries a factorization before any solve
-    /// — on the sparse backend that is the **symbolic analysis** (pivot
-    /// order + fill pattern). Priming a prototype once and cloning it per
-    /// worker is how a sweep shares one symbolic analysis across threads;
-    /// priming never changes results (the Newton loop always refreshes
-    /// the factor numerically before its first solve).
+    /// — the **symbolic analysis** (pivot order + fill pattern), which
+    /// the state also keeps as its canonical factor (see
+    /// [`Self::restore_primed_factor`]). Priming a prototype once and
+    /// cloning it per worker is how a sweep shares one symbolic analysis
+    /// across threads; priming never changes a solve's numeric values
+    /// (the Newton loop always refreshes the factor numerically before
+    /// its first solve).
     ///
     /// # Errors
     ///
@@ -1052,7 +725,19 @@ impl MnaState {
     pub fn prime(&mut self, gmin: f64) -> Result<(), SpiceError> {
         let x = vec![0.0; self.dim()];
         self.assemble(&x, gmin);
-        self.refresh_factor()
+        self.refresh_factor()?;
+        self.primed_lu = self.lu.clone().map(Arc::new);
+        Ok(())
+    }
+
+    /// Puts the factor [`Self::prime`] produced back in place (a no-op on
+    /// an unprimed state), so that the next solve refactors over the
+    /// canonical pivot order again after a re-pivot. The re-pivot stays
+    /// counted.
+    pub(crate) fn restore_primed_factor(&mut self) {
+        if let Some(primed) = &self.primed_lu {
+            self.lu = Some(SparseLu::clone(primed));
+        }
     }
 
     /// The starting point of the next [`Self::newton_from_start`], which
@@ -1110,23 +795,17 @@ impl MnaState {
         values: &[DeviceValue],
         ctx: &StampContext<'_>,
     ) {
-        match &mut self.inner {
-            StateInner::Dense { template, .. } => template.write_values(topology, values, ctx),
-            StateInner::Sparse { template, .. } => template.write_values(topology, values, ctx),
-        }
+        self.template.write_values(topology, values, ctx);
     }
 
     /// Re-points the underlying template at a new context of the same
-    /// kind (see [`AssemblyTemplate::update_context`]).
+    /// kind (see [`MnaTemplate::update_context`]).
     ///
     /// # Panics
     ///
     /// Panics if the context changes analysis kind or time step.
     pub fn update_context(&mut self, ctx: &StampContext<'_>) {
-        match &mut self.inner {
-            StateInner::Dense { template, .. } => template.update_context(ctx),
-            StateInner::Sparse { template, .. } => template.update_context(ctx),
-        }
+        self.template.update_context(ctx);
     }
 
     /// Solves the factored system for `b` into `dx`.
@@ -1135,14 +814,7 @@ impl MnaState {
     ///
     /// Panics if no factorization is present.
     fn solve_into(&mut self, b: &[f64], dx: &mut Vec<f64>) {
-        match &mut self.inner {
-            StateInner::Dense { lu, .. } => {
-                lu.as_ref().expect("factorization present after refresh").solve_into(b, dx);
-            }
-            StateInner::Sparse { lu, .. } => {
-                lu.as_mut().expect("factorization present after refresh").solve_into(b, dx);
-            }
-        }
+        self.lu.as_mut().expect("factorization present after refresh").solve_into(b, dx);
     }
 }
 
@@ -1192,13 +864,6 @@ pub struct NewtonOptions {
     pub max_step: f64,
     /// Jacobian refresh policy (chord reuse by default).
     pub strategy: JacobianStrategy,
-    /// Linear-solver backend (size-based auto-selection by default).
-    pub backend: SolverBackend,
-    /// Fill-reducing ordering for fresh sparse symbolic analyses
-    /// (Markowitz greedy by default; [`FillOrdering::Amd`] pre-orders
-    /// the pattern with approximate minimum degree, which wins on 2-D
-    /// coupling structures like sense-amp arrays).
-    pub ordering: FillOrdering,
 }
 
 impl NewtonOptions {
@@ -1206,18 +871,6 @@ impl NewtonOptions {
     /// reference semantics the chord path is parity-tested against.
     pub fn full_newton() -> Self {
         Self { strategy: JacobianStrategy::Full, ..Self::default() }
-    }
-
-    /// Overrides the solver backend (builder style).
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Overrides the sparse fill-reducing ordering (builder style).
-    pub fn with_ordering(mut self, ordering: FillOrdering) -> Self {
-        self.ordering = ordering;
-        self
     }
 }
 
@@ -1228,8 +881,6 @@ impl Default for NewtonOptions {
             tolerance: 1e-9,
             max_step: 0.5,
             strategy: JacobianStrategy::default(),
-            backend: SolverBackend::default(),
-            ordering: FillOrdering::default(),
         }
     }
 }
@@ -1248,7 +899,7 @@ pub fn newton_solve(
 ) -> Result<Vec<f64>, SpiceError> {
     // The constant stamps are assembled once; per-iteration work is a
     // memcpy of the base system plus the nonlinear restamp.
-    let mut state = MnaTemplate::new(netlist, netlist.values(), ctx, options.backend).into_state();
+    let mut state = MnaTemplate::new(netlist, netlist.values(), ctx).into_state();
     newton_solve_with_state(&mut state, initial, ctx.gmin, options)
 }
 
@@ -1256,10 +907,9 @@ pub fn newton_solve(
 ///
 /// The state owns the assembled system, the factorization and the
 /// Newton working vectors, so an iteration allocates nothing; only the
-/// returned solution is a new vector. On the dense backend the
-/// factorization slot avoids per-refresh allocation;
-/// on the sparse backend it additionally carries the **symbolic
-/// factorization** (pivot order + fill pattern), so every refresh after
+/// returned solution is a new vector. The factorization slot carries
+/// the **symbolic factorization** (pivot order + fill pattern), so every
+/// refresh after
 /// the first — across iterations, `gmin` rungs and repeated solves of a
 /// perturbed system — is a numeric-only re-elimination.
 ///
@@ -1295,17 +945,13 @@ fn newton_iterate(
 ) -> Result<(), SpiceError> {
     let n = state.dim();
     assert_eq!(work.x.len(), n, "initial guess dimension mismatch");
-    // Fresh symbolic analyses inside this solve (first factor, re-pivot
-    // recovery) honor the caller's ordering choice. A factorization the
-    // state already carries is never re-ordered here.
-    state.set_ordering(options.ordering);
-    let n_nodes = state.n_nodes();
+    let n_nodes = state.template.n_nodes();
     let NewtonWork { x, residual, dx, .. } = work;
     residual.clear();
     residual.resize(n, 0.0);
     // Whether the factorization is from an *earlier* iterate (chord
     // state). A factor inherited from a previous solve is always stale.
-    let mut lu_is_stale = state.has_factor();
+    let mut lu_is_stale = state.lu.is_some();
     let mut refresh_next = false;
     // Whether the current factorization carries a singularity-recovery
     // diagonal boost (see below). A boosted Jacobian shrinks the step —
@@ -1323,7 +969,7 @@ fn newton_iterate(
         let refresh = match options.strategy {
             JacobianStrategy::Full => true,
             JacobianStrategy::Chord { refactor_threshold, .. } => {
-                !state.has_factor() || refresh_next || last_max_delta > refactor_threshold
+                state.lu.is_none() || refresh_next || last_max_delta > refactor_threshold
             }
         };
         if refresh {
@@ -1414,19 +1060,63 @@ mod tests {
     use super::*;
     use crate::netlist::GROUND;
 
-    /// One-shot dense assembly of the linearized system around `x`: the
-    /// template built and assembled once — the reference the reusable
-    /// template path is compared against.
+    /// Direct dense assembly of the linearized system around `x`: the
+    /// stamp walk into a dense matrix, the RHS built from its events,
+    /// the `gmin` diagonal and every MOSFET restamped through 2-D
+    /// indexing — the oracle the CSR template and the sparse solves are
+    /// checked against.
     fn assemble(netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>) -> (Matrix, Vec<f64>) {
-        let template = AssemblyTemplate::new(netlist, netlist.values(), ctx);
-        let n = template.dim();
+        let n = netlist.unknown_count();
         let mut a = Matrix::zeros(n, n);
-        let mut rhs = vec![0.0; n];
-        template.assemble_into(&mut a, &mut rhs, x, ctx.gmin);
-        (a, rhs)
+        let mut rhs = RhsTemplate::empty(n, ctx);
+        walk_stamps(netlist, netlist.values(), ctx, &mut |event| match event {
+            StampEvent::Mat { a: ia, b: ib, v } => stamp(&mut a, ia, ib, v),
+            StampEvent::StatRhs { node, v } => stamp_rhs(&mut rhs.stat, node, v),
+            StampEvent::Dynamic(d) => rhs.dynamic.push(d),
+            StampEvent::Mos { .. } => {}
+        });
+        rhs.rebuild(ctx);
+        for i in 0..netlist.node_count() - 1 {
+            a[(i, i)] += ctx.gmin;
+        }
+        let mut b = rhs.base;
+        restamp_dense_oracle(&MosStamp::all(netlist), &mut a, &mut b, x);
+        (a, b)
     }
 
-    /// One MOSFET's stamp in the layout the per-backend restamps read:
+    /// Damped full Newton over [`assemble`], each step solved by the
+    /// dense `Lu` — the oracle the sparse Newton solves are checked
+    /// against.
+    fn dense_newton(
+        netlist: &Netlist,
+        x0: &[f64],
+        ctx: &StampContext<'_>,
+        options: &NewtonOptions,
+    ) -> Vec<f64> {
+        let n_nodes = netlist.node_count() - 1;
+        let mut x = x0.to_vec();
+        for _ in 0..options.max_iterations {
+            let (a, rhs) = assemble(netlist, &x, ctx);
+            let ax = a.mat_vec(&x);
+            let residual: Vec<f64> = rhs.iter().zip(&ax).map(|(b, v)| b - v).collect();
+            let lu: Lu = a.lu().expect("the dense oracle factors");
+            let dx = lu.solve(&residual);
+            let mut max_delta = 0.0f64;
+            for (i, (xi, d)) in x.iter_mut().zip(dx).enumerate() {
+                let d = if i < n_nodes { d.clamp(-options.max_step, options.max_step) } else { d };
+                *xi += d;
+                if i < n_nodes {
+                    max_delta = max_delta.max(d.abs());
+                }
+            }
+            if max_delta < options.tolerance {
+                return x;
+            }
+        }
+        panic!("the dense Newton oracle did not converge");
+    }
+
+    /// One MOSFET's stamp in the layout the oracle restamps read:
     /// node indices (`None` for ground), card, geometry ratio and
     /// polarity factor.
     #[derive(Debug, Clone, Copy)]
@@ -1439,7 +1129,7 @@ mod tests {
         p: f64,
     }
 
-    /// One linearization: the numbers both per-backend restamps stamp.
+    /// One linearization: the numbers both oracle restamps stamp.
     #[derive(Debug, Clone, Copy)]
     struct MosLin {
         swapped: bool,
@@ -1492,7 +1182,7 @@ mod tests {
         }
     }
 
-    /// The dense template's per-backend restamp, through 2-D indexing.
+    /// The per-device restamp into a dense matrix, through 2-D indexing.
     fn restamp_dense_oracle(mosfets: &[MosStamp], a: &mut Matrix, rhs: &mut [f64], x: &[f64]) {
         for mos in mosfets {
             let lin = mos.linearize(x);
@@ -1510,7 +1200,7 @@ mod tests {
         }
     }
 
-    /// The sparse template's per-backend restamp, through CSR value
+    /// The per-device restamp into a CSR matrix, through CSR value
     /// positions resolved per record.
     fn restamp_sparse_oracle(
         mosfets: &[MosStamp],
@@ -1573,8 +1263,10 @@ mod tests {
         nl
     }
 
-    /// The shared slot restamp against both per-backend oracles, bit for
-    /// bit, at estimate `x` under `gmin`.
+    /// The slot restamp against the per-device oracles, bit for bit, at
+    /// estimate `x` under `gmin`: the CSR values against the oracle
+    /// restamp through CSR positions, and the densified system against
+    /// the direct dense assembly.
     fn check_restamp_against_oracles(
         nl: &Netlist,
         x: &[f64],
@@ -1586,18 +1278,7 @@ mod tests {
         let n = nl.unknown_count();
         let n_nodes = nl.node_count() - 1;
 
-        let dense = AssemblyTemplate::new(nl, nl.values(), &ctx);
-        let (mut a, mut rhs) = (Matrix::zeros(n, n), vec![0.0; n]);
-        dense.assemble_into(&mut a, &mut rhs, x, gmin);
-        let (mut a_oracle, mut rhs_oracle) = (dense.base.clone(), dense.rhs.base.clone());
-        for i in 0..n_nodes {
-            a_oracle[(i, i)] += gmin;
-        }
-        restamp_dense_oracle(&mosfets, &mut a_oracle, &mut rhs_oracle, x);
-        proptest::prop_assert_eq!(bits(a.as_slice()), bits(a_oracle.as_slice()), "dense matrix");
-        proptest::prop_assert_eq!(bits(&rhs), bits(&rhs_oracle), "dense rhs");
-
-        let sparse = SparseAssemblyTemplate::new(nl, nl.values(), &ctx);
+        let sparse = MnaTemplate::new(nl, nl.values(), &ctx);
         let (mut a, mut rhs) = (sparse.new_system(), vec![0.0; n]);
         sparse.assemble_into(&mut a, &mut rhs, x, gmin);
         let (mut a_oracle, mut rhs_oracle) = (sparse.base.clone(), sparse.rhs.base.clone());
@@ -1608,12 +1289,20 @@ mod tests {
         restamp_sparse_oracle(&mosfets, &mut a_oracle, &mut rhs_oracle, x);
         proptest::prop_assert_eq!(bits(a.values()), bits(a_oracle.values()), "sparse matrix");
         proptest::prop_assert_eq!(bits(&rhs), bits(&rhs_oracle), "sparse rhs");
+
+        let (dense, dense_rhs) = assemble(nl, x, &ctx);
+        proptest::prop_assert_eq!(
+            bits(a.to_dense().as_slice()),
+            bits(dense.as_slice()),
+            "densified matrix"
+        );
+        proptest::prop_assert_eq!(bits(&rhs), bits(&dense_rhs), "dense rhs");
         Ok(())
     }
 
     proptest::proptest! {
-        // The one slot restamp agrees with the dense and sparse
-        // restamps it replaced, bit for bit, at random estimates.
+        // The slot restamp agrees with the per-device oracle restamps,
+        // bit for bit, at random estimates.
         #[test]
         fn prop_slot_restamp_matches_per_backend_oracles(
             x in proptest::collection::vec(-0.6f64..1.5, 6),
@@ -1715,15 +1404,15 @@ mod tests {
         nl.resistor("RL", vdd, out, 10e3);
         nl.mosfet("M1", out, vin, GROUND, crate::model::MosModel::nmos_28nm(), 2.0, 0.1);
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let template = AssemblyTemplate::new(&nl, nl.values(), &ctx);
+        let template = MnaTemplate::new(&nl, nl.values(), &ctx);
         assert_eq!(template.nonlinear_count(), 1);
         let n = nl.unknown_count();
         for estimate in [vec![0.0; n], vec![0.3; n], vec![0.9; n]] {
             let (a_direct, rhs_direct) = assemble(&nl, &estimate, &ctx);
-            let mut a = glova_linalg::Matrix::zeros(n, n);
+            let mut a = template.new_system();
             let mut rhs = vec![0.0; n];
             template.assemble_into(&mut a, &mut rhs, &estimate, ctx.gmin);
-            assert_eq!(a, a_direct);
+            assert_eq!(a.to_dense(), a_direct);
             assert_eq!(rhs, rhs_direct);
         }
     }
@@ -1748,20 +1437,6 @@ mod tests {
         for (c, f) in chord.iter().zip(&full) {
             assert!((c - f).abs() < 1e-9, "chord {c} vs full {f}");
         }
-    }
-
-    #[test]
-    fn backend_parse_and_auto_resolution() {
-        assert_eq!(SolverBackend::parse("dense"), Ok(SolverBackend::Dense));
-        assert_eq!(SolverBackend::parse("sparse"), Ok(SolverBackend::Sparse));
-        assert_eq!(SolverBackend::parse("auto"), Ok(SolverBackend::Auto));
-        assert!(SolverBackend::parse("lapack").is_err());
-        let t = SolverBackend::AUTO_SPARSE_THRESHOLD;
-        assert!(!SolverBackend::Auto.resolves_to_sparse(t - 1));
-        assert!(SolverBackend::Auto.resolves_to_sparse(t));
-        assert!(SolverBackend::Sparse.resolves_to_sparse(1));
-        assert!(!SolverBackend::Dense.resolves_to_sparse(10_000));
-        assert_eq!(SolverBackend::Sparse.to_string(), "sparse");
     }
 
     /// A small mixed netlist exercising every stamp kind the DC walk
@@ -1792,23 +1467,19 @@ mod tests {
     #[test]
     fn sparse_template_assembles_identically_to_dense() {
         // The CSR assembly, densified, must agree entry-for-entry with
-        // the dense template at several estimates and gmin values —
-        // both run the same linearization, so equality is exact.
+        // the direct dense assembly at several estimates and gmin values
+        // — both run the same linearization, so equality is exact.
         let nl = mixed_netlist(&[0.0]);
-        let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let dense = AssemblyTemplate::new(&nl, nl.values(), &ctx);
-        let sparse = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
-        assert_eq!(sparse.dim(), dense.dim());
-        assert_eq!(sparse.nonlinear_count(), dense.nonlinear_count());
+        let template =
+            MnaTemplate::new(&nl, nl.values(), &StampContext { time: 0.0, step: None, gmin: 1e-9 });
         let n = nl.unknown_count();
-        let mut a_sparse = sparse.new_system();
+        let mut a_sparse = template.new_system();
         let mut rhs_sparse = vec![0.0; n];
-        let mut a_dense = Matrix::zeros(n, n);
-        let mut rhs_dense = vec![0.0; n];
         for (estimate, gmin) in [(vec![0.0; n], 1e-3), (vec![0.3; n], 1e-9), (vec![0.9; n], 1e-12)]
         {
-            dense.assemble_into(&mut a_dense, &mut rhs_dense, &estimate, gmin);
-            sparse.assemble_into(&mut a_sparse, &mut rhs_sparse, &estimate, gmin);
+            let ctx = StampContext { time: 0.0, step: None, gmin };
+            template.assemble_into(&mut a_sparse, &mut rhs_sparse, &estimate, gmin);
+            let (a_dense, rhs_dense) = assemble(&nl, &estimate, &ctx);
             assert_eq!(a_sparse.to_dense(), a_dense);
             assert_eq!(rhs_sparse, rhs_dense);
         }
@@ -1816,13 +1487,16 @@ mod tests {
 
     #[test]
     fn sparse_backend_matches_dense_operating_point() {
+        // The sparse Newton solve, under both Jacobian strategies,
+        // against damped full Newton on the same assembled systems
+        // solved by the dense `Lu`.
         let nl = mixed_netlist(&[0.0]);
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-9 };
         let x0 = vec![0.0; nl.unknown_count()];
+        let dense = dense_newton(&nl, &x0, &ctx, &NewtonOptions::default());
         for strategy in [JacobianStrategy::Full, JacobianStrategy::CHORD_DEFAULT] {
-            let opts = |backend| NewtonOptions { strategy, backend, ..NewtonOptions::default() };
-            let dense = newton_solve(&nl, &x0, &ctx, &opts(SolverBackend::Dense)).unwrap();
-            let sparse = newton_solve(&nl, &x0, &ctx, &opts(SolverBackend::Sparse)).unwrap();
+            let options = NewtonOptions { strategy, ..NewtonOptions::default() };
+            let sparse = newton_solve(&nl, &x0, &ctx, &options).unwrap();
             for (d, s) in dense.iter().zip(&sparse) {
                 assert!((d - s).abs() < 1e-9, "dense {d} vs sparse {s} ({strategy:?})");
             }
@@ -1831,8 +1505,8 @@ mod tests {
 
     #[test]
     fn transient_step_sparse_matches_dense() {
-        // Capacitor companion stamps flow through the sparse template
-        // during a transient step.
+        // Capacitor companion stamps flow through the CSR template
+        // during a transient step; the dense `Lu` solves the same step.
         let nl = {
             let mut nl = Netlist::new();
             let vin = nl.node("in");
@@ -1844,20 +1518,9 @@ mod tests {
         };
         let prev = vec![0.0; nl.unknown_count()];
         let ctx = StampContext { time: 1e-9, step: Some((1e-9, &prev)), gmin: 1e-12 };
-        let dense = newton_solve(
-            &nl,
-            &prev,
-            &ctx,
-            &NewtonOptions::default().with_backend(SolverBackend::Dense),
-        )
-        .unwrap();
-        let sparse = newton_solve(
-            &nl,
-            &prev,
-            &ctx,
-            &NewtonOptions::default().with_backend(SolverBackend::Sparse),
-        )
-        .unwrap();
+        let options = NewtonOptions::default();
+        let dense = dense_newton(&nl, &prev, &ctx, &options);
+        let sparse = newton_solve(&nl, &prev, &ctx, &options).unwrap();
         for (d, s) in dense.iter().zip(&sparse) {
             assert!((d - s).abs() < 1e-12, "dense {d} vs sparse {s}");
         }
@@ -1876,43 +1539,34 @@ mod tests {
         assert!(newton_solve(&nl, &x0, &ctx, &NewtonOptions::default()).is_ok());
     }
 
-    /// The system `state` assembles around `x` under `gmin`, as matrix
-    /// value bits (row-major on the dense backend, CSR order on the
-    /// sparse one) and RHS bits.
+    /// The system `state` assembles around `x` under `gmin`, as CSR
+    /// value bits and RHS bits.
     fn assembled_bits(state: &mut MnaState, x: &[f64], gmin: f64) -> (Vec<u64>, Vec<u64>) {
         state.assemble(x, gmin);
         let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        match &state.inner {
-            StateInner::Dense { a, rhs, .. } => {
-                ((0..a.rows()).flat_map(|i| bits(a.row(i))).collect(), bits(rhs))
-            }
-            StateInner::Sparse { a, rhs, .. } => (bits(a.values()), bits(rhs)),
-        }
+        (bits(state.a.values()), bits(&state.rhs))
     }
 
     /// `write_values` of `target`'s values into a state built over
-    /// `base` against a state freshly built over `target`, on both
-    /// backends: the assembled systems must agree bit for bit at every
-    /// `(estimate, gmin)` in `points`.
+    /// `base` against a state freshly built over `target`: the assembled
+    /// systems must agree bit for bit at every `(estimate, gmin)` in
+    /// `points`.
     fn check_patched_assembly(
         base: &Netlist,
         target: &Netlist,
         ctx: &StampContext<'_>,
         points: &[(Vec<f64>, f64)],
     ) -> Result<(), proptest::TestCaseError> {
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let mut patched = MnaTemplate::new(base, base.values(), ctx, backend).into_state();
-            patched.write_values(base, target.values(), ctx);
-            let mut fresh = MnaTemplate::new(target, target.values(), ctx, backend).into_state();
-            for (x, gmin) in points {
-                proptest::prop_assert_eq!(
-                    assembled_bits(&mut patched, x, *gmin),
-                    assembled_bits(&mut fresh, x, *gmin),
-                    "{} backend, gmin {}",
-                    backend,
-                    gmin
-                );
-            }
+        let mut patched = MnaTemplate::new(base, base.values(), ctx).into_state();
+        patched.write_values(base, target.values(), ctx);
+        let mut fresh = MnaTemplate::new(target, target.values(), ctx).into_state();
+        for (x, gmin) in points {
+            proptest::prop_assert_eq!(
+                assembled_bits(&mut patched, x, *gmin),
+                assembled_bits(&mut fresh, x, *gmin),
+                "gmin {}",
+                gmin
+            );
         }
         Ok(())
     }
@@ -1921,8 +1575,7 @@ mod tests {
         // A template built over one value slice and rewritten in place
         // with another assembles systems bitwise identical to a template
         // freshly built over the second, at several estimates and gmin
-        // values. The dense arm is the only reference for the dense
-        // in-place write.
+        // values.
         #[test]
         fn prop_patched_template_assembles_identically(
             base in proptest::collection::vec(-1.0f64..1.0, 8),
@@ -1962,7 +1615,7 @@ mod tests {
     fn value_retarget_rejects_context_kind_change() {
         let nl = crate::netlist::inverter_chain_with_load(4, Some(10e3));
         let dc = StampContext { time: 0.0, step: None, gmin: 1e-9 };
-        let mut template = SparseAssemblyTemplate::new(&nl, nl.values(), &dc);
+        let mut template = MnaTemplate::new(&nl, nl.values(), &dc);
         let prev = vec![0.0; template.dim()];
         let transient = StampContext { time: 1e-9, step: Some((1e-9, &prev)), gmin: 1e-9 };
         template.write_values(&nl, nl.values(), &transient);

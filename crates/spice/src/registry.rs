@@ -35,11 +35,20 @@
 //! # Determinism
 //!
 //! Sharing a pool cannot change results: every pooled solver is a clone
-//! of one canonical primed prototype, a solve is a pure function of the
-//! values it is retargeted at, and non-canonical solvers are retired on return
-//! (see [`OpSolverPool`]). Which campaign's worker happens to check a
-//! given solver out is therefore unobservable in the outcomes — the
-//! property the concurrent-campaign determinism battery locks in.
+//! of one canonical primed prototype (its pivot order and its warm
+//! start), a solve is a pure function of the values it is retargeted at
+//! and of that prototype, and non-canonical solvers are retired on
+//! return (see [`OpSolverPool`]). Which campaign's worker happens to
+//! check a given solver out is therefore unobservable in the outcomes —
+//! the property the concurrent-campaign determinism battery locks in.
+//!
+//! A pool is keyed by topology and options, not by values, so it keeps
+//! the **first** prototype's values: a later [`pool_for`](SolverRegistry::pool_for)
+//! with other values on the same topology resolves that pool and its
+//! warm start. Callers that share a registry must therefore prime a
+//! topology with the same values (the SPICE testcases each prime their
+//! fixed nominal sizing) for results to be independent of who came
+//! first.
 //!
 //! Lookup-or-create holds the registry lock across the creation, so
 //! exactly one creation happens per unique key no matter how many
@@ -324,7 +333,10 @@ impl<C: Copy + PartialEq, V> Registry<C, V> {
 
 impl SolverRegistry {
     /// Returns the shared pool for `netlist`'s topology under `options`,
-    /// priming (and registering) one if no confirmed entry exists.
+    /// priming (and registering) one if no confirmed entry exists. A hit
+    /// returns the pool primed on the first netlist of this topology,
+    /// whose values fixed its pivot order and warm start; `netlist`'s own
+    /// values are then unused.
     ///
     /// Hits are confirmed against the full structural signature and the
     /// Newton options (the options bake into the primed prototype).
@@ -355,7 +367,6 @@ impl SolverRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mna::SolverBackend;
     use crate::netlist::{inverter_chain, rc_ladder};
 
     #[test]
@@ -370,6 +381,38 @@ mod tests {
     }
 
     #[test]
+    fn one_topology_keeps_the_first_prototypes_pool_and_start() {
+        // Two prototypes of one topology that differ in values resolve
+        // one pool: the first's pivot order and warm start. A point solved
+        // through the second therefore equals, bit for bit, that point
+        // solved on a fresh pool primed with the first.
+        use crate::netlist::inverter_chain_with_load;
+        let registry = SolverRegistry::new();
+        let options = NewtonOptions::default();
+        let first = inverter_chain_with_load(8, Some(10e3));
+        let second = inverter_chain_with_load(8, Some(2.2e3));
+        let via_first = registry.pool_for(first.clone(), options).unwrap();
+        let via_second = registry.pool_for(second.clone(), options).unwrap();
+        assert!(Arc::ptr_eq(&via_first, &via_second));
+        assert_eq!(registry.primes(), 1);
+
+        let fresh_first = OpSolverPool::new(first, options).unwrap();
+        let fresh_second = OpSolverPool::new(second, options).unwrap();
+        let start = |pool: &OpSolverPool| pool.with_solver(|s| s.warm_start().map(<[f64]>::to_vec));
+        assert_eq!(start(&via_second), start(&fresh_first));
+        assert_ne!(start(&fresh_second), start(&fresh_first), "the values fix the start");
+
+        let point = inverter_chain_with_load(8, Some(4.7e3));
+        let solve = |pool: &OpSolverPool| {
+            pool.with_solver(|s| {
+                s.retarget_values(point.values());
+                s.solve().unwrap().raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(solve(&via_second), solve(&fresh_first));
+    }
+
+    #[test]
     fn distinct_topologies_and_options_get_distinct_pools() {
         let registry = SolverRegistry::new();
         let options = NewtonOptions::default();
@@ -378,14 +421,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&chain, &ladder));
         // Same topology under different options is a different prime:
         // the options bake into the prototype.
-        let sparse = registry
-            .pool_for(
-                inverter_chain(8),
-                NewtonOptions::default().with_backend(SolverBackend::Sparse),
-            )
-            .unwrap();
-        assert!(!Arc::ptr_eq(&chain, &sparse));
-        assert!(sparse.is_sparse() && !chain.is_sparse());
+        let full = registry.pool_for(inverter_chain(8), NewtonOptions::full_newton()).unwrap();
+        assert!(!Arc::ptr_eq(&chain, &full));
+        assert_eq!(full.options().strategy, crate::mna::JacobianStrategy::Full);
+        assert_eq!(chain.options(), &options);
         assert_eq!(registry.primes(), 3);
         assert_eq!(registry.collisions(), 0, "distinct fingerprints are not collisions");
     }

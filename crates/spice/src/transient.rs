@@ -121,17 +121,16 @@ pub fn transient_from(
     transient_from_with_options(netlist, spec, initial, &NewtonOptions::default())
 }
 
-/// [`transient_from`] with explicit Newton controls — e.g. to force a
-/// [`SolverBackend`](crate::mna::SolverBackend) instead of the size-based
-/// auto-selection, or to disable the chord LU reuse.
+/// [`transient_from`] with explicit Newton controls — e.g. to disable
+/// the chord LU reuse.
 ///
 /// The assembly template (netlist walk, CSR pattern, stamp maps) is built
 /// once at the first step and re-pointed at each later step with a
 /// value-only RHS update ([`MnaState::update_context`]): the backward-Euler
 /// companion conductances `C/dt` are constant for a fixed step, so only
-/// the companion currents and source waveform values change. On the
-/// sparse backend this means the **symbolic factorization is computed
-/// once for the whole run** and every step pays numeric-only
+/// the companion currents and source waveform values change. The
+/// **symbolic factorization is computed once for the whole run** and
+/// every step pays numeric-only
 /// refactorizations — the same reuse structure DC sweeps have.
 ///
 /// # Errors
@@ -164,9 +163,7 @@ pub fn transient_from_with_options(
                 s.update_context(&ctx);
                 s
             }
-            None => state.insert(
-                MnaTemplate::new(netlist, netlist.values(), &ctx, options.backend).into_state(),
-            ),
+            None => state.insert(MnaTemplate::new(netlist, netlist.values(), &ctx).into_state()),
         };
         let sol = newton_solve_with_state(state, &prev, ctx.gmin, options)?;
         times.push(t);
@@ -292,10 +289,10 @@ mod tests {
     fn template_reuse_matches_fresh_assembly_per_step() {
         // The persistent-state path (template built once, value-only RHS
         // update per step) must track a reference that rebuilds the
-        // template from the netlist at every step — on both backends, on
-        // a nonlinear circuit where the chord iteration actually carries
+        // template from the netlist at every step — on a nonlinear
+        // circuit where the chord iteration actually carries
         // factorization state across steps.
-        use crate::mna::{newton_solve, SolverBackend};
+        use crate::mna::newton_solve;
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let vin = nl.node("vin");
@@ -318,26 +315,21 @@ mod tests {
         nl.mosfet("MN", out, vin, GROUND, MosModel::nmos_28nm(), 1.0, 0.05);
         nl.capacitor("CL", out, GROUND, 20e-15);
         let spec = TransientSpec { dt: 25e-12, t_stop: 2e-9, start_from_dc: false };
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let options = NewtonOptions::default().with_backend(backend);
-            let reused =
-                transient_from_with_options(&nl, &spec, vec![0.0; nl.unknown_count()], &options)
-                    .unwrap();
-            // Fresh-assembly reference: new template (and, on sparse, a
-            // fresh symbolic analysis) every step.
-            let mut prev = vec![0.0; nl.unknown_count()];
-            for k in 1..=spec.steps() {
-                let t = k as f64 * spec.dt;
-                let ctx = StampContext { time: t, step: Some((spec.dt, &prev)), gmin: 1e-12 };
-                let sol = newton_solve(&nl, &prev, &ctx, &options).unwrap();
-                for (r, f) in reused.solutions[k].iter().zip(&sol) {
-                    assert!(
-                        (r - f).abs() <= 1e-12,
-                        "{backend} step {k}: template-reuse {r} vs fresh {f}"
-                    );
-                }
-                prev = sol;
+        let options = NewtonOptions::default();
+        let reused =
+            transient_from_with_options(&nl, &spec, vec![0.0; nl.unknown_count()], &options)
+                .unwrap();
+        // Fresh-assembly reference: new template and a fresh symbolic
+        // analysis every step.
+        let mut prev = vec![0.0; nl.unknown_count()];
+        for k in 1..=spec.steps() {
+            let t = k as f64 * spec.dt;
+            let ctx = StampContext { time: t, step: Some((spec.dt, &prev)), gmin: 1e-12 };
+            let sol = newton_solve(&nl, &prev, &ctx, &options).unwrap();
+            for (r, f) in reused.solutions[k].iter().zip(&sol) {
+                assert!((r - f).abs() <= 1e-12, "step {k}: template-reuse {r} vs fresh {f}");
             }
+            prev = sol;
         }
     }
 

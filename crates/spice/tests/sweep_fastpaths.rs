@@ -17,7 +17,7 @@
 
 use glova_linalg::sparse::{CsrMatrix, SparseLu};
 use glova_spice::dc::OpSolver;
-use glova_spice::mna::{NewtonOptions, SolverBackend, SparseAssemblyTemplate, StampContext};
+use glova_spice::mna::{MnaTemplate, NewtonOptions, StampContext};
 use glova_spice::model::MosModel;
 use glova_spice::netlist::{
     inverter_chain_with_load, rc_ladder, sense_amp_array_with, Netlist, SenseAmpParams, GROUND,
@@ -100,7 +100,7 @@ proptest! {
     ) {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-3 };
         let nl = inverter_chain_with_load(8, Some(10e3));
-        let template = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
+        let template = MnaTemplate::new(&nl, nl.values(), &ctx);
         let n = template.dim();
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let ctx = StampContext { time: 0.0, step: None, gmin: 1e-6 };
         let nl = rc_ladder(16, 1e3, 1e-12);
-        let template = SparseAssemblyTemplate::new(&nl, nl.values(), &ctx);
+        let template = MnaTemplate::new(&nl, nl.values(), &ctx);
         let n = template.dim();
         let mut a = template.new_system();
         let mut rhs = vec![0.0; n];
@@ -134,7 +134,7 @@ proptest! {
         steps in proptest::collection::vec(
             (proptest::collection::vec(-1.0f64..1.0, 8), 1u64..256), 3),
     ) {
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
+        let options = NewtonOptions::default();
         let proto = OpSolver::primed(mixed_netlist(&base), options).unwrap();
         let mut cur = base.clone();
         let mut history = Vec::new();
@@ -157,7 +157,7 @@ proptest! {
         base in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
         steps in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 3),
     ) {
-        let options = NewtonOptions::default().with_backend(SolverBackend::Sparse);
+        let options = NewtonOptions::default();
         let proto = OpSolver::primed(senseamp(base), options).unwrap();
         let history: Vec<Netlist> = steps.iter().map(|&v| senseamp(v)).collect();
         check_history_independence(&proto, &history)?;

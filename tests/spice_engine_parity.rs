@@ -2,12 +2,11 @@
 //!
 //! PR-level contract: routing SPICE-backed evaluation through the
 //! [`EvalEngine`](glova::engine::EvalEngine) layer — with every worker
-//! thread owning its own `OpSolver` cloned from one primed prototype —
-//! must be a pure performance knob. Sequential and threaded sweeps, on
-//! every solver backend (Dense / Sparse / Auto), every worker count
-//! {1, 2, 4, 8} and every cache policy {On, Off}, must produce
-//! **bitwise-identical** yield grids and verification outcomes, with
-//! identical simulation accounting.
+//! thread owning its own `OpSolver` cloned from one primed prototype,
+//! warm start included — must be a pure performance knob. Sequential
+//! and threaded sweeps, on every worker count {1, 2, 4, 8} and every
+//! cache policy {On, Off}, must produce **bitwise-identical** yield grids
+//! and verification outcomes, with identical simulation accounting.
 //!
 //! Threading a Newton/LU pipeline is exactly where silent nondeterminism
 //! creeps in (shared factorization state, stale numeric storage,
@@ -21,7 +20,7 @@ use glova::verification::Verifier;
 use glova::yield_est::{estimate_yield, YieldEstimate};
 use glova_circuits::{Circuit, SpiceInverterChain};
 use glova_spice::dc::{OpSolver, OpSolverPool};
-use glova_spice::mna::{NewtonOptions, SolverBackend};
+use glova_spice::mna::{MnaTemplate, NewtonOptions, StampContext};
 use glova_spice::netlist::inverter_chain_with_load;
 use glova_stats::rng::seeded;
 use glova_variation::config::VerificationMethod;
@@ -30,9 +29,7 @@ use std::sync::Arc;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const CACHE_POLICIES: [Option<CachePolicy>; 2] = [Some(CachePolicy::On), Some(CachePolicy::Off)];
 
-/// 18 stages → 22 unknowns: above the `Auto` sparse threshold, so the
-/// three backend arms genuinely run dense, sparse and (auto-resolved)
-/// sparse code paths on the same circuit.
+/// 18 stages → 22 unknowns.
 const GRID_STAGES: usize = 18;
 
 fn problem(
@@ -80,34 +77,21 @@ fn yield_grid(
     (est, p.simulations())
 }
 
-fn yield_grid_battery(backend: SolverBackend) {
-    let circuit: Arc<dyn Circuit> =
-        Arc::new(SpiceInverterChain::with_backend(GRID_STAGES, backend));
+/// Every system factors on the AMD-pre-ordered sparse LU, the one solver
+/// configuration.
+#[test]
+fn yield_grid_bitwise_parity_sparse() {
+    let circuit: Arc<dyn Circuit> = Arc::new(SpiceInverterChain::new(GRID_STAGES));
     let (reference, ref_sims) = yield_grid(&circuit, EngineSpec::Sequential, None);
     assert_eq!(ref_sims, 30 * 3, "full corner × sample grid simulated");
     for workers in WORKER_COUNTS {
         for cache in CACHE_POLICIES {
             let (est, sims) = yield_grid(&circuit, EngineSpec::Threaded(workers), cache);
-            let what = format!("{backend} workers={workers} cache={cache:?}");
+            let what = format!("workers={workers} cache={cache:?}");
             assert_estimates_bitwise_equal(&reference, &est, &what);
             assert_eq!(sims, ref_sims, "{what}: simulation accounting");
         }
     }
-}
-
-#[test]
-fn yield_grid_bitwise_parity_dense() {
-    yield_grid_battery(SolverBackend::Dense);
-}
-
-#[test]
-fn yield_grid_bitwise_parity_sparse() {
-    yield_grid_battery(SolverBackend::Sparse);
-}
-
-#[test]
-fn yield_grid_bitwise_parity_auto() {
-    yield_grid_battery(SolverBackend::Auto);
 }
 
 /// The verifier's phase-2 re-sweep: two identically seeded Algorithm-2
@@ -117,8 +101,8 @@ fn yield_grid_bitwise_parity_auto() {
 /// sequential cache-off reference bitwise, on both verification passes.
 #[test]
 fn verifier_resweep_bitwise_parity() {
-    // 6 stages → 10 unknowns (Auto resolves dense): keeps the full
-    // 3 000-simulation pass affordable in debug builds.
+    // 6 stages → 10 unknowns: keeps the full 3 000-simulation pass
+    // affordable in debug builds.
     let circuit: Arc<dyn Circuit> = Arc::new(SpiceInverterChain::new(6));
     // One design that verifies clean and one far corner of the design
     // space that fails (wide, short-channel devices blow the power
@@ -167,48 +151,45 @@ fn verifier_resweep_bitwise_parity() {
 
 /// The pool primitive itself: a threaded retarget/solve sweep through
 /// one `OpSolverPool` must match both a sequential sweep through the
-/// same pool and per-point fresh `OpSolver`s, bitwise, on every backend.
+/// same pool and per-point fresh `OpSolver`s carrying the same warm
+/// start (primed on the pool's prototype, then retargeted), bitwise.
 #[test]
 fn solver_pool_sweep_matches_fresh_solvers_bitwise() {
     let points = 48;
-    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        let options = NewtonOptions::default().with_backend(backend);
-        // Same topology, different values per point — the sweep shape a
-        // corner/mismatch campaign presents to the pool.
-        let netlist_at = |i: usize| inverter_chain_with_load(12, Some(8e3 + 200.0 * i as f64));
-        let fresh: Vec<Vec<f64>> = (0..points)
-            .map(|i| {
-                OpSolver::new(netlist_at(i), options).solve().expect("converges").raw().to_vec()
-            })
-            .collect();
+    let options = NewtonOptions::default();
+    // Same topology, different values per point — the sweep shape a
+    // corner/mismatch campaign presents to the pool.
+    let netlist_at = |i: usize| inverter_chain_with_load(12, Some(8e3 + 200.0 * i as f64));
+    let fresh: Vec<Vec<f64>> = (0..points)
+        .map(|i| {
+            let mut solver = OpSolver::primed(netlist_at(0), options).expect("primes");
+            solver.retarget_values(netlist_at(i).values());
+            solver.solve().expect("converges").raw().to_vec()
+        })
+        .collect();
 
-        let pool = OpSolverPool::new(netlist_at(0), options).expect("primes");
-        let sweep = |engine: EngineSpec| -> Vec<Vec<f64>> {
-            map_indexed(engine.build().as_ref(), points, |i| {
-                pool.with_solver(|solver| {
-                    solver.retarget_values(netlist_at(i).values());
-                    solver.solve().expect("converges").raw().to_vec()
-                })
+    let pool = OpSolverPool::new(netlist_at(0), options).expect("primes");
+    let sweep = |engine: EngineSpec| -> Vec<Vec<f64>> {
+        map_indexed(engine.build().as_ref(), points, |i| {
+            pool.with_solver(|solver| {
+                solver.retarget_values(netlist_at(i).values());
+                solver.solve().expect("converges").raw().to_vec()
             })
-        };
-        let sequential = sweep(EngineSpec::Sequential);
-        let threaded = sweep(EngineSpec::Threaded(4));
-        for i in 0..points {
-            for ((s, t), f) in sequential[i].iter().zip(&threaded[i]).zip(&fresh[i]) {
-                assert_eq!(
-                    s.to_bits(),
-                    t.to_bits(),
-                    "{backend} point {i}: sequential vs threaded pool"
-                );
-                assert_eq!(s.to_bits(), f.to_bits(), "{backend} point {i}: pool vs fresh solver");
-            }
+        })
+    };
+    let sequential = sweep(EngineSpec::Sequential);
+    let threaded = sweep(EngineSpec::Threaded(4));
+    for i in 0..points {
+        for ((s, t), f) in sequential[i].iter().zip(&threaded[i]).zip(&fresh[i]) {
+            assert_eq!(s.to_bits(), t.to_bits(), "point {i}: sequential vs threaded pool");
+            assert_eq!(s.to_bits(), f.to_bits(), "point {i}: pool vs fresh solver");
         }
-        assert!(
-            (1..=5).contains(&pool.solvers_spawned()),
-            "{backend}: pool must materialize between 1 and workers+1 solvers, got {}",
-            pool.solvers_spawned()
-        );
     }
+    assert!(
+        (1..=5).contains(&pool.solvers_spawned()),
+        "pool must materialize between 1 and workers+1 solvers, got {}",
+        pool.solvers_spawned()
+    );
 }
 
 /// Pool solvers spawned under an engine-dispatched circuit evaluation
@@ -233,29 +214,34 @@ fn per_worker_solver_ownership_is_bounded() {
     );
 }
 
-/// Dense-robustness regression (ROADMAP "Dense robustness" item): the
-/// previously-failing 80-stage *unloaded* mid-rail chain — cutoff
-/// devices leave node rows at `gmin` scale and border-block cancellation
-/// used to read as a singular matrix — must now solve on the dense
-/// backend and agree with the sparse backend, keeping the dense path a
-/// parity oracle over the sparse backend's whole range.
+/// Robustness regression (ROADMAP "Dense robustness" item): the
+/// 80-stage *unloaded* mid-rail chain — cutoff devices leave node rows
+/// at `gmin` scale and border-block cancellation once read as a singular
+/// matrix — must solve, and its operating point must be a fixed point of
+/// full Newton on the same assembled system solved by the dense `Lu`
+/// oracle.
 #[test]
 fn dense_oracle_covers_80_stage_unloaded_chain() {
     let nl = inverter_chain_with_load(80, None);
     let x0 = vec![0.0; nl.unknown_count()];
-    let solve = |backend| {
-        let options = NewtonOptions::default().with_backend(backend);
-        glova_spice::dc::operating_point_with_options(&nl, &x0, &options)
-            .unwrap_or_else(|e| panic!("80-stage unloaded chain must solve on {backend}: {e}"))
-    };
-    let dense = solve(SolverBackend::Dense);
-    let sparse = solve(SolverBackend::Sparse);
-    let gap =
-        dense.raw().iter().zip(sparse.raw()).map(|(d, s)| (d - s).abs()).fold(0.0f64, f64::max);
-    assert!(gap < 1e-9, "dense vs sparse diverge by {gap:.3e} on the unloaded chain");
+    let op = glova_spice::dc::operating_point_with_options(&nl, &x0, &NewtonOptions::default())
+        .unwrap_or_else(|e| panic!("80-stage unloaded chain must solve: {e}"));
+    // The final-rung system around the solution, solved densely: the
+    // full-Newton step it asks for must vanish.
+    let ctx = StampContext { time: 0.0, step: None, gmin: 1e-12 };
+    let template = MnaTemplate::new(&nl, nl.values(), &ctx);
+    let mut a = template.new_system();
+    let mut rhs = vec![0.0; template.dim()];
+    template.assemble_into(&mut a, &mut rhs, op.raw(), ctx.gmin);
+    let a = a.to_dense();
+    let residual: Vec<f64> = rhs.iter().zip(a.mat_vec(op.raw())).map(|(b, v)| b - v).collect();
+    let step = a.lu().expect("the dense oracle factors the chain").solve(&residual);
+    let n_nodes = nl.node_count() - 1;
+    let moved = step[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+    assert!(moved < 1e-9, "the dense oracle moves the operating point by {moved:.3e} V");
     // Mid-rail chain with no loads: node voltages must stay inside the
     // supply (sanity that the recovered solve is physical, not garbage).
-    for v in &dense.raw()[..nl.node_count() - 1] {
+    for v in &op.raw()[..n_nodes] {
         assert!((-1e-6..=0.9 + 1e-6).contains(v), "node voltage {v} outside the supply");
     }
 }
