@@ -13,24 +13,28 @@
 //! Every row times one configuration: `solves` repeated operating-point
 //! solves through a persistent unprimed [`OpSolver`], each running the
 //! `gmin` ladder from zeros (template and symbolic factorization built
-//! once). `--engine threaded:N` adds the same batch through an
-//! [`OpSolverPool`] — per-worker solvers cloned from one primed prototype,
-//! the execution model of the pipeline's threaded corner/mismatch sweeps
-//! — on the sequential and on the requested engine, the threaded row
-//! carrying its speedup over the sequential one. `--circuits
-//! inv,rc,ota,senseamp` picks the circuit set (default `inv,rc`; `ota`
-//! adds the two-stage Miller OTA; `senseamp` adds 2-D DRAM sense-amp
-//! arrays out to 508 and 1026 unknowns). The symbolic section times the
-//! sparse factor (AMD pre-order, symbolic analysis and first numeric
-//! elimination) and the numeric-only refactor per pattern. Every timing
-//! is the median of [`RUNS`] runs; `--report` writes
-//! `BENCH_spice_op.json`.
+//! once). `--engine threaded:N` adds a batch of the same size through
+//! an [`OpSolverPool`] — per-worker solvers cloned from one primed
+//! prototype, the execution model of the pipeline's threaded
+//! corner/mismatch sweeps — on the sequential and on the requested
+//! engine, the threaded row carrying its speedup over the sequential
+//! one. Each pooled solve retargets the solver at one of [`VARIANTS`]
+//! value slices (every resistance and MOSFET width scaled), so it
+//! starts from the pool's warm start away from its solution, as a sweep
+//! point does. `--circuits inv,rc,ota,senseamp` picks the circuit set
+//! (default `inv,rc`; `ota` adds the two-stage Miller OTA; `senseamp`
+//! adds 2-D DRAM sense-amp arrays out to 508 and 1026 unknowns). The
+//! symbolic section times the sparse factor (AMD pre-order, symbolic
+//! analysis and first numeric elimination) and the numeric-only
+//! refactor per pattern. Every timing is the median of [`RUNS`] runs;
+//! `--report` writes `BENCH_spice_op.json`.
 
 use glova::engine::EngineSpec;
 use glova_bench::report::{BenchRecord, BenchReport};
 use glova_bench::{report_requested, write_report};
 use glova_linalg::sparse::SparseLu;
 use glova_spice::dc::{OpSolver, OpSolverPool};
+use glova_spice::device::DeviceValue;
 use glova_spice::mna::{MnaTemplate, NewtonOptions, StampContext};
 use glova_spice::netlist::{
     inverter_chain, ota_two_stage, rc_ladder, sense_amp_array, Netlist, OtaParams,
@@ -40,6 +44,9 @@ use std::time::{Duration, Instant};
 
 /// Timed runs per row; the row reports their median.
 const RUNS: usize = 5;
+
+/// Value slices the pooled rows cycle through.
+const VARIANTS: usize = 16;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
@@ -68,18 +75,40 @@ fn solve_op(netlist: &Netlist, solves: usize) -> Option<Duration> {
     })
 }
 
-/// The same batch dispatched through an [`EvalEngine`](glova::engine::EvalEngine):
-/// the solves fan out over the engine's workers, each checking a
-/// per-worker solver out of one [`OpSolverPool`] (symbolic analysis and
-/// warm start once, numeric refactorizations per worker).
+/// `netlist`'s device values with every resistance and MOSFET width
+/// scaled by `1 + 0.2·sin(k + i)` for device `i` — variant `k` of a
+/// sweep over one topology.
+fn variant(netlist: &Netlist, k: usize) -> Vec<DeviceValue> {
+    let scale = |i: usize| 1.0 + 0.2 * ((k + i) as f64).sin();
+    let scaled = |(i, value): (usize, &DeviceValue)| match *value {
+        DeviceValue::Resistor { ohms } => DeviceValue::resistor(ohms * scale(i)),
+        DeviceValue::Mosfet { model, w_um, l_um } => {
+            DeviceValue::mosfet(model, w_um * scale(i), l_um)
+        }
+        other => other,
+    };
+    netlist.values().iter().enumerate().map(scaled).collect()
+}
+
+/// A batch of `solves` value-variant solves dispatched through an
+/// [`EvalEngine`](glova::engine::EvalEngine): the solves fan out over the
+/// engine's workers, each checking a per-worker solver out of one
+/// [`OpSolverPool`] (symbolic analysis and warm start once, numeric
+/// refactorizations per worker) and retargeting it at the solve's
+/// variant.
 fn solve_op_pooled(netlist: &Netlist, solves: usize, engine: EngineSpec) -> Option<Duration> {
     let pool = OpSolverPool::new(netlist.clone(), NewtonOptions::default()).ok()?;
+    let variants: Vec<Vec<DeviceValue>> = (0..VARIANTS).map(|k| variant(netlist, k)).collect();
     let engine = engine.build();
     let failed = AtomicBool::new(false);
     median_of_runs(|| {
         let start = Instant::now();
-        engine.run(solves, &|_| {
-            if pool.with_solver(|solver| solver.solve().is_err()) {
+        engine.run(solves, &|i| {
+            let solved = pool.with_solver(|solver| {
+                solver.retarget_values(&variants[i % VARIANTS]);
+                solver.solve().is_ok()
+            });
+            if !solved {
                 failed.store(true, Ordering::Relaxed);
             }
         });
