@@ -711,8 +711,8 @@ impl MnaState {
     /// Assembles the system at the all-zeros estimate under `gmin` and
     /// factors it, so the state carries a factorization before any solve
     /// — the **symbolic analysis** (pivot order + fill pattern), which
-    /// the state also keeps as its canonical factor (see
-    /// [`Self::restore_primed_factor`]). Priming a prototype once and
+    /// the state also keeps as its canonical factor, to hand back after
+    /// a re-pivot. Priming a prototype once and
     /// cloning it per worker is how a sweep shares one symbolic analysis
     /// across threads; priming never changes a solve's numeric values
     /// (the Newton loop always refreshes the factor numerically before
