@@ -535,16 +535,11 @@ impl Circuit for SpiceOta {
         let topology = self.solve.pool.topology();
         match ac_sweep_from_op(topology, &values, op, "VINP", &self.freqs) {
             Ok(ac) => {
-                // One magnitude pass serves both the gain and the −3 dB
-                // crossing, found by `AcResult::bandwidth_3db`'s test.
-                let mags = ac.magnitude_db(self.out);
-                let gain_db = mags[0];
+                let (gain_db, f3) =
+                    ac.gain_and_bandwidth_3db(self.out).expect("the OTA sweep has points");
                 // Single-pole GBW estimate; a response that never drops
                 // 3 dB inside the sweep is credited with the sweep edge.
-                let f3 = mags
-                    .iter()
-                    .position(|&m| m <= gain_db - 3.0)
-                    .map_or_else(|| *self.freqs.last().unwrap(), |i| self.freqs[i]);
+                let f3 = f3.unwrap_or_else(|| *self.freqs.last().unwrap());
                 let gbw_mhz = f3 * 10f64.powf(gain_db / 20.0) / 1e6;
                 vec![gain_db, gbw_mhz, supply_current_ua]
             }

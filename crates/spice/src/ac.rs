@@ -65,14 +65,18 @@ impl AcResult {
     /// −3 dB bandwidth of `node` relative to its first-point gain, Hz
     /// (`None` if the response never drops 3 dB within the sweep).
     pub fn bandwidth_3db(&self, node: NodeId) -> Option<f64> {
+        self.gain_and_bandwidth_3db(node)?.1
+    }
+
+    /// The first-point gain of `node` in dB and its
+    /// [`bandwidth_3db`](Self::bandwidth_3db), read from one
+    /// [`magnitude_db`](Self::magnitude_db) pass; `None` for an empty
+    /// sweep.
+    pub fn gain_and_bandwidth_3db(&self, node: NodeId) -> Option<(f64, Option<f64>)> {
         let mags = self.magnitude_db(node);
-        let reference = *mags.first()?;
-        for (i, &m) in mags.iter().enumerate() {
-            if m <= reference - 3.0 {
-                return Some(self.frequencies[i]);
-            }
-        }
-        None
+        let gain = *mags.first()?;
+        let f3 = mags.iter().position(|&m| m <= gain - 3.0).map(|i| self.frequencies[i]);
+        Some((gain, f3))
     }
 }
 
