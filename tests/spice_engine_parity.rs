@@ -20,10 +20,15 @@ use glova::verification::Verifier;
 use glova::yield_est::{estimate_yield, YieldEstimate};
 use glova_circuits::{Circuit, SpiceInverterChain};
 use glova_spice::dc::{OpSolver, OpSolverPool};
+use glova_spice::device::DeviceValue;
 use glova_spice::mna::{MnaTemplate, NewtonOptions, StampContext};
-use glova_spice::netlist::inverter_chain_with_load;
+use glova_spice::model::MosModel;
+use glova_spice::netlist::{inverter_chain, inverter_chain_with_load, Netlist};
+use glova_spice::registry::SolverRegistry;
 use glova_stats::rng::seeded;
 use glova_variation::config::VerificationMethod;
+use glova_variation::corner::PvtCorner;
+use glova_variation::sampler::MismatchVector;
 use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -63,6 +68,10 @@ fn assert_estimates_bitwise_equal(a: &YieldEstimate, b: &YieldEstimate, what: &s
     );
 }
 
+/// Seed and mismatch samples per corner of every yield grid below.
+const GRID_SEED: u64 = 2025;
+const GRID_SAMPLES: usize = 3;
+
 /// One SPICE-backed yield grid (the engine-dispatched
 /// `simulate_corner_grid_independent` fan-out) for a fixed seed.
 fn yield_grid(
@@ -72,9 +81,46 @@ fn yield_grid(
 ) -> (YieldEstimate, u64) {
     let p = problem(circuit, engine, cache);
     let x = vec![0.5; circuit.dim()];
-    let mut rng = seeded(2025);
-    let est = estimate_yield(&p, &x, 3, 0.95, &mut rng);
+    let mut rng = seeded(GRID_SEED);
+    let est = estimate_yield(&p, &x, GRID_SAMPLES, 0.95, &mut rng);
     (est, p.simulations())
+}
+
+/// Checks that `x` — a DC operating point the sparse solver returned —
+/// is a fixed point of full Newton on the same final-rung system solved
+/// by the dense `Lu` oracle: the step the oracle asks for moves no node
+/// by `1e-9` V or more.
+fn assert_dense_fixed_point(netlist: &Netlist, x: &[f64], what: &str) {
+    let ctx = StampContext { time: 0.0, step: None, gmin: 1e-12 };
+    let template = MnaTemplate::new(netlist, netlist.values(), &ctx);
+    let mut a = template.new_system();
+    let mut rhs = vec![0.0; template.dim()];
+    template.assemble_into(&mut a, &mut rhs, x, ctx.gmin);
+    let a = a.to_dense();
+    let residual: Vec<f64> = rhs.iter().zip(a.mat_vec(x)).map(|(b, v)| b - v).collect();
+    let step = a.lu().expect("the dense oracle factors").solve(&residual);
+    let n_nodes = netlist.node_count() - 1;
+    let moved = step[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+    assert!(moved < 1e-9, "{what}: the dense oracle moves the operating point by {moved:.3e} V");
+}
+
+/// The chain testcase's device values at one point, rebuilt from the
+/// public device-model API in [`inverter_chain`]'s device order: the VDD
+/// and VIN sources, then per stage its PMOS, NMOS and load, each
+/// transistor carrying its four mismatch components (`ΔV_th`/`Δβ` for
+/// the PMOS, then the NMOS).
+fn chain_values(x_phys: &[f64], corner: &PvtCorner, h: &MismatchVector) -> Vec<DeviceValue> {
+    let (wn, wp, l, rl) = (x_phys[0], x_phys[1], x_phys[2], x_phys[3]);
+    let pmos = MosModel::pmos_28nm().at_corner(corner);
+    let nmos = MosModel::nmos_28nm().at_corner(corner);
+    let mut values =
+        vec![DeviceValue::vsource(corner.vdd), DeviceValue::vsource(corner.vdd * (0.42 / 0.9))];
+    for hs in h.values().chunks_exact(4) {
+        values.push(DeviceValue::mosfet(pmos.with_mismatch(hs[0], hs[1]), wp, l));
+        values.push(DeviceValue::mosfet(nmos.with_mismatch(hs[2], hs[3]), wn, l));
+        values.push(DeviceValue::resistor(rl));
+    }
+    values
 }
 
 /// Every system factors on the AMD-pre-ordered sparse LU, the one solver
@@ -83,7 +129,7 @@ fn yield_grid(
 fn yield_grid_bitwise_parity_sparse() {
     let circuit: Arc<dyn Circuit> = Arc::new(SpiceInverterChain::new(GRID_STAGES));
     let (reference, ref_sims) = yield_grid(&circuit, EngineSpec::Sequential, None);
-    assert_eq!(ref_sims, 30 * 3, "full corner × sample grid simulated");
+    assert_eq!(ref_sims, 30 * GRID_SAMPLES as u64, "full corner × sample grid simulated");
     for workers in WORKER_COUNTS {
         for cache in CACHE_POLICIES {
             let (est, sims) = yield_grid(&circuit, EngineSpec::Threaded(workers), cache);
@@ -92,6 +138,82 @@ fn yield_grid_bitwise_parity_sparse() {
             assert_eq!(sims, ref_sims, "{what}: simulation accounting");
         }
     }
+}
+
+/// The dense `Lu` oracle over the yield grid: every system the grid
+/// solves — the chain at each corner × mismatch point, replayed from the
+/// grid's own seed — solved again on the testcase's pool reproduces the
+/// grid's metrics bitwise, and each operating point is a fixed point of
+/// full Newton on the same assembled system solved densely.
+#[test]
+fn yield_grid_bitwise_parity_dense() {
+    let chain = Arc::new(SpiceInverterChain::new(GRID_STAGES));
+    let circuit: Arc<dyn Circuit> = chain.clone();
+    let p = problem(&circuit, EngineSpec::Sequential, None);
+    let x = vec![0.5; circuit.dim()];
+    let grid = p.simulate_corner_grid_independent(&x, GRID_SAMPLES, &mut seeded(GRID_SEED));
+    // The grid draws every corner's conditions up front, in corner order.
+    let mut rng = seeded(GRID_SEED);
+    let conditions: Vec<Vec<MismatchVector>> =
+        grid.iter().map(|_| p.sample_conditions_independent(&x, GRID_SAMPLES, &mut rng)).collect();
+
+    let x_phys = circuit.denormalize(&x);
+    let mut netlist = inverter_chain(GRID_STAGES);
+    let vdd = netlist.vsource_branch("VDD").expect("VDD source present");
+    let output = |s: usize| netlist.find_node(&format!("n{s}")).expect("stage output");
+    let outputs = [output(GRID_STAGES - 1), output(GRID_STAGES - 2)];
+    for (ci, (outcomes, hs)) in grid.iter().zip(&conditions).enumerate() {
+        let corner = p.config().corners.corner(ci);
+        for (si, (outcome, h)) in outcomes.iter().zip(hs).enumerate() {
+            let what = format!("corner {ci} sample {si}");
+            netlist.set_values(&chain_values(&x_phys, &corner, h));
+            let op = chain
+                .solver_pool()
+                .with_solver(|solver| {
+                    solver.retarget_values(netlist.values());
+                    solver.solve()
+                })
+                .unwrap_or_else(|e| panic!("{what}: the pooled solve must converge: {e}"));
+            let (va, vb) = (op.voltage(outputs[0]), op.voltage(outputs[1]));
+            let metrics = [op.branch_current(vdd).abs() * 1e6, va.max(vb), va.min(vb)];
+            assert_eq!(metrics.len(), outcome.metrics.len(), "{what}: metric count");
+            for (m, g) in metrics.iter().zip(&outcome.metrics) {
+                assert_eq!(m.to_bits(), g.to_bits(), "{what}: replayed vs grid metric bits");
+            }
+            assert_dense_fixed_point(&netlist, op.raw(), &what);
+        }
+    }
+    assert_eq!(chain.failure_stats().nonconvergent, 0, "every grid point converges on the pool");
+}
+
+/// The auto-sized engine (`Threaded(0)`, what `--engine threaded` runs)
+/// over chains whose pool a [`SolverRegistry`] shares with an earlier
+/// campaign: the registry hands back the first testcase's pool — its
+/// warm start, and worker solvers a full grid has already used — and
+/// the grid must still match the private-pool sequential reference
+/// bitwise, on every cache policy.
+#[test]
+fn yield_grid_bitwise_parity_auto() {
+    let private: Arc<dyn Circuit> = Arc::new(SpiceInverterChain::new(GRID_STAGES));
+    let (reference, ref_sims) = yield_grid(&private, EngineSpec::Sequential, None);
+    let registry = SolverRegistry::new();
+    let first = Arc::new(SpiceInverterChain::from_registry(GRID_STAGES, &registry));
+    let first_circuit: Arc<dyn Circuit> = first.clone();
+    let (first_est, _) = yield_grid(&first_circuit, EngineSpec::Threaded(2), None);
+    assert_estimates_bitwise_equal(&reference, &first_est, "first registry campaign");
+    for cache in CACHE_POLICIES {
+        let chain = Arc::new(SpiceInverterChain::from_registry(GRID_STAGES, &registry));
+        assert!(
+            std::ptr::eq(chain.solver_pool(), first.solver_pool()),
+            "one shared pool per topology"
+        );
+        let circuit: Arc<dyn Circuit> = chain;
+        let (est, sims) = yield_grid(&circuit, EngineSpec::Threaded(0), cache);
+        let what = format!("auto-sized engine, shared pool, cache={cache:?}");
+        assert_estimates_bitwise_equal(&reference, &est, &what);
+        assert_eq!(sims, ref_sims, "{what}: simulation accounting");
+    }
+    assert_eq!(registry.creations(), 1, "the topology is primed once");
 }
 
 /// The verifier's phase-2 re-sweep: two identically seeded Algorithm-2
@@ -226,22 +348,10 @@ fn dense_oracle_covers_80_stage_unloaded_chain() {
     let x0 = vec![0.0; nl.unknown_count()];
     let op = glova_spice::dc::operating_point_with_options(&nl, &x0, &NewtonOptions::default())
         .unwrap_or_else(|e| panic!("80-stage unloaded chain must solve: {e}"));
-    // The final-rung system around the solution, solved densely: the
-    // full-Newton step it asks for must vanish.
-    let ctx = StampContext { time: 0.0, step: None, gmin: 1e-12 };
-    let template = MnaTemplate::new(&nl, nl.values(), &ctx);
-    let mut a = template.new_system();
-    let mut rhs = vec![0.0; template.dim()];
-    template.assemble_into(&mut a, &mut rhs, op.raw(), ctx.gmin);
-    let a = a.to_dense();
-    let residual: Vec<f64> = rhs.iter().zip(a.mat_vec(op.raw())).map(|(b, v)| b - v).collect();
-    let step = a.lu().expect("the dense oracle factors the chain").solve(&residual);
-    let n_nodes = nl.node_count() - 1;
-    let moved = step[..n_nodes].iter().fold(0.0f64, |m, d| m.max(d.abs()));
-    assert!(moved < 1e-9, "the dense oracle moves the operating point by {moved:.3e} V");
+    assert_dense_fixed_point(&nl, op.raw(), "80-stage unloaded chain");
     // Mid-rail chain with no loads: node voltages must stay inside the
     // supply (sanity that the recovered solve is physical, not garbage).
-    for v in &op.raw()[..n_nodes] {
+    for v in &op.raw()[..nl.node_count() - 1] {
         assert!((-1e-6..=0.9 + 1e-6).contains(v), "node voltage {v} outside the supply");
     }
 }
